@@ -1,0 +1,274 @@
+package specdb
+
+// Wall-clock and allocation benchmarks for the executor's layers, and the
+// replay that scripts/profile.sh profiles. One op of a BenchmarkLayer* is one
+// pass over a fixed input on a pool that holds it, so allocs/op and B/op are
+// counts of a deterministic program: scripts/bench_gate.sh compares them
+// exactly against BENCH_allocs.txt and reports ns/op for information.
+//
+//	go test -run '^$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x .
+
+import (
+	"testing"
+
+	"specdb/internal/btree"
+	"specdb/internal/buffer"
+	"specdb/internal/catalog"
+	"specdb/internal/engine"
+	"specdb/internal/exec"
+	"specdb/internal/harness"
+	"specdb/internal/sim"
+	"specdb/internal/storage"
+	"specdb/internal/tpch"
+	"specdb/internal/tuple"
+)
+
+// BenchmarkNormalReplay replays the 3-user corpus with speculation off on a
+// cold 32 MB-equivalent pool: the benchmark's normal_replay workload as a
+// `go test -bench` target, so -cpuprofile/-memprofile can see it.
+func BenchmarkNormalReplay(b *testing.B) {
+	traces := corpus(b)
+	env, err := harness.NewEnv(harness.EnvConfig{Scale: tpch.Scale100MB, Seed: benchData})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gos := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for idx, tr := range traces {
+			timings, err := harness.RunTraceNormal(env.Eng, idx, tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gos += len(timings)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(gos), "ms/GO")
+}
+
+// layerEnv is the 100MB dataset on a pool that holds all of it; the loader
+// builds the l_orderkey index the index-NL and B+-tree benchmarks probe.
+// Loaded once per process.
+type layerEnv struct {
+	ctx             *exec.Context
+	lineitem        *catalog.Table
+	orders          *catalog.Table
+	byOrder         *catalog.Index // lineitem.l_orderkey
+	orderRows       []tuple.Row
+	lineitemRecords [][]byte
+}
+
+var layers *layerEnv
+
+func layerSetup(b *testing.B) *layerEnv {
+	b.Helper()
+	if layers != nil {
+		return layers
+	}
+	eng := engine.New(engine.Config{BufferPoolPages: 4096})
+	if err := tpch.Load(eng, tpch.Scale100MB, benchData); err != nil {
+		b.Fatal(err)
+	}
+	l := &layerEnv{ctx: exec.NewContext(sim.NewMeter())}
+	var err error
+	if l.lineitem, err = eng.Catalog.Table("lineitem"); err != nil {
+		b.Fatal(err)
+	}
+	if l.orders, err = eng.Catalog.Table("orders"); err != nil {
+		b.Fatal(err)
+	}
+	l.byOrder = l.lineitem.Index("l_orderkey")
+	if l.orderRows, err = exec.Collect(exec.NewSeqScan(l.ctx, l.orders, "")); err != nil {
+		b.Fatal(err)
+	}
+	err = l.lineitem.Heap.Scan(func(_ storage.RID, rec []byte) error {
+		l.lineitemRecords = append(l.lineitemRecords, append([]byte(nil), rec...))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	layers = l
+	return l
+}
+
+// perRow reports the pass time divided by the rows one pass handles.
+func perRow(b *testing.B, rows int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+func BenchmarkLayerDecodeRowInto(b *testing.B) {
+	l := layerSetup(b)
+	dst := make(tuple.Row, l.lineitem.Schema.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rec := range l.lineitemRecords {
+			if _, err := tuple.DecodeRowInto(dst, rec, l.lineitem.Schema); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	perRow(b, len(l.lineitemRecords))
+}
+
+func BenchmarkLayerSeqScan(b *testing.B) {
+	l := layerSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Count(exec.NewSeqScan(l.ctx, l.lineitem, "")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perRow(b, len(l.lineitemRecords))
+}
+
+func BenchmarkLayerFilter(b *testing.B) {
+	l := layerSetup(b)
+	pred, err := exec.CompilePred(l.lineitem.Schema, "l_quantity", tuple.CmpLT, tuple.NewInt(25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan := exec.NewSeqScan(l.ctx, l.lineitem, "")
+		if _, err := exec.Count(exec.NewFilter(l.ctx, scan, []exec.Pred{pred})); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perRow(b, len(l.lineitemRecords))
+}
+
+// ordersJoinLineitem is one orders ⋈ lineitem per pass, orders on the build
+// side. Operators are constructed before the timer starts: building a schema
+// allocates a map, whose cost depends on the Go version, and the gate
+// compares counts exactly.
+func ordersJoinLineitem(b *testing.B, l *layerEnv) []*exec.HashJoin {
+	joins := make([]*exec.HashJoin, b.N)
+	for i := range joins {
+		var err error
+		joins[i], err = exec.NewHashJoin(l.ctx, exec.NewSeqScan(l.ctx, l.orders, ""),
+			exec.NewSeqScan(l.ctx, l.lineitem, ""), "o_orderkey", "l_orderkey")
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return joins
+}
+
+func BenchmarkLayerHashJoinBuild(b *testing.B) {
+	l := layerSetup(b)
+	joins := ordersJoinLineitem(b, l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, hj := range joins {
+		if err := hj.Open(); err != nil {
+			b.Fatal(err)
+		}
+		if err := hj.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perRow(b, len(l.orderRows))
+}
+
+func BenchmarkLayerHashJoinProbe(b *testing.B) {
+	l := layerSetup(b)
+	joins := ordersJoinLineitem(b, l)
+	for _, hj := range joins {
+		if err := hj.Open(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, hj := range joins {
+		for {
+			_, ok, err := hj.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+	}
+	b.StopTimer()
+	perRow(b, len(l.lineitemRecords))
+	for _, hj := range joins {
+		if err := hj.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLayerIndexNLProbe(b *testing.B) {
+	l := layerSetup(b)
+	outer := l.orderRows[:2000]
+	joins := make([]*exec.IndexNLJoin, b.N)
+	for i := range joins {
+		var err error
+		joins[i], err = exec.NewIndexNLJoin(l.ctx, exec.NewValuesScan(l.ctx, l.orders.Schema, outer),
+			"o_orderkey", l.lineitem, l.byOrder, "lineitem", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, j := range joins {
+		if _, err := exec.Count(j); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perRow(b, len(outer))
+}
+
+func BenchmarkLayerBTreeLookup(b *testing.B) {
+	l := layerSetup(b)
+	keys := make([][]byte, 2000)
+	for i := range keys {
+		keys[i] = tuple.EncodeKey(nil, l.orderRows[i][0])
+	}
+	visit := func([]byte, storage.RID) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			if err := l.byOrder.Tree.Scan(btree.Exact(k), btree.Exact(k), visit); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	perRow(b, len(keys))
+}
+
+// BenchmarkLayerPoolMiss cycles through four times as many pages as the pool
+// has frames, so every Get evicts and reads.
+func BenchmarkLayerPoolMiss(b *testing.B) {
+	const frames = 64
+	pool := buffer.NewPool(storage.NewDiskManager(0), frames, sim.NewMeter())
+	ids := make([]storage.PageID, 4*frames)
+	for i := range ids {
+		id, _, err := pool.New()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool.Unpin(id, true)
+		ids[i] = id
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, id := range ids {
+			if _, err := pool.Get(id); err != nil {
+				b.Fatal(err)
+			}
+			pool.Unpin(id, false)
+		}
+	}
+	perRow(b, len(ids))
+}

@@ -36,9 +36,12 @@ type BTree struct {
 	pages    []storage.PageID // every page owned by the tree, for Drop/PageIDs
 }
 
-// node is the in-memory form of one page. Pages are parsed on read and
-// re-serialized on write; at this repository's scale the simplicity is worth
-// far more than zero-copy node access.
+// node is the in-memory form of one page, used by the paths that change a
+// page (insert, delete, bulk load) and by the invariant audit: they parse the
+// page, edit the slices and re-serialize. Scan, the read path every index
+// lookup takes, never builds one — it walks the serialized entries of the
+// pinned page in place (leafEntry, internalEntry), because parsing a node
+// copied every key of every page on every lookup.
 type node struct {
 	leaf bool
 	next storage.PageID // leaf chain
@@ -249,7 +252,9 @@ type Bound struct {
 }
 
 // Scan visits entries with lo ≤ key ≤ hi (subject to inclusivity) in key
-// order. fn returning a non-nil error stops the scan and propagates it.
+// order. fn returning a non-nil error stops the scan and propagates it. The
+// key passed to fn aliases the pinned leaf page: it is valid only during the
+// call, and fn must copy it to keep it.
 func (t *BTree) Scan(lo, hi Bound, fn func(key []byte, rid storage.RID) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -263,15 +268,11 @@ func (t *BTree) Scan(lo, hi Bound, fn func(key []byte, rid storage.RID) error) e
 		if err != nil {
 			return err
 		}
-		n := readNode(buf)
-		if n.leaf {
+		if pageIsLeaf(buf) {
 			t.pool.Unpin(id, false)
 			break
 		}
-		next := n.children[0]
-		if lo.Key != nil {
-			next = n.children[scanChildIndex(n, lo.Key)]
-		}
+		next := scanChild(buf, lo.Key)
 		t.pool.Unpin(id, false)
 		id = next
 	}
@@ -280,9 +281,11 @@ func (t *BTree) Scan(lo, hi Bound, fn func(key []byte, rid storage.RID) error) e
 		if err != nil {
 			return err
 		}
-		n := readNode(buf)
-		for i := range n.keys {
-			k := n.keys[i]
+		off := nodeHeaderSize
+		for i, count := 0, pageCount(buf); i < count; i++ {
+			var k []byte
+			var page, slot int64
+			k, page, slot, off = leafEntry(buf, off)
 			if lo.Key != nil {
 				c := bytes.Compare(k, lo.Key)
 				if c < 0 || (c == 0 && !lo.Inclusive) {
@@ -296,16 +299,41 @@ func (t *BTree) Scan(lo, hi Bound, fn func(key []byte, rid storage.RID) error) e
 					return nil
 				}
 			}
-			if err := fn(k, n.rids[i]); err != nil {
+			if err := fn(k, storage.RID{Page: int32(page), Slot: int32(slot)}); err != nil {
 				t.pool.Unpin(id, false)
 				return err
 			}
 		}
-		next := n.next
+		next := pageFirst(buf)
 		t.pool.Unpin(id, false)
 		id = next
 	}
 	return nil
+}
+
+// scanChild picks the child of the serialized internal node in buf that a
+// scan starting at key descends into: the one before the first separator
+// ≥ key, so keys equal to the search key descend LEFT and a range scan
+// starting at a duplicated key finds its leftmost occurrence (duplicates may
+// straddle a split separator). A nil key takes the leftmost child. Separators
+// have no fixed width, so the walk is linear; it stops at the first
+// separator that is not below key.
+func scanChild(buf []byte, key []byte) storage.PageID {
+	child := pageFirst(buf)
+	if key == nil {
+		return child
+	}
+	off := nodeHeaderSize
+	for i, count := 0, pageCount(buf); i < count; i++ {
+		var sep []byte
+		var right int64
+		sep, right, off = internalEntry(buf, off)
+		if bytes.Compare(sep, key) >= 0 {
+			break
+		}
+		child = storage.PageID(right)
+	}
+	return child
 }
 
 // Unbounded is the open bound for Scan.
@@ -411,6 +439,42 @@ func insertPID(xs []storage.PageID, i int, v storage.PageID) []storage.PageID {
 //	  uvarint key length, key bytes,
 //	  leaf: varint page, varint slot
 //	  internal: children[i+1] as varint
+const nodeHeaderSize = 11
+
+func pageIsLeaf(buf []byte) bool { return buf[0] == 1 }
+
+func pageCount(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[1:3])) }
+
+// pageFirst is the next-leaf pointer of a leaf, children[0] of an internal
+// node.
+func pageFirst(buf []byte) storage.PageID {
+	return storage.PageID(binary.LittleEndian.Uint64(buf[3:11]))
+}
+
+// entryKey reads the key of the entry at off. The key aliases buf.
+func entryKey(buf []byte, off int) (key []byte, next int) {
+	kl, m := binary.Uvarint(buf[off:])
+	off += m
+	return buf[off : off+int(kl)], off + int(kl)
+}
+
+// leafEntry reads the leaf entry at off and returns the offset of the next.
+func leafEntry(buf []byte, off int) (key []byte, page, slot int64, next int) {
+	key, off = entryKey(buf, off)
+	page, m := binary.Varint(buf[off:])
+	off += m
+	slot, m = binary.Varint(buf[off:])
+	return key, page, slot, off + m
+}
+
+// internalEntry reads the separator and right child at off and returns the
+// offset of the next entry.
+func internalEntry(buf []byte, off int) (key []byte, child int64, next int) {
+	key, off = entryKey(buf, off)
+	child, m := binary.Varint(buf[off:])
+	return key, child, off + m
+}
+
 func writeNode(buf []byte, n *node) {
 	if n.leaf {
 		buf[0] = 1
@@ -423,7 +487,7 @@ func writeNode(buf []byte, n *node) {
 	} else {
 		binary.LittleEndian.PutUint64(buf[3:11], uint64(n.children[0]))
 	}
-	off := 11
+	off := nodeHeaderSize
 	var scratch []byte
 	for i, k := range n.keys {
 		scratch = binary.AppendUvarint(scratch[:0], uint64(len(k)))
@@ -445,39 +509,34 @@ func writeNode(buf []byte, n *node) {
 }
 
 func readNode(buf []byte) *node {
-	n := &node{leaf: buf[0] == 1}
-	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	first := storage.PageID(binary.LittleEndian.Uint64(buf[3:11]))
+	n := &node{leaf: pageIsLeaf(buf)}
+	count := pageCount(buf)
 	if n.leaf {
-		n.next = first
+		n.next = pageFirst(buf)
 	} else {
-		n.children = append(n.children, first)
+		n.children = append(n.children, pageFirst(buf))
 	}
-	off := 11
+	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
-		kl, m := binary.Uvarint(buf[off:])
-		off += m
-		key := append([]byte(nil), buf[off:off+int(kl)]...)
-		off += int(kl)
-		n.keys = append(n.keys, key)
+		var key []byte
 		if n.leaf {
-			p, m := binary.Varint(buf[off:])
-			off += m
-			s, m := binary.Varint(buf[off:])
-			off += m
+			var p, s int64
+			key, p, s, off = leafEntry(buf, off)
 			n.rids = append(n.rids, storage.RID{Page: int32(p), Slot: int32(s)})
 		} else {
-			c, m := binary.Varint(buf[off:])
-			off += m
+			var c int64
+			key, c, off = internalEntry(buf, off)
 			n.children = append(n.children, storage.PageID(c))
 		}
+		// The node outlives the pin and is edited in place: own the key.
+		n.keys = append(n.keys, append([]byte(nil), key...))
 	}
 	return n
 }
 
 // nodeSize is a conservative serialized-size estimate used for split checks.
 func nodeSize(n *node) int {
-	size := 11
+	size := nodeHeaderSize
 	for i, k := range n.keys {
 		size += binary.MaxVarintLen16 + len(k)
 		if n.leaf {

@@ -47,6 +47,11 @@ type shard struct {
 	frames map[storage.PageID]*frame
 	lru    *list.List // front = most recently used; holds unpinned candidates too
 	cap    int
+	// spare is the page buffer of the frame that left the shard last (evicted
+	// or freed); the next admission takes it instead of allocating. A frame
+	// leaves only unpinned, so no caller holds the buffer — the pin rule of
+	// DESIGN.md §15 — and frames plus spare never exceed cap buffers.
+	spare []byte
 
 	hits    int64
 	misses  int64
@@ -450,6 +455,7 @@ func (p *Pool) Free(id storage.PageID) error {
 		}
 		s.lru.Remove(f.elem)
 		delete(s.frames, id)
+		s.spare = f.buf
 	}
 	delete(s.sums, id)
 	// A double Free surfaces here as the disk's "free of unallocated page"
@@ -618,7 +624,8 @@ func (s *shard) evictAllLocked() error {
 }
 
 // admitLocked loads page id into a frame, evicting if necessary. If read is
-// false the frame is left zeroed (freshly allocated page).
+// false the frame is zeroed (freshly allocated page); otherwise the disk read
+// overwrites every byte, so a recycled buffer never leaks its previous page.
 //
 // Fault handling: a transient injected read error or a checksum mismatch
 // (corrupted read) is retried up to maxIORetries times, each retry charging
@@ -648,9 +655,17 @@ func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
 			return nil, err
 		}
 	}
-	f := &frame{id: id, buf: make([]byte, s.disk.PageSize())}
+	buf := s.spare
+	s.spare = nil
+	if buf == nil {
+		buf = make([]byte, s.disk.PageSize())
+	} else if !read {
+		clear(buf)
+	}
+	f := &frame{id: id, buf: buf}
 	if read {
 		if err := s.readVerifiedLocked(id, f.buf); err != nil {
+			s.spare = buf
 			return nil, err
 		}
 		s.misses++
@@ -715,6 +730,7 @@ func (s *shard) evictOneLocked() error {
 		}
 		s.lru.Remove(e)
 		delete(s.frames, f.id)
+		s.spare = f.buf
 		return nil
 	}
 	return fmt.Errorf("buffer: all %d frames pinned or staged", s.cap)

@@ -12,9 +12,9 @@ import (
 // analyzing charges real simulated I/O like any other statement.
 func Analyze(t *Table) error {
 	cols := make([][]tuple.Value, t.Schema.Len())
+	row := make(tuple.Row, t.Schema.Len())
 	err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
-		row, _, err := tuple.DecodeRow(rec, t.Schema)
-		if err != nil {
+		if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
 			return err
 		}
 		for i, v := range row {
@@ -40,9 +40,9 @@ func Analyze(t *Table) error {
 func ColumnValues(t *Table, col string) ([]tuple.Value, error) {
 	ord := t.Schema.MustOrdinal(col)
 	var out []tuple.Value
+	row := make(tuple.Row, t.Schema.Len())
 	err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
-		row, _, err := tuple.DecodeRow(rec, t.Schema)
-		if err != nil {
+		if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
 			return err
 		}
 		out = append(out, row[ord])

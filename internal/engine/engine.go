@@ -625,9 +625,9 @@ func (e *Engine) CreateIndex(table, column string) (res *Result, err error) {
 			return err
 		}
 		var entries []btree.Entry
+		row := make(tuple.Row, t.Schema.Len())
 		err = t.Heap.Scan(func(rid storage.RID, rec []byte) error {
-			row, _, err := tuple.DecodeRow(rec, t.Schema)
-			if err != nil {
+			if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
 				return err
 			}
 			e.meter.ChargeTuples(1)
@@ -865,10 +865,15 @@ func (e *Engine) Analyze(name string) error {
 func (e *Engine) ColdStart() error { return e.Pool.EvictAll() }
 
 // TotalDataPages reports the pages held by all tables (a sizing diagnostic).
+// A table dropped by another session between the name listing and the lookup
+// has no pages left to count and is skipped.
 func (e *Engine) TotalDataPages() int {
 	total := 0
 	for _, name := range e.Catalog.TableNames() {
-		t, _ := e.Catalog.Table(name)
+		t, err := e.Catalog.Table(name)
+		if err != nil {
+			continue
+		}
 		total += t.NumPages()
 	}
 	return total

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -363,6 +364,44 @@ func TestTotalDataPages(t *testing.T) {
 	e := newTestEngine(t, 500, Config{})
 	if e.TotalDataPages() == 0 {
 		t.Fatal("no data pages counted")
+	}
+}
+
+// TestTotalDataPagesBesideDrops counts pages while another goroutine creates
+// and drops tables: a table that vanishes between the name listing and the
+// lookup must be skipped, not dereferenced (run under -race in CI).
+func TestTotalDataPagesBesideDrops(t *testing.T) {
+	e := newTestEngine(t, 500, Config{})
+	base := e.TotalDataPages()
+	schema := tuple.NewSchema(tuple.Column{Name: "k", Kind: tuple.KindInt})
+	dropped := make(chan error, 1)
+	go func() {
+		for i := 0; i < 3000; i++ {
+			name := fmt.Sprintf("tmp_%d", i%8)
+			if _, err := e.CreateTable(name, schema); err != nil {
+				dropped <- err
+				return
+			}
+			if err := e.DropTable(name); err != nil {
+				dropped <- err
+				return
+			}
+		}
+		dropped <- nil
+	}()
+	for {
+		select {
+		case err := <-dropped:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		// The temporary tables are empty, so the total never moves.
+		if got := e.TotalDataPages(); got != base {
+			t.Fatalf("TotalDataPages = %d beside empty-table churn, want %d", got, base)
+		}
 	}
 }
 

@@ -43,9 +43,11 @@ func NewContext(meter *sim.Meter) *Context { return &Context{Meter: meter} }
 type Iterator interface {
 	// Open prepares the operator (builds hash tables, positions cursors).
 	Open() error
-	// Next produces the next row; ok is false at end of stream. The returned
-	// row may be reused by the operator on the following Next call unless
-	// documented otherwise; callers that retain rows must Clone them.
+	// Next produces the next row; ok is false at end of stream. The row is
+	// lent, not given: it is valid until the following Next or Close call on
+	// this operator, which may overwrite it, and the operator in turn relies
+	// on nothing it has lent out staying intact. A caller that keeps a row
+	// longer copies it (DESIGN.md §15 lists who does).
 	Next() (row tuple.Row, ok bool, err error)
 	// Close releases resources. Must be safe to call after a failed Open and
 	// more than once.
@@ -82,11 +84,13 @@ func Drain(it Iterator, fn func(tuple.Row) error) (err error) {
 	}
 }
 
-// Collect drains an iterator into a materialized row slice (rows are cloned).
+// Collect drains an iterator into a materialized row slice. Each row is
+// copied once, into chunks shared by the rows of this answer.
 func Collect(it Iterator) ([]tuple.Row, error) {
 	var out []tuple.Row
+	var kept rowArena
 	err := Drain(it, func(r tuple.Row) error {
-		out = append(out, r.Clone())
+		out = append(out, kept.keep(r))
 		return nil
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"specdb/internal/btree"
 	"specdb/internal/catalog"
@@ -11,7 +13,10 @@ import (
 
 // HashJoin is an in-memory equi-join: the left child is built into a hash
 // table at Open, the right child probes it. The planner puts the smaller
-// estimated side on the left.
+// estimated side on the left. The build rows are the only rows it keeps
+// (copied once, into an arena dropped at Close); a probe row is borrowed from
+// the right child for as long as its matches are being emitted, and every
+// match is assembled in the one join-owned output row.
 type HashJoin struct {
 	ctx         *Context
 	left, right Iterator
@@ -19,22 +24,23 @@ type HashJoin struct {
 	rightOrd    int
 	schema      *tuple.Schema
 
-	table      map[string][]tuple.Row
+	arena      rowArena
+	table      joinTable
 	emptyBuild bool
 	// spill accounting (see Context.WorkMemBytes): when the build side
 	// exceeds work memory, both sides are partitioned through disk.
 	spilled    bool
 	spillBytes int64
-	// probe state: current right row and its pending matches
-	pending []tuple.Row
+	// probe state: the borrowed right row and 1 + its next match (0: none)
 	current tuple.Row
-	keyBuf  []byte
+	match   int32
+	out     tuple.Row
 }
 
 // NewHashJoin joins left and right on leftCol = rightCol (names resolved in
 // each child's schema). Join columns must have the same kind; the planner's
 // binder guarantees this, and it matters because hash keys are compared as
-// encoded bytes.
+// key images, not as values.
 func NewHashJoin(ctx *Context, left, right Iterator, leftCol, rightCol string) (*HashJoin, error) {
 	lo := left.Schema().Ordinal(leftCol)
 	if lo < 0 {
@@ -49,23 +55,26 @@ func NewHashJoin(ctx *Context, left, right Iterator, leftCol, rightCol string) (
 	if lk != rk {
 		return nil, fmt.Errorf("exec: hash join kind mismatch: %v vs %v", lk, rk)
 	}
+	schema := left.Schema().Concat(right.Schema())
 	return &HashJoin{
 		ctx:      ctx,
 		left:     left,
 		right:    right,
 		leftOrd:  lo,
 		rightOrd: ro,
-		schema:   left.Schema().Concat(right.Schema()),
+		schema:   schema,
+		out:      make(tuple.Row, schema.Len()),
 	}, nil
 }
 
 // Open builds the hash table from the left child.
 func (j *HashJoin) Open() error {
+	j.current, j.match = nil, 0
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	j.table = make(map[string][]tuple.Row)
 	leftSchema := j.left.Schema()
+	var rows []tuple.Row
 	var buildBytes int64
 	for {
 		row, ok, err := j.left.Next()
@@ -75,8 +84,7 @@ func (j *HashJoin) Open() error {
 		if !ok {
 			break
 		}
-		j.keyBuf = tuple.EncodeKey(j.keyBuf[:0], row[j.leftOrd])
-		j.table[string(j.keyBuf)] = append(j.table[string(j.keyBuf)], row.Clone())
+		rows = append(rows, j.arena.keep(row))
 		j.ctx.Meter.ChargeTuples(1)
 		buildBytes += int64(tuple.EncodedSize(leftSchema, row))
 	}
@@ -92,11 +100,14 @@ func (j *HashJoin) Open() error {
 		j.ctx.Meter.ChargePageWrite(pages)
 		j.ctx.Meter.ChargePageRead(pages)
 	}
-	if len(j.table) == 0 {
+	if len(rows) == 0 {
 		// Empty build side: no row can match; skip scanning the probe side
 		// entirely (it may be a large forced materialization).
 		j.emptyBuild = true
 		return nil
+	}
+	if err := j.table.build(rows, j.leftOrd); err != nil {
+		return err
 	}
 	return j.right.Open()
 }
@@ -107,11 +118,12 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 		return nil, false, nil
 	}
 	for {
-		if len(j.pending) > 0 {
-			l := j.pending[0]
-			j.pending = j.pending[1:]
+		if j.match != 0 {
+			n := copy(j.out, j.table.rows[j.match-1])
+			copy(j.out[n:], j.current)
+			j.match = j.table.next[j.match-1]
 			j.ctx.Meter.ChargeTuples(1)
-			return l.Concat(j.current), true, nil
+			return j.out, true, nil
 		}
 		row, ok, err := j.right.Next()
 		if err != nil || !ok {
@@ -126,23 +138,20 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 				j.ctx.Meter.ChargePageRead(1)
 			}
 		}
-		j.keyBuf = tuple.EncodeKey(j.keyBuf[:0], row[j.rightOrd])
-		matches := j.table[string(j.keyBuf)]
-		if len(matches) == 0 {
-			continue
-		}
-		j.current = row.Clone()
-		j.pending = matches
+		// row stays valid until the next pull from the right child, which
+		// happens only once its matches are exhausted.
+		j.current = row
+		j.match = j.table.lookup(row[j.rightOrd])
 	}
 }
 
 // pageSizeForSpill is the unit for spill I/O accounting.
 const pageSizeForSpill = 8192
 
-// Close closes both children and releases the hash table.
+// Close closes both children and releases the hash table and its arena.
 func (j *HashJoin) Close() error {
-	j.table = nil
-	j.pending = nil
+	j.table, j.arena = joinTable{}, rowArena{}
+	j.current, j.match = nil, 0
 	j.emptyBuild = false
 	j.spilled = false
 	j.spillBytes = 0
@@ -156,10 +165,86 @@ func (j *HashJoin) Close() error {
 // Schema is left ++ right.
 func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
 
+// joinTable is the hash join's table: open addressing over the build rows,
+// with the rows of one key chained in build order. Match order within a key
+// must be build order — answers are compared as multisets, but a materialized
+// view stores rows as emitted and later page counts depend on that order.
+//
+// A key is a 64-bit image of the join value: tuple.KeyBits for int, date and
+// float columns, where equal images mean equal values, and a hash for string
+// columns, where the slot search also compares the strings. Everything is
+// sized once, after the build side has been drained and its row count is
+// known. Row references are 1 + the row's index, so that 0 means none.
+type joinTable struct {
+	rows  []tuple.Row // build rows in build order
+	ord   int         // join column within a build row
+	keys  []uint64    // keys[i] is the key image of rows[i]
+	next  []int32     // next[i] refers to the following row with rows[i]'s key
+	slots []int32     // slots[p] refers to the first row of the key hashed to p
+	shift uint        // 64 − log2(len(slots))
+}
+
+func keyImage(v tuple.Value) uint64 {
+	if v.Kind != tuple.KindString {
+		return tuple.KeyBits(v)
+	}
+	h := uint64(14695981039346656037) // FNV-1a
+	for i := 0; i < len(v.S); i++ {
+		h = (h ^ uint64(v.S[i])) * 1099511628211
+	}
+	return h
+}
+
+// build indexes rows on column ord.
+func (t *joinTable) build(rows []tuple.Row, ord int) error {
+	if len(rows) > math.MaxInt32 {
+		return fmt.Errorf("exec: hash join build side of %d rows exceeds the table's 2^31−1", len(rows))
+	}
+	size := 2 * len(rows) // load factor ≤ 1/2
+	logSize := uint(bits.Len(uint(size - 1)))
+	t.rows, t.ord = rows, ord
+	t.keys = make([]uint64, len(rows))
+	t.next = make([]int32, len(rows))
+	t.slots = make([]int32, 1<<logSize)
+	t.shift = 64 - logSize
+	// Inserting last row first and pushing each row at the head of its chain
+	// leaves every chain in build order.
+	for i := len(rows) - 1; i >= 0; i-- {
+		v := rows[i][ord]
+		k := keyImage(v)
+		t.keys[i] = k
+		p := t.slot(k, v)
+		t.next[i] = t.slots[p]
+		t.slots[p] = int32(i) + 1
+	}
+	return nil
+}
+
+// slot finds the slot holding v's chain, or the empty slot where it belongs.
+func (t *joinTable) slot(k uint64, v tuple.Value) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	for p := (k * 0x9E3779B97F4A7C15) >> t.shift; ; p = (p + 1) & mask {
+		head := t.slots[p]
+		if head == 0 {
+			return p
+		}
+		if t.keys[head-1] == k && (v.Kind != tuple.KindString || t.rows[head-1][t.ord].S == v.S) {
+			return p
+		}
+	}
+}
+
+// lookup returns a reference to the first build row matching v.
+func (t *joinTable) lookup(v tuple.Value) int32 {
+	return t.slots[t.slot(keyImage(v), v)]
+}
+
 // IndexNLJoin drives the outer child and, for each outer row, probes an index
 // on the inner base table — the access path whose absence on freshly
 // materialized relations is the paper's main source of speculation penalties
-// (Section 6.1).
+// (Section 6.1). The outer row is borrowed while its matches are emitted; the
+// matching inner rows are decoded under their page pins into one reused
+// buffer, and every match is assembled in the one join-owned output row.
 type IndexNLJoin struct {
 	ctx      *Context
 	outer    Iterator
@@ -172,9 +257,15 @@ type IndexNLJoin struct {
 	innerSchema *tuple.Schema
 	schema      *tuple.Schema
 
-	current tuple.Row
-	pending []tuple.Row
+	current tuple.Row     // the borrowed outer row
+	pending []tuple.Value // its matching inner rows, back to back
+	pos     int           // offset in pending of the next one to emit
+	out     tuple.Row
 	keyBuf  []byte
+	// visit and decode are the Scan and View callbacks, built once so a
+	// probe allocates no closure.
+	visit  func(key []byte, rid storage.RID) error
+	decode func(rec []byte) error
 }
 
 // NewIndexNLJoin joins outer to inner on outerCol = index.Column.
@@ -184,7 +275,8 @@ func NewIndexNLJoin(ctx *Context, outer Iterator, outerCol string, inner *catalo
 		return nil, fmt.Errorf("exec: index join: no outer column %q", outerCol)
 	}
 	innerSchema := qualify(inner.Schema, qualifier)
-	return &IndexNLJoin{
+	schema := outer.Schema().Concat(innerSchema)
+	j := &IndexNLJoin{
 		ctx:         ctx,
 		outer:       outer,
 		outerOrd:    oo,
@@ -192,8 +284,30 @@ func NewIndexNLJoin(ctx *Context, outer Iterator, outerCol string, inner *catalo
 		index:       index,
 		innerPreds:  innerPreds,
 		innerSchema: innerSchema,
-		schema:      outer.Schema().Concat(innerSchema),
-	}, nil
+		schema:      schema,
+		out:         make(tuple.Row, schema.Len()),
+	}
+	width := inner.Schema.Len()
+	j.decode = func(rec []byte) error {
+		// Decode at the tail of pending; a row the inner predicates reject
+		// is cut off again.
+		n := len(j.pending)
+		j.pending = append(j.pending, make([]tuple.Value, width)...)
+		inRow := tuple.Row(j.pending[n:])
+		if _, err := tuple.DecodeRowInto(inRow, rec, inner.Schema); err != nil {
+			return err
+		}
+		j.ctx.Meter.ChargeTuples(1)
+		for _, p := range j.innerPreds {
+			if !p.Eval(inRow) {
+				j.pending = j.pending[:n]
+				break
+			}
+		}
+		return nil
+	}
+	j.visit = func(_ []byte, rid storage.RID) error { return inner.Heap.View(rid, j.decode) }
+	return j, nil
 }
 
 // Open opens the outer child.
@@ -202,11 +316,11 @@ func (j *IndexNLJoin) Open() error { return j.outer.Open() }
 // Next emits the next (outer ++ inner) match.
 func (j *IndexNLJoin) Next() (tuple.Row, bool, error) {
 	for {
-		if len(j.pending) > 0 {
-			in := j.pending[0]
-			j.pending = j.pending[1:]
+		if j.pos < len(j.pending) {
+			n := copy(j.out, j.current)
+			j.pos += copy(j.out[n:], j.pending[j.pos:]) // fills out: one inner row
 			j.ctx.Meter.ChargeTuples(1)
-			return j.current.Concat(in), true, nil
+			return j.out, true, nil
 		}
 		row, ok, err := j.outer.Next()
 		if err != nil || !ok {
@@ -214,38 +328,21 @@ func (j *IndexNLJoin) Next() (tuple.Row, bool, error) {
 		}
 		j.ctx.Meter.ChargeTuples(1)
 		j.keyBuf = tuple.EncodeKey(j.keyBuf[:0], row[j.outerOrd])
-		var matches []tuple.Row
-		err = j.index.Tree.Scan(btree.Exact(j.keyBuf), btree.Exact(j.keyBuf), func(_ []byte, rid storage.RID) error {
-			rec, err := j.inner.Heap.Fetch(rid)
-			if err != nil {
-				return err
-			}
-			inRow, _, err := tuple.DecodeRow(rec, j.inner.Schema)
-			if err != nil {
-				return err
-			}
-			j.ctx.Meter.ChargeTuples(1)
-			for _, p := range j.innerPreds {
-				if !p.Eval(inRow) {
-					return nil
-				}
-			}
-			matches = append(matches, inRow)
-			return nil
-		})
-		if err != nil {
+		j.pending, j.pos = j.pending[:0], 0
+		if err := j.index.Tree.Scan(btree.Exact(j.keyBuf), btree.Exact(j.keyBuf), j.visit); err != nil {
 			return nil, false, err
 		}
-		if len(matches) == 0 {
-			continue
-		}
-		j.current = row.Clone()
-		j.pending = matches
+		// row stays valid until the next pull from the outer child, which
+		// happens only once its matches are exhausted.
+		j.current = row
 	}
 }
 
-// Close closes the outer child.
-func (j *IndexNLJoin) Close() error { return j.outer.Close() }
+// Close closes the outer child and drops the match buffer.
+func (j *IndexNLJoin) Close() error {
+	j.current, j.pending, j.pos = nil, nil, 0
+	return j.outer.Close()
+}
 
 // Schema is outer ++ inner.
 func (j *IndexNLJoin) Schema() *tuple.Schema { return j.schema }
@@ -259,18 +356,21 @@ type CrossJoin struct {
 	schema       *tuple.Schema
 
 	innerRows []tuple.Row
-	current   tuple.Row
+	current   tuple.Row // the borrowed outer row
 	pos       int
 	haveOuter bool
+	out       tuple.Row
 }
 
 // NewCrossJoin builds outer × inner.
 func NewCrossJoin(ctx *Context, outer, inner Iterator) *CrossJoin {
+	schema := outer.Schema().Concat(inner.Schema())
 	return &CrossJoin{
 		ctx:    ctx,
 		outer:  outer,
 		inner:  inner,
-		schema: outer.Schema().Concat(inner.Schema()),
+		schema: schema,
+		out:    make(tuple.Row, schema.Len()),
 	}
 }
 
@@ -293,10 +393,11 @@ func (j *CrossJoin) Open() error {
 func (j *CrossJoin) Next() (tuple.Row, bool, error) {
 	for {
 		if j.haveOuter && j.pos < len(j.innerRows) {
-			in := j.innerRows[j.pos]
+			n := copy(j.out, j.current)
+			copy(j.out[n:], j.innerRows[j.pos])
 			j.pos++
 			j.ctx.Meter.ChargeTuples(1)
-			return j.current.Concat(in), true, nil
+			return j.out, true, nil
 		}
 		row, ok, err := j.outer.Next()
 		if err != nil || !ok {
@@ -306,15 +407,17 @@ func (j *CrossJoin) Next() (tuple.Row, bool, error) {
 		if len(j.innerRows) == 0 {
 			return nil, false, nil // empty inner: empty product
 		}
-		j.current = row.Clone()
+		// row stays valid until the next pull from the outer child.
+		j.current = row
 		j.pos = 0
 		j.haveOuter = true
 	}
 }
 
-// Close closes the outer child (the inner was closed by Collect).
+// Close closes the outer child (the inner was closed by Collect) and drops
+// the materialized inner side.
 func (j *CrossJoin) Close() error {
-	j.innerRows = nil
+	j.innerRows, j.current, j.haveOuter = nil, nil, false
 	return j.outer.Close()
 }
 

@@ -18,12 +18,14 @@ func qualify(s *tuple.Schema, qualifier string) *tuple.Schema {
 	return s.Rename(func(n string) string { return qualifier + "." + n })
 }
 
-// SeqScan reads a table front to back.
+// SeqScan reads a table front to back. Every stored record is decoded into
+// one scan-owned row, which Next lends out until the following call.
 type SeqScan struct {
 	ctx    *Context
 	table  *catalog.Table
 	schema *tuple.Schema
 	iter   *storage.HeapIterator
+	row    tuple.Row
 }
 
 // NewSeqScan builds a sequential scan over table. qualifier, when non-empty,
@@ -33,6 +35,7 @@ func NewSeqScan(ctx *Context, table *catalog.Table, qualifier string) *SeqScan {
 		ctx:    ctx,
 		table:  table,
 		schema: qualify(table.Schema, qualifier),
+		row:    make(tuple.Row, table.Schema.Len()),
 	}
 }
 
@@ -48,12 +51,11 @@ func (s *SeqScan) Next() (tuple.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	row, _, err := tuple.DecodeRow(rec, s.table.Schema)
-	if err != nil {
+	if _, err := tuple.DecodeRowInto(s.row, rec, s.table.Schema); err != nil {
 		return nil, false, fmt.Errorf("exec: decoding row in %q: %w", s.table.Name, err)
 	}
 	s.ctx.Meter.ChargeTuples(1)
-	return row, true, nil
+	return s.row, true, nil
 }
 
 // Close releases the cursor.
@@ -70,7 +72,8 @@ func (s *SeqScan) Schema() *tuple.Schema { return s.schema }
 
 // IndexScan fetches the rows whose indexed column falls within [lo, hi] via
 // a B+-tree, then fetches each matching row from the heap. Matching RIDs are
-// gathered at Open (charging index-page I/O); heap fetches happen lazily.
+// gathered at Open (charging index-page I/O); heap fetches happen lazily, each
+// record decoded under its page pin into one scan-owned row.
 type IndexScan struct {
 	ctx    *Context
 	table  *catalog.Table
@@ -80,29 +83,41 @@ type IndexScan struct {
 
 	rids []storage.RID
 	pos  int
+	row  tuple.Row
+	// gather and decode are the Scan and View callbacks, built once so a
+	// lookup allocates no closure.
+	gather func(key []byte, rid storage.RID) error
+	decode func(rec []byte) error
 }
 
 // NewIndexScan builds an index scan with the given key bounds (tuple.EncodeKey
 // encodings; nil key = unbounded).
 func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, hi btree.Bound, qualifier string) *IndexScan {
-	return &IndexScan{
+	s := &IndexScan{
 		ctx:    ctx,
 		table:  table,
 		index:  index,
 		lo:     lo,
 		hi:     hi,
 		schema: qualify(table.Schema, qualifier),
+		row:    make(tuple.Row, table.Schema.Len()),
 	}
+	s.gather = func(_ []byte, rid storage.RID) error {
+		s.rids = append(s.rids, rid)
+		return nil
+	}
+	s.decode = func(rec []byte) error {
+		_, err := tuple.DecodeRowInto(s.row, rec, table.Schema)
+		return err
+	}
+	return s
 }
 
 // Open walks the index and gathers matching RIDs.
 func (s *IndexScan) Open() error {
 	s.rids = s.rids[:0]
 	s.pos = 0
-	return s.index.Tree.Scan(s.lo, s.hi, func(key []byte, rid storage.RID) error {
-		s.rids = append(s.rids, rid)
-		return nil
-	})
+	return s.index.Tree.Scan(s.lo, s.hi, s.gather)
 }
 
 // Next fetches the row for the next matching RID.
@@ -110,17 +125,12 @@ func (s *IndexScan) Next() (tuple.Row, bool, error) {
 	if s.pos >= len(s.rids) {
 		return nil, false, nil
 	}
-	rec, err := s.table.Heap.Fetch(s.rids[s.pos])
-	if err != nil {
+	if err := s.table.Heap.View(s.rids[s.pos], s.decode); err != nil {
 		return nil, false, err
 	}
 	s.pos++
-	row, _, err := tuple.DecodeRow(rec, s.table.Schema)
-	if err != nil {
-		return nil, false, err
-	}
 	s.ctx.Meter.ChargeTuples(1)
-	return row, true, nil
+	return s.row, true, nil
 }
 
 // Close is a no-op (Open re-gathers).
@@ -130,7 +140,8 @@ func (s *IndexScan) Close() error { return nil }
 func (s *IndexScan) Schema() *tuple.Schema { return s.schema }
 
 // ValuesScan replays an in-memory row set; used for tests and for
-// re-scanning materialized intermediates.
+// re-scanning materialized intermediates. It lends out the stored rows
+// themselves, which stay the caller's.
 type ValuesScan struct {
 	ctx    *Context
 	schema *tuple.Schema

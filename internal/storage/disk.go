@@ -106,15 +106,14 @@ func (d *DiskManager) Read(id PageID, buf []byte) error {
 func (d *DiskManager) Write(id PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.pages[id]; !ok {
+	p, ok := d.pages[id]
+	if !ok {
 		return fmt.Errorf("storage: write to unallocated page %d", id)
 	}
 	if len(buf) != d.pageSize {
 		return fmt.Errorf("storage: write buffer is %d bytes, want %d", len(buf), d.pageSize)
 	}
-	p := make([]byte, d.pageSize)
-	copy(p, buf)
-	d.pages[id] = p
+	copy(p, buf) // Allocate sized p; Read copies out, so nothing aliases it
 	d.writes++
 	return nil
 }

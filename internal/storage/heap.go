@@ -142,28 +142,28 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
 	return nil
 }
 
-// Fetch returns a copy of the record at rid.
-func (h *HeapFile) Fetch(rid RID) ([]byte, error) {
+// View pins the page holding rid and calls fn with the record. rec aliases
+// the page buffer and is valid only during the call: the frame may be handed
+// to another page as soon as the pin is released, so fn must decode or copy
+// what it keeps. fn's error is returned as is.
+func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
 	h.mu.RLock()
 	if rid.Page < 0 || int(rid.Page) >= len(h.pages) {
 		h.mu.RUnlock()
-		return nil, fmt.Errorf("storage: RID %v page out of range", rid)
+		return fmt.Errorf("storage: RID %v page out of range", rid)
 	}
 	id := h.pages[rid.Page]
 	h.mu.RUnlock()
 	buf, err := h.pool.Get(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer h.pool.Unpin(id, false)
-	page := AsSlotted(buf)
-	rec, err := page.Record(int(rid.Slot))
+	rec, err := AsSlotted(buf).Record(int(rid.Slot))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	return fn(rec)
 }
 
 // Drop frees every page of the file. The file must not be used afterwards.

@@ -240,15 +240,16 @@ func TestHeapFileInsertScanFetch(t *testing.T) {
 	if len(seen) != 50 || seen[0] != "record-00" || seen[49] != "record-49" {
 		t.Fatalf("scan saw %d records, first=%q last=%q", len(seen), seen[0], seen[len(seen)-1])
 	}
-	rec, err := h.Fetch(rids[37])
-	if err != nil {
+	var got string
+	keep := func(rec []byte) error { got = string(rec); return nil }
+	if err := h.View(rids[37], keep); err != nil {
 		t.Fatal(err)
 	}
-	if string(rec) != "record-37" {
-		t.Fatalf("Fetch = %q", rec)
+	if got != "record-37" {
+		t.Fatalf("View = %q", got)
 	}
-	if _, err := h.Fetch(RID{Page: 99, Slot: 0}); err == nil {
-		t.Fatal("fetch of bad RID should fail")
+	if err := h.View(RID{Page: 99, Slot: 0}, keep); err == nil {
+		t.Fatal("view of bad RID should fail")
 	}
 }
 

@@ -33,43 +33,59 @@ func EncodeRow(dst []byte, s *Schema, r Row) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRow decodes one row of schema s from buf. It returns the row and the
-// number of bytes consumed.
+// DecodeRow decodes one row of schema s from buf into a fresh row. It returns
+// the row and the number of bytes consumed.
 func DecodeRow(buf []byte, s *Schema) (Row, int, error) {
 	r := make(Row, s.Len())
+	n, err := DecodeRowInto(r, buf, s)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, n, nil
+}
+
+// DecodeRowInto decodes one row of schema s from buf into dst, which must
+// hold s.Len() values, and returns the number of bytes consumed. It is the
+// decode the executor's scans use: dst is owned by the caller and overwritten
+// on every call, so only string columns allocate (their bytes are copied out
+// of buf, which usually aliases a pinned page).
+func DecodeRowInto(dst Row, buf []byte, s *Schema) (int, error) {
+	if len(dst) != len(s.Columns) {
+		return 0, fmt.Errorf("tuple: decode into %d values, schema arity %d", len(dst), len(s.Columns))
+	}
 	off := 0
 	for i, c := range s.Columns {
 		switch c.Kind {
 		case KindInt, KindDate:
 			v, n := binary.Varint(buf[off:])
 			if n <= 0 {
-				return nil, 0, fmt.Errorf("tuple: truncated varint in column %q", c.Name)
+				return 0, fmt.Errorf("tuple: truncated varint in column %q", c.Name)
 			}
 			off += n
-			r[i] = Value{Kind: c.Kind, I: v}
+			dst[i] = Value{Kind: c.Kind, I: v}
 		case KindFloat:
 			if len(buf[off:]) < 8 {
-				return nil, 0, fmt.Errorf("tuple: truncated float in column %q", c.Name)
+				return 0, fmt.Errorf("tuple: truncated float in column %q", c.Name)
 			}
 			bits := binary.BigEndian.Uint64(buf[off:])
 			off += 8
-			r[i] = NewFloat(math.Float64frombits(bits))
+			dst[i] = NewFloat(math.Float64frombits(bits))
 		case KindString:
 			l, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
-				return nil, 0, fmt.Errorf("tuple: truncated string length in column %q", c.Name)
+				return 0, fmt.Errorf("tuple: truncated string length in column %q", c.Name)
 			}
 			off += n
 			if uint64(len(buf[off:])) < l {
-				return nil, 0, fmt.Errorf("tuple: truncated string in column %q", c.Name)
+				return 0, fmt.Errorf("tuple: truncated string in column %q", c.Name)
 			}
-			r[i] = NewString(string(buf[off : off+int(l)]))
+			dst[i] = NewString(string(buf[off : off+int(l)]))
 			off += int(l)
 		default:
-			return nil, 0, fmt.Errorf("tuple: cannot decode kind %v", c.Kind)
+			return 0, fmt.Errorf("tuple: cannot decode kind %v", c.Kind)
 		}
 	}
-	return r, off, nil
+	return off, nil
 }
 
 // EncodedSize reports the encoded length of r under schema s without
@@ -99,21 +115,34 @@ func EncodedSize(s *Schema, r Row) int {
 // Strings: raw bytes (memcmp order equals lexical order for UTF-8).
 func EncodeKey(dst []byte, v Value) []byte {
 	switch v.Kind {
-	case KindInt, KindDate:
-		return binary.BigEndian.AppendUint64(dst, uint64(v.I)^(1<<63))
-	case KindFloat:
-		bits := math.Float64bits(v.F)
-		if bits&(1<<63) != 0 {
-			bits = ^bits // negative: flip all
-		} else {
-			bits |= 1 << 63 // positive: flip sign
-		}
-		return binary.BigEndian.AppendUint64(dst, bits)
+	case KindInt, KindDate, KindFloat:
+		return binary.BigEndian.AppendUint64(dst, KeyBits(v))
 	case KindString:
 		return append(dst, v.S...)
 	default:
 		// Programmer invariant: index keys are typed by the catalog, and
 		// every kind the catalog can produce is handled above.
 		panic("tuple: cannot key-encode kind " + v.Kind.String())
+	}
+}
+
+// KeyBits is the 8-byte EncodeKey image of an int, date or float value as an
+// integer: unsigned comparison of two images matches Value.Compare, and two
+// values of one kind have equal images exactly when their encodings are
+// equal, which is what lets the hash join key on it.
+func KeyBits(v Value) uint64 {
+	switch v.Kind {
+	case KindInt, KindDate:
+		return uint64(v.I) ^ (1 << 63)
+	case KindFloat:
+		bits := math.Float64bits(v.F)
+		if bits&(1<<63) != 0 {
+			return ^bits // negative: flip all
+		}
+		return bits | 1<<63 // positive: flip sign
+	default:
+		// invariant: callers select on the column kind first; strings have no
+		// fixed-width image.
+		panic("tuple: no 8-byte key image for kind " + v.Kind.String())
 	}
 }

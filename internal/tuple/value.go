@@ -127,14 +127,6 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Concat returns the concatenation r ++ s in a fresh slice.
-func (r Row) Concat(s Row) Row {
-	out := make(Row, 0, len(r)+len(s))
-	out = append(out, r...)
-	out = append(out, s...)
-	return out
-}
-
 // String renders the row as a parenthesized value list.
 func (r Row) String() string {
 	parts := make([]string, len(r))

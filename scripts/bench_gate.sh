@@ -17,8 +17,46 @@
 # runner (GOMAXPROCS=1) the speedup is expected to sit at or below 1× because
 # the workers cannot actually run in parallel.
 #
+# Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
+# filter, hash-join build/probe, index-NL probe, DecodeRowInto, pool miss,
+# B+-tree lookup) and gates their allocs/op and B/op against BENCH_allocs.txt.
+# Both are counts of a deterministic program on a pool that holds its data, so
+# they do not depend on the machine: allocs/op must match exactly; B/op may
+# differ by 1% + 1 KiB, because the runtime's own occasional allocations land
+# inside a ten-pass window (measured: 0 vs 524 B/op between identical runs).
+# ns/op is printed for information. A benchmark the baseline does not list is
+# reported and skipped; a missing BENCH_allocs.txt skips the whole gate.
+#
 # Usage: scripts/bench_gate.sh [baseline.json]
+#        scripts/bench_gate.sh --write-allocs   # re-record BENCH_allocs.txt
 set -euo pipefail
+
+allocs_file="BENCH_allocs.txt"
+
+# layer_table — run the layer benchmarks, print "name allocs/op B/op ns/op".
+layer_table() {
+  go test -run '^$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x . | awk '
+    /^BenchmarkLayer/ {
+      name = $1; sub(/-[0-9]+$/, "", name)
+      for (i = 2; i <= NF; i++) {
+        if ($i == "ns/op") ns = $(i-1)
+        if ($i == "B/op") bytes = $(i-1)
+        if ($i == "allocs/op") allocs = $(i-1)
+      }
+      print name, allocs, bytes, ns
+    }'
+}
+
+if [[ "${1:-}" == "--write-allocs" ]]; then
+  {
+    echo "# allocs/op and B/op of one pass of each BenchmarkLayer* (bench_layers_test.go),"
+    echo "# gated by scripts/bench_gate.sh; re-record with scripts/bench_gate.sh --write-allocs."
+    echo "# name allocs/op B/op"
+    layer_table | awk '{ print $1, $2, $3 }'
+  } > "$allocs_file"
+  cat "$allocs_file"
+  exit 0
+fi
 
 baseline_file="${1:-BENCH_spec.json}"
 tolerance_pp="${TOLERANCE_PP:-1.0}"
@@ -141,6 +179,45 @@ if [[ -n "$base_waste_red" && -n "$base_dedup" ]]; then
   }
 else
   echo "bench_gate: baseline has no scaled CSE metrics; skipping scaled gate" >&2
+fi
+
+if [[ -f "$allocs_file" ]]; then
+  echo "bench_gate: running the layer benchmarks (benchtime=10x)..."
+  live_layers=$(layer_table)
+  if [[ -z "$live_layers" ]]; then
+    echo "bench_gate: FAIL — the layer benchmarks produced no result" >&2
+    exit 1
+  fi
+  echo "$live_layers" | awk -v file="$allocs_file" '
+    BEGIN {
+      while ((getline line < file) > 0) {
+        if (line ~ /^#/ || line == "") continue
+        split(line, f, " "); base_allocs[f[1]] = f[2]; base_bytes[f[1]] = f[3]
+      }
+    }
+    {
+      seen[$1] = 1
+      if (!($1 in base_allocs)) {
+        printf "bench_gate: %s not in %s; skipping (allocs/op=%s B/op=%s ns/op=%s)\n", $1, file, $2, $3, $4
+        next
+      }
+      d = $3 - base_bytes[$1]; if (d < 0) d = -d
+      ok = ($2 == base_allocs[$1]) && (d <= base_bytes[$1] * 0.01 + 1024)
+      printf "bench_gate: %s allocs/op live=%s baseline=%s  B/op live=%s baseline=%s  ns/op=%s (informational)%s\n",
+        $1, $2, base_allocs[$1], $3, base_bytes[$1], $4, ok ? "" : "  <-- FAIL"
+      if (!ok) bad = 1
+    }
+    END {
+      for (name in base_allocs) if (!(name in seen)) {
+        printf "bench_gate: %s is in %s but did not run  <-- FAIL\n", name, file; bad = 1
+      }
+      exit bad
+    }' || {
+    echo "bench_gate: FAIL — layer allocations moved; if intended, re-record with scripts/bench_gate.sh --write-allocs" >&2
+    exit 1
+  }
+else
+  echo "bench_gate: no $allocs_file; skipping the layer allocation gate" >&2
 fi
 
 echo "bench_gate: running parallel pool throughput benchmark (informational)..."

@@ -219,7 +219,8 @@ func (s *Session) apply(ev trace.Event) (err error) {
 }
 
 // AddSelection places a selection predicate on the canvas:
-// rel.col op value, with op one of = <> < <= > >=.
+// rel.col op value, with op one of = <> < <= > >= and value an int, int64,
+// float64, string, or — for date columns — a time.Time.
 func (s *Session) AddSelection(rel, col, op string, value any) error {
 	sel, err := makeSelection(rel, col, op, value)
 	if err != nil {

@@ -224,6 +224,44 @@ func TestThinkContainsCompletionFailure(t *testing.T) {
 
 // TestAddJoinRejectsSelfJoin: a self-join is user input, so it must come back
 // as an error, not trip qgraph's programmer-invariant panic.
+// TestAddSelectionDateRange runs a date-range selection through the public
+// API (time.Time constants) and compares it with the SQL form date(N).
+func TestAddSelectionDateRange(t *testing.T) {
+	db := getDB(t)
+	m := db.NewSessionManager()
+	defer m.CloseAll()
+	s := m.Open(SessionConfig{})
+	// A time of day must not move the date: 01:30 at UTC+9 is still the
+	// previous day in UTC.
+	lo := time.Date(1994, time.January, 1, 1, 30, 0, 0, time.FixedZone("east", 9*3600))
+	hi := time.Date(1995, time.January, 1, 0, 0, 0, 0, time.UTC)
+	if err := s.AddSelection("orders", "o_orderdate", ">=", lo); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddSelection("orders", "o_orderdate", "<", hi); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Go()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1994-01-01 and 1995-01-01 as days since 1970-01-01.
+	want, err := db.Exec("SELECT * FROM orders WHERE orders.o_orderdate >= date(8766) AND orders.o_orderdate < date(9131)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := db.Exec("SELECT * FROM orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.RowCount == 0 || want.RowCount == all.RowCount {
+		t.Fatalf("the range keeps %d of %d orders: it does not discriminate", want.RowCount, all.RowCount)
+	}
+	if got.RowCount != want.RowCount || resultKey(got) != resultKey(want) {
+		t.Fatalf("session answer (%d rows) differs from the SQL form (%d rows)", got.RowCount, want.RowCount)
+	}
+}
+
 func TestAddJoinRejectsSelfJoin(t *testing.T) {
 	db := getDB(t)
 	s := db.NewSession(SessionConfig{})

@@ -388,9 +388,14 @@ func (db *DB) MetricsJSON() ([]byte, error) { return db.eng.MetricsSnapshot().JS
 // Tables lists the tables currently in the catalog.
 func (db *DB) Tables() []string { return db.eng.Catalog.TableNames() }
 
-// parseValue converts a Go value into an engine value.
+// parseValue converts a Go value into an engine value. A time.Time becomes a
+// date — the days from 1970-01-01 to its calendar date in its own location,
+// the form date columns store — so its clock time is ignored.
 func parseValue(v any) (tuple.Value, error) {
 	switch x := v.(type) {
+	case time.Time:
+		y, m, d := x.Date()
+		return tuple.NewDate(time.Date(y, m, d, 0, 0, 0, 0, time.UTC).Unix() / 86400), nil
 	case int:
 		return tuple.NewInt(int64(x)), nil
 	case int64:
