@@ -24,8 +24,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -35,25 +37,32 @@ import (
 	"specdb/internal/trace"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids (t51,t52,f4,f5,f6,f7,a1,a2,a3,a4,a5) or 'all'; 'bench' (never part of 'all') writes a spec-on vs spec-off benchmark JSON")
-	users := flag.Int("users", 15, "trace corpus size")
-	seed := flag.Uint64("seed", 7, "corpus seed")
-	dataSeed := flag.Uint64("dataseed", 42, "dataset seed")
-	scalesFlag := flag.String("scales", "100MB,500MB,1GB", "dataset scales to run")
-	benchOut := flag.String("benchout", "BENCH_spec.json", "output path for -exp bench")
-	scaledSessions := flag.Int("scaledsessions", 64, "concurrent sessions of the bench's scaled cross-session CSE comparison")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
+// run is main with its inputs and exit status explicit: 2 for a command line
+// it cannot act on, 0 once every requested experiment has printed.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiment ids out of "+strings.Join(experimentIDs, ",")+"; 'bench' (never part of 'all') writes a spec-on vs spec-off benchmark JSON")
+	users := fs.Int("users", 15, "trace corpus size")
+	seed := fs.Uint64("seed", 7, "corpus seed")
+	dataSeed := fs.Uint64("dataseed", 42, "dataset seed")
+	scalesFlag := fs.String("scales", "100MB,500MB,1GB", "dataset scales to run")
+	benchOut := fs.String("benchout", "BENCH_spec.json", "output path for -exp bench")
+	scaledSessions := fs.Int("scaledsessions", 64, "concurrent sessions of the bench's scaled cross-session CSE comparison")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	wanted, err := parseExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
+	}
 	scales := strings.Split(*scalesFlag, ",")
 	traces, err := trace.GenerateCorpus(tpch.Vocabulary(), *users, *seed)
 	if err != nil {
 		fatal(err)
-	}
-
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*exp, ",") {
-		wanted[strings.TrimSpace(id)] = true
 	}
 	run := func(id string) bool { return wanted["all"] || wanted[id] }
 
@@ -92,6 +101,24 @@ func main() {
 	if wanted["bench"] {
 		bench(traces, scales[0], *users, *seed, *dataSeed, *scaledSessions, *benchOut)
 	}
+	return 0
+}
+
+// experimentIDs are the values -exp accepts.
+var experimentIDs = []string{"all", "t51", "t52", "f4", "f5", "f6", "f7", "a1", "a2", "a3", "a4", "a5", "bench"}
+
+// parseExperiments splits the -exp list, rejecting any id main does not run:
+// a typo must not look like a successful run of nothing.
+func parseExperiments(list string) (map[string]bool, error) {
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(experimentIDs, id) {
+			return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(experimentIDs, ", "))
+		}
+		wanted[id] = true
+	}
+	return wanted, nil
 }
 
 // bench writes the spec-on vs spec-off benchmark report (see BenchResult in

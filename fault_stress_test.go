@@ -133,9 +133,8 @@ func TestConcurrentSessionsStressWithFaults(t *testing.T) {
 			continue
 		}
 		st := s.Stats()
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted
-		if st.Issued != terminal {
-			t.Errorf("session %d: issued %d != terminal %d (%+v)", i, st.Issued, terminal, st)
+		if st.Issued != st.Terminals() {
+			t.Errorf("session %d: issued %d != terminal %d (%+v)", i, st.Issued, st.Terminals(), st)
 		}
 	}
 	if n := db.eng.Pool.Misuses(); n != 0 {

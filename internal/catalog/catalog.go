@@ -105,6 +105,10 @@ func (t *Table) IndexList() []*Index {
 type MatView struct {
 	Name  string
 	Graph *qgraph.Graph
+	// Table is the backing table, resolved when the view was registered: a
+	// planner holding the view needs no second catalog lookup, which a
+	// concurrent DropTable could fail.
+	Table *Table
 	// Forced marks query-rewriting semantics (Section 3.2): the optimizer
 	// MUST use the view for any query containing Graph, rather than merely
 	// considering it.
@@ -250,10 +254,11 @@ func (c *Catalog) AddIndex(table, column string, tree *btree.BTree) (*Index, err
 func (c *Catalog) RegisterView(name string, graph *qgraph.Graph, forced bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
+	t, ok := c.tables[name]
+	if !ok {
 		return fmt.Errorf("catalog: view %q has no backing table", name)
 	}
-	c.views[name] = &MatView{Name: name, Graph: graph, Forced: forced}
+	c.views[name] = &MatView{Name: name, Graph: graph, Table: t, Forced: forced}
 	return nil
 }
 

@@ -1,0 +1,345 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"specdb/internal/engine"
+	"specdb/internal/obs"
+	"specdb/internal/plan"
+	"specdb/internal/sim"
+)
+
+// fillSlots runs admission walks until the outstanding cap is reached or a
+// walk starts nothing. With Workers=1 it is exactly one walk on an empty
+// slot — the paper's single-manipulation convention.
+func (sp *Speculator) fillSlots(now sim.Time) ([]*Job, error) {
+	var issued []*Job
+	for len(sp.outstanding) < sp.cfg.Workers {
+		job, err := sp.issueNext(now)
+		if err != nil {
+			return issued, err
+		}
+		if job == nil {
+			break
+		}
+		issued = append(issued, job)
+	}
+	return issued, nil
+}
+
+// issueNext is one admission walk (DESIGN.md §16): the session-level gates,
+// then the predicted finals in confidence order, then the fragment
+// manipulations in descending benefit order, each candidate through tryIssue,
+// until one starts or the walk must stop.
+func (sp *Speculator) issueNext(now sim.Time) (*Job, error) {
+	switch {
+	case sp.cfg.SuspendWhenBusy > 0 && sp.eng.ActiveJobs() >= sp.cfg.SuspendWhenBusy:
+		count(sp, &sp.stats.Suspended, 1)
+		return nil, nil
+	case now < sp.retryAt:
+		// Post-failure backoff (retryAt stays 0 on the fault-free path).
+		return nil, nil
+	case !sp.cfg.Governor.AllowIssue(now, len(sp.outstanding) == 0):
+		// Under pressure the governor refuses extra jobs (pressured band) or
+		// every issue (critical/degraded).
+		count(sp, &sp.stats.GovernorDeferred, 1)
+		return nil, nil
+	}
+	// Predicted finals first (DESIGN.md §14): a confident whole-query
+	// prediction dominates any sub-query manipulation — it answers GO outright.
+	job, stop, err := sp.walkPredicted(now)
+	if job != nil || stop || err != nil {
+		return job, err
+	}
+	return sp.walkFragments(now)
+}
+
+// walkPredicted walks the Predictor's top-k candidates for the current canvas
+// state, confidence-descending, filtered to finals that still extend the
+// partial query. Each is scored only when its turn comes.
+func (sp *Speculator) walkPredicted(now sim.Time) (job *Job, stop bool, err error) {
+	if sp.cfg.Predictor == nil || sp.canvas.Graph.IsEmpty() {
+		return nil, false, nil
+	}
+	for _, c := range sp.cfg.Predictor.Predict(sp.canvas.Graph.Key(), sp.prevKey) {
+		if !c.Graph.Contains(sp.canvas.Graph) {
+			continue // the canvas already left this predicted final
+		}
+		// Canonicalize the projection list exactly as OnGo will, so the form
+		// key the job publishes under is the one GO looks up.
+		q, err := plan.BindGraphProjections(sp.eng.Catalog, c.Graph, c.Projs)
+		if err != nil {
+			continue
+		}
+		m := Manipulation{Kind: ManipPredictFinal, Graph: c.Graph, Projs: q.Projections}
+		if sp.abandoned[m.Key()] || sp.predictedReady[FormKey(m.Graph, m.Projs)] || sp.isKnown(m) {
+			continue
+		}
+		if err := sp.cm.ScorePredicted(&m, c.Confidence); err != nil {
+			return nil, true, err
+		}
+		if m.Benefit < sp.cfg.MinBenefit {
+			continue
+		}
+		if job, stop := sp.tryIssue(&m, now); job != nil || stop {
+			return job, stop, nil
+		}
+	}
+	return nil, false, nil
+}
+
+// walkFragments enumerates and scores the manipulation space of the partial
+// query and walks the candidates that clear the benefit threshold, best first
+// (stable on ties, preserving enumeration order).
+func (sp *Speculator) walkFragments(now sim.Time) (*Job, error) {
+	elapsed := 0.0
+	if sp.formStarted {
+		elapsed = now.Sub(sp.formStart).Seconds()
+	}
+	candidates := EnumerateManipulations(sp.canvas.Graph, sp.cfg.Ops, sp.cfg.SelectionsOnly, sp.isKnown)
+	worth := candidates[:0]
+	for i := range candidates {
+		m := &candidates[i]
+		if sp.abandoned[m.Key()] {
+			continue
+		}
+		if err := sp.cm.Score(m, elapsed); err != nil {
+			return nil, err
+		}
+		// Adopt ready shared builds BEFORE the benefit filter: another
+		// session's registered view already rewrites this session's plans,
+		// so the candidate scores ~zero precisely because the work is done.
+		// Attaching refcounts the freeload — the build cannot then be dropped
+		// out from under this session.
+		if sp.adoptReady(m) || m.Benefit < sp.cfg.MinBenefit {
+			continue
+		}
+		worth = append(worth, *m)
+	}
+	slices.SortStableFunc(worth, func(a, b Manipulation) int { return cmp.Compare(b.Benefit, a.Benefit) })
+	for i := range worth {
+		if job, stop := sp.tryIssue(&worth[i], now); job != nil || stop {
+			return job, nil
+		}
+	}
+	return nil, nil
+}
+
+// refusal is why admit turned a candidate down.
+type refusal uint8
+
+const (
+	admitted refusal = iota
+	// refusedBudget and refusedScheduler defer this candidate only: the walk
+	// goes on to the next one, which may be smaller.
+	refusedBudget
+	refusedScheduler
+	// refusedBreaker ends the walk: nothing may be issued.
+	refusedBreaker
+)
+
+// deferred is the Stats field counting a walk-on refusal.
+func (s *Stats) deferred(r refusal) *int {
+	return [...]*int{refusedBudget: &s.BudgetDeferred, refusedScheduler: &s.Deferred}[r]
+}
+
+// admit runs the per-candidate gates on a scored manipulation.
+func (sp *Speculator) admit(m *Manipulation, now sim.Time) refusal {
+	switch {
+	case sp.cfg.BudgetPages > 0 && sp.retainedPages+m.EstPages > sp.cfg.BudgetPages:
+		return refusedBudget
+	case len(sp.outstanding) > 0 && !sp.cfg.Scheduler.AdmitExtraKeyed(m.Key(), m.EstPages):
+		// Only extra jobs, beyond this speculator's first outstanding
+		// manipulation, pass the engine-wide scheduler.
+		return refusedScheduler
+	case !sp.breaker.Allow(now):
+		// Consulted last, once a candidate is actually worth issuing, so an
+		// admitted half-open probe always corresponds to a real job (a probe
+		// consumed with nothing to issue would wedge the breaker half-open
+		// forever).
+		return refusedBreaker
+	}
+	return admitted
+}
+
+// tryIssue takes one scored candidate through shared-build claim, admit,
+// execute and start. It returns the started job; or nil, with stop set when
+// the walk must end — the breaker refused, or the execution failed and the
+// speculator now backs off.
+func (sp *Speculator) tryIssue(m *Manipulation, now sim.Time) (job *Job, stop bool) {
+	claim := ""
+	if sp.cfg.CSE != nil && m.Kind == ManipMaterialize {
+		if sp.adoptReady(m) {
+			// Became ready since the scoring pass (a concurrent session
+			// finished it): adopted instead of built.
+			return nil, false
+		}
+		gk := CSEKey(m.Graph)
+		if inflight, _ := sp.cfg.CSE.State(gk); inflight {
+			sp.cfg.CSE.NoteInflightSkip()
+			return nil, false // another session is building it; adopt once ready
+		}
+		if !sp.cfg.CSE.TryClaim(gk, m.EstPages) {
+			return nil, false // lost a concurrent claim race; re-evaluate later
+		}
+		claim = gk
+	}
+	if r := sp.admit(m, now); r != admitted {
+		sp.cfg.CSE.AbortClaim(claim)
+		if r == refusedBreaker {
+			return nil, true
+		}
+		count(sp, sp.stats.deferred(r), 1)
+		return nil, false
+	}
+	job, err := sp.execute(*m, now)
+	if err != nil {
+		// Best-effort: an issue-time failure (I/O fault under the eager
+		// execution) is contained — never surfaced to the session. The job
+		// was never started, so lifecycle accounting is untouched.
+		sp.cfg.CSE.AbortClaim(claim)
+		sp.noteFailure(m.Key(), now, err)
+		return nil, true
+	}
+	job.cseKey = claim
+	sp.start(job)
+	return job, false
+}
+
+// isKnown filters candidates against running and held work and against
+// database state (existing views, indexes, histograms, staging).
+func (sp *Speculator) isKnown(m Manipulation) bool {
+	if len(sp.outstanding) > 0 {
+		key := m.Key()
+		for _, job := range sp.outstanding {
+			if job.Manip.Key() == key {
+				return true
+			}
+		}
+	}
+	switch m.Kind {
+	case ManipMaterialize:
+		gk := m.Graph.Key()
+		if sp.held[gk] != nil {
+			return true
+		}
+		// An identical view may pre-exist (Figure 6's Spec+Views mode). Another
+		// session's ready shared build is not "known", though: the subplan
+		// stays enumerable so the walk can adopt (refcount) it instead of
+		// silently freeloading on a view that may be dropped out from under
+		// this session.
+		if sp.eng.Catalog.ViewByGraph(m.Graph) == nil {
+			return false
+		}
+		_, ready := sp.cfg.CSE.State(gk)
+		return !ready
+	case ManipIndex:
+		t, err := sp.eng.Catalog.Table(m.Rel)
+		return err != nil || t.Index(m.Col) != nil
+	case ManipHistogram:
+		t, err := sp.eng.Catalog.Table(m.Rel)
+		return err != nil || t.ColumnStats(m.Col).Hist() != nil
+	case ManipStage:
+		return sp.stagedRels[m.Rel]
+	}
+	return false
+}
+
+// execute runs the manipulation eagerly, hides its side effects until
+// completion, and returns the not-yet-started job.
+func (sp *Speculator) execute(m Manipulation, now sim.Time) (*Job, error) {
+	job := &Job{Manip: m, IssuedAt: now}
+	var res *engine.Result
+	var err error
+	switch m.Kind {
+	case ManipMaterialize:
+		name := sp.eng.FreshName(sp.cfg.NamePrefix)
+		if res, err = sp.eng.Materialize(name, m.Graph, sp.cfg.Forced); err != nil {
+			return nil, err
+		}
+		sp.eng.Catalog.DropView(name) // hidden until completion
+		job.tableName = name
+		sp.stats.MaterializationsIssued++
+		sp.stats.MaterializationTime += res.Duration
+	case ManipIndex:
+		if res, err = sp.eng.CreateIndex(m.Rel, m.Col); err != nil {
+			return nil, err
+		}
+		t, err := sp.eng.Catalog.Table(m.Rel)
+		if err != nil {
+			return nil, err
+		}
+		job.index = t.Index(m.Col)
+		t.RemoveIndex(m.Col) // hidden until completion
+	case ManipHistogram:
+		if res, err = sp.eng.CreateHistogram(m.Rel, m.Col); err != nil {
+			return nil, err
+		}
+		t, err := sp.eng.Catalog.Table(m.Rel)
+		if err != nil {
+			return nil, err
+		}
+		if cs := t.ColumnStats(m.Col); cs != nil {
+			job.histogram = cs.Hist()
+			cs.SetHist(nil) // hidden until completion
+		}
+	case ManipStage:
+		if res, err = sp.eng.Stage(m.Rel); err != nil {
+			return nil, err
+		}
+	case ManipPredictFinal:
+		job.formKey = FormKey(m.Graph, m.Projs)
+		if rows, schema, cost, ok := sp.cfg.Answers.Get(job.formKey, sp.eng.DataVersion); ok {
+			// Another session (or an earlier replay) already computed this
+			// final: the job completes immediately.
+			job.predRows, job.predSchema, job.predCost = rows, schema, cost
+			job.fromCache = true
+			job.CompletesAt = now
+			sp.stats.AnswerCacheHits++
+			return job, nil
+		}
+		job.predVersions = sp.eng.DataVersions(m.Graph.Relations())
+		if res, err = sp.eng.RunQuery(&plan.Query{Graph: m.Graph, Projections: m.Projs}); err != nil {
+			return nil, err
+		}
+		job.predRows, job.predSchema, job.predCost = res.Rows, res.Schema, res.Duration
+	default:
+		return nil, fmt.Errorf("core: cannot issue %v", m)
+	}
+	job.CompletesAt = now.Add(res.Duration)
+	return job, nil
+}
+
+// start registers an executed job — fragment or predicted final alike — as
+// outstanding. Registration with the contention model comes only after the
+// eager execution: a session's own manipulation must not inflate the cost of
+// the very engine work that created it.
+func (sp *Speculator) start(job *Job) {
+	m, key := &job.Manip, job.Manip.Key()
+	job.jobID = sp.eng.BeginJob()
+	sp.cfg.Scheduler.Acquire()
+	// The watchdog deadline is k× the cost model's predicted duration; the
+	// governor's global shed ranking gets the job's benefit at issue time.
+	job.Deadline = sp.cfg.Governor.DeadlineFor(job.IssuedAt, m.EstDuration)
+	sp.cfg.Governor.NoteIssue(sp.govID, key, m.Benefit, m.EstPages)
+	job.span = sp.eng.Tracer().Start("manip."+m.Kind.String(), job.IssuedAt, 0,
+		obs.Attr{Key: "key", Value: key})
+	if job.tableName != "" {
+		job.span.Annotate("table", job.tableName)
+	}
+	if job.fromCache {
+		job.span.Annotate("source", "answer_cache")
+	}
+	if job.cseKey != "" {
+		sp.cfg.CSE.SetTable(job.cseKey, job.tableName)
+		sp.stats.SharedBuilds++
+	}
+	sp.retainedPages += m.EstPages
+	sp.outstanding = append(sp.outstanding, job)
+	count(sp, &sp.stats.Issued, 1)
+	if m.Kind == ManipPredictFinal {
+		count(sp, &sp.stats.PredictedIssued, 1)
+	}
+}

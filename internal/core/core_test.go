@@ -493,7 +493,7 @@ func TestEnumerateManipulations(t *testing.T) {
 	partial := qgraph.New()
 	partial.AddJoin(qgraph.NewJoin("R", "a", "S", "a"))
 	partial.AddSelection(selRC(10))
-	none := func(string) bool { return false }
+	none := func(Manipulation) bool { return false }
 
 	ms := EnumerateManipulations(partial, OpsMaterializeOnly(), false, none)
 	if len(ms) != 2 { // one selection + one join subgraph
@@ -509,8 +509,8 @@ func TestEnumerateManipulations(t *testing.T) {
 		t.Fatalf("full ops enumerated %d, want 6", len(ms))
 	}
 	// isKnown filters.
-	ms = EnumerateManipulations(partial, OpsMaterializeOnly(), false, func(k string) bool {
-		return strings.HasPrefix(k, "mat|")
+	ms = EnumerateManipulations(partial, OpsMaterializeOnly(), false, func(m Manipulation) bool {
+		return m.Kind == ManipMaterialize
 	})
 	if len(ms) != 0 {
 		t.Fatalf("known filter failed: %d", len(ms))

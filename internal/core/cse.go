@@ -129,9 +129,10 @@ func (sb *SharedBuilds) FinishBuild(key string, cost sim.Duration) {
 // AbortClaim withdraws a claimed build whose materialization was canceled,
 // aborted, or failed before completion. No session can have attached (attach
 // requires buildReady), so the entry simply disappears; the owner's canceled
-// job keeps its own elapsed-time waste accounting.
+// job keeps its own elapsed-time waste accounting. The empty key (no claim
+// held) is a no-op.
 func (sb *SharedBuilds) AbortClaim(key string) {
-	if sb == nil {
+	if sb == nil || key == "" {
 		return
 	}
 	sb.mu.Lock()

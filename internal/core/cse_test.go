@@ -187,7 +187,7 @@ func stagePages(t *testing.T, e *engine.Engine, rel string, n int) {
 	}
 }
 
-// TestSchedulerZeroEstPagesFloor is the AdmitExtra bugfix regression: a job
+// TestSchedulerZeroEstPagesFloor is the admission-floor bugfix regression: a job
 // with no cost estimate (EstPages == 0) must be floored to a conservative
 // footprint, not admitted as if it were free.
 func TestSchedulerZeroEstPagesFloor(t *testing.T) {
@@ -225,14 +225,14 @@ func TestSchedulerZeroEstPagesFloor(t *testing.T) {
 	}
 
 	s := NewScheduler(2, pool)
-	if s.AdmitExtra(0) {
+	if s.AdmitExtraKeyed("", 0) {
 		t.Fatal("unscored job admitted under pool pressure")
 	}
-	if s.AdmitExtra(-3) {
+	if s.AdmitExtraKeyed("", -3) {
 		t.Fatal("negative estimate admitted under pool pressure")
 	}
 	// A genuinely tiny scored job still fits.
-	if !s.AdmitExtra(MinEstPages) {
+	if !s.AdmitExtraKeyed("", MinEstPages) {
 		t.Fatal("minimal scored job deferred with headroom available")
 	}
 }
@@ -373,8 +373,8 @@ func TestWasteChargedOncePerBuild(t *testing.T) {
 					}
 				}
 				st := sp.Stats()
-				if terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted; st.Issued != terminal {
-					t.Errorf("quiesce identity violated: issued %d, terminal %d (%+v)", st.Issued, terminal, st)
+				if st.Issued != st.Terminals() {
+					t.Errorf("quiesce identity violated: issued %d, terminal %d (%+v)", st.Issued, st.Terminals(), st)
 				}
 			})
 		}

@@ -1,0 +1,313 @@
+package core
+
+import (
+	"slices"
+
+	"specdb/internal/sim"
+)
+
+// Terminal is how an issued job ended (DESIGN.md §16). Every job reaches
+// exactly one, through finish; String is the job span's "outcome" annotation.
+type Terminal uint8
+
+// The terminals, in the order of the Stats fields that count them (see there).
+const (
+	TermCompleted Terminal = iota
+	TermCanceledInvalidated
+	TermCanceledAtGo
+	TermCanceledOnClose
+	TermAborted
+	TermShed
+	TermDeadlineExceeded
+	numTerminals
+)
+
+func (t Terminal) String() string {
+	return [numTerminals]string{"completed", "canceled_invalidated", "canceled_at_go",
+		"canceled_on_close", "aborted", "shed", "deadline_exceeded"}[t]
+}
+
+// terminal is the Stats field counting t.
+func (s *Stats) terminal(t Terminal) *int {
+	return [numTerminals]*int{&s.Completed, &s.CanceledInvalidated, &s.CanceledAtGo,
+		&s.CanceledOnClose, &s.Aborted, &s.Shed, &s.DeadlineAborts}[t]
+}
+
+// Terminals is the number of jobs that have ended, whichever way. finish is
+// the only writer of the terminal counters and runs once per job, so a
+// speculator with nothing outstanding has Issued == Terminals().
+func (s Stats) Terminals() int {
+	n := 0
+	for t := Terminal(0); t < numTerminals; t++ {
+		n += *s.terminal(t)
+	}
+	return n
+}
+
+// finish is the one terminal transition (DESIGN.md §16 lists what it owns,
+// in order): it takes job off the outstanding list and ends it as t at
+// simulated instant at (0: the owner has no timeline — session teardown). It
+// reports false, having done nothing, when job is not outstanding. A
+// TermCompleted whose side effects cannot be published ends TermAborted
+// instead, with the publishing error as cause.
+func (sp *Speculator) finish(job *Job, t Terminal, at sim.Time, cause error) bool {
+	i := slices.Index(sp.outstanding, job)
+	if i < 0 {
+		return false
+	}
+	sp.outstanding = slices.Delete(sp.outstanding, i, i+1)
+	sp.eng.EndJob(job.jobID)
+	sp.cfg.Scheduler.Release()
+	key := job.Manip.Key()
+	sp.cfg.Governor.NoteTerminal(sp.govID, key)
+	if t == TermCompleted {
+		if err := sp.publish(job); err != nil {
+			t, cause = TermAborted, err
+		}
+	}
+
+	// Waste: nothing for a completion, the whole run for an abort, the
+	// elapsed part for a cancel.
+	ran, end := job.CompletesAt.Sub(job.IssuedAt), at
+	if t == TermCompleted {
+		end = job.CompletesAt
+	} else {
+		sp.undo(job)
+		if t != TermAborted {
+			switch elapsed := at.Sub(job.IssuedAt); {
+			case at == 0:
+				end = job.IssuedAt
+			case elapsed < 0:
+				// The job was issued at a future instant (a GO that waited
+				// for a completion issues follow-ups at now+waited) and is
+				// canceled before that instant ever arrives: it never ran.
+				ran, end = 0, job.IssuedAt
+			case elapsed < ran:
+				ran = elapsed
+			}
+			sp.eng.Metrics().Counter("spec.canceled").Inc()
+		}
+		sp.chargeWaste(wasteBuildID(job), ran)
+	}
+	if job.span != nil {
+		job.span.Annotate("outcome", t.String())
+		if t == TermAborted {
+			job.span.Annotate("error", cause.Error())
+		}
+		job.span.End(end)
+		job.span = nil
+	}
+
+	switch t {
+	case TermCompleted:
+		delete(sp.attempts, key)
+		if sp.breaker.Success() {
+			sp.stats.BreakerResumes++
+		}
+		sp.cfg.Governor.NoteSuccess(at)
+	case TermAborted:
+		sp.noteFailure(key, at, cause)
+	default:
+		// A canceled half-open probe resolves nothing: re-open the breaker so
+		// a later probe gets its turn (no-op unless half-open).
+		sp.breaker.Canceled(at)
+		if t == TermDeadlineExceeded {
+			// A strike on the GLOBAL breaker only: an overrunning build is
+			// usually a victim of engine-wide pressure, and tripping the
+			// session breaker too would double-punish the victim.
+			sp.cfg.Governor.NoteFailure(at)
+		}
+	}
+	count(sp, sp.stats.terminal(t), 1)
+	if job.Manip.Kind == ManipPredictFinal {
+		if t == TermCompleted {
+			count(sp, &sp.stats.PredictedCompleted, 1)
+		} else {
+			count(sp, &sp.stats.PredictedCanceled, 1)
+		}
+	}
+	return true
+}
+
+// finishWhere ends, as t at instant at, every outstanding job sel selects, in
+// issue order, and returns them so the owner can drop their scheduled
+// completions.
+func (sp *Speculator) finishWhere(t Terminal, at sim.Time, sel func(*Job) bool) []*Job {
+	var done []*Job
+	for i := 0; i < len(sp.outstanding); {
+		if job := sp.outstanding[i]; sel(job) {
+			sp.finish(job, t, at, nil) // removes outstanding[i]
+			done = append(done, job)
+		} else {
+			i++
+		}
+	}
+	return done
+}
+
+// publish makes a completed job's hidden side effects visible and settles its
+// retained pages: a materialization becomes a held view (its pages stay
+// counted until dropHeld); indexes, histograms, staged pages and published
+// predicted answers become durable improvements that stop counting against the
+// session's budget (the answer cache accounts its own footprint).
+func (sp *Speculator) publish(job *Job) error {
+	m := &job.Manip
+	switch m.Kind {
+	case ManipMaterialize:
+		if err := sp.eng.Catalog.RegisterView(job.tableName, m.Graph, sp.cfg.Forced); err != nil {
+			return err
+		}
+		cost := job.CompletesAt.Sub(job.IssuedAt)
+		sp.held[m.Graph.Key()] = &heldView{table: job.tableName, cost: cost, pages: m.EstPages,
+			owned: true, shared: job.cseKey != ""}
+		// The view stays a sheddable speculative asset in the governor's ranking.
+		sp.cfg.Governor.NoteRetained(sp.govID, m.Key(), cost, m.EstPages)
+		if job.cseKey != "" {
+			sp.cfg.CSE.FinishBuild(job.cseKey, cost)
+		}
+		return nil // its pages stay retained
+	case ManipIndex:
+		t, err := sp.eng.Catalog.Table(m.Rel)
+		if err != nil {
+			return err
+		}
+		t.SetIndex(m.Col, job.index)
+	case ManipHistogram:
+		t, err := sp.eng.Catalog.Table(m.Rel)
+		if err != nil {
+			return err
+		}
+		if cs := t.ColumnStats(m.Col); cs != nil {
+			cs.SetHist(job.histogram)
+		}
+	case ManipStage:
+		sp.stagedRels[m.Rel] = true
+	case ManipPredictFinal:
+		// A fresh build enters the cache under its issue-time version
+		// snapshot, holding the producer's reference; a cache-path job
+		// re-references the entry it was satisfied from (which a concurrent
+		// write may have invalidated since — then the prediction quietly
+		// yields nothing). Either way the form is marked ready for an instant
+		// GO only while this session holds a reference, so the entry cannot be
+		// evicted out from under it.
+		if job.fromCache {
+			if sp.cfg.Answers.Ref(job.formKey) {
+				sp.predictedReady[job.formKey] = true
+			}
+		} else if sp.cfg.Answers.Put(job.formKey, job.predRows, job.predSchema, job.predCost, m.EstPages, job.predVersions) {
+			sp.predictedReady[job.formKey] = true
+		}
+	}
+	sp.retainedPages -= m.EstPages
+	return nil
+}
+
+// undo reverts an unfinished job's hidden side effects, withdraws its
+// shared-build claim and releases its retained pages. Undo is best-effort — a
+// failure leaves garbage, never corruption — but is counted, so the fault
+// matrix can see it.
+func (sp *Speculator) undo(job *Job) {
+	// No session can have attached while the build was in flight, so the
+	// claim simply disappears and another session may claim the subplan afresh.
+	sp.cfg.CSE.AbortClaim(job.cseKey)
+	sp.retainedPages -= job.Manip.EstPages
+	var err error
+	switch job.Manip.Kind {
+	case ManipMaterialize:
+		// The table was never registered as a view; drop it. Its buffer-pool
+		// footprint remains, as a really-canceled job's would.
+		err = sp.eng.DropTable(job.tableName)
+	case ManipIndex:
+		if job.index != nil {
+			_ = job.index.Tree.Drop() // best-effort; the tree was never published
+		}
+	case ManipStage:
+		err = sp.eng.Unstage(job.Manip.Rel)
+	}
+	// A histogram or an unpublished predicted answer simply becomes garbage.
+	if err != nil {
+		sp.eng.Metrics().Counter("spec.undo_failures").Inc()
+	}
+}
+
+// heldView is a completed materialization this session holds, built here or
+// adopted from the shared registry.
+type heldView struct {
+	table string
+	// cost is the build time: charged to Waste if the view is dropped before
+	// any final query read it (paid). For a shared view the registry keeps
+	// both, so the charge happens once across all its consumers.
+	cost  sim.Duration
+	pages int // the EstPages it keeps in retainedPages
+	paid  bool
+	// shared: refcounted in the SharedBuilds registry. owned: this session
+	// built it (always true for a private view).
+	shared, owned bool
+}
+
+// dropReason is why a held view goes; it decides the waste charge and the
+// counter.
+type dropReason uint8
+
+const (
+	dropGC    dropReason = iota // the partial query no longer contains it
+	dropShed                    // the governor marked it under pressure
+	dropClose                   // session teardown: never waste
+)
+
+// dropHeld lets go of the held view under graph key key. A private view's
+// table is dropped; a shared one only by its last holder, and only then — if
+// no consumer's final query ever read it — is its cost charged, once across
+// all sessions (DESIGN.md §11).
+func (sp *Speculator) dropHeld(key string, reason dropReason) error {
+	h := sp.held[key]
+	delete(sp.held, key)
+	sp.retainedPages -= h.pages
+	sp.cfg.Governor.NoteTerminal(sp.govID, "mat|"+key)
+	drop, cost, charge := true, h.cost, reason != dropClose && !h.paid
+	if h.shared {
+		drop, _, cost, charge = sp.cfg.CSE.Release(key, reason != dropClose)
+	}
+	// A shed shared view is released to the registry exactly like a collected
+	// one, and counts as one.
+	if h.owned && (reason == dropGC || reason == dropShed && h.shared) {
+		sp.stats.GarbageCollected++
+	}
+	if drop {
+		if err := sp.eng.DropTable(h.table); err != nil {
+			return err
+		}
+		if reason != dropClose || h.shared {
+			sp.eng.Metrics().Counter("spec.garbage_collected").Inc()
+		}
+		if charge {
+			sp.chargeWaste(h.table, cost)
+		}
+	}
+	if reason == dropShed {
+		count(sp, &sp.stats.ShedRetained, 1)
+	}
+	return nil
+}
+
+// adoptReady attaches a ready shared build of m's subplan, if there is one, to
+// this session's held views, refcounted until this session drops it. No job is
+// issued and no build time is spent — the avoided cost is recorded as
+// DedupSaved. Adoption occupies no worker slot and is never budget-gated (the
+// pages exist once globally, whoever holds references).
+func (sp *Speculator) adoptReady(m *Manipulation) bool {
+	if sp.cfg.CSE == nil || m.Kind != ManipMaterialize {
+		return false
+	}
+	gk := CSEKey(m.Graph)
+	table, cost, ok := sp.cfg.CSE.Attach(gk)
+	if !ok {
+		return false
+	}
+	sp.held[gk] = &heldView{table: table, cost: cost, pages: m.EstPages, shared: true}
+	sp.retainedPages += m.EstPages
+	sp.cfg.Governor.NoteRetained(sp.govID, "mat|"+gk, cost, m.EstPages)
+	sp.stats.SharedAttached++
+	sp.stats.DedupSaved += cost
+	return true
+}

@@ -1,0 +1,294 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"specdb/internal/engine"
+	"specdb/internal/fault"
+	"specdb/internal/qgraph"
+	"specdb/internal/sim"
+	"specdb/internal/trace"
+	"specdb/internal/tuple"
+)
+
+// lifecycleKind is one way to get a single job of a given kind outstanding.
+type lifecycleKind struct {
+	name string
+	// configure sets the manipulation family up on a default config.
+	configure func(e *engine.Engine, cfg *Config)
+	// issue is the event that makes the speculator issue the job;
+	// invalidate the one that makes the partial query stop indicating it.
+	issue, invalidate trace.Event
+	// breakPublish makes publishing the completed job fail (nil: it cannot).
+	breakPublish func(e *engine.Engine, job *Job) error
+}
+
+func lifecycleKinds() []lifecycleKind {
+	wEq := qgraph.Selection{Rel: "W", Col: "d", Op: tuple.CmpEQ, Const: tuple.NewInt(777)}
+	wLt := qgraph.Selection{Rel: "W", Col: "d", Op: tuple.CmpLT, Const: tuple.NewInt(500)}
+	dropW := func(e *engine.Engine, _ *Job) error { return e.DropTable("W") }
+	dropBuild := func(e *engine.Engine, job *Job) error { return e.DropTable(job.tableName) }
+	only := func(ops OpSet) func(*engine.Engine, *Config) {
+		return func(_ *engine.Engine, cfg *Config) { cfg.Ops, cfg.MinBenefit = ops, 0 }
+	}
+	return []lifecycleKind{
+		{"materialize", func(*engine.Engine, *Config) {}, evAddSel(selRC(18)), evRemoveSel(selRC(18)), dropBuild},
+		{"shared_owner", func(e *engine.Engine, cfg *Config) { cfg.CSE = NewSharedBuilds(e.Metrics()) },
+			evAddSel(selRC(18)), evRemoveSel(selRC(18)), dropBuild},
+		{"index", only(OpSet{Index: true}), evAddSel(wEq), evRemoveSel(wEq), dropW},
+		{"histogram", only(OpSet{Histogram: true}), evAddSel(wLt), evRemoveSel(wLt), dropW},
+		{"stage", only(OpSet{Stage: true}), evAddSel(selRC(18)), trace.Event{Kind: trace.EvRemoveRelation, Rel: "R"}, nil},
+		{"predicted_final", func(_ *engine.Engine, cfg *Config) {
+			// Trained to expect the one-selection query as the final; a second
+			// selection takes the canvas past it.
+			final := qgraph.SelectionSubgraph(selRC(18))
+			cfg.Ops, cfg.MinBenefit = OpSet{}, 0
+			cfg.Predictor = NewPredictor(PredictorConfig{})
+			cfg.Predictor.ObserveFinal([]string{final.Key()}, "", final, nil)
+		}, evAddSel(selRC(18)), evAddSel(selRC(5)), nil},
+	}
+}
+
+// TestLifecycleTable drives one job of every manipulation kind to every
+// terminal it can reach and checks what finish owns (DESIGN.md §16): exactly
+// one terminal counter moves, every registration the job held is released, the
+// waste ledger charges the build at most once, and the breaker gets the right
+// verdict — each job runs as the half-open probe of a tripped breaker, so a
+// cancel must re-open it, a completion close it, an abort re-trip it.
+func TestLifecycleTable(t *testing.T) {
+	const issueAt = 31 // seconds: past the breaker's 30 s cooldown
+	neutral := trace.Event{Kind: trace.EvSetProjections}
+	for _, kind := range lifecycleKinds() {
+		for want := Terminal(0); want < numTerminals; want++ {
+			if want == TermAborted && kind.breakPublish == nil {
+				continue // publishing a staged relation or a predicted answer cannot fail
+			}
+			t.Run(fmt.Sprintf("%s/%v", kind.name, want), func(t *testing.T) {
+				e := newTestEngine(t, 20000)
+				if err := e.ColdStart(); err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig()
+				cfg.Scheduler = NewScheduler(1, e.Pool)
+				cfg.Governor = NewGovernor(GovernorConfig{}, e.Pool)
+				kind.configure(e, &cfg)
+				sp := newSpec(e, cfg)
+				for i := 0; i < 3; i++ {
+					sp.breaker.Failure(0)
+				}
+				out, err := sp.OnEvent(kind.issue, sim.FromSeconds(issueAt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				job := one(out.Issued)
+				if job == nil || sp.breaker.State() != fault.BreakerHalfOpen {
+					t.Fatalf("no probe job issued (job %v, breaker %v)", job, sp.breaker.State())
+				}
+				if cfg.Scheduler.Inflight() != 1 || e.ActiveJobs() != 1 || cfg.Governor.Outstanding() != 1 {
+					t.Fatalf("issued job not registered once: sched %d, engine %d, governor %d",
+						cfg.Scheduler.Inflight(), e.ActiveJobs(), cfg.Governor.Outstanding())
+				}
+				before := sp.Stats()
+				mid := job.IssuedAt.Add(job.CompletesAt.Sub(job.IssuedAt) / 2)
+
+				var ended []*Job
+				switch want {
+				case TermCompleted, TermAborted:
+					if want == TermAborted {
+						if err := kind.breakPublish(e, job); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := sp.Complete(job, job.CompletesAt); err != nil {
+						t.Fatal(err)
+					}
+					ended = []*Job{job}
+				case TermCanceledInvalidated:
+					out, err = sp.OnEvent(kind.invalidate, mid)
+					ended = out.Canceled
+				case TermCanceledAtGo:
+					_, out, err = sp.OnGo(mid)
+					ended = out.Canceled
+				case TermCanceledOnClose:
+					ended = sp.CancelOutstanding()
+				case TermDeadlineExceeded:
+					job.Deadline = mid
+					out, err = sp.OnEvent(neutral, mid)
+					ended = out.Canceled
+				case TermShed:
+					// Pressure from another session, and a second, worthier asset
+					// of this one: the governor never sheds a session's last.
+					cfg.Governor.ReportRetained(cfg.Governor.Register(), 100*e.Pool.Capacity())
+					cfg.Governor.NoteRetained(sp.govID, "worthier", job.Manip.Benefit+1, 1)
+					out, err = sp.OnEvent(neutral, mid)
+					ended = out.Canceled
+					cfg.Governor.NoteTerminal(sp.govID, "worthier")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ended) != 1 || ended[0] != job {
+					t.Fatalf("ended %v, want exactly the probe job", ended)
+				}
+
+				after := sp.Stats()
+				for tt := Terminal(0); tt < numTerminals; tt++ {
+					moved := *after.terminal(tt) - *before.terminal(tt)
+					if (tt == want) != (moved == 1) || (tt != want && moved != 0) {
+						t.Errorf("terminal %v moved by %d ending a job as %v", tt, moved, want)
+					}
+				}
+				if after.Issued != before.Issued || len(sp.outstanding) != 0 {
+					t.Errorf("the terminal left work behind: issued %d→%d, %d outstanding", before.Issued, after.Issued, len(sp.outstanding))
+				}
+				if cfg.Scheduler.Inflight() != 0 || e.ActiveJobs() != 0 {
+					t.Errorf("slot or contention registration leaked: sched %d, engine %d", cfg.Scheduler.Inflight(), e.ActiveJobs())
+				}
+				held := 0
+				if want == TermCompleted && job.Manip.Kind == ManipMaterialize {
+					held = 1 // the view stays a retained, sheddable asset
+				}
+				if got := cfg.Governor.Outstanding(); got != held {
+					t.Errorf("governor holds %d entries, want %d", got, held)
+				}
+				if got := sp.retainedPages; got != held*job.Manip.EstPages {
+					t.Errorf("retained pages %d, want %d", got, held*job.Manip.EstPages)
+				}
+				if cfg.CSE != nil {
+					_, ready := cfg.CSE.State(CSEKey(job.Manip.Graph))
+					if known := cfg.CSE.Known(CSEKey(job.Manip.Graph)); known != (held == 1) || ready != (held == 1) {
+						t.Errorf("shared-build claim after %v: known %v, ready %v", want, known, ready)
+					}
+				}
+				wantBreaker := fault.BreakerOpen
+				if want == TermCompleted {
+					wantBreaker = fault.BreakerClosed
+				}
+				if got := sp.breaker.State(); got != wantBreaker {
+					t.Errorf("breaker %v after the probe ended %v, want %v", got, want, wantBreaker)
+				}
+				if job.Manip.Kind == ManipPredictFinal && after.PredictedIssued != after.PredictedCompleted+after.PredictedCanceled {
+					t.Errorf("predicted job unaccounted: %+v", after)
+				}
+
+				if err := sp.Shutdown(); err != nil {
+					t.Fatal(err)
+				}
+				st := sp.Stats()
+				if st.Issued != st.Terminals() {
+					t.Errorf("issued %d != terminals %d: %+v", st.Issued, st.Terminals(), st)
+				}
+				if sp.retainedPages != 0 || cfg.Governor.Outstanding() != 0 || cfg.CSE.RetainedPages() != 0 {
+					t.Errorf("after Shutdown: %d retained pages, %d governor entries, %d registry pages",
+						sp.retainedPages, cfg.Governor.Outstanding(), cfg.CSE.RetainedPages())
+				}
+				ledger := sp.WasteCharges()
+				if len(ledger) > 1 || (want == TermCompleted) != (len(ledger) == 0) {
+					t.Errorf("waste ledger after %v: %v", want, ledger)
+				}
+				for id, n := range ledger {
+					if n != 1 {
+						t.Errorf("build %s charged %d times", id, n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestHeldViewDropReasons lets go of a held view for each reason from each
+// position a holder can be in: a private view's only holder, a shared view's
+// owner or adopter while the other still holds it, and its last holder. The
+// table goes with the last holder only; an unused build is charged once, by
+// whoever drops the table, never at close.
+func TestHeldViewDropReasons(t *testing.T) {
+	type holder struct {
+		name          string
+		shared        bool
+		dropper       int  // which session drops under test: 0 builds, 1 adopts
+		otherLetsGo   bool // the other session releases first: dropper is the last holder
+		wantDropped   bool
+		countsAsBuilt bool // the dropper built the view
+	}
+	holders := []holder{
+		{name: "private", wantDropped: true, countsAsBuilt: true},
+		{name: "owner_beside_adopter", shared: true, countsAsBuilt: true},
+		{name: "adopter_beside_owner", shared: true, dropper: 1},
+		{name: "last_holder", shared: true, otherLetsGo: true, wantDropped: true, countsAsBuilt: true},
+	}
+	for _, h := range holders {
+		for _, reason := range []dropReason{dropGC, dropShed, dropClose} {
+			t.Run(fmt.Sprintf("%s/reason%d", h.name, reason), func(t *testing.T) {
+				e := newTestEngine(t, 20000)
+				gov := NewGovernor(GovernorConfig{}, e.Pool)
+				var sb *SharedBuilds
+				if h.shared {
+					sb = NewSharedBuilds(e.Metrics())
+				}
+				var sps [2]*Speculator
+				for i, prefix := range []string{"built", "adopted"} {
+					cfg := DefaultConfig()
+					cfg.NamePrefix, cfg.CSE, cfg.Governor = prefix, sb, gov
+					sps[i] = newSpec(e, cfg)
+				}
+				out, err := sps[0].OnEvent(evAddSel(selRC(18)), 0)
+				if err != nil || one(out.Issued) == nil {
+					t.Fatalf("no build issued: %v", err)
+				}
+				job := one(out.Issued)
+				if _, err := sps[0].Complete(job, job.CompletesAt); err != nil {
+					t.Fatal(err)
+				}
+				gk := job.Manip.Graph.Key()
+				if h.shared {
+					if _, err := sps[1].OnEvent(evAddSel(selRC(18)), job.CompletesAt); err != nil {
+						t.Fatal(err)
+					}
+					if sps[1].held[gk] == nil {
+						t.Fatal("second session did not adopt the shared build")
+					}
+				}
+				if h.otherLetsGo {
+					if err := sps[1].dropHeld(gk, dropClose); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				sp := sps[h.dropper]
+				if err := sp.dropHeld(gk, reason); err != nil {
+					t.Fatal(err)
+				}
+				st := sp.Stats()
+				if sp.held[gk] != nil || sp.retainedPages != 0 {
+					t.Errorf("view still held: %d retained pages", sp.retainedPages)
+				}
+				if got := e.Catalog.HasTable(job.tableName); got == h.wantDropped {
+					t.Errorf("table present %v, want dropped %v", got, h.wantDropped)
+				}
+				if h.shared && sb.Known(gk) == h.wantDropped {
+					t.Errorf("registry entry present %v after dropped %v", sb.Known(gk), h.wantDropped)
+				}
+				wantWaste := h.wantDropped && reason != dropClose
+				if (st.Waste > 0) != wantWaste || len(sp.WasteCharges()) > 1 {
+					t.Errorf("waste %v (ledger %v), want charged %v", st.Waste, sp.WasteCharges(), wantWaste)
+				}
+				if want := reason == dropShed; (st.ShedRetained == 1) != want {
+					t.Errorf("ShedRetained %d for reason %d", st.ShedRetained, reason)
+				}
+				if want := h.countsAsBuilt && (reason == dropGC || reason == dropShed && h.shared); (st.GarbageCollected == 1) != want {
+					t.Errorf("GarbageCollected %d, want counted %v", st.GarbageCollected, want)
+				}
+				for _, s := range sps {
+					if err := s.Shutdown(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if e.Catalog.HasTable(job.tableName) || gov.Outstanding() != 0 || sb.RetainedPages() != 0 {
+					t.Errorf("after both sessions closed: table %v, %d governor entries, %d registry pages",
+						e.Catalog.HasTable(job.tableName), gov.Outstanding(), sb.RetainedPages())
+				}
+			})
+		}
+	}
+}

@@ -136,13 +136,13 @@ func (m Manipulation) String() string {
 // partial query, per Section 3.5: materializations of individual selection
 // edges and of individual join edges enhanced with all attached selections —
 // never arbitrary sub-queries. isKnown filters out work that is already
-// running or completed (by Key). selectionsOnly restricts to selection
+// running or completed. selectionsOnly restricts to selection
 // materializations (the Section 6.3 multi-user strategy). Other families are
 // gated by ops.
-func EnumerateManipulations(partial *qgraph.Graph, ops OpSet, selectionsOnly bool, isKnown func(string) bool) []Manipulation {
+func EnumerateManipulations(partial *qgraph.Graph, ops OpSet, selectionsOnly bool, isKnown func(Manipulation) bool) []Manipulation {
 	var out []Manipulation
 	add := func(m Manipulation) {
-		if !isKnown(m.Key()) {
+		if !isKnown(m) {
 			out = append(out, m)
 		}
 	}

@@ -12,14 +12,13 @@ import (
 // applies admission control against the buffer pool's headroom, so
 // speculation can never evict a foreground query's working set.
 //
-// Dispatch order is benefit-ordered by construction: each speculator issues
-// its candidates in descending Cost⊆(m) score (maybeIssue always picks the
-// best remaining alternative), and the scheduler only decides *how many* of
-// those issues are admitted. The first outstanding job of every speculator
-// is always admitted — that is exactly the paper's one-manipulation-per-user
-// convention, so the default SpecWorkers=1 configuration behaves, decision
-// for decision, like the scheduler does not exist. Extra jobs (a speculator
-// going wide) are the only ones gated.
+// Dispatch order is benefit-ordered by construction: each speculator walks
+// its candidates in descending Cost⊆(m) score, and the scheduler only decides
+// *how many* of those issues are admitted. The first outstanding job of every
+// speculator is always admitted — that is exactly the paper's
+// one-manipulation-per-user convention, so the default SpecWorkers=1
+// configuration behaves, decision for decision, like the scheduler does not
+// exist. Extra jobs (a speculator going wide) are the only ones gated.
 //
 // A nil *Scheduler is valid and admits everything, so single-session tests
 // need no wiring.
@@ -100,23 +99,17 @@ func (s *Scheduler) Inflight() int {
 	return s.inflight
 }
 
-// AdmitExtra decides whether a speculator may go beyond its first
-// outstanding job with a manipulation whose retained footprint is estPages:
-// a worker slot must be free and the footprint must fit in the pool's
-// current headroom minus the foreground reserve. A missing estimate
+// AdmitExtraKeyed decides whether a speculator may go beyond its first
+// outstanding job with the manipulation key, whose retained footprint is
+// estPages: a worker slot must be free and the footprint must fit in the
+// pool's current headroom minus the foreground reserve. A missing estimate
 // (estPages <= 0) is floored to floorPages — the cost model never prices
-// real work at zero, so an unscored footprint must not auto-admit. It does
-// not claim the slot — the speculator calls Acquire from issue() once the
-// job really starts.
-func (s *Scheduler) AdmitExtra(estPages int) bool {
-	return s.AdmitExtraKeyed("", estPages)
-}
-
-// AdmitExtraKeyed is AdmitExtra with the manipulation's key: when a
+// real work at zero, so an unscored footprint must not auto-admit. When a
 // shared-build registry is attached and the key's subplan is already
 // registered (ready or in flight), the job adds no new pages — the build
 // exists once globally — so admission charges it zero footprint instead of
-// the per-copy estimate.
+// the per-copy estimate. It does not claim the slot — the speculator calls
+// Acquire once the job really starts.
 func (s *Scheduler) AdmitExtraKeyed(key string, estPages int) bool {
 	if s == nil {
 		return true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -32,29 +33,16 @@ type Config struct {
 	SelectionsOnly bool
 	// Lookahead is the cost model's future-query depth n (Section 3.3).
 	Lookahead int
-	// UseCompletionRisk weighs benefits by the probability of completing
-	// before GO.
-	UseCompletionRisk bool
-	// MinCompletionProb skips manipulations too unlikely to finish in time
-	// (see CostModel.MinCompletionProb).
-	MinCompletionProb float64
 	// MinBenefit is the issuing threshold: manipulations whose expected
 	// saving is below it are not worth the risk.
 	MinBenefit sim.Duration
-	// RiskAversion is the cost model's conservatism against P1/P2
-	// approximation error (see CostModel.RiskAversion).
-	RiskAversion float64
-	// CompressionThreshold gates materializations on shrinking their
-	// inputs (see CostModel.CompressionThreshold).
-	CompressionThreshold float64
 	// NamePrefix prefixes speculative table names (unique per user in
 	// multi-user runs).
 	NamePrefix string
 	// WaitForCompletion implements the paper's Section 7 proposal: when GO
-	// arrives while a manipulation is still running, compare the remaining
-	// time to the manipulation's expected benefit and, if waiting is
-	// cheaper, delay the final query until the manipulation completes and
-	// use its result — instead of the conservative always-cancel default.
+	// arrives while a manipulation is still running and waiting out its
+	// remaining time is cheaper than losing its expected benefit, the final
+	// query is delayed until it completes and uses its result.
 	WaitForCompletion bool
 	// SuspendWhenBusy, when positive, suspends speculation while at least
 	// that many other jobs are active on the server — the paper's Section 7
@@ -62,9 +50,8 @@ type Config struct {
 	SuspendWhenBusy int
 	// Workers is the maximum number of manipulations this speculator may
 	// have outstanding at once. The default (0 or 1) is the paper's
-	// convention of at most one outstanding manipulation; higher values let
-	// the speculator fill idle worker slots with the next-best candidates
-	// in descending benefit order.
+	// convention; higher values fill idle worker slots with the next-best
+	// candidates in descending benefit order.
 	Workers int
 	// Scheduler coordinates worker slots and pool-pressure admission across
 	// every speculator of one engine. Nil admits everything (single-session
@@ -73,7 +60,7 @@ type Config struct {
 	// CSE, when non-nil, is the engine-wide shared-build registry
 	// (DESIGN.md §11): identical materialization subplans across sessions are
 	// built once and refcounted instead of duplicated. Nil (the default)
-	// keeps the historical per-session build behavior, decision for decision.
+	// builds per session.
 	CSE *SharedBuilds
 	// BudgetPages caps this session's retained speculative footprint: the
 	// summed EstPages of its outstanding manipulations and completed
@@ -84,60 +71,53 @@ type Config struct {
 	// Governor, when non-nil, is the engine-wide resource-pressure layer
 	// (DESIGN.md §13): it gates new issues by pressure band, marks
 	// outstanding builds for benefit-ranked shedding, and stamps watchdog
-	// deadlines on issued jobs. Nil (the default) keeps every decision
-	// byte-identical to the ungoverned engine.
+	// deadlines on issued jobs.
 	Governor *Governor
 	// Predictor, when non-nil, enables whole-query speculation (DESIGN.md
 	// §14): the model's top-k predicted final queries are executed ahead of
 	// GO as first-class jobs, and a GO matching a completed prediction is
 	// answered in ~zero simulated time after a result-equivalence check
-	// against the plan the optimizer would have run. Nil (the default) keeps
-	// every decision byte-identical to the prediction-free engine.
+	// against the plan the optimizer would have run.
 	Predictor *Predictor
 	// Answers is the shared answer cache completed predicted finals publish
 	// into. Nil with a Predictor set makes NewSpeculator create a private
 	// cache; share one across sessions (specdb does) so repeated replays of
 	// the same trace reuse each other's answers.
 	Answers *AnswerCache
-
-	// Failure containment (DESIGN.md §8). Speculation is best-effort: a
-	// failed manipulation must never fail the session. MaxManipAttempts
-	// bounds how often one manipulation (by key) may fail — at issue or at
-	// completion — before it is abandoned for the rest of the session
-	// (default 3). RetryBackoff is the sim-time pause after a failure before
-	// the speculator issues anything again, doubling per consecutive failure
-	// of the same manipulation up to 8x (default 2s).
-	MaxManipAttempts int
-	RetryBackoff     sim.Duration
-	// BreakerFailures consecutive failures trip the per-session circuit
-	// breaker: speculation suspends entirely, then after BreakerCooldown of
-	// sim time one half-open probe decides whether it resumes. Defaults 3
-	// and 30s.
-	BreakerFailures int
-	BreakerCooldown sim.Duration
 }
 
 // DefaultConfig is the paper's main experimental configuration.
 func DefaultConfig() Config {
 	return Config{
-		Forced:               true,
-		Ops:                  OpsMaterializeOnly(),
-		Lookahead:            3,
-		UseCompletionRisk:    true,
-		MinCompletionProb:    0.15,
-		MinBenefit:           200 * time.Millisecond,
-		RiskAversion:         0.35,
-		CompressionThreshold: 0.65,
-		NamePrefix:           "spec",
+		Forced:     true,
+		Ops:        OpsMaterializeOnly(),
+		Lookahead:  3,
+		MinBenefit: 200 * time.Millisecond,
+		NamePrefix: "spec",
 	}
 }
 
+// The cost model's settings every speculator runs with (CostModel documents
+// each field).
+const (
+	useCompletionRisk    = true
+	minCompletionProb    = 0.15
+	riskAversion         = 0.35
+	compressionThreshold = 0.65
+)
+
 // Stats counts the Speculator's activity across a session.
 type Stats struct {
-	Issued    int
-	Completed int
+	Issued int
+	// The seven terminals (DESIGN.md §16): every issued job ends in exactly
+	// one, so Issued == Terminals() once nothing is outstanding.
 	// CanceledInvalidated were canceled because the partial query changed;
-	// CanceledAtGo were still running when the final query arrived.
+	// CanceledAtGo were still running when the final query arrived;
+	// CanceledOnClose were canceled by CancelOutstanding or Shutdown; Aborted
+	// were rolled back after a failed completion (DESIGN.md §8); Shed were
+	// canceled by the governor under pool pressure, lowest benefit first, and
+	// DeadlineAborts by its stuck-job watchdog (DESIGN.md §13).
+	Completed           int
 	CanceledInvalidated int
 	CanceledAtGo        int
 	// WaitedAtGo counts final queries delayed until an almost-finished
@@ -156,20 +136,15 @@ type Stats struct {
 	// average materialization duration of the paper.
 	MaterializationsIssued int
 	MaterializationTime    sim.Duration
-	// GarbageCollected counts completed materializations dropped because
-	// the partial query stopped containing them.
+	// GarbageCollected counts materializations this session built that were
+	// dropped because the partial query stopped containing them.
 	GarbageCollected int
-	// CanceledOnClose counts jobs canceled by CancelOutstanding or Shutdown
-	// (session teardown) rather than by an interface event. At quiesce
-	// Issued == Completed + CanceledInvalidated + CanceledAtGo + CanceledOnClose.
-	CanceledOnClose int
+	CanceledOnClose  int
 	// Failure containment (DESIGN.md §8). Failed counts contained
-	// manipulation failures (issue- or completion-time); Aborted counts
-	// issued jobs rolled back after a failed completion — a terminal state,
-	// so at quiesce Issued == Completed + CanceledInvalidated + CanceledAtGo
-	// + CanceledOnClose + Aborted. Abandoned counts manipulation keys given
-	// up after MaxManipAttempts failures. BreakerTrips/BreakerResumes count
-	// this session's circuit breaker opening and closing again.
+	// manipulation failures (issue- or completion-time); Abandoned counts
+	// manipulation keys given up after maxManipAttempts failures.
+	// BreakerTrips/BreakerResumes count this session's circuit breaker
+	// opening and closing again.
 	Failed         int
 	Aborted        int
 	Abandoned      int
@@ -185,37 +160,26 @@ type Stats struct {
 	SharedAttached int
 	DedupSaved     sim.Duration
 	BudgetDeferred int
-	// Overload governance (DESIGN.md §13). Shed counts outstanding builds
-	// the governor canceled under pool pressure, lowest benefit first;
-	// DeadlineAborts counts builds the stuck-job watchdog aborted past
-	// k× their cost estimate (the DeadlineExceeded terminal). Both are
-	// terminal states, so the quiesce identity under a governor is
-	// Issued == Completed + CanceledInvalidated + CanceledAtGo +
-	// CanceledOnClose + Aborted + Shed + DeadlineAborts.
-	// ShedRetained counts COMPLETED materializations dropped under pressure
-	// before any query consumed them; those builds already counted as
-	// Completed, so ShedRetained is deliberately outside the identity.
-	// GovernorDeferred counts issue opportunities the governor refused by
-	// pressure band. All zero with Config.Governor == nil.
+	// Overload governance (DESIGN.md §13). ShedRetained counts COMPLETED
+	// materializations dropped under pressure before any query consumed
+	// them; those builds already counted as Completed, so it is not a
+	// terminal. GovernorDeferred counts issue opportunities the governor
+	// refused by pressure band. All zero with Config.Governor == nil.
 	Shed             int
 	ShedRetained     int
 	DeadlineAborts   int
 	GovernorDeferred int
 	// Whole-query prediction (DESIGN.md §14). PredictedIssued counts
 	// predicted-final jobs issued; PredictedCompleted the ones whose answers
-	// reached the cache; PredictedCanceled every predicted job taken off the
-	// plate before completing (invalidated, canceled at GO or close, shed, or
-	// deadline-aborted). Those are the only predicted terminals, so the
-	// extended quiesce identity is
-	// PredictedIssued == PredictedCompleted + PredictedCanceled — a refinement
-	// of the overall identity, which predicted jobs also flow through.
-	// PredictedGos counts GO events answered instantly from a completed
-	// prediction (after the result-equivalence check); InstantSaved is the
-	// reference execution time those instant answers avoided.
-	// PredictEquivFailures counts completed predictions whose rows did NOT
-	// match the reference plan's (the fresh answer is served instead).
-	// AnswerCacheHits counts predicted jobs satisfied from the answer cache
-	// at issue time instead of executing. All zero with Config.Predictor nil.
+	// reached the cache; PredictedCanceled the ones that reached any other
+	// terminal. PredictedGos counts GO events answered instantly from a
+	// completed prediction (after the result-equivalence check);
+	// InstantSaved is the reference execution time those instant answers
+	// avoided. PredictEquivFailures counts completed predictions whose rows
+	// did NOT match the reference plan's (the fresh answer is served
+	// instead). AnswerCacheHits counts predicted jobs satisfied from the
+	// answer cache at issue time instead of executing. All zero with
+	// Config.Predictor nil.
 	PredictedIssued      int
 	PredictedCompleted   int
 	PredictedCanceled    int
@@ -235,29 +199,26 @@ type Stats struct {
 }
 
 // Job is one asynchronous manipulation in flight. The engine executed it
-// eagerly (side effects hidden); the harness schedules Complete at
-// CompletesAt, or Cancel beforehand.
+// eagerly (side effects hidden); the owner schedules Complete at CompletesAt.
 type Job struct {
 	Manip       Manipulation
 	IssuedAt    sim.Time
 	CompletesAt sim.Time
 	// Deadline is the stuck-job watchdog's abort instant (governor's
-	// DeadlineFactor × the manipulation's cost estimate past IssuedAt);
-	// zero means no deadline (no governor installed).
+	// DeadlineFactor × the manipulation's cost estimate past IssuedAt); zero
+	// means none (no governor installed).
 	Deadline sim.Time
 
-	// Hidden side effects, finalized by Complete or undone by Cancel.
+	// Hidden side effects, published or undone by finish.
 	tableName string
 	index     *catalog.Index
 	histogram *stats.Histogram
 
 	// jobID is the engine contention-model registration, held from issue
-	// until completion or cancellation.
+	// until the terminal transition.
 	jobID int64
 
-	// cseKey is the shared-build registry claim this job holds ("" when the
-	// job is not a shared build): the manipulation graph's canonical CSEKey.
-	// Cancel/abort withdraw the claim; Complete marks the build ready.
+	// cseKey is the shared-build registry claim this job holds ("" for none).
 	cseKey string
 
 	// Predicted-final payload (ManipPredictFinal only): the answer produced
@@ -272,19 +233,19 @@ type Job struct {
 	predVersions map[string]uint64
 	fromCache    bool
 
-	// span traces the issue→completion/cancellation window.
+	// span traces the issue→terminal window.
 	span *obs.ActiveSpan
 }
 
 // EventOutcome reports what an interface event made the Speculator do.
 type EventOutcome struct {
 	// Canceled are the jobs this event took off the speculator's plate —
-	// invalidated, canceled at GO, or completed-early by the
+	// invalidated, canceled at GO, shed, or completed-early by the
 	// wait-for-completion rule; the owner must drop their scheduled
-	// completions. With Workers <= 1 it holds at most one job.
+	// completions.
 	Canceled []*Job
-	// Issued are the newly issued jobs; the owner must schedule each one's
-	// completion at its CompletesAt. With Workers <= 1 it holds at most one.
+	// Issued are the newly issued jobs (at most Config.Workers outstanding);
+	// the owner must schedule each one's completion at its CompletesAt.
 	Issued []*Job
 	// Waited is the real delay before the final query ran because OnGo let
 	// an almost-finished manipulation complete (WaitForCompletion). The
@@ -298,17 +259,16 @@ type EventOutcome struct {
 // Manipulation Space, issues the best manipulations asynchronously in
 // descending benefit order, enforces the paper's conventions (cancel on
 // invalidation and at GO; garbage-collect results the partial query no
-// longer indicates useful; at most Workers outstanding manipulations — one
-// by default), and answers final queries on the prepared database.
+// longer indicates useful; at most Workers outstanding manipulations), and
+// answers final queries on the prepared database.
 type Speculator struct {
 	eng     *engine.Engine
 	learner *Learner
 	cm      *CostModel
 	cfg     Config
-	sched   *Scheduler
 
-	partial *qgraph.Graph
-	projs   []string
+	// canvas is the tracked partial query with its projection list.
+	canvas trace.State
 
 	formStart   sim.Time
 	formStarted bool
@@ -317,77 +277,50 @@ type Speculator struct {
 	prevFinal   *qgraph.Graph
 
 	// outstanding holds the in-flight jobs in issue order (descending
-	// benefit at issue time); at most workers() entries.
+	// benefit at issue time); at most cfg.Workers entries. Only start adds to
+	// it and only finish removes from it.
 	outstanding []*Job
-	// completed materializations by graph key → speculative table name.
-	completed map[string]string
-	// completedCost remembers each completed materialization's build cost by
-	// graph key, so garbage collection can charge it to Stats.Waste.
-	completedCost map[string]sim.Duration
+	// held are the completed materializations this session holds, by graph
+	// key; only publish and adoptReady add to it and only dropHeld removes.
+	held map[string]*heldView
 	// stagedRels tracks data-staging results for garbage collection.
 	stagedRels map[string]bool
-
-	// Cross-session CSE state (nil/empty when cfg.CSE is nil). sharedKeys
-	// marks graph keys in completed that are refcounted registry builds;
-	// sharedOwned marks the subset this speculator materialized itself (the
-	// rest were adopted from other sessions).
-	cse         *SharedBuilds
-	sharedKeys  map[string]bool
-	sharedOwned map[string]bool
 	// retainedPages is the summed EstPages of outstanding jobs plus held
-	// completed materializations — the footprint Config.BudgetPages caps.
-	// completedPages remembers each held materialization's contribution.
-	retainedPages  int
-	completedPages map[string]int
+	// views — the footprint Config.BudgetPages caps.
+	retainedPages int
 
-	// wasteCharges ledgers every Stats.Waste charge by build identity (the
-	// speculative table name for materializations, key@issue-instant
-	// otherwise). Each executed build may be charged at most once — the
+	// wasteCharges ledgers every Stats.Waste charge by build identity
+	// (wasteBuildID). Each executed build may be charged at most once — the
 	// invariant TestWasteChargedOncePerBuild enforces.
 	wasteCharges map[string]int
 
 	stats Stats
+	// mirror maps the address of a Stats field to its counter in the engine's
+	// metrics registry (shared across every speculator on the engine, so
+	// multi-user runs aggregate); count keeps the two in step.
+	mirror map[any]*obs.Counter
 
-	// Failure containment state (DESIGN.md §8): per-key consecutive failure
-	// counts, keys abandoned after MaxManipAttempts, the sim-time before
-	// which nothing new is issued (backoff), and the per-session circuit
-	// breaker. All empty/zero on the fault-free path, where they change
-	// nothing.
+	// Failure containment (DESIGN.md §8): per-key consecutive failure counts,
+	// keys abandoned after maxManipAttempts, the sim-time before which nothing
+	// new is issued (backoff), and the per-session circuit breaker.
 	attempts  map[string]int
 	abandoned map[string]bool
 	retryAt   sim.Time
 	breaker   *fault.Breaker
 
-	// Overload governance (DESIGN.md §13): the engine-wide governor and this
-	// session's registration id. Both zero without cfg.Governor, where every
-	// governance hook is a nil-safe no-op.
-	gov   *Governor
+	// govID is this session's registration with cfg.Governor (0 without one).
 	govID int
 
-	// Whole-query prediction state (DESIGN.md §14); all nil without
-	// cfg.Predictor, where every prediction hook is a nil-safe no-op.
+	// Whole-query prediction (DESIGN.md §14), unused without cfg.Predictor.
 	// predStates accumulates the canvas states (partial graph keys) the
 	// current formulation passed through, in order, for predictor training at
-	// GO. predictedReady marks form keys whose predicted job completed this
-	// session AND whose cache entry this session holds a reference on; a GO
-	// matching one is served instantly after the equivalence check.
-	pred           *Predictor
-	answers        *AnswerCache
+	// GO; prevKey is the previous final's graph key. predictedReady marks form
+	// keys whose predicted job completed this session AND whose cache entry
+	// this session holds a reference on; a GO matching one is served instantly
+	// after the equivalence check.
 	predStates     []string
+	prevKey        string
 	predictedReady map[string]bool
-
-	// Mirror counters in the engine's metrics registry (shared across every
-	// speculator on the engine, so multi-user runs aggregate).
-	obsIssued, obsCompleted, obsHits, obsMisses *obs.Counter
-	obsCanceled, obsGC, obsWasteNs              *obs.Counter
-	obsFailed, obsAborted, obsAbandoned         *obs.Counter
-	obsUndoFailures, obsDeferred                *obs.Counter
-	obsWaitedAtGo, obsSuspended                 *obs.Counter
-	obsBudgetDeferred                           *obs.Counter
-	obsShed, obsDeadlineAborts, obsGovDeferred  *obs.Counter
-	obsPredIssued, obsPredCompleted             *obs.Counter
-	obsPredCanceled, obsPredGos                 *obs.Counter
-	obsPredEquivFail, obsInstantSavedNs         *obs.Counter
 }
 
 // NewSpeculator attaches a speculation subsystem to an engine.
@@ -395,111 +328,101 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "spec"
 	}
-	if cfg.MaxManipAttempts <= 0 {
-		cfg.MaxManipAttempts = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 2 * time.Second
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	breaker := fault.NewBreaker(fault.BreakerConfig{
-		Failures: cfg.BreakerFailures,
-		Cooldown: cfg.BreakerCooldown,
-	})
-	breaker.AttachMetrics(eng.Metrics())
-	govID := 0
-	if cfg.Governor != nil {
-		govID = cfg.Governor.Register()
-	}
 	if cfg.Predictor != nil && cfg.Answers == nil {
-		// Whole-query speculation needs somewhere to publish completed
-		// answers; an unshared private cache still serves this session's own
-		// repeated finals.
+		// An unshared private cache still serves this session's own repeated
+		// finals.
 		cfg.Answers = NewAnswerCache(eng.Metrics(), 0)
 	}
-	return &Speculator{
+	sp := &Speculator{
 		eng:     eng,
-		sched:   cfg.Scheduler,
-		gov:     cfg.Governor,
-		govID:   govID,
+		govID:   cfg.Governor.Register(),
 		learner: learner,
 		cm: &CostModel{
 			Eng:                  eng,
 			Learner:              learner,
 			Lookahead:            cfg.Lookahead,
-			UseCompletionRisk:    cfg.UseCompletionRisk,
-			MinCompletionProb:    cfg.MinCompletionProb,
-			RiskAversion:         cfg.RiskAversion,
-			CompressionThreshold: cfg.CompressionThreshold,
+			UseCompletionRisk:    useCompletionRisk,
+			MinCompletionProb:    minCompletionProb,
+			RiskAversion:         riskAversion,
+			CompressionThreshold: compressionThreshold,
 		},
-		cfg:            cfg,
-		cse:            cfg.CSE,
-		partial:        qgraph.New(),
-		seenSels:       make(map[string]qgraph.Selection),
-		seenJoins:      make(map[string]qgraph.Join),
-		completed:      make(map[string]string),
-		completedCost:  make(map[string]sim.Duration),
-		stagedRels:     make(map[string]bool),
-		sharedKeys:     make(map[string]bool),
-		sharedOwned:    make(map[string]bool),
-		completedPages: make(map[string]int),
-		wasteCharges:   make(map[string]int),
-		attempts:       make(map[string]int),
-		abandoned:      make(map[string]bool),
-		breaker:        breaker,
-		pred:           cfg.Predictor,
-		answers:        cfg.Answers,
+		cfg:          cfg,
+		canvas:       trace.State{Graph: qgraph.New()},
+		seenSels:     make(map[string]qgraph.Selection),
+		seenJoins:    make(map[string]qgraph.Join),
+		held:         make(map[string]*heldView),
+		stagedRels:   make(map[string]bool),
+		wasteCharges: make(map[string]int),
+		attempts:     make(map[string]int),
+		abandoned:    make(map[string]bool),
+		// The zero config is the breaker's defaults: three consecutive
+		// failures open it, 30 s of sim time later one probe may pass.
+		breaker:        fault.NewBreaker(fault.BreakerConfig{}),
 		predictedReady: make(map[string]bool),
+		mirror:         make(map[any]*obs.Counter),
+	}
+	sp.breaker.AttachMetrics(eng.Metrics())
+	st := &sp.stats
+	for _, m := range []struct {
+		name  string
+		field any // nil: bumped by name at its one site
+	}{
+		{"spec.issued", &st.Issued},
+		{"spec.completed", &st.Completed},
+		{"spec.hits", &st.Hits},
+		{"spec.misses", &st.Misses},
+		{"spec.canceled", nil}, // every cancel terminal
+		{"spec.garbage_collected", nil},
+		{"spec.waste_ns", &st.Waste},
+		{"spec.failed", &st.Failed},
+		{"spec.aborted", &st.Aborted},
+		{"spec.abandoned", &st.Abandoned},
+		{"spec.undo_failures", nil},
+		{"spec.deferred", &st.Deferred},
+		{"spec.waited_at_go", &st.WaitedAtGo},
+		{"spec.suspended", &st.Suspended},
+		{"spec.budget_deferred", &st.BudgetDeferred},
+		{"spec.shed", &st.Shed},
+		{"spec.shed", &st.ShedRetained},
+		{"spec.deadline_aborts", &st.DeadlineAborts},
+		{"spec.governor_deferred", &st.GovernorDeferred},
+		{"spec.predicted_issued", &st.PredictedIssued},
+		{"spec.predicted_completed", &st.PredictedCompleted},
+		{"spec.predicted_canceled", &st.PredictedCanceled},
+		{"spec.predicted_gos", &st.PredictedGos},
+		{"spec.predict_equiv_failures", &st.PredictEquivFailures},
+		{"spec.instant_saved_ns", &st.InstantSaved},
+	} {
+		c := eng.Metrics().Counter(m.name)
+		if m.field != nil {
+			sp.mirror[m.field] = c
+		}
+	}
+	return sp
+}
 
-		obsIssued:    eng.Metrics().Counter("spec.issued"),
-		obsCompleted: eng.Metrics().Counter("spec.completed"),
-		obsHits:      eng.Metrics().Counter("spec.hits"),
-		obsMisses:    eng.Metrics().Counter("spec.misses"),
-		obsCanceled:  eng.Metrics().Counter("spec.canceled"),
-		obsGC:        eng.Metrics().Counter("spec.garbage_collected"),
-		obsWasteNs:   eng.Metrics().Counter("spec.waste_ns"),
-		obsFailed:    eng.Metrics().Counter("spec.failed"),
-		obsAborted:   eng.Metrics().Counter("spec.aborted"),
-		obsAbandoned: eng.Metrics().Counter("spec.abandoned"),
-
-		obsUndoFailures: eng.Metrics().Counter("spec.undo_failures"),
-		obsDeferred:     eng.Metrics().Counter("spec.deferred"),
-
-		obsWaitedAtGo:     eng.Metrics().Counter("spec.waited_at_go"),
-		obsSuspended:      eng.Metrics().Counter("spec.suspended"),
-		obsBudgetDeferred: eng.Metrics().Counter("spec.budget_deferred"),
-
-		obsShed:           eng.Metrics().Counter("spec.shed"),
-		obsDeadlineAborts: eng.Metrics().Counter("spec.deadline_aborts"),
-		obsGovDeferred:    eng.Metrics().Counter("spec.governor_deferred"),
-
-		obsPredIssued:     eng.Metrics().Counter("spec.predicted_issued"),
-		obsPredCompleted:  eng.Metrics().Counter("spec.predicted_completed"),
-		obsPredCanceled:   eng.Metrics().Counter("spec.predicted_canceled"),
-		obsPredGos:        eng.Metrics().Counter("spec.predicted_gos"),
-		obsPredEquivFail:  eng.Metrics().Counter("spec.predict_equiv_failures"),
-		obsInstantSavedNs: eng.Metrics().Counter("spec.instant_saved_ns"),
+// count adds n to a Stats field and to its registry mirror, if it has one.
+func count[T ~int | ~int64](sp *Speculator, field *T, n T) {
+	*field += n
+	if c := sp.mirror[field]; c != nil {
+		c.Add(int64(n))
 	}
 }
 
-// Breaker exposes the per-session circuit breaker (for tests/diagnostics).
-func (sp *Speculator) Breaker() *fault.Breaker { return sp.breaker }
-
 // chargeWaste charges d of never-useful manipulation time to Stats.Waste and
-// the spec.waste_ns mirror. buildID identifies the executed build being
-// charged — the speculative table name for materializations, key@issue-instant
-// for the rest — and feeds the per-build ledger behind WasteCharges: a single
-// execution's cost must hit Waste at most once, however it terminates
-// (canceled, aborted, or garbage-collected unused).
+// ledgers it under buildID (wasteBuildID): a single execution's cost must hit
+// Waste at most once, however it terminates (canceled, aborted, or
+// garbage-collected unused).
 func (sp *Speculator) chargeWaste(buildID string, d sim.Duration) {
-	sp.stats.Waste += d
-	sp.obsWasteNs.Add(int64(d))
+	count(sp, &sp.stats.Waste, d)
 	sp.wasteCharges[buildID]++
 }
 
-// wasteBuildID names a job's execution for the waste ledger.
+// wasteBuildID names a job's execution for the waste ledger: the speculative
+// table for a materialization, key@issue-instant for the rest.
 func wasteBuildID(job *Job) string {
 	if job.tableName != "" {
 		return job.tableName
@@ -509,31 +432,13 @@ func wasteBuildID(job *Job) string {
 
 // WasteCharges exposes the per-build waste ledger (build identity → number of
 // charges) for the charged-once invariant test. The returned map is a copy.
-func (sp *Speculator) WasteCharges() map[string]int {
-	out := make(map[string]int, len(sp.wasteCharges))
-	for k, v := range sp.wasteCharges {
-		out[k] = v
-	}
-	return out
-}
+func (sp *Speculator) WasteCharges() map[string]int { return maps.Clone(sp.wasteCharges) }
 
 // Stats reports session counters.
 func (sp *Speculator) Stats() Stats { return sp.stats }
 
 // Partial exposes the tracked partial query (for tests and diagnostics).
-func (sp *Speculator) Partial() *qgraph.Graph { return sp.partial }
-
-// Outstanding exposes the in-flight jobs in issue order. The returned slice
-// must not be mutated.
-func (sp *Speculator) Outstanding() []*Job { return sp.outstanding }
-
-// workers is the outstanding-job cap (at least 1).
-func (sp *Speculator) workers() int {
-	if sp.cfg.Workers < 1 {
-		return 1
-	}
-	return sp.cfg.Workers
-}
+func (sp *Speculator) Partial() *qgraph.Graph { return sp.canvas.Graph }
 
 // Learner exposes the user profile.
 func (sp *Speculator) Learner() *Learner { return sp.learner }
@@ -554,396 +459,164 @@ func (sp *Speculator) OnEvent(ev trace.Event, now sim.Time) (EventOutcome, error
 	if err := sp.apply(ev); err != nil {
 		return out, err
 	}
-	if sp.pred != nil {
-		// Record the canvas state for predictor training at GO. A cleared
-		// canvas abandons the formulation: its states must not credit the
-		// NEXT final query.
-		if ev.Kind == trace.EvClear {
-			sp.predStates = nil
-		} else if !sp.partial.IsEmpty() {
-			sp.predStates = append(sp.predStates, sp.partial.Key())
-		}
+	if sp.cfg.Predictor != nil && !sp.canvas.Graph.IsEmpty() {
+		// Record the canvas state for predictor training at GO.
+		sp.predStates = append(sp.predStates, sp.canvas.Graph.Key())
 	}
 
 	// Convention 1: cancel manipulations whose benefit disappeared.
-	kept := sp.outstanding[:0]
-	for _, job := range sp.outstanding {
-		if !sp.stillUseful(job.Manip) {
-			sp.cancelAt(job, now, "canceled_invalidated")
-			sp.stats.CanceledInvalidated++
-			out.Canceled = append(out.Canceled, job)
-		} else {
-			kept = append(kept, job)
-		}
-	}
-	sp.outstanding = kept
+	out.Canceled = sp.finishWhere(TermCanceledInvalidated, now, func(job *Job) bool {
+		return !sp.stillUseful(job.Manip)
+	})
 	// Convention 2: garbage-collect completed results the partial query no
 	// longer indicates useful.
-	if err := sp.collectGarbage(); err != nil {
+	if err := sp.collectGarbage(dropGC); err != nil {
 		return out, err
 	}
-	// Overload governance (DESIGN.md §13): abort builds past their watchdog
-	// deadline and shed the governor's benefit-ranked marks — in-flight and
-	// retained alike. Runs after the conventions (an invalidated job is
-	// already gone — no point shedding it) and before fillSlots (freed
-	// footprint may lift the pressure band that gates new issues). Nil-safe
-	// no-op without a governor.
+	// Overload governance (DESIGN.md §13) runs after the conventions (an
+	// invalidated job is already gone — no point shedding it) and before
+	// fillSlots (freed footprint may lift the pressure band that gates new
+	// issues).
 	shedBefore := sp.stats.ShedRetained
 	degraded, err := sp.governDegrade(now)
 	if err != nil {
 		return out, err
 	}
 	out.Canceled = append(out.Canceled, degraded...)
-	// Convention 3: at most workers() outstanding manipulations (one, per
-	// the paper, unless configured wider). A session the governor just
-	// degraded sits this boundary out — re-issuing the build it was told to
-	// drop would turn shedding into thrash.
+	// Convention 3: at most cfg.Workers outstanding manipulations. A session
+	// the governor just degraded sits this boundary out — re-issuing the
+	// build it was told to drop would turn shedding into thrash.
 	if len(degraded) > 0 || sp.stats.ShedRetained > shedBefore {
 		return out, nil
 	}
-	issued, err := sp.fillSlots(now)
-	if err != nil {
-		return out, err
-	}
-	out.Issued = issued
-	return out, nil
+	out.Issued, err = sp.fillSlots(now)
+	return out, err
 }
 
 // Complete finalizes a job at its completion time, making its results
-// visible to the optimizer, and — a slot now being free — may issue the
-// next manipulations for the current partial query. Speculation is
-// best-effort: a finalization failure is contained (the job's hidden side
-// effects are rolled back, the failure recorded against its key and the
-// breaker), never surfaced to the session.
+// visible to the optimizer, and — a slot now being free — may issue the next
+// manipulations for the current partial query. A finalization failure is
+// contained (the job ends aborted instead), never surfaced to the session.
 func (sp *Speculator) Complete(job *Job, now sim.Time) ([]*Job, error) {
-	if !sp.dropOutstanding(job) {
+	if !sp.finish(job, TermCompleted, now, nil) {
 		// Programmer invariant (the owner schedules exactly one completion per
 		// issued job), not a containable I/O failure.
 		return nil, fmt.Errorf("core: completing a job that is not outstanding")
-	}
-	sp.eng.EndJob(job.jobID)
-	sp.sched.Release()
-	sp.gov.NoteTerminal(sp.govID, job.Manip.Key())
-	if err := sp.finalize(job); err != nil {
-		sp.abort(job, now, err)
-		return sp.fillSlots(now)
-	}
-	if job.Manip.Kind == ManipMaterialize {
-		gk := job.Manip.Graph.Key()
-		sp.completedPages[gk] = job.Manip.EstPages
-		// The materialization stays a sheddable speculative asset: its pages
-		// remain registered (retained tier) until GC or shutdown removes them.
-		sp.gov.NoteRetained(sp.govID, job.Manip.Key(), job.CompletesAt.Sub(job.IssuedAt), job.Manip.EstPages)
-		if job.cseKey != "" {
-			// A shared build: the registry owns its waste accounting (charged
-			// once across all consumers at the last release), so the
-			// per-session completedCost stays empty for it.
-			sp.cse.FinishBuild(job.cseKey, job.CompletesAt.Sub(job.IssuedAt))
-			sp.sharedKeys[gk] = true
-			sp.sharedOwned[gk] = true
-		} else {
-			sp.completedCost[gk] = job.CompletesAt.Sub(job.IssuedAt)
-		}
-	} else {
-		// Indexes, histograms, staged pages, and published predicted answers
-		// become durable improvements at completion (the answer cache accounts
-		// its own footprint); they stop counting against the session's
-		// retained-footprint budget.
-		sp.releaseRetained(job.Manip.EstPages)
-	}
-	if job.Manip.Kind == ManipPredictFinal {
-		sp.stats.PredictedCompleted++
-		sp.obsPredCompleted.Inc()
-	}
-	sp.stats.Completed++
-	sp.obsCompleted.Inc()
-	delete(sp.attempts, job.Manip.Key())
-	if sp.breaker.Success() {
-		sp.stats.BreakerResumes++
-	}
-	sp.gov.NoteSuccess(now)
-	if job.span != nil {
-		job.span.Annotate("outcome", "completed")
-		job.span.End(job.CompletesAt)
-		job.span = nil
 	}
 	// Keep preparing: a slot is free and the user is still thinking (or
 	// viewing results — either way the canvas indicates what comes next).
 	return sp.fillSlots(now)
 }
 
-// dropOutstanding removes job from the outstanding list, reporting whether
-// it was there.
-func (sp *Speculator) dropOutstanding(job *Job) bool {
-	for i, j := range sp.outstanding {
-		if j == job {
-			sp.outstanding = append(sp.outstanding[:i], sp.outstanding[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// fillSlots issues manipulations in descending benefit order until the
-// outstanding cap is reached, the scheduler defers, or no candidate clears
-// the threshold. With Workers=1 it is exactly one maybeIssue call on an
-// empty slot — the paper's single-manipulation convention.
-func (sp *Speculator) fillSlots(now sim.Time) ([]*Job, error) {
-	var issued []*Job
-	for len(sp.outstanding) < sp.workers() {
-		// Predicted finals first (DESIGN.md §14): a confident whole-query
-		// prediction dominates any sub-query manipulation — it answers GO
-		// outright. An immediate nil without a predictor keeps this loop
-		// byte-identical to history.
-		job, err := sp.maybeIssuePredicted(now)
-		if err != nil {
-			return issued, err
-		}
-		if job == nil {
-			job, err = sp.maybeIssue(now)
-			if err != nil {
-				return issued, err
-			}
-		}
-		if job == nil {
-			break
-		}
-		issued = append(issued, job)
-	}
-	return issued, nil
-}
-
 // governDegrade applies the engine governor's overload decisions at one
-// event boundary (DESIGN.md §13) and returns the jobs it took off the plate
-// so the owner can drop their scheduled completions. Two passes: first the
-// stuck-job watchdog aborts builds past their deadline (DeadlineExceeded —
-// a systemic-health strike on the GLOBAL breaker, not the session breaker:
-// an overrunning build is usually a victim of engine-wide pressure, and
-// tripping the session breaker would double-punish the victim); then the
-// governor's benefit-ranked shed marks are canceled. Shed and deadline
-// aborts cancel exactly like any other cancellation — side effects undone,
-// shared-build claims withdrawn at refcount-drop, elapsed run time charged
-// once through the waste ledger.
+// event boundary (DESIGN.md §13) and returns the jobs it took off the plate:
+// first the stuck-job watchdog ends builds past their deadline; then the
+// governor's benefit-ranked shed marks are applied to in-flight builds and to
+// held views alike.
 func (sp *Speculator) governDegrade(now sim.Time) ([]*Job, error) {
-	if sp.gov == nil {
+	if sp.cfg.Governor == nil {
 		return nil, nil
 	}
-	var dropped []*Job
-	kept := sp.outstanding[:0]
-	for _, job := range sp.outstanding {
-		if job.Deadline != 0 && now >= job.Deadline {
-			sp.cancelAt(job, now, "deadline_exceeded")
-			sp.stats.DeadlineAborts++
-			sp.obsDeadlineAborts.Inc()
-			sp.gov.NoteFailure(now)
-			dropped = append(dropped, job)
-		} else {
-			kept = append(kept, job)
-		}
-	}
-	sp.outstanding = kept
+	dropped := sp.finishWhere(TermDeadlineExceeded, now, func(job *Job) bool {
+		return job.Deadline != 0 && now >= job.Deadline
+	})
 	// Push the session's live footprint before asking for shed marks, so the
 	// governor ranks against current state, not last event's.
-	sp.gov.ReportRetained(sp.govID, sp.retainedPages)
-	shed := sp.gov.ShedSet(sp.govID, now)
-	if len(shed) > 0 {
-		kept = sp.outstanding[:0]
-		for _, job := range sp.outstanding {
-			if shed[job.Manip.Key()] {
-				sp.cancelAt(job, now, "shed")
-				sp.stats.Shed++
-				sp.obsShed.Inc()
-				dropped = append(dropped, job)
-			} else {
-				kept = append(kept, job)
-			}
-		}
-		sp.outstanding = kept
-		// Retained tier: drop completed materializations the governor marked,
-		// exactly like garbage collection (shared builds release their
-		// refcount and the cost of a never-consumed build is charged once),
-		// but counted as ShedRetained — the pressure took them, not the
-		// conventions.
-		for _, gk := range sortedKeys(sp.completed) {
-			if !shed["mat|"+gk] {
-				continue
-			}
-			table := sp.completed[gk]
-			if sp.sharedKeys[gk] {
-				if err := sp.releaseShared(gk, true); err != nil {
-					return dropped, err
-				}
-			} else {
-				if err := sp.eng.DropTable(table); err != nil {
-					return dropped, err
-				}
-				delete(sp.completed, gk)
-				sp.releaseRetained(sp.completedPages[gk])
-				delete(sp.completedPages, gk)
-				sp.gov.NoteTerminal(sp.govID, "mat|"+gk)
-				sp.obsGC.Inc()
-				if c, ok := sp.completedCost[gk]; ok {
-					sp.chargeWaste(table, c)
-					delete(sp.completedCost, gk)
-				}
-			}
-			sp.stats.ShedRetained++
-			sp.obsShed.Inc()
-		}
-		sp.gov.ReportRetained(sp.govID, sp.retainedPages)
+	sp.cfg.Governor.ReportRetained(sp.govID, sp.retainedPages)
+	shed := sp.cfg.Governor.ShedSet(sp.govID, now)
+	if len(shed) == 0 {
+		return dropped, nil
 	}
+	dropped = append(dropped, sp.finishWhere(TermShed, now, func(job *Job) bool {
+		return shed[job.Manip.Key()]
+	})...)
+	for _, gk := range sortedKeys(sp.held) {
+		if shed["mat|"+gk] {
+			if err := sp.dropHeld(gk, dropShed); err != nil {
+				return dropped, err
+			}
+		}
+	}
+	sp.cfg.Governor.ReportRetained(sp.govID, sp.retainedPages)
 	return dropped, nil
 }
 
-// finalize publishes a job's hidden side effects.
-func (sp *Speculator) finalize(job *Job) error {
-	switch job.Manip.Kind {
-	case ManipMaterialize:
-		if err := sp.eng.Catalog.RegisterView(job.tableName, job.Manip.Graph, sp.cfg.Forced); err != nil {
-			return err
-		}
-		sp.completed[job.Manip.Graph.Key()] = job.tableName
-	case ManipIndex:
-		t, err := sp.eng.Catalog.Table(job.Manip.Rel)
-		if err != nil {
-			return err
-		}
-		t.SetIndex(job.Manip.Col, job.index)
-	case ManipHistogram:
-		t, err := sp.eng.Catalog.Table(job.Manip.Rel)
-		if err != nil {
-			return err
-		}
-		if cs := t.ColumnStats(job.Manip.Col); cs != nil {
-			cs.SetHist(job.histogram)
-		}
-	case ManipStage:
-		sp.stagedRels[job.Manip.Rel] = true
-	case ManipPredictFinal:
-		// Publish the predicted answer (DESIGN.md §14). A fresh build enters
-		// the cache under its issue-time version snapshot, holding the
-		// producer's reference; a cache-path job re-references the entry it was
-		// satisfied from (which a concurrent write may have invalidated since —
-		// then the prediction quietly yields nothing). Either way the session
-		// marks the form ready for an instant GO only while it holds a
-		// reference, so the entry cannot be evicted out from under it.
-		if job.fromCache {
-			if sp.answers.Ref(job.formKey) {
-				sp.predictedReady[job.formKey] = true
-			}
-		} else if sp.answers.Put(job.formKey, job.predRows, job.predSchema, job.predCost, job.Manip.EstPages, job.predVersions) {
-			sp.predictedReady[job.formKey] = true
-		}
-	}
-	return nil
-}
-
-// abort contains a completion-time failure: the job's hidden side effects are
-// rolled back exactly as a cancellation's would be (orphaned pages freed,
-// partial catalog entries dropped — the Learner is never touched), its full
-// run time is charged to Waste, and the failure counts against the
-// manipulation's retry budget and the session breaker.
-func (sp *Speculator) abort(job *Job, now sim.Time, cause error) {
-	sp.undo(job)
-	sp.chargeWaste(wasteBuildID(job), job.CompletesAt.Sub(job.IssuedAt))
-	sp.stats.Aborted++
-	sp.obsAborted.Inc()
-	if job.span != nil {
-		job.span.Annotate("outcome", "aborted")
-		job.span.Annotate("error", cause.Error())
-		job.span.End(now)
-		job.span = nil
-	}
-	sp.noteFailure(job.Manip.Key(), now, cause)
-}
+// maxManipAttempts bounds how often one manipulation (by key) may fail — at
+// issue or at completion — before it is abandoned for the rest of the
+// session. retryBackoff is the sim-time pause after a failure before the
+// speculator issues anything again, doubling per consecutive failure of the
+// same manipulation up to 8x.
+const (
+	maxManipAttempts = 3
+	retryBackoff     = 2 * time.Second
+)
 
 // noteFailure records one contained manipulation failure: backoff before the
-// next issue (doubling per consecutive failure of the same key, capped at
-// 8x), abandonment after MaxManipAttempts, and a breaker strike. A span marks
-// the failure on the session timeline.
+// next issue, abandonment after maxManipAttempts, and a breaker strike. A
+// span marks the failure on the session timeline.
 func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
-	sp.stats.Failed++
-	sp.obsFailed.Inc()
+	count(sp, &sp.stats.Failed, 1)
 	n := sp.attempts[key] + 1
 	sp.attempts[key] = n
-	backoff := sp.cfg.RetryBackoff
-	for i := 1; i < n && i < 4; i++ {
-		backoff *= 2
-	}
-	if t := now.Add(backoff); t > sp.retryAt {
+	if t := now.Add(retryBackoff << min(n-1, 3)); t > sp.retryAt {
 		sp.retryAt = t
 	}
-	if n >= sp.cfg.MaxManipAttempts && !sp.abandoned[key] {
+	if n >= maxManipAttempts && !sp.abandoned[key] {
 		sp.abandoned[key] = true
-		sp.stats.Abandoned++
-		sp.obsAbandoned.Inc()
+		count(sp, &sp.stats.Abandoned, 1)
 	}
 	if sp.breaker.Failure(now) {
 		sp.stats.BreakerTrips++
 	}
 	// The same outcome feeds the engine-wide breaker, which trips on the
 	// systemic rate across all sessions (nil-safe no-op without a governor).
-	sp.gov.NoteFailure(now)
+	sp.cfg.Governor.NoteFailure(now)
 	s := sp.eng.Tracer().Start("manip.failed", now, 0,
 		obs.Attr{Key: "key", Value: key},
 		obs.Attr{Key: "error", Value: cause.Error()})
 	s.End(now)
 }
 
-// OnGo handles the final query: any in-flight manipulation is canceled
-// (convention: the paper's conservative approach), the final query runs on
-// the prepared database (completed materializations rewrite it), and the
-// Learner trains on the observed formulation. The canvas still shows the
-// query while the user views results, so the Speculator keeps preparing:
-// the returned outcome may carry a freshly issued manipulation for the next
-// query ("…or even queries further into the future", paper abstract).
+// OnGo handles the final query: any in-flight manipulation is canceled (the
+// paper's conservative convention), the final query runs on the prepared
+// database (completed materializations rewrite it), and the Learner trains on
+// the observed formulation. The canvas still shows the query while the user
+// views results, so the Speculator keeps preparing: the outcome may carry a
+// freshly issued manipulation for the next query.
 func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	var out EventOutcome
-	var waited sim.Duration
-	if len(sp.outstanding) > 0 {
-		// Section 7 extension: a manipulation worth more than its remaining
-		// run time is allowed to finish and serve this very query. With
-		// several outstanding the earliest-completing qualifying job wins —
-		// the user waits for at most one.
-		var waitJob *Job
-		if sp.cfg.WaitForCompletion {
-			for _, job := range sp.outstanding {
-				remaining := job.CompletesAt.Sub(now)
-				if remaining > 0 && remaining < job.Manip.SingleBenefit &&
-					(waitJob == nil || job.CompletesAt < waitJob.CompletesAt) {
-					waitJob = job
-				}
+	// Section 7 extension: a manipulation worth more than its remaining run
+	// time is allowed to finish and serve this very query. With several
+	// outstanding the earliest-completing qualifying job wins — the user
+	// waits for at most one.
+	var waitJob *Job
+	if sp.cfg.WaitForCompletion {
+		for _, job := range sp.outstanding {
+			remaining := job.CompletesAt.Sub(now)
+			if remaining > 0 && remaining < job.Manip.SingleBenefit &&
+				(waitJob == nil || job.CompletesAt < waitJob.CompletesAt) {
+				waitJob = job
 			}
-		}
-		for _, job := range append([]*Job(nil), sp.outstanding...) {
-			if job == waitJob {
-				continue
-			}
-			sp.cancelAt(job, now, "canceled_at_go")
-			sp.stats.CanceledAtGo++
-			out.Canceled = append(out.Canceled, job)
-			sp.dropOutstanding(job)
-		}
-		if waitJob != nil {
-			// The owner must unschedule its completion: it happens here.
-			out.Canceled = append(out.Canceled, waitJob)
-			next, err := sp.Complete(waitJob, waitJob.CompletesAt)
-			if err != nil {
-				return nil, out, err
-			}
-			out.Issued = append(out.Issued, next...)
-			waited = waitJob.CompletesAt.Sub(now)
-			out.Waited = waited
-			sp.stats.WaitedAtGo++
-			sp.obsWaitedAtGo.Inc()
 		}
 	}
-	if sp.partial.IsEmpty() {
+	out.Canceled = sp.finishWhere(TermCanceledAtGo, now, func(job *Job) bool { return job != waitJob })
+	if waitJob != nil {
+		// The owner must unschedule its completion: it happens here.
+		out.Canceled = append(out.Canceled, waitJob)
+		next, err := sp.Complete(waitJob, waitJob.CompletesAt)
+		if err != nil {
+			return nil, out, err
+		}
+		out.Issued = append(out.Issued, next...)
+		out.Waited = waitJob.CompletesAt.Sub(now)
+		count(sp, &sp.stats.WaitedAtGo, 1)
+	}
+	if sp.canvas.Graph.IsEmpty() {
 		return nil, out, fmt.Errorf("core: GO with empty partial query")
 	}
-	final := sp.partial.Clone()
+	final := sp.canvas.Graph.Clone()
 
-	q, err := plan.BindGraphProjections(sp.eng.Catalog, final, sp.projs)
+	q, err := plan.BindGraphProjections(sp.eng.Catalog, final, sp.canvas.Projs)
 	if err != nil {
 		return nil, out, err
 	}
@@ -953,30 +626,26 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	}
 	// Instant GO (DESIGN.md §14): a completed prediction matching this final
 	// query serves its cached answer in ~zero simulated time — but only after
-	// a full result-equivalence check against the plan the optimizer would
-	// have run, which executed above. The reference execution happens either
-	// way (so buffer-pool and learner state stay identical with or without the
-	// check passing); only the user-visible duration collapses.
-	if sp.pred != nil {
+	// a full result-equivalence check against the reference execution above,
+	// which happens either way (so buffer-pool and learner state do not
+	// depend on the check); only the user-visible duration collapses.
+	if sp.cfg.Predictor != nil {
 		fk := FormKey(final, q.Projections)
 		if sp.predictedReady[fk] {
-			if rows, _, _, ok := sp.answers.Get(fk, sp.eng.DataVersion); ok {
+			if rows, _, _, ok := sp.cfg.Answers.Get(fk, sp.eng.DataVersion); ok {
 				if RowsEquivalent(res.Rows, rows) {
-					sp.stats.PredictedGos++
-					sp.obsPredGos.Inc()
-					sp.stats.InstantSaved += res.Duration
-					sp.obsInstantSavedNs.Add(int64(res.Duration))
+					count(sp, &sp.stats.PredictedGos, 1)
+					count(sp, &sp.stats.InstantSaved, res.Duration)
 					res.Duration = 0
 				} else {
 					// The cached answer disagrees with the reference plan:
 					// serve the fresh result, count the equivalence failure.
-					sp.stats.PredictEquivFailures++
-					sp.obsPredEquivFail.Inc()
+					count(sp, &sp.stats.PredictEquivFailures, 1)
 				}
 			}
 		}
 	}
-	res.Duration += waited // the user waited for the manipulation first
+	res.Duration += out.Waited // the user waited for the manipulation first
 	sp.recordHit(res.Plan)
 
 	// Train the Learner. The survival counters decay exponentially, so the
@@ -1001,13 +670,9 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	sp.publishProfile()
 	// Train the predictor on the completed formulation: every canvas state it
 	// passed through, plus the previous final, predicted THIS final form.
-	if sp.pred != nil {
-		prevKey := ""
-		if sp.prevFinal != nil {
-			prevKey = sp.prevFinal.Key()
-		}
-		sp.pred.ObserveFinal(sp.predStates, prevKey, final, q.Projections)
-		sp.predStates = nil
+	if sp.cfg.Predictor != nil {
+		sp.cfg.Predictor.ObserveFinal(sp.predStates, sp.prevKey, final, q.Projections)
+		sp.predStates, sp.prevKey = nil, final.Key()
 	}
 	sp.prevFinal = final
 	sp.seenSels = make(map[string]qgraph.Selection)
@@ -1015,10 +680,9 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	sp.formStarted = false
 	// Use the result-viewing pause: prepare for the next query, which will
 	// very likely retain most of this one's parts (Section 5 persistence).
-	// Any wait for a completing manipulation has already elapsed by this
-	// point, so fresh jobs are issued at now+waited — keeping IssuedAt and
-	// CompletesAt on the session's actual timeline.
-	issued, err := sp.fillSlots(now.Add(waited))
+	// Any wait for a completing manipulation has already elapsed, so fresh
+	// jobs are issued at now+waited, on the session's actual timeline.
+	issued, err := sp.fillSlots(now.Add(out.Waited))
 	if err != nil {
 		return nil, out, err
 	}
@@ -1026,47 +690,31 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	return res, out, nil
 }
 
-// apply mutates the partial query by one event, recording seen parts.
+// apply mutates the canvas by one event, recording seen parts.
 func (sp *Speculator) apply(ev trace.Event) error {
+	if err := sp.canvas.Apply(ev); err != nil {
+		return err
+	}
 	switch ev.Kind {
 	case trace.EvAddSelection:
 		s, err := ev.Sel.ToSelection()
 		if err != nil {
 			return err
 		}
-		sp.partial.AddSelection(s)
 		sp.seenSels[s.Key()] = s
-	case trace.EvRemoveSelection:
-		s, err := ev.Sel.ToSelection()
-		if err != nil {
-			return err
-		}
-		sp.partial.RemoveSelection(s)
 	case trace.EvAddJoin:
 		j := ev.Join.ToJoin()
-		sp.partial.AddJoin(j)
 		sp.seenJoins[j.Key()] = j
-	case trace.EvRemoveJoin:
-		sp.partial.RemoveJoin(ev.Join.ToJoin())
-	case trace.EvAddRelation:
-		sp.partial.AddRelation(ev.Rel)
-	case trace.EvRemoveRelation:
-		sp.partial.RemoveRelation(ev.Rel)
-	case trace.EvSetProjections:
-		sp.projs = append([]string(nil), ev.Projs...)
 	case trace.EvClear:
-		sp.partial = qgraph.New()
-		sp.projs = nil
-		// Clearing the canvas abandons the formulation: parts seen so far
-		// must not train the Learner against the NEXT final query, and the
-		// think-time model must not span the abandoned task. The next event
-		// starts a fresh formulation window.
+		// Clearing the canvas abandons the formulation: parts and states
+		// seen so far must not train the Learner or the Predictor against the
+		// NEXT final query, and the think-time model must not span the
+		// abandoned task. The next event starts a fresh formulation window.
 		sp.seenSels = make(map[string]qgraph.Selection)
 		sp.seenJoins = make(map[string]qgraph.Join)
+		sp.predStates = nil
 		sp.formStarted = false
 		sp.formStart = 0
-	default:
-		return fmt.Errorf("core: unknown event kind %q", ev.Kind)
 	}
 	return nil
 }
@@ -1076,119 +724,44 @@ func (sp *Speculator) apply(ev trace.Event) error {
 func (sp *Speculator) stillUseful(m Manipulation) bool {
 	switch m.Kind {
 	case ManipStage:
-		return sp.partial.HasRelation(m.Rel)
+		return sp.canvas.Graph.HasRelation(m.Rel)
 	case ManipPredictFinal:
 		// Reversed containment: the predicted FINAL must still extend the
 		// partial query. An edit that leaves the prediction's query graph
 		// falsifies it — the user is headed somewhere else.
-		return m.Graph.Contains(sp.partial)
+		return m.Graph.Contains(sp.canvas.Graph)
 	default:
-		return sp.partial.Contains(m.Graph)
+		return sp.canvas.Graph.Contains(m.Graph)
 	}
 }
 
-// collectGarbage drops completed materializations and staged relations the
-// partial query no longer contains.
-func (sp *Speculator) collectGarbage() error {
+// collectGarbage drops the held views and staged relations the partial query
+// no longer contains — at session close (dropClose), all of them.
+func (sp *Speculator) collectGarbage(reason dropReason) error {
 	// DropTable/Unstage mutate shared engine state (catalog, buffer pool), so
 	// the call order must not depend on map iteration order: the engine is
 	// reused across traces and a different drop order leaves a different LRU
 	// state behind, making paired runs non-reproducible.
-	for _, key := range sortedKeys(sp.completed) {
-		table := sp.completed[key]
-		v := sp.eng.Catalog.View(table)
-		if v != nil && sp.partial.Contains(v.Graph) {
-			continue
-		}
-		if sp.sharedKeys[key] {
-			// A refcounted shared build: this session releases its reference;
-			// only the last consumer drops the table, and only then — if no
-			// consumer's final query ever read the view — is the build cost
-			// charged as waste, once across all sessions (DESIGN.md §11).
-			if err := sp.releaseShared(key, true); err != nil {
-				return err
+	for _, key := range sortedKeys(sp.held) {
+		if reason == dropGC {
+			if v := sp.eng.Catalog.View(sp.held[key].table); v != nil && sp.canvas.Graph.Contains(v.Graph) {
+				continue
 			}
-			continue
 		}
-		if err := sp.eng.DropTable(table); err != nil {
+		if err := sp.dropHeld(key, reason); err != nil {
 			return err
-		}
-		delete(sp.completed, key)
-		sp.releaseRetained(sp.completedPages[key])
-		delete(sp.completedPages, key)
-		sp.gov.NoteTerminal(sp.govID, "mat|"+key)
-		sp.stats.GarbageCollected++
-		sp.obsGC.Inc()
-		// A build cost still in completedCost means no final query ever read
-		// the view: the whole materialization was wasted work.
-		if c, ok := sp.completedCost[key]; ok {
-			sp.chargeWaste(table, c)
-			delete(sp.completedCost, key)
 		}
 	}
 	for _, rel := range sortedKeys(sp.stagedRels) {
-		if !sp.partial.HasRelation(rel) {
-			if err := sp.eng.Unstage(rel); err != nil {
-				return err
-			}
-			delete(sp.stagedRels, rel)
+		if reason == dropGC && sp.canvas.Graph.HasRelation(rel) {
+			continue
 		}
+		if err := sp.eng.Unstage(rel); err != nil {
+			return err
+		}
+		delete(sp.stagedRels, rel)
 	}
 	return nil
-}
-
-// releaseShared drops this speculator's reference on shared build key,
-// removing it from the session's prepared set. The last consumer to release
-// drops the backing table; chargeIfUnused selects garbage-collection
-// semantics (an unused build's cost is charged to the dropper's waste, once
-// globally) versus shutdown semantics (teardown is not waste, matching the
-// single-session convention).
-func (sp *Speculator) releaseShared(key string, chargeIfUnused bool) error {
-	drop, table, cost, charge := sp.cse.Release(key, chargeIfUnused)
-	delete(sp.completed, key)
-	delete(sp.sharedKeys, key)
-	sp.gov.NoteTerminal(sp.govID, "mat|"+key)
-	if sp.sharedOwned[key] {
-		delete(sp.sharedOwned, key)
-		if chargeIfUnused {
-			sp.stats.GarbageCollected++
-		}
-	}
-	sp.releaseRetained(sp.completedPages[key])
-	delete(sp.completedPages, key)
-	if !drop {
-		return nil
-	}
-	if err := sp.eng.DropTable(table); err != nil {
-		return err
-	}
-	sp.obsGC.Inc()
-	if charge {
-		sp.chargeWaste(table, cost)
-	}
-	return nil
-}
-
-// adoptSharedBuild attaches a ready shared build to this session's prepared
-// set: the view rewrites this session's queries and is refcounted until this
-// session garbage-collects or shuts down. No job is issued and no build time
-// is spent — the avoided cost is recorded as DedupSaved.
-func (sp *Speculator) adoptSharedBuild(key, table string, cost sim.Duration, estPages int) {
-	sp.completed[key] = table
-	sp.sharedKeys[key] = true
-	sp.completedPages[key] = estPages
-	sp.retainedPages += estPages
-	sp.gov.NoteRetained(sp.govID, "mat|"+key, cost, estPages)
-	sp.stats.SharedAttached++
-	sp.stats.DedupSaved += cost
-}
-
-// releaseRetained returns pages to the session's budget headroom.
-func (sp *Speculator) releaseRetained(pages int) {
-	sp.retainedPages -= pages
-	if sp.retainedPages < 0 {
-		sp.retainedPages = 0
-	}
 }
 
 // sortedKeys returns a map's keys in sorted order so that engine-mutating
@@ -1202,514 +775,31 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// maybeIssuePredicted tries to issue one predicted-final job (DESIGN.md §14):
-// the Predictor's top-k candidates for the current canvas state, confidence-
-// descending, filtered to finals that still extend the partial query. It
-// shares maybeIssue's admission gates but defers their counters to the
-// fallback path — a silent nil here lets maybeIssue run and account the
-// deferral once. Nil-safe: without a predictor it returns immediately.
-func (sp *Speculator) maybeIssuePredicted(now sim.Time) (*Job, error) {
-	if sp.pred == nil || sp.partial.IsEmpty() {
-		return nil, nil
-	}
-	if sp.cfg.SuspendWhenBusy > 0 && sp.eng.ActiveJobs() >= sp.cfg.SuspendWhenBusy {
-		return nil, nil
-	}
-	if now < sp.retryAt {
-		return nil, nil
-	}
-	if !sp.gov.AllowIssue(now, len(sp.outstanding) == 0) {
-		return nil, nil
-	}
-	prevKey := ""
-	if sp.prevFinal != nil {
-		prevKey = sp.prevFinal.Key()
-	}
-	for _, c := range sp.pred.Predict(sp.partial.Key(), prevKey) {
-		if !c.Graph.Contains(sp.partial) {
-			continue // the canvas already left this predicted final
-		}
-		// Canonicalize the projection list exactly as OnGo will, so the form
-		// key the job publishes under is the one GO looks up.
-		q, err := plan.BindGraphProjections(sp.eng.Catalog, c.Graph, c.Projs)
-		if err != nil {
-			continue
-		}
-		m := Manipulation{Kind: ManipPredictFinal, Graph: c.Graph, Projs: q.Projections}
-		fk := FormKey(c.Graph, q.Projections)
-		key := m.Key()
-		if sp.abandoned[key] || sp.predictedReady[fk] || sp.isKnown(key) {
-			continue
-		}
-		if err := sp.cm.ScorePredicted(&m, c.Confidence); err != nil {
-			return nil, err
-		}
-		if m.Benefit < sp.cfg.MinBenefit {
-			continue
-		}
-		if sp.cfg.BudgetPages > 0 && sp.retainedPages+m.EstPages > sp.cfg.BudgetPages {
-			sp.stats.BudgetDeferred++
-			sp.obsBudgetDeferred.Inc()
-			continue
-		}
-		if len(sp.outstanding) > 0 && !sp.sched.AdmitExtra(m.EstPages) {
-			sp.stats.Deferred++
-			sp.obsDeferred.Inc()
-			continue
-		}
-		if !sp.breaker.Allow(now) {
-			return nil, nil
-		}
-		job, err := sp.issuePredicted(m, fk, now)
-		if err != nil {
-			sp.noteFailure(key, now, err)
-			return nil, nil
-		}
-		sp.retainedPages += m.EstPages
-		sp.outstanding = append(sp.outstanding, job)
-		sp.stats.Issued++
-		sp.stats.PredictedIssued++
-		sp.obsPredIssued.Inc()
-		return job, nil
-	}
-	return nil, nil
-}
-
-// issuePredicted executes a predicted final eagerly — or satisfies it from the
-// answer cache — and returns the job, mirroring issue()'s registration order:
-// eager work first, contention-model and scheduler registration after, so the
-// prediction does not inflate the cost of its own execution.
-func (sp *Speculator) issuePredicted(m Manipulation, fk string, now sim.Time) (*Job, error) {
-	job := &Job{Manip: m, IssuedAt: now, formKey: fk}
-	if rows, schema, cost, ok := sp.answers.Get(fk, sp.eng.DataVersion); ok {
-		// Another session (or an earlier replay) already computed this final:
-		// the job completes immediately, re-referencing the entry at finalize.
-		job.predRows, job.predSchema, job.predCost = rows, schema, cost
-		job.fromCache = true
-		job.CompletesAt = now
-		sp.stats.AnswerCacheHits++
-	} else {
-		job.predVersions = sp.eng.DataVersions(m.Graph.Relations())
-		res, err := sp.eng.RunQuery(&plan.Query{Graph: m.Graph, Projections: m.Projs})
-		if err != nil {
-			return nil, err
-		}
-		job.predRows, job.predSchema = res.Rows, res.Schema
-		job.predCost = res.Duration
-		job.CompletesAt = now.Add(res.Duration)
-	}
-	job.jobID = sp.eng.BeginJob()
-	sp.sched.Acquire()
-	job.Deadline = sp.gov.DeadlineFor(now, m.EstDuration)
-	sp.gov.NoteIssue(sp.govID, m.Key(), m.Benefit, m.EstPages)
-	job.span = sp.eng.Tracer().Start("manip."+m.Kind.String(), now, 0,
-		obs.Attr{Key: "key", Value: m.Key()})
-	if job.fromCache {
-		job.span.Annotate("source", "answer_cache")
-	}
-	sp.obsIssued.Inc()
-	return job, nil
-}
-
-// maybeIssue enumerates and scores the manipulation space and issues the
-// best alternative if it clears the benefit threshold.
-func (sp *Speculator) maybeIssue(now sim.Time) (*Job, error) {
-	if sp.cfg.SuspendWhenBusy > 0 && sp.eng.ActiveJobs() >= sp.cfg.SuspendWhenBusy {
-		sp.stats.Suspended++
-		sp.obsSuspended.Inc()
-		return nil, nil
-	}
-	// Failure containment: honor the post-failure backoff. A no-op on the
-	// fault-free path (retryAt stays 0).
-	if now < sp.retryAt {
-		return nil, nil
-	}
-	// Overload governance: under pressure the governor refuses extra jobs
-	// (pressured band) or every issue (critical/degraded). Nil-safe: the
-	// ungoverned path stays decision-identical.
-	if !sp.gov.AllowIssue(now, len(sp.outstanding) == 0) {
-		sp.stats.GovernorDeferred++
-		sp.obsGovDeferred.Inc()
-		return nil, nil
-	}
-	elapsed := 0.0
-	if sp.formStarted {
-		elapsed = now.Sub(sp.formStart).Seconds()
-	}
-	candidates := EnumerateManipulations(sp.partial, sp.cfg.Ops, sp.cfg.SelectionsOnly, sp.isKnown)
-	if sp.cse != nil {
-		return sp.maybeIssueShared(candidates, elapsed, now)
-	}
-	var best *Manipulation
-	for i := range candidates {
-		m := &candidates[i]
-		if sp.abandoned[m.Key()] {
-			continue
-		}
-		if err := sp.cm.Score(m, elapsed); err != nil {
-			return nil, err
-		}
-		if m.Benefit < sp.cfg.MinBenefit {
-			continue
-		}
-		if best == nil || m.Benefit > best.Benefit {
-			best = m
-		}
-	}
-	if best == nil {
-		return nil, nil
-	}
-	// Per-session budget: a candidate that would push the session's retained
-	// speculative footprint past BudgetPages is skipped. Inactive (and
-	// decision-identical to history) at the 0 default.
-	if sp.cfg.BudgetPages > 0 && sp.retainedPages+best.EstPages > sp.cfg.BudgetPages {
-		sp.stats.BudgetDeferred++
-		sp.obsBudgetDeferred.Inc()
-		return nil, nil
-	}
-	// Extra jobs (beyond this speculator's first outstanding manipulation)
-	// pass the engine-wide scheduler: a worker slot must be free and the
-	// candidate's footprint must fit the pool's headroom. Never consulted on
-	// the single-worker path, where maybeIssue only runs on an empty slot.
-	if len(sp.outstanding) > 0 && !sp.sched.AdmitExtra(best.EstPages) {
-		sp.stats.Deferred++
-		sp.obsDeferred.Inc()
-		return nil, nil
-	}
-	// Circuit breaker: consult it only once a candidate is actually worth
-	// issuing, so an admitted half-open probe always corresponds to a real
-	// job (a probe consumed with nothing to issue would wedge the breaker
-	// half-open forever). Unconditional on the fault-free path (closed).
-	if !sp.breaker.Allow(now) {
-		return nil, nil
-	}
-	job, err := sp.issue(*best, now)
-	if err != nil {
-		// Best-effort: an issue-time failure (I/O fault under the eager
-		// execution) is contained — never surfaced to the session. The job
-		// was not issued, so lifecycle accounting is untouched; issue()
-		// already rolled back its partial side effects.
-		sp.noteFailure(best.Key(), now, err)
-		return nil, nil
-	}
-	sp.retainedPages += best.EstPages
-	sp.outstanding = append(sp.outstanding, job)
-	sp.stats.Issued++
-	return job, nil
-}
-
-// maybeIssueShared is maybeIssue's candidate loop under cross-session CSE
-// (cfg.CSE != nil). Candidates are walked in descending benefit order (stable
-// on ties, preserving enumeration order): a ready shared build is adopted in
-// place — no job, no slot, no build time — and the walk continues; an
-// in-flight one is skipped rather than duplicated (its owner's completion
-// will make it adoptable); only a novel subplan is claimed in the registry
-// and issued. At most one job is issued per call, exactly like the default
-// path — fillSlots drives repeated calls while slots remain.
-func (sp *Speculator) maybeIssueShared(candidates []Manipulation, elapsed float64, now sim.Time) (*Job, error) {
-	scored := make([]*Manipulation, 0, len(candidates))
-	for i := range candidates {
-		m := &candidates[i]
-		if sp.abandoned[m.Key()] {
-			continue
-		}
-		if err := sp.cm.Score(m, elapsed); err != nil {
-			return nil, err
-		}
-		// Adopt ready shared builds BEFORE the benefit filter: once another
-		// session's build of this subplan is registered, its view already
-		// rewrites this session's plans, so the candidate's score collapses
-		// to ~zero precisely because the work is done. Attaching refcounts
-		// the freeload — the build cannot then be dropped out from under
-		// this session, and its cost is credited as dedup savings, not spent
-		// again. Adoption occupies no worker slot and is never budget-gated
-		// (the pages exist once globally, whoever holds references).
-		if m.Kind == ManipMaterialize {
-			gk := CSEKey(m.Graph)
-			if table, cost, ok := sp.cse.Attach(gk); ok {
-				sp.adoptSharedBuild(gk, table, cost, m.EstPages)
-				continue
-			}
-		}
-		if m.Benefit < sp.cfg.MinBenefit {
-			continue
-		}
-		scored = append(scored, m)
-	}
-	sort.SliceStable(scored, func(i, j int) bool { return scored[i].Benefit > scored[j].Benefit })
-	for _, m := range scored {
-		claimed := false
-		gk := ""
-		if m.Kind == ManipMaterialize {
-			gk = CSEKey(m.Graph)
-			if table, cost, ok := sp.cse.Attach(gk); ok {
-				// Became ready since the scoring pass (a concurrent session
-				// finished it): adopt instead of building.
-				sp.adoptSharedBuild(gk, table, cost, m.EstPages)
-				continue // the slot is still free for the next candidate
-			}
-			if inflight, _ := sp.cse.State(gk); inflight {
-				sp.cse.NoteInflightSkip()
-				continue // another session is building it; adopt once ready
-			}
-			if !sp.cse.TryClaim(gk, m.EstPages) {
-				continue // lost a concurrent claim race; re-evaluate later
-			}
-			claimed = true
-		}
-		if sp.cfg.BudgetPages > 0 && sp.retainedPages+m.EstPages > sp.cfg.BudgetPages {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
-			sp.stats.BudgetDeferred++
-			sp.obsBudgetDeferred.Inc()
-			continue
-		}
-		if len(sp.outstanding) > 0 && !sp.sched.AdmitExtraKeyed(m.Key(), m.EstPages) {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
-			sp.stats.Deferred++
-			sp.obsDeferred.Inc()
-			continue
-		}
-		if !sp.breaker.Allow(now) {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
-			return nil, nil
-		}
-		job, err := sp.issue(*m, now)
-		if err != nil {
-			if claimed {
-				sp.cse.AbortClaim(gk)
-			}
-			sp.noteFailure(m.Key(), now, err)
-			return nil, nil
-		}
-		if claimed {
-			job.cseKey = gk
-			sp.cse.SetTable(gk, job.tableName)
-			sp.stats.SharedBuilds++
-		}
-		sp.retainedPages += m.EstPages
-		sp.outstanding = append(sp.outstanding, job)
-		sp.stats.Issued++
-		return job, nil
-	}
-	return nil, nil
-}
-
-// isKnown filters the enumeration against running and completed work and
-// against database state (existing views, indexes, histograms, staging).
-func (sp *Speculator) isKnown(key string) bool {
-	for _, job := range sp.outstanding {
-		if job.Manip.Key() == key {
-			return true
-		}
-	}
-	switch {
-	case len(key) > 4 && key[:4] == "mat|":
-		gk := key[4:]
-		if _, ok := sp.completed[gk]; ok {
-			return true
-		}
-		// An identical view may pre-exist (Figure 6's Spec+Views mode).
-		for _, v := range sp.eng.Catalog.Views() {
-			if "mat|"+v.Graph.Key() != key {
-				continue
-			}
-			if sp.cse != nil {
-				if _, ready := sp.cse.State(gk); ready {
-					// Another session's ready shared build: keep the subplan
-					// enumerable so the candidate loop can adopt (refcount)
-					// it instead of silently freeloading on a view that may
-					// be dropped out from under this session.
-					continue
-				}
-			}
-			return true
-		}
-	case len(key) > 4 && key[:4] == "idx|":
-		rel, col, ok := splitRelCol(key[4:])
-		if !ok {
-			return true
-		}
-		t, err := sp.eng.Catalog.Table(rel)
-		if err != nil {
-			return true
-		}
-		return t.Index(col) != nil
-	case len(key) > 5 && key[:5] == "hist|":
-		rel, col, ok := splitRelCol(key[5:])
-		if !ok {
-			return true
-		}
-		t, err := sp.eng.Catalog.Table(rel)
-		if err != nil {
-			return true
-		}
-		return t.ColumnStats(col).Hist() != nil
-	case len(key) > 6 && key[:6] == "stage|":
-		return sp.stagedRels[key[6:]]
-	}
-	return false
-}
-
-func splitRelCol(s string) (rel, col string, ok bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return "", "", false
-}
-
-// issue executes the manipulation eagerly, hides its side effects until
-// completion, and returns the job.
-func (sp *Speculator) issue(m Manipulation, now sim.Time) (*Job, error) {
-	job := &Job{Manip: m, IssuedAt: now}
-	switch m.Kind {
-	case ManipMaterialize:
-		name := sp.eng.FreshName(sp.cfg.NamePrefix)
-		res, err := sp.eng.Materialize(name, m.Graph, sp.cfg.Forced)
-		if err != nil {
-			return nil, err
-		}
-		sp.eng.Catalog.DropView(name) // hidden until completion
-		job.tableName = name
-		job.CompletesAt = now.Add(res.Duration)
-		sp.stats.MaterializationsIssued++
-		sp.stats.MaterializationTime += res.Duration
-	case ManipIndex:
-		res, err := sp.eng.CreateIndex(m.Rel, m.Col)
-		if err != nil {
-			return nil, err
-		}
-		t, err := sp.eng.Catalog.Table(m.Rel)
-		if err != nil {
-			return nil, err
-		}
-		job.index = t.Index(m.Col)
-		t.RemoveIndex(m.Col) // hidden until completion
-		job.CompletesAt = now.Add(res.Duration)
-	case ManipHistogram:
-		res, err := sp.eng.CreateHistogram(m.Rel, m.Col)
-		if err != nil {
-			return nil, err
-		}
-		t, err := sp.eng.Catalog.Table(m.Rel)
-		if err != nil {
-			return nil, err
-		}
-		if cs := t.ColumnStats(m.Col); cs != nil {
-			job.histogram = cs.Hist()
-			cs.SetHist(nil) // hidden until completion
-		}
-		job.CompletesAt = now.Add(res.Duration)
-	case ManipStage:
-		res, err := sp.eng.Stage(m.Rel)
-		if err != nil {
-			return nil, err
-		}
-		job.CompletesAt = now.Add(res.Duration)
-	default:
-		return nil, fmt.Errorf("core: cannot issue %v", m)
-	}
-	// Register with the contention model only after the eager execution above:
-	// a session's own manipulation must not inflate the cost of the very
-	// engine work that created it. The worker slot is held the same way,
-	// issue to terminal transition.
-	job.jobID = sp.eng.BeginJob()
-	sp.sched.Acquire()
-	// Governance stamps (nil-safe no-ops ungoverned): the watchdog deadline
-	// is k× the cost model's predicted duration, and the job registers in
-	// the governor's global shed ranking under its benefit at issue time.
-	job.Deadline = sp.gov.DeadlineFor(now, m.EstDuration)
-	sp.gov.NoteIssue(sp.govID, m.Key(), m.Benefit, m.EstPages)
-	job.span = sp.eng.Tracer().Start("manip."+m.Kind.String(), now, 0,
-		obs.Attr{Key: "key", Value: m.Key()})
-	if job.tableName != "" {
-		job.span.Annotate("table", job.tableName)
-	}
-	sp.obsIssued.Inc()
-	return job, nil
-}
-
-// cancelAt cancels job at simulated instant at, charging its elapsed run time
-// to Stats.Waste and closing its trace span. at == 0 means the owner has no
-// timeline (session teardown): the full job duration is charged and the span
-// closes at its issue instant. Call-site counters (CanceledInvalidated,
-// CanceledAtGo, CanceledOnClose) stay with the callers.
-func (sp *Speculator) cancelAt(job *Job, at sim.Time, outcome string) {
-	if job.Manip.Kind == ManipPredictFinal {
-		// Every cancellation path (invalidated, at GO, on close, shed,
-		// deadline) is a predicted terminal, balancing the extended quiesce
-		// identity PredictedIssued == PredictedCompleted + PredictedCanceled.
-		sp.stats.PredictedCanceled++
-		sp.obsPredCanceled.Inc()
-	}
-	sp.cancel(job)
-	sp.gov.NoteTerminal(sp.govID, job.Manip.Key())
-	// A canceled half-open probe resolves nothing: re-open the breaker so a
-	// later probe gets its turn (no-op unless half-open).
-	sp.breaker.Canceled(at)
-	elapsed := job.CompletesAt.Sub(job.IssuedAt)
-	end := job.IssuedAt
-	if at > 0 {
-		end = at
-		switch e := at.Sub(job.IssuedAt); {
-		case e < 0:
-			// The job was issued at a future instant (a GO that waited for a
-			// completion issues follow-ups at now+waited) and is canceled
-			// before that instant ever arrives: it never ran, so charging its
-			// full duration — as this path once did — overstates waste.
-			elapsed = 0
-			end = job.IssuedAt
-		case e < elapsed:
-			elapsed = e
-		}
-	}
-	sp.chargeWaste(wasteBuildID(job), elapsed)
-	sp.obsCanceled.Inc()
-	if job.span != nil {
-		job.span.Annotate("outcome", outcome)
-		job.span.End(end)
-		job.span = nil
-	}
-}
-
 // recordHit classifies one answered GO: a hit if the final plan read at least
-// one completed speculative materialization. Views that served a query are
-// marked paid-for, so later garbage collection does not charge their build
-// cost as waste.
+// one held view. Views that served a query are marked paid-for, so dropping
+// them later does not charge their build cost as waste.
 func (sp *Speculator) recordHit(node plan.Node) {
-	specTables := make(map[string]string, len(sp.completed)) // table → graph key
-	for key, table := range sp.completed {
-		specTables[table] = key
-	}
 	hit := false
-	if node != nil {
-		plan.Walk(node, func(n plan.Node) {
-			if a, ok := n.(*plan.TableAccess); ok {
-				if key, ok := specTables[a.Table.Name]; ok {
-					hit = true
-					delete(sp.completedCost, key)
-				}
-				// Any shared build this query read — adopted by this session
-				// or not — is paid for: its cost must never be charged as
-				// waste by whichever session releases it last. Nil-safe
-				// no-op without CSE.
-				sp.cse.MarkPaidTable(a.Table.Name)
+	plan.Walk(node, func(n plan.Node) {
+		a, ok := n.(*plan.TableAccess)
+		if !ok {
+			return
+		}
+		for _, h := range sp.held {
+			if h.table == a.Table.Name {
+				hit = true
+				h.paid = true
 			}
-		})
-	}
+		}
+		// Any shared build this query read — adopted by this session or
+		// not — is paid for: its cost must never be charged as waste by
+		// whichever session releases it last. Nil-safe no-op without CSE.
+		sp.cfg.CSE.MarkPaidTable(a.Table.Name)
+	})
 	if hit {
-		sp.stats.Hits++
-		sp.obsHits.Inc()
+		count(sp, &sp.stats.Hits, 1)
 	} else {
-		sp.stats.Misses++
-		sp.obsMisses.Inc()
+		count(sp, &sp.stats.Misses, 1)
 	}
 }
 
@@ -1725,99 +815,27 @@ func (sp *Speculator) publishProfile() {
 	m.Gauge("learner.think_median_s").Set(ps.ThinkMedianSeconds)
 }
 
-// cancel deregisters a job from the contention model, frees its worker
-// slot, and undoes its hidden side effects.
-func (sp *Speculator) cancel(job *Job) {
-	sp.eng.EndJob(job.jobID)
-	sp.sched.Release()
-	sp.undo(job)
-}
-
-// undo reverts a job's hidden side effects (shared by cancellation and by
-// completion-failure rollback, where EndJob has already run).
-func (sp *Speculator) undo(job *Job) {
-	if job.cseKey != "" {
-		// Withdraw the shared-build claim: no session can have attached while
-		// the build was in flight, so the entry simply disappears and another
-		// session may claim the subplan afresh.
-		sp.cse.AbortClaim(job.cseKey)
-		job.cseKey = ""
-	}
-	sp.releaseRetained(job.Manip.EstPages)
-	switch job.Manip.Kind {
-	case ManipMaterialize:
-		// The table was never registered as a view; drop it. Its buffer-pool
-		// footprint remains, as a really-canceled job's would. Undo is
-		// best-effort — a failure leaves garbage, never corruption — but it
-		// must not vanish silently: count it so the fault matrix can see it.
-		if err := sp.eng.DropTable(job.tableName); err != nil {
-			sp.obsUndoFailures.Inc()
-		}
-	case ManipIndex:
-		if job.index != nil {
-			_ = job.index.Tree.Drop()
-		}
-	case ManipHistogram:
-		// The histogram object simply becomes garbage.
-	case ManipPredictFinal:
-		// Nothing was published: the computed rows simply become garbage (a
-		// cache-path job never even held a reference before completion).
-	case ManipStage:
-		if err := sp.eng.Unstage(job.Manip.Rel); err != nil {
-			sp.obsUndoFailures.Inc()
-		}
-	}
-}
-
-// CancelOutstanding cancels the in-flight manipulations, if any, undoing
-// their hidden side effects, and returns the canceled jobs so the owner can
-// drop their scheduled completions. Sessions use it when their context is
-// canceled mid-manipulation.
+// CancelOutstanding cancels the in-flight manipulations, if any, and returns
+// them so the owner can drop their scheduled completions. Sessions use it when
+// their context is canceled mid-manipulation; there is no timeline at
+// teardown, hence the zero instant.
 func (sp *Speculator) CancelOutstanding() []*Job {
-	canceled := sp.outstanding
-	for _, job := range canceled {
-		sp.cancelAt(job, 0, "canceled_on_close")
-		sp.stats.CanceledOnClose++
-	}
-	sp.outstanding = nil
-	return canceled
+	return sp.finishWhere(TermCanceledOnClose, 0, func(*Job) bool { return true })
 }
 
 // Shutdown drops everything the Speculator still owns (end of session).
 func (sp *Speculator) Shutdown() error {
-	for _, job := range sp.outstanding {
-		sp.cancelAt(job, 0, "canceled_on_close")
-		sp.stats.CanceledOnClose++
-	}
-	sp.outstanding = nil
-	for _, key := range sortedKeys(sp.completed) {
-		if sp.sharedKeys[key] {
-			// Shutdown releases the session's shared-build references without
-			// charging waste (teardown, like the single-session convention);
-			// the last consumer's release drops the table.
-			if err := sp.releaseShared(key, false); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := sp.eng.DropTable(sp.completed[key]); err != nil {
-			return err
-		}
-		delete(sp.completed, key)
-	}
-	for _, rel := range sortedKeys(sp.stagedRels) {
-		if err := sp.eng.Unstage(rel); err != nil {
-			return err
-		}
-		delete(sp.stagedRels, rel)
+	sp.CancelOutstanding()
+	if err := sp.collectGarbage(dropClose); err != nil {
+		return err
 	}
 	// Drop the session's answer-cache references: the completed predictions
 	// stay cached (evictable assets for future replays), just unpinned.
 	for _, fk := range sortedKeys(sp.predictedReady) {
-		sp.answers.Release(fk)
+		sp.cfg.Answers.Release(fk)
 	}
 	sp.predictedReady = make(map[string]bool)
 	// The session stops contributing to the governor's pressure signal.
-	sp.gov.Deregister(sp.govID)
+	sp.cfg.Governor.Deregister(sp.govID)
 	return nil
 }

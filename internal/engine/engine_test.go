@@ -431,3 +431,43 @@ func TestStageBudgetIsGlobal(t *testing.T) {
 		t.Fatalf("query starved after staging: %v", err)
 	}
 }
+
+// TestPlanGraphBesideViewDrops: the speculator's cost model plans without the
+// statement lock while other sessions drop their materializations. A view the
+// planner already matched must stay plannable — it carries its backing table —
+// instead of failing a second catalog lookup with "catalog: no table".
+func TestPlanGraphBesideViewDrops(t *testing.T) {
+	e := newTestEngine(t, 200, Config{})
+	g := qgraph.SelectionSubgraph(qgraph.Selection{
+		Rel: "R", Col: "c", Op: tuple.CmpGT, Const: tuple.NewInt(10),
+	})
+	const rounds = 300
+	dropped := make(chan error, 1)
+	go func() {
+		defer close(dropped)
+		for i := 0; i < rounds; i++ {
+			name := fmt.Sprintf("spec_%d", i)
+			if _, err := e.Materialize(name, g, true); err != nil {
+				dropped <- err
+				return
+			}
+			if err := e.DropTable(name); err != nil {
+				dropped <- err
+				return
+			}
+		}
+	}()
+	for planning := true; planning; {
+		select {
+		case err := <-dropped:
+			if err != nil {
+				t.Fatal(err)
+			}
+			planning = false
+		default:
+			if _, err := e.PlanGraph(g); err != nil {
+				t.Fatalf("planning beside a view drop: %v", err)
+			}
+		}
+	}
+}

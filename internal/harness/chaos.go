@@ -22,8 +22,7 @@ import (
 // asserts that every robustness invariant the engine claims actually holds
 // when everything goes wrong at once:
 //
-//   - extended quiesce identity per session, including Shed and
-//     DeadlineAborts terminals;
+//   - quiesce identity per session (Issued == Stats.Terminals());
 //   - charged-once waste accounting (no build charged twice);
 //   - zero buffer-pool pin-discipline violations;
 //   - the governor's job registry drains to zero after shutdown, and the
@@ -132,10 +131,8 @@ func checkBatch(rep *ChaosReport, label string, b chaosBatch, out *ScaledOutcome
 		rep.Violations = append(rep.Violations, fmt.Sprintf("%s: ", label)+fmt.Sprintf(format, args...))
 	}
 	for u, st := range out.PerUser {
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo +
-			st.CanceledOnClose + st.Aborted + st.Shed + st.DeadlineAborts
-		if st.Issued != terminal {
-			fail("session %d: quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, terminal, st)
+		if st.Issued != st.Terminals() {
+			fail("session %d: quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, st.Terminals(), st)
 		}
 	}
 	for u, ledger := range out.WasteLedgers {

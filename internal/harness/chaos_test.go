@@ -107,10 +107,8 @@ func TestGovernorOverloadShedsButAnswersCorrect(t *testing.T) {
 		}
 	}
 	for u, st := range out.PerUser {
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo +
-			st.CanceledOnClose + st.Aborted + st.Shed + st.DeadlineAborts
-		if st.Issued != terminal {
-			t.Errorf("session %d: extended quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, terminal, st)
+		if st.Issued != st.Terminals() {
+			t.Errorf("session %d: quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, st.Terminals(), st)
 		}
 	}
 	if n := cfg.Governor.Outstanding(); n != 0 {

@@ -89,11 +89,9 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 			}
 		}
 		for u, st := range out.PerUser {
-			terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo +
-				st.CanceledOnClose + st.Aborted + st.Shed + st.DeadlineAborts
-			if st.Issued != terminal {
+			if st.Issued != st.Terminals() {
 				t.Errorf("%s: session %d quiesce identity violated: issued %d != terminal %d (%+v)",
-					label, u, st.Issued, terminal, st)
+					label, u, st.Issued, st.Terminals(), st)
 			}
 		}
 	}

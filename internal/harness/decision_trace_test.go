@@ -1,0 +1,205 @@
+package harness
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"specdb/internal/core"
+	"specdb/internal/engine"
+	"specdb/internal/tpch"
+	"specdb/internal/trace"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// TestDecisionTrace pins every speculation decision of four configurations
+// that the aggregate outputs (f4/t51, a4, BENCH_spec.json) never reach
+// together: which job was issued when, how and when it ended, and what the
+// counters and the waste ledger said afterwards. The goldens under testdata/
+// were generated before the job-lifecycle refactor (DESIGN.md §16); a
+// Speculator change that alters any decision shows up as a diff here.
+// Regenerate with: go test ./internal/harness -run DecisionTrace -update
+func TestDecisionTrace(t *testing.T) {
+	traces, err := trace.GenerateCorpus(tpch.Vocabulary(), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, err := tpch.ScaleByName("100MB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos := DefaultChaosConfig(len(traces), "")
+
+	configs := []struct {
+		name string
+		env  EnvConfig
+		run  func(t *testing.T, d *decisionDump, eng *engine.Engine)
+	}{
+		{"default", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {
+			learner := func() *core.Learner { return core.NewLearner(DefaultLearnerConfig()) }
+			d.replaySerial(t, eng, traces, core.DefaultConfig(), "spec", learner)
+		}},
+		{"wide_cse_budget", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {
+			cfg := core.DefaultConfig()
+			cfg.Workers = 2
+			cfg.BudgetPages = 10
+			cfg.Scheduler = core.NewScheduler(2, eng.Pool)
+			cfg.Scheduler.AttachMetrics(eng.Metrics())
+			cfg.CSE = core.NewSharedBuilds(eng.Metrics())
+			cfg.Scheduler.AttachCSE(cfg.CSE)
+			// Every user twice, at the same instants: the second copy finds the
+			// first one's builds in flight, then adopts them.
+			d.replayConcurrent(t, eng, append(traces[:len(traces):len(traces)], traces...), cfg)
+		}},
+		{"chaos_governor", EnvConfig{BufferPoolPages: chaos.PoolPages, PoolShards: chaos.PoolShards, Fault: chaos.Fault},
+			func(t *testing.T, d *decisionDump, eng *engine.Engine) {
+				cfg, _ := chaosCore(chaos, eng)
+				cfg.Scheduler.AttachMetrics(eng.Metrics())
+				d.replayConcurrent(t, eng, traces, cfg)
+			}},
+		{"predictor_trained", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {
+			cfg := core.DefaultConfig()
+			cfg.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
+			cfg.Answers = core.NewAnswerCache(eng.Metrics(), 0)
+			shared := core.NewLearner(DefaultLearnerConfig())
+			learner := func() *core.Learner { return shared }
+			d.replaySerial(t, eng, traces, cfg, "train", learner)
+			d.replaySerial(t, eng, traces, cfg, "replay", learner)
+		}},
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel() // each configuration has its own engine
+			c.env.Scale, c.env.Seed = scale, 42
+			env, err := NewEnv(c.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &decisionDump{}
+			c.run(t, d, env.Eng)
+			d.counters(env.Eng)
+			if n := env.Eng.Tracer().Dropped(); n != 0 {
+				t.Fatalf("tracer dropped %d spans: the dump is incomplete", n)
+			}
+			checkGoldenFile(t, c.name+".decisions.golden", d.b.String())
+		})
+	}
+}
+
+// decisionDump accumulates one configuration's golden text.
+type decisionDump struct {
+	b     strings.Builder
+	spans int // tracer spans already written
+}
+
+// jobs writes one line per manip.* span committed since the last call, in
+// commit order: span name, sim start, sim end, then every annotation (key,
+// table, source, outcome, error) as the Speculator attached them.
+func (d *decisionDump) jobs(eng *engine.Engine) {
+	all := eng.Tracer().Spans()
+	for _, s := range all[d.spans:] {
+		if !strings.HasPrefix(s.Name, "manip.") {
+			continue
+		}
+		fmt.Fprintf(&d.b, "%-20s %15d %15d", s.Name, int64(s.Start), int64(s.End))
+		for _, a := range s.Attrs {
+			fmt.Fprintf(&d.b, " %s=%s", a.Key, a.Value)
+		}
+		d.b.WriteByte('\n')
+	}
+	d.spans = len(all)
+}
+
+// session writes one speculator's final counters and waste ledger.
+func (d *decisionDump) session(label string, st core.Stats, ledger map[string]int) {
+	fmt.Fprintf(&d.b, "stats %s %+v\n", label, st)
+	builds := make([]string, 0, len(ledger))
+	for id := range ledger {
+		builds = append(builds, id)
+	}
+	sort.Strings(builds)
+	for _, id := range builds {
+		fmt.Fprintf(&d.b, "waste %s %s x%d\n", label, id, ledger[id])
+	}
+}
+
+// counters writes the final value of every lifecycle-related registry counter.
+func (d *decisionDump) counters(eng *engine.Engine) {
+	snap := eng.Metrics().Snapshot().Counters
+	names := make([]string, 0, len(snap))
+	for n := range snap {
+		for _, p := range []string{"spec.", "breaker.", "sched.", "governor."} {
+			if strings.HasPrefix(n, p) {
+				names = append(names, n)
+			}
+		}
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&d.b, "counter %s %d\n", n, snap[n])
+	}
+}
+
+// replaySerial replays the traces one after another, one speculator each (the
+// single-user experiments' shape), dumping after every trace.
+func (d *decisionDump) replaySerial(t *testing.T, eng *engine.Engine, traces []*trace.Trace, cfg core.Config, label string, learner func() *core.Learner) {
+	t.Helper()
+	for i, tr := range traces {
+		cfg.NamePrefix = fmt.Sprintf("%s_t%d", label, i)
+		so, err := runTraceSpec(eng, i, tr, cfg, learner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&d.b, "# %s trace %d\n", label, i)
+		d.jobs(eng)
+		d.session(cfg.NamePrefix, so.FinalStats, so.WasteLedger)
+	}
+}
+
+// replayConcurrent replays the traces as simultaneous sessions on one engine
+// (the multi-user experiments' shape, events merged by timestamp).
+func (d *decisionDump) replayConcurrent(t *testing.T, eng *engine.Engine, traces []*trace.Trace, cfg core.Config) {
+	t.Helper()
+	_, perUser, ledgers, err := runMultiUserSpec(eng, traces, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.jobs(eng)
+	for u := range perUser {
+		d.session(fmt.Sprintf("spec_u%d", u), perUser[u], ledgers[u])
+	}
+}
+
+// checkGoldenFile compares got with testdata/<name>, rewriting it under -update.
+func checkGoldenFile(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: first difference at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: got %d lines, golden has %d", path, len(gl), len(wl))
+}

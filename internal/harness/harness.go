@@ -227,6 +227,9 @@ type SpecOutcome struct {
 	// (PredictedIssued == PredictedCompleted + PredictedCanceled) holds here,
 	// not necessarily in Stats.
 	FinalStats core.Stats
+	// WasteLedger is the speculator's per-build waste-charge counts after
+	// Shutdown (core.Speculator.WasteCharges), for the charged-once invariant.
+	WasteLedger map[string]int
 }
 
 // pendingJobs tracks scheduled manipulation completions, ordered by
@@ -343,6 +346,7 @@ func runTraceSpec(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Co
 		return nil, err
 	}
 	out.FinalStats = sp.Stats()
+	out.WasteLedger = sp.WasteCharges()
 	return out, nil
 }
 

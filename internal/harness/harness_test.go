@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"specdb/internal/core"
@@ -225,10 +226,12 @@ func TestRunTraceSpeculativeStats(t *testing.T) {
 	if st.Issued < st.Completed {
 		t.Fatalf("impossible stats %+v", st)
 	}
-	if st.Issued != st.Completed+st.CanceledInvalidated+st.CanceledAtGo &&
-		st.Issued != st.Completed+st.CanceledInvalidated+st.CanceledAtGo+1 {
-		// +1 allows one job pending at end of trace (dropped by Shutdown).
+	if pending := st.Issued - st.Terminals(); pending < 0 || pending > 1 {
+		// One job may still be pending at the end of the trace; Shutdown ends it.
 		t.Fatalf("issue accounting broken: %+v", st)
+	}
+	if fs := so.FinalStats; fs.Issued != fs.Terminals() {
+		t.Fatalf("issued %d != terminal %d after Shutdown: %+v", fs.Issued, fs.Terminals(), fs)
 	}
 }
 
@@ -261,12 +264,33 @@ func TestRunBench(t *testing.T) {
 	if res.WasteS < 0 {
 		t.Fatalf("negative waste %v", res.WasteS)
 	}
-	if terminal := res.Completed + res.CanceledInvalidated + res.CanceledAtGo; res.Issued != terminal {
-		t.Fatalf("issued %d != terminal states %d", res.Issued, terminal)
+	reported := core.Stats{Completed: res.Completed, CanceledInvalidated: res.CanceledInvalidated, CanceledAtGo: res.CanceledAtGo}
+	if res.Issued != reported.Terminals() {
+		t.Fatalf("issued %d != terminal states %d", res.Issued, reported.Terminals())
 	}
 }
 
 func closeEnough(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9
+}
+
+// TestSumStatsAllCoversEveryField: a numeric field added to core.Stats later
+// must not silently drop out of the complete aggregates. Every field is set to
+// a distinct non-zero value by reflection; two such stats must sum field-wise.
+func TestSumStatsAllCoversEveryField(t *testing.T) {
+	var one core.Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).CanInt() {
+			t.Fatalf("core.Stats.%s is not an integer: teach SumStatsAll and this test about it", v.Type().Field(i).Name)
+		}
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum := reflect.ValueOf(SumStatsAll([]core.Stats{one, one}))
+	for i := 0; i < v.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), 2*int64(i+1); got != want {
+			t.Errorf("SumStatsAll drops or mangles core.Stats.%s: got %d, want %d", v.Type().Field(i).Name, got, want)
+		}
+	}
 }

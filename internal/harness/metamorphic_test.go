@@ -153,9 +153,8 @@ func TestMetamorphicScaledCSE(t *testing.T) {
 				}
 			}
 			for u, st := range out.PerUser {
-				terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted
-				if st.Issued != terminal {
-					t.Errorf("session %d: quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, terminal, st)
+				if st.Issued != st.Terminals() {
+					t.Errorf("session %d: quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, st.Terminals(), st)
 				}
 			}
 			if m.cse {

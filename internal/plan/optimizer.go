@@ -256,11 +256,7 @@ func makeUnits(cat *catalog.Catalog, g *qgraph.Graph, cover []*catalog.MatView) 
 	}
 	var units []unit
 	for _, v := range cover {
-		t, err := cat.Table(v.Name)
-		if err != nil {
-			return nil, err
-		}
-		u := unit{table: t, qualifier: "", rels: make(map[string]bool)}
+		u := unit{table: v.Table, qualifier: "", rels: make(map[string]bool)}
 		for _, r := range v.Graph.Relations() {
 			u.rels[r] = true
 		}

@@ -119,7 +119,7 @@ func encodeRecord(r walRecord) []byte {
 	binary.LittleEndian.PutUint64(b[9:17], uint64(r.page))
 	binary.LittleEndian.PutUint32(b[17:21], uint32(len(r.payload)))
 	copy(b[recHeaderSize:], r.payload)
-	crc := crc32.ChecksumIEEE(b[: recHeaderSize+len(r.payload)])
+	crc := crc32.ChecksumIEEE(b[:recHeaderSize+len(r.payload)])
 	binary.LittleEndian.PutUint32(b[recHeaderSize+len(r.payload):], crc)
 	return b
 }

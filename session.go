@@ -323,85 +323,10 @@ func (s *Session) Go() (res *Result, err error) {
 	return wrapResult(eres), nil
 }
 
-// Stats reports the session's speculation counters.
-type Stats struct {
-	Issued, Completed   int
-	CanceledInvalidated int
-	CanceledAtGo        int
-	// WaitedAtGo counts final queries delayed until an almost-finished
-	// manipulation completed (the WaitForCompletion extension).
-	WaitedAtGo int
-	// Suspended counts issue opportunities skipped because the server was
-	// busy (the SuspendWhenBusy extension).
-	Suspended        int
-	GarbageCollected int
-	// CanceledOnClose counts manipulations canceled by session teardown.
-	// Once a session is closed,
-	// Issued == Completed + CanceledInvalidated + CanceledAtGo +
-	//           CanceledOnClose + Aborted.
-	CanceledOnClose int
-	// Failed counts individual manipulation failures (issue- or
-	// completion-time); a manipulation may fail several times across
-	// retries. Aborted counts issued jobs whose completion failed and was
-	// rolled back; Abandoned counts manipulation keys given up for the
-	// session after repeated failures.
-	Failed    int
-	Aborted   int
-	Abandoned int
-	// BreakerTrips / BreakerResumes count the session circuit breaker
-	// suspending speculation after repeated failures and resuming it after
-	// a successful half-open probe.
-	BreakerTrips   int
-	BreakerResumes int
-	// Cross-session CSE counters (zero unless Options.SharedSpeculation).
-	// SharedBuilds counts materializations this session built into the
-	// shared registry; SharedAttached counts ready shared builds adopted
-	// instead of rebuilt; DedupSaved is the build time those adoptions
-	// avoided. BudgetDeferred counts candidates skipped by the per-session
-	// page budget.
-	SharedBuilds   int
-	SharedAttached int
-	DedupSaved     time.Duration
-	BudgetDeferred int
-	// Overload governance counters (zero unless Options.Governor.Enabled).
-	// Shed counts outstanding builds the governor canceled under pressure,
-	// lowest benefit first; DeadlineAborts counts builds the stuck-job
-	// watchdog aborted past their deadline; GovernorDeferred counts issue
-	// opportunities refused by pressure band. Shed and DeadlineAborts are
-	// terminal states: they extend the quiesce identity above. ShedRetained
-	// counts completed-but-unconsumed materializations dropped under pressure
-	// (already counted in Completed, so outside the identity).
-	Shed             int
-	ShedRetained     int
-	DeadlineAborts   int
-	GovernorDeferred int
-	// Whole-query prediction counters (zero unless Options.PredictFinals).
-	// PredictedIssued counts predicted-final jobs issued; PredictedCompleted
-	// those whose answers reached the cache; PredictedCanceled every predicted
-	// job terminated before completing. They are the only predicted terminals,
-	// so once a session is closed
-	// PredictedIssued == PredictedCompleted + PredictedCanceled.
-	// PredictedGos counts GO events answered instantly from a completed
-	// prediction; InstantSaved is the execution time those instant answers
-	// avoided; PredictEquivFailures counts completed predictions whose rows
-	// failed the equivalence check against the reference plan (the fresh
-	// answer was served); AnswerCacheHits counts predicted jobs satisfied from
-	// the shared answer cache instead of executing.
-	PredictedIssued      int
-	PredictedCompleted   int
-	PredictedCanceled    int
-	PredictedGos         int
-	InstantSaved         time.Duration
-	PredictEquivFailures int
-	AnswerCacheHits      int
-	// Hits counts final queries answered using at least one completed
-	// speculative materialization; Misses counts the rest.
-	Hits   int
-	Misses int
-	// Waste is simulated manipulation time that never served a query
-	// (canceled jobs' run time plus garbage-collected unused builds).
-	Waste time.Duration
-}
+// Stats reports a session's speculation counters (core.Stats documents each
+// field). Every issued manipulation ends in exactly one terminal state, so
+// once a session is closed Issued == Terminals().
+type Stats = core.Stats
 
 // Stats reports speculation activity so far.
 func (s *Session) Stats() Stats {
@@ -410,40 +335,7 @@ func (s *Session) Stats() Stats {
 	if s.sp == nil {
 		return Stats{}
 	}
-	st := s.sp.Stats()
-	return Stats{
-		Issued:               st.Issued,
-		Completed:            st.Completed,
-		CanceledInvalidated:  st.CanceledInvalidated,
-		CanceledAtGo:         st.CanceledAtGo,
-		WaitedAtGo:           st.WaitedAtGo,
-		Suspended:            st.Suspended,
-		GarbageCollected:     st.GarbageCollected,
-		CanceledOnClose:      st.CanceledOnClose,
-		Failed:               st.Failed,
-		Aborted:              st.Aborted,
-		Abandoned:            st.Abandoned,
-		BreakerTrips:         st.BreakerTrips,
-		BreakerResumes:       st.BreakerResumes,
-		SharedBuilds:         st.SharedBuilds,
-		SharedAttached:       st.SharedAttached,
-		DedupSaved:           time.Duration(st.DedupSaved),
-		BudgetDeferred:       st.BudgetDeferred,
-		Shed:                 st.Shed,
-		ShedRetained:         st.ShedRetained,
-		DeadlineAborts:       st.DeadlineAborts,
-		GovernorDeferred:     st.GovernorDeferred,
-		PredictedIssued:      st.PredictedIssued,
-		PredictedCompleted:   st.PredictedCompleted,
-		PredictedCanceled:    st.PredictedCanceled,
-		PredictedGos:         st.PredictedGos,
-		InstantSaved:         time.Duration(st.InstantSaved),
-		PredictEquivFailures: st.PredictEquivFailures,
-		AnswerCacheHits:      st.AnswerCacheHits,
-		Hits:                 st.Hits,
-		Misses:               st.Misses,
-		Waste:                time.Duration(st.Waste),
-	}
+	return s.sp.Stats()
 }
 
 // ID reports the session's manager-assigned identifier (0 for standalone

@@ -393,10 +393,8 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			continue
 		}
 		st := s.Stats()
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted
-		if st.Issued != terminal {
-			t.Errorf("session %d: issued %d != completed %d + invalidated %d + at-go %d + on-close %d + aborted %d",
-				i, st.Issued, st.Completed, st.CanceledInvalidated, st.CanceledAtGo, st.CanceledOnClose, st.Aborted)
+		if st.Issued != st.Terminals() {
+			t.Errorf("session %d: issued %d != terminal %d (%+v)", i, st.Issued, st.Terminals(), st)
 		}
 		if st.GarbageCollected > st.Completed {
 			t.Errorf("session %d: GC'd %d > completed %d", i, st.GarbageCollected, st.Completed)
@@ -498,9 +496,8 @@ func TestScaledSessionsSharedSpeculation(t *testing.T) {
 			continue
 		}
 		st := s.Stats()
-		terminal := st.Completed + st.CanceledInvalidated + st.CanceledAtGo + st.CanceledOnClose + st.Aborted
-		if st.Issued != terminal {
-			t.Errorf("session %d: issued %d != terminal %d (%+v)", i, st.Issued, terminal, st)
+		if st.Issued != st.Terminals() {
+			t.Errorf("session %d: issued %d != terminal %d (%+v)", i, st.Issued, st.Terminals(), st)
 		}
 		if st.GarbageCollected > st.Completed {
 			t.Errorf("session %d: GC'd %d > completed %d", i, st.GarbageCollected, st.Completed)
