@@ -43,7 +43,7 @@ func main() {
 	}
 	cfg := core.DefaultConfig()
 	cfg.SelectionsOnly = true // reduce interference between users
-	spec, err := harness.RunMultiUserSpeculative(env.Eng, traces, cfg)
+	spec, err := harness.RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

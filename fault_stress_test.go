@@ -178,7 +178,7 @@ func TestBreakerSuspendsAndResumes(t *testing.T) {
 			t.Fatal(err)
 		}
 		val++
-		if s.pending != nil {
+		if inFlight(s) > 0 {
 			sabotage()
 		}
 		if err := s.Think(2 * time.Minute); err != nil {

@@ -256,7 +256,7 @@ func (sp *Speculator) execute(m Manipulation, now sim.Time) (*Job, error) {
 	switch m.Kind {
 	case ManipMaterialize:
 		name := sp.eng.FreshName(sp.cfg.NamePrefix)
-		if res, err = sp.eng.Materialize(name, m.Graph, sp.cfg.Forced); err != nil {
+		if res, err = sp.eng.Materialize(name, m.Graph, forcedViews); err != nil {
 			return nil, err
 		}
 		sp.eng.Catalog.DropView(name) // hidden until completion

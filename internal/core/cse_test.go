@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"specdb/internal/engine"
 	"specdb/internal/obs"
@@ -262,8 +263,10 @@ func TestSchedulerSharedFootprintAdmission(t *testing.T) {
 	}
 }
 
-// testClock sequences a scripted replay: events advance sim time by fixed
-// think-time steps and due completions are drained in deadline order first.
+// testPending is the owner-side completion schedule, the protocol cmd/bench
+// still speaks: fold every outcome's Canceled and Issued lists into a job set
+// and Complete the due ones earliest first. It is the reference
+// TestAdvanceMatchesOwnerSchedule holds Speculator.Advance to.
 type testPending struct{ jobs []*Job }
 
 func (p *testPending) apply(out EventOutcome) {
@@ -304,19 +307,25 @@ func (p *testPending) advance(sp *Speculator, t sim.Time) error {
 
 // replayRandom drives sp through steps pseudo-random formulation events over
 // the R/S/W schema — adds, removes, GOs, and clears, with completions and
-// cancellations interleaved — and returns the pending set drained.
-func replayRandom(t *testing.T, sp *Speculator, seed uint64, steps int) {
+// cancellations interleaved — think pauses of 1 to 40 units apart. Due jobs
+// complete through sp.Advance, or, with owner set, through a testPending
+// schedule.
+func replayRandom(t *testing.T, sp *Speculator, seed uint64, steps int, unit sim.Duration, owner bool) {
 	t.Helper()
 	r := sim.NewRand(seed)
 	var pending testPending
+	advance := sp.Advance
+	if owner {
+		advance = func(now sim.Time) error { return pending.advance(sp, now) }
+	}
 	joins := []qgraph.Join{
 		{LeftRel: "R", LeftCol: "a", RightRel: "S", RightCol: "a"},
 		{LeftRel: "S", LeftCol: "b", RightRel: "W", RightCol: "b"},
 	}
 	now := sim.FromSeconds(0)
 	for i := 0; i < steps; i++ {
-		now = now.Add(sim.DurationFromSeconds(1 + float64(r.Intn(40))))
-		if err := pending.advance(sp, now); err != nil {
+		now = now.Add(unit * sim.Duration(1+r.Intn(40)))
+		if err := advance(now); err != nil {
 			t.Fatal(err)
 		}
 		var ev trace.Event
@@ -363,7 +372,7 @@ func TestWasteChargedOncePerBuild(t *testing.T) {
 				cfg.MinBenefit = 0
 				cfg.WaitForCompletion = wait
 				sp := newSpec(e, cfg)
-				replayRandom(t, sp, seed, 120)
+				replayRandom(t, sp, seed, 120, time.Second, false)
 				if err := sp.Shutdown(); err != nil {
 					t.Fatal(err)
 				}
@@ -399,7 +408,7 @@ func TestWasteChargedOncePerBuildShared(t *testing.T) {
 		specs[i] = newSpec(e, cfg)
 	}
 	for i, sp := range specs {
-		replayRandom(t, sp, uint64(100+i), 100)
+		replayRandom(t, sp, uint64(100+i), 100, time.Second, false)
 	}
 	global := map[string]int{}
 	for _, sp := range specs {

@@ -130,8 +130,7 @@ func (sp *Speculator) finish(job *Job, t Terminal, at sim.Time, cause error) boo
 }
 
 // finishWhere ends, as t at instant at, every outstanding job sel selects, in
-// issue order, and returns them so the owner can drop their scheduled
-// completions.
+// issue order, and returns them (EventOutcome.Canceled reports them).
 func (sp *Speculator) finishWhere(t Terminal, at sim.Time, sel func(*Job) bool) []*Job {
 	var done []*Job
 	for i := 0; i < len(sp.outstanding); {
@@ -154,7 +153,7 @@ func (sp *Speculator) publish(job *Job) error {
 	m := &job.Manip
 	switch m.Kind {
 	case ManipMaterialize:
-		if err := sp.eng.Catalog.RegisterView(job.tableName, m.Graph, sp.cfg.Forced); err != nil {
+		if err := sp.eng.Catalog.RegisterView(job.tableName, m.Graph, forcedViews); err != nil {
 			return err
 		}
 		cost := job.CompletesAt.Sub(job.IssuedAt)

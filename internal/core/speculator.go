@@ -20,11 +20,6 @@ import (
 
 // Config tunes one Speculator instance.
 type Config struct {
-	// Forced selects query-rewriting semantics (completed materializations
-	// MUST be used by the final query) versus query-materialization (they
-	// are an option for the optimizer). The paper's evaluation uses
-	// rewriting (Section 4.2).
-	Forced bool
 	// Ops selects the manipulation families (default: materialize only,
 	// matching the paper's evaluation).
 	Ops OpSet
@@ -89,13 +84,17 @@ type Config struct {
 // DefaultConfig is the paper's main experimental configuration.
 func DefaultConfig() Config {
 	return Config{
-		Forced:     true,
 		Ops:        OpsMaterializeOnly(),
 		Lookahead:  3,
 		MinBenefit: 200 * time.Millisecond,
 		NamePrefix: "spec",
 	}
 }
+
+// forcedViews registers completed materializations with query-rewriting
+// semantics — the final query MUST use them — rather than as an option for the
+// optimizer, as in the paper's evaluation (Section 4.2).
+const forcedViews = true
 
 // The cost model's settings every speculator runs with (CostModel documents
 // each field).
@@ -199,7 +198,7 @@ type Stats struct {
 }
 
 // Job is one asynchronous manipulation in flight. The engine executed it
-// eagerly (side effects hidden); the owner schedules Complete at CompletesAt.
+// eagerly (side effects hidden); Advance completes it at CompletesAt.
 type Job struct {
 	Manip       Manipulation
 	IssuedAt    sim.Time
@@ -237,15 +236,17 @@ type Job struct {
 	span *obs.ActiveSpan
 }
 
-// EventOutcome reports what an interface event made the Speculator do.
+// EventOutcome reports what an interface event made the Speculator do. An
+// owner that calls Advance needs only Waited; the two job lists serve an owner
+// that still schedules Complete itself (cmd/bench).
 type EventOutcome struct {
 	// Canceled are the jobs this event took off the speculator's plate —
 	// invalidated, canceled at GO, shed, or completed-early by the
-	// wait-for-completion rule; the owner must drop their scheduled
+	// wait-for-completion rule; a self-scheduling owner must drop their
 	// completions.
 	Canceled []*Job
 	// Issued are the newly issued jobs (at most Config.Workers outstanding);
-	// the owner must schedule each one's completion at its CompletesAt.
+	// a self-scheduling owner must complete each one at its CompletesAt.
 	Issued []*Job
 	// Waited is the real delay before the final query ran because OnGo let
 	// an almost-finished manipulation complete (WaitForCompletion). The
@@ -499,13 +500,35 @@ func (sp *Speculator) OnEvent(ev trace.Event, now sim.Time) (EventOutcome, error
 // contained (the job ends aborted instead), never surfaced to the session.
 func (sp *Speculator) Complete(job *Job, now sim.Time) ([]*Job, error) {
 	if !sp.finish(job, TermCompleted, now, nil) {
-		// Programmer invariant (the owner schedules exactly one completion per
-		// issued job), not a containable I/O failure.
+		// Programmer invariant (a self-scheduling owner completes each issued
+		// job exactly once), not a containable I/O failure.
 		return nil, fmt.Errorf("core: completing a job that is not outstanding")
 	}
 	// Keep preparing: a slot is free and the user is still thinking (or
 	// viewing results — either way the canvas indicates what comes next).
 	return sp.fillSlots(now)
+}
+
+// Advance completes every outstanding job due by t, each at its own
+// CompletesAt: earliest first, issue order on ties (outstanding is in issue
+// order). Each completion refills the freed slot, so a follow-up that is itself
+// due by t completes in the same call. Owners call it with an event's time
+// before handing over the event (DESIGN.md §16, "Who completes a job").
+func (sp *Speculator) Advance(t sim.Time) error {
+	for {
+		var due *Job
+		for _, job := range sp.outstanding {
+			if job.CompletesAt <= t && (due == nil || job.CompletesAt < due.CompletesAt) {
+				due = job
+			}
+		}
+		if due == nil {
+			return nil
+		}
+		if _, err := sp.Complete(due, due.CompletesAt); err != nil {
+			return err
+		}
+	}
 }
 
 // governDegrade applies the engine governor's overload decisions at one
@@ -601,7 +624,8 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	}
 	out.Canceled = sp.finishWhere(TermCanceledAtGo, now, func(job *Job) bool { return job != waitJob })
 	if waitJob != nil {
-		// The owner must unschedule its completion: it happens here.
+		// A self-scheduling owner must unschedule its completion: it happens
+		// here.
 		out.Canceled = append(out.Canceled, waitJob)
 		next, err := sp.Complete(waitJob, waitJob.CompletesAt)
 		if err != nil {
@@ -816,9 +840,8 @@ func (sp *Speculator) publishProfile() {
 }
 
 // CancelOutstanding cancels the in-flight manipulations, if any, and returns
-// them so the owner can drop their scheduled completions. Sessions use it when
-// their context is canceled mid-manipulation; there is no timeline at
-// teardown, hence the zero instant.
+// them. Sessions use it when their context is canceled mid-manipulation; there
+// is no timeline at teardown, hence the zero instant.
 func (sp *Speculator) CancelOutstanding() []*Job {
 	return sp.finishWhere(TermCanceledOnClose, 0, func(*Job) bool { return true })
 }

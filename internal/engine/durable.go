@@ -164,7 +164,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	fd, err := storage.OpenFileDisk(storage.FileConfig{
 		Path:            cfg.Storage.Path,
-		PageSize:        cfg.PageSize,
 		CheckpointBytes: cfg.Storage.CheckpointBytes,
 		Sync:            cfg.Storage.Sync,
 		Gate:            cfg.Storage.Crash,

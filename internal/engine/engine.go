@@ -33,29 +33,18 @@ import (
 
 // Config sizes a fresh engine.
 type Config struct {
-	// PageSize in bytes; 0 means storage.DefaultPageSize.
-	PageSize int
 	// BufferPoolPages is the frame count of the buffer pool.
 	BufferPoolPages int
 	// PoolShards is the number of lock-striped buffer-pool shards. 0 or 1
 	// means a single shard (byte-identical to the historical single-mutex
 	// pool); higher values reduce lock contention for concurrent sessions.
 	PoolShards int
-	// Rates converts work counters to simulated time; zero value means
-	// sim.DefaultRates().
-	Rates sim.CostRates
 	// UseViews lets the optimizer consider non-forced materialized views
 	// (query-materialization semantics). Forced views always apply.
 	UseViews bool
 	// ContentionFactor scales statement durations by
 	// (1 + ContentionFactor × ActiveJobs); 0 disables the load model.
 	ContentionFactor float64
-	// HistogramBuckets used by CreateHistogram; 0 means 20.
-	HistogramBuckets int
-	// WorkMemBytes is the per-join memory budget before hash joins spill
-	// to disk (charged as page I/O). 0 defaults to a quarter of the buffer
-	// pool, the classic rule of thumb for the era's work-area sizing.
-	WorkMemBytes int64
 	// Fault configures deterministic fault injection (DESIGN.md §8). The
 	// zero value injects nothing and leaves the engine byte-identical to an
 	// uninstrumented one.
@@ -65,6 +54,10 @@ type Config struct {
 	// engines with Storage.Path set must be constructed via Open, not New.
 	Storage StorageConfig
 }
+
+// histogramBuckets is the bucket count of the histograms CreateHistogram
+// builds.
+const histogramBuckets = 20
 
 // Result reports one executed statement.
 type Result struct {
@@ -100,6 +93,10 @@ type Engine struct {
 	cfg      Config
 	meter    *sim.Meter
 	useViews atomic.Bool
+	// workMemBytes is the per-join memory budget before hash joins spill to
+	// disk (charged as page I/O): a quarter of the buffer pool, the classic
+	// rule of thumb for the era's work-area sizing.
+	workMemBytes int64
 
 	// injector drives deterministic fault injection (nil = fault-free).
 	injector *fault.Injector
@@ -158,15 +155,9 @@ func build(cfg Config, base storage.Disk) *Engine {
 	if cfg.BufferPoolPages < 2 {
 		cfg.BufferPoolPages = 64
 	}
-	if cfg.Rates == (sim.CostRates{}) {
-		cfg.Rates = sim.DefaultRates()
-	}
-	if cfg.HistogramBuckets == 0 {
-		cfg.HistogramBuckets = 20
-	}
 	inj := fault.NewInjector(cfg.Fault) // nil when cfg.Fault injects nothing
 	if base == nil {
-		base = storage.NewDiskManager(cfg.PageSize)
+		base = storage.NewDiskManager(0)
 	}
 	disk := fault.WrapDisk(base, inj)
 	meter := sim.NewMeter()
@@ -175,15 +166,13 @@ func build(cfg Config, base storage.Disk) *Engine {
 	}
 	pool := buffer.NewShardedPool(disk, cfg.BufferPoolPages, cfg.PoolShards, meter)
 	pool.SetFaultInjector(inj)
-	if cfg.WorkMemBytes == 0 {
-		cfg.WorkMemBytes = int64(cfg.BufferPoolPages) * int64(disk.PageSize()) / 4
-	}
 	e := &Engine{
 		Disk:         disk,
 		Pool:         pool,
 		Catalog:      catalog.New(pool),
 		cfg:          cfg,
 		meter:        meter,
+		workMemBytes: int64(cfg.BufferPoolPages) * int64(disk.PageSize()) / 4,
 		injector:     inj,
 		jobs:         make(map[int64]struct{}),
 		dataVersions: make(map[string]uint64),
@@ -228,8 +217,9 @@ func (e *Engine) recoverTo(op string, err *error) {
 	}
 }
 
-// Rates reports the engine's cost rates.
-func (e *Engine) Rates() sim.CostRates { return e.cfg.Rates }
+// Rates reports the engine's cost rates: what converts work counters to
+// simulated time.
+func (e *Engine) Rates() sim.CostRates { return sim.DefaultRates() }
 
 // UseViews reports whether optional views are considered.
 func (e *Engine) UseViews() bool { return e.useViews.Load() }
@@ -294,13 +284,13 @@ func (e *Engine) DataVersions(rels []string) map[string]uint64 {
 
 // planOptions builds the optimizer options.
 func (e *Engine) planOptions() plan.Options {
-	return plan.Options{Rates: e.cfg.Rates, UseViews: e.useViews.Load(), WorkMemBytes: e.cfg.WorkMemBytes}
+	return plan.Options{Rates: e.Rates(), UseViews: e.useViews.Load(), WorkMemBytes: e.workMemBytes}
 }
 
 // execContext builds an executor context with the engine's work-memory
 // budget.
 func (e *Engine) execContext() *exec.Context {
-	return &exec.Context{Meter: e.meter, WorkMemBytes: e.cfg.WorkMemBytes}
+	return &exec.Context{Meter: e.meter, WorkMemBytes: e.workMemBytes}
 }
 
 // measure runs fn and converts the work it performed into a duration under
@@ -310,7 +300,7 @@ func (e *Engine) measure(fn func() error) (sim.Work, sim.Duration, error) {
 	before := e.meter.Snapshot()
 	err := fn()
 	work := e.meter.Since(before)
-	d := work.Cost(e.cfg.Rates)
+	d := work.Cost(e.Rates())
 	if n := e.ActiveJobs(); e.cfg.ContentionFactor > 0 && n > 0 {
 		d = sim.Duration(float64(d) * (1 + e.cfg.ContentionFactor*float64(n)))
 	}
@@ -491,7 +481,7 @@ func (e *Engine) ExplainAnalyze(q *plan.Query) (res *Result, err error) {
 	}
 	res.Work = work
 	res.Duration = d
-	res.Analyzed = plan.ExplainAnalyze(node, prof, e.cfg.Rates)
+	res.Analyzed = plan.ExplainAnalyze(node, prof, e.Rates())
 	e.obsQueries.Inc()
 	e.obsQueryRows.Add(res.RowCount)
 	return res, nil
@@ -695,7 +685,7 @@ func (e *Engine) CreateHistogram(table, column string) (res *Result, err error) 
 			return err
 		}
 		e.meter.ChargeTuples(int64(len(values)))
-		h, err := stats.BuildHistogram(values, e.cfg.HistogramBuckets)
+		h, err := stats.BuildHistogram(values, histogramBuckets)
 		if err != nil {
 			return err
 		}

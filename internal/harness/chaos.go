@@ -94,7 +94,7 @@ type ChaosReport struct {
 	// RecoveredOrphans sums the speculative orphan pages freed by WAL
 	// recovery across all crash batches.
 	RecoveredOrphans int
-	Stats            core.Stats // addStatsAll sum over every session
+	Stats            core.Stats // summed over every session
 	DegradedTime     sim.Duration
 	// Violations lists every invariant breach found, one line each. A clean
 	// soak reports none.
@@ -104,11 +104,9 @@ type ChaosReport struct {
 // chaosBatch is one batch's replay against a single environment.
 type chaosBatch struct {
 	traces []*trace.Trace
-	ref    map[string]QueryTiming // fault-free answers by "user/query"
-	endAt  sim.Time               // latest event instant, for DegradedTime
+	ref    []QueryTiming // the fault-free answers
+	endAt  sim.Time      // latest event instant, for DegradedTime
 }
-
-func chaosKey(qt QueryTiming) string { return fmt.Sprintf("%d/%d", qt.TraceIdx, qt.QueryIdx) }
 
 // chaosCore assembles the per-batch speculation config: fresh scheduler,
 // shared-build registry, and governor over the given engine.
@@ -151,22 +149,31 @@ func checkBatch(rep *ChaosReport, label string, b chaosBatch, out *ScaledOutcome
 	if p := cse.RetainedPages(); p != 0 {
 		fail("shared-build registry retains %d pages after shutdown", p)
 	}
-	if len(out.Timings) != len(b.ref) {
-		fail("answered %d queries, fault-free reference has %d", len(out.Timings), len(b.ref))
+	for _, diff := range answerDiffs(out.Timings, b.ref) {
+		fail("%s", diff)
 	}
-	for _, qt := range out.Timings {
-		want, ok := b.ref[chaosKey(qt)]
-		if !ok {
-			fail("query %s missing from reference", chaosKey(qt))
-			continue
-		}
-		if qt.Rows != want.Rows || qt.RowsKey != want.RowsKey {
-			fail("query %s: row-set (n=%d key=%x) differs from fault-free reference (n=%d key=%x)",
-				chaosKey(qt), qt.Rows, qt.RowsKey, want.Rows, want.RowsKey)
-		}
-	}
-	rep.Stats = addStatsAll(rep.Stats, out.Stats)
+	rep.Stats = SumStatsAll([]core.Stats{rep.Stats, out.Stats})
 	rep.DegradedTime += gov.DegradedTime(b.endAt)
+}
+
+// answerDiffs lists how a replay's answers differ from the fault-free
+// reference's: in number, by a query the reference lacks, or in a row-set.
+func answerDiffs(got, ref []QueryTiming) []string {
+	var diffs []string
+	if len(got) != len(ref) {
+		diffs = append(diffs, fmt.Sprintf("answered %d queries, fault-free reference has %d", len(got), len(ref)))
+	}
+	want, err := alignTimings(got, ref)
+	if err != nil {
+		return append(diffs, err.Error())
+	}
+	for i, qt := range got {
+		if w := want[i]; qt.Rows != w.Rows || qt.RowsKey != w.RowsKey {
+			diffs = append(diffs, fmt.Sprintf("query %d/%d: row-set (n=%d key=%x) differs from fault-free reference (n=%d key=%x)",
+				qt.TraceIdx, qt.QueryIdx, qt.Rows, qt.RowsKey, w.Rows, w.RowsKey))
+		}
+	}
+	return diffs
 }
 
 // prepareBatch generates the batch corpus and its fault-free reference
@@ -189,15 +196,8 @@ func prepareBatch(cfg ChaosConfig, batch, sessions int) (chaosBatch, error) {
 	if err != nil {
 		return b, err
 	}
-	refTimings, err := RunMultiUserNormal(refEnv.Eng, traces)
-	if err != nil {
-		return b, err
-	}
-	b.ref = make(map[string]QueryTiming, len(refTimings))
-	for _, qt := range refTimings {
-		b.ref[chaosKey(qt)] = qt
-	}
-	return b, nil
+	b.ref, err = RunMultiUserNormal(refEnv.Eng, traces)
+	return b, err
 }
 
 // runMemoryBatch replays one batch against a fresh faulted in-memory engine

@@ -44,10 +44,6 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]QueryTiming, len(ref))
-	for _, qt := range ref {
-		want[chaosKey(qt)] = qt
-	}
 
 	specCore := func(eng *engine.Engine) core.Config {
 		c := core.DefaultConfig()
@@ -75,18 +71,8 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 	}
 	checkAnswers := func(t *testing.T, label string, out *ScaledOutcome) {
 		t.Helper()
-		if len(out.Timings) != len(want) {
-			t.Fatalf("%s: answered %d queries, reference has %d", label, len(out.Timings), len(want))
-		}
-		for _, qt := range out.Timings {
-			w, ok := want[chaosKey(qt)]
-			if !ok {
-				t.Fatalf("%s: query %s missing from reference", label, chaosKey(qt))
-			}
-			if qt.Rows != w.Rows || qt.RowsKey != w.RowsKey {
-				t.Errorf("%s: query %s row-set (n=%d key=%x) differs from reference (n=%d key=%x)",
-					label, chaosKey(qt), qt.Rows, qt.RowsKey, w.Rows, w.RowsKey)
-			}
+		for _, diff := range answerDiffs(out.Timings, ref) {
+			t.Errorf("%s: %s", label, diff)
 		}
 		for u, st := range out.PerUser {
 			if st.Issued != st.Terminals() {

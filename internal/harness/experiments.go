@@ -153,6 +153,25 @@ func seconds(ts []QueryTiming) []float64 {
 	return out
 }
 
+// alignTimings returns, for each timing of normal, the timing of the same
+// (user, query) in other — two replays of the same traces answer the same
+// queries, in orders that differ with the clocks.
+func alignTimings(normal, other []QueryTiming) ([]QueryTiming, error) {
+	byQuery := make(map[[2]int]QueryTiming, len(other))
+	for _, t := range other {
+		byQuery[[2]int{t.TraceIdx, t.QueryIdx}] = t
+	}
+	out := make([]QueryTiming, len(normal))
+	for i, n := range normal {
+		t, ok := byQuery[[2]int{n.TraceIdx, n.QueryIdx}]
+		if !ok {
+			return nil, fmt.Errorf("harness: replays disagree: no timing for user %d query %d", n.TraceIdx, n.QueryIdx)
+		}
+		out[i] = t
+	}
+	return out, nil
+}
+
 // SpecVsNormalResult is one dataset-size run of the main experiment,
 // feeding both Figure 4 (averages) and Figure 5 (extremes).
 type SpecVsNormalResult struct {
@@ -302,29 +321,18 @@ func RunFigure7(scaleName string, traces []*trace.Trace, seed uint64) (*Figure7R
 	}
 	cfg := core.DefaultConfig()
 	cfg.SelectionsOnly = true
-	specOut, err := RunMultiUserSpeculative(env.Eng, traces, cfg)
+	specOut, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Pair by (user, query index).
-	key := func(t QueryTiming) string { return fmt.Sprintf("%d/%d", t.TraceIdx, t.QueryIdx) }
-	specBy := map[string]QueryTiming{}
-	for _, t := range specOut.Timings {
-		specBy[key(t)] = t
-	}
-	var pairedNormal, pairedSpec []QueryTiming
-	for _, n := range normal {
-		s, ok := specBy[key(n)]
-		if !ok {
-			return nil, fmt.Errorf("harness: multi-user runs disagree on %s", key(n))
-		}
-		pairedNormal = append(pairedNormal, n)
-		pairedSpec = append(pairedSpec, s)
+	paired, err := alignTimings(normal, specOut.Timings)
+	if err != nil {
+		return nil, err
 	}
 	return &Figure7Result{
 		Scale:      scaleName,
-		Buckets:    BucketImprovements(pairedNormal, pairedSpec, BucketSpecFor(scaleName, true)),
-		OverallPct: Improvement(seconds(pairedNormal), seconds(pairedSpec)) * 100,
+		Buckets:    BucketImprovements(normal, paired, BucketSpecFor(scaleName, true)),
+		OverallPct: Improvement(seconds(normal), seconds(paired)) * 100,
 		Stats:      specOut.Stats,
 	}, nil
 }
@@ -433,34 +441,14 @@ func replayWarmNormal(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error)
 	return out, nil
 }
 
+// replayWarmSpeculative is RunTraceSpeculative without the cold start.
 func replayWarmSpeculative(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error) {
-	// Same as RunTraceSpeculative but without the cold start.
 	cfg := core.DefaultConfig()
 	cfg.NamePrefix = fmt.Sprintf("specw_t%d", idx)
 	sp := core.NewSpeculator(env.Eng, core.NewLearner(DefaultLearnerConfig()), cfg)
-	var out []QueryTiming
-	var pending pendingJobs
-	qIdx := 0
-	for _, ev := range tr.Events {
-		at := ev.At()
-		if err := pending.advance(sp, at); err != nil {
-			return nil, err
-		}
-		if ev.Kind == trace.EvGo {
-			res, goOut, err := sp.OnGo(at)
-			if err != nil {
-				return nil, err
-			}
-			pending.apply(goOut)
-			out = append(out, QueryTiming{TraceIdx: idx, QueryIdx: qIdx, Seconds: res.Duration.Seconds(), Rows: res.RowCount})
-			qIdx++
-			continue
-		}
-		evOut, err := sp.OnEvent(ev, at)
-		if err != nil {
-			return nil, err
-		}
-		pending.apply(evOut)
+	out, err := replayOne(sp, idx, tr)
+	if err != nil {
+		return nil, err
 	}
 	return out, sp.Shutdown()
 }
@@ -574,20 +562,15 @@ func RunSuspendAblation(scaleName string, traces []*trace.Trace, seed uint64) (*
 		if suspend {
 			cfg.SuspendWhenBusy = 1
 		}
-		spec, err := RunMultiUserSpeculative(env.Eng, traces, cfg)
+		spec, err := RunScaledSessions(env.Eng, traces, cfg)
 		if err != nil {
 			return nil, err
 		}
-		specBy := map[string]float64{}
-		for _, t := range spec.Timings {
-			specBy[fmt.Sprintf("%d/%d", t.TraceIdx, t.QueryIdx)] = t.Seconds
+		paired, err := alignTimings(normal, spec.Timings)
+		if err != nil {
+			return nil, err
 		}
-		var n, s []float64
-		for _, t := range normal {
-			n = append(n, t.Seconds)
-			s = append(s, specBy[fmt.Sprintf("%d/%d", t.TraceIdx, t.QueryIdx)])
-		}
-		pct := Improvement(n, s) * 100
+		pct := Improvement(seconds(normal), seconds(paired)) * 100
 		if suspend {
 			res.SuspendPct = pct
 			res.Suspended = spec.Stats.Suspended
@@ -650,13 +633,8 @@ type BenchResult struct {
 	GarbageCollected    int `json:"garbage_collected"`
 	Hits                int `json:"hits"`
 	Misses              int `json:"misses"`
-	// WaitedAtGo and Suspended are the TRUE sums over every trace of the
-	// corpus (computed with addStatsAll from the per-trace stats). The legacy
-	// aggregate dropped both fields — see addStats — and the ablation
-	// experiments' pinned text outputs still do; only the bench report carries
-	// the real aggregates.
-	WaitedAtGo int `json:"waited_at_go"`
-	Suspended  int `json:"suspended"`
+	WaitedAtGo          int `json:"waited_at_go"`
+	Suspended           int `json:"suspended"`
 
 	// Scaled-session cross-session CSE comparison (DESIGN.md §11): the same
 	// ScaledSessions-session merged replay run twice — shared speculation off,
@@ -749,12 +727,11 @@ func RunBench(scaleName string, traces []*trace.Trace, seed uint64) (*BenchResul
 		Hits:                pr.Stats.Hits,
 		Misses:              pr.Stats.Misses,
 		WasteS:              pr.Stats.Waste.Seconds(),
+		WaitedAtGo:          pr.Stats.WaitedAtGo,
+		Suspended:           pr.Stats.Suspended,
+		Shed:                pr.Stats.Shed + pr.Stats.ShedRetained,
+		DeadlineAborts:      pr.Stats.DeadlineAborts,
 	}
-	full := SumStatsAll(pr.PerTrace)
-	res.WaitedAtGo = full.WaitedAtGo
-	res.Suspended = full.Suspended
-	res.Shed = full.Shed + full.ShedRetained
-	res.DeadlineAborts = full.DeadlineAborts
 	if off > 0 {
 		res.RelativeResponseTime = on / off
 		res.ImprovementPct = (1 - on/off) * 100

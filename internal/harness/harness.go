@@ -188,34 +188,19 @@ func RowSetKey(rows []tuple.Row) uint64 {
 }
 
 // RunTraceNormal replays a trace without speculation: each final query runs
-// at its GO time. The pool starts cold (the paper's setup).
+// at its GO time. The pool starts cold (the paper's setup). It is the one-user
+// case of RunMultiUserNormal, its timings labelled traceIdx.
 func RunTraceNormal(eng *engine.Engine, traceIdx int, tr *trace.Trace) ([]QueryTiming, error) {
-	if err := eng.ColdStart(); err != nil {
-		return nil, err
+	timings, err := RunMultiUserNormal(eng, []*trace.Trace{tr})
+	return labelled(timings, traceIdx), err
+}
+
+// labelled names the trace a one-user replay's timings belong to.
+func labelled(timings []QueryTiming, traceIdx int) []QueryTiming {
+	for i := range timings {
+		timings[i].TraceIdx = traceIdx
 	}
-	queries, err := trace.ExtractQueries(tr)
-	if err != nil {
-		return nil, err
-	}
-	timings := make([]QueryTiming, 0, len(queries))
-	for _, q := range queries {
-		bound, err := plan.BindGraphProjections(eng.Catalog, q.Graph, q.Projs)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.RunQuery(bound)
-		if err != nil {
-			return nil, err
-		}
-		timings = append(timings, QueryTiming{
-			TraceIdx: traceIdx,
-			QueryIdx: q.Index,
-			Seconds:  res.Duration.Seconds(),
-			Rows:     res.RowCount,
-			RowsKey:  RowSetKey(res.Rows),
-		})
-	}
-	return timings, nil
+	return timings
 }
 
 // SpecOutcome reports a speculative replay.
@@ -230,67 +215,6 @@ type SpecOutcome struct {
 	// WasteLedger is the speculator's per-build waste-charge counts after
 	// Shutdown (core.Speculator.WasteCharges), for the charged-once invariant.
 	WasteLedger map[string]int
-}
-
-// pendingJobs tracks scheduled manipulation completions, ordered by
-// CompletesAt with FIFO tie-breaking (issue order), so replay loops complete
-// due jobs in a deterministic sequence. With Workers=1 it holds at most one
-// job and degenerates to the historical single-pending variable.
-type pendingJobs struct {
-	jobs []*core.Job
-}
-
-func (p *pendingJobs) add(jobs ...*core.Job) {
-	for _, job := range jobs {
-		i := len(p.jobs)
-		for i > 0 && p.jobs[i-1].CompletesAt > job.CompletesAt {
-			i--
-		}
-		p.jobs = append(p.jobs, nil)
-		copy(p.jobs[i+1:], p.jobs[i:])
-		p.jobs[i] = job
-	}
-}
-
-func (p *pendingJobs) remove(jobs ...*core.Job) {
-	for _, job := range jobs {
-		for i, j := range p.jobs {
-			if j == job {
-				p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// next returns the earliest pending job, or nil.
-func (p *pendingJobs) next() *core.Job {
-	if len(p.jobs) == 0 {
-		return nil
-	}
-	return p.jobs[0]
-}
-
-// advance completes every job due by t (including chained follow-ups) on sp.
-func (p *pendingJobs) advance(sp *core.Speculator, t sim.Time) error {
-	for {
-		job := p.next()
-		if job == nil || job.CompletesAt > t {
-			return nil
-		}
-		p.remove(job)
-		next, err := sp.Complete(job, job.CompletesAt)
-		if err != nil {
-			return err
-		}
-		p.add(next...)
-	}
-}
-
-// apply folds one event outcome into the pending set.
-func (p *pendingJobs) apply(out core.EventOutcome) {
-	p.remove(out.Canceled...)
-	p.add(out.Issued...)
 }
 
 // RunTraceSpeculative replays a trace through the speculation subsystem:
@@ -310,38 +234,11 @@ func runTraceSpec(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Co
 		return nil, err
 	}
 	sp := core.NewSpeculator(eng, learner, cfg)
-	out := &SpecOutcome{}
-	var pending pendingJobs
-
-	qIdx := 0
-	for _, ev := range tr.Events {
-		at := ev.At()
-		if err := pending.advance(sp, at); err != nil {
-			return nil, err
-		}
-		if ev.Kind == trace.EvGo {
-			res, goOut, err := sp.OnGo(at)
-			if err != nil {
-				return nil, err
-			}
-			pending.apply(goOut)
-			out.Timings = append(out.Timings, QueryTiming{
-				TraceIdx: traceIdx,
-				QueryIdx: qIdx,
-				Seconds:  res.Duration.Seconds(),
-				Rows:     res.RowCount,
-				RowsKey:  RowSetKey(res.Rows),
-			})
-			qIdx++
-			continue
-		}
-		evOut, err := sp.OnEvent(ev, at)
-		if err != nil {
-			return nil, err
-		}
-		pending.apply(evOut)
+	timings, err := replayOne(sp, traceIdx, tr)
+	if err != nil {
+		return nil, err
 	}
-	out.Stats = sp.Stats()
+	out := &SpecOutcome{Timings: timings, Stats: sp.Stats()}
 	if err := sp.Shutdown(); err != nil {
 		return nil, err
 	}
@@ -350,150 +247,13 @@ func runTraceSpec(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Co
 	return out, nil
 }
 
-// DefaultLearnerConfig re-exports the core default for harness callers.
-func DefaultLearnerConfig() core.LearnerConfig { return core.DefaultLearnerConfig() }
-
-// PairedRun replays every trace under normal then speculative processing on
-// the same environment, returning paired timings.
-type PairedRun struct {
-	Normal []QueryTiming
-	Spec   []QueryTiming
-	Stats  core.Stats // aggregated speculation counters (see addStats)
-	// PerTrace holds each trace's un-aggregated speculation counters, so
-	// callers that need the fields addStats drops (WaitedAtGo, Suspended) can
-	// sum them exactly without disturbing the pinned Stats aggregate.
-	PerTrace []core.Stats
-}
-
-// RunPaired executes the paired replay for a corpus.
-func RunPaired(env *Env, traces []*trace.Trace, cfg core.Config) (*PairedRun, error) {
-	out := &PairedRun{}
-	for i, tr := range traces {
-		nt, err := RunTraceNormal(env.Eng, i, tr)
-		if err != nil {
-			return nil, fmt.Errorf("harness: normal replay of trace %d: %w", i, err)
-		}
-		out.Normal = append(out.Normal, nt...)
-		so, err := RunTraceSpeculative(env.Eng, i, tr, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("harness: speculative replay of trace %d: %w", i, err)
-		}
-		out.Spec = append(out.Spec, so.Timings...)
-		out.Stats = addStats(out.Stats, so.Stats)
-		out.PerTrace = append(out.PerTrace, so.Stats)
-	}
-	if len(out.Normal) != len(out.Spec) {
-		return nil, fmt.Errorf("harness: paired runs disagree: %d vs %d queries", len(out.Normal), len(out.Spec))
-	}
-	return out, nil
-}
-
-func addStats(a, b core.Stats) core.Stats {
-	a.Issued += b.Issued
-	a.Completed += b.Completed
-	a.CanceledInvalidated += b.CanceledInvalidated
-	a.CanceledAtGo += b.CanceledAtGo
-	a.CanceledOnClose += b.CanceledOnClose
-	// WaitedAtGo and Suspended are intentionally NOT summed: the ablation
-	// experiments have always reported them from the aggregate's zero value,
-	// and their printed outputs are pinned. Exact per-session values are
-	// available through specdb.Session.Stats / SessionManager.Stats, through
-	// PairedRun.PerTrace, or via addStatsAll for new aggregates.
-	a.MaterializationsIssued += b.MaterializationsIssued
-	a.MaterializationTime += b.MaterializationTime
-	a.GarbageCollected += b.GarbageCollected
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Waste += b.Waste
-	return a
-}
-
-// addStatsAll sums EVERY Stats field, unlike addStats, whose omissions are
-// pinned into historical experiment outputs. New aggregates (the bench
-// report's true waited/suspended counts, the scaled-session experiments) use
-// this complete summation.
-func addStatsAll(a, b core.Stats) core.Stats {
-	a = addStats(a, b)
-	a.WaitedAtGo += b.WaitedAtGo
-	a.Suspended += b.Suspended
-	a.Deferred += b.Deferred
-	a.Failed += b.Failed
-	a.Aborted += b.Aborted
-	a.Abandoned += b.Abandoned
-	a.BreakerTrips += b.BreakerTrips
-	a.BreakerResumes += b.BreakerResumes
-	a.SharedBuilds += b.SharedBuilds
-	a.SharedAttached += b.SharedAttached
-	a.DedupSaved += b.DedupSaved
-	a.BudgetDeferred += b.BudgetDeferred
-	a.Shed += b.Shed
-	a.ShedRetained += b.ShedRetained
-	a.DeadlineAborts += b.DeadlineAborts
-	a.GovernorDeferred += b.GovernorDeferred
-	a.PredictedIssued += b.PredictedIssued
-	a.PredictedCompleted += b.PredictedCompleted
-	a.PredictedCanceled += b.PredictedCanceled
-	a.PredictedGos += b.PredictedGos
-	a.InstantSaved += b.InstantSaved
-	a.PredictEquivFailures += b.PredictEquivFailures
-	a.AnswerCacheHits += b.AnswerCacheHits
-	return a
-}
-
-// SumStatsAll fully aggregates a per-session stats slice (every field summed;
-// see addStatsAll).
-func SumStatsAll(per []core.Stats) core.Stats {
-	var total core.Stats
-	for _, s := range per {
-		total = addStatsAll(total, s)
-	}
-	return total
-}
-
-// MultiUserOutcome reports a simultaneous multi-user replay.
-type MultiUserOutcome struct {
-	Timings []QueryTiming // TraceIdx identifies the user
-	Stats   core.Stats
-}
-
-// RunMultiUserSpeculative replays several traces simultaneously against one
-// engine (Section 6.3): events from all users interleave by timestamp, each
-// user has an independent Speculator, and the engine's contention model sees
-// the other users' in-flight manipulations.
-func RunMultiUserSpeculative(eng *engine.Engine, traces []*trace.Trace, cfg core.Config) (*MultiUserOutcome, error) {
-	timings, perUser, _, err := runMultiUserSpec(eng, traces, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &MultiUserOutcome{Timings: timings}
-	for _, s := range perUser {
-		out.Stats = addStats(out.Stats, s)
-	}
-	return out, nil
-}
-
-// runMultiUserSpec is the merged-event replay loop shared by the multi-user,
-// scaled-session, and chaos-soak experiments. It returns each user's
-// un-aggregated stats and per-build waste-charge ledger (both snapshotted
-// before that user's Shutdown) so callers pick their own aggregation and can
-// assert the charged-once invariant.
-func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config) ([]QueryTiming, []core.Stats, []map[string]int, error) {
-	if err := eng.ColdStart(); err != nil {
-		return nil, nil, nil, err
-	}
-	type userState struct {
-		sp      *core.Speculator
-		pending pendingJobs
-		qIdx    int
-	}
-	users := make([]*userState, len(traces))
-	for i := range traces {
-		c := cfg
-		c.NamePrefix = fmt.Sprintf("spec_u%d", i)
-		users[i] = &userState{sp: core.NewSpeculator(eng, core.NewLearner(DefaultLearnerConfig()), c)}
-	}
-
-	// Merge events by timestamp (stable by user for determinism).
+// replay is the one speculative replay loop: user u's trace drives sps[u], and
+// the events of all users interleave by timestamp (stable by user for
+// determinism). Before each event every speculator advances to the event's
+// instant, completing the manipulations due by then. It returns one timing per
+// GO, in event order, TraceIdx naming the user. Cold start, configuration and
+// Shutdown stay with the caller.
+func replay(sps []*core.Speculator, traces []*trace.Trace) ([]QueryTiming, error) {
 	type tagged struct {
 		user int
 		ev   trace.Event
@@ -513,60 +273,162 @@ func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config
 
 	// The engine's contention model counts registered in-flight jobs: each
 	// speculator registers its outstanding manipulation when issuing and
-	// deregisters it on completion or cancellation, so the harness no longer
-	// maintains an active-job count by hand. A speculator's own job is never
-	// registered while its own engine work is measured, which preserves the
-	// previous "other users' jobs" semantics exactly.
+	// deregisters it on completion or cancellation. A speculator's own job is
+	// never registered while its own engine work is measured, so each user
+	// sees exactly the other users' jobs.
 	var timings []QueryTiming
+	queries := make([]int, len(sps))
 	for _, item := range all {
-		u := users[item.user]
 		at := item.ev.At()
-		// Complete due jobs for every user up to this instant.
-		for _, other := range users {
-			if err := other.pending.advance(other.sp, at); err != nil {
-				return nil, nil, nil, err
+		for _, sp := range sps {
+			if err := sp.Advance(at); err != nil {
+				return nil, err
 			}
 		}
-		if item.ev.Kind == trace.EvGo {
-			res, goOut, err := u.sp.OnGo(at)
-			if err != nil {
-				return nil, nil, nil, err
+		sp := sps[item.user]
+		if item.ev.Kind != trace.EvGo {
+			if _, err := sp.OnEvent(item.ev, at); err != nil {
+				return nil, err
 			}
-			u.pending.apply(goOut)
-			timings = append(timings, QueryTiming{
-				TraceIdx: item.user,
-				QueryIdx: u.qIdx,
-				Seconds:  res.Duration.Seconds(),
-				Rows:     res.RowCount,
-				RowsKey:  RowSetKey(res.Rows),
-			})
-			u.qIdx++
 			continue
 		}
-		evOut, err := u.sp.OnEvent(item.ev, at)
+		res, _, err := sp.OnGo(at)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		u.pending.apply(evOut)
+		timings = append(timings, QueryTiming{
+			TraceIdx: item.user,
+			QueryIdx: queries[item.user],
+			Seconds:  res.Duration.Seconds(),
+			Rows:     res.RowCount,
+			RowsKey:  RowSetKey(res.Rows),
+		})
+		queries[item.user]++
 	}
-	perUser := make([]core.Stats, len(users))
-	ledgers := make([]map[string]int, len(users))
-	for i, u := range users {
-		perUser[i] = u.sp.Stats()
-		ledgers[i] = u.sp.WasteCharges()
-		if err := u.sp.Shutdown(); err != nil {
+	return timings, nil
+}
+
+// replayOne is replay for a single trace, its timings labelled traceIdx.
+func replayOne(sp *core.Speculator, traceIdx int, tr *trace.Trace) ([]QueryTiming, error) {
+	timings, err := replay([]*core.Speculator{sp}, []*trace.Trace{tr})
+	return labelled(timings, traceIdx), err
+}
+
+// DefaultLearnerConfig re-exports the core default for harness callers.
+func DefaultLearnerConfig() core.LearnerConfig { return core.DefaultLearnerConfig() }
+
+// PairedRun replays every trace under normal then speculative processing on
+// the same environment, returning paired timings.
+type PairedRun struct {
+	Normal []QueryTiming
+	Spec   []QueryTiming
+	Stats  core.Stats // speculation counters summed over the traces
+}
+
+// RunPaired executes the paired replay for a corpus.
+func RunPaired(env *Env, traces []*trace.Trace, cfg core.Config) (*PairedRun, error) {
+	out := &PairedRun{}
+	var perTrace []core.Stats
+	for i, tr := range traces {
+		nt, err := RunTraceNormal(env.Eng, i, tr)
+		if err != nil {
+			return nil, fmt.Errorf("harness: normal replay of trace %d: %w", i, err)
+		}
+		out.Normal = append(out.Normal, nt...)
+		so, err := RunTraceSpeculative(env.Eng, i, tr, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("harness: speculative replay of trace %d: %w", i, err)
+		}
+		out.Spec = append(out.Spec, so.Timings...)
+		perTrace = append(perTrace, so.Stats)
+	}
+	out.Stats = SumStatsAll(perTrace)
+	if len(out.Normal) != len(out.Spec) {
+		return nil, fmt.Errorf("harness: paired runs disagree: %d vs %d queries", len(out.Normal), len(out.Spec))
+	}
+	return out, nil
+}
+
+// SumStatsAll sums per-session stats, every field (TestSumStatsAllCoversEveryField
+// holds it to that).
+func SumStatsAll(per []core.Stats) core.Stats {
+	var a core.Stats
+	for _, b := range per {
+		a.Issued += b.Issued
+		a.Completed += b.Completed
+		a.CanceledInvalidated += b.CanceledInvalidated
+		a.CanceledAtGo += b.CanceledAtGo
+		a.CanceledOnClose += b.CanceledOnClose
+		a.WaitedAtGo += b.WaitedAtGo
+		a.Suspended += b.Suspended
+		a.Deferred += b.Deferred
+		a.MaterializationsIssued += b.MaterializationsIssued
+		a.MaterializationTime += b.MaterializationTime
+		a.GarbageCollected += b.GarbageCollected
+		a.Failed += b.Failed
+		a.Aborted += b.Aborted
+		a.Abandoned += b.Abandoned
+		a.BreakerTrips += b.BreakerTrips
+		a.BreakerResumes += b.BreakerResumes
+		a.SharedBuilds += b.SharedBuilds
+		a.SharedAttached += b.SharedAttached
+		a.DedupSaved += b.DedupSaved
+		a.BudgetDeferred += b.BudgetDeferred
+		a.Shed += b.Shed
+		a.ShedRetained += b.ShedRetained
+		a.DeadlineAborts += b.DeadlineAborts
+		a.GovernorDeferred += b.GovernorDeferred
+		a.PredictedIssued += b.PredictedIssued
+		a.PredictedCompleted += b.PredictedCompleted
+		a.PredictedCanceled += b.PredictedCanceled
+		a.PredictedGos += b.PredictedGos
+		a.InstantSaved += b.InstantSaved
+		a.PredictEquivFailures += b.PredictEquivFailures
+		a.AnswerCacheHits += b.AnswerCacheHits
+		a.Hits += b.Hits
+		a.Misses += b.Misses
+		a.Waste += b.Waste
+	}
+	return a
+}
+
+// runMultiUserSpec is the simultaneous replay shared by the multi-user,
+// scaled-session, and chaos-soak experiments: a cold start, one speculator
+// per trace, then replay. It returns each user's un-aggregated stats and
+// per-build waste-charge ledger (both snapshotted before that user's
+// Shutdown) so callers can assert the charged-once invariant.
+func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config) ([]QueryTiming, []core.Stats, []map[string]int, error) {
+	if err := eng.ColdStart(); err != nil {
+		return nil, nil, nil, err
+	}
+	sps := make([]*core.Speculator, len(traces))
+	for i := range traces {
+		c := cfg
+		c.NamePrefix = fmt.Sprintf("spec_u%d", i)
+		sps[i] = core.NewSpeculator(eng, core.NewLearner(DefaultLearnerConfig()), c)
+	}
+	timings, err := replay(sps, traces)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	perUser := make([]core.Stats, len(sps))
+	ledgers := make([]map[string]int, len(sps))
+	for i, sp := range sps {
+		perUser[i] = sp.Stats()
+		ledgers[i] = sp.WasteCharges()
+		if err := sp.Shutdown(); err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	return timings, perUser, ledgers, nil
 }
 
-// ScaledOutcome reports one scaled-session replay: hundreds of concurrent
-// simulated sessions over one database (DESIGN.md §11's evaluation setting).
+// ScaledOutcome reports one simultaneous replay: from the paper's three users
+// (Section 6.3) to hundreds of concurrent simulated sessions over one database
+// (DESIGN.md §11's evaluation setting).
 type ScaledOutcome struct {
-	Timings []QueryTiming
-	// PerUser holds each session's stats; Stats is their COMPLETE sum
-	// (addStatsAll — unlike the pinned multi-user aggregate).
+	Timings []QueryTiming // TraceIdx identifies the user
+	// PerUser holds each session's stats; Stats is their sum.
 	PerUser []core.Stats
 	Stats   core.Stats
 	// SharedBuilds / DedupSaved snapshot the shared-build registry's lifetime
@@ -578,10 +440,13 @@ type ScaledOutcome struct {
 	WasteLedgers []map[string]int
 }
 
-// RunScaledSessions replays traces as simultaneous sessions with full stats
-// aggregation. The caller supplies the config — including, for cross-session
-// CSE runs, a shared core.SharedBuilds registry and a shared core.Scheduler —
-// so CSE on/off comparisons replay the identical merged event sequence.
+// RunScaledSessions replays several traces simultaneously against one engine:
+// events from all users interleave by timestamp, each user has an independent
+// Speculator, and the engine's contention model sees the other users'
+// in-flight manipulations. The caller supplies the config — including, for
+// cross-session CSE runs, a shared core.SharedBuilds registry and a shared
+// core.Scheduler — so CSE on/off comparisons replay the identical merged event
+// sequence.
 func RunScaledSessions(eng *engine.Engine, traces []*trace.Trace, cfg core.Config) (*ScaledOutcome, error) {
 	timings, perUser, ledgers, err := runMultiUserSpec(eng, traces, cfg)
 	if err != nil {

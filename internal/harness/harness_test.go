@@ -189,7 +189,7 @@ func TestMultiUserReplay(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.SelectionsOnly = true
-	spec, err := RunMultiUserSpeculative(env.Eng, traces, cfg)
+	spec, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +197,12 @@ func TestMultiUserReplay(t *testing.T) {
 		t.Fatalf("normal %d vs spec %d timings", len(normal), len(spec.Timings))
 	}
 	// Row counts agree per (user, query).
-	specBy := map[[2]int]QueryTiming{}
-	for _, s := range spec.Timings {
-		specBy[[2]int{s.TraceIdx, s.QueryIdx}] = s
+	paired, err := alignTimings(normal, spec.Timings)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range normal {
-		s, ok := specBy[[2]int{n.TraceIdx, n.QueryIdx}]
-		if !ok {
-			t.Fatalf("missing spec timing for %d/%d", n.TraceIdx, n.QueryIdx)
-		}
-		if s.Rows != n.Rows {
+	for i, n := range normal {
+		if s := paired[i]; s.Rows != n.Rows {
 			t.Fatalf("user %d query %d: rows %d vs %d", n.TraceIdx, n.QueryIdx, n.Rows, s.Rows)
 		}
 	}

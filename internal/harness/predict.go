@@ -58,7 +58,7 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*Pre
 
 	out := &PredictOutcome{}
 	for pass := 0; pass < 2; pass++ {
-		var stats core.Stats
+		var finals []core.Stats
 		queries := 0
 		total := 0.0
 		for i, tr := range traces {
@@ -72,7 +72,7 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*Pre
 				return nil, fmt.Errorf("harness: predicted-job identity violated in pass %d trace %d: issued %d != completed %d + canceled %d",
 					pass, i, fs.PredictedIssued, fs.PredictedCompleted, fs.PredictedCanceled)
 			}
-			stats = addStatsAll(stats, so.FinalStats)
+			finals = append(finals, so.FinalStats)
 			queries += len(so.Timings)
 			for _, t := range so.Timings {
 				total += t.Seconds
@@ -83,6 +83,7 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*Pre
 			out.TrainTotalS = total
 			continue
 		}
+		stats := SumStatsAll(finals)
 		out.ReplayQueries = queries
 		out.ReplayTotalS = total
 		out.PredictedIssued = stats.PredictedIssued

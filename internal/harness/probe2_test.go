@@ -6,7 +6,6 @@ import (
 
 	"specdb/internal/core"
 	"specdb/internal/plan"
-	"specdb/internal/sim"
 	"specdb/internal/tpch"
 	"specdb/internal/trace"
 )
@@ -36,35 +35,19 @@ func TestProbeSpecDetail(t *testing.T) {
 	eng := env.Eng
 	cfg := core.DefaultConfig()
 	sp := core.NewSpeculator(eng, core.NewLearner(DefaultLearnerConfig()), cfg)
-	var pending pendingJobs
 	qIdx := 0
-	completedN := 0
-	advance := func(at sim.Time) {
-		for {
-			job := pending.next()
-			if job == nil || job.CompletesAt > at {
-				return
-			}
-			pending.remove(job)
-			next, err := sp.Complete(job, job.CompletesAt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			completedN++
-			pending.add(next...)
-		}
-	}
 	var issuedLog []string
 	rewritten := 0
 	for _, ev := range tr.Events {
 		at := ev.At()
-		advance(at)
+		if err := sp.Advance(at); err != nil {
+			t.Fatal(err)
+		}
 		if ev.Kind == trace.EvGo {
-			res, goOut, err := sp.OnGo(at)
+			res, _, err := sp.OnGo(at)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pending.apply(goOut)
 			n := normal[qIdx].Seconds
 			s := res.Duration.Seconds()
 			usesSpec := strings.Contains(plan.Explain(res.Plan), "spec_")
@@ -85,7 +68,6 @@ func TestProbeSpecDetail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pending.apply(evOut)
 		for _, job := range evOut.Issued {
 			issuedLog = append(issuedLog, job.Manip.String())
 		}

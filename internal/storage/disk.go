@@ -29,6 +29,48 @@ type Disk interface {
 // DefaultPageSize matches the 8 KB pages of the paper's testbed DBMS.
 const DefaultPageSize = 8192
 
+// pageAlloc is the PageID allocator both disks embed: the most recently freed
+// ID if there is one, else the next never-used one. Reuse keeps Allocated() —
+// and the data-file footprint of a durable backend — stable across
+// speculate/GC cycles instead of growing monotonically; LIFO order keeps
+// allocation deterministic for equal operation sequences. It knows nothing of
+// which pages are live: its owner checks that before release and after claim.
+type pageAlloc struct {
+	next PageID   // lowest ID never handed out; starts at 1
+	free []PageID // LIFO stack of reusable IDs
+}
+
+// take hands out an ID.
+func (a *pageAlloc) take() PageID {
+	if n := len(a.free); n > 0 {
+		id := a.free[n-1]
+		a.free = a.free[:n-1]
+		return id
+	}
+	id := a.next
+	a.next++
+	return id
+}
+
+// release queues id for reuse.
+func (a *pageAlloc) release(id PageID) { a.free = append(a.free, id) }
+
+// claim hands out the specific id, as WAL replay must, and reports whether it
+// could: id has to be the next unused one or on the free list.
+func (a *pageAlloc) claim(id PageID) bool {
+	if id == a.next {
+		a.next++
+		return true
+	}
+	for i := len(a.free) - 1; i >= 0; i-- {
+		if a.free[i] == id {
+			a.free = append(a.free[:i], a.free[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 // DiskManager is the simulated disk: a growable array of fixed-size pages
 // with allocate/read/write/free and physical I/O counters. It is safe for
 // concurrent use; each operation is atomic under an internal lock.
@@ -36,12 +78,7 @@ type DiskManager struct {
 	mu       sync.Mutex
 	pageSize int
 	pages    map[PageID][]byte
-	next     PageID
-	// free is a LIFO stack of reusable PageIDs. Reuse keeps Allocated() — and
-	// the data-file footprint of a durable backend — stable across
-	// speculate/GC cycles instead of growing monotonically; LIFO order keeps
-	// allocation deterministic for equal operation sequences.
-	free []PageID
+	pageAlloc
 
 	reads  int64
 	writes int64
@@ -54,15 +91,15 @@ func NewDiskManager(pageSize int) *DiskManager {
 		pageSize = DefaultPageSize
 	}
 	if pageSize < 64 {
-		// Programmer invariant, not input validation: the page size comes from
-		// engine.Config at construction time, never from user input or I/O, and
-		// a sub-64-byte page cannot hold even a slotted-page header.
+		// Programmer invariant, not input validation: the page size is chosen
+		// by the constructing code, never by user input or I/O, and a
+		// sub-64-byte page cannot hold even a slotted-page header.
 		panic("storage: page size too small")
 	}
 	return &DiskManager{
-		pageSize: pageSize,
-		pages:    make(map[PageID][]byte),
-		next:     1,
+		pageSize:  pageSize,
+		pages:     make(map[PageID][]byte),
+		pageAlloc: pageAlloc{next: 1},
 	}
 }
 
@@ -74,14 +111,7 @@ func (d *DiskManager) PageSize() int { return d.pageSize }
 func (d *DiskManager) Allocate() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var id PageID
-	if n := len(d.free); n > 0 {
-		id = d.free[n-1]
-		d.free = d.free[:n-1]
-	} else {
-		id = d.next
-		d.next++
-	}
+	id := d.take()
 	d.pages[id] = make([]byte, d.pageSize)
 	return id
 }
@@ -127,7 +157,7 @@ func (d *DiskManager) Free(id PageID) error {
 		return fmt.Errorf("storage: free of unallocated page %d", id)
 	}
 	delete(d.pages, id)
-	d.free = append(d.free, id)
+	d.release(id)
 	return nil
 }
 

@@ -91,8 +91,7 @@ type FileDisk struct {
 	data *os.File
 	wal  *os.File
 
-	next    PageID
-	free    []PageID        // LIFO, mirrors DiskManager's reuse discipline
+	pageAlloc
 	pages   map[PageID]bool // currently allocated
 	pending map[PageID][]byte
 	meta    []byte
@@ -121,8 +120,8 @@ func OpenFileDisk(cfg FileConfig) (*FileDisk, error) {
 		pageSize = DefaultPageSize
 	}
 	if pageSize < 64 {
-		// invariant: page size comes from engine.Config at construction
-		// time, never from user input or file contents.
+		// invariant: the page size is chosen by the constructing code, never
+		// by user input or file contents.
 		panic("storage: page size too small")
 	}
 	ckpt := cfg.CheckpointBytes
@@ -136,7 +135,7 @@ func OpenFileDisk(cfg FileConfig) (*FileDisk, error) {
 		ckptBytes: ckpt,
 		sync:      cfg.Sync,
 		gate:      cfg.Gate,
-		next:      1,
+		pageAlloc: pageAlloc{next: 1},
 		pages:     make(map[PageID]bool),
 		pending:   make(map[PageID][]byte),
 	}
@@ -292,8 +291,7 @@ func (f *FileDisk) recoverLocked(walBytes []byte) error {
 			if err != nil {
 				return err
 			}
-			f.next = next
-			f.free = free
+			f.pageAlloc = pageAlloc{next: next, free: free}
 			f.pages = make(map[PageID]bool)
 			f.pending = make(map[PageID][]byte)
 			inFree := make(map[PageID]bool, len(free))
@@ -317,7 +315,7 @@ func (f *FileDisk) recoverLocked(walBytes []byte) error {
 			}
 			delete(f.pages, rec.page)
 			delete(f.pending, rec.page)
-			f.free = append(f.free, rec.page)
+			f.release(rec.page)
 		case recWrite:
 			if !f.pages[rec.page] {
 				return fmt.Errorf("storage: WAL writes unallocated page %d", rec.page)
@@ -356,23 +354,10 @@ func (f *FileDisk) recoverLocked(walBytes []byte) error {
 	return nil
 }
 
-// replayAllocLocked mirrors Allocate's free-list discipline for one logged
-// allocation.
+// replayAllocLocked redoes one logged allocation.
 func (f *FileDisk) replayAllocLocked(id PageID) error {
-	if id == f.next {
-		f.next++
-	} else {
-		found := false
-		for i := len(f.free) - 1; i >= 0; i-- {
-			if f.free[i] == id {
-				f.free = append(f.free[:i], f.free[i+1:]...)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("storage: WAL allocates unexpected page %d", id)
-		}
+	if !f.claim(id) {
+		return fmt.Errorf("storage: WAL allocates unexpected page %d", id)
 	}
 	if f.pages[id] {
 		return fmt.Errorf("storage: WAL double-allocates page %d", id)
@@ -429,14 +414,7 @@ func (f *FileDisk) PageSize() int { return f.pageSize }
 func (f *FileDisk) Allocate() PageID {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var id PageID
-	if n := len(f.free); n > 0 {
-		id = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		id = f.next
-		f.next++
-	}
+	id := f.take()
 	f.pages[id] = true
 	f.pending[id] = nil // nil image = zeros; a reused ID must not leak old file bytes
 	if f.failed == nil {
@@ -522,7 +500,7 @@ func (f *FileDisk) Free(id PageID) error {
 	}
 	delete(f.pages, id)
 	delete(f.pending, id)
-	f.free = append(f.free, id)
+	f.release(id)
 	return nil
 }
 

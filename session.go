@@ -50,14 +50,10 @@ type Session struct {
 	mgr *SessionManager
 	id  int64
 
-	mu    sync.Mutex
-	sp    *core.Speculator
-	clock *sim.Clock
-	// pending holds scheduled manipulation completions ordered by
-	// CompletesAt (FIFO on ties). At most the speculator's worker cap — one
-	// by default.
-	pending []*core.Job
-	closed  bool
+	mu     sync.Mutex
+	sp     *core.Speculator
+	clock  *sim.Clock
+	closed bool
 	// recorded holds the session's interaction for TraceJSON.
 	recorded []trace.Event
 }
@@ -117,36 +113,12 @@ func (s *Session) checkLive() error {
 		return fmt.Errorf("specdb: session is closed")
 	}
 	if err := s.ctx.Err(); err != nil {
-		if s.sp != nil && len(s.sp.CancelOutstanding()) > 0 {
-			// Everything pending was outstanding; it is all canceled now.
-			s.pending = nil
+		if s.sp != nil {
+			s.sp.CancelOutstanding()
 		}
 		return fmt.Errorf("specdb: session canceled: %w", err)
 	}
 	return nil
-}
-
-// applyOutcome folds a speculator outcome into the pending completions:
-// canceled (or early-completed) jobs are unscheduled, issued jobs scheduled
-// in completion order. Callers hold s.mu.
-func (s *Session) applyOutcome(out core.EventOutcome) {
-	for _, job := range out.Canceled {
-		for i, j := range s.pending {
-			if j == job {
-				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				break
-			}
-		}
-	}
-	for _, job := range out.Issued {
-		i := len(s.pending)
-		for i > 0 && s.pending[i-1].CompletesAt > job.CompletesAt {
-			i--
-		}
-		s.pending = append(s.pending, nil)
-		copy(s.pending[i+1:], s.pending[i:])
-		s.pending[i] = job
-	}
 }
 
 // recoverTo converts a panic escaping a session call — an internal bug —
@@ -173,29 +145,13 @@ func (s *Session) Think(d time.Duration) (err error) {
 		return fmt.Errorf("specdb: negative think time %v", d)
 	}
 	target := s.clock.Now().Add(simDuration(d))
-	err = s.completeDue(target)
+	if s.sp != nil {
+		if err = s.sp.Advance(target); err != nil {
+			err = fmt.Errorf("specdb: completing manipulation: %w", err)
+		}
+	}
 	s.clock.AdvanceTo(target)
 	return err
-}
-
-// completeDue finalizes pending manipulations due by t, advancing the clock
-// to each completion instant. Callers hold s.mu.
-func (s *Session) completeDue(t sim.Time) error {
-	for len(s.pending) > 0 && s.pending[0].CompletesAt <= t {
-		job := s.pending[0]
-		// The job is no longer scheduled either way; dropping it first means
-		// one poisoned completion cannot wedge the session forever.
-		s.pending = s.pending[1:]
-		if job.CompletesAt > s.clock.Now() {
-			s.clock.AdvanceTo(job.CompletesAt)
-		}
-		next, err := s.sp.Complete(job, job.CompletesAt)
-		if err != nil {
-			return fmt.Errorf("specdb: completing manipulation: %w", err)
-		}
-		s.applyOutcome(core.EventOutcome{Issued: next})
-	}
-	return nil
 }
 
 // apply routes one interface event through the speculator.
@@ -209,12 +165,10 @@ func (s *Session) apply(ev trace.Event) (err error) {
 	if s.sp == nil {
 		return fmt.Errorf("specdb: session has speculation disabled; use DB.Exec for plain SQL")
 	}
-	out, err := s.sp.OnEvent(ev, s.clock.Now())
-	if err != nil {
+	if _, err := s.sp.OnEvent(ev, s.clock.Now()); err != nil {
 		return err
 	}
 	s.record(ev)
-	s.applyOutcome(out)
 	return nil
 }
 
@@ -310,9 +264,6 @@ func (s *Session) Go() (res *Result, err error) {
 		return nil, fmt.Errorf("specdb: session has speculation disabled")
 	}
 	eres, out, err := s.sp.OnGo(s.clock.Now())
-	// Even on error the outcome's job bookkeeping is authoritative: a wait
-	// consumes the pending completion before the failure can occur.
-	s.applyOutcome(out)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +308,6 @@ func (s *Session) Close() error {
 	if s.sp == nil {
 		return nil
 	}
-	s.pending = nil
 	return s.sp.Shutdown()
 }
 

@@ -98,6 +98,12 @@ func TestSessionManagerLifecycle(t *testing.T) {
 	}
 }
 
+// inFlight is the number of manipulations a session has issued and not ended.
+func inFlight(s *Session) int {
+	st := s.Stats()
+	return st.Issued - st.Terminals()
+}
+
 func TestSessionContextCancellation(t *testing.T) {
 	db := getDB(t)
 	m := db.NewSessionManager()
@@ -109,7 +115,7 @@ func TestSessionContextCancellation(t *testing.T) {
 	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.pending == nil {
+	if inFlight(s) == 0 {
 		t.Fatal("no manipulation in flight")
 	}
 	if len(newTables(db, before)) == 0 {
@@ -121,7 +127,7 @@ func TestSessionContextCancellation(t *testing.T) {
 		t.Fatalf("Think after cancel = %v, want context.Canceled", err)
 	}
 	// The in-flight manipulation was canceled and its table dropped.
-	if s.pending != nil {
+	if inFlight(s) != 0 {
 		t.Fatal("in-flight manipulation survived context cancellation")
 	}
 	if leaked := newTables(db, before); len(leaked) != 0 {
@@ -147,11 +153,13 @@ func TestGoWaitForCompletionAdvancesClock(t *testing.T) {
 	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.pending) == 0 {
-		t.Fatal("no manipulation in flight")
+	// One materialization, issued at time zero: it completes when its build
+	// time has passed.
+	st := s.Stats()
+	if st.Issued != 1 || st.MaterializationsIssued != 1 {
+		t.Fatalf("want exactly one materialization in flight: %+v", st)
 	}
-	job := s.pending[0]
-	completesAt := time.Duration(job.CompletesAt)
+	completesAt := time.Duration(st.MaterializationTime)
 	// Stop thinking just before the manipulation finishes: GO should wait out
 	// the sliver rather than cancel.
 	if err := s.Think(completesAt - time.Millisecond); err != nil {
@@ -161,7 +169,7 @@ func TestGoWaitForCompletionAdvancesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st = s.Stats()
 	if st.WaitedAtGo != 1 || st.CanceledAtGo != 0 {
 		t.Fatalf("stats %+v, want one wait and no cancels", st)
 	}
@@ -186,7 +194,7 @@ func TestThinkContainsCompletionFailure(t *testing.T) {
 	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.pending == nil {
+	if inFlight(s) == 0 {
 		t.Fatal("no manipulation in flight")
 	}
 	// Sabotage: drop the hidden speculative table out from under the

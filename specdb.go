@@ -163,42 +163,11 @@ func (c GovernorConfig) internal() core.GovernorConfig {
 	}
 }
 
-// FaultConfig sets per-operation fault-injection probabilities (the public
-// mirror of the internal injector's configuration). Rates are in [0, 1]; the
-// zero value disables injection entirely. With equal seeds and equal
-// operation sequences, two runs inject identical faults.
-type FaultConfig struct {
-	// Seed seeds the injector's private PRNG.
-	Seed uint64
-	// ReadErrorRate is the probability that a disk read fails transiently.
-	ReadErrorRate float64
-	// WriteErrorRate is the probability that a disk write fails transiently.
-	WriteErrorRate float64
-	// CorruptionRate is the probability that a disk read returns a corrupted
-	// page, to be caught by the buffer pool's checksums.
-	CorruptionRate float64
-	// SlowIORate is the probability that a page miss costs
-	// SlowIOPenaltyPages extra simulated page reads.
-	SlowIORate float64
-	// SlowIOPenaltyPages is the extra read charge for a slow I/O
-	// (default 4 when SlowIORate > 0).
-	SlowIOPenaltyPages int
-	// FrameExhaustionRate is the probability that a buffer-pool admission
-	// transiently finds no free frame.
-	FrameExhaustionRate float64
-}
-
-func (c FaultConfig) internal() fault.Config {
-	return fault.Config{
-		Seed:                c.Seed,
-		ReadErrorRate:       c.ReadErrorRate,
-		WriteErrorRate:      c.WriteErrorRate,
-		CorruptionRate:      c.CorruptionRate,
-		SlowIORate:          c.SlowIORate,
-		SlowIOPenaltyPages:  c.SlowIOPenaltyPages,
-		FrameExhaustionRate: c.FrameExhaustionRate,
-	}
-}
+// FaultConfig sets per-operation fault-injection probabilities (fault.Config
+// documents each field). Rates are in [0, 1]; the zero value disables
+// injection entirely. With equal seeds and equal operation sequences, two runs
+// inject identical faults.
+type FaultConfig = fault.Config
 
 // DB is a database instance with a speculative query processor attached.
 type DB struct {
@@ -243,7 +212,7 @@ func baseConfig(opts Options) engine.Config {
 		BufferPoolPages: pool,
 		PoolShards:      opts.PoolShards,
 		UseViews:        opts.UseOptionalViews,
-		Fault:           opts.Fault.internal(),
+		Fault:           opts.Fault,
 	}
 }
 
