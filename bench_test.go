@@ -11,9 +11,7 @@ package specdb
 // the source of the EXPERIMENTS.md numbers. The shapes are the same.
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"specdb/internal/harness"
 	"specdb/internal/tpch"
@@ -73,24 +71,6 @@ func BenchmarkScaledCSE(b *testing.B) {
 		b.ReportMetric(float64(res.SharedBuilds), "shared_builds")
 		b.ReportMetric(res.DedupSavedS, "dedup_saved_s")
 		b.ReportMetric(res.HitRateOn-res.HitRateOff, "hit_rate_delta")
-	}
-}
-
-// BenchmarkParallelPoolThroughput measures the 8-session sharded-pool
-// throughput headline (wall-clock, machine-dependent): the 8-shard pool
-// versus the single-mutex pool under 8 concurrent workers. The sharded
-// number is recorded in BENCH_spec.json by cmd/experiments -exp bench.
-func BenchmarkParallelPoolThroughput(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ops, err := harness.MeasurePoolThroughput(shards, 8, 40000, time.Now)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(ops, "ops/s")
-			}
-		})
 	}
 }
 

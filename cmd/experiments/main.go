@@ -26,11 +26,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"specdb/internal/harness"
 	"specdb/internal/tpch"
@@ -143,17 +141,6 @@ func bench(traces []*trace.Trace, scale string, users int, seed, dataSeed uint64
 	res.ScaledWasteReductionPct = scaled.WasteReductionPct()
 	res.ScaledHitRateOff = scaled.HitRateOff
 	res.ScaledHitRateOn = scaled.HitRateOn
-	const poolWorkers, poolOps = 8, 40000
-	if res.ParallelPool8ShardOpsPerS, err = harness.MeasurePoolThroughput(8, poolWorkers, poolOps, time.Now); err != nil {
-		fatal(err)
-	}
-	if res.ParallelPool1ShardOpsPerS, err = harness.MeasurePoolThroughput(1, poolWorkers, poolOps, time.Now); err != nil {
-		fatal(err)
-	}
-	if res.ParallelPool1ShardOpsPerS > 0 {
-		res.ParallelPoolSpeedup = res.ParallelPool8ShardOpsPerS / res.ParallelPool1ShardOpsPerS
-	}
-	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	out, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -170,8 +157,6 @@ func bench(traces []*trace.Trace, scale string, users int, seed, dataSeed uint64
 		res.ScaledSessions, res.SharedBuilds, res.DedupSavedS)
 	fmt.Printf("  scaled waste %.1fs → %.1fs (−%.1f%%)   hit rate %.2f → %.2f\n",
 		res.ScaledWasteOffS, res.ScaledWasteOnS, res.ScaledWasteReductionPct, res.ScaledHitRateOff, res.ScaledHitRateOn)
-	fmt.Printf("  parallel pool (8 workers, GOMAXPROCS=%d): 8-shard %.0f ops/s vs single-mutex %.0f ops/s (%.2fx)\n",
-		res.GOMAXPROCS, res.ParallelPool8ShardOpsPerS, res.ParallelPool1ShardOpsPerS, res.ParallelPoolSpeedup)
 	fmt.Printf("  predicted GO rate %.2f (%d/%d issued)   instant GO saved %.1fs   equivalence failures %d\n",
 		res.PredictedGoRate, res.PredictedGos, res.PredictedIssued, res.InstantGoSavedS, res.PredictEquivFailures)
 }

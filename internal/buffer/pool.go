@@ -80,8 +80,7 @@ type shard struct {
 	// write-back is then also a log append, so it is counted separately and
 	// charged one extra page write. Off (the default) leaves the in-memory
 	// accounting byte-identical to history.
-	durable       bool
-	durableWrites int64
+	durable bool
 
 	// Mirror counters in an observability registry (nil until AttachMetrics).
 	// Purely observational: they never charge the meter or change eviction.
@@ -181,9 +180,6 @@ func (p *Pool) shardFor(id storage.PageID) *shard {
 	return p.shards[x%uint64(len(p.shards))]
 }
 
-// Shards reports the number of lock stripes (after clamping).
-func (p *Pool) Shards() int { return len(p.shards) }
-
 // lockAll acquires every shard lock in ascending shard order (the only order
 // used anywhere, so whole-pool operations cannot deadlock against each
 // other), and returns the matching unlock.
@@ -206,16 +202,6 @@ func (p *Pool) SetFaultInjector(inj *fault.Injector) {
 	for _, s := range p.shards {
 		s.mu.Lock()
 		s.inj = inj
-		s.mu.Unlock()
-	}
-}
-
-// SetMeter redirects I/O charging to m. The harness points this at the meter
-// of whichever simulated job is currently executing.
-func (p *Pool) SetMeter(m *sim.Meter) {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		s.meter = m
 		s.mu.Unlock()
 	}
 }
@@ -320,18 +306,6 @@ func (p *Pool) SetDurableAccounting(on bool) {
 		s.durable = on
 		s.mu.Unlock()
 	}
-}
-
-// DurableWrites reports write-backs that also appended to a WAL (0 for
-// in-memory backends).
-func (p *Pool) DurableWrites() int64 {
-	var n int64
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n += s.durableWrites
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Misuses reports how many pin-discipline violations were recorded.
@@ -557,10 +531,8 @@ const maxIORetries = 8
 func (s *shard) hitLocked() {
 	s.hits++
 	s.fetches++
-	if s.obsHits != nil {
-		s.obsHits.Inc()
-		s.obsFetches.Inc()
-	}
+	s.obsHits.Inc()
+	s.obsFetches.Inc()
 }
 
 // headroomLocked counts frames claimable without evicting pinned or staged
@@ -592,9 +564,7 @@ func (s *shard) recordMisuseLocked(err error) {
 	if s.misuseErr == nil {
 		s.misuseErr = err
 	}
-	if s.obsMisuses != nil {
-		s.obsMisuses.Inc()
-	}
+	s.obsMisuses.Inc()
 }
 
 // flushAllLocked writes every dirty resident page of this shard to disk.
@@ -646,9 +616,7 @@ func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
 		// Waiting out transient frame pressure costs simulated time.
 		s.meter.ChargePageRead(1)
 		s.ioRetries++
-		if s.obsRetries != nil {
-			s.obsRetries.Inc()
-		}
+		s.obsRetries.Inc()
 	}
 	if len(s.frames) >= s.cap {
 		if err := s.evictOneLocked(); err != nil {
@@ -670,10 +638,8 @@ func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
 		}
 		s.misses++
 		s.fetches++
-		if s.obsMisses != nil {
-			s.obsMisses.Inc()
-			s.obsFetches.Inc()
-		}
+		s.obsMisses.Inc()
+		s.obsFetches.Inc()
 		s.meter.ChargePageRead(1)
 		if extra, slow := s.inj.SlowIO(id); slow {
 			s.meter.ChargePageRead(int64(extra))
@@ -693,9 +659,7 @@ func (s *shard) readVerifiedLocked(id storage.PageID, buf []byte) error {
 			// The failed attempt consumed disk time; charge it like a read.
 			s.meter.ChargePageRead(1)
 			s.ioRetries++
-			if s.obsRetries != nil {
-				s.obsRetries.Inc()
-			}
+			s.obsRetries.Inc()
 		}
 		err := s.disk.Read(id, buf)
 		if err != nil {
@@ -707,9 +671,7 @@ func (s *shard) readVerifiedLocked(id storage.PageID, buf []byte) error {
 		}
 		if sum, ok := s.sums[id]; ok && crc32.ChecksumIEEE(buf) != sum {
 			s.corruption++
-			if s.obsDetectedCorrupt != nil {
-				s.obsDetectedCorrupt.Inc()
-			}
+			s.obsDetectedCorrupt.Inc()
 			lastErr = &fault.Error{Kind: fault.Corruption, Op: "verify", Page: id}
 			continue
 		}
@@ -746,9 +708,7 @@ func (s *shard) writeBackLocked(f *frame) error {
 		if attempt > 0 {
 			s.meter.ChargePageWrite(1) // failed attempt still consumed disk time
 			s.ioRetries++
-			if s.obsRetries != nil {
-				s.obsRetries.Inc()
-			}
+			s.obsRetries.Inc()
 		}
 		err := s.disk.Write(f.id, f.buf)
 		if err != nil {
@@ -763,19 +723,14 @@ func (s *shard) writeBackLocked(f *frame) error {
 		s.sums[f.id] = crc32.ChecksumIEEE(f.buf)
 		f.dirty = false
 		s.writes++
-		if s.obsWrites != nil {
-			s.obsWrites.Inc()
-		}
+		s.obsWrites.Inc()
 		s.meter.ChargePageWrite(1)
 		if s.durable {
 			// The backend logged a full page image before acking: a durable
 			// write-back is two physical writes, and the second is metered
 			// here rather than inside storage so the meter remains the single
 			// accounting point (DESIGN.md §1).
-			s.durableWrites++
-			if s.obsDurableWrites != nil {
-				s.obsDurableWrites.Inc()
-			}
+			s.obsDurableWrites.Inc()
 			s.meter.ChargePageWrite(1)
 		}
 		return nil

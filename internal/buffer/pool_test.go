@@ -314,25 +314,6 @@ func TestPoolFree(t *testing.T) {
 	}
 }
 
-func TestPoolSetMeter(t *testing.T) {
-	p, disk, m1 := newTestPool(4)
-	m2 := sim.NewMeter()
-	a, b := disk.Allocate(), disk.Allocate()
-	if _, err := p.Get(a); err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(a, false)
-	p.SetMeter(m2)
-	if _, err := p.Get(b); err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(b, false)
-	if m1.Snapshot().PageReads != 1 || m2.Snapshot().PageReads != 1 {
-		t.Fatalf("meter routing wrong: m1=%d m2=%d",
-			m1.Snapshot().PageReads, m2.Snapshot().PageReads)
-	}
-}
-
 func TestPoolCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

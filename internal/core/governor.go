@@ -385,13 +385,9 @@ func (g *Governor) levelLocked(now sim.Time) PressureLevel {
 	if target != g.level {
 		g.level = target
 		g.transitions++
-		if g.obsTransitions != nil {
-			g.obsTransitions.Inc()
-		}
+		g.obsTransitions.Inc()
 	}
-	if g.obsLevel != nil {
-		g.obsLevel.Set(float64(g.level))
-	}
+	g.obsLevel.Set(float64(g.level))
 	if g.breaker.Open(now) {
 		return PressureDegraded
 	}
@@ -473,9 +469,7 @@ func (g *Governor) ShedSet(id int, now sim.Time) map[string]bool {
 		if c.pages <= 0 {
 			need-- // unscored builds still occupy a worker; make progress
 		}
-		if g.obsShedMarked != nil {
-			g.obsShedMarked.Inc()
-		}
+		g.obsShedMarked.Inc()
 		if c.id == id {
 			if mine == nil {
 				mine = make(map[string]bool)

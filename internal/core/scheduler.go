@@ -81,14 +81,6 @@ func (s *Scheduler) AttachMetrics(reg *obs.Registry) {
 	s.obsDeferred = reg.Counter("sched.deferred")
 }
 
-// Workers reports the concurrency cap.
-func (s *Scheduler) Workers() int {
-	if s == nil {
-		return 1
-	}
-	return s.workers
-}
-
 // Inflight reports how many admitted jobs have not yet released their slot.
 func (s *Scheduler) Inflight() int {
 	if s == nil {
@@ -117,9 +109,7 @@ func (s *Scheduler) AdmitExtraKeyed(key string, estPages int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.inflight >= s.workers {
-		if s.obsDeferred != nil {
-			s.obsDeferred.Inc()
-		}
+		s.obsDeferred.Inc()
 		return false
 	}
 	pages := estPages
@@ -130,14 +120,10 @@ func (s *Scheduler) AdmitExtraKeyed(key string, estPages int) bool {
 		pages = s.floorPages
 	}
 	if s.pool != nil && pages > s.pool.Headroom()-s.reserve {
-		if s.obsDeferred != nil {
-			s.obsDeferred.Inc()
-		}
+		s.obsDeferred.Inc()
 		return false
 	}
-	if s.obsAdmitted != nil {
-		s.obsAdmitted.Inc()
-	}
+	s.obsAdmitted.Inc()
 	return true
 }
 

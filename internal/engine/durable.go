@@ -292,11 +292,12 @@ func (e *Engine) restoreDurable() error {
 	return e.commitLocked(false)
 }
 
-// buildMetaLocked (caller holds durMu) serializes the full non-volatile engine state for one commit
-// record. Iteration orders are sorted (catalog names, schema order), so
-// equal states produce byte-equal blobs.
-func (e *Engine) buildMetaLocked() ([]byte, error) {
-	root := metaRoot{Version: metaVersion, AppliedSeq: e.appliedSeq}
+// buildMetaLocked (caller holds durMu) serializes the full non-volatile engine
+// state for the commit record of applied-statement number seq. Iteration
+// orders are sorted (catalog names, schema order), so equal states produce
+// byte-equal blobs.
+func (e *Engine) buildMetaLocked(seq int64) ([]byte, error) {
+	root := metaRoot{Version: metaVersion, AppliedSeq: seq}
 	for _, name := range e.Catalog.TableNames() {
 		if strings.HasPrefix(name, e.cfg.Storage.VolatilePrefix) {
 			continue
@@ -381,18 +382,15 @@ func (e *Engine) buildMetaLocked() ([]byte, error) {
 	return json.Marshal(root)
 }
 
-// commitStmt is called at the end of every successful mutating statement
-// with the table names the statement touched. On in-memory engines it is a
-// no-op; statements confined to the volatile speculation namespace skip the
-// commit entirely (their pages die with the process, by design).
-func (e *Engine) commitStmt(names ...string) error {
-	if e.fileDisk == nil {
+// commitStmt commits a successful statement that changed table name; its one
+// caller is the statement boundary, which holds stmtMu, so the FlushAll below
+// charges the shared meter inside no other statement's window. On in-memory
+// engines it is a no-op; statements confined to the volatile speculation
+// namespace skip the commit entirely (their pages die with the process, by
+// design).
+func (e *Engine) commitStmt(name string) error {
+	if e.fileDisk == nil || strings.HasPrefix(name, e.cfg.Storage.VolatilePrefix) {
 		return nil
-	}
-	for _, n := range names {
-		if strings.HasPrefix(n, e.cfg.Storage.VolatilePrefix) {
-			return nil
-		}
 	}
 	e.durMu.Lock()
 	defer e.durMu.Unlock()
@@ -401,15 +399,17 @@ func (e *Engine) commitStmt(names ...string) error {
 
 // commitLocked flushes dirty pages and appends one commit record. bump
 // advances the applied-statement sequence (false for seal/close commits,
-// which re-commit existing state).
+// which re-commit existing state) — once the record is written, so a commit
+// that fails or panics leaves the sequence where it was.
 func (e *Engine) commitLocked(bump bool) error {
 	if err := e.Pool.FlushAll(); err != nil {
 		return err
 	}
+	seq := e.appliedSeq
 	if bump {
-		e.appliedSeq++
+		seq++
 	}
-	blob, err := e.buildMetaLocked()
+	blob, err := e.buildMetaLocked(seq)
 	if err == nil {
 		var flushed int
 		flushed, err = e.fileDisk.Commit(blob)
@@ -421,11 +421,9 @@ func (e *Engine) commitLocked(bump bool) error {
 		}
 	}
 	if err != nil {
-		if bump {
-			e.appliedSeq--
-		}
 		return err
 	}
+	e.appliedSeq = seq
 	e.obsCommits.Inc()
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"specdb/internal/btree"
 	"specdb/internal/buffer"
@@ -78,21 +77,21 @@ type Result struct {
 	Analyzed string
 }
 
-// Engine is the database server. It is safe for concurrent sessions: a
-// statement mutex serializes measured statements (keeping per-statement meter
-// accounting exact), while planning (PlanGraph/Explain) runs lock-free at
-// this level and relies on the fine-grained locks inside the catalog, buffer
-// pool, B-trees, and heap files. Simulated concurrency — the effect of other
-// in-flight jobs on a statement's duration — is modeled by the contention
-// factor over the registered-job count, not by physical overlap.
+// Engine is the database server. It is safe for concurrent sessions: every
+// entry point that executes or mutates runs through the one statement boundary
+// (see statement), which serializes them on a mutex (keeping per-statement
+// meter accounting exact), while planning (PlanGraph/Explain) runs lock-free
+// at this level and relies on the fine-grained locks inside the catalog,
+// buffer pool, B-trees, and heap files. Simulated concurrency — the effect of
+// other in-flight jobs on a statement's duration — is modeled by the
+// contention factor over the registered-job count, not by physical overlap.
 type Engine struct {
 	Disk    storage.Disk
 	Pool    *buffer.Pool
 	Catalog *catalog.Catalog
 
-	cfg      Config
-	meter    *sim.Meter
-	useViews atomic.Bool
+	cfg   Config
+	meter *sim.Meter
 	// workMemBytes is the per-join memory budget before hash joins spill to
 	// disk (charged as page I/O): a quarter of the buffer pool, the classic
 	// rule of thumb for the era's work-area sizing.
@@ -112,8 +111,8 @@ type Engine struct {
 	obsPanics    *obs.Counter
 	obsReplans   *obs.Counter
 
-	// stmtMu serializes measured statements so each statement's meter delta
-	// is exactly its own work.
+	// stmtMu serializes statements so each one's meter delta is exactly its
+	// own work. Only statement locks it.
 	stmtMu sync.Mutex
 
 	// jobsMu guards the registry of logically in-flight jobs (speculative
@@ -188,7 +187,6 @@ func build(cfg Config, base storage.Disk) *Engine {
 	e.obsStmtDur = e.metrics.Histogram("engine.statement.duration_ns", statementDurationBounds)
 	e.obsPanics = e.metrics.Counter("recovered_panics")
 	e.obsReplans = e.metrics.Counter("engine.replans")
-	e.useViews.Store(cfg.UseViews)
 	return e
 }
 
@@ -200,17 +198,18 @@ func (e *Engine) PanicLog() *obs.PanicLog { return e.panicLog }
 
 // RecordPanic converts a recovered panic value into an error, counting it
 // under the recovered_panics metric and capturing the stack. Sessions call
-// it from their own recovery boundaries; the engine's statement entry points
-// use recoverTo.
+// it from their own recovery boundaries; the engine's own boundary is
+// statement.
 func (e *Engine) RecordPanic(op string, v any) error {
 	e.panicLog.Record(op, v, debug.Stack())
 	e.obsPanics.Inc()
 	return fmt.Errorf("engine: internal error in %s: %v", op, v)
 }
 
-// recoverTo is deferred at every statement entry point: an internal bug
-// (panic) becomes a returned error with its stack preserved in the panic
-// log, instead of killing every session sharing the engine.
+// recoverTo is deferred by statement, and by Exec for the parsing and binding
+// it does before reaching one: an internal bug (panic) becomes a returned
+// error with its stack preserved in the panic log, instead of killing every
+// session sharing the engine.
 func (e *Engine) recoverTo(op string, err *error) {
 	if r := recover(); r != nil {
 		*err = e.RecordPanic(op, r)
@@ -220,12 +219,6 @@ func (e *Engine) recoverTo(op string, err *error) {
 // Rates reports the engine's cost rates: what converts work counters to
 // simulated time.
 func (e *Engine) Rates() sim.CostRates { return sim.DefaultRates() }
-
-// UseViews reports whether optional views are considered.
-func (e *Engine) UseViews() bool { return e.useViews.Load() }
-
-// SetUseViews toggles optional-view usage (Figure 6 modes).
-func (e *Engine) SetUseViews(v bool) { e.useViews.Store(v) }
 
 // BeginJob registers a logically in-flight job with the contention model and
 // returns a handle for EndJob. Speculators register their outstanding
@@ -284,7 +277,7 @@ func (e *Engine) DataVersions(rels []string) map[string]uint64 {
 
 // planOptions builds the optimizer options.
 func (e *Engine) planOptions() plan.Options {
-	return plan.Options{Rates: e.Rates(), UseViews: e.useViews.Load(), WorkMemBytes: e.workMemBytes}
+	return plan.Options{Rates: e.Rates(), UseViews: e.cfg.UseViews, WorkMemBytes: e.workMemBytes}
 }
 
 // execContext builds an executor context with the engine's work-memory
@@ -293,36 +286,97 @@ func (e *Engine) execContext() *exec.Context {
 	return &exec.Context{Meter: e.meter, WorkMemBytes: e.workMemBytes}
 }
 
-// measure runs fn and converts the work it performed into a duration under
-// the contention model. Callers must hold stmtMu so the meter delta contains
-// only fn's own work.
-func (e *Engine) measure(fn func() error) (sim.Work, sim.Duration, error) {
-	before := e.meter.Snapshot()
-	err := fn()
-	work := e.meter.Since(before)
-	d := work.Cost(e.Rates())
-	if n := e.ActiveJobs(); e.cfg.ContentionFactor > 0 && n > 0 {
-		d = sim.Duration(float64(d) * (1 + e.cfg.ContentionFactor*float64(n)))
+// effect is what a successful statement leaves behind for the boundary to
+// seal.
+type effect uint8
+
+const (
+	// readsOnly commits nothing: queries, staging.
+	readsOnly effect = iota
+	// changesShape commits the named table: its indexes, statistics or (for a
+	// materialization) its whole definition changed.
+	changesShape
+	// changesData commits the named table and then bumps its data version:
+	// its rows or its existence changed, so cached answers that read it are
+	// stale.
+	changesData
+)
+
+// statement is the engine's one statement boundary: every entry point that
+// executes or mutates, measured or not, runs its body through it, and it alone
+// spells what "one statement" means.
+//
+//   - Serialized: the body runs under stmtMu, so a measured body's meter delta
+//     is exactly its own work, an unmeasured one's pool traffic (and the
+//     FlushAll of its commit, which charges the shared meter on a durable
+//     engine) never leaks into somebody else's delta, and a drop cannot
+//     invalidate a plan between optimization and execution.
+//   - Recoverable: a panic in the body or the commit becomes a returned
+//     "internal error" recorded in the panic log under op; nothing is
+//     committed or bumped, and the lock is released.
+//   - Committed, then versioned: after a successful body the effect decides.
+//     commitStmt is a no-op on in-memory engines and for the volatile
+//     namespace; the data version moves only once the commit succeeded.
+func (e *Engine) statement(op, table string, eff effect, body func() error) (err error) {
+	e.stmtMu.Lock()
+	defer e.stmtMu.Unlock()
+	defer e.recoverTo(op, &err)
+	if err := body(); err != nil || eff == readsOnly {
+		return err
 	}
-	if err == nil {
-		e.obsStmts.Inc()
-		e.obsStmtDur.Observe(int64(d))
+	if err := e.commitStmt(table); err != nil {
+		return err
 	}
-	return work, d, err
+	if eff == changesData {
+		e.bumpDataVersion(table)
+	}
+	return nil
 }
 
-// recoverResult is recoverTo for the (*Result, error) entry points: a
-// recovered panic also drops the partial result.
-func (e *Engine) recoverResult(op string, res **Result, err *error) {
-	if r := recover(); r != nil {
-		*res = nil
-		*err = e.RecordPanic(op, r)
+// measured is the statement that reports a Result: body fills res, timing its
+// work inside one measure window. A failed (or panicked) statement returns no
+// partial result.
+func (e *Engine) measured(op, table string, eff effect, body func(res *Result) error) (*Result, error) {
+	res := &Result{}
+	if err := e.statement(op, table, eff, func() error { return body(res) }); err != nil {
+		return nil, err
 	}
+	return res, nil
+}
+
+// mutate is the unmeasured statement on an existing table — loading, dropping
+// and statistics upkeep are setup, not workload, so nothing is timed.
+func (e *Engine) mutate(op, table string, eff effect, body func(t *catalog.Table) error) error {
+	return e.statement(op, table, eff, func() error {
+		t, err := e.Catalog.Table(table)
+		if err != nil {
+			return err
+		}
+		return body(t)
+	})
+}
+
+// measure is one measure window: it runs fn and, when fn succeeds, records the
+// work it performed and its duration under the contention model in res. It
+// runs inside statement, so the meter delta contains only fn's own work.
+func (e *Engine) measure(res *Result, fn func() error) error {
+	before := e.meter.Snapshot()
+	if err := fn(); err != nil {
+		return err
+	}
+	res.Work = e.meter.Since(before)
+	res.Duration = res.Work.Cost(e.Rates())
+	if n := e.ActiveJobs(); e.cfg.ContentionFactor > 0 && n > 0 {
+		res.Duration = sim.Duration(float64(res.Duration) * (1 + e.cfg.ContentionFactor*float64(n)))
+	}
+	e.obsStmts.Inc()
+	e.obsStmtDur.Observe(int64(res.Duration))
+	return nil
 }
 
 // Exec parses and executes one SQL statement.
 func (e *Engine) Exec(src string) (res *Result, err error) {
-	defer e.recoverResult("Exec", &res, &err)
+	defer e.recoverTo("Exec", &err)
 	stmt, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -375,60 +429,61 @@ func (e *Engine) Exec(src string) (res *Result, err error) {
 // a correctness dependency, so a corrupted or vanished view must not fail the
 // user's query. The original error surfaces only if the degraded plan fails
 // too (or none of the plan was derived).
-func (e *Engine) RunQuery(q *plan.Query) (res *Result, err error) {
-	defer e.recoverResult("RunQuery", &res, &err)
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	node, err := plan.Optimize(e.Catalog, q, e.planOptions())
-	if err != nil {
-		return nil, err
-	}
-	res, err = e.runPlanLocked(node)
-	if err == nil {
-		return res, nil
-	}
-	if !e.planReadsDerived(node) {
-		return nil, err
-	}
-	opts := e.planOptions()
-	opts.AvoidViews, opts.AvoidIndexes = true, true
-	degraded, replanErr := plan.Optimize(e.Catalog, q, opts)
-	if replanErr != nil {
-		return nil, err // surface the original failure
-	}
-	e.obsReplans.Inc()
-	res, replanErr = e.runPlanLocked(degraded)
-	if replanErr != nil {
-		return nil, err // surface the original failure
-	}
-	return res, nil
-}
-
-// runPlanLocked executes one physical plan under the statement lock,
-// measuring its work.
-func (e *Engine) runPlanLocked(node plan.Node) (*Result, error) {
-	res := &Result{Plan: node, Schema: node.Schema()}
-	work, d, err := e.measure(func() error {
-		it, err := node.Build(e.execContext())
-		if err != nil {
+func (e *Engine) RunQuery(q *plan.Query) (*Result, error) {
+	return e.measured("RunQuery", "", readsOnly, func(res *Result) error {
+		node, err := e.planAndRun(res, q, e.planOptions(), nil)
+		if err == nil || node == nil || !e.planReadsDerived(node) {
 			return err
 		}
-		rows, err := exec.Collect(it)
-		if err != nil {
-			return err
+		opts := e.planOptions()
+		opts.AvoidViews, opts.AvoidIndexes = true, true
+		degraded, replanErr := e.planAndRun(res, q, opts, nil)
+		if degraded != nil {
+			e.obsReplans.Inc()
 		}
-		res.Rows = rows
+		if replanErr != nil {
+			return err // surface the original failure
+		}
 		return nil
 	})
+}
+
+// planAndRun is the body RunQuery and ExplainAnalyze share: optimize q under
+// opts, then build and drain the plan in one measure window, leaving a fresh
+// Result in res (a failed earlier attempt is not charged to this one). With a
+// profiler the operators are instrumented and the rows only counted; without,
+// they are collected. The chosen plan is returned whenever planning
+// succeeded, so the caller can tell a plan that failed to run from a query
+// that failed to plan.
+func (e *Engine) planAndRun(res *Result, q *plan.Query, opts plan.Options, prof *exec.Profiler) (plan.Node, error) {
+	node, err := plan.Optimize(e.Catalog, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.RowCount = int64(len(res.Rows))
-	res.Work = work
-	res.Duration = d
+	ctx := e.execContext()
+	if prof != nil {
+		prof.Attach(ctx) // before the window: attaching charges nothing
+	}
+	*res = Result{Plan: node, Schema: node.Schema()}
+	err = e.measure(res, func() error {
+		it, err := node.Build(ctx)
+		if err != nil {
+			return err
+		}
+		if prof != nil {
+			res.RowCount, err = exec.Count(it)
+			return err
+		}
+		res.Rows, err = exec.Collect(it)
+		res.RowCount = int64(len(res.Rows))
+		return err
+	})
+	if err != nil {
+		return node, err
+	}
 	e.obsQueries.Inc()
 	e.obsQueryRows.Add(res.RowCount)
-	return res, nil
+	return node, nil
 }
 
 // planReadsDerived reports whether node reads anything beyond plain
@@ -452,39 +507,16 @@ func (e *Engine) planReadsDerived(node plan.Node) bool {
 // returned — the plan tree is the output. Execution is measured exactly like
 // RunQuery: the profiler only snapshots the meter, it never charges it, so
 // an EXPLAIN ANALYZE costs the same simulated time as the bare query.
-func (e *Engine) ExplainAnalyze(q *plan.Query) (res *Result, err error) {
-	defer e.recoverResult("ExplainAnalyze", &res, &err)
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	node, err := plan.Optimize(e.Catalog, q, e.planOptions())
-	if err != nil {
-		return nil, err
-	}
-	prof := exec.NewProfiler(e.meter)
-	ctx := e.execContext()
-	prof.Attach(ctx)
-	res = &Result{Plan: node, Schema: node.Schema()}
-	work, d, err := e.measure(func() error {
-		it, err := node.Build(ctx)
+func (e *Engine) ExplainAnalyze(q *plan.Query) (*Result, error) {
+	return e.measured("ExplainAnalyze", "", readsOnly, func(res *Result) error {
+		prof := exec.NewProfiler(e.meter)
+		node, err := e.planAndRun(res, q, e.planOptions(), prof)
 		if err != nil {
 			return err
 		}
-		n, err := exec.Count(it)
-		if err != nil {
-			return err
-		}
-		res.RowCount = n
+		res.Analyzed = plan.ExplainAnalyze(node, prof, e.Rates())
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Work = work
-	res.Duration = d
-	res.Analyzed = plan.ExplainAnalyze(node, prof, e.Rates())
-	e.obsQueries.Inc()
-	e.obsQueryRows.Add(res.RowCount)
-	return res, nil
 }
 
 // RunGraph binds and executes a query graph with SELECT * projections.
@@ -519,69 +551,58 @@ func (e *Engine) Materialize(name string, g *qgraph.Graph, forced bool) (*Result
 	return e.materializeQuery(name, q, g, forced)
 }
 
-func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, forced bool) (res *Result, err error) {
-	defer e.recoverResult("Materialize", &res, &err)
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	if e.Catalog.HasTable(name) {
-		return nil, fmt.Errorf("engine: table %q already exists", name)
-	}
-	node, err := plan.Optimize(e.Catalog, q, e.planOptions())
-	if err != nil {
-		return nil, err
-	}
-	res = &Result{Plan: node}
-	work, d, err := e.measure(func() error {
-		table, err := e.Catalog.CreateTable(name, node.Schema())
+func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, forced bool) (*Result, error) {
+	return e.measured("Materialize", name, changesShape, func(res *Result) error {
+		if e.Catalog.HasTable(name) {
+			return fmt.Errorf("engine: table %q already exists", name)
+		}
+		node, err := plan.Optimize(e.Catalog, q, e.planOptions())
 		if err != nil {
 			return err
 		}
-		it, err := node.Build(e.execContext())
-		if err != nil {
-			return err
-		}
-		// Statistics are collected from the stream as it is written, the
-		// way a real engine piggybacks stats on CREATE TABLE AS SELECT —
-		// no second scan.
-		cols := make([][]tuple.Value, table.Schema.Len())
-		var buf []byte
-		var n int64
-		err = exec.Drain(it, func(r tuple.Row) error {
-			buf, err = tuple.EncodeRow(buf[:0], table.Schema, r)
+		res.Plan, res.Schema = node, node.Schema()
+		return e.measure(res, func() error {
+			table, err := e.Catalog.CreateTable(name, node.Schema())
 			if err != nil {
 				return err
 			}
-			if _, err := table.Heap.Insert(buf); err != nil {
+			it, err := node.Build(e.execContext())
+			if err != nil {
 				return err
 			}
-			for i, v := range r {
-				cols[i] = append(cols[i], v)
+			// Statistics are collected from the stream as it is written, the
+			// way a real engine piggybacks stats on CREATE TABLE AS SELECT —
+			// no second scan.
+			cols := make([][]tuple.Value, table.Schema.Len())
+			var buf []byte
+			var n int64
+			err = exec.Drain(it, func(r tuple.Row) error {
+				buf, err = tuple.EncodeRow(buf[:0], table.Schema, r)
+				if err != nil {
+					return err
+				}
+				if _, err := table.Heap.Insert(buf); err != nil {
+					return err
+				}
+				for i, v := range r {
+					cols[i] = append(cols[i], v)
+				}
+				n++
+				return nil
+			})
+			if err != nil {
+				// Leave no half-created table behind.
+				_ = e.Catalog.DropTable(name)
+				return err
 			}
-			n++
-			return nil
+			res.RowCount = n
+			for i, c := range table.Schema.Columns {
+				table.SetColumnStats(c.Name, stats.CollectColumnStats(cols[i]))
+			}
+			e.meter.ChargeTuples(n) // the stats pass over the stream
+			return e.Catalog.RegisterView(name, g, forced)
 		})
-		if err != nil {
-			// Leave no half-created table behind.
-			_ = e.Catalog.DropTable(name)
-			return err
-		}
-		res.RowCount = n
-		for i, c := range table.Schema.Columns {
-			table.SetColumnStats(c.Name, stats.CollectColumnStats(cols[i]))
-		}
-		e.meter.ChargeTuples(n) // the stats pass over the stream
-		return e.Catalog.RegisterView(name, g, forced)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.commitStmt(name); err != nil {
-		return nil, err
-	}
-	res.Schema = node.Schema()
-	res.Work = work
-	res.Duration = d
-	return res, nil
 }
 
 // FreshName generates a unique table name for speculative materializations.
@@ -593,261 +614,192 @@ func (e *Engine) FreshName(prefix string) string {
 }
 
 // CreateIndex builds a B+-tree index on table.column by scanning the table.
-func (e *Engine) CreateIndex(table, column string) (res *Result, err error) {
-	defer e.recoverResult("CreateIndex", &res, &err)
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	t, err := e.Catalog.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	ord := t.Schema.Ordinal(column)
-	if ord < 0 {
-		return nil, fmt.Errorf("engine: table %q has no column %q", table, column)
-	}
-	if t.Index(column) != nil {
-		return nil, fmt.Errorf("engine: index on %s.%s already exists", table, column)
-	}
-	res = &Result{}
-	work, d, err := e.measure(func() error {
-		tree, err := btree.New(e.Pool, e.Disk.PageSize())
+func (e *Engine) CreateIndex(table, column string) (*Result, error) {
+	return e.measured("CreateIndex", table, changesShape, func(res *Result) error {
+		t, err := e.Catalog.Table(table)
 		if err != nil {
 			return err
 		}
-		var entries []btree.Entry
-		row := make(tuple.Row, t.Schema.Len())
-		err = t.Heap.Scan(func(rid storage.RID, rec []byte) error {
-			if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
+		ord := t.Schema.Ordinal(column)
+		if ord < 0 {
+			return fmt.Errorf("engine: table %q has no column %q", table, column)
+		}
+		if t.Index(column) != nil {
+			return fmt.Errorf("engine: index on %s.%s already exists", table, column)
+		}
+		return e.measure(res, func() error {
+			tree, err := btree.New(e.Pool, e.Disk.PageSize())
+			if err != nil {
 				return err
 			}
-			e.meter.ChargeTuples(1)
-			entries = append(entries, btree.Entry{Key: tuple.EncodeKey(nil, row[ord]), RID: rid})
-			res.RowCount++
-			return nil
+			var entries []btree.Entry
+			row := make(tuple.Row, t.Schema.Len())
+			err = t.Heap.Scan(func(rid storage.RID, rec []byte) error {
+				if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
+					return err
+				}
+				e.meter.ChargeTuples(1)
+				entries = append(entries, btree.Entry{Key: tuple.EncodeKey(nil, row[ord]), RID: rid})
+				res.RowCount++
+				return nil
+			})
+			if err != nil {
+				_ = tree.Drop()
+				return err
+			}
+			btree.SortEntries(entries)
+			e.meter.ChargeTuples(int64(len(entries))) // sort pass
+			if err := tree.BulkLoad(entries); err != nil {
+				_ = tree.Drop()
+				return err
+			}
+			_, err = e.Catalog.AddIndex(table, column, tree)
+			return err
 		})
-		if err != nil {
-			_ = tree.Drop()
-			return err
-		}
-		btree.SortEntries(entries)
-		e.meter.ChargeTuples(int64(len(entries))) // sort pass
-		if err := tree.BulkLoad(entries); err != nil {
-			_ = tree.Drop()
-			return err
-		}
-		_, err = e.Catalog.AddIndex(table, column, tree)
-		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.commitStmt(table); err != nil {
-		return nil, err
-	}
-	res.Work = work
-	res.Duration = d
-	return res, nil
 }
 
 // DropIndex removes the index on table.column, freeing its pages.
 func (e *Engine) DropIndex(table, column string) error {
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	t, err := e.Catalog.Table(table)
-	if err != nil {
-		return err
-	}
-	idx := t.Index(column)
-	if idx == nil {
-		return fmt.Errorf("engine: no index on %s.%s", table, column)
-	}
-	if err := idx.Tree.Drop(); err != nil {
-		return err
-	}
-	t.RemoveIndex(column)
-	return e.commitStmt(table)
+	return e.mutate("DropIndex", table, changesShape, func(t *catalog.Table) error {
+		idx := t.Index(column)
+		if idx == nil {
+			return fmt.Errorf("engine: no index on %s.%s", table, column)
+		}
+		if err := idx.Tree.Drop(); err != nil {
+			return err
+		}
+		t.RemoveIndex(column)
+		return nil
+	})
 }
 
 // CreateHistogram builds an equi-depth histogram on table.column, improving
 // the optimizer's selectivity estimates (Section 3.2: histogram creation).
-func (e *Engine) CreateHistogram(table, column string) (res *Result, err error) {
-	defer e.recoverResult("CreateHistogram", &res, &err)
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	t, err := e.Catalog.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	res = &Result{}
-	work, d, err := e.measure(func() error {
-		values, err := catalog.ColumnValues(t, column)
+func (e *Engine) CreateHistogram(table, column string) (*Result, error) {
+	return e.measured("CreateHistogram", table, changesShape, func(res *Result) error {
+		t, err := e.Catalog.Table(table)
 		if err != nil {
 			return err
 		}
-		e.meter.ChargeTuples(int64(len(values)))
-		h, err := stats.BuildHistogram(values, histogramBuckets)
-		if err != nil {
-			return err
-		}
-		cs := t.ColumnStats(column)
-		if cs == nil {
-			cs = stats.CollectColumnStats(values)
-			t.SetColumnStats(column, cs)
-		}
-		cs.SetHist(h)
-		res.RowCount = int64(len(values))
-		return nil
+		return e.measure(res, func() error {
+			values, err := catalog.ColumnValues(t, column)
+			if err != nil {
+				return err
+			}
+			e.meter.ChargeTuples(int64(len(values)))
+			h, err := stats.BuildHistogram(values, histogramBuckets)
+			if err != nil {
+				return err
+			}
+			cs := t.ColumnStats(column)
+			if cs == nil {
+				cs = stats.CollectColumnStats(values)
+				t.SetColumnStats(column, cs)
+			}
+			cs.SetHist(h)
+			res.RowCount = int64(len(values))
+			return nil
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.commitStmt(table); err != nil {
-		return nil, err
-	}
-	res.Work = work
-	res.Duration = d
-	return res, nil
 }
 
 // DropHistogram removes the histogram on table.column.
 func (e *Engine) DropHistogram(table, column string) error {
-	t, err := e.Catalog.Table(table)
-	if err != nil {
-		return err
-	}
-	if cs := t.ColumnStats(column); cs != nil {
-		cs.SetHist(nil)
-	}
-	return e.commitStmt(table)
+	return e.mutate("DropHistogram", table, changesShape, func(t *catalog.Table) error {
+		if cs := t.ColumnStats(column); cs != nil {
+			cs.SetHist(nil)
+		}
+		return nil
+	})
 }
 
 // Stage pre-fetches and pins a table's heap pages in the buffer pool: the
 // data-staging manipulation (Section 3.2), implementable here because we own
 // the buffer pool. Staging at most half the pool is allowed, to leave room
 // for query execution.
-func (e *Engine) Stage(table string) (res *Result, err error) {
-	defer e.recoverResult("Stage", &res, &err)
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	t, err := e.Catalog.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	res = &Result{}
-	work, d, err := e.measure(func() error {
-		// The staging budget is half the pool ACROSS ALL staged tables —
-		// otherwise repeated staging pins the whole pool and starves query
-		// execution of frames.
-		budget := e.Pool.Capacity()/2 - e.Pool.StagedCount()
-		for _, id := range t.Heap.PageIDs() {
-			if budget <= 0 {
-				break
-			}
-			if err := e.Pool.Stage(id); err != nil {
-				return err
-			}
-			res.RowCount++
-			budget--
+func (e *Engine) Stage(table string) (*Result, error) {
+	return e.measured("Stage", table, readsOnly, func(res *Result) error {
+		t, err := e.Catalog.Table(table)
+		if err != nil {
+			return err
 		}
-		return nil
+		return e.measure(res, func() error {
+			// The staging budget is half the pool ACROSS ALL staged tables —
+			// otherwise repeated staging pins the whole pool and starves query
+			// execution of frames.
+			budget := e.Pool.Capacity()/2 - e.Pool.StagedCount()
+			for _, id := range t.Heap.PageIDs() {
+				if budget <= 0 {
+					break
+				}
+				if err := e.Pool.Stage(id); err != nil {
+					return err
+				}
+				res.RowCount++
+				budget--
+			}
+			return nil
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Work = work
-	res.Duration = d
-	return res, nil
 }
 
 // Unstage releases a table's staged pages.
 func (e *Engine) Unstage(table string) error {
-	t, err := e.Catalog.Table(table)
-	if err != nil {
-		return err
-	}
-	for _, id := range t.Heap.PageIDs() {
-		e.Pool.Unstage(id)
-	}
-	return nil
+	return e.mutate("Unstage", table, readsOnly, func(t *catalog.Table) error {
+		for _, id := range t.Heap.PageIDs() {
+			e.Pool.Unstage(id)
+		}
+		return nil
+	})
 }
 
-// DropTable removes a table (and any view it backs), freeing storage. It
-// takes the statement lock so a drop never races an executing query that
-// planned against the table.
-func (e *Engine) DropTable(name string) (err error) {
-	defer e.recoverTo("DropTable", &err)
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	t, err := e.Catalog.Table(name)
-	if err != nil {
-		return err
-	}
-	for _, id := range t.Heap.PageIDs() {
-		e.Pool.Unstage(id) // staged pages must not block the free
-	}
-	if err := e.Catalog.DropTable(name); err != nil {
-		return err
-	}
-	if err := e.commitStmt(name); err != nil {
-		return err
-	}
-	e.bumpDataVersion(name)
-	return nil
+// DropTable removes a table (and any view it backs), freeing storage. Going
+// through the statement boundary means a drop never races an executing query
+// that planned against the table.
+func (e *Engine) DropTable(name string) error {
+	return e.mutate("DropTable", name, changesData, func(t *catalog.Table) error {
+		for _, id := range t.Heap.PageIDs() {
+			e.Pool.Unstage(id) // staged pages must not block the free
+		}
+		return e.Catalog.DropTable(name)
+	})
 }
 
 // CreateTable registers an empty base table (bulk-load path).
 func (e *Engine) CreateTable(name string, schema *tuple.Schema) (*catalog.Table, error) {
-	t, err := e.Catalog.CreateTable(name, schema)
+	var t *catalog.Table
+	err := e.statement("CreateTable", name, changesData, func() (err error) {
+		t, err = e.Catalog.CreateTable(name, schema)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := e.commitStmt(name); err != nil {
-		return nil, err
-	}
-	e.bumpDataVersion(name)
 	return t, nil
 }
 
 // InsertRows bulk-inserts rows into a table (no per-statement measurement —
-// loading is setup, not workload). It still takes the statement lock: its
-// buffer-pool traffic must not leak into a concurrent statement's meter
-// delta.
+// loading is setup, not workload).
 func (e *Engine) InsertRows(name string, rows []tuple.Row) error {
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	t, err := e.Catalog.Table(name)
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for _, r := range rows {
-		buf, err = tuple.EncodeRow(buf[:0], t.Schema, r)
-		if err != nil {
-			return err
+	return e.mutate("InsertRows", name, changesData, func(t *catalog.Table) error {
+		var buf []byte
+		var err error
+		for _, r := range rows {
+			if buf, err = tuple.EncodeRow(buf[:0], t.Schema, r); err != nil {
+				return err
+			}
+			if _, err := t.Heap.Insert(buf); err != nil {
+				return err
+			}
 		}
-		if _, err := t.Heap.Insert(buf); err != nil {
-			return err
-		}
-	}
-	if err := e.commitStmt(name); err != nil {
-		return err
-	}
-	e.bumpDataVersion(name)
-	return nil
+		return nil
+	})
 }
 
 // Analyze recomputes statistics for a table.
 func (e *Engine) Analyze(name string) error {
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
-	t, err := e.Catalog.Table(name)
-	if err != nil {
-		return err
-	}
-	if err := catalog.Analyze(t); err != nil {
-		return err
-	}
-	return e.commitStmt(name)
+	return e.mutate("Analyze", name, changesShape, catalog.Analyze)
 }
 
 // ColdStart flushes and empties the buffer pool, simulating the paper's

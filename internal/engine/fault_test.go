@@ -59,10 +59,9 @@ func TestDegradedReplanAroundBadView(t *testing.T) {
 // becomes an error with the stack preserved in the panic log.
 func TestPanicRecoveryAtStatementBoundary(t *testing.T) {
 	e := newTestEngine(t, 10, Config{})
-	err := func() (err error) {
-		defer e.recoverTo("TestOp", &err)
+	err := e.statement("TestOp", "", readsOnly, func() error {
 		panic("simulated internal bug")
-	}()
+	})
 	if err == nil {
 		t.Fatal("panic not converted to an error")
 	}

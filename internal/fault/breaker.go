@@ -91,9 +91,7 @@ func (b *Breaker) Allow(now sim.Time) bool {
 	case BreakerOpen:
 		if now.Sub(b.openedAt) >= b.cfg.Cooldown {
 			b.state = BreakerHalfOpen
-			if b.probes != nil {
-				b.probes.Inc()
-			}
+			b.probes.Inc()
 			return true
 		}
 		return false
@@ -111,9 +109,7 @@ func (b *Breaker) Failure(now sim.Time) (tripped bool) {
 		b.state = BreakerOpen
 		b.openedAt = now
 		b.failures = 0
-		if b.opened != nil {
-			b.opened.Inc()
-		}
+		b.opened.Inc()
 		return true
 	}
 	return false
@@ -127,9 +123,7 @@ func (b *Breaker) Success() (resumed bool) {
 		return false
 	}
 	b.state = BreakerClosed
-	if b.closed != nil {
-		b.closed.Inc()
-	}
+	b.closed.Inc()
 	return true
 }
 
@@ -140,8 +134,6 @@ func (b *Breaker) Canceled(now sim.Time) {
 	if b.state == BreakerHalfOpen {
 		b.state = BreakerOpen
 		b.openedAt = now
-		if b.opened != nil {
-			b.opened.Inc()
-		}
+		b.opened.Inc()
 	}
 }

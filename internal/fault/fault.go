@@ -203,15 +203,11 @@ func (in *Injector) ReadFault(id storage.PageID) *Error {
 	defer in.mu.Unlock()
 	r := in.stream("read", id)
 	if in.draw(r, in.cfg.ReadErrorRate) {
-		if in.obsReads != nil {
-			in.obsReads.Inc()
-		}
+		in.obsReads.Inc()
 		return &Error{Kind: ReadError, Op: "read", Page: id}
 	}
 	if in.draw(r, in.cfg.CorruptionRate) {
-		if in.obsCorrupt != nil {
-			in.obsCorrupt.Inc()
-		}
+		in.obsCorrupt.Inc()
 		return &Error{Kind: Corruption, Op: "read", Page: id}
 	}
 	return nil
@@ -225,9 +221,7 @@ func (in *Injector) WriteFault(id storage.PageID) *Error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.draw(in.stream("write", id), in.cfg.WriteErrorRate) {
-		if in.obsWrites != nil {
-			in.obsWrites.Inc()
-		}
+		in.obsWrites.Inc()
 		return &Error{Kind: WriteError, Op: "write", Page: id}
 	}
 	return nil
@@ -242,9 +236,7 @@ func (in *Injector) SlowIO(id storage.PageID) (extraPages int, slow bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.draw(in.stream("slow", id), in.cfg.SlowIORate) {
-		if in.obsSlow != nil {
-			in.obsSlow.Inc()
-		}
+		in.obsSlow.Inc()
 		return in.cfg.SlowIOPenaltyPages, true
 	}
 	return 0, false
@@ -259,9 +251,7 @@ func (in *Injector) FrameExhaustion(id storage.PageID) *Error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.draw(in.stream("admit", id), in.cfg.FrameExhaustionRate) {
-		if in.obsExhaust != nil {
-			in.obsExhaust.Inc()
-		}
+		in.obsExhaust.Inc()
 		return &Error{Kind: FrameExhaustion, Op: "admit", Page: id}
 	}
 	return nil

@@ -100,9 +100,7 @@ func (b *GlobalBreaker) Failure(now sim.Time) (tripped bool) {
 		b.openedAt = now
 		b.trips++
 		b.fails, b.total = 0, 0
-		if b.opened != nil {
-			b.opened.Inc()
-		}
+		b.opened.Inc()
 		return true
 	}
 	return false
@@ -171,9 +169,7 @@ func (b *GlobalBreaker) maybeCloseLocked(now sim.Time) {
 	b.open = false
 	b.winStart = now
 	b.fails, b.total = 0, 0
-	if b.closed != nil {
-		b.closed.Inc()
-	}
+	b.closed.Inc()
 }
 
 // sampleLocked rolls the sampling window forward when now has moved past it.

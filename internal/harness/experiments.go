@@ -601,7 +601,12 @@ func RenderBuckets(buckets []Bucket, withExtremes bool) string {
 
 // BenchResult is the observability benchmark summary (written by
 // cmd/experiments -exp bench as BENCH_spec.json): one paired spec-off /
-// spec-on replay of the corpus with the headline speculation metrics.
+// spec-on replay of the corpus with the headline speculation metrics. Every
+// field is simulated time or a count, so the file is machine-independent;
+// wall-clock numbers live in cmd/bench. RunBench replays core.DefaultConfig(),
+// which sets neither WaitForCompletion nor SuspendWhenBusy, so WaitedAtGo and
+// Suspended are 0 by construction (the 6 waited / 29 suspended belong to
+// -exp a4 / a5, which set them).
 type BenchResult struct {
 	Scale    string `json:"scale"`
 	Users    int    `json:"users"`
@@ -652,28 +657,13 @@ type BenchResult struct {
 	ScaledHitRateOff        float64 `json:"scaled_hit_rate_off"`
 	ScaledHitRateOn         float64 `json:"scaled_hit_rate_on"`
 
-	// Parallel buffer-pool throughput: wall-clock Get/Unpin ops/sec of 8
-	// concurrent sessions against the 8-shard and single-mutex pools (see
-	// MeasurePoolThroughput). Machine-dependent and informational — the
-	// bench gate compares only the simulated improvement metric.
-	ParallelPool8ShardOpsPerS float64 `json:"parallel_pool_8shard_ops_per_s"`
-	ParallelPool1ShardOpsPerS float64 `json:"parallel_pool_1shard_ops_per_s"`
-	ParallelPoolSpeedup       float64 `json:"parallel_pool_speedup"`
-	// GOMAXPROCS is the scheduler parallelism of the machine that wrote the
-	// report. With GOMAXPROCS=1 the pool workers cannot actually run in
-	// parallel, so ParallelPoolSpeedup is expected to sit at or below 1× and
-	// the bench gate skips its comparison.
-	GOMAXPROCS int `json:"gomaxprocs"`
-
 	// Overload and degradation counters (DESIGN.md §13). Shed counts every
 	// speculative build the governor dropped under pressure — in-flight
-	// cancellations plus retained completed builds — DeadlineAborts the
-	// builds killed by the stuck-job watchdog, and DegradedModeS the
-	// simulated seconds the global breaker forced speculation-off degraded
-	// mode. All zero in the default governor-off bench run.
-	Shed           int     `json:"shed"`
-	DeadlineAborts int     `json:"deadline_aborts"`
-	DegradedModeS  float64 `json:"degraded_mode_s"`
+	// cancellations plus retained completed builds — and DeadlineAborts the
+	// builds killed by the stuck-job watchdog. Both zero in the default
+	// governor-off bench run.
+	Shed           int `json:"shed"`
+	DeadlineAborts int `json:"deadline_aborts"`
 
 	// Whole-query prediction replay (DESIGN.md §14), measured by
 	// RunPredictBench on a separate fresh environment so every field above is

@@ -22,16 +22,23 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically non-decreasing integer metric.
+// Counter is a monotonically non-decreasing integer metric. Like Gauge and
+// Histogram it takes a nil receiver on its write side (Inc, Add; Set;
+// Observe), so a component that was never attached to a registry counts into
+// nothing instead of guarding every call.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (n must be ≥ 0 to keep the counter monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -42,7 +49,11 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value reports the last stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -68,6 +79,9 @@ func newHistogram(bounds []int64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
 	h.counts[i].Add(1)
 	h.count.Add(1)

@@ -30,6 +30,18 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
+// TestNilMetricsDiscard: the write side of every metric accepts a nil
+// receiver, which is what lets unattached components call it unguarded.
+func TestNilMetricsDiscard(t *testing.T) {
+	var c *Counter
+	c.Inc()
+	c.Add(3)
+	var g *Gauge
+	g.Set(1.5)
+	var h *Histogram
+	h.Observe(7)
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	h := newHistogram([]int64{10, 100, 1000})
 	for _, v := range []int64{1, 10, 11, 100, 5000} {

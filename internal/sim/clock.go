@@ -1,7 +1,6 @@
 // Package sim provides the deterministic simulated-time substrate used by the
-// whole repository: a virtual clock, a discrete-event queue, and a cost meter
-// that converts engine work counters (page I/O, tuples processed) into
-// simulated durations.
+// whole repository: a virtual clock and a cost meter that converts engine
+// work counters (page I/O, tuples processed) into simulated durations.
 //
 // The engine executes queries for real — rows move through operators and the
 // buffer pool really caches pages — but elapsed time is *accounted*, not
@@ -80,11 +79,4 @@ func (c *Clock) AdvanceTo(t Time) {
 		panic(fmt.Sprintf("sim: clock rewind from %v to %v", c.now, t))
 	}
 	c.now = t
-}
-
-// Reset rewinds the clock to zero for a fresh run.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
 }

@@ -57,112 +57,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	var got []string
-	q.Schedule(FromSeconds(2), "b", func() { got = append(got, "b") })
-	q.Schedule(FromSeconds(1), "a", func() { got = append(got, "a") })
-	q.Schedule(FromSeconds(3), "c", func() { got = append(got, "c") })
-	q.Run()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
-	}
-	if c.Now() != FromSeconds(3) {
-		t.Fatalf("clock at %v after run, want 3s", c.Now())
-	}
-}
-
-func TestEventQueueFIFOAtSameInstant(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	var got []string
-	for _, name := range []string{"x", "y", "z"} {
-		name := name
-		q.Schedule(FromSeconds(1), name, func() { got = append(got, name) })
-	}
-	q.Run()
-	if got[0] != "x" || got[1] != "y" || got[2] != "z" {
-		t.Fatalf("same-instant order %v, want scheduling order", got)
-	}
-}
-
-func TestEventQueueCancel(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	ran := false
-	ev := q.Schedule(FromSeconds(1), "doomed", func() { ran = true })
-	q.Cancel(ev)
-	q.Cancel(ev) // double-cancel is a no-op
-	q.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	q.Cancel(nil) // nil-cancel is a no-op
-}
-
-func TestEventQueueCancelMiddle(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	var got []string
-	q.Schedule(FromSeconds(1), "a", func() { got = append(got, "a") })
-	ev := q.Schedule(FromSeconds(2), "b", func() { got = append(got, "b") })
-	q.Schedule(FromSeconds(3), "c", func() { got = append(got, "c") })
-	q.Cancel(ev)
-	q.Run()
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("got %v, want [a c]", got)
-	}
-}
-
-func TestEventQueueScheduleFromEvent(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	var fired []float64
-	q.Schedule(FromSeconds(1), "first", func() {
-		q.ScheduleAfter(2*time.Second, "chained", func() {
-			fired = append(fired, c.Now().Seconds())
-		})
-	})
-	q.Run()
-	if len(fired) != 1 || fired[0] != 3 {
-		t.Fatalf("chained event fired at %v, want [3]", fired)
-	}
-}
-
-func TestEventQueueRunUntil(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	var got []string
-	q.Schedule(FromSeconds(1), "a", func() { got = append(got, "a") })
-	q.Schedule(FromSeconds(5), "b", func() { got = append(got, "b") })
-	q.RunUntil(FromSeconds(3))
-	if len(got) != 1 || got[0] != "a" {
-		t.Fatalf("RunUntil(3s) ran %v, want [a]", got)
-	}
-	if c.Now() != FromSeconds(3) {
-		t.Fatalf("clock at %v, want 3s", c.Now())
-	}
-	if q.Len() != 1 {
-		t.Fatalf("pending %d, want 1", q.Len())
-	}
-}
-
-func TestEventQueueSchedulePastPanics(t *testing.T) {
-	c := NewClock()
-	c.Advance(time.Second)
-	q := NewEventQueue(c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	q.Schedule(0, "late", func() {})
-}
-
 func TestMeterAccounting(t *testing.T) {
 	m := NewMeter()
 	m.ChargePageRead(10)

@@ -49,17 +49,6 @@ func (v *Vocabulary) growthJoins() []qgraph.Join {
 	return v.Joins
 }
 
-// joinsOn returns the vocabulary joins incident to rel.
-func (v *Vocabulary) joinsOn(rel string) []qgraph.Join {
-	var out []qgraph.Join
-	for _, j := range v.Joins {
-		if j.Touches(rel) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // selectionsOn returns the templates for rel.
 func (v *Vocabulary) selectionsOn(rel string) []SelectionTemplate {
 	var out []SelectionTemplate

@@ -11,12 +11,6 @@
 # reduction (±TOLERANCE_PP) and dedup savings (±1% relative) against the
 # baseline, requiring at least one shared (deduplicated) build.
 #
-# Also runs the 8-worker parallel pool benchmark and reports its (wall-clock,
-# machine-dependent) ops/sec for the record; that number — and the committed
-# parallel_pool_speedup — is informational and never gates. On a single-CPU
-# runner (GOMAXPROCS=1) the speedup is expected to sit at or below 1× because
-# the workers cannot actually run in parallel.
-#
 # Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
 # filter, hash-join build/probe, index-NL probe, DecodeRowInto, pool miss,
 # B+-tree lookup) and gates their allocs/op and B/op against BENCH_allocs.txt.
@@ -218,29 +212,6 @@ if [[ -f "$allocs_file" ]]; then
   }
 else
   echo "bench_gate: no $allocs_file; skipping the layer allocation gate" >&2
-fi
-
-echo "bench_gate: running parallel pool throughput benchmark (informational)..."
-pool_out=$(go test -run '^$' -bench '^BenchmarkPoolParallel$' -benchtime=1x ./internal/buffer)
-echo "$pool_out"
-
-# The speedup comparison is skipped outright on a single-CPU runner (or a
-# baseline written by one): without true parallelism the 8-shard pool cannot
-# beat the single mutex, and a ~1× number carries no information.
-base_speedup=$(json_num parallel_pool_speedup)
-base_gmp=$(json_num gomaxprocs)
-gomaxprocs="${GOMAXPROCS:-$(nproc 2>/dev/null || echo unknown)}"
-if [[ "$gomaxprocs" == "1" || "$base_gmp" == "1" ]]; then
-  echo "bench_gate: GOMAXPROCS=1 (runner=${gomaxprocs}, baseline=${base_gmp:-unrecorded}) — skipping parallel_pool_speedup comparison (no true parallelism; ≤1× is expected, not a regression)"
-else
-  ops1=$(echo "$pool_out" | awk '/shards=1/ { for (i = 2; i <= NF; i++) if ($i == "ops/s") { print $(i-1); exit } }')
-  ops8=$(echo "$pool_out" | awk '/shards=8/ { for (i = 2; i <= NF; i++) if ($i == "ops/s") { print $(i-1); exit } }')
-  if [[ -n "$ops1" && -n "$ops8" && -n "$base_speedup" ]]; then
-    live_speedup=$(awk -v a="$ops8" -v b="$ops1" 'BEGIN { if (b > 0) printf "%.2f", a / b; else print 0 }')
-    echo "bench_gate: parallel pool speedup live=${live_speedup}x baseline=${base_speedup}x (wall-clock and informational; never gates)"
-  else
-    echo "bench_gate: parallel pool speedup unavailable; skipping comparison" >&2
-  fi
 fi
 
 echo "bench_gate: OK"

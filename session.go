@@ -15,8 +15,8 @@ import (
 
 // SessionConfig tunes a speculative session.
 type SessionConfig struct {
-	// Speculate enables the speculation subsystem (default true when the
-	// zero value is passed through NewSession).
+	// DisableSpeculation turns the speculation subsystem off for this
+	// session; the zero value speculates.
 	DisableSpeculation bool
 	// SelectionsOnly restricts manipulations to selection materializations
 	// (the paper's multi-user strategy).

@@ -240,19 +240,6 @@ func assemble(opts Options, eng *engine.Engine) *DB {
 	return db
 }
 
-// Predictor exposes the shared final-query prediction model (nil unless
-// Options.PredictFinals) for diagnostics and tests.
-func (db *DB) Predictor() *core.Predictor { return db.pred }
-
-// AnswerCache exposes the shared predicted-answer cache (nil unless
-// Options.PredictFinals) for diagnostics and tests.
-func (db *DB) AnswerCache() *core.AnswerCache { return db.answers }
-
-// Governor exposes the engine-wide overload governor (nil unless
-// Options.Governor.Enabled) for diagnostics: pressure band, degraded time,
-// and global-breaker trips.
-func (db *DB) Governor() *core.Governor { return db.gov }
-
 // LoadTPCH populates the database with the paper's TPC-H-subset dataset at
 // one of the named scales: "100MB", "500MB", or "1GB" (scaled 1/20, see
 // DESIGN.md), fully prepared with indexes and histograms.
