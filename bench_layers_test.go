@@ -9,17 +9,21 @@ package specdb
 //	go test -run '^$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x .
 
 import (
+	"fmt"
 	"testing"
 
 	"specdb/internal/btree"
 	"specdb/internal/buffer"
 	"specdb/internal/catalog"
+	"specdb/internal/core"
 	"specdb/internal/engine"
 	"specdb/internal/exec"
 	"specdb/internal/harness"
+	"specdb/internal/qgraph"
 	"specdb/internal/sim"
 	"specdb/internal/storage"
 	"specdb/internal/tpch"
+	"specdb/internal/trace"
 	"specdb/internal/tuple"
 )
 
@@ -271,4 +275,72 @@ func BenchmarkLayerPoolMiss(b *testing.B) {
 		}
 	}
 	perRow(b, len(ids))
+}
+
+// BenchmarkLayerServedGo is the instant-GO serve path (DESIGN.md §14): a
+// speculator holding one ready prediction answers the same GO again and again,
+// one op being one served OnGo — lookup, validation, learner and predictor
+// training, and the admission walk that finds nothing to issue. The cached
+// rows are handed over, never copied or re-keyed, so the two answer sizes must
+// record the same allocs/op.
+func BenchmarkLayerServedGo(b *testing.B) {
+	for _, rows := range []int{2000, 8000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			eng := engine.New(engine.Config{BufferPoolPages: 256})
+			schema := tuple.NewSchema(tuple.Column{Name: "a", Kind: tuple.KindInt}, tuple.Column{Name: "c", Kind: tuple.KindInt})
+			if _, err := eng.CreateTable("R", schema); err != nil {
+				b.Fatal(err)
+			}
+			data := make([]tuple.Row, 2*rows)
+			for i := range data {
+				data[i] = tuple.Row{tuple.NewInt(int64(i)), tuple.NewInt(int64(i % 2))}
+			}
+			if err := eng.InsertRows("R", data); err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Analyze("R"); err != nil {
+				b.Fatal(err)
+			}
+			// Trained to expect the odd half of R as the final; no fragment
+			// family is on, so the predicted final is the only job ever issued.
+			sel := qgraph.Selection{Rel: "R", Col: "c", Op: tuple.CmpGT, Const: tuple.NewInt(0)}
+			final := qgraph.SelectionSubgraph(sel)
+			cfg := core.DefaultConfig()
+			cfg.Ops, cfg.MinBenefit = core.OpSet{}, 0
+			cfg.Predictor = core.NewPredictor(core.PredictorConfig{})
+			cfg.Predictor.ObserveFinal([]string{final.Key()}, "", final, nil)
+			sp := core.NewSpeculator(eng, core.NewLearner(core.DefaultLearnerConfig()), cfg)
+			sj := trace.FromSelection(sel)
+			out, err := sp.OnEvent(trace.Event{Kind: trace.EvAddSelection, Sel: &sj}, sim.FromSeconds(1))
+			if err != nil || len(out.Issued) != 1 {
+				b.Fatalf("no predicted final issued: %v, %v", out.Issued, err)
+			}
+			now := out.Issued[0].CompletesAt
+			if err := sp.Advance(now); err != nil {
+				b.Fatal(err)
+			}
+			served := func() {
+				now = now.Add(sim.DurationFromSeconds(1))
+				res, _, err := sp.OnGo(now)
+				if err != nil || res.RowCount != int64(rows) {
+					b.Fatalf("GO: %v, %v", res, err)
+				}
+			}
+			// The learner's and predictor's tables stop growing after the
+			// first few identical formulations.
+			const warmup = 16
+			for i := 0; i < warmup; i++ {
+				served()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				served()
+			}
+			b.StopTimer()
+			if got := sp.Stats().PredictedGos; got != warmup+b.N {
+				b.Fatalf("%d of %d GOs were served", got, warmup+b.N)
+			}
+		})
+	}
 }

@@ -42,10 +42,9 @@ type AnswerCache struct {
 	entries  map[string]*answerEntry
 	pages    int
 
-	obsHits, obsMisses, obsStored      *obs.Counter
-	obsInvalidated, obsEvicted         *obs.Counter
-	obsPages                           *obs.Gauge
-	lifetimeHits, lifetimeInstantSaved int64
+	obsHits, obsMisses, obsStored *obs.Counter
+	obsInvalidated, obsEvicted    *obs.Counter
+	obsPages                      *obs.Gauge
 }
 
 // NewAnswerCache constructs an answer cache capped at capacityPages
@@ -138,7 +137,8 @@ func (ac *AnswerCache) evictLocked(keep string) {
 // live data version, and any mismatch with the captured versions drops the
 // entry (a base-table write invalidated it) and misses. A hit holds NO new
 // reference — pair with Ref for retained use — and credits the entry's hit
-// count and the cache's lifetime instant-answer savings.
+// count. The returned rows are the cache's own: shared with every other
+// consumer of the entry, and read-only.
 func (ac *AnswerCache) Get(key string, current func(rel string) uint64) (rows []tuple.Row, schema *tuple.Schema, cost sim.Duration, ok bool) {
 	if ac == nil {
 		return nil, nil, 0, false
@@ -163,8 +163,6 @@ func (ac *AnswerCache) Get(key string, current func(rel string) uint64) (rows []
 		}
 	}
 	e.hits++
-	ac.lifetimeHits++
-	ac.lifetimeInstantSaved += int64(e.cost)
 	ac.obsHits.Inc()
 	return e.rows, e.schema, e.cost, true
 }
@@ -217,15 +215,4 @@ func (ac *AnswerCache) Pages() int {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	return ac.pages
-}
-
-// Snapshot reports the cache's lifetime hit count and the summed produce-time
-// cost those hits avoided.
-func (ac *AnswerCache) Snapshot() (hits int, saved sim.Duration) {
-	if ac == nil {
-		return 0, 0
-	}
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	return int(ac.lifetimeHits), sim.Duration(ac.lifetimeInstantSaved)
 }

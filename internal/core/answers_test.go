@@ -45,9 +45,6 @@ func TestAnswerCachePutGetRoundTrip(t *testing.T) {
 	if _, _, _, ok := ac.Get("absent", staticVersions(vers)); ok {
 		t.Fatal("Get hit an absent key")
 	}
-	if hits, saved := ac.Snapshot(); hits != 1 || saved != sim.Duration(5*time.Second) {
-		t.Fatalf("Snapshot = (%d, %v)", hits, saved)
-	}
 
 	snap := reg.Snapshot()
 	if snap.Counters["answers.hits"] != 1 || snap.Counters["answers.misses"] != 1 || snap.Counters["answers.stored"] != 1 {
@@ -183,8 +180,5 @@ func TestAnswerCacheNilSafety(t *testing.T) {
 	ac.Release("k")
 	if ac.Len() != 0 || ac.Pages() != 0 {
 		t.Fatal("nil cache has contents")
-	}
-	if hits, saved := ac.Snapshot(); hits != 0 || saved != 0 {
-		t.Fatal("nil cache has history")
 	}
 }

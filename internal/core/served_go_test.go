@@ -1,0 +1,141 @@
+package core
+
+import (
+	"testing"
+
+	"specdb/internal/engine"
+	"specdb/internal/qgraph"
+	"specdb/internal/sim"
+	"specdb/internal/tuple"
+)
+
+// newServedGoSpec returns a speculator that predicts the one-selection query
+// R.c > 18 as the final and issues nothing else, with that prediction already
+// completed: the next GO on the returned canvas is served.
+func newServedGoSpec(t testing.TB, e *engine.Engine) (*Speculator, sim.Time) {
+	t.Helper()
+	final := qgraph.SelectionSubgraph(selRC(18))
+	cfg := DefaultConfig()
+	cfg.Ops, cfg.MinBenefit = OpSet{}, 0
+	cfg.Predictor = NewPredictor(PredictorConfig{})
+	cfg.Predictor.ObserveFinal([]string{final.Key()}, "", final, nil)
+	sp := newSpec(e, cfg)
+	out, err := sp.OnEvent(evAddSel(selRC(18)), sim.FromSeconds(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := one(out.Issued)
+	if job == nil || job.Manip.Kind != ManipPredictFinal {
+		t.Fatalf("no predicted final issued: %v", out.Issued)
+	}
+	if err := sp.Advance(job.CompletesAt); err != nil {
+		t.Fatal(err)
+	}
+	if !sp.predictedReady[job.formKey] {
+		t.Fatal("completed prediction is not marked ready")
+	}
+	return sp, job.CompletesAt
+}
+
+// TestServedGoVersionValidation is the soundness of instant GO seen from
+// outside (DESIGN.md §14): a ready prediction is served without a statement;
+// a write to a relation the form does not read leaves it served; a write to
+// one it reads makes the GO execute and see the new row, invalidates the entry
+// once, and frees the form to be predicted — and served — again.
+func TestServedGoVersionValidation(t *testing.T) {
+	const n = 20000
+	e := newTestEngine(t, n)
+	sp, now := newServedGoSpec(t, e)
+	counter := func(name string) int64 { return e.Metrics().Snapshot().Counters[name] }
+	matching := int64(0)
+	for i := 0; i < n; i++ {
+		if i%23 > 18 {
+			matching++
+		}
+	}
+	// goAt presses GO one second later and reports whether a statement ran.
+	goAt := func() (*engine.Result, EventOutcome, bool) {
+		t.Helper()
+		now = now.Add(sim.DurationFromSeconds(1))
+		before := counter("engine.statements")
+		res, out, err := sp.OnGo(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, out, counter("engine.statements") != before
+	}
+
+	res, _, executed := goAt()
+	if executed || res.Plan != nil || res.Work != (sim.Work{}) || res.Duration != 0 {
+		t.Fatalf("served GO did engine work: executed %v, plan %v, work %+v, duration %v", executed, res.Plan, res.Work, res.Duration)
+	}
+	if res.RowCount != matching || int64(len(res.Rows)) != matching || res.Schema == nil {
+		t.Fatalf("served GO returned %d rows (RowCount %d, schema %v), want %d", len(res.Rows), res.RowCount, res.Schema, matching)
+	}
+	if st := sp.Stats(); st.PredictedGos != 1 || st.Hits != 1 || st.Misses != 0 || st.InstantSaved <= 0 {
+		t.Fatalf("served GO accounting: %+v", st)
+	}
+
+	// A write the form does not read: still served.
+	if err := e.InsertRows("W", []tuple.Row{{tuple.NewInt(1), tuple.NewInt(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, executed := goAt(); executed || sp.Stats().PredictedGos != 2 {
+		t.Fatalf("write to an unread relation stopped the serve: executed %v, %+v", executed, sp.Stats())
+	}
+
+	// A write the form reads: the GO executes and sees it.
+	marker := tuple.Row{tuple.NewInt(777777), tuple.NewInt(22)}
+	if err := e.InsertRows("R", []tuple.Row{marker}); err != nil {
+		t.Fatal(err)
+	}
+	res, out, executed := goAt()
+	if !executed || res.Plan == nil || sp.Stats().PredictedGos != 2 {
+		t.Fatalf("GO after a write to R was served: executed %v, %+v", executed, sp.Stats())
+	}
+	if res.RowCount != matching+1 || !hasRow(res.Rows, marker) {
+		t.Fatalf("GO after the write: %d rows, marker present %v; want %d rows with the marker", res.RowCount, hasRow(res.Rows, marker), matching+1)
+	}
+	if got := counter("answers.invalidated"); got != 1 {
+		t.Fatalf("answers.invalidated = %d, want 1", got)
+	}
+	if len(sp.predictedReady) != 0 {
+		t.Fatalf("ready mark outlived its entry: %v", sp.predictedReady)
+	}
+
+	// The mark is gone, so the same GO re-predicted the form; once that
+	// completes the form is served again, new row included.
+	job := one(out.Issued)
+	if job == nil || job.Manip.Kind != ManipPredictFinal {
+		t.Fatalf("form not predicted again after the invalidation: %v", out.Issued)
+	}
+	if err := sp.Advance(job.CompletesAt); err != nil {
+		t.Fatal(err)
+	}
+	now = job.CompletesAt
+	res, _, executed = goAt()
+	if executed || sp.Stats().PredictedGos != 3 || res.RowCount != matching+1 || !hasRow(res.Rows, marker) {
+		t.Fatalf("re-predicted form not served fresh: executed %v, %d rows, %+v", executed, res.RowCount, sp.Stats())
+	}
+
+	if err := sp.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for fk, entry := range sp.cfg.Answers.entries {
+		if entry.refs != 0 {
+			t.Errorf("entry %s still has %d references after Shutdown", fk, entry.refs)
+		}
+	}
+	if st := sp.Stats(); st.PredictedIssued != st.PredictedCompleted+st.PredictedCanceled || st.Hits+st.Misses != 4 {
+		t.Fatalf("final accounting: %+v", st)
+	}
+}
+
+func hasRow(rows []tuple.Row, want tuple.Row) bool {
+	for _, r := range rows {
+		if len(r) == len(want) && r[0] == want[0] && r[1] == want[1] {
+			return true
+		}
+	}
+	return false
+}

@@ -70,9 +70,8 @@ type Config struct {
 	Governor *Governor
 	// Predictor, when non-nil, enables whole-query speculation (DESIGN.md
 	// §14): the model's top-k predicted final queries are executed ahead of
-	// GO as first-class jobs, and a GO matching a completed prediction is
-	// answered in ~zero simulated time after a result-equivalence check
-	// against the plan the optimizer would have run.
+	// GO as first-class jobs, and a GO matching a completed prediction whose
+	// answer is still valid is served the cached rows without executing.
 	Predictor *Predictor
 	// Answers is the shared answer cache completed predicted finals publish
 	// into. Nil with a Predictor set makes NewSpeculator create a private
@@ -171,13 +170,14 @@ type Stats struct {
 	// Whole-query prediction (DESIGN.md §14). PredictedIssued counts
 	// predicted-final jobs issued; PredictedCompleted the ones whose answers
 	// reached the cache; PredictedCanceled the ones that reached any other
-	// terminal. PredictedGos counts GO events answered instantly from a
-	// completed prediction (after the result-equivalence check);
-	// InstantSaved is the reference execution time those instant answers
-	// avoided. PredictEquivFailures counts completed predictions whose rows
-	// did NOT match the reference plan's (the fresh answer is served
-	// instead). AnswerCacheHits counts predicted jobs satisfied from the
-	// answer cache at issue time instead of executing. All zero with
+	// terminal. PredictedGos counts GO events served from a completed
+	// prediction without executing; InstantSaved is what producing those
+	// answers cost — the execution time the GOs avoided. The speculator
+	// never writes PredictEquivFailures: a served GO has no second answer to
+	// compare with, so that check belongs to the speculation-off oracles of
+	// internal/harness and cmd/bench; the field and its counter stay for
+	// their readers. AnswerCacheHits counts predicted jobs satisfied from
+	// the answer cache at issue time instead of executing. All zero with
 	// Config.Predictor nil.
 	PredictedIssued      int
 	PredictedCompleted   int
@@ -187,8 +187,9 @@ type Stats struct {
 	PredictEquivFailures int
 	AnswerCacheHits      int
 	// Hits counts final queries whose plan used at least one completed
-	// speculative materialization; Misses counts the rest. Hits+Misses is
-	// the number of GO events answered.
+	// speculative materialization or that a completed prediction answered
+	// outright; Misses counts the rest. Hits+Misses is the number of GO
+	// events answered.
 	Hits   int
 	Misses int
 	// Waste is simulated manipulation time that never served a query: the
@@ -317,8 +318,8 @@ type Speculator struct {
 	// current formulation passed through, in order, for predictor training at
 	// GO; prevKey is the previous final's graph key. predictedReady marks form
 	// keys whose predicted job completed this session AND whose cache entry
-	// this session holds a reference on; a GO matching one is served instantly
-	// after the equivalence check.
+	// this session holds a reference on; a GO matching one is served from the
+	// cache (servePredicted), which unmarks the form if a write invalidated it.
 	predStates     []string
 	prevKey        string
 	predictedReady map[string]bool
@@ -394,7 +395,7 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		{"spec.predicted_completed", &st.PredictedCompleted},
 		{"spec.predicted_canceled", &st.PredictedCanceled},
 		{"spec.predicted_gos", &st.PredictedGos},
-		{"spec.predict_equiv_failures", &st.PredictEquivFailures},
+		{"spec.predict_equiv_failures", &st.PredictEquivFailures}, // never bumped; see Stats
 		{"spec.instant_saved_ns", &st.InstantSaved},
 	} {
 		c := eng.Metrics().Counter(m.name)
@@ -601,11 +602,12 @@ func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 }
 
 // OnGo handles the final query: any in-flight manipulation is canceled (the
-// paper's conservative convention), the final query runs on the prepared
-// database (completed materializations rewrite it), and the Learner trains on
-// the observed formulation. The canvas still shows the query while the user
-// views results, so the Speculator keeps preparing: the outcome may carry a
-// freshly issued manipulation for the next query.
+// paper's conservative convention), the final query is served from a ready
+// prediction or runs on the prepared database (completed materializations
+// rewrite it), and the Learner trains on the observed formulation. The canvas
+// still shows the query while the user views results, so the Speculator keeps
+// preparing: the outcome may carry a freshly issued manipulation for the next
+// query.
 func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	var out EventOutcome
 	// Section 7 extension: a manipulation worth more than its remaining run
@@ -644,33 +646,17 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	if err != nil {
 		return nil, out, err
 	}
-	res, err := sp.eng.RunQuery(q)
-	if err != nil {
-		return nil, out, err
-	}
-	// Instant GO (DESIGN.md §14): a completed prediction matching this final
-	// query serves its cached answer in ~zero simulated time — but only after
-	// a full result-equivalence check against the reference execution above,
-	// which happens either way (so buffer-pool and learner state do not
-	// depend on the check); only the user-visible duration collapses.
-	if sp.cfg.Predictor != nil {
-		fk := FormKey(final, q.Projections)
-		if sp.predictedReady[fk] {
-			if rows, _, _, ok := sp.cfg.Answers.Get(fk, sp.eng.DataVersion); ok {
-				if RowsEquivalent(res.Rows, rows) {
-					count(sp, &sp.stats.PredictedGos, 1)
-					count(sp, &sp.stats.InstantSaved, res.Duration)
-					res.Duration = 0
-				} else {
-					// The cached answer disagrees with the reference plan:
-					// serve the fresh result, count the equivalence failure.
-					count(sp, &sp.stats.PredictEquivFailures, 1)
-				}
-			}
+	// Instant GO (DESIGN.md §14): a ready prediction of exactly this final is
+	// the answer — nothing executes. Every other GO runs on the prepared
+	// database.
+	res := sp.servePredicted(final, q)
+	if res == nil {
+		if res, err = sp.eng.RunQuery(q); err != nil {
+			return nil, out, err
 		}
+		sp.recordHit(res.Plan)
 	}
 	res.Duration += out.Waited // the user waited for the manipulation first
-	sp.recordHit(res.Plan)
 
 	// Train the Learner. The survival counters decay exponentially, so the
 	// observation order matters — flatten the seen sets in sorted key order,
@@ -712,6 +698,34 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	}
 	out.Issued = append(out.Issued, issued...)
 	return res, out, nil
+}
+
+// servePredicted answers a GO from the session's ready prediction of exactly
+// this final, or returns nil when there is none. The cache validates the
+// entry's per-relation version snapshot under its lock, so a served answer is
+// never older than the last committed write to a relation it read. The rows
+// are the cache's own — shared and read-only for every consumer. Nothing is
+// read, so no held view is marked paid; the GO still counts as a speculation
+// hit, and InstantSaved banks what producing the answer cost.
+func (sp *Speculator) servePredicted(final *qgraph.Graph, q *plan.Query) *engine.Result {
+	if sp.cfg.Predictor == nil {
+		return nil
+	}
+	fk := FormKey(final, q.Projections)
+	if !sp.predictedReady[fk] {
+		return nil
+	}
+	rows, schema, cost, ok := sp.cfg.Answers.Get(fk, sp.eng.DataVersion)
+	if !ok {
+		// A write invalidated the entry, and this session's reference went
+		// with it: unmark the form so it can be predicted again.
+		delete(sp.predictedReady, fk)
+		return nil
+	}
+	count(sp, &sp.stats.PredictedGos, 1)
+	count(sp, &sp.stats.InstantSaved, cost)
+	count(sp, &sp.stats.Hits, 1)
+	return &engine.Result{Rows: rows, Schema: schema, RowCount: int64(len(rows))}
 }
 
 // apply mutates the canvas by one event, recording seen parts.

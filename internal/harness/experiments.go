@@ -669,9 +669,10 @@ type BenchResult struct {
 	// RunPredictBench on a separate fresh environment so every field above is
 	// untouched by the predictor: the corpus runs twice with a shared n-gram
 	// predictor and answer cache, and the second (trained) pass reports the
-	// fraction of GOs answered instantly from an equivalence-checked predicted
-	// final, the simulated seconds that saved, and the count of equivalence
-	// rejections (which the bench gate requires to be zero).
+	// fraction of GOs served from a completed predicted final without
+	// executing, the simulated seconds that saved, and the count of its
+	// answers that differ from the speculation-off replay above (which the
+	// bench gate requires to be zero).
 	PredictedGoRate      float64 `json:"predicted_go_rate"`
 	InstantGoSavedS      float64 `json:"instant_go_s_saved"`
 	PredictEquivFailures int     `json:"predict_equiv_failures"`
@@ -736,8 +737,9 @@ func RunBench(scaleName string, traces []*trace.Trace, seed uint64) (*BenchResul
 		res.AvgMaterializationS = pr.Stats.MaterializationTime.Seconds() / float64(pr.Stats.MaterializationsIssued)
 	}
 	// The prediction replay runs last, on its own identically-seeded
-	// environment, so the paired-replay numbers above cannot shift.
-	po, err := RunPredictBench(scaleName, traces, seed)
+	// environment, so the paired-replay numbers above cannot shift; the paired
+	// replay's speculation-off half is its answer oracle.
+	po, err := RunPredictBench(scaleName, traces, seed, pr.Normal)
 	if err != nil {
 		return nil, err
 	}

@@ -264,6 +264,35 @@ func TestRunBench(t *testing.T) {
 	if res.Issued != reported.Terminals() {
 		t.Fatalf("issued %d != terminal states %d", res.Issued, reported.Terminals())
 	}
+	if res.PredictEquivFailures != 0 {
+		t.Fatalf("%d prediction-replay answers differ from the speculation-off replay", res.PredictEquivFailures)
+	}
+}
+
+// TestPredictBenchOracle: EquivFailures is a comparison that can fail. Against
+// an oracle with one answer altered and one missing, the prediction replay
+// reports exactly those two.
+func TestPredictBenchOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a full named scale")
+	}
+	traces := tinyTraces(t, 1)
+	env, err := NewEnv(EnvConfig{Scale: tpch.Scale100MB, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := RunTraceNormal(env.Eng, 0, traces[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle[0].RowsKey++
+	po, err := RunPredictBench("100MB", traces, 42, oracle[:len(oracle)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if po.EquivFailures != 2 || po.ReplayQueries != len(oracle) {
+		t.Fatalf("%d equivalence failures over %d replay queries, want 2 over %d", po.EquivFailures, po.ReplayQueries, len(oracle))
+	}
 }
 
 func closeEnough(a, b float64) bool {

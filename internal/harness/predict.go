@@ -21,16 +21,17 @@ type PredictOutcome struct {
 	PredictedIssued    int
 	PredictedCompleted int
 	PredictedCanceled  int
-	// PredictedGos counts GO events answered in ~zero simulated time from a
-	// completed, equivalence-checked predicted final; PredictedGoRate is the
-	// fraction of replay-pass queries they represent.
+	// PredictedGos counts GO events served from a completed predicted final
+	// without executing; PredictedGoRate is the fraction of replay-pass
+	// queries they represent.
 	PredictedGos    int
 	PredictedGoRate float64
 	// InstantSavedS is the simulated execution time those GOs avoided (s).
 	InstantSavedS float64
-	// EquivFailures counts predicted answers REJECTED at GO because their row
-	// multiset differed from the reference execution. Always expected to be
-	// zero; the bench gate fails the build otherwise.
+	// EquivFailures counts replay-pass GOs — served or executed — whose row
+	// multiset (RowSetKey) differs from the speculation-off oracle's answer to
+	// the same query. Always expected to be zero; the bench gate fails the
+	// build otherwise.
 	EquivFailures   int
 	AnswerCacheHits int
 
@@ -39,10 +40,13 @@ type PredictOutcome struct {
 }
 
 // RunPredictBench measures whole-query prediction on a fresh environment so
-// the caller's legacy metrics stay untouched. Every trace of both passes must
-// satisfy the extended quiesce identity
+// the caller's legacy metrics stay untouched. oracle is a speculation-off
+// replay of the same traces on another environment of the same scale and seed:
+// the speculator serves a ready prediction without executing, so the check
+// that a served answer is the right one lives here, outside it. Every trace of
+// both passes must satisfy the extended quiesce identity
 // PredictedIssued == PredictedCompleted + PredictedCanceled.
-func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*PredictOutcome, error) {
+func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64, oracle []QueryTiming) (*PredictOutcome, error) {
 	scale, err := tpch.ScaleByName(scaleName)
 	if err != nil {
 		return nil, err
@@ -55,6 +59,10 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*Pre
 	base.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 	base.Answers = core.NewAnswerCache(env.Eng.Metrics(), 0)
 	learner := core.NewLearner(DefaultLearnerConfig())
+	want := make(map[[2]int]uint64, len(oracle))
+	for _, t := range oracle {
+		want[[2]int{t.TraceIdx, t.QueryIdx}] = t.RowsKey
+	}
 
 	out := &PredictOutcome{}
 	for pass := 0; pass < 2; pass++ {
@@ -76,6 +84,10 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*Pre
 			queries += len(so.Timings)
 			for _, t := range so.Timings {
 				total += t.Seconds
+				// A query the oracle never answered counts as a failure too.
+				if key, ok := want[[2]int{t.TraceIdx, t.QueryIdx}]; pass == 1 && (!ok || key != t.RowsKey) {
+					out.EquivFailures++
+				}
 			}
 		}
 		if pass == 0 {
@@ -90,7 +102,6 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64) (*Pre
 		out.PredictedCompleted = stats.PredictedCompleted
 		out.PredictedCanceled = stats.PredictedCanceled
 		out.PredictedGos = stats.PredictedGos
-		out.EquivFailures = stats.PredictEquivFailures
 		out.AnswerCacheHits = stats.AnswerCacheHits
 		out.InstantSavedS = stats.InstantSaved.Seconds()
 		if queries > 0 {

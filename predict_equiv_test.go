@@ -13,7 +13,7 @@ import (
 
 // resultKey is an order-insensitive multiset key over a public Result's rows,
 // with value kinds tagged so float 1 and int 1 hash apart (the same property
-// core.RowsEquivalent and harness.RowSetKey enforce internally).
+// harness.RowSetKey enforces internally).
 func resultKey(res *Result) uint64 {
 	var sum uint64
 	for _, row := range res.Rows {
@@ -33,31 +33,45 @@ func resultKey(res *Result) uint64 {
 	return sum
 }
 
-// replayTraceKeys drives one generated trace through a managed session the
-// way the visual interface would — think to each event's timestamp, apply the
-// edit, GO on EvGo — and returns the session (left open; the caller's
-// CloseAll tears it down) plus the multiset key of every GO answer.
+// driveTrace drives one generated trace through a session the way the visual
+// interface would — think to each event's timestamp, apply the edit — and
+// calls pressGo, which must press GO, at each EvGo.
+func driveTrace(s *Session, tr *trace.Trace, pressGo func() error) error {
+	for _, ev := range tr.Events {
+		if d := time.Duration(ev.At()) - s.Now(); d > 0 {
+			if err := s.Think(d); err != nil {
+				return err
+			}
+		}
+		var err error
+		if ev.Kind == trace.EvGo {
+			err = pressGo()
+		} else {
+			err = s.apply(ev)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayTraceKeys drives one generated trace through a managed session and
+// returns the session (left open; the caller's CloseAll tears it down) plus
+// the multiset key of every GO answer.
 func replayTraceKeys(t *testing.T, m *SessionManager, tr *trace.Trace) (*Session, []uint64) {
 	t.Helper()
 	s := m.Open(SessionConfig{})
 	var keys []uint64
-	for _, ev := range tr.Events {
-		if d := time.Duration(ev.At()) - s.Now(); d > 0 {
-			if err := s.Think(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ev.Kind == trace.EvGo {
-			res, err := s.Go()
-			if err != nil {
-				t.Fatal(err)
-			}
+	err := driveTrace(s, tr, func() error {
+		res, err := s.Go()
+		if err == nil {
 			keys = append(keys, resultKey(res))
-			continue
 		}
-		if err := s.apply(ev); err != nil {
-			t.Fatal(err)
-		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s, keys
 }

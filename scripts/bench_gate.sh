@@ -13,7 +13,8 @@
 #
 # Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
 # filter, hash-join build/probe, index-NL probe, DecodeRowInto, pool miss,
-# B+-tree lookup) and gates their allocs/op and B/op against BENCH_allocs.txt.
+# B+-tree lookup, and a served GO at two answer sizes, which must allocate the
+# same) and gates their allocs/op and B/op against BENCH_allocs.txt.
 # Both are counts of a deterministic program on a pool that holds its data, so
 # they do not depend on the machine: allocs/op must match exactly; B/op may
 # differ by 1% + 1 KiB, because the runtime's own occasional allocations land
@@ -104,8 +105,10 @@ within_pp "$live" "$baseline" "$tolerance_pp" || {
 
 # Whole-query prediction gate: the predicted-GO rate must stay within
 # ±TOLERANCE_PP percentage points of the baseline, at least one GO must be
-# answered from a predicted final, and the equivalence check must never have
-# rejected an answer. Skipped for baselines written before the predictor.
+# answered from a predicted final, and every answer of the prediction replay
+# must equal the speculation-off oracle's (a served GO executes nothing, so
+# that replay is the only check). Skipped for baselines written before the
+# predictor.
 base_predgo=$(json_num predicted_go_rate)
 if [[ -n "$base_predgo" ]]; then
   live_predgo=$(metric "$out" "predicted_go_rate")
@@ -129,7 +132,7 @@ if [[ -n "$base_predgo" ]]; then
   }
 
   awk -v n="$live_equiv" 'BEGIN { exit !(n + 0 == 0) }' || {
-    echo "bench_gate: FAIL — predicted answers failed the equivalence check (equiv_failures=${live_equiv})" >&2
+    echo "bench_gate: FAIL — prediction-replay answers differ from the speculation-off oracle (equiv_failures=${live_equiv})" >&2
     exit 1
   }
 else

@@ -245,9 +245,10 @@ func (s *Session) Clear() error {
 }
 
 // Go submits the final query: any incomplete manipulation is canceled (or,
-// with WaitForCompletion, briefly waited for), the query runs on the prepared
-// database (completed materializations rewrite it), and the user profile
-// learns from the formulation. The session clock advances by any wait, so
+// with WaitForCompletion, briefly waited for), the query is served from a
+// completed prediction (Options.PredictFinals; the Result then has no Plan) or
+// runs on the prepared database (completed materializations rewrite it), and
+// the user profile learns from the formulation. The session clock advances by any wait, so
 // the timeline matches the charged result duration.
 func (s *Session) Go() (res *Result, err error) {
 	defer func() {

@@ -72,11 +72,11 @@ type Options struct {
 	// PredictFinals enables whole-query speculation (DESIGN.md §14): a shared
 	// n-gram predictor learns which final queries follow which canvas states,
 	// sessions execute its top-k predicted finals as first-class speculative
-	// jobs, and a GO matching a completed prediction is answered in ~zero
-	// simulated time after a result-equivalence check. Completed answers live
-	// in a shared refcounted cache invalidated by base-table writes, so
-	// repeated replays of a workload get faster. Default false — prediction
-	// off is byte-identical to history.
+	// jobs, and a GO matching a completed prediction is served the cached
+	// rows without executing. Completed answers live in a shared refcounted
+	// cache invalidated by base-table writes, so repeated replays of a
+	// workload get faster. Default false — prediction off is byte-identical
+	// to history.
 	PredictFinals bool
 	// Governor enables and tunes the engine-wide overload governor
 	// (DESIGN.md §13): pressure-band gating of new speculation, benefit-
