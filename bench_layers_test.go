@@ -19,8 +19,10 @@ import (
 	"specdb/internal/engine"
 	"specdb/internal/exec"
 	"specdb/internal/harness"
+	"specdb/internal/plan"
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
+	"specdb/internal/sql"
 	"specdb/internal/storage"
 	"specdb/internal/tpch"
 	"specdb/internal/trace"
@@ -55,6 +57,7 @@ func BenchmarkNormalReplay(b *testing.B) {
 // builds the l_orderkey index the index-NL and B+-tree benchmarks probe.
 // Loaded once per process.
 type layerEnv struct {
+	eng             *engine.Engine
 	ctx             *exec.Context
 	lineitem        *catalog.Table
 	orders          *catalog.Table
@@ -74,7 +77,7 @@ func layerSetup(b *testing.B) *layerEnv {
 	if err := tpch.Load(eng, tpch.Scale100MB, benchData); err != nil {
 		b.Fatal(err)
 	}
-	l := &layerEnv{ctx: exec.NewContext(sim.NewMeter())}
+	l := &layerEnv{eng: eng, ctx: exec.NewContext(sim.NewMeter())}
 	var err error
 	if l.lineitem, err = eng.Catalog.Table("lineitem"); err != nil {
 		b.Fatal(err)
@@ -275,6 +278,61 @@ func BenchmarkLayerPoolMiss(b *testing.B) {
 		}
 	}
 	perRow(b, len(ids))
+}
+
+// layerQuery binds the fixed two-join query of the RunQuery benchmarks: the
+// low-priority orders with their customers and line items.
+func layerQuery(b *testing.B, l *layerEnv) *plan.Query {
+	b.Helper()
+	stmt, err := sql.Parse("SELECT * FROM customer, orders, lineitem" +
+		" WHERE customer.c_custkey = orders.o_custkey AND orders.o_orderkey = lineitem.l_orderkey" +
+		" AND orders.o_orderpriority < 2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := plan.Bind(l.eng.Catalog, stmt.(*sql.SelectStmt))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res, err := l.eng.RunQuery(q); err != nil || res.RowCount == 0 {
+		b.Fatalf("layer query: %v, %v", res, err)
+	}
+	return q
+}
+
+// BenchmarkLayerRunQuery is one whole statement through the engine's boundary
+// — lock, the statement's meter and pool view, optimize, build, drain — on a
+// pool that holds the data, one session. Its allocs/op pin what the boundary
+// itself costs on top of the operators.
+func BenchmarkLayerRunQuery(b *testing.B) {
+	l := layerSetup(b)
+	q := layerQuery(b, l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.eng.RunQuery(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLayerRunQueryParallel is the same statement from GOMAXPROCS
+// sessions at once: read-only statements share the statement lock, so ns/op
+// falls with the cores instead of staying at the serial figure. Wall time
+// only — scripts/bench_gate.sh prints it and gates nothing on it.
+func BenchmarkLayerRunQueryParallel(b *testing.B) {
+	l := layerSetup(b)
+	q := layerQuery(b, l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := l.eng.RunQuery(q); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkLayerServedGo is the instant-GO serve path (DESIGN.md §14): a

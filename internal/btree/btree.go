@@ -256,6 +256,16 @@ type Bound struct {
 // key passed to fn aliases the pinned leaf page: it is valid only during the
 // call, and fn must copy it to keep it.
 func (t *BTree) Scan(lo, hi Bound, fn func(key []byte, rid storage.RID) error) error {
+	return t.ScanVia(nil, lo, hi, fn)
+}
+
+// ScanVia is Scan fetching the tree's pages through via (nil: the tree's own
+// pool) — the form a query's index lookups use, so their page misses are
+// charged to the meter of the pool view the statement carries.
+func (t *BTree) ScanVia(via storage.PagePool, lo, hi Bound, fn func(key []byte, rid storage.RID) error) error {
+	if via == nil {
+		via = t.pool
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.root == 0 {
@@ -264,20 +274,20 @@ func (t *BTree) Scan(lo, hi Bound, fn func(key []byte, rid storage.RID) error) e
 	id := t.root
 	// Descend to the leftmost leaf that can contain lo.
 	for {
-		buf, err := t.pool.Get(id)
+		buf, err := via.Get(id)
 		if err != nil {
 			return err
 		}
 		if pageIsLeaf(buf) {
-			t.pool.Unpin(id, false)
+			via.Unpin(id, false)
 			break
 		}
 		next := scanChild(buf, lo.Key)
-		t.pool.Unpin(id, false)
+		via.Unpin(id, false)
 		id = next
 	}
 	for id != 0 {
-		buf, err := t.pool.Get(id)
+		buf, err := via.Get(id)
 		if err != nil {
 			return err
 		}
@@ -295,17 +305,17 @@ func (t *BTree) Scan(lo, hi Bound, fn func(key []byte, rid storage.RID) error) e
 			if hi.Key != nil {
 				c := bytes.Compare(k, hi.Key)
 				if c > 0 || (c == 0 && !hi.Inclusive) {
-					t.pool.Unpin(id, false)
+					via.Unpin(id, false)
 					return nil
 				}
 			}
 			if err := fn(k, storage.RID{Page: int32(page), Slot: int32(slot)}); err != nil {
-				t.pool.Unpin(id, false)
+				via.Unpin(id, false)
 				return err
 			}
 		}
 		next := pageFirst(buf)
-		t.pool.Unpin(id, false)
+		via.Unpin(id, false)
 		id = next
 	}
 	return nil

@@ -1,7 +1,8 @@
 // Package buffer implements the engine's buffer pool: a fixed set of frames
 // over the simulated disk with LRU replacement, pin counts, dirty write-back,
 // and hit/miss statistics. Misses and write-backs are charged to a sim.Meter,
-// which is how simulated I/O time arises. Sticky pins implement the paper's
+// which is how simulated I/O time arises; which meter is the caller's choice,
+// fetch by fetch (see View and ChargeTo). Sticky pins implement the paper's
 // *data staging* manipulation (Section 3.2), which the authors could not
 // build on top of Oracle but which we can, owning the pool.
 //
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 
 	"specdb/internal/fault"
 	"specdb/internal/obs"
@@ -29,12 +31,53 @@ import (
 // operation on a page is atomic under its shard's lock, so concurrent
 // sessions can share the pool: the frame tables, LRU lists, pin counts, and
 // hit/miss counters never race. Buffer *contents* returned by Get are
-// additionally protected by the engine's statement serialization — only one
-// measured statement mutates pages at a time.
+// additionally protected by the engine's statement lock: a statement that
+// writes a page holds it exclusively, so the statements that overlap only
+// read.
+//
+// The pool owns no meter. Every operation that can cost simulated I/O — a
+// miss, a fault retry, the write-back of the victim it evicts — charges the
+// meter of the caller that caused it: a View carries its statement's meter,
+// and the Pool's own methods charge the default target, which is the meter
+// the pool was built with until ChargeTo points it elsewhere.
 type Pool struct {
 	disk   storage.Disk
 	shards []*shard
+	// charge is the default charge target (never nil).
+	charge atomic.Pointer[sim.Meter]
 }
+
+// View is the pool as one statement sees it: the same frames, pins and LRU,
+// with the I/O its fetches cause charged to the meter the view was made with
+// instead of the pool's default. Any number of views may fetch at once, which
+// is how overlapping read-only statements each get an exact page count. It
+// implements storage.PagePool.
+type View struct {
+	p *Pool
+	m *sim.Meter
+}
+
+// View returns the pool charging to m.
+func (p *Pool) View(m *sim.Meter) View { return View{p: p, m: m} }
+
+// Get pins page id and returns its buffer, charging a miss to the view's meter.
+func (v *View) Get(id storage.PageID) ([]byte, error) { return v.p.get(id, v.m) }
+
+// Unpin releases one pin on page id (see Pool.Unpin).
+func (v *View) Unpin(id storage.PageID, dirty bool) { v.p.Unpin(id, dirty) }
+
+// New allocates a fresh pinned page, charging an eviction it forces to the
+// view's meter.
+func (v *View) New() (storage.PageID, []byte, error) { return v.p.newPage(v.m) }
+
+// Free drops page id from pool and disk (see Pool.Free).
+func (v *View) Free(id storage.PageID) error { return v.p.Free(id) }
+
+// ChargeTo points the pool's default charge target at m. Only a caller that is
+// alone in the pool's write paths may do this — the engine's exclusive
+// statements, for their own duration — because everyone fetching through the
+// Pool itself is charged to m from then on. Views are unaffected.
+func (p *Pool) ChargeTo(m *sim.Meter) { p.charge.Store(m) }
 
 // shard is one lock stripe of the pool. Every field below mu is guarded by
 // mu; the *Locked methods assume the caller holds it. The obs counters are
@@ -43,7 +86,6 @@ type shard struct {
 	disk storage.Disk
 
 	mu     sync.Mutex
-	meter  *sim.Meter
 	frames map[storage.PageID]*frame
 	lru    *list.List // front = most recently used; holds unpinned candidates too
 	cap    int
@@ -97,7 +139,7 @@ type shard struct {
 type Stats struct {
 	// Hits are fetches served from a resident frame.
 	Hits int64
-	// Misses are fetches that went to disk (and were charged to the meter).
+	// Misses are fetches that went to disk (and were charged to a meter).
 	Misses int64
 	// Writes are dirty-page write-backs.
 	Writes int64
@@ -122,8 +164,9 @@ type frame struct {
 	elem   *list.Element
 }
 
-// NewPool returns a single-shard pool of capacity frames over disk, charging
-// I/O to meter — the historical, fully serialized configuration.
+// NewPool returns a single-shard pool of capacity frames over disk whose
+// default charge target is meter — the historical, fully serialized
+// configuration.
 func NewPool(disk storage.Disk, capacity int, meter *sim.Meter) *Pool {
 	return NewShardedPool(disk, capacity, 1, meter)
 }
@@ -145,6 +188,7 @@ func NewShardedPool(disk storage.Disk, capacity, shards int, meter *sim.Meter) *
 		shards = capacity / 2
 	}
 	p := &Pool{disk: disk, shards: make([]*shard, shards)}
+	p.charge.Store(meter)
 	base, extra := capacity/shards, capacity%shards
 	for i := range p.shards {
 		c := base
@@ -153,7 +197,6 @@ func NewShardedPool(disk storage.Disk, capacity, shards int, meter *sim.Meter) *
 		}
 		p.shards[i] = &shard{
 			disk:   disk,
-			meter:  meter,
 			frames: make(map[storage.PageID]*frame, c),
 			lru:    list.New(),
 			cap:    c,
@@ -179,6 +222,11 @@ func (p *Pool) shardFor(id storage.PageID) *shard {
 	x ^= x >> 31
 	return p.shards[x%uint64(len(p.shards))]
 }
+
+// SameShard reports whether pages a and b live behind the same lock stripe. A
+// miss does its disk read under that lock, so a fetch of a waits for an I/O in
+// flight on b exactly when this is true.
+func (p *Pool) SameShard(a, b storage.PageID) bool { return p.shardFor(a) == p.shardFor(b) }
 
 // lockAll acquires every shard lock in ascending shard order (the only order
 // used anywhere, so whole-pool operations cannot deadlock against each
@@ -358,7 +406,9 @@ func (p *Pool) DetectedCorruptions() int64 {
 }
 
 // Get pins page id and returns its buffer. The caller must Unpin it.
-func (p *Pool) Get(id storage.PageID) ([]byte, error) {
+func (p *Pool) Get(id storage.PageID) ([]byte, error) { return p.get(id, p.charge.Load()) }
+
+func (p *Pool) get(id storage.PageID, m *sim.Meter) ([]byte, error) {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -368,7 +418,7 @@ func (p *Pool) Get(id storage.PageID) ([]byte, error) {
 		s.touchLocked(f)
 		return f.buf, nil
 	}
-	f, err := s.admitLocked(id, true)
+	f, err := s.admitLocked(id, true, m)
 	if err != nil {
 		return nil, err
 	}
@@ -378,12 +428,14 @@ func (p *Pool) Get(id storage.PageID) ([]byte, error) {
 
 // New allocates a fresh page on disk, pins it, and returns its ID and buffer.
 // The frame starts dirty (it must reach disk eventually).
-func (p *Pool) New() (storage.PageID, []byte, error) {
+func (p *Pool) New() (storage.PageID, []byte, error) { return p.newPage(p.charge.Load()) }
+
+func (p *Pool) newPage(m *sim.Meter) (storage.PageID, []byte, error) {
 	id := p.disk.Allocate()
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := s.admitLocked(id, false)
+	f, err := s.admitLocked(id, false, m)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -451,7 +503,7 @@ func (p *Pool) Stage(id storage.PageID) error {
 	f, ok := s.frames[id]
 	if !ok {
 		var err error
-		f, err = s.admitLocked(id, true)
+		f, err = s.admitLocked(id, true, p.charge.Load())
 		if err != nil {
 			return err
 		}
@@ -495,9 +547,10 @@ func (p *Pool) Contains(id storage.PageID) bool {
 
 // FlushAll writes every dirty resident page back to disk.
 func (p *Pool) FlushAll() error {
+	m := p.charge.Load()
 	for _, s := range p.shards {
 		s.mu.Lock()
-		err := s.flushAllLocked()
+		err := s.flushAllLocked(m)
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -509,9 +562,10 @@ func (p *Pool) FlushAll() error {
 // EvictAll empties the pool (after flushing), simulating a cold restart. Any
 // pinned page makes this fail.
 func (p *Pool) EvictAll() error {
+	m := p.charge.Load()
 	for _, s := range p.shards {
 		s.mu.Lock()
-		err := s.evictAllLocked()
+		err := s.evictAllLocked(m)
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -568,9 +622,9 @@ func (s *shard) recordMisuseLocked(err error) {
 }
 
 // flushAllLocked writes every dirty resident page of this shard to disk.
-func (s *shard) flushAllLocked() error {
+func (s *shard) flushAllLocked(m *sim.Meter) error {
 	for _, f := range s.frames {
-		if err := s.writeBackLocked(f); err != nil {
+		if err := s.writeBackLocked(f, m); err != nil {
 			return err
 		}
 	}
@@ -579,12 +633,12 @@ func (s *shard) flushAllLocked() error {
 
 // evictAllLocked empties this shard (after flushing). Any pinned page makes
 // it fail.
-func (s *shard) evictAllLocked() error {
+func (s *shard) evictAllLocked(m *sim.Meter) error {
 	for id, f := range s.frames {
 		if f.pins > 0 {
 			return fmt.Errorf("buffer: EvictAll with pinned page %d", id)
 		}
-		if err := s.writeBackLocked(f); err != nil {
+		if err := s.writeBackLocked(f, m); err != nil {
 			return err
 		}
 		s.lru.Remove(f.elem)
@@ -604,7 +658,7 @@ func (s *shard) evictAllLocked() error {
 // for the caller's retry loop. All of this is dead code on the fault-free
 // path: no injector means no extra draws, charges, or checks beyond the
 // checksum compare, which is meter-neutral CPU.
-func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
+func (s *shard) admitLocked(id storage.PageID, read bool, m *sim.Meter) (*frame, error) {
 	for attempt := 0; ; attempt++ {
 		fe := s.inj.FrameExhaustion(id)
 		if fe == nil {
@@ -614,12 +668,12 @@ func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
 			return nil, fmt.Errorf("buffer: no frame for page %d after %d retries: %w", id, maxIORetries, fe)
 		}
 		// Waiting out transient frame pressure costs simulated time.
-		s.meter.ChargePageRead(1)
+		m.ChargePageRead(1)
 		s.ioRetries++
 		s.obsRetries.Inc()
 	}
 	if len(s.frames) >= s.cap {
-		if err := s.evictOneLocked(); err != nil {
+		if err := s.evictOneLocked(m); err != nil {
 			return nil, err
 		}
 	}
@@ -632,7 +686,7 @@ func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
 	}
 	f := &frame{id: id, buf: buf}
 	if read {
-		if err := s.readVerifiedLocked(id, f.buf); err != nil {
+		if err := s.readVerifiedLocked(id, f.buf, m); err != nil {
 			s.spare = buf
 			return nil, err
 		}
@@ -640,9 +694,9 @@ func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
 		s.fetches++
 		s.obsMisses.Inc()
 		s.obsFetches.Inc()
-		s.meter.ChargePageRead(1)
+		m.ChargePageRead(1)
 		if extra, slow := s.inj.SlowIO(id); slow {
-			s.meter.ChargePageRead(int64(extra))
+			m.ChargePageRead(int64(extra))
 		}
 	}
 	f.elem = s.lru.PushFront(f)
@@ -652,12 +706,12 @@ func (s *shard) admitLocked(id storage.PageID, read bool) (*frame, error) {
 
 // readVerifiedLocked reads page id into buf, verifying its checksum when one
 // is on record and retrying transient faults with bounded attempts.
-func (s *shard) readVerifiedLocked(id storage.PageID, buf []byte) error {
+func (s *shard) readVerifiedLocked(id storage.PageID, buf []byte, m *sim.Meter) error {
 	var lastErr error
 	for attempt := 0; attempt <= maxIORetries; attempt++ {
 		if attempt > 0 {
 			// The failed attempt consumed disk time; charge it like a read.
-			s.meter.ChargePageRead(1)
+			m.ChargePageRead(1)
 			s.ioRetries++
 			s.obsRetries.Inc()
 		}
@@ -681,13 +735,13 @@ func (s *shard) readVerifiedLocked(id storage.PageID, buf []byte) error {
 }
 
 // evictOneLocked removes the least recently used unpinned, non-sticky page.
-func (s *shard) evictOneLocked() error {
+func (s *shard) evictOneLocked(m *sim.Meter) error {
 	for e := s.lru.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(*frame)
 		if f.pins > 0 || f.sticky {
 			continue
 		}
-		if err := s.writeBackLocked(f); err != nil {
+		if err := s.writeBackLocked(f, m); err != nil {
 			return err
 		}
 		s.lru.Remove(e)
@@ -699,14 +753,14 @@ func (s *shard) evictOneLocked() error {
 }
 
 // writeBackLocked flushes one dirty frame, retrying transient write faults.
-func (s *shard) writeBackLocked(f *frame) error {
+func (s *shard) writeBackLocked(f *frame, m *sim.Meter) error {
 	if !f.dirty {
 		return nil
 	}
 	var lastErr error
 	for attempt := 0; attempt <= maxIORetries; attempt++ {
 		if attempt > 0 {
-			s.meter.ChargePageWrite(1) // failed attempt still consumed disk time
+			m.ChargePageWrite(1) // failed attempt still consumed disk time
 			s.ioRetries++
 			s.obsRetries.Inc()
 		}
@@ -724,14 +778,14 @@ func (s *shard) writeBackLocked(f *frame) error {
 		f.dirty = false
 		s.writes++
 		s.obsWrites.Inc()
-		s.meter.ChargePageWrite(1)
+		m.ChargePageWrite(1)
 		if s.durable {
 			// The backend logged a full page image before acking: a durable
 			// write-back is two physical writes, and the second is metered
 			// here rather than inside storage so the meter remains the single
 			// accounting point (DESIGN.md §1).
 			s.obsDurableWrites.Inc()
-			s.meter.ChargePageWrite(1)
+			m.ChargePageWrite(1)
 		}
 		return nil
 	}

@@ -379,3 +379,63 @@ func TestPoolHitRatioEmpty(t *testing.T) {
 		t.Fatalf("HitRatio on empty stats = %v, want 0", got)
 	}
 }
+
+// TestViewChargesItsOwnMeter: a fetch through a view charges the view's meter
+// — the miss and the write-back of the dirty victim it evicts — and nothing
+// else; the pool's own methods charge the default target, which ChargeTo
+// moves.
+func TestViewChargesItsOwnMeter(t *testing.T) {
+	p, disk, def := newTestPool(2)
+	a, b, c, d := disk.Allocate(), disk.Allocate(), disk.Allocate(), disk.Allocate()
+	mine, other := sim.NewMeter(), sim.NewMeter()
+	v, w := p.View(mine), p.View(other)
+
+	buf, err := v.Get(a) // miss
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "dirty")
+	v.Unpin(a, true)
+	if _, err := w.Get(b); err != nil { // miss on the other view
+		t.Fatal(err)
+	}
+	w.Unpin(b, false)
+	if _, err := v.Get(c); err != nil { // miss; evicts a, writing it back
+		t.Fatal(err)
+	}
+	v.Unpin(c, false)
+	if _, err := v.Get(c); err != nil { // hit
+		t.Fatal(err)
+	}
+	v.Unpin(c, false)
+	if got, want := mine.Snapshot(), (sim.Work{PageReads: 2, PageWrites: 1}); got != want {
+		t.Fatalf("view meter %+v, want %+v", got, want)
+	}
+	if got, want := other.Snapshot(), (sim.Work{PageReads: 1}); got != want {
+		t.Fatalf("other view's meter %+v, want %+v", got, want)
+	}
+	if got := def.Snapshot(); got != (sim.Work{}) {
+		t.Fatalf("default target charged %+v by view traffic", got)
+	}
+
+	redirected := sim.NewMeter()
+	p.ChargeTo(redirected)
+	if _, err := p.Get(d); err != nil { // miss through the pool itself
+		t.Fatal(err)
+	}
+	p.Unpin(d, false)
+	p.ChargeTo(def)
+	if _, err := p.Get(a); err != nil { // miss, back on the first default
+		t.Fatal(err)
+	}
+	p.Unpin(a, false)
+	if got := redirected.Snapshot().PageReads; got != 1 {
+		t.Fatalf("redirected default charged %d reads, want 1", got)
+	}
+	if got := def.Snapshot().PageReads; got != 1 {
+		t.Fatalf("restored default charged %d reads, want 1", got)
+	}
+	if st := p.Stats(); st.Misses != mine.Snapshot().PageReads+other.Snapshot().PageReads+2 {
+		t.Fatalf("pool missed %d times, meters account for %d", st.Misses, mine.Snapshot().PageReads+other.Snapshot().PageReads+2)
+	}
+}

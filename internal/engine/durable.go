@@ -383,11 +383,12 @@ func (e *Engine) buildMetaLocked(seq int64) ([]byte, error) {
 }
 
 // commitStmt commits a successful statement that changed table name; its one
-// caller is the statement boundary, which holds stmtMu, so the FlushAll below
-// charges the shared meter inside no other statement's window. On in-memory
-// engines it is a no-op; statements confined to the volatile speculation
-// namespace skip the commit entirely (their pages die with the process, by
-// design).
+// caller is the statement boundary, which holds stmtMu exclusively (no reader
+// sees a half-committed table) and has put the pool's charge target back on
+// the engine's sink, so the FlushAll below is charged to no statement. On
+// in-memory engines it is a no-op; statements confined to the volatile
+// speculation namespace skip the commit entirely (their pages die with the
+// process, by design).
 func (e *Engine) commitStmt(name string) error {
 	if e.fileDisk == nil || strings.HasPrefix(name, e.cfg.Storage.VolatilePrefix) {
 		return nil
@@ -416,7 +417,7 @@ func (e *Engine) commitLocked(bump bool) error {
 		if flushed > 0 {
 			// Checkpoint page flushes are real physical writes; the meter is
 			// the single accounting point, so charge them here.
-			e.meter.ChargePageWrite(int64(flushed))
+			e.sink.ChargePageWrite(int64(flushed))
 			e.obsCheckpointPages.Add(int64(flushed))
 		}
 	}
@@ -456,7 +457,7 @@ func (e *Engine) Checkpoint() error {
 	}
 	flushed, err := e.fileDisk.Checkpoint()
 	if flushed > 0 {
-		e.meter.ChargePageWrite(int64(flushed))
+		e.sink.ChargePageWrite(int64(flushed))
 		e.obsCheckpointPages.Add(int64(flushed))
 	}
 	return err

@@ -5,7 +5,9 @@
 // histogram creation, and data staging.
 //
 // Every operation returns its simulated duration, derived from the work it
-// actually performed (buffer-pool misses, write-backs, tuples processed).
+// actually performed (buffer-pool misses, write-backs, tuples processed) as
+// counted on a meter of its own, so statements of different sessions may
+// overlap without touching each other's numbers.
 // A configurable contention model scales durations by concurrent load for
 // the multi-user experiments (Section 6.3 of the paper).
 package engine
@@ -77,21 +79,29 @@ type Result struct {
 	Analyzed string
 }
 
-// Engine is the database server. It is safe for concurrent sessions: every
-// entry point that executes or mutates runs through the one statement boundary
-// (see statement), which serializes them on a mutex (keeping per-statement
-// meter accounting exact), while planning (PlanGraph/Explain) runs lock-free
-// at this level and relies on the fine-grained locks inside the catalog,
-// buffer pool, B-trees, and heap files. Simulated concurrency — the effect of
-// other in-flight jobs on a statement's duration — is modeled by the
-// contention factor over the registered-job count, not by physical overlap.
+// Engine is the database server. It is safe for concurrent sessions, and
+// their queries really overlap: every entry point that executes or mutates
+// runs through the one statement boundary (see statement), which holds the
+// statement lock shared for the read-only ones (RunQuery, ExplainAnalyze) and
+// exclusively for everything that changes the catalog, a heap, an index,
+// statistics, staging or pool residency. Each statement is metered on a
+// sim.Meter of its own, so what it reports never depended on who else was
+// running. Planning (PlanGraph/Explain) runs lock-free at this level and
+// relies on the fine-grained locks inside the catalog, buffer pool, B-trees,
+// and heap files. Simulated concurrency — the effect of other in-flight jobs
+// on a statement's duration — is modeled by the contention factor over the
+// registered-job count, not by physical overlap.
 type Engine struct {
 	Disk    storage.Disk
 	Pool    *buffer.Pool
 	Catalog *catalog.Catalog
 
-	cfg   Config
-	meter *sim.Meter
+	cfg Config
+	// sink is the pool's resting charge target, and where the commit path's
+	// own page writes go: work no statement is measured by — bulk loads,
+	// drops, the FlushAll of a commit, checkpoints, ColdStart — is still
+	// charged, to a meter nobody reads.
+	sink *sim.Meter
 	// workMemBytes is the per-join memory budget before hash joins spill to
 	// disk (charged as page I/O): a quarter of the buffer pool, the classic
 	// rule of thumb for the era's work-area sizing.
@@ -111,9 +121,9 @@ type Engine struct {
 	obsPanics    *obs.Counter
 	obsReplans   *obs.Counter
 
-	// stmtMu serializes statements so each one's meter delta is exactly its
-	// own work. Only statement locks it.
-	stmtMu sync.Mutex
+	// stmtMu is the statement lock: shared by statements that only read,
+	// exclusive for every other. Only statement locks it.
+	stmtMu sync.RWMutex
 
 	// jobsMu guards the registry of logically in-flight jobs (speculative
 	// manipulations, other users' queries) that the contention model counts.
@@ -159,18 +169,18 @@ func build(cfg Config, base storage.Disk) *Engine {
 		base = storage.NewDiskManager(0)
 	}
 	disk := fault.WrapDisk(base, inj)
-	meter := sim.NewMeter()
+	sink := sim.NewMeter()
 	if cfg.PoolShards < 1 {
 		cfg.PoolShards = 1
 	}
-	pool := buffer.NewShardedPool(disk, cfg.BufferPoolPages, cfg.PoolShards, meter)
+	pool := buffer.NewShardedPool(disk, cfg.BufferPoolPages, cfg.PoolShards, sink)
 	pool.SetFaultInjector(inj)
 	e := &Engine{
 		Disk:         disk,
 		Pool:         pool,
 		Catalog:      catalog.New(pool),
 		cfg:          cfg,
-		meter:        meter,
+		sink:         sink,
 		workMemBytes: int64(cfg.BufferPoolPages) * int64(disk.PageSize()) / 4,
 		injector:     inj,
 		jobs:         make(map[int64]struct{}),
@@ -280,25 +290,41 @@ func (e *Engine) planOptions() plan.Options {
 	return plan.Options{Rates: e.Rates(), UseViews: e.cfg.UseViews, WorkMemBytes: e.workMemBytes}
 }
 
-// execContext builds an executor context with the engine's work-memory
-// budget.
-func (e *Engine) execContext() *exec.Context {
-	return &exec.Context{Meter: e.meter, WorkMemBytes: e.workMemBytes}
+// stmt is what the boundary hands a statement body: the statement's own meter
+// and the buffer pool as seen through it.
+type stmt struct {
+	meter sim.Meter
+	pool  buffer.View
 }
 
-// effect is what a successful statement leaves behind for the boundary to
-// seal.
+// execContext builds an executor context for st: tuples and the page misses
+// of its scans are charged to st's meter, with the engine's work-memory
+// budget.
+func (e *Engine) execContext(st *stmt) *exec.Context {
+	return &exec.Context{Meter: &st.meter, Pool: &st.pool, WorkMemBytes: e.workMemBytes}
+}
+
+// effect is what a statement does to shared state: it decides how the
+// boundary locks and what it seals after a successful body. The lock mode is
+// part of the effect rather than derived from "commits nothing": staging
+// commits nothing and still may not run beside a reader.
 type effect uint8
 
 const (
-	// readsOnly commits nothing: queries, staging.
+	// readsOnly changes nothing anybody else can see: queries. Shared lock,
+	// no commit.
 	readsOnly effect = iota
+	// changesResidency changes what the pool holds or pins — staging,
+	// ColdStart — and nothing durable. Exclusive lock (Stage's budget is a
+	// check-then-act on the pool, EvictAll needs every page unpinned), no
+	// commit.
+	changesResidency
 	// changesShape commits the named table: its indexes, statistics or (for a
-	// materialization) its whole definition changed.
+	// materialization) its whole definition changed. Exclusive lock.
 	changesShape
 	// changesData commits the named table and then bumps its data version:
 	// its rows or its existence changed, so cached answers that read it are
-	// stale.
+	// stale. Exclusive lock.
 	changesData
 )
 
@@ -306,22 +332,44 @@ const (
 // executes or mutates, measured or not, runs its body through it, and it alone
 // spells what "one statement" means.
 //
-//   - Serialized: the body runs under stmtMu, so a measured body's meter delta
-//     is exactly its own work, an unmeasured one's pool traffic (and the
-//     FlushAll of its commit, which charges the shared meter on a durable
-//     engine) never leaks into somebody else's delta, and a drop cannot
-//     invalidate a plan between optimization and execution.
+//   - Metered on its own: the body gets a fresh stmt — a meter nobody else
+//     charges and a view of the pool that charges it. A readsOnly body does
+//     all its I/O through that view (exec.Context carries it), so its work is
+//     its own however many statements overlap. Every other body is alone in
+//     the pool while it runs, and readers never use the pool's default charge
+//     target, so the boundary points that default at the statement's meter
+//     for the body's duration: the heap, index and staging write paths reach
+//     the meter without each growing a pool argument. Before the commit the
+//     default is back on the engine's sink, which is where a commit's FlushAll
+//     and all unmeasured work between statements is charged.
+//   - Locked by effect: readsOnly holds stmtMu shared, everything else
+//     exclusively, so a drop cannot invalidate a plan between optimization
+//     and execution, and a write's body, commit and version bump exclude
+//     every reader (DESIGN.md §14). No body may enter another statement: a
+//     second RLock behind a waiting writer deadlocks, as a second Lock always
+//     did. speclint's lockorder rule proves none does (lockedCallbacks in
+//     internal/lint/lockorder_manifest.go lists this function).
 //   - Recoverable: a panic in the body or the commit becomes a returned
 //     "internal error" recorded in the panic log under op; nothing is
 //     committed or bumped, and the lock is released.
 //   - Committed, then versioned: after a successful body the effect decides.
 //     commitStmt is a no-op on in-memory engines and for the volatile
 //     namespace; the data version moves only once the commit succeeded.
-func (e *Engine) statement(op, table string, eff effect, body func() error) (err error) {
-	e.stmtMu.Lock()
-	defer e.stmtMu.Unlock()
+func (e *Engine) statement(op, table string, eff effect, body func(st *stmt) error) (err error) {
+	st := &stmt{}
+	st.pool = e.Pool.View(&st.meter)
+	if eff == readsOnly {
+		e.stmtMu.RLock()
+		defer e.stmtMu.RUnlock()
+	} else {
+		e.stmtMu.Lock()
+		defer e.stmtMu.Unlock()
+	}
 	defer e.recoverTo(op, &err)
-	if err := body(); err != nil || eff == readsOnly {
+	if eff == readsOnly {
+		return body(st)
+	}
+	if err := e.alone(st, body); err != nil || eff == changesResidency {
 		return err
 	}
 	if err := e.commitStmt(table); err != nil {
@@ -333,21 +381,31 @@ func (e *Engine) statement(op, table string, eff effect, body func() error) (err
 	return nil
 }
 
+// alone runs an exclusive statement's body with the pool's default charge
+// target on the statement's meter, and puts it back on the sink whichever way
+// the body ends.
+func (e *Engine) alone(st *stmt, body func(st *stmt) error) error {
+	e.Pool.ChargeTo(&st.meter)
+	defer e.Pool.ChargeTo(e.sink)
+	return body(st)
+}
+
 // measured is the statement that reports a Result: body fills res, timing its
 // work inside one measure window. A failed (or panicked) statement returns no
 // partial result.
-func (e *Engine) measured(op, table string, eff effect, body func(res *Result) error) (*Result, error) {
+func (e *Engine) measured(op, table string, eff effect, body func(st *stmt, res *Result) error) (*Result, error) {
 	res := &Result{}
-	if err := e.statement(op, table, eff, func() error { return body(res) }); err != nil {
+	if err := e.statement(op, table, eff, func(st *stmt) error { return body(st, res) }); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // mutate is the unmeasured statement on an existing table — loading, dropping
-// and statistics upkeep are setup, not workload, so nothing is timed.
+// and statistics upkeep are setup, not workload, so nothing is timed and the
+// statement's meter is never read.
 func (e *Engine) mutate(op, table string, eff effect, body func(t *catalog.Table) error) error {
-	return e.statement(op, table, eff, func() error {
+	return e.statement(op, table, eff, func(*stmt) error {
 		t, err := e.Catalog.Table(table)
 		if err != nil {
 			return err
@@ -356,15 +414,18 @@ func (e *Engine) mutate(op, table string, eff effect, body func(t *catalog.Table
 	})
 }
 
-// measure is one measure window: it runs fn and, when fn succeeds, records the
-// work it performed and its duration under the contention model in res. It
-// runs inside statement, so the meter delta contains only fn's own work.
-func (e *Engine) measure(res *Result, fn func() error) error {
-	before := e.meter.Snapshot()
+// measure is one measure window, the engine's only accounting path: it runs
+// fn and, when fn succeeds, records in res the work st's meter gained
+// meanwhile and its duration under the contention model. The meter is the
+// statement's own, so the delta is fn's work by construction; it is a delta
+// (not the meter's total) because a statement may open a second window after
+// a failed first one.
+func (e *Engine) measure(st *stmt, res *Result, fn func() error) error {
+	before := st.meter.Snapshot()
 	if err := fn(); err != nil {
 		return err
 	}
-	res.Work = e.meter.Since(before)
+	res.Work = st.meter.Since(before)
 	res.Duration = res.Work.Cost(e.Rates())
 	if n := e.ActiveJobs(); e.cfg.ContentionFactor > 0 && n > 0 {
 		res.Duration = sim.Duration(float64(res.Duration) * (1 + e.cfg.ContentionFactor*float64(n)))
@@ -419,8 +480,9 @@ func (e *Engine) Exec(src string) (res *Result, err error) {
 }
 
 // RunQuery optimizes and executes a bound query, returning its rows. The
-// statement lock is held across optimization AND execution, so a concurrent
-// DropTable cannot invalidate the chosen plan before it runs.
+// statement lock is held (shared: queries overlap each other, not writers)
+// across optimization AND execution, so a concurrent DropTable cannot
+// invalidate the chosen plan before it runs.
 //
 // Graceful degradation (DESIGN.md §8): if execution fails and the chosen plan
 // read any derived object — a materialized view's backing table or an index —
@@ -430,14 +492,14 @@ func (e *Engine) Exec(src string) (res *Result, err error) {
 // user's query. The original error surfaces only if the degraded plan fails
 // too (or none of the plan was derived).
 func (e *Engine) RunQuery(q *plan.Query) (*Result, error) {
-	return e.measured("RunQuery", "", readsOnly, func(res *Result) error {
-		node, err := e.planAndRun(res, q, e.planOptions(), nil)
+	return e.measured("RunQuery", "", readsOnly, func(st *stmt, res *Result) error {
+		node, err := e.planAndRun(st, res, q, e.planOptions(), nil)
 		if err == nil || node == nil || !e.planReadsDerived(node) {
 			return err
 		}
 		opts := e.planOptions()
 		opts.AvoidViews, opts.AvoidIndexes = true, true
-		degraded, replanErr := e.planAndRun(res, q, opts, nil)
+		degraded, replanErr := e.planAndRun(st, res, q, opts, nil)
 		if degraded != nil {
 			e.obsReplans.Inc()
 		}
@@ -455,17 +517,17 @@ func (e *Engine) RunQuery(q *plan.Query) (*Result, error) {
 // they are collected. The chosen plan is returned whenever planning
 // succeeded, so the caller can tell a plan that failed to run from a query
 // that failed to plan.
-func (e *Engine) planAndRun(res *Result, q *plan.Query, opts plan.Options, prof *exec.Profiler) (plan.Node, error) {
+func (e *Engine) planAndRun(st *stmt, res *Result, q *plan.Query, opts plan.Options, prof *exec.Profiler) (plan.Node, error) {
 	node, err := plan.Optimize(e.Catalog, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	ctx := e.execContext()
+	ctx := e.execContext(st)
 	if prof != nil {
 		prof.Attach(ctx) // before the window: attaching charges nothing
 	}
 	*res = Result{Plan: node, Schema: node.Schema()}
-	err = e.measure(res, func() error {
+	err = e.measure(st, res, func() error {
 		it, err := node.Build(ctx)
 		if err != nil {
 			return err
@@ -505,12 +567,13 @@ func (e *Engine) planReadsDerived(node plan.Node) bool {
 // operators, returning the rendered plan with per-node actuals in
 // Result.Analyzed. The query's rows are drained (and counted) but not
 // returned — the plan tree is the output. Execution is measured exactly like
-// RunQuery: the profiler only snapshots the meter, it never charges it, so
-// an EXPLAIN ANALYZE costs the same simulated time as the bare query.
+// RunQuery: the profiler only snapshots the statement's meter, it never
+// charges it, so an EXPLAIN ANALYZE costs the same simulated time as the bare
+// query, and its per-node actuals are this statement's whoever else runs.
 func (e *Engine) ExplainAnalyze(q *plan.Query) (*Result, error) {
-	return e.measured("ExplainAnalyze", "", readsOnly, func(res *Result) error {
-		prof := exec.NewProfiler(e.meter)
-		node, err := e.planAndRun(res, q, e.planOptions(), prof)
+	return e.measured("ExplainAnalyze", "", readsOnly, func(st *stmt, res *Result) error {
+		prof := exec.NewProfiler()
+		node, err := e.planAndRun(st, res, q, e.planOptions(), prof)
 		if err != nil {
 			return err
 		}
@@ -552,7 +615,7 @@ func (e *Engine) Materialize(name string, g *qgraph.Graph, forced bool) (*Result
 }
 
 func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, forced bool) (*Result, error) {
-	return e.measured("Materialize", name, changesShape, func(res *Result) error {
+	return e.measured("Materialize", name, changesShape, func(st *stmt, res *Result) error {
 		if e.Catalog.HasTable(name) {
 			return fmt.Errorf("engine: table %q already exists", name)
 		}
@@ -561,12 +624,12 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 			return err
 		}
 		res.Plan, res.Schema = node, node.Schema()
-		return e.measure(res, func() error {
+		return e.measure(st, res, func() error {
 			table, err := e.Catalog.CreateTable(name, node.Schema())
 			if err != nil {
 				return err
 			}
-			it, err := node.Build(e.execContext())
+			it, err := node.Build(e.execContext(st))
 			if err != nil {
 				return err
 			}
@@ -599,7 +662,7 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 			for i, c := range table.Schema.Columns {
 				table.SetColumnStats(c.Name, stats.CollectColumnStats(cols[i]))
 			}
-			e.meter.ChargeTuples(n) // the stats pass over the stream
+			st.meter.ChargeTuples(n) // the stats pass over the stream
 			return e.Catalog.RegisterView(name, g, forced)
 		})
 	})
@@ -615,7 +678,7 @@ func (e *Engine) FreshName(prefix string) string {
 
 // CreateIndex builds a B+-tree index on table.column by scanning the table.
 func (e *Engine) CreateIndex(table, column string) (*Result, error) {
-	return e.measured("CreateIndex", table, changesShape, func(res *Result) error {
+	return e.measured("CreateIndex", table, changesShape, func(st *stmt, res *Result) error {
 		t, err := e.Catalog.Table(table)
 		if err != nil {
 			return err
@@ -627,7 +690,7 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 		if t.Index(column) != nil {
 			return fmt.Errorf("engine: index on %s.%s already exists", table, column)
 		}
-		return e.measure(res, func() error {
+		return e.measure(st, res, func() error {
 			tree, err := btree.New(e.Pool, e.Disk.PageSize())
 			if err != nil {
 				return err
@@ -638,7 +701,7 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 				if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
 					return err
 				}
-				e.meter.ChargeTuples(1)
+				st.meter.ChargeTuples(1)
 				entries = append(entries, btree.Entry{Key: tuple.EncodeKey(nil, row[ord]), RID: rid})
 				res.RowCount++
 				return nil
@@ -648,7 +711,7 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 				return err
 			}
 			btree.SortEntries(entries)
-			e.meter.ChargeTuples(int64(len(entries))) // sort pass
+			st.meter.ChargeTuples(int64(len(entries))) // sort pass
 			if err := tree.BulkLoad(entries); err != nil {
 				_ = tree.Drop()
 				return err
@@ -677,17 +740,17 @@ func (e *Engine) DropIndex(table, column string) error {
 // CreateHistogram builds an equi-depth histogram on table.column, improving
 // the optimizer's selectivity estimates (Section 3.2: histogram creation).
 func (e *Engine) CreateHistogram(table, column string) (*Result, error) {
-	return e.measured("CreateHistogram", table, changesShape, func(res *Result) error {
+	return e.measured("CreateHistogram", table, changesShape, func(st *stmt, res *Result) error {
 		t, err := e.Catalog.Table(table)
 		if err != nil {
 			return err
 		}
-		return e.measure(res, func() error {
+		return e.measure(st, res, func() error {
 			values, err := catalog.ColumnValues(t, column)
 			if err != nil {
 				return err
 			}
-			e.meter.ChargeTuples(int64(len(values)))
+			st.meter.ChargeTuples(int64(len(values)))
 			h, err := stats.BuildHistogram(values, histogramBuckets)
 			if err != nil {
 				return err
@@ -717,14 +780,15 @@ func (e *Engine) DropHistogram(table, column string) error {
 // Stage pre-fetches and pins a table's heap pages in the buffer pool: the
 // data-staging manipulation (Section 3.2), implementable here because we own
 // the buffer pool. Staging at most half the pool is allowed, to leave room
-// for query execution.
+// for query execution; the budget is read and then spent, which is one reason
+// staging holds the statement lock exclusively though it commits nothing.
 func (e *Engine) Stage(table string) (*Result, error) {
-	return e.measured("Stage", table, readsOnly, func(res *Result) error {
+	return e.measured("Stage", table, changesResidency, func(st *stmt, res *Result) error {
 		t, err := e.Catalog.Table(table)
 		if err != nil {
 			return err
 		}
-		return e.measure(res, func() error {
+		return e.measure(st, res, func() error {
 			// The staging budget is half the pool ACROSS ALL staged tables —
 			// otherwise repeated staging pins the whole pool and starves query
 			// execution of frames.
@@ -746,7 +810,7 @@ func (e *Engine) Stage(table string) (*Result, error) {
 
 // Unstage releases a table's staged pages.
 func (e *Engine) Unstage(table string) error {
-	return e.mutate("Unstage", table, readsOnly, func(t *catalog.Table) error {
+	return e.mutate("Unstage", table, changesResidency, func(t *catalog.Table) error {
 		for _, id := range t.Heap.PageIDs() {
 			e.Pool.Unstage(id)
 		}
@@ -769,7 +833,7 @@ func (e *Engine) DropTable(name string) error {
 // CreateTable registers an empty base table (bulk-load path).
 func (e *Engine) CreateTable(name string, schema *tuple.Schema) (*catalog.Table, error) {
 	var t *catalog.Table
-	err := e.statement("CreateTable", name, changesData, func() (err error) {
+	err := e.statement("CreateTable", name, changesData, func(*stmt) (err error) {
 		t, err = e.Catalog.CreateTable(name, schema)
 		return err
 	})
@@ -803,8 +867,12 @@ func (e *Engine) Analyze(name string) error {
 }
 
 // ColdStart flushes and empties the buffer pool, simulating the paper's
-// cold-buffer-pool experimental setup.
-func (e *Engine) ColdStart() error { return e.Pool.EvictAll() }
+// cold-buffer-pool experimental setup. It is a statement — exclusive, so it
+// waits for running queries instead of tripping over their pins, and
+// unmeasured.
+func (e *Engine) ColdStart() error {
+	return e.statement("ColdStart", "", changesResidency, func(*stmt) error { return e.Pool.EvictAll() })
+}
 
 // TotalDataPages reports the pages held by all tables (a sizing diagnostic).
 // A table dropped by another session between the name listing and the lookup

@@ -59,7 +59,7 @@ func TestDegradedReplanAroundBadView(t *testing.T) {
 // becomes an error with the stack preserved in the panic log.
 func TestPanicRecoveryAtStatementBoundary(t *testing.T) {
 	e := newTestEngine(t, 10, Config{})
-	err := e.statement("TestOp", "", readsOnly, func() error {
+	err := e.statement("TestOp", "", readsOnly, func(*stmt) error {
 		panic("simulated internal bug")
 	})
 	if err == nil {
@@ -78,9 +78,13 @@ func TestPanicRecoveryAtStatementBoundary(t *testing.T) {
 	if v := e.Metrics().Counter("recovered_panics").Value(); v != 1 {
 		t.Fatalf("recovered_panics = %d, want 1", v)
 	}
-	// The engine keeps serving statements afterwards.
+	// The engine keeps serving statements afterwards: the panicking body held
+	// the lock shared, and a writer needs it back whole.
 	if _, err := e.Exec("SELECT * FROM R WHERE R.c > 10"); err != nil {
 		t.Fatalf("engine unusable after recovered panic: %v", err)
+	}
+	if _, err := e.CreateIndex("R", "c"); err != nil {
+		t.Fatalf("writer blocked or failed after a recovered shared panic: %v", err)
 	}
 }
 

@@ -33,6 +33,8 @@ type boundaryOp struct {
 	// commitPanicOnly marks a body with nothing in it that can panic; only its
 	// commit can, so the panic case needs a durable engine.
 	commitPanicOnly bool
+	// panicFree marks a statement with neither: no table to break, no commit.
+	panicFree bool
 }
 
 func selectionOn(tb string) *qgraph.Graph {
@@ -62,7 +64,7 @@ func vanishedQuery(e *Engine) (*plan.Query, error) {
 
 func resultless(_ *Result, err error) error { return err }
 
-// boundaryOps enumerates the thirteen entry points of the statement boundary.
+// boundaryOps enumerates the fourteen entry points of the statement boundary.
 func boundaryOps() []boundaryOp {
 	query := func(run func(e *Engine, q *plan.Query) error) func(e *Engine, tb string) error {
 		return func(e *Engine, tb string) error {
@@ -124,15 +126,37 @@ func boundaryOps() []boundaryOp {
 		{name: "Analyze", commits: true,
 			run:  func(e *Engine, tb string) error { return e.Analyze(tb) },
 			fail: func(e *Engine, _ *plan.Query) error { return e.Analyze("nope") }},
+		{name: "ColdStart", panicFree: true,
+			run:  func(e *Engine, _ string) error { return e.ColdStart() },
+			fail: coldStartPinned},
 	}
 }
 
-// loadTable creates, loads and analyzes a two-column table.
-func loadTable(e *Engine, name string) error {
+// coldStartPinned runs ColdStart while a page of base is pinned, which is the
+// one thing that makes EvictAll fail.
+func coldStartPinned(e *Engine, _ *plan.Query) error {
+	t, err := e.Catalog.Table("base")
+	if err != nil {
+		return err
+	}
+	id := t.Heap.PageIDs()[0]
+	if _, err := e.Pool.Get(id); err != nil {
+		return err
+	}
+	defer e.Pool.Unpin(id, false)
+	return e.ColdStart()
+}
+
+// loadTable creates, loads and analyzes a two-column table of 40 rows.
+func loadTable(e *Engine, name string) error { return loadRows(e, name, 40) }
+
+// loadRows creates, loads and analyzes a two-column table of n rows
+// (a = i mod 10, b = i).
+func loadRows(e *Engine, name string, n int) error {
 	if _, err := e.CreateTable(name, intSchema("a", "b")); err != nil {
 		return err
 	}
-	if err := e.InsertRows(name, intRows(40, func(i int) (int64, int64) { return int64(i % 10), int64(i) })); err != nil {
+	if err := e.InsertRows(name, intRows(n, func(i int) (int64, int64) { return int64(i % 10), int64(i) })); err != nil {
 		return err
 	}
 	return e.Analyze(name)
@@ -247,6 +271,9 @@ func TestStatementBoundary(t *testing.T) {
 				}
 				free("after a failing body")
 
+				if op.panicFree {
+					return
+				}
 				panics := e.PanicLog().Total()
 				target := "spec_broken"
 				if op.commitPanicOnly {

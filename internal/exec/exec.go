@@ -1,12 +1,13 @@
 // Package exec is the Volcano-style executor: pull-based iterators for
 // scans, filters, projections, and joins. Every operator charges the tuples
-// it processes to the execution context's meter, which — together with the
-// buffer pool's page charging — is where a statement's simulated duration
-// comes from.
+// it processes to the execution context's meter and fetches its pages through
+// the context's pool view, which charges the misses to the same meter — that
+// one meter is where a statement's simulated duration comes from.
 package exec
 
 import (
 	"specdb/internal/sim"
+	"specdb/internal/storage"
 	"specdb/internal/tuple"
 )
 
@@ -14,6 +15,11 @@ import (
 type Context struct {
 	// Meter receives per-tuple CPU charges. Required.
 	Meter *sim.Meter
+	// Pool is what the scans fetch heap and index pages through: the engine
+	// hands every statement a buffer.View charging to Meter, so the page I/O
+	// an operator causes lands beside its tuples whoever else is running. Nil
+	// means each file's own pool and whatever that charges by default.
+	Pool storage.PagePool
 	// WorkMemBytes bounds the memory a single join may use before it
 	// spills: a hash join whose build side exceeds it partitions both
 	// inputs to disk (charged as page I/O), like the era-appropriate
@@ -36,7 +42,7 @@ func (c *Context) Instrument(node any, it Iterator) Iterator {
 	return c.Observe(node, it)
 }
 
-// NewContext returns a context charging to meter.
+// NewContext returns a context charging tuples to meter, with no pool view.
 func NewContext(meter *sim.Meter) *Context { return &Context{Meter: meter} }
 
 // Iterator is the Volcano operator interface.

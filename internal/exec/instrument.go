@@ -25,25 +25,25 @@ type OpStats struct {
 // Profiler records OpStats per plan node during one instrumented execution.
 // Install it on a Context via Attach; plan Build methods route their
 // iterators through Context.Instrument, and the wrapper iterators report
-// here. Attribution relies on the engine executing one measured statement at
-// a time (the shared meter then moves only for this statement), which the
-// engine's statement serialization guarantees.
+// here. Attribution is exact by construction: the meter is the statement's
+// own (the engine makes one per statement and the context's pool view charges
+// it), so it moves only for this statement however many others are running.
 type Profiler struct {
-	meter *sim.Meter
-
 	mu    sync.Mutex
 	stats map[any]*OpStats
 }
 
-// NewProfiler returns a profiler reading work deltas from meter.
-func NewProfiler(meter *sim.Meter) *Profiler {
-	return &Profiler{meter: meter, stats: make(map[any]*OpStats)}
+// NewProfiler returns an empty profiler.
+func NewProfiler() *Profiler {
+	return &Profiler{stats: make(map[any]*OpStats)}
 }
 
-// Attach installs the profiler as ctx's Observe hook.
+// Attach installs the profiler as ctx's Observe hook; the wrappers read work
+// deltas from ctx.Meter.
 func (p *Profiler) Attach(ctx *Context) {
+	meter := ctx.Meter
 	ctx.Observe = func(node any, it Iterator) Iterator {
-		return &profiledIter{inner: it, stats: p.statsFor(node), meter: p.meter}
+		return &profiledIter{inner: it, stats: p.statsFor(node), meter: meter}
 	}
 }
 
@@ -66,7 +66,7 @@ func (p *Profiler) statsFor(node any) *OpStats {
 	return s
 }
 
-// profiledIter wraps an operator, snapshotting the shared meter around Open
+// profiledIter wraps an operator, snapshotting the statement's meter around Open
 // and Next to accumulate the subtree's inclusive work. It never charges the
 // meter itself, so instrumented runs measure identically to bare ones.
 type profiledIter struct {

@@ -12,7 +12,7 @@ func TestProfilerAttributesWork(t *testing.T) {
 	tb := e.loadEmployees(t, 100)
 	node := "scan-node" // any comparable key works; plan uses Node pointers
 
-	prof := NewProfiler(e.meter)
+	prof := NewProfiler()
 	prof.Attach(e.ctx)
 	bare := e.meter.Snapshot()
 
@@ -67,7 +67,7 @@ func TestInstrumentWithoutObserver(t *testing.T) {
 func TestProfilerReopenCounts(t *testing.T) {
 	e := newEnv(t)
 	tb := e.loadEmployees(t, 3)
-	prof := NewProfiler(e.meter)
+	prof := NewProfiler()
 	prof.Attach(e.ctx)
 	it := e.ctx.Instrument("k", NewSeqScan(e.ctx, tb, ""))
 	for i := 0; i < 4; i++ {

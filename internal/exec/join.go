@@ -306,7 +306,7 @@ func NewIndexNLJoin(ctx *Context, outer Iterator, outerCol string, inner *catalo
 		}
 		return nil
 	}
-	j.visit = func(_ []byte, rid storage.RID) error { return inner.Heap.View(rid, j.decode) }
+	j.visit = func(_ []byte, rid storage.RID) error { return inner.Heap.View(ctx.Pool, rid, j.decode) }
 	return j, nil
 }
 
@@ -329,7 +329,7 @@ func (j *IndexNLJoin) Next() (tuple.Row, bool, error) {
 		j.ctx.Meter.ChargeTuples(1)
 		j.keyBuf = tuple.EncodeKey(j.keyBuf[:0], row[j.outerOrd])
 		j.pending, j.pos = j.pending[:0], 0
-		if err := j.index.Tree.Scan(btree.Exact(j.keyBuf), btree.Exact(j.keyBuf), j.visit); err != nil {
+		if err := j.index.Tree.ScanVia(j.ctx.Pool, btree.Exact(j.keyBuf), btree.Exact(j.keyBuf), j.visit); err != nil {
 			return nil, false, err
 		}
 		// row stays valid until the next pull from the outer child, which

@@ -41,7 +41,7 @@ func NewSeqScan(ctx *Context, table *catalog.Table, qualifier string) *SeqScan {
 
 // Open positions the cursor.
 func (s *SeqScan) Open() error {
-	s.iter = s.table.Heap.NewIterator()
+	s.iter = s.table.Heap.NewIterator(s.ctx.Pool)
 	return nil
 }
 
@@ -117,7 +117,7 @@ func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, 
 func (s *IndexScan) Open() error {
 	s.rids = s.rids[:0]
 	s.pos = 0
-	return s.index.Tree.Scan(s.lo, s.hi, s.gather)
+	return s.index.Tree.ScanVia(s.ctx.Pool, s.lo, s.hi, s.gather)
 }
 
 // Next fetches the row for the next matching RID.
@@ -125,7 +125,7 @@ func (s *IndexScan) Next() (tuple.Row, bool, error) {
 	if s.pos >= len(s.rids) {
 		return nil, false, nil
 	}
-	if err := s.table.Heap.View(s.rids[s.pos], s.decode); err != nil {
+	if err := s.table.Heap.View(s.ctx.Pool, s.rids[s.pos], s.decode); err != nil {
 		return nil, false, err
 	}
 	s.pos++

@@ -136,6 +136,14 @@ func TestLockOrderInversionGolden(t *testing.T) {
 	golden(t, lint.LockOrder{}, "specdb/internal/storage", "lockorder_inversion")
 }
 
+// TestLockOrderReentryGolden pins the locked-callback check: a fixture
+// mimicking the engine's statement boundary enters a second statement from
+// inside a statement body — through a helper, and by passing an entry point
+// as the body — while two statements in sequence stay clean.
+func TestLockOrderReentryGolden(t *testing.T) {
+	golden(t, lint.LockOrder{}, "specdb/internal/engine", "lockorder_reentry")
+}
+
 // TestMeterFlowGolden pins the reachability proof: a disk read completable
 // from an entry point with no Charge* on the path is flagged with the full
 // root-to-disk witness, while entry-point and in-function charging both

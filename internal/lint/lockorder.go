@@ -15,24 +15,29 @@ import (
 // locks acquired (receiver type + mutex field, the same identity the `locks`
 // rule's guarded-field inference uses), propagates acquisition sets over the
 // whole-program call graph, and builds the global lock-acquisition order
-// graph. Two findings come out of it:
+// graph. Three findings come out of it:
 //
 //  1. any cycle in the order graph — two locks each acquirable while the
 //     other is held is a deadlock waiting for the right interleaving;
 //  2. any edge contradicting the declared hierarchy manifest
 //     (lockorder_manifest.go, cross-checked against DESIGN.md §6): acquiring
-//     an outer-level lock while holding an inner-level one.
+//     an outer-level lock while holding an inner-level one;
+//  3. any re-entry through a locked callback: the manifest names the
+//     functions that run a function argument with a lock held (the engine's
+//     statement boundary), and nothing such an argument calls may acquire
+//     that lock again — a second RLock behind a waiting writer deadlocks as
+//     surely as a second Lock.
 //
-// Both findings print the full witness call path, from the function that
-// holds the outer lock down to the statement that acquires the inner one.
+// All three print the full witness call path, from the function that holds
+// the outer lock down to the statement that acquires the inner one.
 //
 // Approximations, chosen to stay sound for the declared hierarchy without
 // drowning in noise: RLock and Lock are the same lock (reader/writer order
 // still deadlocks); acquisitions reached only through function values are
-// invisible (the call graph cannot see them); same-lock self-edges are
-// skipped — ordering between two instances of one type (the pool's
-// ascending-shard lockAll) is a runtime convention no static lattice can
-// check; `defer`red unlocks keep the lock held for the rest of the body,
+// invisible (the call graph cannot see them) except where finding 3's
+// manifest says who runs them; same-lock self-edges are skipped — ordering
+// between two instances of one type (the pool's ascending-shard lockAll) is a
+// runtime convention no static lattice can check; `defer`red unlocks keep the lock held for the rest of the body,
 // which is exactly what the analysis wants.
 type LockOrder struct{}
 
@@ -78,7 +83,8 @@ type lockEdge struct {
 }
 
 func (r LockOrder) CheckProgram(prog *Program) []Diagnostic {
-	edges := lockOrderGraph(prog)
+	facts, trans := lockSummaries(prog)
+	edges := orderEdges(prog, facts, trans)
 
 	var out []Diagnostic
 	ranks := lockRanks()
@@ -113,6 +119,75 @@ func (r LockOrder) CheckProgram(prog *Program) []Diagnostic {
 			Path:    path,
 		})
 	}
+	return append(out, r.reentries(prog, facts, trans)...)
+}
+
+// reentries reports every call, made from inside a function argument of one
+// of the manifest's locked callbacks, that can acquire the lock the callback
+// already runs under. Function literals are searched lexically (nested ones
+// included — a measure window inside a statement body is still inside the
+// statement); a named function passed as the argument is checked by its own
+// transitive acquisitions.
+func (r LockOrder) reentries(prog *Program, facts map[*FuncNode]*lockFacts, trans map[*FuncNode]map[lockSym]bool) []Diagnostic {
+	holders := lockedCallbacks()
+	var out []Diagnostic
+	for _, n := range prog.Nodes() {
+		if facts[n] == nil {
+			continue
+		}
+		report := func(pos token.Pos, holder string, sym lockSym, cn *FuncNode) {
+			if !trans[cn][sym] { // also when cn is nil: a callee outside the program
+				return
+			}
+			p := n.Pkg.Fset.Position(pos)
+			chain := chaseAcquisition(prog, facts, trans, cn, sym, map[*FuncNode]bool{})
+			out = append(out, Diagnostic{
+				Rule: r.Name(), File: p.Filename, Line: p.Line, Col: p.Column,
+				Message: fmt.Sprintf("re-entrant acquisition: %s runs its function argument holding %s, and the argument calls %s, which acquires it again",
+					holder, sym, cn.Name()),
+				Path: append([]string{witnessStep(n, pos)}, chain...),
+			})
+		}
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			site := prog.Site(n, call.Pos())
+			if site == nil {
+				return true
+			}
+			holder := site.callee.FullName()
+			sym, ok := holders[holder]
+			if !ok {
+				return true
+			}
+			for _, arg := range call.Args {
+				switch a := ast.Unparen(arg).(type) {
+				case *ast.FuncLit:
+					ast.Inspect(a.Body, func(y ast.Node) bool {
+						inner, ok := y.(*ast.CallExpr)
+						if !ok {
+							return true
+						}
+						if s := prog.Site(n, inner.Pos()); s != nil {
+							for _, callee := range prog.Callees(s) {
+								report(inner.Pos(), holder, sym, prog.Node(callee))
+							}
+						}
+						return true
+					})
+				case *ast.Ident:
+					fn, _ := n.Pkg.Info.Uses[a].(*types.Func)
+					report(a.Pos(), holder, sym, prog.Node(fn))
+				case *ast.SelectorExpr:
+					fn, _ := n.Pkg.Info.Uses[a.Sel].(*types.Func)
+					report(a.Pos(), holder, sym, prog.Node(fn))
+				}
+			}
+			return true
+		})
+	}
 	return out
 }
 
@@ -121,6 +196,13 @@ func (r LockOrder) CheckProgram(prog *Program) []Diagnostic {
 // from CheckProgram so the self-check can assert the analysis sees the
 // engine's real nesting (an empty graph would make the rule pass vacuously).
 func lockOrderGraph(prog *Program) map[[2]string]*lockEdge {
+	facts, trans := lockSummaries(prog)
+	return orderEdges(prog, facts, trans)
+}
+
+// lockSummaries infers every function's direct lock facts and its transitive
+// acquisition set.
+func lockSummaries(prog *Program) (map[*FuncNode]*lockFacts, map[*FuncNode]map[lockSym]bool) {
 	facts := map[*FuncNode]*lockFacts{}
 	for _, n := range prog.Nodes() {
 		if n.Pkg.isToolOrDemo() {
@@ -164,9 +246,13 @@ func lockOrderGraph(prog *Program) map[[2]string]*lockEdge {
 		}
 	}
 
-	// Assemble the order graph. First witness wins; iteration order is
-	// deterministic (nodes in package/file order, sites in source order,
-	// callees and held sets sorted).
+	return facts, trans
+}
+
+// orderEdges assembles the order graph. First witness wins; iteration order
+// is deterministic (nodes in package/file order, sites in source order,
+// callees and held sets sorted).
+func orderEdges(prog *Program, facts map[*FuncNode]*lockFacts, trans map[*FuncNode]map[lockSym]bool) map[[2]string]*lockEdge {
 	edges := map[[2]string]*lockEdge{}
 	addEdge := func(outer, inner lockSym, pos token.Position, path []string) {
 		if outer == inner {

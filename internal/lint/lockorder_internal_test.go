@@ -80,6 +80,39 @@ func TestLockOrderManifestTypesExist(t *testing.T) {
 	}
 }
 
+// TestLockedCallbacksExist checks every function the manifest says runs its
+// argument under a lock still exists, still takes a function argument, and
+// still reaches an acquisition of that lock — so renaming statement (say)
+// cannot silently switch the re-entry check off.
+func TestLockedCallbacksExist(t *testing.T) {
+	prog := NewProgram(loadModulePkgs(t))
+	_, trans := lockSummaries(prog)
+	byName := map[string]*FuncNode{}
+	for _, n := range prog.Nodes() {
+		byName[n.Name()] = n
+	}
+	for name, sym := range lockedCallbacks() {
+		n := byName[name]
+		if n == nil {
+			t.Errorf("manifest function %s not in module", name)
+			continue
+		}
+		if !trans[n][sym] {
+			t.Errorf("%s never acquires %s", name, sym)
+		}
+		takesFunc := false
+		params := n.Fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if _, ok := params.At(i).Type().Underlying().(*types.Signature); ok {
+				takesFunc = true
+			}
+		}
+		if !takesFunc {
+			t.Errorf("%s takes no function argument", name)
+		}
+	}
+}
+
 // TestLockOrderSeesEngineNesting guards against the vacuous-pass failure
 // mode: a bug that empties the inferred fact set would make the hierarchy
 // proof pass trivially. The analysis must observe the engine's real

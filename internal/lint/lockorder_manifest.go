@@ -62,6 +62,22 @@ func lockHierarchy() []manifestLevel {
 	}
 }
 
+// lockedCallbacks lists the functions that run a function-typed argument
+// while holding a lock, keyed by types.Func.FullName, with the lock held. The
+// call graph cannot follow a function value, so without this list a statement
+// body that enters another statement — a recursive RLock of Engine.stmtMu,
+// which deadlocks as soon as a writer waits in between — would be invisible.
+// statement is the one function that locks; measured and mutate hand their
+// argument on to it. TestLockedCallbacksExist keeps the names honest.
+func lockedCallbacks() map[string]lockSym {
+	stmtMu := lockSym{Owner: "specdb/internal/engine.Engine", Field: "stmtMu"}
+	return map[string]lockSym{
+		"(*specdb/internal/engine.Engine).statement": stmtMu,
+		"(*specdb/internal/engine.Engine).measured":  stmtMu,
+		"(*specdb/internal/engine.Engine).mutate":    stmtMu,
+	}
+}
+
 // lockRanks maps each ranked owner type to its level index (0 = outermost).
 func lockRanks() map[string]int {
 	out := map[string]int{}

@@ -112,7 +112,7 @@ func buildGoldenPlan(t *testing.T, query string, indexes [][2]string, analyze bo
 	if err := e.pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	prof := exec.NewProfiler(e.meter)
+	prof := exec.NewProfiler()
 	ctx := exec.NewContext(e.meter)
 	prof.Attach(ctx)
 	it, err := node.Build(ctx)

@@ -61,13 +61,16 @@ func (w Work) Cost(r CostRates) Duration {
 		Duration(w.Tuples)*r.Tuple
 }
 
-// Meter accumulates work counters. The buffer pool charges page I/O to it and
-// executor operators charge tuples; the engine snapshots it around each
-// statement to obtain that statement's simulated duration.
+// Meter accumulates work counters. The engine makes one per statement: the
+// statement's view of the buffer pool charges page I/O to it, its operators
+// charge tuples, and the engine reads it around the statement's measure window
+// to obtain the simulated duration. Nobody else charges a statement's meter, so
+// per-statement accounting does not depend on what runs beside it. The zero
+// value is ready to use.
 //
-// Counters are atomic so charging from concurrent sessions is race-free; the
-// engine still serializes measured statements, so per-statement accounting
-// (and therefore every simulated duration) is unchanged by concurrency.
+// Counters are atomic because one statement may still charge from several
+// goroutines, and because a pool's default charge target (buffer.Pool.ChargeTo)
+// is shared by whoever fetches through the pool itself.
 type Meter struct {
 	pageReads  atomic.Int64
 	pageWrites atomic.Int64

@@ -36,8 +36,13 @@ func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 // on other sessions — the speculation cost model prices staging by reading
 // PageIDs/NumPages — never race with a concurrent materialization's inserts.
 // Readers snapshot the append-only page list and then walk it lock-free; page
-// contents are protected by buffer-pool pins plus the engine's statement
-// serialization.
+// contents are protected by buffer-pool pins plus the engine's statement lock
+// (whoever writes a page holds it exclusively).
+//
+// The read paths a query runs — NewIterator and View — take the pool to fetch
+// through as an argument, so a statement's page misses are charged to the
+// meter of the pool view it carries (buffer.View); nil means the file's own
+// pool. Everything else (Insert, Scan, Drop) goes through the file's own pool.
 type HeapFile struct {
 	pool  PagePool
 	mu    sync.RWMutex
@@ -142,11 +147,15 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
 	return nil
 }
 
-// View pins the page holding rid and calls fn with the record. rec aliases
-// the page buffer and is valid only during the call: the frame may be handed
-// to another page as soon as the pin is released, so fn must decode or copy
-// what it keeps. fn's error is returned as is.
-func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
+// View pins the page holding rid, fetching it through via (nil: the file's
+// own pool), and calls fn with the record. rec aliases the page buffer and is
+// valid only during the call: the frame may be handed to another page as soon
+// as the pin is released, so fn must decode or copy what it keeps. fn's error
+// is returned as is.
+func (h *HeapFile) View(via PagePool, rid RID, fn func(rec []byte) error) error {
+	if via == nil {
+		via = h.pool
+	}
 	h.mu.RLock()
 	if rid.Page < 0 || int(rid.Page) >= len(h.pages) {
 		h.mu.RUnlock()
@@ -154,11 +163,11 @@ func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
 	}
 	id := h.pages[rid.Page]
 	h.mu.RUnlock()
-	buf, err := h.pool.Get(id)
+	buf, err := via.Get(id)
 	if err != nil {
 		return err
 	}
-	defer h.pool.Unpin(id, false)
+	defer via.Unpin(id, false)
 	rec, err := AsSlotted(buf).Record(int(rid.Slot))
 	if err != nil {
 		return err

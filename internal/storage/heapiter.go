@@ -5,7 +5,7 @@ package storage
 // by one rather than via Scan's callback. The page list is snapshotted at
 // creation, so the cursor never races with concurrent appends to the file.
 type HeapIterator struct {
-	h       *HeapFile
+	pool    PagePool
 	pages   []PageID
 	pageIdx int
 	slotIdx int
@@ -13,9 +13,13 @@ type HeapIterator struct {
 	pinned  PageID // 0 when nothing pinned
 }
 
-// NewIterator returns a cursor positioned before the first record.
-func (h *HeapFile) NewIterator() *HeapIterator {
-	return &HeapIterator{h: h, pages: h.PageIDs()}
+// NewIterator returns a cursor positioned before the first record that
+// fetches its pages through via (nil: the file's own pool).
+func (h *HeapFile) NewIterator(via PagePool) *HeapIterator {
+	if via == nil {
+		via = h.pool
+	}
+	return &HeapIterator{pool: via, pages: h.PageIDs()}
 }
 
 // Next advances to the next record, returning its RID and payload. The
@@ -28,7 +32,7 @@ func (it *HeapIterator) Next() (rid RID, rec []byte, ok bool, err error) {
 				return RID{}, nil, false, nil
 			}
 			id := it.pages[it.pageIdx]
-			buf, err := it.h.pool.Get(id)
+			buf, err := it.pool.Get(id)
 			if err != nil {
 				return RID{}, nil, false, err
 			}
@@ -56,7 +60,7 @@ func (it *HeapIterator) Close() { it.release() }
 
 func (it *HeapIterator) release() {
 	if it.pinned != 0 {
-		it.h.pool.Unpin(it.pinned, false)
+		it.pool.Unpin(it.pinned, false)
 		it.pinned = 0
 	}
 }

@@ -242,13 +242,13 @@ func TestHeapFileInsertScanFetch(t *testing.T) {
 	}
 	var got string
 	keep := func(rec []byte) error { got = string(rec); return nil }
-	if err := h.View(rids[37], keep); err != nil {
+	if err := h.View(nil, rids[37], keep); err != nil {
 		t.Fatal(err)
 	}
 	if got != "record-37" {
 		t.Fatalf("View = %q", got)
 	}
-	if err := h.View(RID{Page: 99, Slot: 0}, keep); err == nil {
+	if err := h.View(nil, RID{Page: 99, Slot: 0}, keep); err == nil {
 		t.Fatal("view of bad RID should fail")
 	}
 }

@@ -13,14 +13,17 @@
 #
 # Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
 # filter, hash-join build/probe, index-NL probe, DecodeRowInto, pool miss,
-# B+-tree lookup, and a served GO at two answer sizes, which must allocate the
-# same) and gates their allocs/op and B/op against BENCH_allocs.txt.
+# B+-tree lookup, one whole RunQuery through the statement boundary, and a
+# served GO at two answer sizes, which must allocate the same) and gates their
+# allocs/op and B/op against BENCH_allocs.txt.
 # Both are counts of a deterministic program on a pool that holds its data, so
 # they do not depend on the machine: allocs/op must match exactly; B/op may
 # differ by 1% + 1 KiB, because the runtime's own occasional allocations land
 # inside a ten-pass window (measured: 0 vs 524 B/op between identical runs).
 # ns/op is printed for information. A benchmark the baseline does not list is
-# reported and skipped; a missing BENCH_allocs.txt skips the whole gate.
+# reported and skipped — which is how the *Parallel variants (wall time of
+# overlapping sessions, nothing deterministic to gate) are shown and never
+# recorded; a missing BENCH_allocs.txt skips the whole gate.
 #
 # Usage: scripts/bench_gate.sh [baseline.json]
 #        scripts/bench_gate.sh --write-allocs   # re-record BENCH_allocs.txt
@@ -47,7 +50,7 @@ if [[ "${1:-}" == "--write-allocs" ]]; then
     echo "# allocs/op and B/op of one pass of each BenchmarkLayer* (bench_layers_test.go),"
     echo "# gated by scripts/bench_gate.sh; re-record with scripts/bench_gate.sh --write-allocs."
     echo "# name allocs/op B/op"
-    layer_table | awk '{ print $1, $2, $3 }'
+    layer_table | awk '$1 !~ /Parallel$/ { print $1, $2, $3 }'
   } > "$allocs_file"
   cat "$allocs_file"
   exit 0

@@ -452,7 +452,8 @@ func TestScaledSessionsSharedSpeculation(t *testing.T) {
 	const users = 96
 	sessions := make([]*Session, users)
 	errCh := make(chan error, users)
-	var wg sync.WaitGroup
+	var wg, formulating sync.WaitGroup
+	formulating.Add(users)
 	for i := 0; i < users; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -462,11 +463,19 @@ func TestScaledSessionsSharedSpeculation(t *testing.T) {
 			// Only 12 distinct subplans across 96 sessions: most sessions
 			// speculate a subplan someone else is also speculating, which is
 			// exactly the CSE layer's target workload.
-			if err := s.AddSelection("lineitem", "l_quantity", "=", 1+i%12); err != nil {
-				errCh <- err
-				return
+			err := s.AddSelection("lineitem", "l_quantity", "=", 1+i%12)
+			if err == nil {
+				err = s.Think(30 * time.Second)
 			}
-			if err := s.Think(30 * time.Second); err != nil {
+			// Every user is in the middle of a formulation at the same time —
+			// what wall-clock think time gives real users and simulated think
+			// time does not. Without the barrier, whether a build's owner has
+			// already finished and released it when a peer asks is up to the
+			// scheduler: a GO no longer queues behind every other session's
+			// writes (queries share the statement lock), so it often has.
+			formulating.Done()
+			formulating.Wait()
+			if err != nil {
 				errCh <- err
 				return
 			}
