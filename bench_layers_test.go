@@ -29,28 +29,74 @@ import (
 	"specdb/internal/tuple"
 )
 
-// BenchmarkNormalReplay replays the 3-user corpus with speculation off on a
-// cold 32 MB-equivalent pool: the benchmark's normal_replay workload as a
-// `go test -bench` target, so -cpuprofile/-memprofile can see it.
-func BenchmarkNormalReplay(b *testing.B) {
+// replayBench times passes of the 3-user corpus (corpus 7 of cmd/bench) on a
+// cold 32 MB-equivalent pool, after warm untimed ones: one op is every trace
+// through replayTrace once, and the metric is wall milliseconds per GO. The
+// three replays below are cmd/bench's normal_replay, spec_replay and
+// predict_replay workloads as `go test -bench` targets, so -cpuprofile and
+// -memprofile can see them (scripts/profile.sh).
+func replayBench(b *testing.B, warm int, replayTrace func(eng *engine.Engine, pass, idx int, tr *trace.Trace) (gos int, err error)) {
 	traces := corpus(b)
 	env, err := harness.NewEnv(harness.EnvConfig{Scale: tpch.Scale100MB, Seed: benchData})
 	if err != nil {
 		b.Fatal(err)
 	}
 	gos := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for pass := 0; pass < warm+b.N; pass++ {
+		if pass == warm {
+			gos = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
 		for idx, tr := range traces {
-			timings, err := harness.RunTraceNormal(env.Eng, idx, tr)
+			n, err := replayTrace(env.Eng, pass, idx, tr)
 			if err != nil {
 				b.Fatal(err)
 			}
-			gos += len(timings)
+			gos += n
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(gos), "ms/GO")
+}
+
+// BenchmarkNormalReplay: speculation off, every GO a cold-started RunQuery.
+func BenchmarkNormalReplay(b *testing.B) {
+	replayBench(b, 0, func(eng *engine.Engine, _, idx int, tr *trace.Trace) (int, error) {
+		timings, err := harness.RunTraceNormal(eng, idx, tr)
+		return len(timings), err
+	})
+}
+
+// BenchmarkSpecReplay: the paper's f4 setting — core.DefaultConfig(), a fresh
+// learner per trace — so the edit path (OnEvent, Complete, Materialize) is in
+// the profile.
+func BenchmarkSpecReplay(b *testing.B) {
+	replayBench(b, 0, func(eng *engine.Engine, _, idx int, tr *trace.Trace) (int, error) {
+		out, err := harness.RunTraceSpeculative(eng, idx, tr, core.DefaultConfig())
+		if err != nil {
+			return 0, err
+		}
+		return len(out.Timings), nil
+	})
+}
+
+// BenchmarkPredictReplay: whole-query prediction as harness.RunPredictBench
+// replays it — predictor, answer cache and learner shared by every trace and
+// pass, one untimed training pass first.
+func BenchmarkPredictReplay(b *testing.B) {
+	base := core.DefaultConfig()
+	base.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
+	base.Answers = core.NewAnswerCache(nil, 0)
+	learner := core.NewLearner(core.DefaultLearnerConfig())
+	replayBench(b, 1, func(eng *engine.Engine, pass, idx int, tr *trace.Trace) (int, error) {
+		cfg := base
+		cfg.NamePrefix = fmt.Sprintf("pred_p%d_t%d", pass, idx)
+		out, err := harness.RunTraceWithLearner(eng, idx, tr, cfg, learner)
+		if err != nil {
+			return 0, err
+		}
+		return len(out.Timings), nil
+	})
 }
 
 // layerEnv is the 100MB dataset on a pool that holds all of it; the loader
@@ -400,5 +446,78 @@ func BenchmarkLayerServedGo(b *testing.B) {
 				b.Fatalf("%d of %d GOs were served", got, warmup+b.N)
 			}
 		})
+	}
+}
+
+// layerSubgraph is the fixed two-join sub-graph of the Materialize benchmark:
+// layerQuery's graph, as a speculator would hand it to the engine.
+func layerSubgraph() *qgraph.Graph {
+	g := qgraph.New()
+	g.AddJoin(qgraph.NewJoin("customer", "c_custkey", "orders", "o_custkey"))
+	g.AddJoin(qgraph.NewJoin("orders", "o_orderkey", "lineitem", "l_orderkey"))
+	g.AddSelection(qgraph.Selection{Rel: "orders", Col: "o_orderpriority", Op: tuple.CmpLT, Const: tuple.NewInt(2)})
+	return g
+}
+
+// BenchmarkLayerMaterialize is one speculative build and its drop: run the
+// sub-query, write the view's heap, collect every column's statistics from
+// the stream, register the view. Its allocs/op and B/op pin that the
+// statistics cost a set per column, not a copy of the view.
+func BenchmarkLayerMaterialize(b *testing.B) {
+	l := layerSetup(b)
+	g := layerSubgraph()
+	build := func() {
+		res, err := l.eng.Materialize("layer_mv", g, false)
+		if err != nil || res.RowCount == 0 {
+			b.Fatalf("materialize: %v, %v", res, err)
+		}
+		if err := l.eng.DropTable("layer_mv"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	build() // the pool now holds whatever the build reads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+}
+
+// BenchmarkLayerAnalyze is ANALYZE of lineitem: one heap scan feeding a
+// collector per column.
+func BenchmarkLayerAnalyze(b *testing.B) {
+	l := layerSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.eng.Analyze("lineitem"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perRow(b, len(l.lineitemRecords))
+}
+
+// BenchmarkLayerIndexBuild is CREATE INDEX and DROP INDEX on
+// lineitem.l_partkey: scan, key encoding, sort, bulk load. The loader's own
+// index on the column is dropped first and rebuilt after.
+func BenchmarkLayerIndexBuild(b *testing.B) {
+	l := layerSetup(b)
+	if err := l.eng.DropIndex("lineitem", "l_partkey"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.eng.CreateIndex("lineitem", "l_partkey"); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.eng.DropIndex("lineitem", "l_partkey"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	perRow(b, len(l.lineitemRecords))
+	if _, err := l.eng.CreateIndex("lineitem", "l_partkey"); err != nil {
+		b.Fatal(err)
 	}
 }

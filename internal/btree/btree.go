@@ -461,6 +461,11 @@ func pageFirst(buf []byte) storage.PageID {
 	return storage.PageID(binary.LittleEndian.Uint64(buf[3:11]))
 }
 
+// setLeafNext sets the next-leaf pointer of a serialized leaf.
+func setLeafNext(buf []byte, next storage.PageID) {
+	binary.LittleEndian.PutUint64(buf[3:11], uint64(next))
+}
+
 // entryKey reads the key of the entry at off. The key aliases buf.
 func entryKey(buf []byte, off int) (key []byte, next int) {
 	kl, m := binary.Uvarint(buf[off:])
@@ -493,7 +498,7 @@ func writeNode(buf []byte, n *node) {
 	}
 	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
 	if n.leaf {
-		binary.LittleEndian.PutUint64(buf[3:11], uint64(n.next))
+		setLeafNext(buf, n.next)
 	} else {
 		binary.LittleEndian.PutUint64(buf[3:11], uint64(n.children[0]))
 	}
@@ -544,17 +549,22 @@ func readNode(buf []byte) *node {
 	return n
 }
 
-// nodeSize is a conservative serialized-size estimate used for split checks.
+// nodeSize is a conservative serialized-size estimate used for split checks:
+// the header plus entrySize of every key.
 func nodeSize(n *node) int {
 	size := nodeHeaderSize
-	for i, k := range n.keys {
-		size += binary.MaxVarintLen16 + len(k)
-		if n.leaf {
-			_ = i
-			size += 2 * binary.MaxVarintLen32
-		} else {
-			size += binary.MaxVarintLen64
-		}
+	for _, k := range n.keys {
+		size += entrySize(n.leaf, k)
 	}
 	return size
+}
+
+// entrySize is what one key adds to nodeSize: the key behind its length, and
+// the RID it carries in a leaf or the child pointer it carries in an internal
+// node.
+func entrySize(leaf bool, key []byte) int {
+	if leaf {
+		return binary.MaxVarintLen16 + len(key) + 2*binary.MaxVarintLen32
+	}
+	return binary.MaxVarintLen16 + len(key) + binary.MaxVarintLen64
 }

@@ -3,7 +3,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"specdb/internal/storage"
 )
@@ -14,16 +14,16 @@ type Entry struct {
 	RID storage.RID
 }
 
-// SortEntries orders entries by (key, RID), the tree's internal order.
-func SortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		c := bytes.Compare(entries[i].Key, entries[j].Key)
-		if c != 0 {
-			return c < 0
-		}
-		return compareRID(entries[i].RID, entries[j].RID) < 0
-	})
+// compareEntries is the tree's internal order: by key, then RID.
+func compareEntries(a, b Entry) int {
+	if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return compareRID(a.RID, b.RID)
 }
+
+// SortEntries orders entries by (key, RID), the tree's internal order.
+func SortEntries(entries []Entry) { slices.SortFunc(entries, compareEntries) }
 
 // BulkLoad builds the tree bottom-up from sorted entries (see SortEntries).
 // The tree must be empty. Bulk loading writes each page exactly once, unlike
@@ -42,8 +42,7 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 		return nil
 	}
 	for i := 1; i < len(entries); i++ {
-		c := bytes.Compare(entries[i-1].Key, entries[i].Key)
-		if c > 0 || (c == 0 && compareRID(entries[i-1].RID, entries[i].RID) > 0) {
+		if compareEntries(entries[i-1], entries[i]) > 0 {
 			return fmt.Errorf("btree: bulk load entries not sorted at %d", i)
 		}
 	}
@@ -58,10 +57,13 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 		firstKey []byte
 	}
 
-	// Build the leaf level.
+	// Build the leaf level. A node fills until one more entry would overflow
+	// the page; its size is a running sum of nodeSize's own terms rather than
+	// nodeSize over the node per entry, so every split lands where it did.
 	var level []levelNode
 	var leaf node
 	leaf.leaf = true
+	size := nodeHeaderSize
 	flushLeaf := func() error {
 		id, buf, err := t.pool.New()
 		if err != nil {
@@ -74,32 +76,28 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 		return nil
 	}
 	for _, e := range entries {
-		leaf.keys = append(leaf.keys, e.Key)
-		leaf.rids = append(leaf.rids, e.RID)
-		if nodeSize(&leaf) > t.capacity {
-			// Overflowed: flush without the last entry, restart with it.
-			last := len(leaf.keys) - 1
-			k, r := leaf.keys[last], leaf.rids[last]
-			leaf.keys = leaf.keys[:last]
-			leaf.rids = leaf.rids[:last]
+		if size += entrySize(true, e.Key); size > t.capacity {
+			// Would overflow: flush without this entry, restart with it.
 			if err := flushLeaf(); err != nil {
 				return err
 			}
-			leaf = node{leaf: true, keys: [][]byte{k}, rids: []storage.RID{r}}
+			leaf.keys, leaf.rids = leaf.keys[:0], leaf.rids[:0]
+			size = nodeHeaderSize + entrySize(true, e.Key)
 		}
+		leaf.keys = append(leaf.keys, e.Key)
+		leaf.rids = append(leaf.rids, e.RID)
 	}
 	if err := flushLeaf(); err != nil {
 		return err
 	}
-	// Chain the leaves.
+	// Chain the leaves: the pointer is a fixed-width header field, patched in
+	// place rather than through a decode and re-encode of every entry.
 	for i := 0; i < len(level)-1; i++ {
 		buf, err := t.pool.Get(level[i].id)
 		if err != nil {
 			return err
 		}
-		n := readNode(buf)
-		n.next = level[i+1].id
-		writeNode(buf, n)
+		setLeafNext(buf, level[i+1].id)
 		t.pool.Unpin(level[i].id, true)
 	}
 
@@ -110,6 +108,7 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 		var parent node
 		var next []levelNode
 		var firstChildKey []byte
+		size := nodeHeaderSize
 		flushInternal := func() error {
 			id, buf, err := t.pool.New()
 			if err != nil {
@@ -127,19 +126,17 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 				firstChildKey = child.firstKey
 				continue
 			}
-			parent.keys = append(parent.keys, child.firstKey)
-			parent.children = append(parent.children, child.id)
-			if nodeSize(&parent) > t.capacity {
-				last := len(parent.keys) - 1
-				k, c := parent.keys[last], parent.children[last+1]
-				parent.keys = parent.keys[:last]
-				parent.children = parent.children[:last+1]
+			if size += entrySize(false, child.firstKey); size > t.capacity {
 				if err := flushInternal(); err != nil {
 					return err
 				}
-				parent = node{children: []storage.PageID{c}}
-				firstChildKey = k
+				parent = node{children: []storage.PageID{child.id}}
+				firstChildKey = child.firstKey
+				size = nodeHeaderSize
+				continue
 			}
+			parent.keys = append(parent.keys, child.firstKey)
+			parent.children = append(parent.children, child.id)
 		}
 		if err := flushInternal(); err != nil {
 			return err

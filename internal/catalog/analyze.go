@@ -7,18 +7,20 @@ import (
 )
 
 // Analyze scans a table and recomputes count/distinct/min/max statistics for
-// every column. Existing histograms are preserved (they are created by a
-// separate, costed manipulation). The scan goes through the buffer pool, so
-// analyzing charges real simulated I/O like any other statement.
+// every column, feeding each decoded value to its column's stats.Collector —
+// the one the materialization path streams into — so the scan holds a row at a
+// time and never a column. Existing histograms are preserved (they are created
+// by a separate, costed manipulation). The scan goes through the buffer pool,
+// so analyzing charges real simulated I/O like any other statement.
 func Analyze(t *Table) error {
-	cols := make([][]tuple.Value, t.Schema.Len())
+	cols := make([]stats.Collector, t.Schema.Len())
 	row := make(tuple.Row, t.Schema.Len())
 	err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
 		if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
 			return err
 		}
 		for i, v := range row {
-			cols[i] = append(cols[i], v)
+			cols[i].Add(v)
 		}
 		return nil
 	})
@@ -26,7 +28,7 @@ func Analyze(t *Table) error {
 		return err
 	}
 	for i, c := range t.Schema.Columns {
-		cs := stats.CollectColumnStats(cols[i])
+		cs := cols[i].Stats()
 		if old := t.ColumnStats(c.Name); old != nil {
 			cs.SetHist(old.Hist())
 		}

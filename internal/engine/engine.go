@@ -625,18 +625,30 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 		}
 		res.Plan, res.Schema = node, node.Schema()
 		return e.measure(st, res, func() error {
-			table, err := e.Catalog.CreateTable(name, node.Schema())
-			if err != nil {
-				return err
-			}
+			// The iterator is built before the table exists, and everything
+			// after the table exists is covered by one cleanup: a failed drain
+			// or registration, or a panic on its way to the statement boundary,
+			// leaves no table behind under a name FreshName never hands out
+			// again.
 			it, err := node.Build(e.execContext(st))
 			if err != nil {
 				return err
 			}
+			table, err := e.Catalog.CreateTable(name, node.Schema())
+			if err != nil {
+				return err
+			}
+			registered := false
+			defer func() {
+				if !registered {
+					_ = e.Catalog.DropTable(name) // best effort: the statement's own failure is what is reported
+				}
+			}()
 			// Statistics are collected from the stream as it is written, the
-			// way a real engine piggybacks stats on CREATE TABLE AS SELECT —
-			// no second scan.
-			cols := make([][]tuple.Value, table.Schema.Len())
+			// way a real engine piggybacks stats on CREATE TABLE AS SELECT: each
+			// value goes to its column's collector and is not kept — no second
+			// scan and no buffered copy of the view.
+			cols := make([]stats.Collector, table.Schema.Len())
 			var buf []byte
 			var n int64
 			err = exec.Drain(it, func(r tuple.Row) error {
@@ -648,22 +660,24 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 					return err
 				}
 				for i, v := range r {
-					cols[i] = append(cols[i], v)
+					cols[i].Add(v)
 				}
 				n++
 				return nil
 			})
 			if err != nil {
-				// Leave no half-created table behind.
-				_ = e.Catalog.DropTable(name)
 				return err
 			}
 			res.RowCount = n
 			for i, c := range table.Schema.Columns {
-				table.SetColumnStats(c.Name, stats.CollectColumnStats(cols[i]))
+				table.SetColumnStats(c.Name, cols[i].Stats())
 			}
 			st.meter.ChargeTuples(n) // the stats pass over the stream
-			return e.Catalog.RegisterView(name, g, forced)
+			if err := e.Catalog.RegisterView(name, g, forced); err != nil {
+				return err
+			}
+			registered = true
+			return nil
 		})
 	})
 }
@@ -695,14 +709,20 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			var entries []btree.Entry
+			// Keys are carved out of one growing buffer, not allocated per
+			// row. A key keeps pointing into the buffer it was carved from,
+			// which append abandons whole when it moves on to a larger one.
+			entries := make([]btree.Entry, 0, t.RowCount())
+			var keys []byte
 			row := make(tuple.Row, t.Schema.Len())
 			err = t.Heap.Scan(func(rid storage.RID, rec []byte) error {
 				if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
 					return err
 				}
 				st.meter.ChargeTuples(1)
-				entries = append(entries, btree.Entry{Key: tuple.EncodeKey(nil, row[ord]), RID: rid})
+				start := len(keys)
+				keys = tuple.EncodeKey(keys, row[ord])
+				entries = append(entries, btree.Entry{Key: keys[start:len(keys):len(keys)], RID: rid})
 				res.RowCount++
 				return nil
 			})

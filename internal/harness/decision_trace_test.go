@@ -151,7 +151,7 @@ func (d *decisionDump) replaySerial(t *testing.T, eng *engine.Engine, traces []*
 	t.Helper()
 	for i, tr := range traces {
 		cfg.NamePrefix = fmt.Sprintf("%s_t%d", label, i)
-		so, err := runTraceSpec(eng, i, tr, cfg, learner())
+		so, err := RunTraceWithLearner(eng, i, tr, cfg, learner())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -223,13 +223,13 @@ type SpecOutcome struct {
 // final query. The pool starts cold.
 func RunTraceSpeculative(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Config) (*SpecOutcome, error) {
 	cfg.NamePrefix = fmt.Sprintf("spec_t%d", traceIdx)
-	return runTraceSpec(eng, traceIdx, tr, cfg, core.NewLearner(DefaultLearnerConfig()))
+	return RunTraceWithLearner(eng, traceIdx, tr, cfg, core.NewLearner(DefaultLearnerConfig()))
 }
 
-// runTraceSpec is RunTraceSpeculative with the learner (and cfg.NamePrefix)
-// supplied by the caller, so replays can share a profile — and a predictor —
-// across traces and passes (RunPredictBench).
-func runTraceSpec(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Config, learner *core.Learner) (*SpecOutcome, error) {
+// RunTraceWithLearner is RunTraceSpeculative with the learner (and
+// cfg.NamePrefix) supplied by the caller, so replays can share a profile — and
+// a predictor — across traces and passes (RunPredictBench).
+func RunTraceWithLearner(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Config, learner *core.Learner) (*SpecOutcome, error) {
 	if err := eng.ColdStart(); err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64, oracl
 		for i, tr := range traces {
 			cfg := base
 			cfg.NamePrefix = fmt.Sprintf("pred_p%d_t%d", pass, i)
-			so, err := runTraceSpec(env.Eng, i, tr, cfg, learner)
+			so, err := RunTraceWithLearner(env.Eng, i, tr, cfg, learner)
 			if err != nil {
 				return nil, fmt.Errorf("harness: predict replay pass %d trace %d: %w", pass, i, err)
 			}

@@ -1,0 +1,152 @@
+package stats
+
+import "specdb/internal/tuple"
+
+// Collector accumulates one column's Count/Distinct/Min/Max from a stream of
+// values, one Add per value, holding only the column's distinct values. The
+// zero value is an empty collector. The numbers are exact, not sketched: they
+// feed every selectivity estimate, so every plan and every pinned simulated
+// output depends on them to the last unit.
+//
+// Distinct counts key images: tuple.KeyBits for int, date and float values
+// (the 8-byte tuple.EncodeKey image as an integer, so two values count once
+// exactly when their index keys are equal) and the string itself for strings.
+// Min and Max are Value.Compare's choice, the first seen among values that
+// compare equal — ints beyond 2^53 that collide as float64, or +0.0 and -0.0,
+// are distinct to the key image and equal to Compare.
+type Collector struct {
+	count    int64
+	min, max tuple.Value
+	bits     bitsSet
+	strs     map[string]struct{}
+}
+
+// Add feeds the next value of the column.
+func (c *Collector) Add(v tuple.Value) {
+	c.count++
+	if v.Kind == tuple.KindString {
+		if c.strs == nil {
+			c.strs = make(map[string]struct{})
+		}
+		c.strs[v.S] = struct{}{}
+	} else {
+		c.bits.add(tuple.KeyBits(v))
+	}
+	if c.count == 1 {
+		c.min, c.max = v, v
+		return
+	}
+	if c.inRange(v) {
+		return
+	}
+	if v.Compare(c.min) < 0 {
+		c.min = v
+	}
+	if v.Compare(c.max) > 0 {
+		c.max = v
+	}
+}
+
+// inRange reports, without Value.Compare's kind dispatch and float
+// conversions, that v can replace neither bound. It may say false for a value
+// that cannot (Add then asks Compare), never true for one that can: within one
+// kind, v ≥ min in the kind's own order implies Compare(v, min) ≥ 0 — the
+// int→float64 conversion Compare goes through is monotone, and a float NaN
+// fails both tests here and so goes to Compare — and likewise for max.
+func (c *Collector) inRange(v tuple.Value) bool {
+	if v.Kind != c.min.Kind || v.Kind != c.max.Kind {
+		return false
+	}
+	switch v.Kind {
+	case tuple.KindInt, tuple.KindDate:
+		return v.I >= c.min.I && v.I <= c.max.I
+	case tuple.KindFloat:
+		return v.F >= c.min.F && v.F <= c.max.F
+	case tuple.KindString:
+		return v.S >= c.min.S && v.S <= c.max.S
+	}
+	return false
+}
+
+// Stats returns the statistics of the values added so far.
+func (c *Collector) Stats() *ColumnStats {
+	cs := &ColumnStats{Count: c.count}
+	if c.count == 0 {
+		return cs
+	}
+	cs.Distinct = int64(c.bits.len() + len(c.strs))
+	cs.HasRange = true
+	cs.Min, cs.Max = c.min, c.max
+	return cs
+}
+
+// CollectColumnStats computes Count/Distinct/Min/Max from a column's values.
+// Histograms are built separately (BuildHistogram) because histogram creation
+// is a distinct, costed manipulation.
+func CollectColumnStats(values []tuple.Value) *ColumnStats {
+	var c Collector
+	for _, v := range values {
+		c.Add(v)
+	}
+	return c.Stats()
+}
+
+// bitsSet is an exact set of 64-bit key images: open addressing with linear
+// probing over a power-of-two table kept at most half full, doubling as it
+// fills, so n adds allocate O(log n) times and nothing per value. A zero slot
+// is an empty slot, so the zero image — a legitimate one, tuple.KeyBits of
+// math.MinInt64 — is remembered beside the table instead of in it.
+type bitsSet struct {
+	slots   []uint64
+	n       int // images in slots
+	hasZero bool
+}
+
+const bitsSetMinSlots = 64
+
+func (s *bitsSet) len() int {
+	if s.hasZero {
+		return s.n + 1
+	}
+	return s.n
+}
+
+func (s *bitsSet) add(k uint64) {
+	if k == 0 {
+		s.hasZero = true
+		return
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	if s.insert(k) {
+		s.n++
+	}
+}
+
+// insert places k unless it is already there, and reports whether it did. The
+// table has a free slot, so the probe ends.
+func (s *bitsSet) insert(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	// Fibonacci hashing: key images of a dense int column differ only in
+	// their low bits, the multiplication spreads them over the high ones.
+	for i := (k * 0x9e3779b97f4a7c15) >> 32 & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case 0:
+			s.slots[i] = k
+			return true
+		}
+	}
+}
+
+func (s *bitsSet) grow() {
+	old := s.slots
+	s.slots = make([]uint64, max(bitsSetMinSlots, 2*len(old)))
+	for _, k := range old {
+		if k != 0 {
+			s.insert(k)
+		}
+	}
+}

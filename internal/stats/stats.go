@@ -1,6 +1,9 @@
 // Package stats provides the optimizer's statistics layer: per-column
 // statistics, equi-depth histograms, and selectivity estimation for selection
-// and join predicates. Histogram creation is itself one of the paper's
+// and join predicates. Column statistics have one implementation, the
+// streaming Collector (collect.go): a materialization feeds it the rows it is
+// writing, ANALYZE the rows it scans, and nobody buffers a column to
+// summarize it. Histogram creation is itself one of the paper's
 // speculative manipulations (Section 3.2): creating a histogram during user
 // think-time sharpens the optimizer's estimates for the final query.
 package stats
@@ -121,32 +124,6 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// CollectColumnStats computes Count/Distinct/Min/Max from a column's values.
-// Histograms are built separately (BuildHistogram) because histogram creation
-// is a distinct, costed manipulation.
-func CollectColumnStats(values []tuple.Value) *ColumnStats {
-	cs := &ColumnStats{Count: int64(len(values))}
-	if len(values) == 0 {
-		return cs
-	}
-	distinct := make(map[string]struct{}, len(values))
-	var keyBuf []byte
-	cs.Min, cs.Max = values[0], values[0]
-	for _, v := range values {
-		keyBuf = tuple.EncodeKey(keyBuf[:0], v)
-		distinct[string(keyBuf)] = struct{}{}
-		if v.Compare(cs.Min) < 0 {
-			cs.Min = v
-		}
-		if v.Compare(cs.Max) > 0 {
-			cs.Max = v
-		}
-	}
-	cs.Distinct = int64(len(distinct))
-	cs.HasRange = true
-	return cs
 }
 
 // Bucket is one equi-depth histogram bucket over [Lo, Hi].

@@ -1,6 +1,11 @@
 package tpch
 
 import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
 	"testing"
 
 	"specdb/internal/engine"
@@ -172,5 +177,58 @@ func TestDeterminism(t *testing.T) {
 	}
 	if r1.RowCount == r3.RowCount {
 		t.Logf("seeds 7 and 8 coincide on this query (possible but unlikely)")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// TestIndexBuildsKeepTheirShape pins what CreateIndex builds over every
+// column Load indexes: entry count, height, page count and a digest of the
+// tree's page images in allocation order (leaves first, then each level up),
+// against a file recorded before the bulk loader kept a running node size and
+// the build stopped allocating a key per row. Byte-identical images mean every
+// split landed on the same entry — the same first key in every leaf — so every
+// simulated I/O count over an index stays what it was.
+func TestIndexBuildsKeepTheirShape(t *testing.T) {
+	e := loadSmall(t)
+	var got strings.Builder
+	for _, name := range e.Catalog.TableNames() {
+		tb, err := e.Catalog.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range tb.IndexList() {
+			if err := idx.Tree.CheckInvariants(); err != nil {
+				t.Fatalf("%s.%s: %v", name, idx.Column, err)
+			}
+			images := fnv.New64a()
+			for _, id := range idx.Tree.PageIDs() {
+				buf, err := e.Pool.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				images.Write(buf)
+				e.Pool.Unpin(id, false)
+			}
+			fmt.Fprintf(&got, "%s.%s entries=%d height=%d pages=%d images=%016x\n",
+				name, idx.Column, idx.Tree.Len(), idx.Tree.Height(), idx.Tree.NumPages(), images.Sum64())
+		}
+	}
+	const golden = "testdata/index_shapes.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("index shapes differ from %s (re-record with -update only if a change to the index format is intended):\n got:\n%s\nwant:\n%s", golden, got.String(), want)
 	}
 }

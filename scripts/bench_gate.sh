@@ -13,9 +13,11 @@
 #
 # Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
 # filter, hash-join build/probe, index-NL probe, DecodeRowInto, pool miss,
-# B+-tree lookup, one whole RunQuery through the statement boundary, and a
-# served GO at two answer sizes, which must allocate the same) and gates their
-# allocs/op and B/op against BENCH_allocs.txt.
+# B+-tree lookup, one whole RunQuery through the statement boundary, a
+# served GO at two answer sizes, which must allocate the same, and the three
+# builds — a speculative Materialize, ANALYZE of lineitem, CREATE INDEX on
+# lineitem.l_partkey — whose statistics and keys must not cost an allocation
+# per value) and gates their allocs/op and B/op against BENCH_allocs.txt.
 # Both are counts of a deterministic program on a pool that holds its data, so
 # they do not depend on the machine: allocs/op must match exactly; B/op may
 # differ by 1% + 1 KiB, because the runtime's own occasional allocations land

@@ -1,22 +1,44 @@
 #!/usr/bin/env bash
-# profile.sh — CPU and allocation profiles of the 3-user speculation-off
-# replay (BenchmarkNormalReplay in bench_layers_test.go: the benchmark's
-# normal_replay workload as a `go test -bench` target, since cmd/bench carries
-# no profiling hook).
+# profile.sh — CPU and allocation profiles of one replay of the 3-user corpus.
+# cmd/bench carries no profiling hook, so each replay workload of
+# BENCHMARK.json has a `go test -bench` twin in bench_layers_test.go (same
+# dataset, corpus 7, 46-page pool, cold start per trace):
+#
+#   normal   BenchmarkNormalReplay   mirrors normal_replay: speculation off —
+#            plan, exec, tuple, buffer, storage; the GO path.
+#   spec     BenchmarkSpecReplay     mirrors spec_replay: core.DefaultConfig(),
+#            fresh learner per trace — the edit path (OnEvent, Complete,
+#            engine.Materialize) beside the GOs.
+#   predict  BenchmarkPredictReplay  mirrors predict_replay: shared predictor,
+#            answer cache and learner, after one untimed training pass.
+#
+# concurrent_hot has no twin here; BenchmarkLayerRunQueryParallel is its
+# nearest `go test -bench` target.
 #
 # Writes cpu.pprof, mem.pprof and the test binary into the git-ignored
 # profiles/ directory and prints the top of each. -memprofilerate=4096 samples
 # allocations finely enough to rank per-row sites.
 #
-# Usage: scripts/profile.sh [passes]     # replay passes, default 10
+# Usage: scripts/profile.sh [replay] [passes]   # replay: normal (default), spec, predict; passes default 10
+#        scripts/profile.sh 5                   # five passes of the normal replay
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+replay="normal"
+if [[ "${1:-}" =~ ^(normal|spec|predict)$ ]]; then
+  replay="$1"
+  shift
+fi
 passes="${1:-10}"
+case "$replay" in
+  normal) bench="BenchmarkNormalReplay" ;;
+  spec) bench="BenchmarkSpecReplay" ;;
+  predict) bench="BenchmarkPredictReplay" ;;
+esac
 out="profiles"
 mkdir -p "$out"
 
-go test -run '^$' -bench '^BenchmarkNormalReplay$' -benchtime="${passes}x" -benchmem \
+go test -run '^$' -bench "^${bench}\$" -benchtime="${passes}x" -benchmem \
   -o "$out/specdb.test" -cpuprofile "$out/cpu.pprof" -memprofile "$out/mem.pprof" \
   -memprofilerate 4096 .
 
