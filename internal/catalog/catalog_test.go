@@ -212,14 +212,14 @@ func TestAnalyzeAndColumnValues(t *testing.T) {
 	if cs == nil || cs.Count != 40 || cs.Distinct != 10 {
 		t.Fatalf("stats %+v", cs)
 	}
-	if cs.Min.I != 0 || cs.Max.I != 9 {
+	if cs.Min.Int() != 0 || cs.Max.Int() != 9 {
 		t.Fatalf("range [%v,%v]", cs.Min, cs.Max)
 	}
 	vals, err := ColumnValues(tb, "id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 40 || vals[0].I != 0 {
+	if len(vals) != 40 || vals[0].Int() != 0 {
 		t.Fatalf("values %d", len(vals))
 	}
 	// Analyze preserves an existing histogram.

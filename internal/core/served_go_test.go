@@ -133,7 +133,7 @@ func TestServedGoVersionValidation(t *testing.T) {
 
 func hasRow(rows []tuple.Row, want tuple.Row) bool {
 	for _, r := range rows {
-		if len(r) == len(want) && r[0] == want[0] && r[1] == want[1] {
+		if len(r) == len(want) && r[0].Equal(want[0]) && r[1].Equal(want[1]) {
 			return true
 		}
 	}

@@ -127,12 +127,31 @@ type metaRoot struct {
 	Profile    []byte      `json:"profile,omitempty"`
 }
 
+// toMetaValue fills the one payload field v's kind names, keeping the JSON
+// shape (Str is "" for a non-string).
 func toMetaValue(v tuple.Value) metaValue {
-	return metaValue{Kind: uint8(v.Kind), I: v.I, F: v.F, S: v.S}
+	m := metaValue{Kind: uint8(v.Kind), S: v.Str()}
+	switch v.Kind {
+	case tuple.KindInt, tuple.KindDate:
+		m.I = v.Int()
+	case tuple.KindFloat:
+		m.F = v.Float()
+	}
+	return m
 }
 
 func fromMetaValue(m metaValue) tuple.Value {
-	return tuple.Value{Kind: tuple.Kind(m.Kind), I: m.I, F: m.F, S: m.S}
+	switch tuple.Kind(m.Kind) {
+	case tuple.KindInt:
+		return tuple.NewInt(m.I)
+	case tuple.KindDate:
+		return tuple.NewDate(m.I)
+	case tuple.KindFloat:
+		return tuple.NewFloat(m.F)
+	case tuple.KindString:
+		return tuple.NewString(m.S)
+	}
+	return tuple.Value{Kind: tuple.Kind(m.Kind)}
 }
 
 func toMetaPages(ids []storage.PageID) []int64 {

@@ -132,7 +132,7 @@ func TestRowArenaAllocatesOncePerChunk(t *testing.T) {
 	var a rowArena
 	first, second := a.keep(row), a.keep(row)
 	_ = append(first, tuple.NewInt(99))
-	if second[0].I != 0 || cap(first) != width {
+	if second[0].Int() != 0 || cap(first) != width {
 		t.Fatalf("append to a kept row wrote into its neighbour: %v (cap %d)", second, cap(first))
 	}
 }
@@ -199,7 +199,7 @@ func TestHashJoinMatchOrderIsBuildOrder(t *testing.T) {
 		for k := 0; k < 7; k++ {
 			for seq := k; seq < 600; seq += 7 {
 				r := rows[n]
-				if !r[0].Equal(key(k)) || !r[2].Equal(key(k)) || r[1].I != int64(seq) {
+				if !r[0].Equal(key(k)) || !r[2].Equal(key(k)) || r[1].Int() != int64(seq) {
 					t.Fatalf("%v keys: row %d is %v, want key %v seq %d", kind, n, r, key(k), seq)
 				}
 				n++

@@ -13,9 +13,11 @@ type rowArena struct {
 	chunk int           // size of the newest chunk, in values
 }
 
-// Chunks double from arenaMinChunk to arenaMaxChunk values (40 bytes each): a
-// three-row build side costs 10 KB, and the unused tail that an answer kept
-// in a cache drags along stays under 160 KB.
+// Chunks double from arenaMinChunk to arenaMaxChunk values (24 bytes each): a
+// three-row build side costs 6 KB, and the unused tail that an answer kept
+// in a cache drags along stays under 96 KB. The sizes are in values, not
+// bytes, so the number of chunks a statement allocates does not depend on
+// what a value costs.
 const (
 	arenaMinChunk = 256
 	arenaMaxChunk = 4096

@@ -121,7 +121,7 @@ func TestSeqScanUnqualified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 || rows[0][0].S != "emp0000" {
+	if len(rows) != 5 || rows[0][0].Str() != "emp0000" {
 		t.Fatalf("rows %v", rows)
 	}
 }
@@ -143,7 +143,7 @@ func TestFilter(t *testing.T) {
 		t.Fatalf("filtered %d rows, want 50", len(rows))
 	}
 	for _, r := range rows {
-		if r[1].I >= 30 {
+		if r[1].Int() >= 30 {
 			t.Fatalf("row %v violates predicate", r)
 		}
 	}
@@ -173,7 +173,7 @@ func TestProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 10 || rows[0][1].S != "emp0000" {
+	if len(rows) != 10 || rows[0][1].Str() != "emp0000" {
 		t.Fatalf("projected rows wrong: %v", rows[0])
 	}
 	if _, err := NewProject(e.ctx, NewSeqScan(e.ctx, tb, ""), []string{"ghost"}); err == nil {
@@ -198,7 +198,7 @@ func TestIndexScanRange(t *testing.T) {
 		t.Fatalf("index scan found %d rows, want 30", len(rows))
 	}
 	for _, r := range rows {
-		if r[1].I < 25 || r[1].I > 27 {
+		if r[1].Int() < 25 || r[1].Int() > 27 {
 			t.Fatalf("row %v out of range", r)
 		}
 	}
@@ -258,7 +258,7 @@ func TestHashJoin(t *testing.T) {
 	sch := j.Schema()
 	di, ai := sch.MustOrdinal("dept.id"), sch.MustOrdinal("employee.age")
 	for _, r := range rows {
-		if r[di].I != r[ai].I {
+		if r[di].Int() != r[ai].Int() {
 			t.Fatalf("join row violates condition: %v", r)
 		}
 	}
@@ -396,8 +396,8 @@ func TestJoinEquivalence(t *testing.T) {
 	var ref []string
 	for _, ra := range rowsA {
 		for _, rb := range rowsB {
-			if ra[0].I == rb[0].I {
-				ref = append(ref, fmt.Sprint(ra[1].I, "/", rb[1].I))
+			if ra[0].Int() == rb[0].Int() {
+				ref = append(ref, fmt.Sprint(ra[1].Int(), "/", rb[1].Int()))
 			}
 		}
 	}
@@ -406,7 +406,7 @@ func TestJoinEquivalence(t *testing.T) {
 	normalize := func(rows []tuple.Row, aOrd, bOrd int) []string {
 		out := make([]string, len(rows))
 		for i, r := range rows {
-			out[i] = fmt.Sprint(r[aOrd].I, "/", r[bOrd].I)
+			out[i] = fmt.Sprint(r[aOrd].Int(), "/", r[bOrd].Int())
 		}
 		sort.Strings(out)
 		return out

@@ -189,8 +189,9 @@ func keyImage(v tuple.Value) uint64 {
 		return tuple.KeyBits(v)
 	}
 	h := uint64(14695981039346656037) // FNV-1a
-	for i := 0; i < len(v.S); i++ {
-		h = (h ^ uint64(v.S[i])) * 1099511628211
+	s := v.Str()
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
 }
@@ -228,7 +229,7 @@ func (t *joinTable) slot(k uint64, v tuple.Value) uint64 {
 		if head == 0 {
 			return p
 		}
-		if t.keys[head-1] == k && (v.Kind != tuple.KindString || t.rows[head-1][t.ord].S == v.S) {
+		if t.keys[head-1] == k && (v.Kind != tuple.KindString || t.rows[head-1][t.ord].Str() == v.Str()) {
 			return p
 		}
 	}

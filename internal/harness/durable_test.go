@@ -68,7 +68,7 @@ func durableFingerprint(t *testing.T, eng *engine.Engine) string {
 		fmt.Fprintf(&b, "%q rows=%d\n", q, res.RowCount)
 		for _, row := range res.Rows {
 			for _, v := range row {
-				fmt.Fprintf(&b, " %d:%d:%g:%q", v.Kind, v.I, v.F, v.S)
+				fmt.Fprintf(&b, " %d:%v", v.Kind, v)
 			}
 			b.WriteByte('\n')
 		}

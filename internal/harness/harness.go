@@ -173,12 +173,12 @@ func RowSetKey(rows []tuple.Row) uint64 {
 			h.Write([]byte{byte(v.Kind)})
 			switch v.Kind {
 			case tuple.KindFloat:
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
 				h.Write(buf[:])
 			case tuple.KindString:
-				h.Write([]byte(v.S))
+				h.Write([]byte(v.Str()))
 			default:
-				binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
+				binary.LittleEndian.PutUint64(buf[:], uint64(v.Int()))
 				h.Write(buf[:])
 			}
 		}

@@ -498,7 +498,7 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 		want := 0
 		for _, ra := range aRows {
 			for _, rb := range bRows {
-				if ra[0].I == rb[0].I && ra[1].I < vCut && rb[1].I >= wCut {
+				if ra[0].Int() == rb[0].Int() && ra[1].Int() < vCut && rb[1].Int() >= wCut {
 					want++
 				}
 			}

@@ -118,7 +118,7 @@ func TestOptimizerNeverWorsensWithViews(t *testing.T) {
 		sub := qgraph.SelectionSubgraph(qgraph.Selection{
 			Rel: "R", Col: "c", Op: tuple.CmpGT, Const: tuple.NewInt(15 + r.Int63n(3)),
 		})
-		if !g.Contains(sub) && sub.Selections()[0].Const.I != 15 {
+		if !g.Contains(sub) && sub.Selections()[0].Const.Int() != 15 {
 			continue
 		}
 		e.materializeView(t, fmt.Sprintf("opt_v%d", i), sub, false)

@@ -53,7 +53,7 @@ func (c Condition) String() string {
 func renderConst(v tuple.Value) string {
 	switch v.Kind {
 	case tuple.KindString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	case tuple.KindFloat:
 		s := v.String()
 		if !strings.ContainsAny(s, ".eE") {

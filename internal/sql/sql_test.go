@@ -23,7 +23,7 @@ func TestParsePaperIntroQuery(t *testing.T) {
 		t.Fatalf("where %v", stmt.Where)
 	}
 	c := stmt.Where[0]
-	if c.IsJoin() || c.Left.Col != "age" || c.Op != tuple.CmpLT || c.RightConst.I != 30 {
+	if c.IsJoin() || c.Left.Col != "age" || c.Op != tuple.CmpLT || c.RightConst.Int() != 30 {
 		t.Fatalf("condition %v", c)
 	}
 }
@@ -85,14 +85,14 @@ func TestParseConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := stmt.Where
-	if w[0].RightConst.Kind != tuple.KindInt || w[0].RightConst.I != -5 {
+	if w[0].RightConst.Kind != tuple.KindInt || w[0].RightConst.Int() != -5 {
 		t.Fatalf("int const %v", w[0].RightConst)
 	}
-	if w[1].RightConst.Kind != tuple.KindFloat || w[1].RightConst.F != 2.75 {
+	if w[1].RightConst.Kind != tuple.KindFloat || w[1].RightConst.Float() != 2.75 {
 		t.Fatalf("float const %v", w[1].RightConst)
 	}
-	if w[2].RightConst.S != "it's" {
-		t.Fatalf("escaped string %q", w[2].RightConst.S)
+	if w[2].RightConst.Str() != "it's" {
+		t.Fatalf("escaped string %q", w[2].RightConst.Str())
 	}
 	if w[3].Op != tuple.CmpNE {
 		t.Fatalf("op %v", w[3].Op)

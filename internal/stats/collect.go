@@ -12,8 +12,8 @@ import "specdb/internal/tuple"
 // (the 8-byte tuple.EncodeKey image as an integer, so two values count once
 // exactly when their index keys are equal) and the string itself for strings.
 // Min and Max are Value.Compare's choice, the first seen among values that
-// compare equal — ints beyond 2^53 that collide as float64, or +0.0 and -0.0,
-// are distinct to the key image and equal to Compare.
+// compare equal — +0.0 and -0.0 are distinct to the key image and equal to
+// Compare.
 type Collector struct {
 	count    int64
 	min, max tuple.Value
@@ -28,7 +28,7 @@ func (c *Collector) Add(v tuple.Value) {
 		if c.strs == nil {
 			c.strs = make(map[string]struct{})
 		}
-		c.strs[v.S] = struct{}{}
+		c.strs[v.Str()] = struct{}{}
 	} else {
 		c.bits.add(tuple.KeyBits(v))
 	}
@@ -50,20 +50,20 @@ func (c *Collector) Add(v tuple.Value) {
 // inRange reports, without Value.Compare's kind dispatch and float
 // conversions, that v can replace neither bound. It may say false for a value
 // that cannot (Add then asks Compare), never true for one that can: within one
-// kind, v ≥ min in the kind's own order implies Compare(v, min) ≥ 0 — the
-// int→float64 conversion Compare goes through is monotone, and a float NaN
-// fails both tests here and so goes to Compare — and likewise for max.
+// kind, v ≥ min in the kind's own order implies Compare(v, min) ≥ 0 — it is
+// the order Compare uses, and a float NaN fails both tests here and so goes
+// to Compare — and likewise for max.
 func (c *Collector) inRange(v tuple.Value) bool {
 	if v.Kind != c.min.Kind || v.Kind != c.max.Kind {
 		return false
 	}
 	switch v.Kind {
 	case tuple.KindInt, tuple.KindDate:
-		return v.I >= c.min.I && v.I <= c.max.I
+		return v.Int() >= c.min.Int() && v.Int() <= c.max.Int()
 	case tuple.KindFloat:
-		return v.F >= c.min.F && v.F <= c.max.F
+		return v.Float() >= c.min.Float() && v.Float() <= c.max.Float()
 	case tuple.KindString:
-		return v.S >= c.min.S && v.S <= c.max.S
+		return v.Str() >= c.min.Str() && v.Str() <= c.max.Str()
 	}
 	return false
 }

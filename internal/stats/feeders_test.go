@@ -13,16 +13,6 @@ import (
 	"specdb/internal/tuple"
 )
 
-type columnSummary struct {
-	Count, Distinct int64
-	HasRange        bool
-	Min, Max        tuple.Value
-}
-
-func summaryOf(cs *stats.ColumnStats) columnSummary {
-	return columnSummary{cs.Count, cs.Distinct, cs.HasRange, cs.Min, cs.Max}
-}
-
 // TestBothFeedersAgree: the statistics a Materialize streams while it writes a
 // view, the statistics Analyze then computes from the view's heap, and the
 // buffered reference over catalog.ColumnValues are three routes to the same
@@ -79,13 +69,13 @@ func TestBothFeedersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed := make([]columnSummary, view.Schema.Len())
+		streamed := make([]stats.Summary, view.Schema.Len())
 		for ci, c := range view.Schema.Columns {
 			cs := view.ColumnStats(c.Name)
 			if cs == nil || cs.Count != res.RowCount {
 				t.Fatalf("%s.%s: streamed statistics %+v for %d rows", name, c.Name, cs, res.RowCount)
 			}
-			streamed[ci] = summaryOf(cs)
+			streamed[ci] = stats.SummaryOf(cs)
 		}
 		// A histogram created between the build and the ANALYZE survives it.
 		histCol := ""
@@ -109,14 +99,14 @@ func TestBothFeedersAgree(t *testing.T) {
 			t.Fatalf("%s.%s: ANALYZE replaced or dropped the histogram", name, histCol)
 		}
 		for ci, c := range view.Schema.Columns {
-			if got := summaryOf(view.ColumnStats(c.Name)); got != streamed[ci] {
+			if got := stats.SummaryOf(view.ColumnStats(c.Name)); !got.Same(streamed[ci]) {
 				t.Fatalf("%s.%s: ANALYZE computed %+v, the build streamed %+v", name, c.Name, got, streamed[ci])
 			}
 			values, err := catalog.ColumnValues(view, c.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := summaryOf(stats.ReferenceColumnStats(values)); want != streamed[ci] {
+			if want := stats.SummaryOf(stats.ReferenceColumnStats(values)); !want.Same(streamed[ci]) {
 				t.Fatalf("%s.%s: reference computed %+v, the build streamed %+v", name, c.Name, want, streamed[ci])
 			}
 		}

@@ -22,7 +22,7 @@ func TestCollectColumnStats(t *testing.T) {
 	if cs.Count != 6 || cs.Distinct != 4 {
 		t.Fatalf("count=%d distinct=%d", cs.Count, cs.Distinct)
 	}
-	if !cs.HasRange || cs.Min.I != 1 || cs.Max.I != 9 {
+	if !cs.HasRange || cs.Min.Int() != 1 || cs.Max.Int() != 9 {
 		t.Fatalf("range [%v, %v]", cs.Min, cs.Max)
 	}
 }

@@ -59,13 +59,13 @@ func (v ValueJSON) ToValue() (tuple.Value, error) {
 func FromValue(v tuple.Value) ValueJSON {
 	switch v.Kind {
 	case tuple.KindInt:
-		return ValueJSON{Kind: "int", I: v.I}
+		return ValueJSON{Kind: "int", I: v.Int()}
 	case tuple.KindFloat:
-		return ValueJSON{Kind: "float", F: v.F}
+		return ValueJSON{Kind: "float", F: v.Float()}
 	case tuple.KindString:
-		return ValueJSON{Kind: "string", S: v.S}
+		return ValueJSON{Kind: "string", S: v.Str()}
 	case tuple.KindDate:
-		return ValueJSON{Kind: "date", I: v.I}
+		return ValueJSON{Kind: "date", I: v.Int()}
 	default:
 		return ValueJSON{Kind: "invalid"}
 	}

@@ -3,7 +3,6 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Row codec: a compact, schema-driven binary format used by slotted pages.
@@ -20,12 +19,12 @@ func EncodeRow(dst []byte, s *Schema, r Row) ([]byte, error) {
 	for _, v := range r {
 		switch v.Kind {
 		case KindInt, KindDate:
-			dst = binary.AppendVarint(dst, v.I)
+			dst = binary.AppendVarint(dst, v.Int())
 		case KindFloat:
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F))
+			dst = binary.BigEndian.AppendUint64(dst, v.word)
 		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-			dst = append(dst, v.S...)
+			dst = binary.AppendUvarint(dst, v.word)
+			dst = append(dst, v.Str()...)
 		default:
 			return nil, fmt.Errorf("tuple: cannot encode kind %v", v.Kind)
 		}
@@ -62,14 +61,13 @@ func DecodeRowInto(dst Row, buf []byte, s *Schema) (int, error) {
 				return 0, fmt.Errorf("tuple: truncated varint in column %q", c.Name)
 			}
 			off += n
-			dst[i] = Value{Kind: c.Kind, I: v}
+			dst[i] = Value{Kind: c.Kind, word: uint64(v)}
 		case KindFloat:
 			if len(buf[off:]) < 8 {
 				return 0, fmt.Errorf("tuple: truncated float in column %q", c.Name)
 			}
-			bits := binary.BigEndian.Uint64(buf[off:])
+			dst[i] = Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])}
 			off += 8
-			dst[i] = NewFloat(math.Float64frombits(bits))
 		case KindString:
 			l, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
@@ -96,11 +94,11 @@ func EncodedSize(s *Schema, r Row) int {
 	for _, v := range r {
 		switch v.Kind {
 		case KindInt, KindDate:
-			size += binary.PutVarint(scratch[:], v.I)
+			size += binary.PutVarint(scratch[:], v.Int())
 		case KindFloat:
 			size += 8
 		case KindString:
-			size += binary.PutUvarint(scratch[:], uint64(len(v.S))) + len(v.S)
+			size += binary.PutUvarint(scratch[:], v.word) + int(v.word)
 		}
 	}
 	return size
@@ -118,7 +116,7 @@ func EncodeKey(dst []byte, v Value) []byte {
 	case KindInt, KindDate, KindFloat:
 		return binary.BigEndian.AppendUint64(dst, KeyBits(v))
 	case KindString:
-		return append(dst, v.S...)
+		return append(dst, v.Str()...)
 	default:
 		// Programmer invariant: index keys are typed by the catalog, and
 		// every kind the catalog can produce is handled above.
@@ -133,9 +131,9 @@ func EncodeKey(dst []byte, v Value) []byte {
 func KeyBits(v Value) uint64 {
 	switch v.Kind {
 	case KindInt, KindDate:
-		return uint64(v.I) ^ (1 << 63)
+		return v.word ^ (1 << 63)
 	case KindFloat:
-		bits := math.Float64bits(v.F)
+		bits := v.word
 		if bits&(1<<63) != 0 {
 			return ^bits // negative: flip all
 		}

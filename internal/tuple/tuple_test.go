@@ -139,7 +139,7 @@ func TestRowClone(t *testing.T) {
 	r := Row{NewInt(1), NewString("a")}
 	c := r.Clone()
 	c[0] = NewInt(9)
-	if r[0].I != 1 {
+	if r[0].Int() != 1 {
 		t.Fatal("clone aliases original")
 	}
 	if got := r.String(); got != "(1, 'a')" {

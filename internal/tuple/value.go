@@ -4,9 +4,12 @@
 package tuple
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the scalar types the engine supports. The set matches what
@@ -38,26 +41,54 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a scalar. It is a compact tagged union rather than an interface so
-// rows are allocation-light: hot join/filter paths compare millions of these.
+// Value is a scalar: a compact tagged union rather than an interface, so rows
+// are allocation-light — hot join/filter paths copy, hash and compare millions
+// of these. It is 24 bytes (DESIGN.md §15, "What a value costs"): the kind,
+// one payload word — the int64 or date, the float64's bits, or the string's
+// length — and one pointer to the string's bytes. Only the kind says how to
+// read the payload, so it is private behind Int, Float and Str.
+//
+// The zero-size func array makes a Value non-comparable: on a pointer payload
+// == would ask "same bytes in memory", so it does not compile; Equal and
+// Compare are the comparisons. ptr is an unsafe.Pointer, not a *byte, so that
+// reflect.DeepEqual compares it by address and can only err towards
+// "different" — it would follow a *byte and compare one byte.
 type Value struct {
+	_    [0]func()
 	Kind Kind
-	I    int64   // KindInt, KindDate
-	F    float64 // KindFloat
-	S    string  // KindString
+	word uint64
+	ptr  unsafe.Pointer
 }
 
 // NewInt wraps an int64.
-func NewInt(v int64) Value { return Value{Kind: KindInt, I: v} }
+func NewInt(v int64) Value { return Value{Kind: KindInt, word: uint64(v)} }
 
 // NewFloat wraps a float64.
-func NewFloat(v float64) Value { return Value{Kind: KindFloat, F: v} }
+func NewFloat(v float64) Value { return Value{Kind: KindFloat, word: math.Float64bits(v)} }
 
-// NewString wraps a string.
-func NewString(v string) Value { return Value{Kind: KindString, S: v} }
+// NewString wraps a string. The value shares the string's bytes.
+func NewString(v string) Value {
+	return Value{Kind: KindString, word: uint64(len(v)), ptr: unsafe.Pointer(unsafe.StringData(v))}
+}
 
 // NewDate wraps a day count since 1970-01-01.
-func NewDate(days int64) Value { return Value{Kind: KindDate, I: days} }
+func NewDate(days int64) Value { return Value{Kind: KindDate, word: uint64(days)} }
+
+// Int is the payload of a KindInt or KindDate value. Like Float it reads the
+// payload word without looking at the kind: callers have switched on it.
+func (v Value) Int() int64 { return int64(v.word) }
+
+// Float is the payload of a KindFloat value.
+func (v Value) Float() float64 { return math.Float64frombits(v.word) }
+
+// Str is the payload of a KindString value, and "" for every other kind —
+// the one accessor that must check, because there the word is not a length.
+func (v Value) Str() string {
+	if v.Kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ptr), int(v.word))
+}
 
 // IsNumeric reports whether the value participates in numeric comparison.
 func (v Value) IsNumeric() bool {
@@ -67,17 +98,23 @@ func (v Value) IsNumeric() bool {
 // AsFloat converts a numeric value to float64 for mixed-type comparison.
 func (v Value) AsFloat() float64 {
 	if v.Kind == KindFloat {
-		return v.F
+		return v.Float()
 	}
-	return float64(v.I)
+	return float64(v.Int())
 }
 
 // Compare orders v against o: −1, 0, +1. Numeric kinds compare numerically
-// across int/float/date; strings compare lexically. Comparing a string with a
-// numeric value panics — the planner type-checks predicates before execution,
-// so reaching that case is an engine bug.
+// across int/float/date; strings compare lexically. Two int64 payloads (ints,
+// dates) compare as int64, the order EncodeKey and KeyBits give them; only a
+// pair with a float in it goes through float64, which cannot tell 2⁵³ from
+// 2⁵³+1. Comparing a string with a numeric value panics — the planner
+// type-checks predicates before execution, so reaching that case is an
+// engine bug.
 func (v Value) Compare(o Value) int {
 	if v.IsNumeric() && o.IsNumeric() {
+		if v.Kind != KindFloat && o.Kind != KindFloat {
+			return cmp.Compare(v.Int(), o.Int())
+		}
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {
 		case a < b:
@@ -89,7 +126,7 @@ func (v Value) Compare(o Value) int {
 		}
 	}
 	if v.Kind == KindString && o.Kind == KindString {
-		return strings.Compare(v.S, o.S)
+		return strings.Compare(v.Str(), o.Str())
 	}
 	// Programmer invariant: the planner type-checks every comparison
 	// (plan.BindGraph rejects incomparable kinds) before execution, so an
@@ -104,13 +141,13 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 func (v Value) String() string {
 	switch v.Kind {
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return "'" + v.S + "'"
+		return "'" + v.Str() + "'"
 	case KindDate:
-		return fmt.Sprintf("date(%d)", v.I)
+		return fmt.Sprintf("date(%d)", v.Int())
 	default:
 		return "<invalid>"
 	}

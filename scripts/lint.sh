@@ -2,13 +2,16 @@
 # scripts/lint.sh — the speclint gate, exactly as CI runs it, so local runs
 # and CI cannot drift (DESIGN.md §9).
 #
-# Three passes over the whole module:
+# Four passes over the whole module:
 #   1. text findings (the human-facing gate; nonzero exit on any finding),
 #      under a 120 s budget so call-graph construction cost cannot silently
 #      balloon;
 #   2. -json findings written to speclint.json (CI uploads it as an artifact
 #      when the gate fails);
-#   3. -allows audit listing every suppression directive with its reason.
+#   3. -allows audit listing every suppression directive with its reason;
+#   4. unsafe stays where tuple.Value's string payload is built and read:
+#      no non-test .go file but internal/tuple/value.go may import it
+#      (DESIGN.md §15, "What a value costs").
 #
 # Usage: scripts/lint.sh [output.json]
 set -u
@@ -36,5 +39,14 @@ fi
 
 echo "== speclint -allows =="
 timeout 120 go run ./cmd/speclint -allows ./... || exit $?
+
+echo "== unsafe imports =="
+offenders=$(grep -rlE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"unsafe"' --include='*.go' . |
+    grep -vE '_test\.go$|/testdata/|^\./internal/tuple/value\.go$')
+if [ -n "$offenders" ]; then
+    echo "unsafe imported outside internal/tuple/value.go:" >&2
+    echo "$offenders" >&2
+    exit 1
+fi
 
 exit "$status"

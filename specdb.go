@@ -280,11 +280,11 @@ func wrapResult(r *engine.Result) *Result {
 		for i, v := range row {
 			switch v.Kind {
 			case tuple.KindInt, tuple.KindDate:
-				vals[i] = v.I
+				vals[i] = v.Int()
 			case tuple.KindFloat:
-				vals[i] = v.F
+				vals[i] = v.Float()
 			default:
-				vals[i] = v.S
+				vals[i] = v.Str()
 			}
 		}
 		out.Rows = append(out.Rows, vals)
