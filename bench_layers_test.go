@@ -258,6 +258,33 @@ func BenchmarkLayerHashJoinProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerHashJoinResidual is one partsupp ⋈ lineitem on partkey AND
+// suppkey per pass, build and probe together: the join hashes on partkey and
+// tests suppkey on every candidate pair, of which one in four is a match.
+func BenchmarkLayerHashJoinResidual(b *testing.B) {
+	l := layerSetup(b)
+	partsupp, err := l.eng.Catalog.Table("partsupp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	joins := make([]*exec.HashJoin, b.N)
+	for i := range joins {
+		joins[i], err = exec.NewHashJoin(l.ctx, exec.NewSeqScan(l.ctx, partsupp, ""), exec.NewSeqScan(l.ctx, l.lineitem, ""),
+			"ps_partkey", "l_partkey", exec.JoinEdge{LeftCol: "ps_suppkey", RightCol: "l_suppkey"})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, hj := range joins {
+		if n, err := exec.Count(hj); err != nil || n == 0 {
+			b.Fatalf("%d rows, %v", n, err)
+		}
+	}
+	perRow(b, len(l.lineitemRecords))
+}
+
 func BenchmarkLayerIndexNLProbe(b *testing.B) {
 	l := layerSetup(b)
 	outer := l.orderRows[:2000]

@@ -6,9 +6,10 @@ import (
 	"specdb/internal/tuple"
 )
 
-// ColPred compares two columns of the same row: used for join edges beyond
-// the primary equi-join key (a join between two sub-plans may carry several
-// join edges; one drives the hash table, the rest become ColPreds).
+// ColPred compares two columns: of the same row in a ColFilter (a join edge
+// between relations a materialized view already joined, or an edge beyond the
+// one an index or cross join is driven by), of a build row and a probe row in
+// a HashJoin's residual.
 type ColPred struct {
 	LeftOrd  int
 	Op       tuple.CmpOp
@@ -53,7 +54,7 @@ func (f *ColFilter) Next() (tuple.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		f.ctx.Meter.ChargeTuples(1)
+		f.ctx.count(1)
 		match := true
 		for _, p := range f.preds {
 			if !p.Eval(row) {
@@ -68,7 +69,10 @@ func (f *ColFilter) Next() (tuple.Row, bool, error) {
 }
 
 // Close closes the child.
-func (f *ColFilter) Close() error { return f.child.Close() }
+func (f *ColFilter) Close() error {
+	f.ctx.flush()
+	return f.child.Close()
+}
 
 // Schema is the child's schema.
 func (f *ColFilter) Schema() *tuple.Schema { return f.child.Schema() }

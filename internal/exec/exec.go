@@ -1,8 +1,9 @@
 // Package exec is the Volcano-style executor: pull-based iterators for
-// scans, filters, projections, and joins. Every operator charges the tuples
-// it processes to the execution context's meter and fetches its pages through
-// the context's pool view, which charges the misses to the same meter — that
-// one meter is where a statement's simulated duration comes from.
+// scans, filters, projections, and joins. Every operator counts the tuples it
+// processes on the execution context, which hands the count to the context's
+// meter wherever the meter can be read (Context.flush), and fetches its pages
+// through the context's pool view, which charges the misses to the same meter
+// — that one meter is where a statement's simulated duration comes from.
 package exec
 
 import (
@@ -11,7 +12,10 @@ import (
 	"specdb/internal/tuple"
 )
 
-// Context carries per-execution state through an operator tree.
+// Context carries per-execution state through an operator tree. The operators
+// built on one context run on one goroutine — nothing in the executor, the
+// planner or the engine starts another — and that is what lets them count
+// tuples in a plain field. Two statements never share a context.
 type Context struct {
 	// Meter receives per-tuple CPU charges. Required.
 	Meter *sim.Meter
@@ -30,6 +34,26 @@ type Context struct {
 	// typed any because exec cannot import plan. The wrapper must preserve
 	// the iterator's behaviour exactly; it exists only to record actuals.
 	Observe func(node any, it Iterator) Iterator
+
+	// tuples counts what the operators have processed since the last flush.
+	tuples int64
+}
+
+// count records n tuples processed by an operator. It is a plain add where
+// Meter.ChargeTuples is a locked one: an answer passes through here a hundred
+// thousand times.
+func (c *Context) count(n int64) { c.tuples += n }
+
+// flush hands the counted tuples to the meter. It runs wherever the meter can
+// be observed — at every operator's Close, so whoever drains an iterator and
+// then reads the meter sees exact totals, and before each snapshot a profiler
+// takes: at those points the meter reads exactly what charging every row on
+// the spot would have left on it.
+func (c *Context) flush() {
+	if c.tuples != 0 {
+		c.Meter.ChargeTuples(c.tuples)
+		c.tuples = 0
+	}
 }
 
 // Instrument passes it through ctx.Observe if set; plan-node Build methods
@@ -91,18 +115,19 @@ func Drain(it Iterator, fn func(tuple.Row) error) (err error) {
 }
 
 // Collect drains an iterator into a materialized row slice. Each row is
-// copied once, into chunks shared by the rows of this answer.
+// copied once, into chunks shared by the rows of this answer, and the slice is
+// cut from the chunks at its exact length when the stream ends. An empty
+// stream collects to nil.
 func Collect(it Iterator) ([]tuple.Row, error) {
-	var out []tuple.Row
-	var kept rowArena
+	kept := rowArena{width: it.Schema().Len()}
 	err := Drain(it, func(r tuple.Row) error {
-		out = append(out, kept.keep(r))
+		kept.keep(r)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return kept.rows(), nil
 }
 
 // Count drains an iterator and reports the number of rows.

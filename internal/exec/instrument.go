@@ -41,9 +41,8 @@ func NewProfiler() *Profiler {
 // Attach installs the profiler as ctx's Observe hook; the wrappers read work
 // deltas from ctx.Meter.
 func (p *Profiler) Attach(ctx *Context) {
-	meter := ctx.Meter
 	ctx.Observe = func(node any, it Iterator) Iterator {
-		return &profiledIter{inner: it, stats: p.statsFor(node), meter: meter}
+		return &profiledIter{inner: it, stats: p.statsFor(node), ctx: ctx}
 	}
 }
 
@@ -67,16 +66,24 @@ func (p *Profiler) statsFor(node any) *OpStats {
 }
 
 // profiledIter wraps an operator, snapshotting the statement's meter around Open
-// and Next to accumulate the subtree's inclusive work. It never charges the
-// meter itself, so instrumented runs measure identically to bare ones.
+// and Next to accumulate the subtree's inclusive work. It charges nothing of
+// its own — before each snapshot it hands the meter the tuples the operators
+// have counted so far, which only moves up a charge the statement makes anyway
+// — so instrumented runs measure identically to bare ones, and a tuple is
+// attributed to the call it was counted in.
 type profiledIter struct {
 	inner Iterator
 	stats *OpStats
-	meter *sim.Meter
+	ctx   *Context
+}
+
+func (p *profiledIter) snapshot() sim.Work {
+	p.ctx.flush()
+	return p.ctx.Meter.Snapshot()
 }
 
 func (p *profiledIter) Open() error {
-	before := p.meter.Snapshot()
+	before := p.snapshot()
 	err := p.inner.Open()
 	p.addWork(before)
 	p.stats.Opens++
@@ -84,7 +91,7 @@ func (p *profiledIter) Open() error {
 }
 
 func (p *profiledIter) Next() (tuple.Row, bool, error) {
-	before := p.meter.Snapshot()
+	before := p.snapshot()
 	row, ok, err := p.inner.Next()
 	p.addWork(before)
 	if ok && err == nil {
@@ -97,7 +104,7 @@ func (p *profiledIter) Close() error          { return p.inner.Close() }
 func (p *profiledIter) Schema() *tuple.Schema { return p.inner.Schema() }
 
 func (p *profiledIter) addWork(before sim.Work) {
-	after := p.meter.Snapshot()
+	after := p.snapshot()
 	p.stats.Work.PageReads += after.PageReads - before.PageReads
 	p.stats.Work.PageWrites += after.PageWrites - before.PageWrites
 	p.stats.Work.Tuples += after.Tuples - before.Tuples

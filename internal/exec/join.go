@@ -17,12 +17,19 @@ import (
 // (copied once, into an arena dropped at Close); a probe row is borrowed from
 // the right child for as long as its matches are being emitted, and every
 // match is assembled in the one join-owned output row.
+//
+// A join on several edges hashes on the first and tests the others on each
+// (build row, probe row) pair the table proposes, before anything is copied:
+// most candidates of a two-edge join fail the second edge.
 type HashJoin struct {
 	ctx         *Context
 	left, right Iterator
 	leftOrd     int
 	rightOrd    int
-	schema      *tuple.Schema
+	// residual are the join's other edges: LeftOrd is a column of the build
+	// row, RightOrd one of the probe row.
+	residual []ColPred
+	schema   *tuple.Schema
 
 	arena      rowArena
 	table      joinTable
@@ -37,11 +44,19 @@ type HashJoin struct {
 	out     tuple.Row
 }
 
+// JoinEdge names one equi-join edge of a join: a column of the left (build)
+// child and the column of the right (probe) child it must equal.
+type JoinEdge struct {
+	LeftCol, RightCol string
+}
+
 // NewHashJoin joins left and right on leftCol = rightCol (names resolved in
-// each child's schema). Join columns must have the same kind; the planner's
-// binder guarantees this, and it matters because hash keys are compared as
-// key images, not as values.
-func NewHashJoin(ctx *Context, left, right Iterator, leftCol, rightCol string) (*HashJoin, error) {
+// each child's schema) and on every edge of residual. The hashed columns must
+// have the same kind; the planner's binder guarantees this, and it matters
+// because hash keys are compared as key images, not as values. Residual edges
+// are compared as values, the way a ColFilter over the joined row compares
+// them.
+func NewHashJoin(ctx *Context, left, right Iterator, leftCol, rightCol string, residual ...JoinEdge) (*HashJoin, error) {
 	lo := left.Schema().Ordinal(leftCol)
 	if lo < 0 {
 		return nil, fmt.Errorf("exec: hash join: no column %q on build side", leftCol)
@@ -55,6 +70,17 @@ func NewHashJoin(ctx *Context, left, right Iterator, leftCol, rightCol string) (
 	if lk != rk {
 		return nil, fmt.Errorf("exec: hash join kind mismatch: %v vs %v", lk, rk)
 	}
+	var preds []ColPred
+	for _, e := range residual {
+		p := ColPred{LeftOrd: left.Schema().Ordinal(e.LeftCol), Op: tuple.CmpEQ, RightOrd: right.Schema().Ordinal(e.RightCol)}
+		if p.LeftOrd < 0 {
+			return nil, fmt.Errorf("exec: hash join: no column %q on build side", e.LeftCol)
+		}
+		if p.RightOrd < 0 {
+			return nil, fmt.Errorf("exec: hash join: no column %q on probe side", e.RightCol)
+		}
+		preds = append(preds, p)
+	}
 	schema := left.Schema().Concat(right.Schema())
 	return &HashJoin{
 		ctx:      ctx,
@@ -62,6 +88,7 @@ func NewHashJoin(ctx *Context, left, right Iterator, leftCol, rightCol string) (
 		right:    right,
 		leftOrd:  lo,
 		rightOrd: ro,
+		residual: preds,
 		schema:   schema,
 		out:      make(tuple.Row, schema.Len()),
 	}, nil
@@ -74,7 +101,7 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	leftSchema := j.left.Schema()
-	var rows []tuple.Row
+	j.arena = rowArena{width: leftSchema.Len()}
 	var buildBytes int64
 	for {
 		row, ok, err := j.left.Next()
@@ -84,8 +111,8 @@ func (j *HashJoin) Open() error {
 		if !ok {
 			break
 		}
-		rows = append(rows, j.arena.keep(row))
-		j.ctx.Meter.ChargeTuples(1)
+		j.arena.keep(row)
+		j.ctx.count(1)
 		buildBytes += int64(tuple.EncodedSize(leftSchema, row))
 	}
 	if err := j.left.Close(); err != nil {
@@ -100,6 +127,7 @@ func (j *HashJoin) Open() error {
 		j.ctx.Meter.ChargePageWrite(pages)
 		j.ctx.Meter.ChargePageRead(pages)
 	}
+	rows := j.arena.rows()
 	if len(rows) == 0 {
 		// Empty build side: no row can match; skip scanning the probe side
 		// entirely (it may be a large forced materialization).
@@ -118,18 +146,27 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 		return nil, false, nil
 	}
 	for {
-		if j.match != 0 {
-			n := copy(j.out, j.table.rows[j.match-1])
-			copy(j.out[n:], j.current)
+		for j.match != 0 {
+			build := j.table.rows[j.match-1]
 			j.match = j.table.next[j.match-1]
-			j.ctx.Meter.ChargeTuples(1)
+			j.ctx.count(1)
+			if len(j.residual) != 0 {
+				// A candidate also counts as the input of the ColFilter that
+				// used to stand over the join, whether or not it passes.
+				j.ctx.count(1)
+				if !j.residualHolds(build) {
+					continue
+				}
+			}
+			n := copy(j.out, build)
+			copy(j.out[n:], j.current)
 			return j.out, true, nil
 		}
 		row, ok, err := j.right.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		j.ctx.Meter.ChargeTuples(1)
+		j.ctx.count(1)
 		if j.spilled {
 			j.spillBytes += int64(tuple.EncodedSize(j.right.Schema(), row))
 			for j.spillBytes >= pageSizeForSpill {
@@ -145,6 +182,16 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 	}
 }
 
+// residualHolds tests the join's other edges on (build, the current probe row).
+func (j *HashJoin) residualHolds(build tuple.Row) bool {
+	for _, p := range j.residual {
+		if !p.Op.Eval(build[p.LeftOrd], j.current[p.RightOrd]) {
+			return false
+		}
+	}
+	return true
+}
+
 // pageSizeForSpill is the unit for spill I/O accounting.
 const pageSizeForSpill = 8192
 
@@ -155,6 +202,7 @@ func (j *HashJoin) Close() error {
 	j.emptyBuild = false
 	j.spilled = false
 	j.spillBytes = 0
+	j.ctx.flush()
 	err := j.left.Close()
 	if rerr := j.right.Close(); err == nil {
 		err = rerr
@@ -298,7 +346,7 @@ func NewIndexNLJoin(ctx *Context, outer Iterator, outerCol string, inner *catalo
 		if _, err := tuple.DecodeRowInto(inRow, rec, inner.Schema); err != nil {
 			return err
 		}
-		j.ctx.Meter.ChargeTuples(1)
+		j.ctx.count(1)
 		for _, p := range j.innerPreds {
 			if !p.Eval(inRow) {
 				j.pending = j.pending[:n]
@@ -320,14 +368,14 @@ func (j *IndexNLJoin) Next() (tuple.Row, bool, error) {
 		if j.pos < len(j.pending) {
 			n := copy(j.out, j.current)
 			j.pos += copy(j.out[n:], j.pending[j.pos:]) // fills out: one inner row
-			j.ctx.Meter.ChargeTuples(1)
+			j.ctx.count(1)
 			return j.out, true, nil
 		}
 		row, ok, err := j.outer.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		j.ctx.Meter.ChargeTuples(1)
+		j.ctx.count(1)
 		j.keyBuf = tuple.EncodeKey(j.keyBuf[:0], row[j.outerOrd])
 		j.pending, j.pos = j.pending[:0], 0
 		if err := j.index.Tree.ScanVia(j.ctx.Pool, btree.Exact(j.keyBuf), btree.Exact(j.keyBuf), j.visit); err != nil {
@@ -342,6 +390,7 @@ func (j *IndexNLJoin) Next() (tuple.Row, bool, error) {
 // Close closes the outer child and drops the match buffer.
 func (j *IndexNLJoin) Close() error {
 	j.current, j.pending, j.pos = nil, nil, 0
+	j.ctx.flush()
 	return j.outer.Close()
 }
 
@@ -397,14 +446,14 @@ func (j *CrossJoin) Next() (tuple.Row, bool, error) {
 			n := copy(j.out, j.current)
 			copy(j.out[n:], j.innerRows[j.pos])
 			j.pos++
-			j.ctx.Meter.ChargeTuples(1)
+			j.ctx.count(1)
 			return j.out, true, nil
 		}
 		row, ok, err := j.outer.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		j.ctx.Meter.ChargeTuples(1)
+		j.ctx.count(1)
 		if len(j.innerRows) == 0 {
 			return nil, false, nil // empty inner: empty product
 		}
@@ -419,6 +468,7 @@ func (j *CrossJoin) Next() (tuple.Row, bool, error) {
 // the materialized inner side.
 func (j *CrossJoin) Close() error {
 	j.innerRows, j.current, j.haveOuter = nil, nil, false
+	j.ctx.flush()
 	return j.outer.Close()
 }
 

@@ -47,7 +47,7 @@ func (f *Filter) Next() (tuple.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		f.ctx.Meter.ChargeTuples(1)
+		f.ctx.count(1)
 		match := true
 		for _, p := range f.preds {
 			if !p.Eval(row) {
@@ -62,7 +62,10 @@ func (f *Filter) Next() (tuple.Row, bool, error) {
 }
 
 // Close closes the child.
-func (f *Filter) Close() error { return f.child.Close() }
+func (f *Filter) Close() error {
+	f.ctx.flush()
+	return f.child.Close()
+}
 
 // Schema is the child's schema.
 func (f *Filter) Schema() *tuple.Schema { return f.child.Schema() }
@@ -110,12 +113,15 @@ func (p *Project) Next() (tuple.Row, bool, error) {
 	for i, ord := range p.ords {
 		p.out[i] = row[ord]
 	}
-	p.ctx.Meter.ChargeTuples(1)
+	p.ctx.count(1)
 	return p.out, true, nil
 }
 
 // Close closes the child.
-func (p *Project) Close() error { return p.child.Close() }
+func (p *Project) Close() error {
+	p.ctx.flush()
+	return p.child.Close()
+}
 
 // Schema reports the projected schema.
 func (p *Project) Schema() *tuple.Schema { return p.schema }

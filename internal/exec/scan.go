@@ -54,12 +54,13 @@ func (s *SeqScan) Next() (tuple.Row, bool, error) {
 	if _, err := tuple.DecodeRowInto(s.row, rec, s.table.Schema); err != nil {
 		return nil, false, fmt.Errorf("exec: decoding row in %q: %w", s.table.Name, err)
 	}
-	s.ctx.Meter.ChargeTuples(1)
+	s.ctx.count(1)
 	return s.row, true, nil
 }
 
 // Close releases the cursor.
 func (s *SeqScan) Close() error {
+	s.ctx.flush()
 	if s.iter != nil {
 		s.iter.Close()
 		s.iter = nil
@@ -129,12 +130,15 @@ func (s *IndexScan) Next() (tuple.Row, bool, error) {
 		return nil, false, err
 	}
 	s.pos++
-	s.ctx.Meter.ChargeTuples(1)
+	s.ctx.count(1)
 	return s.row, true, nil
 }
 
-// Close is a no-op (Open re-gathers).
-func (s *IndexScan) Close() error { return nil }
+// Close releases nothing (Open re-gathers).
+func (s *IndexScan) Close() error {
+	s.ctx.flush()
+	return nil
+}
 
 // Schema reports the output schema.
 func (s *IndexScan) Schema() *tuple.Schema { return s.schema }
@@ -164,12 +168,15 @@ func (v *ValuesScan) Next() (tuple.Row, bool, error) {
 	}
 	row := v.rows[v.pos]
 	v.pos++
-	v.ctx.Meter.ChargeTuples(1)
+	v.ctx.count(1)
 	return row, true, nil
 }
 
-// Close is a no-op.
-func (v *ValuesScan) Close() error { return nil }
+// Close releases nothing.
+func (v *ValuesScan) Close() error {
+	v.ctx.flush()
+	return nil
+}
 
 // Schema reports the row schema.
 func (v *ValuesScan) Schema() *tuple.Schema { return v.schema }

@@ -42,10 +42,8 @@ func (p PredSpec) String() string {
 }
 
 // JoinEdgeSpec is one equi-join edge between two sub-plans, as qualified
-// column names.
-type JoinEdgeSpec struct {
-	LeftCol, RightCol string
-}
+// column names: LeftCol of the left sub-plan, RightCol of the right.
+type JoinEdgeSpec = exec.JoinEdge
 
 // AccessMethod distinguishes table access paths.
 type AccessMethod uint8
@@ -188,7 +186,8 @@ type JoinNode struct {
 	Method      JoinMethod
 	Left, Right Node
 	// Edges are the equi-join edges between the sides (empty for JoinCross).
-	// Edges[0] drives the physical join; the rest become residual filters.
+	// Edges[0] drives the physical join; the rest are residual: a hash join
+	// tests them itself on each candidate pair, the others get a ColFilter.
 	Edges []JoinEdgeSpec
 
 	schema *tuple.Schema
@@ -220,11 +219,11 @@ func (j *JoinNode) Build(ctx *exec.Context) (exec.Iterator, error) {
 		}
 		// Left is the build side by construction (optimizer puts the smaller
 		// estimated side on the left).
-		hj, err := exec.NewHashJoin(ctx, left, right, j.Edges[0].LeftCol, j.Edges[0].RightCol)
+		hj, err := exec.NewHashJoin(ctx, left, right, j.Edges[0].LeftCol, j.Edges[0].RightCol, j.Edges[1:]...)
 		if err != nil {
 			return nil, err
 		}
-		it = hj
+		return ctx.Instrument(j, hj), nil
 	case JoinIndexNL:
 		access, ok := j.Right.(*TableAccess)
 		if !ok {
@@ -260,6 +259,7 @@ func (j *JoinNode) Build(ctx *exec.Context) (exec.Iterator, error) {
 		return nil, fmt.Errorf("plan: unknown join method %d", j.Method)
 	}
 	if len(j.Edges) > 1 {
+		// An index join is driven by one edge; the others filter its output.
 		preds := make([]exec.ColPred, 0, len(j.Edges)-1)
 		for _, e := range j.Edges[1:] {
 			p, err := exec.CompileColPred(it.Schema(), e.LeftCol, tuple.CmpEQ, e.RightCol)

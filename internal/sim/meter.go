@@ -62,15 +62,18 @@ func (w Work) Cost(r CostRates) Duration {
 }
 
 // Meter accumulates work counters. The engine makes one per statement: the
-// statement's view of the buffer pool charges page I/O to it, its operators
-// charge tuples, and the engine reads it around the statement's measure window
-// to obtain the simulated duration. Nobody else charges a statement's meter, so
+// statement's view of the buffer pool charges page I/O to it, its operators'
+// tuples arrive in sums (exec.Context counts them and hands the count over
+// wherever the meter can be read), the engine's own passes charge theirs in
+// bulk, and the engine reads it around the statement's measure window to
+// obtain the simulated duration. Nobody else charges a statement's meter, so
 // per-statement accounting does not depend on what runs beside it. The zero
 // value is ready to use.
 //
-// Counters are atomic because one statement may still charge from several
-// goroutines, and because a pool's default charge target (buffer.Pool.ChargeTo)
-// is shared by whoever fetches through the pool itself.
+// A statement runs on one goroutine and would need no atomics for itself. The
+// counters are atomic because a meter is also what a pool charges by default
+// (buffer.Pool.ChargeTo), and that target is shared by whoever fetches through
+// the pool itself, from any goroutine.
 type Meter struct {
 	pageReads  atomic.Int64
 	pageWrites atomic.Int64

@@ -13,10 +13,13 @@ import (
 // EncodeRow appends the encoding of r (which must match schema s) to dst and
 // returns the extended slice.
 func EncodeRow(dst []byte, s *Schema, r Row) ([]byte, error) {
-	if err := s.Validate(r); err != nil {
-		return nil, err
+	if len(r) != len(s.kinds) {
+		return nil, s.Validate(r)
 	}
-	for _, v := range r {
+	for i, v := range r {
+		if v.Kind != s.kinds[i] {
+			return nil, s.Validate(r) // names the column
+		}
 		switch v.Kind {
 		case KindInt, KindDate:
 			dst = binary.AppendVarint(dst, v.Int())
@@ -49,38 +52,52 @@ func DecodeRow(buf []byte, s *Schema) (Row, int, error) {
 // on every call, so only string columns allocate (their bytes are copied out
 // of buf, which usually aliases a pinned page).
 func DecodeRowInto(dst Row, buf []byte, s *Schema) (int, error) {
-	if len(dst) != len(s.Columns) {
-		return 0, fmt.Errorf("tuple: decode into %d values, schema arity %d", len(dst), len(s.Columns))
+	if len(dst) != len(s.kinds) {
+		return 0, fmt.Errorf("tuple: decode into %d values, schema arity %d", len(dst), len(s.kinds))
 	}
 	off := 0
-	for i, c := range s.Columns {
-		switch c.Kind {
+	for i, k := range s.kinds {
+		switch k {
 		case KindInt, KindDate:
+			// Most stored integers are one varint byte; the rest take the
+			// general decoder.
+			if off < len(buf) && buf[off] < 0x80 {
+				ux := uint64(buf[off])
+				dst[i] = Value{Kind: k, word: ux>>1 ^ -(ux & 1)} // zig-zag
+				off++
+				continue
+			}
 			v, n := binary.Varint(buf[off:])
 			if n <= 0 {
-				return 0, fmt.Errorf("tuple: truncated varint in column %q", c.Name)
+				return 0, fmt.Errorf("tuple: truncated varint in column %q", s.Columns[i].Name)
 			}
 			off += n
-			dst[i] = Value{Kind: c.Kind, word: uint64(v)}
+			dst[i] = Value{Kind: k, word: uint64(v)}
 		case KindFloat:
 			if len(buf[off:]) < 8 {
-				return 0, fmt.Errorf("tuple: truncated float in column %q", c.Name)
+				return 0, fmt.Errorf("tuple: truncated float in column %q", s.Columns[i].Name)
 			}
 			dst[i] = Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])}
 			off += 8
 		case KindString:
-			l, n := binary.Uvarint(buf[off:])
-			if n <= 0 {
-				return 0, fmt.Errorf("tuple: truncated string length in column %q", c.Name)
+			var l uint64
+			if off < len(buf) && buf[off] < 0x80 {
+				l = uint64(buf[off])
+				off++
+			} else {
+				var n int
+				if l, n = binary.Uvarint(buf[off:]); n <= 0 {
+					return 0, fmt.Errorf("tuple: truncated string length in column %q", s.Columns[i].Name)
+				}
+				off += n
 			}
-			off += n
 			if uint64(len(buf[off:])) < l {
-				return 0, fmt.Errorf("tuple: truncated string in column %q", c.Name)
+				return 0, fmt.Errorf("tuple: truncated string in column %q", s.Columns[i].Name)
 			}
 			dst[i] = NewString(string(buf[off : off+int(l)]))
 			off += int(l)
 		default:
-			return 0, fmt.Errorf("tuple: cannot decode kind %v", c.Kind)
+			return 0, fmt.Errorf("tuple: cannot decode kind %v", k)
 		}
 	}
 	return off, nil

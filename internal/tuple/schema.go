@@ -16,13 +16,24 @@ type Column struct {
 type Schema struct {
 	Columns []Column
 	byName  map[string]int
+	// kinds[i] is Columns[i].Kind: what the row codec walks, a byte a column
+	// where a Column is 24. Up to 40 columns it lives in narrow, inside the
+	// schema's own allocation (the planner builds a schema per candidate join).
+	kinds  []Kind
+	narrow [40]Kind
 }
 
 // NewSchema builds a schema from the given columns. Duplicate column names
 // panic: schemas are engine-constructed, so a duplicate is a programming bug.
 func NewSchema(cols ...Column) *Schema {
 	s := &Schema{Columns: cols, byName: make(map[string]int, len(cols))}
+	if len(cols) <= len(s.narrow) {
+		s.kinds = s.narrow[:len(cols)]
+	} else {
+		s.kinds = make([]Kind, len(cols))
+	}
 	for i, c := range cols {
+		s.kinds[i] = c.Kind
 		if _, dup := s.byName[c.Name]; dup {
 			// Programmer invariant: schemas are built from catalog
 			// definitions and planner projections, which dedupe columns.
@@ -103,9 +114,9 @@ func (s *Schema) Validate(r Row) error {
 		return fmt.Errorf("tuple: row arity %d, schema arity %d", len(r), s.Len())
 	}
 	for i, v := range r {
-		if v.Kind != s.Columns[i].Kind {
+		if v.Kind != s.kinds[i] {
 			return fmt.Errorf("tuple: column %q wants %v, row has %v",
-				s.Columns[i].Name, s.Columns[i].Kind, v.Kind)
+				s.Columns[i].Name, s.kinds[i], v.Kind)
 		}
 	}
 	return nil

@@ -2,7 +2,10 @@ package tuple
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -272,5 +275,104 @@ func sign(x int) int {
 		return 1
 	default:
 		return 0
+	}
+}
+
+// decodeRowIntoReference is DecodeRowInto as it was before it took one-byte
+// varints inline and walked the schema's kinds: every value through
+// binary.Varint / binary.Uvarint, one Column copied per value. Kept as the
+// reference the codec is compared with.
+func decodeRowIntoReference(dst Row, buf []byte, s *Schema) (int, error) {
+	if len(dst) != len(s.Columns) {
+		return 0, fmt.Errorf("tuple: decode into %d values, schema arity %d", len(dst), len(s.Columns))
+	}
+	off := 0
+	for i, c := range s.Columns {
+		switch c.Kind {
+		case KindInt, KindDate:
+			v, n := binary.Varint(buf[off:])
+			if n <= 0 {
+				return 0, fmt.Errorf("tuple: truncated varint in column %q", c.Name)
+			}
+			off += n
+			dst[i] = Value{Kind: c.Kind, word: uint64(v)}
+		case KindFloat:
+			if len(buf[off:]) < 8 {
+				return 0, fmt.Errorf("tuple: truncated float in column %q", c.Name)
+			}
+			dst[i] = Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])}
+			off += 8
+		case KindString:
+			l, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return 0, fmt.Errorf("tuple: truncated string length in column %q", c.Name)
+			}
+			off += n
+			if uint64(len(buf[off:])) < l {
+				return 0, fmt.Errorf("tuple: truncated string in column %q", c.Name)
+			}
+			dst[i] = NewString(string(buf[off : off+int(l)]))
+			off += int(l)
+		default:
+			return 0, fmt.Errorf("tuple: cannot decode kind %v", c.Kind)
+		}
+	}
+	return off, nil
+}
+
+// TestDecodeRowIntoMatchesReference decodes rows whose integers and string
+// lengths sit on both sides of every varint length boundary, whole and cut at
+// every byte, and wants the reference's values, byte counts and errors — the
+// errors name the column, so the texts are compared.
+func TestDecodeRowIntoMatchesReference(t *testing.T) {
+	s := testSchema()
+	ints := []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, 8192, -8193, 1 << 20, -(1 << 20), 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	strs := []string{"", "x", strings.Repeat("a", 127), strings.Repeat("b", 128), strings.Repeat("c", 16384)}
+	got, want := make(Row, s.Len()), make(Row, s.Len())
+	for i, v := range ints {
+		r := Row{NewInt(v), NewFloat(float64(v) / 3), NewString(strs[i%len(strs)]), NewDate(ints[len(ints)-1-i])}
+		buf, err := EncodeRow(nil, s, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut <= len(buf); cut++ {
+			if cut > 40 && cut < len(buf)-40 {
+				continue // inside a long string: nothing new
+			}
+			gn, gerr := DecodeRowInto(got, buf[:cut], s)
+			wn, werr := decodeRowIntoReference(want, buf[:cut], s)
+			if gn != wn || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Fatalf("row %v cut at %d/%d: got (%d, %v), reference (%d, %v)", r[0], cut, len(buf), gn, gerr, wn, werr)
+			}
+			if gerr != nil {
+				continue
+			}
+			for c := range got {
+				if got[c].Kind != want[c].Kind || got[c].word != want[c].word || got[c].Str() != want[c].Str() {
+					t.Fatalf("row %v column %d: got %v, reference %v", r[0], c, got[c], want[c])
+				}
+			}
+		}
+	}
+	if _, err := DecodeRowInto(make(Row, 2), nil, s); err == nil || err.Error() != "tuple: decode into 2 values, schema arity 4" {
+		t.Fatalf("arity error: %v", err)
+	}
+}
+
+// TestEncodeRowErrorsAreValidates pins the one-walk EncodeRow to the error
+// texts of Schema.Validate, which it used to call first.
+func TestEncodeRowErrorsAreValidates(t *testing.T) {
+	s := testSchema()
+	for _, r := range []Row{
+		{NewInt(1)},
+		{NewInt(1), NewFloat(2), NewString("x"), NewDate(3), NewInt(4)},
+		{NewInt(1), NewInt(2), NewString("x"), NewDate(3)},
+		{NewInt(1), NewFloat(2), NewString("x"), NewInt(3)}, // an int is not a date
+		{NewInt(1), NewFloat(2), {}, NewDate(3)},
+	} {
+		buf, err := EncodeRow([]byte("kept"), s, r)
+		if want := s.Validate(r); want == nil || err == nil || err.Error() != want.Error() || buf != nil {
+			t.Fatalf("EncodeRow(%v) = (%q, %v), Validate says %v", r, buf, err, want)
+		}
 	}
 }

@@ -12,8 +12,9 @@
 # baseline, requiring at least one shared (deduplicated) build.
 #
 # Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
-# filter, hash-join build/probe, index-NL probe, DecodeRowInto, pool miss,
-# B+-tree lookup, one whole RunQuery through the statement boundary, a
+# filter, hash-join build/probe, a two-edge hash join, index-NL probe,
+# DecodeRowInto, pool miss, B+-tree lookup, one whole RunQuery through the
+# statement boundary, a
 # served GO at two answer sizes, which must allocate the same, and the three
 # builds — a speculative Materialize, ANALYZE of lineitem, CREATE INDEX on
 # lineitem.l_partkey — whose statistics and keys must not cost an allocation
@@ -22,6 +23,11 @@
 # they do not depend on the machine: allocs/op must match exactly; B/op may
 # differ by 1% + 1 KiB, because the runtime's own occasional allocations land
 # inside a ten-pass window (measured: 0 vs 524 B/op between identical runs).
+# The layer passes run with the collector off (GOGC=off; the testing package
+# still collects between benchmarks, peak RSS ≈ 105 MB): a pass during which a
+# GC cycle runs allocates 2–3 objects more (one Materialize: 3778 without a
+# cycle, 3780–3781 with one), so with the collector on the ten-pass mean says
+# how many cycles happened to fall inside the window, not what the program did.
 # ns/op is printed for information. A benchmark the baseline does not list is
 # reported and skipped — which is how the *Parallel variants (wall time of
 # overlapping sessions, nothing deterministic to gate) are shown and never
@@ -35,7 +41,7 @@ allocs_file="BENCH_allocs.txt"
 
 # layer_table — run the layer benchmarks, print "name allocs/op B/op ns/op".
 layer_table() {
-  go test -run '^$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x . | awk '
+  GOGC=off go test -run '^$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x . | awk '
     /^BenchmarkLayer/ {
       name = $1; sub(/-[0-9]+$/, "", name)
       for (i = 2; i <= NF; i++) {
