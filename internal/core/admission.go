@@ -41,7 +41,7 @@ func (sp *Speculator) issueNext(now sim.Time) (*Job, error) {
 	case now < sp.retryAt:
 		// Post-failure backoff (retryAt stays 0 on the fault-free path).
 		return nil, nil
-	case !sp.cfg.Governor.AllowIssue(now, len(sp.outstanding) == 0):
+	case !sp.cfg.Governor.AllowIssue(sp.cfg.Ledger, now, len(sp.outstanding) == 0):
 		// Under pressure the governor refuses extra jobs (pressured band) or
 		// every issue (critical/degraded).
 		count(sp, &sp.stats.GovernorDeferred, 1)
@@ -74,7 +74,8 @@ func (sp *Speculator) walkPredicted(now sim.Time) (job *Job, stop bool, err erro
 			continue
 		}
 		m := Manipulation{Kind: ManipPredictFinal, Graph: c.Graph, Projs: q.Projections}
-		if sp.abandoned[m.Key()] || sp.predictedReady[FormKey(m.Graph, m.Projs)] || sp.isKnown(m) {
+		key := sp.cfg.Ledger.Key(sp.holder, &m)
+		if sp.abandoned[key.Manip] || sp.predictedReady[FormKey(m.Graph, m.Projs)] || sp.isKnown(m) {
 			continue
 		}
 		if err := sp.cm.ScorePredicted(&m, c.Confidence); err != nil {
@@ -83,7 +84,7 @@ func (sp *Speculator) walkPredicted(now sim.Time) (job *Job, stop bool, err erro
 		if m.Benefit < sp.cfg.MinBenefit {
 			continue
 		}
-		if job, stop := sp.tryIssue(&m, now); job != nil || stop {
+		if job, stop := sp.tryIssue(&m, key, now); job != nil || stop {
 			return job, stop, nil
 		}
 	}
@@ -102,7 +103,8 @@ func (sp *Speculator) walkFragments(now sim.Time) (*Job, error) {
 	worth := candidates[:0]
 	for i := range candidates {
 		m := &candidates[i]
-		if sp.abandoned[m.Key()] {
+		key := sp.cfg.Ledger.Key(sp.holder, m)
+		if sp.abandoned[key.Manip] {
 			continue
 		}
 		if err := sp.cm.Score(m, elapsed); err != nil {
@@ -113,14 +115,14 @@ func (sp *Speculator) walkFragments(now sim.Time) (*Job, error) {
 		// so the candidate scores ~zero precisely because the work is done.
 		// Attaching refcounts the freeload — the build cannot then be dropped
 		// out from under this session.
-		if sp.adoptReady(m) || m.Benefit < sp.cfg.MinBenefit {
+		if sp.adoptReady(m, key) || m.Benefit < sp.cfg.MinBenefit {
 			continue
 		}
 		worth = append(worth, *m)
 	}
 	slices.SortStableFunc(worth, func(a, b Manipulation) int { return cmp.Compare(b.Benefit, a.Benefit) })
 	for i := range worth {
-		if job, stop := sp.tryIssue(&worth[i], now); job != nil || stop {
+		if job, stop := sp.tryIssue(&worth[i], sp.cfg.Ledger.Key(sp.holder, &worth[i]), now); job != nil || stop {
 			return job, nil
 		}
 	}
@@ -145,12 +147,26 @@ func (s *Stats) deferred(r refusal) *int {
 	return [...]*int{refusedBudget: &s.BudgetDeferred, refusedScheduler: &s.Deferred}[r]
 }
 
-// admit runs the per-candidate gates on a scored manipulation.
-func (sp *Speculator) admit(m *Manipulation, now sim.Time) refusal {
+// footprint is the summed EstPages of outstanding jobs plus held views — what
+// Config.BudgetPages caps, and this session's holdings in the ledger.
+func (sp *Speculator) footprint() int {
+	pages := 0
+	for _, job := range sp.outstanding {
+		pages += job.Manip.EstPages
+	}
+	for _, h := range sp.held {
+		pages += h.pages
+	}
+	return pages
+}
+
+// admit runs the per-candidate gates on a scored manipulation whose ledger
+// entry is key.
+func (sp *Speculator) admit(m *Manipulation, key AssetKey, now sim.Time) refusal {
 	switch {
-	case sp.cfg.BudgetPages > 0 && sp.retainedPages+m.EstPages > sp.cfg.BudgetPages:
+	case sp.cfg.BudgetPages > 0 && sp.footprint()+m.EstPages > sp.cfg.BudgetPages:
 		return refusedBudget
-	case len(sp.outstanding) > 0 && !sp.cfg.Scheduler.AdmitExtraKeyed(m.Key(), m.EstPages):
+	case len(sp.outstanding) > 0 && !sp.cfg.Scheduler.AdmitExtra(sp.cfg.Ledger, key, m.EstPages):
 		// Only extra jobs, beyond this speculator's first outstanding
 		// manipulation, pass the engine-wide scheduler.
 		return refusedScheduler
@@ -164,30 +180,19 @@ func (sp *Speculator) admit(m *Manipulation, now sim.Time) refusal {
 	return admitted
 }
 
-// tryIssue takes one scored candidate through shared-build claim, admit,
-// execute and start. It returns the started job; or nil, with stop set when
-// the walk must end — the breaker refused, or the execution failed and the
-// speculator now backs off.
-func (sp *Speculator) tryIssue(m *Manipulation, now sim.Time) (job *Job, stop bool) {
-	claim := ""
-	if sp.cfg.CSE != nil && m.Kind == ManipMaterialize {
-		if sp.adoptReady(m) {
-			// Became ready since the scoring pass (a concurrent session
-			// finished it): adopted instead of built.
-			return nil, false
-		}
-		gk := CSEKey(m.Graph)
-		if inflight, _ := sp.cfg.CSE.State(gk); inflight {
-			sp.cfg.CSE.NoteInflightSkip()
-			return nil, false // another session is building it; adopt once ready
-		}
-		if !sp.cfg.CSE.TryClaim(gk, m.EstPages) {
-			return nil, false // lost a concurrent claim race; re-evaluate later
-		}
-		claim = gk
+// tryIssue takes one scored candidate, whose ledger entry is key, through
+// claim, admit, execute and start. It returns the started job; or nil, with
+// stop set when the walk must end — the breaker refused, or the execution
+// failed and the speculator now backs off.
+func (sp *Speculator) tryIssue(m *Manipulation, key AssetKey, now sim.Time) (job *Job, stop bool) {
+	// A shared build that became ready since the scoring pass (a concurrent
+	// session finished it) is adopted instead of built; one another session is
+	// still building is skipped, and adopted once ready.
+	if sp.adoptReady(m, key) || !sp.cfg.Ledger.Claim(key, sp.holder, m.Benefit, m.EstPages) {
+		return nil, false
 	}
-	if r := sp.admit(m, now); r != admitted {
-		sp.cfg.CSE.AbortClaim(claim)
+	if r := sp.admit(m, key, now); r != admitted {
+		sp.cfg.Ledger.End(key, sp.holder)
 		if r == refusedBreaker {
 			return nil, true
 		}
@@ -199,11 +204,11 @@ func (sp *Speculator) tryIssue(m *Manipulation, now sim.Time) (job *Job, stop bo
 		// Best-effort: an issue-time failure (I/O fault under the eager
 		// execution) is contained — never surfaced to the session. The job
 		// was never started, so lifecycle accounting is untouched.
-		sp.cfg.CSE.AbortClaim(claim)
-		sp.noteFailure(m.Key(), now, err)
+		sp.cfg.Ledger.End(key, sp.holder)
+		sp.noteFailure(key.Manip, now, err)
 		return nil, true
 	}
-	job.cseKey = claim
+	job.asset = key
 	sp.start(job)
 	return job, false
 }
@@ -214,15 +219,14 @@ func (sp *Speculator) isKnown(m Manipulation) bool {
 	if len(sp.outstanding) > 0 {
 		key := m.Key()
 		for _, job := range sp.outstanding {
-			if job.Manip.Key() == key {
+			if job.asset.Manip == key {
 				return true
 			}
 		}
 	}
 	switch m.Kind {
 	case ManipMaterialize:
-		gk := m.Graph.Key()
-		if sp.held[gk] != nil {
+		if _, held := sp.held[m.Graph.Key()]; held {
 			return true
 		}
 		// An identical view may pre-exist (Figure 6's Spec+Views mode). Another
@@ -230,11 +234,7 @@ func (sp *Speculator) isKnown(m Manipulation) bool {
 		// stays enumerable so the walk can adopt (refcount) it instead of
 		// silently freeloading on a view that may be dropped out from under
 		// this session.
-		if sp.eng.Catalog.ViewByGraph(m.Graph) == nil {
-			return false
-		}
-		_, ready := sp.cfg.CSE.State(gk)
-		return !ready
+		return sp.eng.Catalog.ViewByGraph(m.Graph) != nil && !sp.cfg.Ledger.IsReady(sp.cfg.Ledger.Key(sp.holder, &m))
 	case ManipIndex:
 		t, err := sp.eng.Catalog.Table(m.Rel)
 		return err != nil || t.Index(m.Col) != nil
@@ -317,13 +317,10 @@ func (sp *Speculator) execute(m Manipulation, now sim.Time) (*Job, error) {
 // eager execution: a session's own manipulation must not inflate the cost of
 // the very engine work that created it.
 func (sp *Speculator) start(job *Job) {
-	m, key := &job.Manip, job.Manip.Key()
+	m, key := &job.Manip, job.asset.Manip
 	job.jobID = sp.eng.BeginJob()
-	sp.cfg.Scheduler.Acquire()
-	// The watchdog deadline is k× the cost model's predicted duration; the
-	// governor's global shed ranking gets the job's benefit at issue time.
+	// The watchdog deadline is k× the cost model's predicted duration.
 	job.Deadline = sp.cfg.Governor.DeadlineFor(job.IssuedAt, m.EstDuration)
-	sp.cfg.Governor.NoteIssue(sp.govID, key, m.Benefit, m.EstPages)
 	job.span = sp.eng.Tracer().Start("manip."+m.Kind.String(), job.IssuedAt, 0,
 		obs.Attr{Key: "key", Value: key})
 	if job.tableName != "" {
@@ -332,11 +329,9 @@ func (sp *Speculator) start(job *Job) {
 	if job.fromCache {
 		job.span.Annotate("source", "answer_cache")
 	}
-	if job.cseKey != "" {
-		sp.cfg.CSE.SetTable(job.cseKey, job.tableName)
+	if job.asset.Shared() {
 		sp.stats.SharedBuilds++
 	}
-	sp.retainedPages += m.EstPages
 	sp.outstanding = append(sp.outstanding, job)
 	count(sp, &sp.stats.Issued, 1)
 	if m.Kind == ManipPredictFinal {

@@ -68,10 +68,11 @@ func NewAnswerCache(reg *obs.Registry, capacityPages int) *AnswerCache {
 	}
 }
 
-// Put stores a completed answer under key, holding one reference for the
-// caller. pages is clamped to at least MinEstPages so no entry is footprint-
-// free. An entry larger than the whole cache is rejected (false); replacing
-// an existing key refreshes its contents and versions but keeps its refcount.
+// Put stores a completed answer under key, taking one reference for the
+// caller whenever it returns true. pages is clamped to at least MinEstPages
+// so no entry is footprint-free. An entry larger than the whole cache is
+// rejected (false); replacing an existing key refreshes its contents and
+// versions and adds the caller's reference to the ones already held.
 func (ac *AnswerCache) Put(key string, rows []tuple.Row, schema *tuple.Schema, cost sim.Duration, pages int, versions map[string]uint64) bool {
 	if ac == nil {
 		return false
@@ -91,6 +92,7 @@ func (ac *AnswerCache) Put(key string, rows []tuple.Row, schema *tuple.Schema, c
 	if old, ok := ac.entries[key]; ok {
 		ac.pages -= old.pages
 		old.rows, old.schema, old.cost, old.pages, old.versions = rows, schema, cost, pages, vcopy
+		old.refs++
 		ac.pages += pages
 	} else {
 		ac.entries[key] = &answerEntry{rows: rows, schema: schema, cost: cost, pages: pages, versions: vcopy, refs: 1}
@@ -183,8 +185,8 @@ func (ac *AnswerCache) Ref(key string) bool {
 	return true
 }
 
-// Release drops one reference on key. Unlike SharedBuilds.Release, the entry
-// is NOT removed at refs == 0 — a cached answer is an asset for future
+// Release drops one reference on key. Unlike a held view in the Ledger, the
+// entry is NOT removed at refs == 0 — a cached answer is an asset for future
 // replays — it merely becomes evictable under footprint pressure.
 func (ac *AnswerCache) Release(key string) {
 	if ac == nil {

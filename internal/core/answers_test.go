@@ -143,15 +143,20 @@ func TestAnswerCacheRefReleaseSemantics(t *testing.T) {
 	}
 }
 
+// TestAnswerCacheReplaceKeepsRefcount: a Put over an existing key keeps the
+// references already held and adds the replacing caller's own.
 func TestAnswerCacheReplaceKeepsRefcount(t *testing.T) {
 	ac := NewAnswerCache(nil, 10)
 	ac.Put("k", acRows(1), nil, 1, 2, map[string]uint64{"R": 1})
 	if !ac.Ref("k") {
 		t.Fatal("Ref failed")
 	}
-	// Replacing refreshes contents, versions, and footprint but keeps refs.
+	// Replacing refreshes contents, versions, and footprint.
 	if !ac.Put("k", acRows(7, 8, 9), nil, 2, 5, map[string]uint64{"R": 2}) {
 		t.Fatal("replace rejected")
+	}
+	if got := ac.entries["k"].refs; got != 3 {
+		t.Fatalf("refs = %d after a referenced entry was replaced, want the two held plus the replacer's", got)
 	}
 	if got := ac.Pages(); got != 5 {
 		t.Fatalf("Pages = %d after replace", got)

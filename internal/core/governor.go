@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"specdb/internal/buffer"
@@ -71,22 +70,14 @@ type GovernorConfig struct {
 	Breaker fault.GlobalBreakerConfig
 }
 
-// govJob is one registered speculative asset: an in-flight build
-// (retained=false) or a completed materialization a session still holds
-// (retained=true). Both are sheddable; they rank in one benefit order.
-type govJob struct {
-	benefit  sim.Duration
-	pages    int
-	retained bool
-}
-
 // Governor is the engine-wide resource-pressure layer above the scheduler
-// and the per-session budgets (DESIGN.md §13). Sessions register their
-// outstanding speculative jobs and retained footprints with it; at event
-// boundaries they ask it which of their builds to shed (benefit-ascending,
-// never a session's last) and whether new issues are allowed. All decisions
-// are driven by the callers' sim-clocks and the pool's exact headroom —
-// never wall time — so governed runs stay deterministic per timeline.
+// and the per-session budgets (DESIGN.md §13). At event boundaries sessions
+// ask it which of their builds to shed (benefit-ascending, never a session's
+// last) and whether new issues are allowed; what is in flight and held it
+// reads from the Ledger they hand it, and keeps only its band. All decisions
+// are driven by the callers' sim-clocks, the ledger and the pool's exact
+// headroom — never wall time — so governed runs stay deterministic per
+// timeline.
 //
 // Every method is nil-receiver safe and a *Governor field left nil (the
 // default) changes no decision anywhere: governor-off runs are byte-identical
@@ -97,14 +88,7 @@ type Governor struct {
 	pool    *buffer.Pool
 	breaker *fault.GlobalBreaker
 
-	level  PressureLevel // pool-pressure band (degraded is overlaid, not stored)
-	nextID int
-	// jobs tracks outstanding speculative builds: session id → manipulation
-	// key → footprint. retained tracks each session's reported retained
-	// pages (outstanding + held materializations).
-	jobs     map[int]map[string]govJob
-	retained map[int]int
-
+	level       PressureLevel // pool-pressure band (degraded is overlaid, not stored)
 	transitions int
 
 	obsLevel       *obs.Gauge
@@ -129,23 +113,16 @@ func NewGovernor(cfg GovernorConfig, pool *buffer.Pool) *Governor {
 	if cfg.DeadlineFactor <= 0 {
 		cfg.DeadlineFactor = 4
 	}
-	return &Governor{
-		cfg:      cfg,
-		pool:     pool,
-		breaker:  fault.NewGlobalBreaker(cfg.Breaker),
-		jobs:     make(map[int]map[string]govJob),
-		retained: make(map[int]int),
-	}
+	return &Governor{cfg: cfg, pool: pool, breaker: fault.NewGlobalBreaker(cfg.Breaker)}
 }
 
 // AttachMetrics mirrors governor state into reg under "governor.*" and wires
-// the global breaker's transition counters.
+// the global breaker's transition counters. Call it before the governor is
+// handed to a session.
 func (g *Governor) AttachMetrics(reg *obs.Registry) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.obsLevel = reg.Gauge("governor.level")
 	g.obsTransitions = reg.Counter("governor.transitions")
 	g.obsShedMarked = reg.Counter("governor.shed_marked")
@@ -158,98 +135,6 @@ func (g *Governor) Breaker() *fault.GlobalBreaker {
 		return nil
 	}
 	return g.breaker
-}
-
-// Register admits one session to governance, returning its id.
-func (g *Governor) Register() int {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.nextID++
-	g.jobs[g.nextID] = make(map[string]govJob)
-	return g.nextID
-}
-
-// Deregister withdraws a session (Shutdown): its jobs and retained footprint
-// stop contributing to the pressure signal.
-func (g *Governor) Deregister(id int) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.jobs, id)
-	delete(g.retained, id)
-}
-
-// Outstanding reports how many jobs are currently registered across all
-// sessions. A quiesced engine (every session shut down or drained) reports
-// zero — the chaos soak asserts exactly that.
-func (g *Governor) Outstanding() int {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for _, m := range g.jobs {
-		n += len(m)
-	}
-	return n
-}
-
-// NoteIssue registers one issued job under the session.
-func (g *Governor) NoteIssue(id int, key string, benefit sim.Duration, pages int) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if m := g.jobs[id]; m != nil {
-		m[key] = govJob{benefit: benefit, pages: pages}
-	}
-}
-
-// NoteRetained registers (or re-registers) a completed materialization the
-// session keeps holding: it left the in-flight set but its pages remain a
-// sheddable speculative asset until garbage collection, consumption at GO, or
-// shutdown removes it (NoteTerminal). benefit is the build's Cost⊆(m) — the
-// time a future query would save — which is exactly the shed ranking key.
-func (g *Governor) NoteRetained(id int, key string, benefit sim.Duration, pages int) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if m := g.jobs[id]; m != nil {
-		m[key] = govJob{benefit: benefit, pages: pages, retained: true}
-	}
-}
-
-// NoteTerminal deregisters a job on any terminal transition (completed,
-// canceled, aborted, shed, deadline-exceeded). Idempotent.
-func (g *Governor) NoteTerminal(id int, key string) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if m := g.jobs[id]; m != nil {
-		delete(m, key)
-	}
-}
-
-// ReportRetained pushes a session's current retained speculative footprint
-// (outstanding + held materializations, in estimated pages).
-func (g *Governor) ReportRetained(id, pages int) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.retained[id] = pages
 }
 
 // NoteFailure feeds one failed speculative outcome to the global breaker;
@@ -285,13 +170,8 @@ func (g *Governor) DeadlineFor(now sim.Time, est sim.Duration) sim.Time {
 // sim-time now; first says whether it would be the session's only
 // outstanding one. Pressured keeps the paper-guaranteed first build and
 // refuses extras; critical and degraded refuse everything.
-func (g *Governor) AllowIssue(now sim.Time, first bool) bool {
-	if g == nil {
-		return true
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	switch g.levelLocked(now) {
+func (g *Governor) AllowIssue(l *Ledger, now sim.Time, first bool) bool {
+	switch lvl, _ := g.band(l, now); lvl {
 	case PressureNormal:
 		return true
 	case PressurePressured:
@@ -302,13 +182,9 @@ func (g *Governor) AllowIssue(now sim.Time, first bool) bool {
 }
 
 // Level reports the current pressure band at sim-time now.
-func (g *Governor) Level(now sim.Time) PressureLevel {
-	if g == nil {
-		return PressureNormal
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.levelLocked(now)
+func (g *Governor) Level(l *Ledger, now sim.Time) PressureLevel {
+	lvl, _ := g.band(l, now)
+	return lvl
 }
 
 // Transitions reports how many band changes the governor has gone through.
@@ -329,34 +205,32 @@ func (g *Governor) DegradedTime(now sim.Time) sim.Duration {
 	return g.breaker.DegradedTime(now)
 }
 
-// signalLocked computes the pressure signal: the pool's claimable free
-// fraction minus the fraction of capacity the engine's whole speculative
-// appetite — every session's in-flight builds plus retained completed
-// materializations, as reported via ReportRetained — would claim. The signal
-// goes negative when the appetite exceeds the pool outright: speculative
-// pages the pool would have to evict for foreground work are pressure even
-// while frames are technically free. Sustained negative signal is survivable
-// because both tiers are sheddable; the bands converge on an engine-wide
-// footprint the pool can actually host, or — when even one build per session
-// is more than the pool (a hopelessly undersized deployment) — settle at
-// critical with speculation throttled to the paper-guaranteed minimum.
-func (g *Governor) signalLocked() float64 {
-	capacity := g.pool.Capacity()
-	if capacity == 0 {
-		return 0
+// band moves the band to where the pressure signal puts it and returns it
+// with the signal: the pool's claimable free fraction minus the fraction of
+// capacity the engine's whole speculative appetite — every holding in the
+// ledger, in flight or retained — would claim. The signal goes negative when
+// the appetite exceeds the pool outright: speculative pages the pool would
+// have to evict for foreground work are pressure even while frames are
+// technically free. Sustained negative signal is survivable because both
+// tiers are sheddable; the bands converge on an engine-wide footprint the pool
+// can actually host, or — when even one build per session is more than the
+// pool (a hopelessly undersized deployment) — settle at critical with
+// speculation throttled to the paper-guaranteed minimum.
+//
+// The breaker state is folded over the hysteresis bands: escalation follows
+// the enter thresholds immediately; de-escalation happens one band at a time
+// and only once the signal clears the band's exit threshold.
+func (g *Governor) band(l *Ledger, now sim.Time) (PressureLevel, float64) {
+	if g == nil {
+		return PressureNormal, 0
 	}
-	spec := 0
-	for _, pages := range g.retained {
-		spec += pages // order-independent sum
+	sig := 0.0
+	if capacity := g.pool.Capacity(); capacity > 0 {
+		// Read before taking g.mu: the two locks never nest.
+		sig = g.pool.FreeFraction() - float64(l.Footprint())/float64(capacity)
 	}
-	return g.pool.FreeFraction() - float64(spec)/float64(capacity)
-}
-
-// levelLocked folds the breaker state over the hysteresis bands: escalation
-// follows the enter thresholds immediately; de-escalation happens one band
-// at a time and only once the signal clears the band's exit threshold.
-func (g *Governor) levelLocked(now sim.Time) PressureLevel {
-	sig := g.signalLocked()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	target := PressureNormal
 	if sig < g.cfg.PressuredEnter {
 		target = PressurePressured
@@ -389,37 +263,23 @@ func (g *Governor) levelLocked(now sim.Time) PressureLevel {
 	}
 	g.obsLevel.Set(float64(g.level))
 	if g.breaker.Open(now) {
-		return PressureDegraded
+		return PressureDegraded, sig
 	}
-	return g.level
+	return g.level, sig
 }
 
-// shedCandidate is one globally-rankable outstanding job.
-type shedCandidate struct {
-	id      int
-	key     string
-	benefit sim.Duration
-	pages   int
-}
-
-// ShedSet returns the manipulation keys of session id's speculative assets —
-// in-flight builds and retained completed materializations alike — the
-// governor wants dropped at sim-time now. Under pressure it ranks EVERY
-// registered asset across all sessions lowest-benefit-first (Cost⊆(m)) and
-// marks them until enough pages are covered to lift the signal past the
-// current band's exit threshold — but never a session's last asset, which the
-// paper's single-manipulation convention guarantees. Only the caller's subset
-// is returned (a session can only drop under its own lock); other sessions
-// shed their share at their own next event, and the marking is recomputed
-// from live state each call, so pressure that persists keeps being worked
-// down.
-func (g *Governor) ShedSet(id int, now sim.Time) map[string]bool {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	lvl := g.levelLocked(now)
+// ShedSet returns the ledger entries holder should let go of at sim-time now —
+// in-flight builds and retained completed materializations alike. Under
+// pressure it ranks EVERY holding across all sessions lowest-worth-first
+// (Cost⊆(m)) and marks them until enough pages are covered to lift the signal
+// past the current band's exit threshold — but never a session's last asset,
+// which the paper's single-manipulation convention guarantees. Only the
+// caller's subset is returned (a session can only drop under its own lock);
+// other sessions shed their share at their own next event, and the marking is
+// recomputed from the ledger each call, so pressure that persists keeps being
+// worked down.
+func (g *Governor) ShedSet(l *Ledger, holder int, now sim.Time) map[AssetKey]bool {
+	lvl, sig := g.band(l, now)
 	if lvl < PressurePressured {
 		return nil
 	}
@@ -430,51 +290,38 @@ func (g *Governor) ShedSet(id int, now sim.Time) map[string]bool {
 		if lvl == PressureCritical {
 			exit = g.cfg.CriticalExit
 		}
-		short := exit - g.signalLocked()
+		short := exit - sig
 		if short <= 0 {
 			return nil
 		}
 		need = int(short*float64(capacity)) + 1
 	}
 
-	var ranked []shedCandidate
-	remaining := make(map[int]int, len(g.jobs))
-	for sid, m := range g.jobs {
-		remaining[sid] = len(m)
-		for key, j := range m {
-			ranked = append(ranked, shedCandidate{id: sid, key: key, benefit: j.benefit, pages: j.pages})
-		}
+	ranked := l.Holdings()
+	remaining := make(map[int]int)
+	for _, h := range ranked {
+		remaining[h.Holder]++
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		if a.benefit != b.benefit {
-			return a.benefit < b.benefit
-		}
-		if a.id != b.id {
-			return a.id < b.id
-		}
-		return a.key < b.key
-	})
 
-	var mine map[string]bool
-	for _, c := range ranked {
+	var mine map[AssetKey]bool
+	for _, h := range ranked {
 		if need <= 0 {
 			break
 		}
-		if remaining[c.id] <= 1 {
+		if remaining[h.Holder] <= 1 {
 			continue // the session's single paper-guaranteed build
 		}
-		remaining[c.id]--
-		need -= c.pages
-		if c.pages <= 0 {
+		remaining[h.Holder]--
+		need -= h.Pages
+		if h.Pages <= 0 {
 			need-- // unscored builds still occupy a worker; make progress
 		}
 		g.obsShedMarked.Inc()
-		if c.id == id {
+		if h.Holder == holder {
 			if mine == nil {
-				mine = make(map[string]bool)
+				mine = make(map[AssetKey]bool)
 			}
-			mine[c.key] = true
+			mine[h.Key] = true
 		}
 	}
 	return mine

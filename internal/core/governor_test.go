@@ -18,77 +18,88 @@ func testPool(t *testing.T, pages int) *buffer.Pool {
 
 func secs(n int) sim.Duration { return sim.Duration(n) * sim.Duration(time.Second) }
 
+// footprintLedger is a ledger with one session whose speculative footprint a
+// test sets directly, as one in-flight entry of that many pages.
+type footprintLedger struct {
+	*Ledger
+	holder int
+}
+
+func newFootprintLedger() footprintLedger {
+	l := NewLedger(obs.NewRegistry(), false)
+	return footprintLedger{l, l.NewHolder()}
+}
+
+func (f footprintLedger) set(pages int) {
+	key := AssetKey{Scope: f.holder, Manip: "footprint"}
+	if !f.Claim(key, f.holder, 0, pages) {
+		f.End(key, f.holder)
+		f.Claim(key, f.holder, 0, pages)
+	}
+}
+
 // TestGovernorNilSafe: every method of a nil *Governor is a no-op with the
 // permissive answer — the governor-off engine must be byte-identical.
 func TestGovernorNilSafe(t *testing.T) {
 	var g *Governor
-	if id := g.Register(); id != 0 {
-		t.Fatalf("nil Register = %d", id)
-	}
-	g.Deregister(0)
-	g.NoteIssue(0, "k", 1, 1)
-	g.NoteRetained(0, "k", 1, 1)
-	g.NoteTerminal(0, "k")
-	g.ReportRetained(0, 5)
+	l := newFootprintLedger()
+	l.set(1 << 20)
 	g.NoteFailure(0)
 	g.NoteSuccess(0)
-	if !g.AllowIssue(0, false) {
+	if !g.AllowIssue(l.Ledger, 0, false) {
 		t.Fatal("nil governor must allow every issue")
 	}
 	if d := g.DeadlineFor(100, 50); d != 0 {
 		t.Fatalf("nil DeadlineFor = %d, want 0 (no deadline)", d)
 	}
-	if s := g.ShedSet(1, 0); s != nil {
+	if s := g.ShedSet(l.Ledger, l.holder, 0); s != nil {
 		t.Fatalf("nil ShedSet = %v", s)
 	}
-	if n := g.Outstanding(); n != 0 {
-		t.Fatalf("nil Outstanding = %d", n)
-	}
-	if l := g.Level(0); l != PressureNormal {
-		t.Fatalf("nil Level = %v", l)
+	if lvl := g.Level(l.Ledger, 0); lvl != PressureNormal {
+		t.Fatalf("nil Level = %v", lvl)
 	}
 }
 
 // TestGovernorHysteresis drives the pressure signal through the bands with
-// reported retained footprints: escalation is immediate at the enter
+// the ledger's footprint: escalation is immediate at the enter
 // thresholds, de-escalation waits for the (higher) exit thresholds and steps
 // one band at a time, so a flapping signal cannot flap the band.
 func TestGovernorHysteresis(t *testing.T) {
 	pool := testPool(t, 100) // FreeFraction 1.0 while untouched
 	g := NewGovernor(GovernorConfig{}, pool)
-	id := g.Register()
+	l := newFootprintLedger()
 
-	if l := g.Level(0); l != PressureNormal {
-		t.Fatalf("idle level = %v, want normal", l)
+	if lvl := g.Level(l.Ledger, 0); lvl != PressureNormal {
+		t.Fatalf("idle level = %v, want normal", lvl)
 	}
 	// Signal = 1.0 - retained/100. Push below PressuredEnter (0.25).
-	g.ReportRetained(id, 80) // signal 0.20
-	if l := g.Level(1); l != PressurePressured {
-		t.Fatalf("signal 0.20 level = %v, want pressured", l)
+	l.set(80) // signal 0.20
+	if lvl := g.Level(l.Ledger, 1); lvl != PressurePressured {
+		t.Fatalf("signal 0.20 level = %v, want pressured", lvl)
 	}
 	// Recovering past the enter threshold but not the exit threshold must
 	// NOT de-escalate (hysteresis).
-	g.ReportRetained(id, 70) // signal 0.30 (> enter 0.25, < exit 0.35)
-	if l := g.Level(2); l != PressurePressured {
-		t.Fatalf("signal 0.30 level = %v, want still pressured", l)
+	l.set(70) // signal 0.30 (> enter 0.25, < exit 0.35)
+	if lvl := g.Level(l.Ledger, 2); lvl != PressurePressured {
+		t.Fatalf("signal 0.30 level = %v, want still pressured", lvl)
 	}
-	g.ReportRetained(id, 60) // signal 0.40 > exit 0.35
-	if l := g.Level(3); l != PressureNormal {
-		t.Fatalf("signal 0.40 level = %v, want normal again", l)
+	l.set(60) // signal 0.40 > exit 0.35
+	if lvl := g.Level(l.Ledger, 3); lvl != PressureNormal {
+		t.Fatalf("signal 0.40 level = %v, want normal again", lvl)
 	}
 	// Escalation skips straight to critical when the signal collapses.
-	g.ReportRetained(id, 95) // signal 0.05 < CriticalEnter 0.10
-	if l := g.Level(4); l != PressureCritical {
-		t.Fatalf("signal 0.05 level = %v, want critical", l)
+	l.set(95) // signal 0.05 < CriticalEnter 0.10
+	if lvl := g.Level(l.Ledger, 4); lvl != PressureCritical {
+		t.Fatalf("signal 0.05 level = %v, want critical", lvl)
 	}
 	// De-escalation is one band at a time: a signal that jumps all the way
 	// back to healthy first passes through pressured.
-	g.ReportRetained(id, 10) // signal 0.90
-	if l := g.Level(5); l != PressurePressured {
-		t.Fatalf("recovery from critical = %v, want pressured first", l)
+	l.set(10) // signal 0.90
+	if lvl := g.Level(l.Ledger, 5); lvl != PressurePressured {
+		t.Fatalf("recovery from critical = %v, want pressured first", lvl)
 	}
-	if l := g.Level(6); l != PressureNormal {
-		t.Fatalf("second recovery step = %v, want normal", l)
+	if lvl := g.Level(l.Ledger, 6); lvl != PressureNormal {
+		t.Fatalf("second recovery step = %v, want normal", lvl)
 	}
 	if g.Transitions() == 0 {
 		t.Fatal("no transitions counted")
@@ -100,20 +111,20 @@ func TestGovernorHysteresis(t *testing.T) {
 func TestGovernorAllowIssueBands(t *testing.T) {
 	pool := testPool(t, 100)
 	g := NewGovernor(GovernorConfig{}, pool)
-	id := g.Register()
+	l := newFootprintLedger()
 
-	if !g.AllowIssue(0, false) || !g.AllowIssue(0, true) {
+	if !g.AllowIssue(l.Ledger, 0, false) || !g.AllowIssue(l.Ledger, 0, true) {
 		t.Fatal("normal band must admit all issues")
 	}
-	g.ReportRetained(id, 80) // pressured
-	if !g.AllowIssue(1, true) {
+	l.set(80) // pressured
+	if !g.AllowIssue(l.Ledger, 1, true) {
 		t.Fatal("pressured band must admit a session's first build")
 	}
-	if g.AllowIssue(1, false) {
+	if g.AllowIssue(l.Ledger, 1, false) {
 		t.Fatal("pressured band must refuse extra builds")
 	}
-	g.ReportRetained(id, 95) // critical
-	if g.AllowIssue(2, true) || g.AllowIssue(2, false) {
+	l.set(95) // critical
+	if g.AllowIssue(l.Ledger, 2, true) || g.AllowIssue(l.Ledger, 2, false) {
 		t.Fatal("critical band must refuse every issue")
 	}
 }
@@ -124,39 +135,34 @@ func TestGovernorAllowIssueBands(t *testing.T) {
 func TestGovernorShedRanking(t *testing.T) {
 	pool := testPool(t, 100)
 	g := NewGovernor(GovernorConfig{}, pool)
-	a, b := g.Register(), g.Register()
+	l := NewLedger(obs.NewRegistry(), false)
+	a, b := l.NewHolder(), l.NewHolder()
+	view := func(holder int, name string, cost sim.Duration) AssetKey {
+		key := AssetKey{Scope: holder, Manip: name}
+		l.Claim(key, holder, 0, 30)
+		l.Ready(key, holder, name, cost)
+		return key
+	}
 
 	// Session a: two retained builds, benefits 1s (cheap) and 9s (precious).
-	g.NoteRetained(a, "mat|cheap", secs(1), 30)
-	g.NoteRetained(a, "mat|precious", secs(9), 30)
-	// Session b: one build only — protected however low its benefit.
-	g.NoteRetained(b, "mat|only", secs(0), 30)
-	g.ReportRetained(a, 60)
-	g.ReportRetained(b, 30) // signal 1.0 - 0.90 = 0.10 → critical
+	cheap, precious := view(a, "cheap", secs(1)), view(a, "precious", secs(9))
+	// Session b: one build only — protected however low its benefit. Ninety
+	// pages in all: signal 1.0 - 0.90 = 0.10 → critical.
+	only := view(b, "only", secs(0))
 
-	shed := g.ShedSet(a, 0)
-	if !shed["mat|cheap"] {
+	shed := g.ShedSet(l, a, 0)
+	if !shed[cheap] {
 		t.Fatalf("lowest-benefit build not marked: %v", shed)
 	}
-	if shed["mat|precious"] {
+	if shed[precious] {
 		t.Fatal("session a's last remaining build was marked")
 	}
-	bShed := g.ShedSet(b, 0)
-	if bShed["mat|only"] {
+	if g.ShedSet(l, b, 0)[only] {
 		t.Fatal("session b's single build was marked")
 	}
 	// The caller only ever receives its own marks.
 	if len(shed) != 1 {
 		t.Fatalf("caller received foreign marks: %v", shed)
-	}
-
-	// Quiesce: terminals and deregistration drain the registry.
-	g.NoteTerminal(a, "mat|cheap")
-	g.NoteTerminal(a, "mat|precious")
-	g.Deregister(a)
-	g.Deregister(b)
-	if n := g.Outstanding(); n != 0 {
-		t.Fatalf("registry holds %d entries after quiesce", n)
 	}
 }
 
@@ -186,6 +192,7 @@ func TestGlobalBreakerTripAndRecover(t *testing.T) {
 			Cooldown:    sim.Duration(secs(60)),
 		},
 	}, pool)
+	l := newFootprintLedger()
 
 	now := sim.Time(0)
 	g.NoteSuccess(now)
@@ -199,10 +206,10 @@ func TestGlobalBreakerTripAndRecover(t *testing.T) {
 	if !g.Breaker().Open(at) {
 		t.Fatal("breaker did not trip at 75% failure rate")
 	}
-	if l := g.Level(at); l != PressureDegraded {
-		t.Fatalf("open breaker level = %v, want degraded", l)
+	if lvl := g.Level(l.Ledger, at); lvl != PressureDegraded {
+		t.Fatalf("open breaker level = %v, want degraded", lvl)
 	}
-	if g.AllowIssue(at, true) {
+	if g.AllowIssue(l.Ledger, at, true) {
 		t.Fatal("degraded mode must refuse every issue")
 	}
 	// Outcomes reported while open must not extend or re-trip.
@@ -215,7 +222,7 @@ func TestGlobalBreakerTripAndRecover(t *testing.T) {
 	if g.Breaker().Open(later) {
 		t.Fatal("breaker still open after cooldown")
 	}
-	if l := g.Level(later); l == PressureDegraded {
+	if g.Level(l.Ledger, later) == PressureDegraded {
 		t.Fatal("level still degraded after breaker closed")
 	}
 	if d := g.DegradedTime(later); d != secs(61) {
@@ -225,8 +232,7 @@ func TestGlobalBreakerTripAndRecover(t *testing.T) {
 
 // TestGovernorMetricsAndNames: band names are stable (they appear in spans
 // and test output), AttachMetrics mirrors level/transition state into the
-// registry, and NoteIssue registers an in-flight job that Outstanding and
-// ShedSet can see.
+// registry.
 func TestGovernorMetricsAndNames(t *testing.T) {
 	names := map[PressureLevel]string{
 		PressureNormal:    "normal",
@@ -248,23 +254,13 @@ func TestGovernorMetricsAndNames(t *testing.T) {
 	var nilGov *Governor
 	nilGov.AttachMetrics(reg) // must not panic
 
-	id := g.Register()
-	g.NoteIssue(id, "mat|a", secs(5), 4)
-	if n := g.Outstanding(); n != 1 {
-		t.Fatalf("Outstanding after NoteIssue = %d, want 1", n)
-	}
-	// NoteIssue against an unregistered session is dropped, not tracked.
-	g.NoteIssue(id+1000, "mat|ghost", secs(1), 1)
-	if n := g.Outstanding(); n != 1 {
-		t.Fatalf("Outstanding after ghost NoteIssue = %d, want still 1", n)
-	}
-
 	// Drive the signal into critical and read the band back through the
 	// attached gauge and transition counter.
-	g.ReportRetained(id, 95)
+	l := newFootprintLedger()
+	l.set(95)
 	now := sim.Time(0)
-	if l := g.Level(now); l != PressureCritical {
-		t.Fatalf("level = %v, want critical", l)
+	if lvl := g.Level(l.Ledger, now); lvl != PressureCritical {
+		t.Fatalf("level = %v, want critical", lvl)
 	}
 	if v := reg.Gauge("governor.level").Value(); v != float64(PressureCritical) {
 		t.Fatalf("governor.level gauge = %v, want %v", v, float64(PressureCritical))
@@ -272,9 +268,4 @@ func TestGovernorMetricsAndNames(t *testing.T) {
 	if reg.Counter("governor.transitions").Value() == 0 {
 		t.Fatal("governor.transitions counter never incremented")
 	}
-	g.NoteTerminal(id, "mat|a")
-	if n := g.Outstanding(); n != 0 {
-		t.Fatalf("Outstanding after NoteTerminal = %d, want 0", n)
-	}
-	g.Deregister(id)
 }

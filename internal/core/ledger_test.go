@@ -14,6 +14,8 @@ import (
 	"specdb/internal/tuple"
 )
 
+// TestCSEKeyCanonical: two sessions assembling the same subplan in any order
+// meet in one entry of a sharing ledger, and in none of a non-sharing one.
 func TestCSEKeyCanonical(t *testing.T) {
 	j := qgraph.Join{LeftRel: "S", LeftCol: "a", RightRel: "R", RightCol: "a"}
 	a := qgraph.New()
@@ -26,147 +28,161 @@ func TestCSEKeyCanonical(t *testing.T) {
 	b.AddRelation("R")
 	b.AddSelection(selRC(5))
 	b.AddRelation("S")
-	if CSEKey(a) != CSEKey(b) {
-		t.Fatalf("CSEKey not canonical:\n a: %s\n b: %s", CSEKey(a), CSEKey(b))
-	}
 	c := qgraph.New()
 	c.AddRelation("R")
 	c.AddSelection(selRC(6))
-	if CSEKey(a) == CSEKey(c) {
-		t.Fatal("different subplans share a CSE key")
+	mat := func(g *qgraph.Graph) *Manipulation { return &Manipulation{Kind: ManipMaterialize, Graph: g} }
+
+	shared := NewLedger(obs.NewRegistry(), true)
+	if ka, kb := shared.Key(1, mat(a)), shared.Key(2, mat(b)); ka != kb || !ka.Shared() {
+		t.Fatalf("shared key not canonical:\n a: %v\n b: %v", ka, kb)
+	}
+	if shared.Key(1, mat(a)) == shared.Key(1, mat(c)) {
+		t.Fatal("different subplans share a key")
+	}
+	if k := shared.Key(1, &Manipulation{Kind: ManipIndex, Rel: "R", Col: "c"}); k.Shared() {
+		t.Fatalf("an index is never shared: %v", k)
+	}
+	private := NewLedger(obs.NewRegistry(), false)
+	if ka, kb := private.Key(1, mat(a)), private.Key(2, mat(b)); ka == kb || ka.Shared() || ka.Manip != kb.Manip {
+		t.Fatalf("non-sharing ledger: keys %v and %v must differ in scope only", ka, kb)
 	}
 }
 
 func TestSharedBuildsLifecycle(t *testing.T) {
-	sb := NewSharedBuilds(obs.NewRegistry())
+	l := NewLedger(obs.NewRegistry(), true)
+	a, b := l.NewHolder(), l.NewHolder()
+	k := AssetKey{Manip: "k"}
 
-	if _, _, ok := sb.Attach("k"); ok {
+	if _, _, ok := l.Attach(k, b, 7); ok {
 		t.Fatal("attach to an absent build succeeded")
 	}
-	if !sb.TryClaim("k", 7) {
+	if !l.Claim(k, a, secs(1), 7) {
 		t.Fatal("first claim failed")
 	}
-	if sb.TryClaim("k", 7) {
+	if l.Claim(k, b, secs(1), 7) {
 		t.Fatal("second claim of the same key succeeded")
 	}
-	if inflight, ready := sb.State("k"); !inflight || ready {
-		t.Fatalf("claimed build state inflight=%v ready=%v", inflight, ready)
+	if l.IsReady(k) || l.InFlight(AssetKey{}) != 1 || l.InFlight(k) != 0 {
+		t.Fatalf("claimed build: ready %v, %d in flight (%d beside itself)", l.IsReady(k), l.InFlight(AssetKey{}), l.InFlight(k))
 	}
-	if _, _, ok := sb.Attach("k"); ok {
+	if _, _, ok := l.Attach(k, b, 7); ok {
 		t.Fatal("attach to an in-flight build succeeded")
 	}
-	if got := sb.RetainedPages(); got != 7 {
-		t.Fatalf("RetainedPages = %d, want 7", got)
+	if got := l.Footprint(); got != 7 {
+		t.Fatalf("Footprint = %d, want 7", got)
 	}
 
-	sb.SetTable("k", "spec_1")
-	sb.FinishBuild("k", sim.DurationFromSeconds(3))
-	if inflight, ready := sb.State("k"); inflight || !ready {
-		t.Fatalf("finished build state inflight=%v ready=%v", inflight, ready)
+	l.Ready(k, a, "spec_1", sim.DurationFromSeconds(3))
+	if !l.IsReady(k) || l.InFlight(AssetKey{}) != 0 {
+		t.Fatalf("finished build: ready %v, %d in flight", l.IsReady(k), l.InFlight(AssetKey{}))
 	}
-	table, cost, ok := sb.Attach("k")
+	table, cost, ok := l.Attach(k, b, 5)
 	if !ok || table != "spec_1" || cost != sim.DurationFromSeconds(3) {
 		t.Fatalf("Attach = (%q, %v, %v)", table, cost, ok)
 	}
-	if shared, saved := sb.Snapshot(); shared != 1 || saved != sim.DurationFromSeconds(3) {
+	if _, _, ok := l.Attach(k, b, 5); ok {
+		t.Fatal("a holder attached twice")
+	}
+	if shared, saved := l.Snapshot(); shared != 1 || saved != sim.DurationFromSeconds(3) {
 		t.Fatalf("Snapshot = (%d, %v), want (1, 3s)", shared, saved)
 	}
-	// Pages are counted once globally no matter how many consumers hold refs.
-	if got := sb.RetainedPages(); got != 7 {
-		t.Fatalf("RetainedPages with two consumers = %d, want 7", got)
+	// Each holder's estimate counts, as each holder's budget counts it; a view
+	// ranks by what it cost.
+	if got := l.Footprint(); got != 12 {
+		t.Fatalf("Footprint with two holders = %d, want 12", got)
+	}
+	for _, h := range l.Holdings() {
+		if h.Key != k || h.Worth != sim.DurationFromSeconds(3) || h.Pages != map[int]int{a: 7, b: 5}[h.Holder] {
+			t.Fatalf("holding %+v", h)
+		}
 	}
 
-	// Two refs outstanding: the first release keeps the build, the second
-	// drops it and carries the single waste charge.
-	if drop, _, _, _ := sb.Release("k", true); drop {
-		t.Fatal("first release dropped a build with a live reference")
+	// Two holders: the first release keeps the build, the second drops it and
+	// carries the single waste charge.
+	if r := l.Release(k, a, false); !r.Built || r.Last || r.Charge {
+		t.Fatalf("builder's release beside an adopter = %+v", r)
 	}
-	drop, table, cost, charge := sb.Release("k", true)
-	if !drop || !charge || table != "spec_1" || cost != sim.DurationFromSeconds(3) {
-		t.Fatalf("last release = (drop=%v, %q, %v, charge=%v)", drop, table, cost, charge)
+	if r := l.Release(k, b, false); r.Built || !r.Last || !r.Charge || r.Cost != sim.DurationFromSeconds(3) {
+		t.Fatalf("last release = %+v", r)
 	}
-	if sb.Known("k") {
-		t.Fatal("released build still known")
-	}
-	if got := sb.RetainedPages(); got != 0 {
-		t.Fatalf("RetainedPages after release = %d", got)
+	if l.Len() != 0 || l.Footprint() != 0 || l.Misuses() != 0 {
+		t.Fatalf("after the last release: %d entries, %d pages, %d misuses", l.Len(), l.Footprint(), l.Misuses())
 	}
 	// Lifetime aggregates survive the release.
-	if shared, _ := sb.Snapshot(); shared != 1 {
+	if shared, _ := l.Snapshot(); shared != 1 {
 		t.Fatalf("Snapshot lost the shared count: %d", shared)
+	}
+
+	// Writing what one does not hold changes nothing and is counted: ending or
+	// finishing somebody else's claim, releasing a view twice, releasing a
+	// build still in flight.
+	l.Claim(k, a, 0, 1)
+	l.End(k, b)
+	l.Ready(k, b, "x", 1)
+	l.Release(k, a, false)
+	l.Ready(k, a, "spec_2", 1)
+	l.End(k, a)
+	l.Release(k, a, true)
+	l.Release(k, a, true)
+	if l.Misuses() != 5 || l.Len() != 0 {
+		t.Fatalf("%d misuses counted, want 5; %d entries left", l.Misuses(), l.Len())
 	}
 }
 
 func TestSharedBuildsChargeSuppression(t *testing.T) {
 	cases := []struct {
-		name   string
-		mark   func(sb *SharedBuilds)
-		gcLike bool
-		charge bool
+		name    string
+		mark    func(l *Ledger)
+		closing bool
+		charge  bool
 	}{
-		{"unpaid GC release charges", func(*SharedBuilds) {}, true, true},
-		{"paid build never charges", func(sb *SharedBuilds) { sb.MarkPaid("k") }, true, false},
-		{"paid via table never charges", func(sb *SharedBuilds) { sb.MarkPaidTable("spec_1") }, true, false},
-		{"shutdown release never charges", func(*SharedBuilds) {}, false, false},
+		{"unpaid GC release charges", func(*Ledger) {}, false, true},
+		{"paid build never charges", func(l *Ledger) { l.MarkPaid(1, "spec_1") }, false, false},
+		// A consumer that never attached read the view.
+		{"paid via table never charges", func(l *Ledger) { l.MarkPaid(2, "spec_1") }, false, false},
+		{"shutdown release never charges", func(*Ledger) {}, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sb := NewSharedBuilds(obs.NewRegistry())
-			sb.TryClaim("k", 1)
-			sb.SetTable("k", "spec_1")
-			sb.FinishBuild("k", sim.DurationFromSeconds(1))
-			tc.mark(sb)
-			drop, _, _, charge := sb.Release("k", tc.gcLike)
-			if !drop {
-				t.Fatal("single-ref release did not drop")
+			l := NewLedger(obs.NewRegistry(), true)
+			k := AssetKey{Manip: "k"}
+			l.Claim(k, 1, 0, 1)
+			l.Ready(k, 1, "spec_1", sim.DurationFromSeconds(1))
+			tc.mark(l)
+			r := l.Release(k, 1, tc.closing)
+			if !r.Last {
+				t.Fatal("the only holder's release did not drop")
 			}
-			if charge != tc.charge {
-				t.Fatalf("charge = %v, want %v", charge, tc.charge)
+			if r.Charge != tc.charge {
+				t.Fatalf("charge = %v, want %v", r.Charge, tc.charge)
 			}
 		})
 	}
-	// MarkPaidTable for an unregistered table is a no-op, not a panic.
-	sb := NewSharedBuilds(obs.NewRegistry())
-	sb.MarkPaidTable("no_such_table")
+	// A table nobody holds is not an error; another session's private view is
+	// not this session's to settle.
+	l := NewLedger(obs.NewRegistry(), false)
+	if l.MarkPaid(1, "no_such_table") {
+		t.Fatal("an unknown table counted as held")
+	}
+	k := AssetKey{Scope: 1, Manip: "k"}
+	l.Claim(k, 1, 0, 1)
+	l.Ready(k, 1, "spec_1", 1)
+	if l.MarkPaid(2, "spec_1") || !l.Release(k, 1, false).Charge {
+		t.Fatal("a session settled another session's private view")
+	}
 }
 
 func TestSharedBuildsAbortClaim(t *testing.T) {
-	sb := NewSharedBuilds(obs.NewRegistry())
-	sb.TryClaim("k", 3)
-	sb.AbortClaim("k")
-	if sb.Known("k") {
-		t.Fatal("aborted claim still known")
+	l := NewLedger(obs.NewRegistry(), true)
+	k := AssetKey{Manip: "k"}
+	l.Claim(k, 1, 0, 3)
+	l.End(k, 1)
+	if l.Len() != 0 {
+		t.Fatal("ended claim still entered")
 	}
-	if !sb.TryClaim("k", 3) {
-		t.Fatal("key not claimable after abort")
-	}
-}
-
-func TestSharedBuildsNilSafe(t *testing.T) {
-	var sb *SharedBuilds
-	if sb.TryClaim("k", 1) {
-		t.Fatal("nil registry accepted a claim")
-	}
-	sb.SetTable("k", "x")
-	sb.FinishBuild("k", 1)
-	sb.AbortClaim("k")
-	if _, _, ok := sb.Attach("k"); ok {
-		t.Fatal("nil registry attached")
-	}
-	sb.MarkPaid("k")
-	sb.MarkPaidTable("x")
-	sb.NoteInflightSkip()
-	if drop, _, _, _ := sb.Release("k", true); drop {
-		t.Fatal("nil registry dropped")
-	}
-	if sb.Known("k") {
-		t.Fatal("nil registry knows a key")
-	}
-	if got := sb.RetainedPages(); got != 0 {
-		t.Fatalf("nil RetainedPages = %d", got)
-	}
-	if shared, saved := sb.Snapshot(); shared != 0 || saved != 0 {
-		t.Fatalf("nil Snapshot = (%d, %v)", shared, saved)
+	if !l.Claim(k, 2, 0, 3) {
+		t.Fatal("key not claimable after its claim ended")
 	}
 }
 
@@ -226,39 +242,27 @@ func TestSchedulerZeroEstPagesFloor(t *testing.T) {
 	}
 
 	s := NewScheduler(2, pool)
-	if s.AdmitExtraKeyed("", 0) {
+	l := NewLedger(obs.NewRegistry(), false)
+	cand := AssetKey{Scope: 1, Manip: "candidate"}
+	l.Claim(cand, 1, 0, 0)
+	if s.AdmitExtra(l, cand, 0) {
 		t.Fatal("unscored job admitted under pool pressure")
 	}
-	if s.AdmitExtraKeyed("", -3) {
+	if s.AdmitExtra(l, cand, -3) {
 		t.Fatal("negative estimate admitted under pool pressure")
 	}
 	// A genuinely tiny scored job still fits.
-	if !s.AdmitExtraKeyed("", MinEstPages) {
+	if !s.AdmitExtra(l, cand, MinEstPages) {
 		t.Fatal("minimal scored job deferred with headroom available")
 	}
-}
-
-// TestSchedulerSharedFootprintAdmission: a job whose subplan is already in
-// the shared-build registry adds no new pages, so admission must not hold the
-// per-copy estimate against the pool.
-func TestSchedulerSharedFootprintAdmission(t *testing.T) {
-	e := newTestEngine(t, 20000)
-	s := NewScheduler(2, e.Pool)
-	sb := NewSharedBuilds(obs.NewRegistry())
-	s.AttachCSE(sb)
-
-	huge := e.Pool.Capacity() * 2
-	if s.AdmitExtraKeyed("mat|G", huge) {
-		t.Fatal("oversized unshared job admitted")
+	// The worker cap counts the other jobs in flight, whoever's they are, and
+	// never the candidate's own entry.
+	l.Claim(AssetKey{Scope: 1, Manip: "first"}, 1, 0, 0)
+	if !s.AdmitExtra(l, cand, MinEstPages) {
+		t.Fatal("deferred with one of two workers busy")
 	}
-	sb.TryClaim("G", huge)
-	if !s.AdmitExtraKeyed("mat|G", huge) {
-		t.Fatal("registered shared build charged per-copy footprint")
-	}
-	// Worker-slot exhaustion still defers regardless of sharing.
-	s.Acquire()
-	s.Acquire()
-	if s.AdmitExtraKeyed("mat|G", 0) {
+	l.Claim(AssetKey{Scope: 2, Manip: "other"}, 2, 0, 0)
+	if s.AdmitExtra(l, cand, MinEstPages) {
 		t.Fatal("admitted past the worker cap")
 	}
 }
@@ -395,15 +399,14 @@ func TestWasteChargedOncePerBuild(t *testing.T) {
 // charged by exactly one session's ledger, and at most once.
 func TestWasteChargedOncePerBuildShared(t *testing.T) {
 	e := newTestEngine(t, 400)
-	sb := NewSharedBuilds(e.Metrics())
+	sb := NewLedger(e.Metrics(), true)
 	sched := NewScheduler(2, e.Pool)
-	sched.AttachCSE(sb)
 	specs := make([]*Speculator, 3)
 	for i := range specs {
 		cfg := DefaultConfig()
 		cfg.MinBenefit = 0
 		cfg.NamePrefix = fmt.Sprintf("cse_u%d", i)
-		cfg.CSE = sb
+		cfg.Ledger = sb
 		cfg.Scheduler = sched
 		specs[i] = newSpec(e, cfg)
 	}
@@ -432,11 +435,11 @@ func TestWasteChargedOncePerBuildShared(t *testing.T) {
 // release drops the backing table exactly once.
 func TestSpeculatorSharedBuildAdoption(t *testing.T) {
 	e := newTestEngine(t, 20000)
-	sb := NewSharedBuilds(e.Metrics())
+	sb := NewLedger(e.Metrics(), true)
 	mkSpec := func(prefix string) *Speculator {
 		cfg := DefaultConfig()
 		cfg.NamePrefix = prefix
-		cfg.CSE = sb
+		cfg.Ledger = sb
 		return newSpec(e, cfg)
 	}
 	a, b := mkSpec("cse_a"), mkSpec("cse_b")
@@ -505,11 +508,11 @@ func TestSpeculatorSharedBuildAdoption(t *testing.T) {
 // attaches nor duplicates — it skips and adopts once ready.
 func TestSpeculatorInflightDedup(t *testing.T) {
 	e := newTestEngine(t, 20000)
-	sb := NewSharedBuilds(e.Metrics())
+	sb := NewLedger(e.Metrics(), true)
 	mkSpec := func(prefix string) *Speculator {
 		cfg := DefaultConfig()
 		cfg.NamePrefix = prefix
-		cfg.CSE = sb
+		cfg.Ledger = sb
 		return newSpec(e, cfg)
 	}
 	a, b := mkSpec("cse_a"), mkSpec("cse_b")

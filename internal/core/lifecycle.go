@@ -57,9 +57,7 @@ func (sp *Speculator) finish(job *Job, t Terminal, at sim.Time, cause error) boo
 	}
 	sp.outstanding = slices.Delete(sp.outstanding, i, i+1)
 	sp.eng.EndJob(job.jobID)
-	sp.cfg.Scheduler.Release()
-	key := job.Manip.Key()
-	sp.cfg.Governor.NoteTerminal(sp.govID, key)
+	key := job.asset.Manip
 	if t == TermCompleted {
 		if err := sp.publish(job); err != nil {
 			t, cause = TermAborted, err
@@ -145,9 +143,9 @@ func (sp *Speculator) finishWhere(t Terminal, at sim.Time, sel func(*Job) bool) 
 }
 
 // publish makes a completed job's hidden side effects visible and settles its
-// retained pages: a materialization becomes a held view (its pages stay
-// counted until dropHeld); indexes, histograms, staged pages and published
-// predicted answers become durable improvements that stop counting against the
+// ledger entry: a materialization becomes a held view (its pages stay counted
+// until dropHeld); indexes, histograms, staged pages and published predicted
+// answers become durable improvements that stop counting against the
 // session's budget (the answer cache accounts its own footprint).
 func (sp *Speculator) publish(job *Job) error {
 	m := &job.Manip
@@ -156,15 +154,9 @@ func (sp *Speculator) publish(job *Job) error {
 		if err := sp.eng.Catalog.RegisterView(job.tableName, m.Graph, forcedViews); err != nil {
 			return err
 		}
-		cost := job.CompletesAt.Sub(job.IssuedAt)
-		sp.held[m.Graph.Key()] = &heldView{table: job.tableName, cost: cost, pages: m.EstPages,
-			owned: true, shared: job.cseKey != ""}
-		// The view stays a sheddable speculative asset in the governor's ranking.
-		sp.cfg.Governor.NoteRetained(sp.govID, m.Key(), cost, m.EstPages)
-		if job.cseKey != "" {
-			sp.cfg.CSE.FinishBuild(job.cseKey, cost)
-		}
-		return nil // its pages stay retained
+		sp.held[m.Graph.Key()] = heldView{key: job.asset, table: job.tableName, pages: m.EstPages}
+		sp.cfg.Ledger.Ready(job.asset, sp.holder, job.tableName, job.CompletesAt.Sub(job.IssuedAt))
+		return nil
 	case ManipIndex:
 		t, err := sp.eng.Catalog.Table(m.Rel)
 		if err != nil {
@@ -197,19 +189,15 @@ func (sp *Speculator) publish(job *Job) error {
 			sp.predictedReady[job.formKey] = true
 		}
 	}
-	sp.retainedPages -= m.EstPages
+	sp.cfg.Ledger.End(job.asset, sp.holder)
 	return nil
 }
 
-// undo reverts an unfinished job's hidden side effects, withdraws its
-// shared-build claim and releases its retained pages. Undo is best-effort — a
-// failure leaves garbage, never corruption — but is counted, so the fault
-// matrix can see it.
+// undo reverts an unfinished job's hidden side effects and closes its ledger
+// entry. Undo is best-effort — a failure leaves garbage, never corruption —
+// but is counted, so the fault matrix can see it.
 func (sp *Speculator) undo(job *Job) {
-	// No session can have attached while the build was in flight, so the
-	// claim simply disappears and another session may claim the subplan afresh.
-	sp.cfg.CSE.AbortClaim(job.cseKey)
-	sp.retainedPages -= job.Manip.EstPages
+	sp.cfg.Ledger.End(job.asset, sp.holder)
 	var err error
 	switch job.Manip.Kind {
 	case ManipMaterialize:
@@ -218,7 +206,7 @@ func (sp *Speculator) undo(job *Job) {
 		err = sp.eng.DropTable(job.tableName)
 	case ManipIndex:
 		if job.index != nil {
-			_ = job.index.Tree.Drop() // best-effort; the tree was never published
+			err = sp.eng.DropDetachedIndex(job.index) // the tree was never published
 		}
 	case ManipStage:
 		err = sp.eng.Unstage(job.Manip.Rel)
@@ -229,19 +217,14 @@ func (sp *Speculator) undo(job *Job) {
 	}
 }
 
-// heldView is a completed materialization this session holds, built here or
-// adopted from the shared registry.
+// heldView is this session's handle on a completed materialization it holds,
+// built here or adopted: where its entry is in the ledger — which knows what it
+// cost, who else holds it and whether it ever served a query — and what the
+// session itself needs without asking.
 type heldView struct {
+	key   AssetKey
 	table string
-	// cost is the build time: charged to Waste if the view is dropped before
-	// any final query read it (paid). For a shared view the registry keeps
-	// both, so the charge happens once across all its consumers.
-	cost  sim.Duration
-	pages int // the EstPages it keeps in retainedPages
-	paid  bool
-	// shared: refcounted in the SharedBuilds registry. owned: this session
-	// built it (always true for a private view).
-	shared, owned bool
+	pages int // this session's estimate, counted against Config.BudgetPages
 }
 
 // dropReason is why a held view goes; it decides the waste charge and the
@@ -254,33 +237,28 @@ const (
 	dropClose                   // session teardown: never waste
 )
 
-// dropHeld lets go of the held view under graph key key. A private view's
-// table is dropped; a shared one only by its last holder, and only then — if
-// no consumer's final query ever read it — is its cost charged, once across
-// all sessions (DESIGN.md §11).
-func (sp *Speculator) dropHeld(key string, reason dropReason) error {
-	h := sp.held[key]
-	delete(sp.held, key)
-	sp.retainedPages -= h.pages
-	sp.cfg.Governor.NoteTerminal(sp.govID, "mat|"+key)
-	drop, cost, charge := true, h.cost, reason != dropClose && !h.paid
-	if h.shared {
-		drop, _, cost, charge = sp.cfg.CSE.Release(key, reason != dropClose)
-	}
-	// A shed shared view is released to the registry exactly like a collected
-	// one, and counts as one.
-	if h.owned && (reason == dropGC || reason == dropShed && h.shared) {
+// dropHeld lets go of the held view under graph key gk. Its last holder drops
+// the table, and only then — if no final query ever read it and the session is
+// not closing — is its cost charged, once across all sessions (DESIGN.md §11).
+func (sp *Speculator) dropHeld(gk string, reason dropReason) error {
+	h := sp.held[gk]
+	delete(sp.held, gk)
+	r := sp.cfg.Ledger.Release(h.key, sp.holder, reason == dropClose)
+	if r.Built && reason != dropClose {
 		sp.stats.GarbageCollected++
 	}
-	if drop {
+	if r.Last {
 		if err := sp.eng.DropTable(h.table); err != nil {
 			return err
 		}
-		if reason != dropClose || h.shared {
+		// A closing session's own tables are teardown, not collection; a shared
+		// view's last drop has always counted, whatever the reason, and
+		// wide_cse_budget.decisions.golden pins that.
+		if reason != dropClose || h.key.Shared() {
 			sp.eng.Metrics().Counter("spec.garbage_collected").Inc()
 		}
-		if charge {
-			sp.chargeWaste(h.table, cost)
+		if r.Charge {
+			sp.chargeWaste(h.table, r.Cost)
 		}
 	}
 	if reason == dropShed {
@@ -289,23 +267,18 @@ func (sp *Speculator) dropHeld(key string, reason dropReason) error {
 	return nil
 }
 
-// adoptReady attaches a ready shared build of m's subplan, if there is one, to
-// this session's held views, refcounted until this session drops it. No job is
-// issued and no build time is spent — the avoided cost is recorded as
-// DedupSaved. Adoption occupies no worker slot and is never budget-gated (the
-// pages exist once globally, whoever holds references).
-func (sp *Speculator) adoptReady(m *Manipulation) bool {
-	if sp.cfg.CSE == nil || m.Kind != ManipMaterialize {
-		return false
-	}
-	gk := CSEKey(m.Graph)
-	table, cost, ok := sp.cfg.CSE.Attach(gk)
+// adoptReady attaches this session to the completed build of m's subplan that
+// another session holds, if there is one (only views ever become ready, and
+// only a sharing ledger lets a second session find them): refcounted until
+// this session drops it. No job is issued and no build time is spent — the
+// avoided cost is recorded as DedupSaved. Adoption occupies no worker slot and
+// is never budget-gated (the pages exist once globally, whoever holds them).
+func (sp *Speculator) adoptReady(m *Manipulation, key AssetKey) bool {
+	table, cost, ok := sp.cfg.Ledger.Attach(key, sp.holder, m.EstPages)
 	if !ok {
 		return false
 	}
-	sp.held[gk] = &heldView{table: table, cost: cost, pages: m.EstPages, shared: true}
-	sp.retainedPages += m.EstPages
-	sp.cfg.Governor.NoteRetained(sp.govID, "mat|"+gk, cost, m.EstPages)
+	sp.held[m.Graph.Key()] = heldView{key: key, table: table, pages: m.EstPages}
 	sp.stats.SharedAttached++
 	sp.stats.DedupSaved += cost
 	return true

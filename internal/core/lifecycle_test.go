@@ -24,6 +24,44 @@ type lifecycleKind struct {
 	breakPublish func(e *engine.Engine, job *Job) error
 }
 
+// checkLedger requires the ledger to hold exactly what sp's outstanding and
+// held lists say: one in-flight entry per outstanding job and one ready entry
+// per held view — same table, this session among the holders with the same
+// pages — and no other holding of this session's.
+func checkLedger(t *testing.T, when string, sp *Speculator) {
+	t.Helper()
+	l := sp.cfg.Ledger
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	mine := 0
+	for _, a := range l.assets {
+		if a.holdIndex(sp.holder) >= 0 {
+			mine++
+		}
+	}
+	if want := len(sp.outstanding) + len(sp.held); mine != want {
+		t.Errorf("%s: the ledger has %d holdings of session %d, which has %d jobs and %d views", when, mine, sp.holder, len(sp.outstanding), len(sp.held))
+	}
+	for _, job := range sp.outstanding {
+		a := l.assets[job.asset]
+		if a == nil || a.ready || a.builder != sp.holder || len(a.holds) != 1 ||
+			a.holds[0] != (Holding{Key: job.asset, Holder: sp.holder, Worth: job.Manip.Benefit, Pages: job.Manip.EstPages}) {
+			t.Errorf("%s: outstanding %s is entered as %+v", when, job.Manip.Key(), a)
+		}
+	}
+	for gk, h := range sp.held {
+		a := l.assets[h.key]
+		if a == nil || !a.ready || a.table != h.table || h.key.Manip != "mat|"+gk || h.key.Shared() != l.share {
+			t.Errorf("%s: held view %s (%+v) is entered as %+v", when, gk, h, a)
+		} else if i := a.holdIndex(sp.holder); i < 0 || a.holds[i] != (Holding{Key: h.key, Holder: sp.holder, Worth: a.cost, Pages: h.pages}) {
+			t.Errorf("%s: held view %s: holders %+v", when, gk, a.holds)
+		}
+	}
+	if l.misuses != 0 {
+		t.Errorf("%s: %d ledger misuses", when, l.misuses)
+	}
+}
+
 func lifecycleKinds() []lifecycleKind {
 	wEq := qgraph.Selection{Rel: "W", Col: "d", Op: tuple.CmpEQ, Const: tuple.NewInt(777)}
 	wLt := qgraph.Selection{Rel: "W", Col: "d", Op: tuple.CmpLT, Const: tuple.NewInt(500)}
@@ -34,7 +72,7 @@ func lifecycleKinds() []lifecycleKind {
 	}
 	return []lifecycleKind{
 		{"materialize", func(*engine.Engine, *Config) {}, evAddSel(selRC(18)), evRemoveSel(selRC(18)), dropBuild},
-		{"shared_owner", func(e *engine.Engine, cfg *Config) { cfg.CSE = NewSharedBuilds(e.Metrics()) },
+		{"shared_owner", func(e *engine.Engine, cfg *Config) { cfg.Ledger = NewLedger(e.Metrics(), true) },
 			evAddSel(selRC(18)), evRemoveSel(selRC(18)), dropBuild},
 		{"index", only(OpSet{Index: true}), evAddSel(wEq), evRemoveSel(wEq), dropW},
 		{"histogram", only(OpSet{Histogram: true}), evAddSel(wLt), evRemoveSel(wLt), dropW},
@@ -52,9 +90,10 @@ func lifecycleKinds() []lifecycleKind {
 
 // TestLifecycleTable drives one job of every manipulation kind to every
 // terminal it can reach and checks what finish owns (DESIGN.md §16): exactly
-// one terminal counter moves, every registration the job held is released, the
-// waste ledger charges the build at most once, and the breaker gets the right
-// verdict — each job runs as the half-open probe of a tripped breaker, so a
+// one terminal counter moves, every registration the job held is released —
+// after every transition the ledger holds exactly what outstanding and held
+// say, on a non-sharing and on a sharing ledger — the waste ledger charges the
+// build at most once, and the breaker gets the right verdict — each job runs as the half-open probe of a tripped breaker, so a
 // cancel must re-open it, a completion close it, an abort re-trip it.
 func TestLifecycleTable(t *testing.T) {
 	const issueAt = 31 // seconds: past the breaker's 30 s cooldown
@@ -72,6 +111,7 @@ func TestLifecycleTable(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Scheduler = NewScheduler(1, e.Pool)
 				cfg.Governor = NewGovernor(GovernorConfig{}, e.Pool)
+				cfg.Ledger = NewLedger(e.Metrics(), false)
 				kind.configure(e, &cfg)
 				sp := newSpec(e, cfg)
 				for i := 0; i < 3; i++ {
@@ -85,10 +125,10 @@ func TestLifecycleTable(t *testing.T) {
 				if job == nil || sp.breaker.State() != fault.BreakerHalfOpen {
 					t.Fatalf("no probe job issued (job %v, breaker %v)", job, sp.breaker.State())
 				}
-				if cfg.Scheduler.Inflight() != 1 || e.ActiveJobs() != 1 || cfg.Governor.Outstanding() != 1 {
-					t.Fatalf("issued job not registered once: sched %d, engine %d, governor %d",
-						cfg.Scheduler.Inflight(), e.ActiveJobs(), cfg.Governor.Outstanding())
+				if cfg.Ledger.InFlight(AssetKey{}) != 1 || e.ActiveJobs() != 1 {
+					t.Fatalf("issued job not registered once: ledger %d, engine %d", cfg.Ledger.InFlight(AssetKey{}), e.ActiveJobs())
 				}
+				checkLedger(t, "after start", sp)
 				before := sp.Stats()
 				mid := job.IssuedAt.Add(job.CompletesAt.Sub(job.IssuedAt) / 2)
 
@@ -119,11 +159,15 @@ func TestLifecycleTable(t *testing.T) {
 				case TermShed:
 					// Pressure from another session, and a second, worthier asset
 					// of this one: the governor never sheds a session's last.
-					cfg.Governor.ReportRetained(cfg.Governor.Register(), 100*e.Pool.Capacity())
-					cfg.Governor.NoteRetained(sp.govID, "worthier", job.Manip.Benefit+1, 1)
+					other := cfg.Ledger.NewHolder()
+					pressure := AssetKey{Scope: other, Manip: "pressure"}
+					worthier := AssetKey{Scope: sp.holder, Manip: "worthier"}
+					cfg.Ledger.Claim(pressure, other, 0, 100*e.Pool.Capacity())
+					cfg.Ledger.Claim(worthier, sp.holder, job.Manip.Benefit+1, 1)
 					out, err = sp.OnEvent(neutral, mid)
 					ended = out.Canceled
-					cfg.Governor.NoteTerminal(sp.govID, "worthier")
+					cfg.Ledger.End(pressure, other)
+					cfg.Ledger.End(worthier, sp.holder)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -142,24 +186,19 @@ func TestLifecycleTable(t *testing.T) {
 				if after.Issued != before.Issued || len(sp.outstanding) != 0 {
 					t.Errorf("the terminal left work behind: issued %d→%d, %d outstanding", before.Issued, after.Issued, len(sp.outstanding))
 				}
-				if cfg.Scheduler.Inflight() != 0 || e.ActiveJobs() != 0 {
-					t.Errorf("slot or contention registration leaked: sched %d, engine %d", cfg.Scheduler.Inflight(), e.ActiveJobs())
+				if cfg.Ledger.InFlight(AssetKey{}) != 0 || e.ActiveJobs() != 0 {
+					t.Errorf("slot or contention registration leaked: ledger %d, engine %d", cfg.Ledger.InFlight(AssetKey{}), e.ActiveJobs())
 				}
+				checkLedger(t, "after "+want.String(), sp)
 				held := 0
 				if want == TermCompleted && job.Manip.Kind == ManipMaterialize {
 					held = 1 // the view stays a retained, sheddable asset
 				}
-				if got := cfg.Governor.Outstanding(); got != held {
-					t.Errorf("governor holds %d entries, want %d", got, held)
+				if got := cfg.Ledger.Len(); got != held || cfg.Ledger.IsReady(job.asset) != (held == 1) {
+					t.Errorf("ledger has %d entries (the job's ready: %v), want %d", got, cfg.Ledger.IsReady(job.asset), held)
 				}
-				if got := sp.retainedPages; got != held*job.Manip.EstPages {
-					t.Errorf("retained pages %d, want %d", got, held*job.Manip.EstPages)
-				}
-				if cfg.CSE != nil {
-					_, ready := cfg.CSE.State(CSEKey(job.Manip.Graph))
-					if known := cfg.CSE.Known(CSEKey(job.Manip.Graph)); known != (held == 1) || ready != (held == 1) {
-						t.Errorf("shared-build claim after %v: known %v, ready %v", want, known, ready)
-					}
+				if got := sp.footprint(); got != held*job.Manip.EstPages || got != cfg.Ledger.Footprint() {
+					t.Errorf("retained pages %d (ledger: %d), want %d", got, cfg.Ledger.Footprint(), held*job.Manip.EstPages)
 				}
 				wantBreaker := fault.BreakerOpen
 				if want == TermCompleted {
@@ -179,9 +218,9 @@ func TestLifecycleTable(t *testing.T) {
 				if st.Issued != st.Terminals() {
 					t.Errorf("issued %d != terminals %d: %+v", st.Issued, st.Terminals(), st)
 				}
-				if sp.retainedPages != 0 || cfg.Governor.Outstanding() != 0 || cfg.CSE.RetainedPages() != 0 {
-					t.Errorf("after Shutdown: %d retained pages, %d governor entries, %d registry pages",
-						sp.retainedPages, cfg.Governor.Outstanding(), cfg.CSE.RetainedPages())
+				if sp.footprint() != 0 || cfg.Ledger.Len() != 0 || cfg.Ledger.Misuses() != 0 {
+					t.Errorf("after Shutdown: %d retained pages, %d ledger entries, %d misuses",
+						sp.footprint(), cfg.Ledger.Len(), cfg.Ledger.Misuses())
 				}
 				ledger := sp.WasteCharges()
 				if len(ledger) > 1 || (want == TermCompleted) != (len(ledger) == 0) {
@@ -222,15 +261,18 @@ func TestHeldViewDropReasons(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/reason%d", h.name, reason), func(t *testing.T) {
 				e := newTestEngine(t, 20000)
 				gov := NewGovernor(GovernorConfig{}, e.Pool)
-				var sb *SharedBuilds
-				if h.shared {
-					sb = NewSharedBuilds(e.Metrics())
-				}
+				sb := NewLedger(e.Metrics(), h.shared)
 				var sps [2]*Speculator
 				for i, prefix := range []string{"built", "adopted"} {
 					cfg := DefaultConfig()
-					cfg.NamePrefix, cfg.CSE, cfg.Governor = prefix, sb, gov
+					cfg.NamePrefix, cfg.Ledger, cfg.Governor = prefix, sb, gov
 					sps[i] = newSpec(e, cfg)
+				}
+				check := func(when string) {
+					t.Helper()
+					for _, s := range sps {
+						checkLedger(t, when, s)
+					}
 				}
 				out, err := sps[0].OnEvent(evAddSel(selRC(18)), 0)
 				if err != nil || one(out.Issued) == nil {
@@ -245,10 +287,11 @@ func TestHeldViewDropReasons(t *testing.T) {
 					if _, err := sps[1].OnEvent(evAddSel(selRC(18)), job.CompletesAt); err != nil {
 						t.Fatal(err)
 					}
-					if sps[1].held[gk] == nil {
+					if _, adopted := sps[1].held[gk]; !adopted {
 						t.Fatal("second session did not adopt the shared build")
 					}
 				}
+				check("after publish and adoption")
 				if h.otherLetsGo {
 					if err := sps[1].dropHeld(gk, dropClose); err != nil {
 						t.Fatal(err)
@@ -259,15 +302,16 @@ func TestHeldViewDropReasons(t *testing.T) {
 				if err := sp.dropHeld(gk, reason); err != nil {
 					t.Fatal(err)
 				}
+				check("after the drop")
 				st := sp.Stats()
-				if sp.held[gk] != nil || sp.retainedPages != 0 {
-					t.Errorf("view still held: %d retained pages", sp.retainedPages)
+				if _, still := sp.held[gk]; still || sp.footprint() != 0 {
+					t.Errorf("view still held: %d retained pages", sp.footprint())
 				}
 				if got := e.Catalog.HasTable(job.tableName); got == h.wantDropped {
 					t.Errorf("table present %v, want dropped %v", got, h.wantDropped)
 				}
-				if h.shared && sb.Known(gk) == h.wantDropped {
-					t.Errorf("registry entry present %v after dropped %v", sb.Known(gk), h.wantDropped)
+				if entered := sb.Len() == 1; entered == h.wantDropped {
+					t.Errorf("ledger entry present %v after dropped %v", entered, h.wantDropped)
 				}
 				wantWaste := h.wantDropped && reason != dropClose
 				if (st.Waste > 0) != wantWaste || len(sp.WasteCharges()) > 1 {
@@ -276,7 +320,7 @@ func TestHeldViewDropReasons(t *testing.T) {
 				if want := reason == dropShed; (st.ShedRetained == 1) != want {
 					t.Errorf("ShedRetained %d for reason %d", st.ShedRetained, reason)
 				}
-				if want := h.countsAsBuilt && (reason == dropGC || reason == dropShed && h.shared); (st.GarbageCollected == 1) != want {
+				if want := h.countsAsBuilt && reason != dropClose; (st.GarbageCollected == 1) != want {
 					t.Errorf("GarbageCollected %d, want counted %v", st.GarbageCollected, want)
 				}
 				for _, s := range sps {
@@ -284,9 +328,9 @@ func TestHeldViewDropReasons(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if e.Catalog.HasTable(job.tableName) || gov.Outstanding() != 0 || sb.RetainedPages() != 0 {
-					t.Errorf("after both sessions closed: table %v, %d governor entries, %d registry pages",
-						e.Catalog.HasTable(job.tableName), gov.Outstanding(), sb.RetainedPages())
+				if e.Catalog.HasTable(job.tableName) || sb.Len() != 0 || sb.Misuses() != 0 {
+					t.Errorf("after both sessions closed: table %v, %d ledger entries, %d misuses",
+						e.Catalog.HasTable(job.tableName), sb.Len(), sb.Misuses())
 				}
 			})
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"specdb/internal/buffer"
 	"specdb/internal/obs"
 )
@@ -18,25 +16,20 @@ import (
 // speculator is always admitted — that is exactly the paper's
 // one-manipulation-per-user convention, so the default SpecWorkers=1
 // configuration behaves, decision for decision, like the scheduler does not
-// exist. Extra jobs (a speculator going wide) are the only ones gated.
+// exist. Extra jobs (a speculator going wide) are the only ones gated. It is
+// policy only: what is in flight it reads from the Ledger it is handed.
 //
 // A nil *Scheduler is valid and admits everything, so single-session tests
 // need no wiring.
 type Scheduler struct {
-	mu       sync.Mutex
-	workers  int
-	inflight int
-	pool     *buffer.Pool
-	reserve  int // frames always left to the foreground working set
+	workers int
+	pool    *buffer.Pool
+	reserve int // frames always left to the foreground working set
 	// floorPages is the conservative footprint assumed for a job with no
 	// cost estimate. The cost model never prices a materialization below
 	// MinEstPages, so EstPages == 0 means "unscored", not "free" — admission
 	// assumes half the foreground reserve rather than zero.
 	floorPages int
-	// cse, when attached, lets admission cost shared builds once globally: a
-	// job whose subplan is already registered (built or building) adds no new
-	// pages, so its per-copy estimate is not held against the pool headroom.
-	cse *SharedBuilds
 
 	obsAdmitted, obsDeferred *obs.Counter
 }
@@ -60,105 +53,36 @@ func NewScheduler(workers int, pool *buffer.Pool) *Scheduler {
 	return s
 }
 
-// AttachCSE wires the shared-build registry into admission decisions.
-func (s *Scheduler) AttachCSE(sb *SharedBuilds) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cse = sb
-}
-
-// AttachMetrics mirrors admission decisions into reg.
+// AttachMetrics mirrors admission decisions into reg. Call it before the
+// scheduler is handed to a session.
 func (s *Scheduler) AttachMetrics(reg *obs.Registry) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.obsAdmitted = reg.Counter("sched.admitted")
 	s.obsDeferred = reg.Counter("sched.deferred")
 }
 
-// Inflight reports how many admitted jobs have not yet released their slot.
-func (s *Scheduler) Inflight() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
-}
-
-// AdmitExtraKeyed decides whether a speculator may go beyond its first
-// outstanding job with the manipulation key, whose retained footprint is
-// estPages: a worker slot must be free and the footprint must fit in the
-// pool's current headroom minus the foreground reserve. A missing estimate
-// (estPages <= 0) is floored to floorPages — the cost model never prices
-// real work at zero, so an unscored footprint must not auto-admit. When a
-// shared-build registry is attached and the key's subplan is already
-// registered (ready or in flight), the job adds no new pages — the build
-// exists once globally — so admission charges it zero footprint instead of
-// the per-copy estimate. It does not claim the slot — the speculator calls
-// Acquire once the job really starts.
-func (s *Scheduler) AdmitExtraKeyed(key string, estPages int) bool {
+// AdmitExtra decides whether a speculator may go beyond its first outstanding
+// job with the candidate entered in the ledger under key, whose retained
+// footprint is estPages: fewer than workers other jobs may be in flight across
+// the ledger's sessions — a job holds its slot from issue to its terminal
+// transition, and a first job is never asked, so lone speculators can
+// transiently overcommit the cap but are never throttled — and the footprint
+// must fit in the pool's current headroom minus the foreground reserve. A
+// missing estimate (estPages <= 0) is floored to floorPages — the cost model
+// never prices real work at zero, so an unscored footprint must not auto-admit.
+func (s *Scheduler) AdmitExtra(l *Ledger, key AssetKey, estPages int) bool {
 	if s == nil {
 		return true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight >= s.workers {
-		s.obsDeferred.Inc()
-		return false
+	if estPages <= 0 {
+		estPages = s.floorPages
 	}
-	pages := estPages
-	switch {
-	case s.cse != nil && key != "" && s.cse.Known(sharedGraphKey(key)):
-		pages = 0
-	case pages <= 0:
-		pages = s.floorPages
-	}
-	if s.pool != nil && pages > s.pool.Headroom()-s.reserve {
+	if l.InFlight(key) >= s.workers || s.pool != nil && estPages > s.pool.Headroom()-s.reserve {
 		s.obsDeferred.Inc()
 		return false
 	}
 	s.obsAdmitted.Inc()
 	return true
-}
-
-// sharedGraphKey strips a materialization manipulation key ("mat|<graph>")
-// down to the registry's graph key; other manipulation kinds are never
-// shared, so their keys pass through unchanged (and miss the registry).
-func sharedGraphKey(key string) string {
-	if len(key) > 4 && key[:4] == "mat|" {
-		return key[4:]
-	}
-	return key
-}
-
-// Acquire claims one worker slot for an issued job. Every issued job holds
-// exactly one slot from issue to its terminal transition (completion,
-// cancellation, or abort); the first job of a speculator claims its slot
-// unconditionally, which can transiently overcommit the cap — preserving the
-// invariant that a lone speculator is never throttled.
-func (s *Scheduler) Acquire() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.inflight++
-	s.mu.Unlock()
-}
-
-// Release frees the slot claimed by Acquire.
-func (s *Scheduler) Release() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.inflight > 0 {
-		s.inflight--
-	}
-	s.mu.Unlock()
 }

@@ -131,6 +131,63 @@ func TestServedGoVersionValidation(t *testing.T) {
 	}
 }
 
+// TestTwoPublishersBothHoldTheAnswer: two sessions execute the same predicted
+// final before either completes, so both publish it. Each holds its own
+// reference on the one cache entry: the second publisher shutting down must
+// not unpin the answer under the first, which still counts on serving it.
+func TestTwoPublishersBothHoldTheAnswer(t *testing.T) {
+	e := newTestEngine(t, 20000)
+	final := qgraph.SelectionSubgraph(selRC(18))
+	cfg := DefaultConfig()
+	cfg.Ops, cfg.MinBenefit = OpSet{}, 0
+	cfg.Predictor = NewPredictor(PredictorConfig{})
+	cfg.Predictor.ObserveFinal([]string{final.Key()}, "", final, nil)
+	cfg.Answers = NewAnswerCache(e.Metrics(), 0)
+	var sps [2]*Speculator
+	var jobs [2]*Job
+	for i, prefix := range []string{"first", "second"} {
+		cfg.NamePrefix = prefix
+		sps[i] = newSpec(e, cfg)
+		out, err := sps[i].OnEvent(evAddSel(selRC(18)), sim.FromSeconds(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jobs[i] = one(out.Issued); jobs[i] == nil || jobs[i].fromCache {
+			t.Fatalf("%s session did not execute the predicted final itself: %+v", prefix, jobs[i])
+		}
+	}
+	for i, sp := range sps {
+		if err := sp.Advance(jobs[i].CompletesAt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := cfg.Answers.entries[jobs[0].formKey]
+	if entry == nil {
+		t.Fatal("the predicted final was not published")
+	}
+	if entry.refs != 2 {
+		t.Fatalf("two publishers hold %d references between them", entry.refs)
+	}
+	if err := sps[1].Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if entry.refs != 1 {
+		t.Fatalf("%d references after the second publisher closed: the first still holds the answer", entry.refs)
+	}
+	if _, _, err := sps[0].OnGo(jobs[0].CompletesAt.Add(sim.DurationFromSeconds(1))); err != nil {
+		t.Fatal(err)
+	}
+	if st := sps[0].Stats(); st.PredictedGos != 1 {
+		t.Fatalf("the first publisher's GO was not served: %+v", st)
+	}
+	if err := sps[0].Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if entry.refs != 0 {
+		t.Fatalf("%d references after both closed", entry.refs)
+	}
+}
+
 func hasRow(rows []tuple.Row, want tuple.Row) bool {
 	for _, r := range rows {
 		if len(r) == len(want) && r[0].Equal(want[0]) && r[1].Equal(want[1]) {

@@ -52,11 +52,13 @@ type Config struct {
 	// every speculator of one engine. Nil admits everything (single-session
 	// default).
 	Scheduler *Scheduler
-	// CSE, when non-nil, is the engine-wide shared-build registry
-	// (DESIGN.md §11): identical materialization subplans across sessions are
-	// built once and refcounted instead of duplicated. Nil (the default)
-	// builds per session.
-	CSE *SharedBuilds
+	// Ledger is where this speculator writes down every job it starts and
+	// every view it holds (DESIGN.md §16). Sessions of one engine share one —
+	// they must, to share a Scheduler or a Governor — and on a sharing ledger
+	// (DESIGN.md §11) they build identical materialization subplans once and
+	// hold them together. Nil makes NewSpeculator create a private,
+	// non-sharing one.
+	Ledger *Ledger
 	// BudgetPages caps this session's retained speculative footprint: the
 	// summed EstPages of its outstanding manipulations and completed
 	// materializations it still holds. Candidates that would exceed the
@@ -134,8 +136,9 @@ type Stats struct {
 	// average materialization duration of the paper.
 	MaterializationsIssued int
 	MaterializationTime    sim.Duration
-	// GarbageCollected counts materializations this session built that were
-	// dropped because the partial query stopped containing them.
+	// GarbageCollected counts materializations this session built and let go
+	// of before its close: the partial query stopped containing them, or the
+	// governor shed them.
 	GarbageCollected int
 	CanceledOnClose  int
 	// Failure containment (DESIGN.md §8). Failed counts contained
@@ -149,11 +152,11 @@ type Stats struct {
 	BreakerTrips   int
 	BreakerResumes int
 	// Cross-session CSE (DESIGN.md §11). SharedBuilds counts materializations
-	// this speculator built into the shared registry; SharedAttached counts
+	// this speculator built under a shared ledger key; SharedAttached counts
 	// ready shared builds adopted instead of rebuilt; DedupSaved is the build
 	// time those adoptions avoided. BudgetDeferred counts candidates skipped
 	// because the per-session page budget (Config.BudgetPages) was exhausted.
-	// All zero with Config.CSE == nil and Config.BudgetPages == 0.
+	// All zero on a non-sharing ledger with Config.BudgetPages == 0.
 	SharedBuilds   int
 	SharedAttached int
 	DedupSaved     sim.Duration
@@ -218,8 +221,9 @@ type Job struct {
 	// until the terminal transition.
 	jobID int64
 
-	// cseKey is the shared-build registry claim this job holds ("" for none).
-	cseKey string
+	// asset is the job's ledger entry, in flight from claim to terminal;
+	// asset.Manip is Manip.Key(), computed once.
+	asset AssetKey
 
 	// Predicted-final payload (ManipPredictFinal only): the answer produced
 	// at issue time — fresh execution or answer-cache hit — published to the
@@ -284,12 +288,12 @@ type Speculator struct {
 	outstanding []*Job
 	// held are the completed materializations this session holds, by graph
 	// key; only publish and adoptReady add to it and only dropHeld removes.
-	held map[string]*heldView
+	held map[string]heldView
 	// stagedRels tracks data-staging results for garbage collection.
 	stagedRels map[string]bool
-	// retainedPages is the summed EstPages of outstanding jobs plus held
-	// views — the footprint Config.BudgetPages caps.
-	retainedPages int
+	// holder is this session's identity in cfg.Ledger, where every
+	// outstanding job and held view above has its entry.
+	holder int
 
 	// wasteCharges ledgers every Stats.Waste charge by build identity
 	// (wasteBuildID). Each executed build may be charged at most once — the
@@ -309,9 +313,6 @@ type Speculator struct {
 	abandoned map[string]bool
 	retryAt   sim.Time
 	breaker   *fault.Breaker
-
-	// govID is this session's registration with cfg.Governor (0 without one).
-	govID int
 
 	// Whole-query prediction (DESIGN.md §14), unused without cfg.Predictor.
 	// predStates accumulates the canvas states (partial graph keys) the
@@ -338,9 +339,12 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		// finals.
 		cfg.Answers = NewAnswerCache(eng.Metrics(), 0)
 	}
+	if cfg.Ledger == nil {
+		cfg.Ledger = NewLedger(eng.Metrics(), false)
+	}
 	sp := &Speculator{
 		eng:     eng,
-		govID:   cfg.Governor.Register(),
+		holder:  cfg.Ledger.NewHolder(),
 		learner: learner,
 		cm: &CostModel{
 			Eng:                  eng,
@@ -355,7 +359,7 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		canvas:       trace.State{Graph: qgraph.New()},
 		seenSels:     make(map[string]qgraph.Selection),
 		seenJoins:    make(map[string]qgraph.Join),
-		held:         make(map[string]*heldView),
+		held:         make(map[string]heldView),
 		stagedRels:   make(map[string]bool),
 		wasteCharges: make(map[string]int),
 		attempts:     make(map[string]int),
@@ -429,7 +433,7 @@ func wasteBuildID(job *Job) string {
 	if job.tableName != "" {
 		return job.tableName
 	}
-	return fmt.Sprintf("%s@%d", job.Manip.Key(), int64(job.IssuedAt))
+	return fmt.Sprintf("%s@%d", job.asset.Manip, int64(job.IssuedAt))
 }
 
 // WasteCharges exposes the per-build waste ledger (build identity → number of
@@ -544,24 +548,18 @@ func (sp *Speculator) governDegrade(now sim.Time) ([]*Job, error) {
 	dropped := sp.finishWhere(TermDeadlineExceeded, now, func(job *Job) bool {
 		return job.Deadline != 0 && now >= job.Deadline
 	})
-	// Push the session's live footprint before asking for shed marks, so the
-	// governor ranks against current state, not last event's.
-	sp.cfg.Governor.ReportRetained(sp.govID, sp.retainedPages)
-	shed := sp.cfg.Governor.ShedSet(sp.govID, now)
+	shed := sp.cfg.Governor.ShedSet(sp.cfg.Ledger, sp.holder, now)
 	if len(shed) == 0 {
 		return dropped, nil
 	}
-	dropped = append(dropped, sp.finishWhere(TermShed, now, func(job *Job) bool {
-		return shed[job.Manip.Key()]
-	})...)
+	dropped = append(dropped, sp.finishWhere(TermShed, now, func(job *Job) bool { return shed[job.asset] })...)
 	for _, gk := range sortedKeys(sp.held) {
-		if shed["mat|"+gk] {
+		if shed[sp.held[gk].key] {
 			if err := sp.dropHeld(gk, dropShed); err != nil {
 				return dropped, err
 			}
 		}
 	}
-	sp.cfg.Governor.ReportRetained(sp.govID, sp.retainedPages)
 	return dropped, nil
 }
 
@@ -814,25 +812,14 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // recordHit classifies one answered GO: a hit if the final plan read at least
-// one held view. Views that served a query are marked paid-for, so dropping
-// them later does not charge their build cost as waste.
+// one held view. Views that served a query are marked paid-for in the ledger,
+// so whoever drops them later does not charge their build cost as waste.
 func (sp *Speculator) recordHit(node plan.Node) {
 	hit := false
 	plan.Walk(node, func(n plan.Node) {
-		a, ok := n.(*plan.TableAccess)
-		if !ok {
-			return
+		if a, ok := n.(*plan.TableAccess); ok && sp.cfg.Ledger.MarkPaid(sp.holder, a.Table.Name) {
+			hit = true
 		}
-		for _, h := range sp.held {
-			if h.table == a.Table.Name {
-				hit = true
-				h.paid = true
-			}
-		}
-		// Any shared build this query read — adopted by this session or
-		// not — is paid for: its cost must never be charged as waste by
-		// whichever session releases it last. Nil-safe no-op without CSE.
-		sp.cfg.CSE.MarkPaidTable(a.Table.Name)
 	})
 	if hit {
 		count(sp, &sp.stats.Hits, 1)
@@ -872,7 +859,5 @@ func (sp *Speculator) Shutdown() error {
 		sp.cfg.Answers.Release(fk)
 	}
 	sp.predictedReady = make(map[string]bool)
-	// The session stops contributing to the governor's pressure signal.
-	sp.cfg.Governor.Deregister(sp.govID)
 	return nil
 }

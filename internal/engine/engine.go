@@ -749,12 +749,29 @@ func (e *Engine) DropIndex(table, column string) error {
 		if idx == nil {
 			return fmt.Errorf("engine: no index on %s.%s", table, column)
 		}
-		if err := idx.Tree.Drop(); err != nil {
-			return err
-		}
-		t.RemoveIndex(column)
-		return nil
+		return dropIndex(t, idx)
 	})
+}
+
+// DropDetachedIndex frees the pages of an index its table does not, or no
+// longer does, know about — a speculative build hidden until completion and
+// then canceled. The table may be gone by then.
+func (e *Engine) DropDetachedIndex(idx *catalog.Index) error {
+	return e.statement("DropDetachedIndex", idx.Table, changesShape, func(*stmt) error {
+		return dropIndex(nil, idx)
+	})
+}
+
+// dropIndex frees idx's pages and takes it off the table it is installed on
+// (nil: none).
+func dropIndex(on *catalog.Table, idx *catalog.Index) error {
+	if err := idx.Tree.Drop(); err != nil {
+		return err
+	}
+	if on != nil {
+		on.RemoveIndex(idx.Column)
+	}
+	return nil
 }
 
 // CreateHistogram builds an equi-depth histogram on table.column, improving

@@ -64,7 +64,7 @@ func vanishedQuery(e *Engine) (*plan.Query, error) {
 
 func resultless(_ *Result, err error) error { return err }
 
-// boundaryOps enumerates the fourteen entry points of the statement boundary.
+// boundaryOps enumerates the fifteen entry points of the statement boundary.
 func boundaryOps() []boundaryOp {
 	query := func(run func(e *Engine, q *plan.Query) error) func(e *Engine, tb string) error {
 		return func(e *Engine, tb string) error {
@@ -94,6 +94,23 @@ func boundaryOps() []boundaryOp {
 			prep: func(e *Engine, tb string) error { return resultless(e.CreateIndex(tb, "b")) },
 			run:  func(e *Engine, tb string) error { return e.DropIndex(tb, "b") },
 			fail: func(e *Engine, _ *plan.Query) error { return e.DropIndex("base", "nope") }},
+		{name: "DropDetachedIndex", commits: true,
+			prep: func(e *Engine, tb string) error {
+				if err := resultless(e.CreateIndex(tb, "a")); err != nil {
+					return err
+				}
+				return resultless(e.CreateIndex(tb, "b"))
+			},
+			run: func(e *Engine, tb string) error {
+				t, err := e.Catalog.Table(tb)
+				if err != nil {
+					return err
+				}
+				idx := t.Index("b")
+				t.RemoveIndex("b")
+				return e.DropDetachedIndex(idx)
+			},
+			fail: dropIndexPinned},
 		{name: "CreateHistogram", commits: true,
 			run:  func(e *Engine, tb string) error { return resultless(e.CreateHistogram(tb, "a")) },
 			fail: func(e *Engine, _ *plan.Query) error { return resultless(e.CreateHistogram("nope", "a")) }},
@@ -145,6 +162,22 @@ func coldStartPinned(e *Engine, _ *plan.Query) error {
 	}
 	defer e.Pool.Unpin(id, false)
 	return e.ColdStart()
+}
+
+// dropIndexPinned drops base's index on a while the first page the drop
+// would free is pinned, so it fails having freed nothing.
+func dropIndexPinned(e *Engine, _ *plan.Query) error {
+	t, err := e.Catalog.Table("base")
+	if err != nil {
+		return err
+	}
+	idx := t.Index("a")
+	id := idx.Tree.PageIDs()[0]
+	if _, err := e.Pool.Get(id); err != nil {
+		return err
+	}
+	defer e.Pool.Unpin(id, false)
+	return e.DropDetachedIndex(idx)
 }
 
 // loadTable creates, loads and analyzes a two-column table of 40 rows.

@@ -109,22 +109,21 @@ type chaosBatch struct {
 }
 
 // chaosCore assembles the per-batch speculation config: fresh scheduler,
-// shared-build registry, and governor over the given engine.
-func chaosCore(cfg ChaosConfig, eng *engine.Engine) (core.Config, *core.Governor) {
+// sharing ledger, and governor over the given engine.
+func chaosCore(cfg ChaosConfig, eng *engine.Engine) core.Config {
 	c := core.DefaultConfig()
 	c.Workers = cfg.Workers
 	c.BudgetPages = cfg.BudgetPages
 	c.Scheduler = core.NewScheduler(cfg.Workers, eng.Pool)
-	c.CSE = core.NewSharedBuilds(eng.Metrics())
-	c.Scheduler.AttachCSE(c.CSE)
-	gov := core.NewGovernor(cfg.Governor, eng.Pool)
-	gov.AttachMetrics(eng.Metrics())
-	c.Governor = gov
-	return c, gov
+	c.Ledger = core.NewLedger(eng.Metrics(), true)
+	c.Governor = core.NewGovernor(cfg.Governor, eng.Pool)
+	c.Governor.AttachMetrics(eng.Metrics())
+	return c
 }
 
-// checkBatch applies every per-batch invariant, appending violations.
-func checkBatch(rep *ChaosReport, label string, b chaosBatch, out *ScaledOutcome, gov *core.Governor, cse *core.SharedBuilds, misuses int64) {
+// checkBatch applies every per-batch invariant to a replay under c, appending
+// violations.
+func checkBatch(rep *ChaosReport, label string, b chaosBatch, out *ScaledOutcome, c core.Config, misuses int64) {
 	fail := func(format string, args ...any) {
 		rep.Violations = append(rep.Violations, fmt.Sprintf("%s: ", label)+fmt.Sprintf(format, args...))
 	}
@@ -143,17 +142,14 @@ func checkBatch(rep *ChaosReport, label string, b chaosBatch, out *ScaledOutcome
 	if misuses != 0 {
 		fail("%d buffer-pool pin misuses", misuses)
 	}
-	if n := gov.Outstanding(); n != 0 {
-		fail("governor registry holds %d jobs after shutdown", n)
-	}
-	if p := cse.RetainedPages(); p != 0 {
-		fail("shared-build registry retains %d pages after shutdown", p)
+	if n, m := c.Ledger.Len(), c.Ledger.Misuses(); n != 0 || m != 0 {
+		fail("ledger holds %d entries after shutdown, %d misuses", n, m)
 	}
 	for _, diff := range answerDiffs(out.Timings, b.ref) {
 		fail("%s", diff)
 	}
 	rep.Stats = SumStatsAll([]core.Stats{rep.Stats, out.Stats})
-	rep.DegradedTime += gov.DegradedTime(b.endAt)
+	rep.DegradedTime += c.Governor.DegradedTime(b.endAt)
 }
 
 // answerDiffs lists how a replay's answers differ from the fault-free
@@ -215,12 +211,12 @@ func runMemoryBatch(cfg ChaosConfig, rep *ChaosReport, batch int, b chaosBatch) 
 	if err != nil {
 		return err
 	}
-	c, gov := chaosCore(cfg, env.Eng)
+	c := chaosCore(cfg, env.Eng)
 	out, err := RunScaledSessions(env.Eng, b.traces, c)
 	if err != nil {
 		return fmt.Errorf("chaos: memory batch %d: %w", batch, err)
 	}
-	checkBatch(rep, fmt.Sprintf("memory batch %d", batch), b, out, gov, c.CSE, env.Eng.Pool.Misuses())
+	checkBatch(rep, fmt.Sprintf("memory batch %d", batch), b, out, c, env.Eng.Pool.Misuses())
 	return nil
 }
 
@@ -276,13 +272,13 @@ func runDurableBatch(cfg ChaosConfig, rep *ChaosReport, batch int, b chaosBatch,
 			return err
 		}
 		w.load = eng.FileDisk().FileWrites()
-		c, gov := chaosCore(cfg, eng)
+		c := chaosCore(cfg, eng)
 		out, err := RunScaledSessions(eng, b.traces, c)
 		if err != nil {
 			return fmt.Errorf("chaos: durable calibration batch %d: %w", batch, err)
 		}
 		w.total = eng.FileDisk().FileWrites()
-		checkBatch(rep, fmt.Sprintf("durable batch %d (calibration)", batch), b, out, gov, c.CSE, eng.Pool.Misuses())
+		checkBatch(rep, fmt.Sprintf("durable batch %d (calibration)", batch), b, out, c, eng.Pool.Misuses())
 		if err := eng.Close(); err != nil {
 			return err
 		}
@@ -304,11 +300,11 @@ func runDurableBatch(cfg ChaosConfig, rep *ChaosReport, batch int, b chaosBatch,
 	if err != nil {
 		return err
 	}
-	c, _ := chaosCore(cfg, eng)
+	c := chaosCore(cfg, eng)
 	out, err := RunScaledSessions(eng, b.traces, c)
 	if err == nil {
 		// Crash point landed past this batch's last write: a complete run.
-		checkBatch(rep, fmt.Sprintf("durable batch %d (uncrashed)", batch), b, out, c.Governor, c.CSE, eng.Pool.Misuses())
+		checkBatch(rep, fmt.Sprintf("durable batch %d (uncrashed)", batch), b, out, c, eng.Pool.Misuses())
 		return eng.Close()
 	}
 	if !errors.Is(err, fault.ErrCrashed) {
@@ -331,12 +327,12 @@ func runDurableBatch(cfg ChaosConfig, rep *ChaosReport, batch int, b chaosBatch,
 	}
 	rep.Crashes++
 	rep.RecoveredOrphans += rec.RecoveredOrphans()
-	rc, rgov := chaosCore(cfg, rec)
+	rc := chaosCore(cfg, rec)
 	rout, err := RunScaledSessions(rec, b.traces, rc)
 	if err != nil {
 		return fmt.Errorf("chaos: durable batch %d post-recovery replay: %w", batch, err)
 	}
-	checkBatch(rep, fmt.Sprintf("durable batch %d (recovered, crash@%d torn=%v)", batch, at, torn), b, rout, rgov, rc.CSE, rec.Pool.Misuses())
+	checkBatch(rep, fmt.Sprintf("durable batch %d (recovered, crash@%d torn=%v)", batch, at, torn), b, rout, rc, rec.Pool.Misuses())
 	return rec.Close()
 }
 

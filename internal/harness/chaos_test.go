@@ -78,8 +78,7 @@ func TestGovernorOverloadShedsButAnswersCorrect(t *testing.T) {
 	cfg.Workers = 2
 	cfg.BudgetPages = 10
 	cfg.Scheduler = core.NewScheduler(2, env.Eng.Pool)
-	cfg.CSE = core.NewSharedBuilds(env.Eng.Metrics())
-	cfg.Scheduler.AttachCSE(cfg.CSE)
+	cfg.Ledger = core.NewLedger(env.Eng.Metrics(), true)
 	cfg.Governor = core.NewGovernor(core.GovernorConfig{}, env.Eng.Pool)
 	out, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
@@ -97,7 +96,7 @@ func TestGovernorOverloadShedsButAnswersCorrect(t *testing.T) {
 			t.Errorf("session %d: quiesce identity violated: issued %d != terminal %d (%+v)", u, st.Issued, st.Terminals(), st)
 		}
 	}
-	if n := cfg.Governor.Outstanding(); n != 0 {
-		t.Errorf("governor registry holds %d jobs after shutdown", n)
+	if n, m := cfg.Ledger.Len(), cfg.Ledger.Misuses(); n != 0 || m != 0 {
+		t.Errorf("ledger holds %d entries after shutdown, %d misuses", n, m)
 	}
 }

@@ -49,8 +49,7 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 		c := core.DefaultConfig()
 		c.Workers = workers
 		c.Scheduler = core.NewScheduler(workers, eng.Pool)
-		c.CSE = core.NewSharedBuilds(eng.Metrics())
-		c.Scheduler.AttachCSE(c.CSE)
+		c.Ledger = core.NewLedger(eng.Metrics(), true)
 		return c
 	}
 	open := func(path string, crash *fault.Crash) (*engine.Engine, error) {

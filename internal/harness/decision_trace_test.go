@@ -20,7 +20,9 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // TestDecisionTrace pins every speculation decision of four configurations
 // that the aggregate outputs (f4/t51, a4, BENCH_spec.json) never reach
 // together: which job was issued when, how and when it ended, and what the
-// counters and the waste ledger said afterwards. The goldens under testdata/
+// counters and the waste ledger said afterwards — and, the one quiesce
+// condition, that the ledger is empty and unmisused after every Shutdown. The
+// goldens under testdata/
 // were generated before the job-lifecycle refactor (DESIGN.md §16); a
 // Speculator change that alters any decision shows up as a diff here.
 // Regenerate with: go test ./internal/harness -run DecisionTrace -update
@@ -41,8 +43,10 @@ func TestDecisionTrace(t *testing.T) {
 		run  func(t *testing.T, d *decisionDump, eng *engine.Engine)
 	}{
 		{"default", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {
+			cfg := core.DefaultConfig()
+			cfg.Ledger = core.NewLedger(eng.Metrics(), false)
 			learner := func() *core.Learner { return core.NewLearner(DefaultLearnerConfig()) }
-			d.replaySerial(t, eng, traces, core.DefaultConfig(), "spec", learner)
+			d.replaySerial(t, eng, traces, cfg, "spec", learner)
 		}},
 		{"wide_cse_budget", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {
 			cfg := core.DefaultConfig()
@@ -50,15 +54,14 @@ func TestDecisionTrace(t *testing.T) {
 			cfg.BudgetPages = 10
 			cfg.Scheduler = core.NewScheduler(2, eng.Pool)
 			cfg.Scheduler.AttachMetrics(eng.Metrics())
-			cfg.CSE = core.NewSharedBuilds(eng.Metrics())
-			cfg.Scheduler.AttachCSE(cfg.CSE)
+			cfg.Ledger = core.NewLedger(eng.Metrics(), true)
 			// Every user twice, at the same instants: the second copy finds the
 			// first one's builds in flight, then adopts them.
 			d.replayConcurrent(t, eng, append(traces[:len(traces):len(traces)], traces...), cfg)
 		}},
 		{"chaos_governor", EnvConfig{BufferPoolPages: chaos.PoolPages, PoolShards: chaos.PoolShards, Fault: chaos.Fault},
 			func(t *testing.T, d *decisionDump, eng *engine.Engine) {
-				cfg, _ := chaosCore(chaos, eng)
+				cfg := chaosCore(chaos, eng)
 				cfg.Scheduler.AttachMetrics(eng.Metrics())
 				d.replayConcurrent(t, eng, traces, cfg)
 			}},
@@ -66,6 +69,7 @@ func TestDecisionTrace(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 			cfg.Answers = core.NewAnswerCache(eng.Metrics(), 0)
+			cfg.Ledger = core.NewLedger(eng.Metrics(), false)
 			shared := core.NewLearner(DefaultLearnerConfig())
 			learner := func() *core.Learner { return shared }
 			d.replaySerial(t, eng, traces, cfg, "train", learner)
@@ -115,6 +119,16 @@ func (d *decisionDump) jobs(eng *engine.Engine) {
 	d.spans = len(all)
 }
 
+// quiesced requires the ledger the shut-down sessions wrote to be empty, and
+// never to have been asked to end, finish or release what the asker did not
+// hold.
+func quiesced(t *testing.T, l *core.Ledger) {
+	t.Helper()
+	if n, m := l.Len(), l.Misuses(); n != 0 || m != 0 {
+		t.Errorf("ledger holds %d entries after Shutdown, %d misuses", n, m)
+	}
+}
+
 // session writes one speculator's final counters and waste ledger.
 func (d *decisionDump) session(label string, st core.Stats, ledger map[string]int) {
 	fmt.Fprintf(&d.b, "stats %s %+v\n", label, st)
@@ -155,6 +169,7 @@ func (d *decisionDump) replaySerial(t *testing.T, eng *engine.Engine, traces []*
 		if err != nil {
 			t.Fatal(err)
 		}
+		quiesced(t, cfg.Ledger)
 		fmt.Fprintf(&d.b, "# %s trace %d\n", label, i)
 		d.jobs(eng)
 		d.session(cfg.NamePrefix, so.FinalStats, so.WasteLedger)
@@ -165,13 +180,14 @@ func (d *decisionDump) replaySerial(t *testing.T, eng *engine.Engine, traces []*
 // (the multi-user experiments' shape, events merged by timestamp).
 func (d *decisionDump) replayConcurrent(t *testing.T, eng *engine.Engine, traces []*trace.Trace, cfg core.Config) {
 	t.Helper()
-	_, perUser, ledgers, err := runMultiUserSpec(eng, traces, cfg)
+	out, err := RunScaledSessions(eng, traces, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesced(t, cfg.Ledger)
 	d.jobs(eng)
-	for u := range perUser {
-		d.session(fmt.Sprintf("spec_u%d", u), perUser[u], ledgers[u])
+	for u, st := range out.PerUser {
+		d.session(fmt.Sprintf("spec_u%d", u), st, out.WasteLedgers[u])
 	}
 }
 

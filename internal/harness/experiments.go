@@ -776,8 +776,8 @@ func (r *ScaledBenchResult) WasteReductionPct() float64 {
 
 // RunScaledBench runs the scaled-session CSE experiment: sessions concurrent
 // simulated sessions over one database, CSE off versus on. Each mode gets a
-// fresh identically seeded environment, so the replays differ only in the
-// shared-build registry.
+// fresh identically seeded environment, so the replays differ only in whether
+// the ledger shares builds.
 func RunScaledBench(scaleName string, sessions int, seed uint64) (*ScaledBenchResult, error) {
 	scale, err := tpch.ScaleByName(scaleName)
 	if err != nil {
@@ -794,9 +794,7 @@ func RunScaledBench(scaleName string, sessions int, seed uint64) (*ScaledBenchRe
 			return nil, err
 		}
 		cfg := core.DefaultConfig()
-		if cse {
-			cfg.CSE = core.NewSharedBuilds(env.Eng.Metrics())
-		}
+		cfg.Ledger = core.NewLedger(env.Eng.Metrics(), cse)
 		out, err := RunScaledSessions(env.Eng, traces, cfg)
 		if err != nil {
 			return nil, err

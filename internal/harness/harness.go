@@ -392,14 +392,37 @@ func SumStatsAll(per []core.Stats) core.Stats {
 	return a
 }
 
-// runMultiUserSpec is the simultaneous replay shared by the multi-user,
-// scaled-session, and chaos-soak experiments: a cold start, one speculator
-// per trace, then replay. It returns each user's un-aggregated stats and
-// per-build waste-charge ledger (both snapshotted before that user's
-// Shutdown) so callers can assert the charged-once invariant.
-func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config) ([]QueryTiming, []core.Stats, []map[string]int, error) {
+// ScaledOutcome reports one simultaneous replay: from the paper's three users
+// (Section 6.3) to hundreds of concurrent simulated sessions over one database
+// (DESIGN.md §11's evaluation setting).
+type ScaledOutcome struct {
+	Timings []QueryTiming // TraceIdx identifies the user
+	// PerUser holds each session's stats; Stats is their sum.
+	PerUser []core.Stats
+	Stats   core.Stats
+	// SharedBuilds / DedupSaved snapshot the ledger's lifetime aggregates (zero
+	// unless cfg.Ledger shares builds).
+	SharedBuilds int
+	DedupSaved   sim.Duration
+	// WasteLedgers holds each session's per-build waste-charge counts
+	// (core.Speculator.WasteCharges), for the charged-once invariant.
+	WasteLedgers []map[string]int
+}
+
+// RunScaledSessions replays several traces simultaneously against one engine,
+// after a cold start: events from all users interleave by timestamp, each user
+// has an independent Speculator, and the engine's contention model sees the
+// other users' in-flight manipulations. The caller supplies the config —
+// scheduler, governor, and the ledger the sessions share (a sharing one for
+// cross-session CSE; nil gets a non-sharing one) — so CSE on/off comparisons
+// replay the identical merged event sequence. Stats and waste ledgers are
+// snapshotted before each user's Shutdown.
+func RunScaledSessions(eng *engine.Engine, traces []*trace.Trace, cfg core.Config) (*ScaledOutcome, error) {
 	if err := eng.ColdStart(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
+	}
+	if cfg.Ledger == nil {
+		cfg.Ledger = core.NewLedger(eng.Metrics(), false)
 	}
 	sps := make([]*core.Speculator, len(traces))
 	for i := range traces {
@@ -409,51 +432,18 @@ func runMultiUserSpec(eng *engine.Engine, traces []*trace.Trace, cfg core.Config
 	}
 	timings, err := replay(sps, traces)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	perUser := make([]core.Stats, len(sps))
-	ledgers := make([]map[string]int, len(sps))
-	for i, sp := range sps {
-		perUser[i] = sp.Stats()
-		ledgers[i] = sp.WasteCharges()
-		if err := sp.Shutdown(); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return timings, perUser, ledgers, nil
-}
-
-// ScaledOutcome reports one simultaneous replay: from the paper's three users
-// (Section 6.3) to hundreds of concurrent simulated sessions over one database
-// (DESIGN.md §11's evaluation setting).
-type ScaledOutcome struct {
-	Timings []QueryTiming // TraceIdx identifies the user
-	// PerUser holds each session's stats; Stats is their sum.
-	PerUser []core.Stats
-	Stats   core.Stats
-	// SharedBuilds / DedupSaved snapshot the shared-build registry's lifetime
-	// aggregates (zero when cfg.CSE was nil).
-	SharedBuilds int
-	DedupSaved   sim.Duration
-	// WasteLedgers holds each session's per-build waste-charge counts
-	// (core.Speculator.WasteCharges), for the charged-once invariant.
-	WasteLedgers []map[string]int
-}
-
-// RunScaledSessions replays several traces simultaneously against one engine:
-// events from all users interleave by timestamp, each user has an independent
-// Speculator, and the engine's contention model sees the other users'
-// in-flight manipulations. The caller supplies the config — including, for
-// cross-session CSE runs, a shared core.SharedBuilds registry and a shared
-// core.Scheduler — so CSE on/off comparisons replay the identical merged event
-// sequence.
-func RunScaledSessions(eng *engine.Engine, traces []*trace.Trace, cfg core.Config) (*ScaledOutcome, error) {
-	timings, perUser, ledgers, err := runMultiUserSpec(eng, traces, cfg)
-	if err != nil {
 		return nil, err
 	}
-	out := &ScaledOutcome{Timings: timings, PerUser: perUser, Stats: SumStatsAll(perUser), WasteLedgers: ledgers}
-	out.SharedBuilds, out.DedupSaved = cfg.CSE.Snapshot()
+	out := &ScaledOutcome{Timings: timings, PerUser: make([]core.Stats, len(sps)), WasteLedgers: make([]map[string]int, len(sps))}
+	for i, sp := range sps {
+		out.PerUser[i] = sp.Stats()
+		out.WasteLedgers[i] = sp.WasteCharges()
+		if err := sp.Shutdown(); err != nil {
+			return nil, err
+		}
+	}
+	out.Stats = SumStatsAll(out.PerUser)
+	out.SharedBuilds, out.DedupSaved = cfg.Ledger.Snapshot()
 	return out, nil
 }
 

@@ -124,10 +124,7 @@ func TestMetamorphicScaledCSE(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = m.workers
 			cfg.Scheduler = core.NewScheduler(m.workers, env.Eng.Pool)
-			if m.cse {
-				cfg.CSE = core.NewSharedBuilds(env.Eng.Metrics())
-				cfg.Scheduler.AttachCSE(cfg.CSE)
-			}
+			cfg.Ledger = core.NewLedger(env.Eng.Metrics(), m.cse)
 			out, err := RunScaledSessions(env.Eng, traces, cfg)
 			if err != nil {
 				t.Fatal(err)

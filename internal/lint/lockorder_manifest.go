@@ -15,8 +15,8 @@ import (
 // level; acquiring an earlier-level lock while holding a later one is an
 // inversion the lockorder rule reports with its witness call path. Locks on
 // types not listed here (observability registries, the sim clock, the fault
-// injector, core's scheduler/governor/CSE registries) are leaves of the
-// hierarchy by convention — they are unranked, exempt from the
+// injector, core's ledger and the governor's band, neither taken under the
+// other) are leaves of the hierarchy by convention — they are unranked, exempt from the
 // manifest-order check, but still participate fully in cycle detection.
 //
 // TestLockOrderManifestMatchesDesign cross-checks the level names below

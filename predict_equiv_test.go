@@ -97,6 +97,10 @@ func TestPredictedResultEquivalence(t *testing.T) {
 			PoolShards:      shards,
 			SpecWorkers:     workers,
 			PredictFinals:   predict,
+			// The wide runs are governed: three workers a session on a 64-page
+			// pool is the pressure the governor exists for, and shedding must
+			// not change an answer.
+			Governor: workers > 1,
 		})
 		if err := db.LoadTPCH("100MB", 42); err != nil {
 			t.Fatal(err)
@@ -110,8 +114,13 @@ func TestPredictedResultEquivalence(t *testing.T) {
 		if err := m.CloseAll(); err != nil {
 			t.Fatal(err)
 		}
+		if n, misuses := db.ledger.Len(), db.ledger.Misuses(); n != 0 || misuses != 0 {
+			t.Fatalf("ledger holds %d entries after CloseAll, %d misuses", n, misuses)
+		}
+		governed := 0
 		for i, s := range sessions {
 			st := s.Stats()
+			governed += st.GovernorDeferred + st.Shed + st.ShedRetained
 			if st.PredictedIssued != st.PredictedCompleted+st.PredictedCanceled {
 				t.Fatalf("session %d after CloseAll: predicted issued %d != completed %d + canceled %d",
 					i, st.PredictedIssued, st.PredictedCompleted, st.PredictedCanceled)
@@ -119,6 +128,9 @@ func TestPredictedResultEquivalence(t *testing.T) {
 			if !predict && st.PredictedIssued != 0 {
 				t.Fatalf("session %d issued %d predicted jobs with prediction off", i, st.PredictedIssued)
 			}
+		}
+		if (governed > 0) != (workers > 1) {
+			t.Fatalf("workers=%d: the governor refused or shed %d times", workers, governed)
 		}
 		return keys
 	}

@@ -88,7 +88,7 @@ func (db *DB) newSession(ctx context.Context, cfg SessionConfig, learner *core.L
 		c.NamePrefix = prefix
 		c.Workers = db.specWorkers
 		c.Scheduler = db.sched
-		c.CSE = db.cse
+		c.Ledger = db.ledger
 		c.Governor = db.gov
 		c.Predictor = db.pred
 		c.Answers = db.answers

@@ -536,10 +536,10 @@ func TestScaledSessionsSharedSpeculation(t *testing.T) {
 	if err := m.CloseAll(); err != nil {
 		t.Fatal(err)
 	}
-	// The registry must be fully drained: every shared build released by its
+	// The ledger must be fully drained: every shared build released by its
 	// last holder and its backing table dropped.
-	if got := db.cse.RetainedPages(); got != 0 {
-		t.Fatalf("shared-build registry retains %d pages after CloseAll", got)
+	if n, m := db.ledger.Len(), db.ledger.Misuses(); n != 0 || m != 0 {
+		t.Fatalf("ledger holds %d entries after CloseAll, %d misuses", n, m)
 	}
 	if leaked := newTables(db, before); len(leaked) != 0 {
 		t.Fatalf("speculative tables leaked: %v", leaked)

@@ -78,13 +78,13 @@ type Options struct {
 	// workload get faster. Default false — prediction off is byte-identical
 	// to history.
 	PredictFinals bool
-	// Governor enables and tunes the engine-wide overload governor
-	// (DESIGN.md §13): pressure-band gating of new speculation, benefit-
-	// ranked load shedding, stuck-job deadlines, and a global circuit
-	// breaker that forces speculation-off degraded mode on systemic fault
-	// rates. The zero value leaves the governor off — every decision stays
+	// Governor enables the engine-wide overload governor (DESIGN.md §13):
+	// pressure-band gating of new speculation, benefit-ranked load shedding,
+	// stuck-job deadlines, and a global circuit breaker that forces
+	// speculation-off degraded mode on systemic fault rates, all at the
+	// defaults that section states. Default false — every decision stays
 	// byte-identical to the ungoverned engine.
-	Governor GovernorConfig
+	Governor bool
 	// UseOptionalViews lets the optimizer consider non-forced materialized
 	// views (query-materialization semantics).
 	UseOptionalViews bool
@@ -114,55 +114,6 @@ type StorageConfig struct {
 	Sync bool
 }
 
-// GovernorConfig configures the overload governor (the public mirror of the
-// internal governor configuration; see DESIGN.md §13). All thresholds act on
-// the pressure signal — the buffer pool's claimable free fraction minus the
-// fraction of capacity speculation retains — with hysteresis: a band is
-// entered below its Enter threshold and left only above its Exit threshold.
-type GovernorConfig struct {
-	// Enabled turns the governor on. False (the default) keeps the engine
-	// byte-identical to history.
-	Enabled bool
-	// PressuredEnter/PressuredExit bound the normal↔pressured band
-	// (defaults 0.25 / 0.35); pressured refuses extra speculative jobs and
-	// sheds the lowest-benefit outstanding extras.
-	PressuredEnter float64
-	PressuredExit  float64
-	// CriticalEnter/CriticalExit bound the pressured↔critical band
-	// (defaults 0.10 / 0.20); critical refuses all new speculation.
-	CriticalEnter float64
-	CriticalExit  float64
-	// DeadlineFactor is the stuck-job watchdog's k: builds still running
-	// past k× their cost estimate are aborted (default 4).
-	DeadlineFactor float64
-	// BreakerWindow/BreakerMinSamples/BreakerFailureRate/BreakerCooldown
-	// tune the global circuit breaker: at least MinSamples speculative
-	// outcomes inside a Window with a failure fraction at or above
-	// FailureRate trip speculation off engine-wide for Cooldown of sim
-	// time (defaults 30s / 12 / 0.5 / 60s). Measured statements keep
-	// answering throughout.
-	BreakerWindow      time.Duration
-	BreakerMinSamples  int
-	BreakerFailureRate float64
-	BreakerCooldown    time.Duration
-}
-
-func (c GovernorConfig) internal() core.GovernorConfig {
-	return core.GovernorConfig{
-		PressuredEnter: c.PressuredEnter,
-		PressuredExit:  c.PressuredExit,
-		CriticalEnter:  c.CriticalEnter,
-		CriticalExit:   c.CriticalExit,
-		DeadlineFactor: c.DeadlineFactor,
-		Breaker: fault.GlobalBreakerConfig{
-			Window:      c.BreakerWindow,
-			MinSamples:  c.BreakerMinSamples,
-			FailureRate: c.BreakerFailureRate,
-			Cooldown:    c.BreakerCooldown,
-		},
-	}
-}
-
 // FaultConfig sets per-operation fault-injection probabilities (fault.Config
 // documents each field). Rates are in [0, 1]; the zero value disables
 // injection entirely. With equal seeds and equal operation sequences, two runs
@@ -177,14 +128,13 @@ type DB struct {
 	// jobs only while the buffer pool has headroom.
 	sched       *core.Scheduler
 	specWorkers int
-	// cse is the cross-session shared-build registry (nil unless
-	// Options.SharedSpeculation).
-	cse *core.SharedBuilds
+	// ledger is where every session's speculator enters its jobs and held
+	// views; it shares builds across sessions iff Options.SharedSpeculation.
+	ledger *core.Ledger
 	// budgetPages is the default per-session speculation budget
 	// (Options.SpecBudgetPages; 0 = unlimited).
 	budgetPages int
-	// gov is the engine-wide overload governor (nil unless
-	// Options.Governor.Enabled).
+	// gov is the engine-wide overload governor (nil unless Options.Governor).
 	gov *core.Governor
 	// pred and answers are the shared final-query predictor and answer cache
 	// (nil unless Options.PredictFinals).
@@ -224,13 +174,10 @@ func assemble(opts Options, eng *engine.Engine) *DB {
 	}
 	sched := core.NewScheduler(workers, eng.Pool)
 	sched.AttachMetrics(eng.Metrics())
-	db := &DB{eng: eng, sched: sched, specWorkers: workers, budgetPages: opts.SpecBudgetPages}
-	if opts.SharedSpeculation {
-		db.cse = core.NewSharedBuilds(eng.Metrics())
-		sched.AttachCSE(db.cse)
-	}
-	if opts.Governor.Enabled {
-		db.gov = core.NewGovernor(opts.Governor.internal(), eng.Pool)
+	db := &DB{eng: eng, sched: sched, specWorkers: workers, budgetPages: opts.SpecBudgetPages,
+		ledger: core.NewLedger(eng.Metrics(), opts.SharedSpeculation)}
+	if opts.Governor {
+		db.gov = core.NewGovernor(core.GovernorConfig{}, eng.Pool)
 		db.gov.AttachMetrics(eng.Metrics())
 	}
 	if opts.PredictFinals {
