@@ -2,14 +2,17 @@ package specdb
 
 // Wall-clock and allocation benchmarks for the executor's layers, and the
 // replay that scripts/profile.sh profiles. One op of a BenchmarkLayer* is one
-// pass over a fixed input on a pool that holds it, so allocs/op and B/op are
-// counts of a deterministic program: scripts/bench_gate.sh compares them
-// exactly against BENCH_allocs.txt and reports ns/op for information.
+// pass over a fixed input on a pool that holds it, so the allocations of the
+// measured passes (the "allocs" metric, see passes) and B/op are counts of a
+// deterministic program: scripts/bench_gate.sh compares them against
+// BENCH_allocs.txt, on one P with the collector off, and reports ns/op for
+// information. To read the gate's numbers by hand:
 //
-//	go test -run '^$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x .
+//	GOGC=off go test -run '^$' -cpu 1 -bench '^BenchmarkLayer' -benchmem -benchtime=10x .
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"specdb/internal/btree"
@@ -146,6 +149,27 @@ func layerSetup(b *testing.B) *layerEnv {
 	return l
 }
 
+// passes starts the measured window of a layer benchmark, as b.ResetTimer
+// does, and returns the function that ends it, as b.StopTimer does. Beside
+// testing's allocs/op it reports the window's allocations undivided, as
+// "allocs": scripts/bench_gate.sh compares that total, because allocs/op is
+// the total divided by b.N and rounded down — one allocation more in ten
+// passes turns 4889 into 4890 and 488 allocs/op into 489.
+func passes(b *testing.B) (stop func()) {
+	var m runtime.MemStats
+	var start uint64
+	stop = func() { // made before the window opens: a closure is an allocation
+		b.StopTimer()
+		runtime.ReadMemStats(&m)
+		b.ReportMetric(float64(m.Mallocs-start), "allocs")
+	}
+	runtime.ReadMemStats(&m)
+	start = m.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	return stop
+}
+
 // perRow reports the pass time divided by the rows one pass handles.
 func perRow(b *testing.B, rows int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
@@ -154,8 +178,7 @@ func perRow(b *testing.B, rows int) {
 func BenchmarkLayerDecodeRowInto(b *testing.B) {
 	l := layerSetup(b)
 	dst := make(tuple.Row, l.lineitem.Schema.Len())
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		for _, rec := range l.lineitemRecords {
 			if _, err := tuple.DecodeRowInto(dst, rec, l.lineitem.Schema); err != nil {
@@ -163,18 +186,19 @@ func BenchmarkLayerDecodeRowInto(b *testing.B) {
 			}
 		}
 	}
+	stop()
 	perRow(b, len(l.lineitemRecords))
 }
 
 func BenchmarkLayerSeqScan(b *testing.B) {
 	l := layerSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := exec.Count(exec.NewSeqScan(l.ctx, l.lineitem, "")); err != nil {
 			b.Fatal(err)
 		}
 	}
+	stop()
 	perRow(b, len(l.lineitemRecords))
 }
 
@@ -184,14 +208,14 @@ func BenchmarkLayerFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		scan := exec.NewSeqScan(l.ctx, l.lineitem, "")
 		if _, err := exec.Count(exec.NewFilter(l.ctx, scan, []exec.Pred{pred})); err != nil {
 			b.Fatal(err)
 		}
 	}
+	stop()
 	perRow(b, len(l.lineitemRecords))
 }
 
@@ -215,8 +239,7 @@ func ordersJoinLineitem(b *testing.B, l *layerEnv) []*exec.HashJoin {
 func BenchmarkLayerHashJoinBuild(b *testing.B) {
 	l := layerSetup(b)
 	joins := ordersJoinLineitem(b, l)
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for _, hj := range joins {
 		if err := hj.Open(); err != nil {
 			b.Fatal(err)
@@ -225,6 +248,7 @@ func BenchmarkLayerHashJoinBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	stop()
 	perRow(b, len(l.orderRows))
 }
 
@@ -236,8 +260,7 @@ func BenchmarkLayerHashJoinProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for _, hj := range joins {
 		for {
 			_, ok, err := hj.Next()
@@ -249,7 +272,7 @@ func BenchmarkLayerHashJoinProbe(b *testing.B) {
 			}
 		}
 	}
-	b.StopTimer()
+	stop()
 	perRow(b, len(l.lineitemRecords))
 	for _, hj := range joins {
 		if err := hj.Close(); err != nil {
@@ -275,13 +298,13 @@ func BenchmarkLayerHashJoinResidual(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for _, hj := range joins {
 		if n, err := exec.Count(hj); err != nil || n == 0 {
 			b.Fatalf("%d rows, %v", n, err)
 		}
 	}
+	stop()
 	perRow(b, len(l.lineitemRecords))
 }
 
@@ -297,13 +320,13 @@ func BenchmarkLayerIndexNLProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for _, j := range joins {
 		if _, err := exec.Count(j); err != nil {
 			b.Fatal(err)
 		}
 	}
+	stop()
 	perRow(b, len(outer))
 }
 
@@ -314,8 +337,7 @@ func BenchmarkLayerBTreeLookup(b *testing.B) {
 		keys[i] = tuple.EncodeKey(nil, l.orderRows[i][0])
 	}
 	visit := func([]byte, storage.RID) error { return nil }
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		for _, k := range keys {
 			if err := l.byOrder.Tree.Scan(btree.Exact(k), btree.Exact(k), visit); err != nil {
@@ -323,6 +345,7 @@ func BenchmarkLayerBTreeLookup(b *testing.B) {
 			}
 		}
 	}
+	stop()
 	perRow(b, len(keys))
 }
 
@@ -340,8 +363,7 @@ func BenchmarkLayerPoolMiss(b *testing.B) {
 		pool.Unpin(id, true)
 		ids[i] = id
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		for _, id := range ids {
 			if _, err := pool.Get(id); err != nil {
@@ -350,6 +372,7 @@ func BenchmarkLayerPoolMiss(b *testing.B) {
 			pool.Unpin(id, false)
 		}
 	}
+	stop()
 	perRow(b, len(ids))
 }
 
@@ -380,13 +403,13 @@ func layerQuery(b *testing.B, l *layerEnv) *plan.Query {
 func BenchmarkLayerRunQuery(b *testing.B) {
 	l := layerSetup(b)
 	q := layerQuery(b, l)
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := l.eng.RunQuery(q); err != nil {
 			b.Fatal(err)
 		}
 	}
+	stop()
 }
 
 // BenchmarkLayerRunQueryParallel is the same statement from GOMAXPROCS
@@ -463,12 +486,11 @@ func BenchmarkLayerServedGo(b *testing.B) {
 			for i := 0; i < warmup; i++ {
 				served()
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
+			stop := passes(b)
 			for i := 0; i < b.N; i++ {
 				served()
 			}
-			b.StopTimer()
+			stop()
 			if got := sp.Stats().PredictedGos; got != warmup+b.N {
 				b.Fatalf("%d of %d GOs were served", got, warmup+b.N)
 			}
@@ -503,24 +525,24 @@ func BenchmarkLayerMaterialize(b *testing.B) {
 		}
 	}
 	build() // the pool now holds whatever the build reads
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		build()
 	}
+	stop()
 }
 
 // BenchmarkLayerAnalyze is ANALYZE of lineitem: one heap scan feeding a
 // collector per column.
 func BenchmarkLayerAnalyze(b *testing.B) {
 	l := layerSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		if err := l.eng.Analyze("lineitem"); err != nil {
 			b.Fatal(err)
 		}
 	}
+	stop()
 	perRow(b, len(l.lineitemRecords))
 }
 
@@ -532,8 +554,7 @@ func BenchmarkLayerIndexBuild(b *testing.B) {
 	if err := l.eng.DropIndex("lineitem", "l_partkey"); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	stop := passes(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := l.eng.CreateIndex("lineitem", "l_partkey"); err != nil {
 			b.Fatal(err)
@@ -542,7 +563,7 @@ func BenchmarkLayerIndexBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
+	stop()
 	perRow(b, len(l.lineitemRecords))
 	if _, err := l.eng.CreateIndex("lineitem", "l_partkey"); err != nil {
 		b.Fatal(err)

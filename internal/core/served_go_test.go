@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"specdb/internal/engine"
+	"specdb/internal/plan"
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
 	"specdb/internal/tuple"
@@ -186,6 +187,106 @@ func TestTwoPublishersBothHoldTheAnswer(t *testing.T) {
 	if entry.refs != 0 {
 		t.Fatalf("%d references after both closed", entry.refs)
 	}
+}
+
+// TestAnswerRowsSurviveLaterStatements holds the line recycling must not cross
+// (DESIGN.md §15, "Arenas"): a join gives its build memory back to the pools
+// at Close, but an answer is memory that left the executor. RunQuery's rows
+// and the rows a served GO hands over from the AnswerCache are kept while 60
+// more join statements run — among them build sides as wide as the first
+// answer, which cut their rows from chunks of the same size classes — and must
+// still equal the copies taken when they arrived.
+func TestAnswerRowsSurviveLaterStatements(t *testing.T) {
+	e := newTestEngine(t, 1000)
+	run := func(g *qgraph.Graph) *engine.Result {
+		t.Helper()
+		q, err := plan.BindGraphProjections(e.Catalog, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	copyRows := func(rows []tuple.Row) []tuple.Row {
+		out := make([]tuple.Row, len(rows))
+		for i, r := range rows {
+			out[i] = append(tuple.Row(nil), r...)
+		}
+		return out
+	}
+	rs := qgraph.NewJoin("R", "a", "S", "a")
+	sw := qgraph.NewJoin("S", "b", "W", "b")
+	sel := func(rel, col string, op tuple.CmpOp, c int) qgraph.Selection {
+		return qgraph.Selection{Rel: rel, Col: col, Op: op, Const: tuple.NewInt(int64(c))}
+	}
+
+	g := qgraph.New()
+	g.AddJoin(rs)
+	g.AddSelection(selRC(20))
+	answer := run(g).Rows
+	sp, now := newServedGoSpec(t, e)
+	served, _, err := sp.OnGo(now.Add(sim.DurationFromSeconds(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Stats().PredictedGos != 1 || len(served.Rows) == 0 || len(answer) == 0 {
+		t.Fatalf("setup: %d answer rows, %d served rows, %+v", len(answer), len(served.Rows), sp.Stats())
+	}
+	keptAnswer, keptServed := copyRows(answer), copyRows(served.Rows)
+
+	wideBuilds := 0
+	for i := 0; i < 60; i++ {
+		g := qgraph.New()
+		switch i % 3 {
+		case 0:
+			g.AddJoin(rs)
+			g.AddSelection(selRC(int64(i % 23)))
+		case 1:
+			g.AddJoin(rs)
+			g.AddJoin(sw)
+			// R.c > 21 keeps 43 rows of R, so R ⋈ S (860 rows) is
+			// smaller than W and becomes the top join's build side.
+			g.AddSelection(selRC(21))
+			g.AddSelection(sel("W", "d", tuple.CmpGE, i))
+		case 2:
+			g.AddJoin(sw)
+			g.AddSelection(sel("S", "b", tuple.CmpLT, i%31))
+		}
+		plan.Walk(run(g).Plan, func(n plan.Node) {
+			if j, ok := n.(*plan.JoinNode); ok && j.Method == plan.JoinHash && j.Left.Schema().Len() == len(answer[0]) {
+				wideBuilds++
+			}
+		})
+	}
+	if wideBuilds == 0 {
+		t.Fatalf("no later hash join built a side %d values wide", len(answer[0]))
+	}
+	for name, pair := range map[string][2][]tuple.Row{"RunQuery": {answer, keptAnswer}, "served GO": {served.Rows, keptServed}} {
+		for i, r := range pair[0] {
+			if !sameRow(r, pair[1][i]) {
+				t.Fatalf("%s answer row %d changed under later statements: %v, was %v", name, i, r, pair[1][i])
+			}
+		}
+	}
+	if err := sp.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameRow compares rows value by value, kind included.
+func sameRow(a, b tuple.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func hasRow(rows []tuple.Row, want tuple.Row) bool {

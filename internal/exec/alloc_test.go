@@ -2,7 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"specdb/internal/buffer"
 	"specdb/internal/catalog"
@@ -157,61 +161,83 @@ func TestRowArenaAllocatesOncePerChunk(t *testing.T) {
 		t.Fatalf("rows() has len %d cap %d, want exactly %d", len(keptRows), cap(keptRows), rows)
 	}
 	// Rows come back in order, each a copy with no spare capacity: appending
-	// to one must not reach the next, also across a chunk boundary.
-	a := rowArena{width: 3}
-	for i := 0; i < 200; i++ { // 256 values hold 85 rows: three chunks
-		a.keep(tuple.Row{tuple.NewInt(int64(i)), tuple.NewInt(0), tuple.NewInt(0)})
-	}
-	got := a.rows()
-	for i, r := range got {
-		if r[0].Int() != int64(i) || len(r) != 3 || cap(r) != 3 {
-			t.Fatalf("row %d is %v (cap %d)", i, r, cap(r))
+	// to one must not reach the next, also across a chunk boundary. The same
+	// holds on the recycled path, whose second round gets the first round's
+	// chunks and header block back with their old contents still in them.
+	for _, recycle := range []bool{false, true, true} {
+		a := rowArena{width: 3, recycle: recycle}
+		for i := 0; i < 200; i++ { // 256 values hold 85 rows: three chunks
+			a.keep(tuple.Row{tuple.NewInt(int64(i)), tuple.NewInt(0), tuple.NewInt(0)})
 		}
-	}
-	_ = append(got[0], tuple.NewInt(99))
-	if got[1][0].Int() != 1 {
-		t.Fatalf("append to a kept row wrote into its neighbour: %v", got[1])
-	}
-	// No rows: nil. Rows of no columns: that many nil rows, and no chunk.
-	if r := (&rowArena{width: 3}).rows(); r != nil {
-		t.Fatalf("empty arena returns %v, want nil", r)
-	}
-	z := rowArena{}
-	z.keep(tuple.Row{})
-	z.keep(nil)
-	if r := z.rows(); len(r) != 2 || r[0] != nil || r[1] != nil || z.chunks != 0 {
-		t.Fatalf("zero-width rows: %v, %d chunks", r, z.chunks)
+		got := a.rows()
+		if len(got) != 200 {
+			t.Fatalf("recycle %v: %d rows, want 200", recycle, len(got))
+		}
+		for i, r := range got {
+			if r[0].Int() != int64(i) || len(r) != 3 || cap(r) != 3 {
+				t.Fatalf("recycle %v: row %d is %v (cap %d)", recycle, i, r, cap(r))
+			}
+		}
+		_ = append(got[0], tuple.NewInt(99))
+		if got[1][0].Int() != 1 {
+			t.Fatalf("recycle %v: append to a kept row wrote into its neighbour: %v", recycle, got[1])
+		}
+		a.release()
+		// No rows: nil. Rows of no columns: that many nil rows, and no chunk.
+		if r := (&rowArena{width: 3, recycle: recycle}).rows(); r != nil {
+			t.Fatalf("recycle %v: empty arena returns %v, want nil", recycle, r)
+		}
+		z := rowArena{recycle: recycle}
+		for i := 0; i < 200; i++ {
+			z.keep(nil)
+		}
+		if r := z.rows(); len(r) != 200 || slices.ContainsFunc(r, func(r tuple.Row) bool { return r != nil }) || z.chunks != 0 {
+			t.Fatalf("recycle %v: zero-width rows: %v, %d chunks", recycle, r, z.chunks)
+		}
+		z.release()
 	}
 }
 
-func TestHashJoinBuildAllocatesPerChunkNotPerRow(t *testing.T) {
+func TestHashJoinReusesBuildMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cat, ctx := allocEnv()
 	const rows = 30000
 	build := intTable(t, cat, "b", rows, rows)
-	one := intTable(t, cat, "b1", 1, 1)
 	empty := intTable(t, cat, "p", 0, 1)
-	buildAllocs := func(tb *catalog.Table) int {
-		return int(testing.AllocsPerRun(5, func() {
-			j, err := NewHashJoin(ctx, NewSeqScan(ctx, tb, "b"), NewSeqScan(ctx, empty, "p"), "b.k", "p.k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := j.Open(); err != nil {
-				t.Fatal(err)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}))
+	statement := func() (mallocs, bytes uint64) {
+		j, err := NewHashJoin(ctx, NewSeqScan(ctx, build, "b"), NewSeqScan(ctx, empty, "p"), "b.k", "p.k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	// A one-row build side pays for everything that does not grow with the
-	// rows — the operators, the cursor, one chunk, the header block, the
-	// table's three arrays. Thirty thousand rows add to that exactly their
-	// further chunks and what the chunk list takes to hold them.
 	chunks := arenaChunks(rows, 2)
-	if got, want := buildAllocs(build)-buildAllocs(one), chunks-1+arenaListAllocs(chunks); got != want {
-		t.Fatalf("building %d rows allocates %d times more than building one, want %d further chunks + %d for the chunk list",
-			rows, got, chunks-1, arenaListAllocs(chunks))
+	runtime.GC() // two collections empty every pool
+	runtime.GC()
+	cold, coldBytes := statement()
+	warm, warmBytes := statement()
+	if smallest := uint64(arenaMinChunk) * uint64(unsafe.Sizeof(tuple.Value{})); warmBytes >= smallest {
+		t.Fatalf("a warm build of %d rows allocates %d bytes, at least one chunk (%d B): cold %d allocations, %d bytes",
+			rows, warmBytes, smallest, cold, coldBytes)
+	}
+	// Cold, it took every chunk, the header block and keys, next and slots
+	// from make; warm, none of them.
+	if cold-warm < uint64(chunks+4) {
+		t.Fatalf("cold build: %d allocations, warm: %d; want at least %d chunks + 1 header block + 3 table arrays fewer",
+			cold, warm, chunks)
 	}
 }
 

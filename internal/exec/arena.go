@@ -1,35 +1,49 @@
 package exec
 
-import "specdb/internal/tuple"
+import (
+	"math/bits"
+	"sync"
+
+	"specdb/internal/tuple"
+)
 
 // rowArena is where an operator keeps the rows it retains past the Next call
-// that produced them: the hash-join build side and Collect's answer (the
-// cross-join inner side is a Collect). The rows of one stream all have the
-// stream's width, so they are copied back to back into large []tuple.Value
-// chunks — one allocation per chunk instead of one per row — and get their
-// slice headers only once the stream has ended and their number is known:
-// rows cuts one []tuple.Row of exact length out of the chunks, where a slice
-// appended to row by row would have been reallocated at every doubling. The
-// whole arena is dropped at once, by zeroing it at the operator's Close
-// (DESIGN.md §15); rows someone still holds keep their chunks alive.
+// that produced them: the hash-join build side, the cross-join inner side and
+// Collect's answer. The rows of one stream all have the stream's width, so
+// they are copied back to back into large []tuple.Value chunks — one chunk
+// instead of one allocation per row — and get their slice headers only once
+// the stream has ended and their number is known: rows cuts one []tuple.Row
+// of exact length out of the chunks, where a slice appended to row by row
+// would have been reallocated at every doubling.
+//
+// Who owns the memory decides where it comes from (DESIGN.md §15). The join
+// operators set recycle: their kept rows never leave them — every row they
+// lend is their own output row — so the chunks and the header block are taken
+// from the size-class pools below and given back by release at the
+// operator's Close, for the next statement's joins. Collect does not: its rows
+// leave in the answer, which a caller or the AnswerCache may hold for as long
+// as it likes, so its chunks are fresh and live exactly as long as the rows
+// that point into them.
 type rowArena struct {
-	width  int           // values per row; set before the first keep
-	n      int           // rows kept
-	free   []tuple.Value // unused tail of the newest chunk
-	chunk  int           // size of the newest chunk, in values
-	chunks int           // chunks allocated
+	width   int           // values per row; set before the first keep
+	recycle bool          // chunks and header block are pooled and go back at release
+	n       int           // rows kept
+	free    []tuple.Value // unused tail of the newest chunk
+	chunk   int           // size of the newest chunk, in values
+	chunks  int           // chunks taken
 	// The chunks, oldest first: the first arenaInlineChunks of them (20224
 	// values) are listed in the arena itself, so only a larger side pays for
 	// a list that grows.
 	first [arenaInlineChunks][]tuple.Value
 	more  [][]tuple.Value
+	block []tuple.Row // the header block rows cut, when recycled
 }
 
 // Chunks double from arenaMinChunk to arenaMaxChunk values (24 bytes each): a
 // three-row build side costs 6 KB, and the unused tail that an answer kept
 // in a cache drags along stays under 96 KB. The sizes are in values, not
-// bytes, so the number of chunks a statement allocates does not depend on
-// what a value costs.
+// bytes, so the number of chunks a statement takes does not depend on what a
+// value costs.
 const (
 	arenaMinChunk     = 256
 	arenaMaxChunk     = 4096
@@ -45,7 +59,11 @@ func (a *rowArena) keep(r tuple.Row) {
 	}
 	if a.width > len(a.free) {
 		a.chunk = min(max(2*a.chunk, arenaMinChunk), arenaMaxChunk)
-		a.free = make([]tuple.Value, max(a.chunk, a.width))
+		if size := max(a.chunk, a.width); a.recycle {
+			a.free = valueSlabs.take(size)
+		} else {
+			a.free = make([]tuple.Value, size)
+		}
 		if a.chunks < len(a.first) {
 			a.first[a.chunks] = a.free
 		} else {
@@ -58,31 +76,112 @@ func (a *rowArena) keep(r tuple.Row) {
 	a.n++
 }
 
+// drain keeps every row of it, which Drain opens and closes.
+func (a *rowArena) drain(it Iterator) error {
+	return Drain(it, func(r tuple.Row) error {
+		a.keep(r)
+		return nil
+	})
+}
+
+// chunkAt returns the k-th chunk taken.
+func (a *rowArena) chunkAt(k int) []tuple.Value {
+	if k < len(a.first) {
+		return a.first[k]
+	}
+	return a.more[k-len(a.first)]
+}
+
 // rows returns the kept rows in the order they were kept, as one slice of
 // exactly their number; nil when none was kept. Every row's capacity is
 // clipped, so appending to one cannot write into its neighbour. Rows of width
-// zero are nil, as a copy of an empty row always was.
+// zero are nil, as a copy of an empty row always was. It is called once, when
+// the stream has ended.
 func (a *rowArena) rows() []tuple.Row {
 	if a.n == 0 {
 		return nil
 	}
-	out := make([]tuple.Row, a.n)
+	var out []tuple.Row
+	if a.recycle {
+		out = rowSlabs.take(a.n)
+		a.block = out
+	} else {
+		out = make([]tuple.Row, a.n)
+	}
 	if a.width == 0 {
+		clear(out) // a recycled block holds its last user's headers
 		return out
 	}
 	i := 0
 	for k := 0; k < a.chunks; k++ {
-		var c []tuple.Value
-		if k < len(a.first) {
-			c = a.first[k]
-		} else {
-			c = a.more[k-len(a.first)]
-		}
 		// A chunk was left for the next one when it had no room for a row.
-		for ; i < a.n && len(c) >= a.width; i++ {
+		for c := a.chunkAt(k); i < a.n && len(c) >= a.width; i++ {
 			out[i] = c[:a.width:a.width]
 			c = c[a.width:]
 		}
 	}
 	return out
+}
+
+// release empties the arena at its operator's Close, giving a recycled
+// arena's chunks and header block back to their pools: no row it handed out
+// may be read afterwards. Releasing an empty arena does nothing, so Close may
+// run after a failed Open and more than once.
+func (a *rowArena) release() {
+	if a.recycle {
+		for k := 0; k < a.chunks; k++ {
+			valueSlabs.give(a.chunkAt(k))
+		}
+		if a.block != nil {
+			rowSlabs.give(a.block)
+		}
+	}
+	*a = rowArena{}
+}
+
+// sizeClasses recycles []T by capacity, one sync.Pool per power of two:
+// take(n) returns a slice of length n ≥ 1 whose capacity is n rounded up to a
+// power of two, and give hands it back for the next take of its class. A
+// taken slice holds whatever its last user left in it. The pools are per P,
+// so statements running at once share no lock, and the collector empties
+// them: an item nobody took for two collections is freed with what it points
+// to.
+//
+// This file is the only one that may name sync.Pool (scripts/lint.sh): what
+// goes into a pool must be memory no one else can still reach, and the
+// arena's and the join table's release are the two places that know it.
+type sizeClasses[T any] struct {
+	class [bits.UintSize]sync.Pool // *[]T of capacity 1<<i in class[i]
+	// boxes holds empty *[]T: a slice travels through a pool in a box, and
+	// reusing the boxes keeps give from allocating one each time.
+	boxes sync.Pool
+}
+
+// The pools: arena chunks and header blocks, and the join table's arrays.
+var (
+	valueSlabs  sizeClasses[tuple.Value]
+	rowSlabs    sizeClasses[tuple.Row]
+	uint64Slabs sizeClasses[uint64]
+	int32Slabs  sizeClasses[int32]
+)
+
+func (p *sizeClasses[T]) take(n int) []T {
+	c := bits.Len(uint(n - 1))
+	b, _ := p.class[c].Get().(*[]T)
+	if b == nil {
+		return make([]T, n, 1<<c)
+	}
+	s := (*b)[:n]
+	*b = nil
+	p.boxes.Put(b)
+	return s
+}
+
+func (p *sizeClasses[T]) give(s []T) {
+	b, _ := p.boxes.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s
+	p.class[bits.Len(uint(cap(s)-1))].Put(b)
 }

@@ -117,14 +117,11 @@ func Drain(it Iterator, fn func(tuple.Row) error) (err error) {
 // Collect drains an iterator into a materialized row slice. Each row is
 // copied once, into chunks shared by the rows of this answer, and the slice is
 // cut from the chunks at its exact length when the stream ends. An empty
-// stream collects to nil.
+// stream collects to nil. The answer is the caller's for as long as it likes,
+// so none of its memory comes from or goes back to a pool.
 func Collect(it Iterator) ([]tuple.Row, error) {
 	kept := rowArena{width: it.Schema().Len()}
-	err := Drain(it, func(r tuple.Row) error {
-		kept.keep(r)
-		return nil
-	})
-	if err != nil {
+	if err := kept.drain(it); err != nil {
 		return nil, err
 	}
 	return kept.rows(), nil

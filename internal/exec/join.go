@@ -14,9 +14,10 @@ import (
 // HashJoin is an in-memory equi-join: the left child is built into a hash
 // table at Open, the right child probes it. The planner puts the smaller
 // estimated side on the left. The build rows are the only rows it keeps
-// (copied once, into an arena dropped at Close); a probe row is borrowed from
-// the right child for as long as its matches are being emitted, and every
-// match is assembled in the one join-owned output row.
+// (copied once, into a recycled arena given back at Close, with the table's
+// arrays); a probe row is borrowed from the right child for as long as its
+// matches are being emitted, and every match is assembled in the one
+// join-owned output row, so no build row is ever lent out.
 //
 // A join on several edges hashes on the first and tests the others on each
 // (build row, probe row) pair the table proposes, before anything is copied:
@@ -101,7 +102,7 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	leftSchema := j.left.Schema()
-	j.arena = rowArena{width: leftSchema.Len()}
+	j.arena = rowArena{width: leftSchema.Len(), recycle: true}
 	var buildBytes int64
 	for {
 		row, ok, err := j.left.Next()
@@ -195,9 +196,11 @@ func (j *HashJoin) residualHolds(build tuple.Row) bool {
 // pageSizeForSpill is the unit for spill I/O accounting.
 const pageSizeForSpill = 8192
 
-// Close closes both children and releases the hash table and its arena.
+// Close closes both children and gives the hash table and its arena back to
+// their pools.
 func (j *HashJoin) Close() error {
-	j.table, j.arena = joinTable{}, rowArena{}
+	j.table.release()
+	j.arena.release()
 	j.current, j.match = nil, 0
 	j.emptyBuild = false
 	j.spilled = false
@@ -222,7 +225,8 @@ func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
 // float columns, where equal images mean equal values, and a hash for string
 // columns, where the slot search also compares the strings. Everything is
 // sized once, after the build side has been drained and its row count is
-// known. Row references are 1 + the row's index, so that 0 means none.
+// known, from the size-class pools, and given back by release. Row references
+// are 1 + the row's index, so that 0 means none.
 type joinTable struct {
 	rows  []tuple.Row // build rows in build order
 	ord   int         // join column within a build row
@@ -252,9 +256,10 @@ func (t *joinTable) build(rows []tuple.Row, ord int) error {
 	size := 2 * len(rows) // load factor ≤ 1/2
 	logSize := uint(bits.Len(uint(size - 1)))
 	t.rows, t.ord = rows, ord
-	t.keys = make([]uint64, len(rows))
-	t.next = make([]int32, len(rows))
-	t.slots = make([]int32, 1<<logSize)
+	t.keys = uint64Slabs.take(len(rows))
+	t.next = int32Slabs.take(len(rows))
+	t.slots = int32Slabs.take(1 << logSize)
+	clear(t.slots) // an empty slot is 0; keys and next are written below
 	t.shift = 64 - logSize
 	// Inserting last row first and pushing each row at the head of its chain
 	// leaves every chain in build order.
@@ -267,6 +272,16 @@ func (t *joinTable) build(rows []tuple.Row, ord int) error {
 		t.slots[p] = int32(i) + 1
 	}
 	return nil
+}
+
+// release gives the table's arrays back to their pools and empties it.
+func (t *joinTable) release() {
+	if t.keys != nil {
+		uint64Slabs.give(t.keys)
+		int32Slabs.give(t.next)
+		int32Slabs.give(t.slots)
+	}
+	*t = joinTable{}
 }
 
 // slot finds the slot holding v's chain, or the empty slot where it belongs.
@@ -405,8 +420,9 @@ type CrossJoin struct {
 	outer, inner Iterator
 	schema       *tuple.Schema
 
-	innerRows []tuple.Row
-	current   tuple.Row // the borrowed outer row
+	kept      rowArena    // the inner side, recycled at Close
+	innerRows []tuple.Row // cut from kept
+	current   tuple.Row   // the borrowed outer row
 	pos       int
 	haveOuter bool
 	out       tuple.Row
@@ -429,11 +445,11 @@ func (j *CrossJoin) Open() error {
 	if err := j.outer.Open(); err != nil {
 		return err
 	}
-	rows, err := Collect(j.inner)
-	if err != nil {
+	j.kept = rowArena{width: j.inner.Schema().Len(), recycle: true}
+	if err := j.kept.drain(j.inner); err != nil {
 		return err
 	}
-	j.innerRows = rows
+	j.innerRows = j.kept.rows()
 	j.pos = 0
 	j.haveOuter = false
 	return nil
@@ -464,9 +480,10 @@ func (j *CrossJoin) Next() (tuple.Row, bool, error) {
 	}
 }
 
-// Close closes the outer child (the inner was closed by Collect) and drops
-// the materialized inner side.
+// Close closes the outer child (the inner was closed by its drain at Open)
+// and gives the materialized inner side back to the pools.
 func (j *CrossJoin) Close() error {
+	j.kept.release()
 	j.innerRows, j.current, j.haveOuter = nil, nil, false
 	j.ctx.flush()
 	return j.outer.Close()

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -11,11 +9,10 @@ import (
 
 	"specdb/internal/core"
 	"specdb/internal/engine"
+	"specdb/internal/golden"
 	"specdb/internal/tpch"
 	"specdb/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // TestDecisionTrace pins every speculation decision of four configurations
 // that the aggregate outputs (f4/t51, a4, BENCH_spec.json) never reach
@@ -90,7 +87,7 @@ func TestDecisionTrace(t *testing.T) {
 			if n := env.Eng.Tracer().Dropped(); n != 0 {
 				t.Fatalf("tracer dropped %d spans: the dump is incomplete", n)
 			}
-			checkGoldenFile(t, c.name+".decisions.golden", d.b.String())
+			golden.Check(t, filepath.Join("testdata", c.name+".decisions.golden"), d.b.String())
 		})
 	}
 }
@@ -189,33 +186,4 @@ func (d *decisionDump) replayConcurrent(t *testing.T, eng *engine.Engine, traces
 	for u, st := range out.PerUser {
 		d.session(fmt.Sprintf("spec_u%d", u), st, out.WasteLedgers[u])
 	}
-}
-
-// checkGoldenFile compares got with testdata/<name>, rewriting it under -update.
-func checkGoldenFile(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s: first difference at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("%s: got %d lines, golden has %d", path, len(gl), len(wl))
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -270,6 +271,14 @@ func oracleQueries(t *testing.T, eng *engine.Engine) (queries []*plan.Query, mul
 // the two-edge joins return every match of their first edge, and with its
 // build/probe ordinals swapped they compare the wrong columns; both were tried
 // and both fail here.
+//
+// A fifth configuration, "recycled", holds the line between memory the joins
+// give back to the pools at Close and memory that leaves in an answer
+// (DESIGN.md §15, "Arenas"): one engine runs the matrix twice, each round in
+// its own seeded shuffled order, keeps every answer of both rounds, and
+// compares them with the oracle only once the second round is done. An answer
+// that pointed into a chunk handed out again would by then hold a later
+// statement's values.
 func TestOracleAgreesWithEngine(t *testing.T) {
 	type config struct {
 		name  string
@@ -300,6 +309,7 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 		{"16-frame pool", 16, runQuery},
 		{"1-byte work memory", 0, spillAll},
 		{"forced view", 0, runQuery},
+		{"recycled", 0, runQuery},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			env := tinyEnv(t, EnvConfig{Scale: oracleScale, BufferPoolPages: cfg.pages})
@@ -310,15 +320,40 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			nonEmpty, residualJoins, viewReads := 0, 0, 0
-			for i, q := range queries {
-				want := oracleEval(t, env.Eng, q)
-				got, node, err := cfg.run(env.Eng, q)
-				if err != nil {
-					t.Fatalf("query %d (%s): %v", i, q.Graph, err)
+			order := make([]int, len(queries)) // query index of each statement run
+			for i := range order {
+				order[i] = i
+			}
+			if cfg.name == "recycled" {
+				rng := rand.New(rand.NewSource(27))
+				rounds := make([]int, 0, 2*len(queries))
+				for range 2 {
+					rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+					rounds = append(rounds, order...)
 				}
+				order = rounds
+			}
+			type answer struct {
+				rows []tuple.Row
+				node plan.Node
+			}
+			answers := make([]answer, len(order))
+			for k, i := range order {
+				rows, node, err := cfg.run(env.Eng, queries[i])
+				if err != nil {
+					t.Fatalf("query %d (%s): %v", i, queries[i].Graph, err)
+				}
+				answers[k] = answer{rows, node}
+			}
+			wants := make([][]tuple.Row, len(queries))
+			for i, q := range queries {
+				wants[i] = oracleEval(t, env.Eng, q)
+			}
+			nonEmpty, residualJoins, viewReads := 0, 0, 0
+			for k, i := range order {
+				q, got, node, want := queries[i], answers[k].rows, answers[k].node, wants[i]
 				if diff := sameMultiset(got, want); diff != "" {
-					t.Errorf("query %d (%s) projecting %v:\n%s\n%s", i, q.Graph, q.Projections, diff, plan.Explain(node))
+					t.Errorf("query %d (%s) projecting %v, statement %d of %d:\n%s\n%s", i, q.Graph, q.Projections, k, len(order), diff, plan.Explain(node))
 				}
 				if len(want) > 0 {
 					nonEmpty++
@@ -338,10 +373,10 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 			}
 			// The matrix must be able to see: answers with rows in them, hash
 			// joins with residual edges, and the view where one was forced.
-			if nonEmpty < len(queries)/2 {
-				t.Errorf("only %d of %d answers have rows", nonEmpty, len(queries))
+			if nonEmpty < len(order)/2 {
+				t.Errorf("only %d of %d answers have rows", nonEmpty, len(order))
 			}
-			if residualJoins < multiEdge/2 {
+			if residualJoins < len(order)/len(queries)*multiEdge/2 {
 				t.Errorf("only %d hash joins carried a residual edge (%d multi-edge queries)", residualJoins, multiEdge)
 			}
 			if cfg.name == "forced view" && viewReads == 0 {

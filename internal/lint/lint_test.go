@@ -1,16 +1,13 @@
 package lint_test
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"specdb/internal/golden"
 	"specdb/internal/lint"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // sharedLoader caches type-checked stdlib and module packages across the
 // fixture subtests; LoadDir never caches fixture roots, so fixtures that
@@ -33,9 +30,9 @@ func loader(t *testing.T) *lint.Loader {
 	return sharedLoader
 }
 
-// golden runs one rule over one fixture package and compares the rendered
+// checkFindings runs one rule over one fixture package and compares the rendered
 // findings (with testdata/src-relative paths) against testdata/golden.
-func golden(t *testing.T, rule lint.Rule, logical, goldenName string) {
+func checkFindings(t *testing.T, rule lint.Rule, logical, goldenName string) {
 	t.Helper()
 	l := loader(t)
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(logical))
@@ -56,84 +53,67 @@ func golden(t *testing.T, rule lint.Rule, logical, goldenName string) {
 		b.WriteString(d.String())
 		b.WriteString("\n")
 	}
-	got := b.String()
-	goldenPath := filepath.Join("testdata", "golden", goldenName+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("findings mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden", goldenName+".golden"), b.String())
 }
 
 func TestDeterminismGolden(t *testing.T) {
-	golden(t, lint.Determinism{}, "specdb/internal/fixdet", "determinism")
+	checkFindings(t, lint.Determinism{}, "specdb/internal/fixdet", "determinism")
 }
 
 func TestAllowSuppressionGolden(t *testing.T) {
-	golden(t, lint.Determinism{}, "specdb/internal/fixallow", "allow")
+	checkFindings(t, lint.Determinism{}, "specdb/internal/fixallow", "allow")
 }
 
 func TestMeteringGolden(t *testing.T) {
-	golden(t, lint.Metering{}, "specdb/internal/fixmet", "metering")
+	checkFindings(t, lint.Metering{}, "specdb/internal/fixmet", "metering")
 }
 
 // TestMeteringBufferGolden pins the pool-layer carve-out: packages under
 // internal/buffer may call Disk data paths, but os file I/O is still flagged
 // there — real file handles live in internal/storage only.
 func TestMeteringBufferGolden(t *testing.T) {
-	golden(t, lint.Metering{}, "specdb/internal/buffer/fixbufio", "metering_buffer")
+	checkFindings(t, lint.Metering{}, "specdb/internal/buffer/fixbufio", "metering_buffer")
 }
 
 func TestPanicsGolden(t *testing.T) {
-	golden(t, lint.PanicDiscipline{}, "specdb/internal/fixpan", "panics")
+	checkFindings(t, lint.PanicDiscipline{}, "specdb/internal/fixpan", "panics")
 }
 
 func TestLocksGolden(t *testing.T) {
-	golden(t, lint.LockDiscipline{}, "specdb/internal/fixlock", "locks")
+	checkFindings(t, lint.LockDiscipline{}, "specdb/internal/fixlock", "locks")
 }
 
 // TestLocksShardGolden pins the strict mode added for the sharded buffer
 // pool: a struct with *Locked helpers has every non-Locked method checked,
 // unexported ones included.
 func TestLocksShardGolden(t *testing.T) {
-	golden(t, lint.LockDiscipline{}, "specdb/internal/fixshard", "locks_shard")
+	checkFindings(t, lint.LockDiscipline{}, "specdb/internal/fixshard", "locks_shard")
 }
 
 func TestObsPurityGolden(t *testing.T) {
-	golden(t, lint.ObsPurity{}, "specdb/internal/obs", "obspurity")
+	checkFindings(t, lint.ObsPurity{}, "specdb/internal/obs", "obspurity")
 }
 
 func TestErrCheckGolden(t *testing.T) {
-	golden(t, lint.ErrCheck{}, "specdb/internal/fixerr", "errcheck")
+	checkFindings(t, lint.ErrCheck{}, "specdb/internal/fixerr", "errcheck")
 }
 
 func TestBoundedGolden(t *testing.T) {
-	golden(t, lint.Bounded{}, "specdb/internal/fixbound", "bounded")
+	checkFindings(t, lint.Bounded{}, "specdb/internal/fixbound", "bounded")
 }
 
 // TestLockOrderCycleGolden pins the interprocedural cycle proof: Left.mu
 // and Right.mu are each acquired while the other is held, one call level
 // apart, and the finding carries the witness call paths for both edges.
 func TestLockOrderCycleGolden(t *testing.T) {
-	golden(t, lint.LockOrder{}, "specdb/internal/fixcycle", "lockorder_cycle")
+	checkFindings(t, lint.LockOrder{}, "specdb/internal/fixcycle", "lockorder_cycle")
 }
 
 // TestLockOrderInversionGolden pins the manifest check: a fixture mimicking
 // the real storage package holds the disk-level lock while taking the
 // heap-level one, contradicting the DESIGN.md §6 hierarchy.
 func TestLockOrderInversionGolden(t *testing.T) {
-	golden(t, lint.LockOrder{}, "specdb/internal/storage", "lockorder_inversion")
+	checkFindings(t, lint.LockOrder{}, "specdb/internal/storage", "lockorder_inversion")
 }
 
 // TestLockOrderReentryGolden pins the locked-callback check: a fixture
@@ -141,7 +121,7 @@ func TestLockOrderInversionGolden(t *testing.T) {
 // inside a statement body — through a helper, and by passing an entry point
 // as the body — while two statements in sequence stay clean.
 func TestLockOrderReentryGolden(t *testing.T) {
-	golden(t, lint.LockOrder{}, "specdb/internal/engine", "lockorder_reentry")
+	checkFindings(t, lint.LockOrder{}, "specdb/internal/engine", "lockorder_reentry")
 }
 
 // TestMeterFlowGolden pins the reachability proof: a disk read completable
@@ -149,7 +129,7 @@ func TestLockOrderReentryGolden(t *testing.T) {
 // root-to-disk witness, while entry-point and in-function charging both
 // count as priced.
 func TestMeterFlowGolden(t *testing.T) {
-	golden(t, lint.MeterFlow{}, "specdb/internal/fixflow", "meterflow")
+	checkFindings(t, lint.MeterFlow{}, "specdb/internal/fixflow", "meterflow")
 }
 
 // TestRuleNamesStable pins the rule names: allow directives in the tree

@@ -270,8 +270,9 @@ func moduleOf(path string) string {
 	return path
 }
 
-// isToolOrDemo reports whether the package is CLI or example scaffolding
-// (cmd/, examples/), which the engine invariants do not govern.
+// isToolOrDemo reports whether the package is CLI, example or test
+// scaffolding (cmd/, examples/, and internal/golden, which only _test.go
+// files import), which the engine invariants do not govern.
 func (p *Package) isToolOrDemo() bool {
-	return p.pathIn("cmd") || p.pathIn("examples")
+	return p.pathIn("cmd") || p.pathIn("examples") || p.pathIn("internal/golden")
 }

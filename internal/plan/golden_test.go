@@ -1,17 +1,14 @@
 package plan
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"specdb/internal/exec"
+	"specdb/internal/golden"
 	"specdb/internal/sql"
 	"specdb/internal/tuple"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // goldenCases cover the rendering paths of Explain and ExplainAnalyze: a bare
 // scan, an index scan, a selection with projection, and a multi-way join whose
@@ -37,7 +34,7 @@ func TestExplainGolden(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			node, _ := buildGoldenPlan(t, tc.query, tc.indexes, false)
-			checkGolden(t, tc.name+".explain", Explain(node))
+			golden.Check(t, filepath.Join("testdata", tc.name+".explain.golden"), Explain(node))
 		})
 	}
 }
@@ -53,7 +50,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			node, analyzed := buildGoldenPlan(t, tc.query, tc.indexes, true)
 			_ = node
-			checkGolden(t, tc.name+".analyze", analyzed)
+			golden.Check(t, filepath.Join("testdata", tc.name+".analyze.golden"), analyzed)
 		})
 	}
 }
@@ -123,27 +120,4 @@ func buildGoldenPlan(t *testing.T, query string, indexes [][2]string, analyze bo
 		t.Fatal(err)
 	}
 	return node, ExplainAnalyze(node, prof, e.opt.Rates)
-}
-
-// checkGolden compares got against testdata/<name>.golden, rewriting the file
-// when the -update flag is set.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file %s (regenerate with -update): %v", path, err)
-	}
-	if got != string(want) {
-		t.Errorf("%s mismatch:\n got:\n%s\nwant:\n%s", path, got, want)
-	}
 }

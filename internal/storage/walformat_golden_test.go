@@ -3,16 +3,14 @@ package storage
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"specdb/internal/golden"
+)
 
 // TestWALFormatGolden pins the serialized on-disk layout: the page-file
 // superblock, the WAL header, and one record frame per record type. These
@@ -43,26 +41,11 @@ func TestWALFormatGolden(t *testing.T) {
 	dump("recAllocState lsn=11 next=6 free=[4,2]",
 		encodeRecord(walRecord{lsn: 11, typ: recAllocState, payload: encodeAllocState(6, []PageID{4, 2})}))
 
-	got := b.String()
-	path := filepath.Join("testdata", "walformat.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file %s (regenerate with -update)", path)
-	}
-	if got != string(want) {
-		t.Fatalf("on-disk WAL/superblock layout changed.\n"+
-			"This breaks opening existing databases. Bump superblockVersion or walVersion\n"+
-			"in wal.go so old files fail with a clear version error, then regenerate\n"+
-			"the golden with -update.\n\ngot:\n%s\nwant:\n%s", got, want)
+	if !golden.Check(t, filepath.Join("testdata", "walformat.golden"), b.String()) {
+		t.Fatal("on-disk WAL/superblock layout changed.\n" +
+			"This breaks opening existing databases. Bump superblockVersion or walVersion\n" +
+			"in wal.go so old files fail with a clear version error, then regenerate\n" +
+			"the golden with -update.")
 	}
 }
 

@@ -1,14 +1,13 @@
 package tpch
 
 import (
-	"flag"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"strings"
 	"testing"
 
 	"specdb/internal/engine"
+	"specdb/internal/golden"
 	"specdb/internal/qgraph"
 	"specdb/internal/tuple"
 )
@@ -180,8 +179,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite golden files under testdata/")
-
 // TestIndexBuildsKeepTheirShape pins what CreateIndex builds over every
 // column Load indexes: entry count, height, page count and a digest of the
 // tree's page images in allocation order (leaves first, then each level up),
@@ -214,21 +211,7 @@ func TestIndexBuildsKeepTheirShape(t *testing.T) {
 				name, idx.Column, idx.Tree.Len(), idx.Tree.Height(), idx.Tree.NumPages(), images.Sum64())
 		}
 	}
-	const golden = "testdata/index_shapes.golden"
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Fatalf("index shapes differ from %s (re-record with -update only if a change to the index format is intended):\n got:\n%s\nwant:\n%s", golden, got.String(), want)
+	if !golden.Check(t, "testdata/index_shapes.golden", got.String()) {
+		t.Fatal("index shapes changed: re-record with -update only if a change to the index format is intended")
 	}
 }

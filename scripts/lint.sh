@@ -11,7 +11,11 @@
 #   3. -allows audit listing every suppression directive with its reason;
 #   4. unsafe stays where tuple.Value's string payload is built and read:
 #      no non-test .go file but internal/tuple/value.go may import it
-#      (DESIGN.md §15, "What a value costs").
+#      (DESIGN.md §15, "What a value costs");
+#   5. recycling stays where it is known to be safe: no non-test .go file but
+#      internal/exec/arena.go may name sync.Pool (DESIGN.md §15, "Arenas");
+#   6. internal/golden, which the passes above exempt as test scaffolding, is
+#      imported by _test.go files only.
 #
 # Usage: scripts/lint.sh [output.json]
 set -u
@@ -45,6 +49,23 @@ offenders=$(grep -rlE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space
     grep -vE '_test\.go$|/testdata/|^\./internal/tuple/value\.go$')
 if [ -n "$offenders" ]; then
     echo "unsafe imported outside internal/tuple/value.go:" >&2
+    echo "$offenders" >&2
+    exit 1
+fi
+
+echo "== sync.Pool =="
+offenders=$(grep -rlE 'sync\.Pool' --include='*.go' . |
+    grep -vE '_test\.go$|/testdata/|^\./internal/exec/arena\.go$')
+if [ -n "$offenders" ]; then
+    echo "sync.Pool named outside internal/exec/arena.go:" >&2
+    echo "$offenders" >&2
+    exit 1
+fi
+
+echo "== internal/golden imports =="
+offenders=$(grep -rl '"specdb/internal/golden"' --include='*.go' . | grep -vE '_test\.go$')
+if [ -n "$offenders" ]; then
+    echo "internal/golden imported outside tests:" >&2
     echo "$offenders" >&2
     exit 1
 fi
