@@ -54,6 +54,8 @@ func BenchmarkSpecBench(b *testing.B) {
 		b.ReportMetric(res.PredictedGoRate, "predicted_go_rate")
 		b.ReportMetric(res.InstantGoSavedS, "instant_go_s")
 		b.ReportMetric(float64(res.PredictEquivFailures), "equiv_failures")
+		b.ReportMetric(float64(res.PredictedUnholdable), "unholdable")
+		b.ReportMetric(res.PredictedUnholdableS, "unholdable_s")
 	}
 }
 

@@ -68,23 +68,28 @@ func NewAnswerCache(reg *obs.Registry, capacityPages int) *AnswerCache {
 	}
 }
 
+// Admits reports whether an answer whose estimated footprint is pages could
+// ever be stored: Put refuses an entry larger than the whole cache, whatever
+// the cache holds at the time, and a nil cache stores nothing. It is the one
+// admission rule — Put applies it, and a speculator asks it before executing
+// a predicted final, to run one that can never be stored for its cost alone
+// (DESIGN.md §14). The capacity never changes, so no lock is needed.
+func (ac *AnswerCache) Admits(pages int) bool {
+	return ac != nil && max(pages, MinEstPages) <= ac.capacity
+}
+
 // Put stores a completed answer under key, taking one reference for the
 // caller whenever it returns true. pages is clamped to at least MinEstPages
-// so no entry is footprint-free. An entry larger than the whole cache is
+// so no entry is footprint-free. An entry the cache does not admit is
 // rejected (false); replacing an existing key refreshes its contents and
 // versions and adds the caller's reference to the ones already held.
 func (ac *AnswerCache) Put(key string, rows []tuple.Row, schema *tuple.Schema, cost sim.Duration, pages int, versions map[string]uint64) bool {
-	if ac == nil {
+	if !ac.Admits(pages) {
 		return false
 	}
-	if pages < MinEstPages {
-		pages = MinEstPages
-	}
+	pages = max(pages, MinEstPages)
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	if pages > ac.capacity {
-		return false
-	}
 	vcopy := make(map[string]uint64, len(versions))
 	for k, v := range versions {
 		vcopy[k] = v

@@ -10,16 +10,18 @@ import (
 	"specdb/internal/tuple"
 )
 
-// newServedGoSpec returns a speculator that predicts the one-selection query
-// R.c > 18 as the final and issues nothing else, with that prediction already
-// completed: the next GO on the returned canvas is served.
-func newServedGoSpec(t testing.TB, e *engine.Engine) (*Speculator, sim.Time) {
+// predictOnly returns a speculator that predicts the one-selection query
+// R.c > 18 as the final and issues nothing else, over an answer cache of
+// capacityPages (0: the default), and the predicted job its first edit issued
+// at second 1.
+func predictOnly(t testing.TB, e *engine.Engine, capacityPages int) (*Speculator, *Job) {
 	t.Helper()
 	final := qgraph.SelectionSubgraph(selRC(18))
 	cfg := DefaultConfig()
 	cfg.Ops, cfg.MinBenefit = OpSet{}, 0
 	cfg.Predictor = NewPredictor(PredictorConfig{})
 	cfg.Predictor.ObserveFinal([]string{final.Key()}, "", final, nil)
+	cfg.Answers = NewAnswerCache(e.Metrics(), capacityPages)
 	sp := newSpec(e, cfg)
 	out, err := sp.OnEvent(evAddSel(selRC(18)), sim.FromSeconds(1))
 	if err != nil {
@@ -29,6 +31,14 @@ func newServedGoSpec(t testing.TB, e *engine.Engine) (*Speculator, sim.Time) {
 	if job == nil || job.Manip.Kind != ManipPredictFinal {
 		t.Fatalf("no predicted final issued: %v", out.Issued)
 	}
+	return sp, job
+}
+
+// newServedGoSpec is predictOnly on the default cache, with the prediction
+// already completed: the next GO on the returned canvas is served.
+func newServedGoSpec(t testing.TB, e *engine.Engine) (*Speculator, sim.Time) {
+	t.Helper()
+	sp, job := predictOnly(t, e, 0)
 	if err := sp.Advance(job.CompletesAt); err != nil {
 		t.Fatal(err)
 	}

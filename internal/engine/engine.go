@@ -62,11 +62,12 @@ const histogramBuckets = 20
 
 // Result reports one executed statement.
 type Result struct {
-	// Rows holds query output (nil for DDL and materializations).
+	// Rows holds query output (nil for DDL, materializations and CountQuery).
 	Rows []tuple.Row
 	// Schema describes Rows.
 	Schema *tuple.Schema
-	// RowCount is len(Rows) for queries, or rows materialized/indexed.
+	// RowCount is the number of rows a query produced, or rows
+	// materialized/indexed.
 	RowCount int64
 	// Work is the raw work performed.
 	Work sim.Work
@@ -82,11 +83,11 @@ type Result struct {
 // Engine is the database server. It is safe for concurrent sessions, and
 // their queries really overlap: every entry point that executes or mutates
 // runs through the one statement boundary (see statement), which holds the
-// statement lock shared for the read-only ones (RunQuery, ExplainAnalyze) and
-// exclusively for everything that changes the catalog, a heap, an index,
-// statistics, staging or pool residency. Each statement is metered on a
-// sim.Meter of its own, so what it reports never depended on who else was
-// running. Planning (PlanGraph/Explain) runs lock-free at this level and
+// statement lock shared for the read-only ones (RunQuery, CountQuery,
+// ExplainAnalyze) and exclusively for everything that changes the catalog, a
+// heap, an index, statistics, staging or pool residency. Each statement is
+// metered on a sim.Meter of its own, so what it reports never depended on who
+// else was running. Planning (PlanGraph/Explain) runs lock-free at this level and
 // relies on the fine-grained locks inside the catalog, buffer pool, B-trees,
 // and heap files. Simulated concurrency — the effect of other in-flight jobs
 // on a statement's duration — is modeled by the contention factor over the
@@ -492,14 +493,30 @@ func (e *Engine) Exec(src string) (res *Result, err error) {
 // user's query. The original error surfaces only if the degraded plan fails
 // too (or none of the plan was derived).
 func (e *Engine) RunQuery(q *plan.Query) (*Result, error) {
-	return e.measured("RunQuery", "", readsOnly, func(st *stmt, res *Result) error {
-		node, err := e.planAndRun(st, res, q, e.planOptions(), nil)
+	return e.query("RunQuery", q, true)
+}
+
+// CountQuery is RunQuery for a caller that needs the answer's size and cost
+// but not its rows: the same statement — lock, plan, degraded replan, measure
+// window, pages fetched, tuples charged and counters — whose rows are counted
+// as they stream past instead of kept. Result.Rows is nil and RowCount is set.
+// A speculator runs a predicted final through it when the answer cache could
+// never hold the answer (DESIGN.md §14).
+func (e *Engine) CountQuery(q *plan.Query) (*Result, error) {
+	return e.query("CountQuery", q, false)
+}
+
+// query is RunQuery's and CountQuery's statement; collect says whether the
+// rows are kept.
+func (e *Engine) query(op string, q *plan.Query, collect bool) (*Result, error) {
+	return e.measured(op, "", readsOnly, func(st *stmt, res *Result) error {
+		node, err := e.planAndRun(st, res, q, e.planOptions(), nil, collect)
 		if err == nil || node == nil || !e.planReadsDerived(node) {
 			return err
 		}
 		opts := e.planOptions()
 		opts.AvoidViews, opts.AvoidIndexes = true, true
-		degraded, replanErr := e.planAndRun(st, res, q, opts, nil)
+		degraded, replanErr := e.planAndRun(st, res, q, opts, nil, collect)
 		if degraded != nil {
 			e.obsReplans.Inc()
 		}
@@ -510,14 +527,15 @@ func (e *Engine) RunQuery(q *plan.Query) (*Result, error) {
 	})
 }
 
-// planAndRun is the body RunQuery and ExplainAnalyze share: optimize q under
-// opts, then build and drain the plan in one measure window, leaving a fresh
-// Result in res (a failed earlier attempt is not charged to this one). With a
-// profiler the operators are instrumented and the rows only counted; without,
-// they are collected. The chosen plan is returned whenever planning
-// succeeded, so the caller can tell a plan that failed to run from a query
-// that failed to plan.
-func (e *Engine) planAndRun(st *stmt, res *Result, q *plan.Query, opts plan.Options, prof *exec.Profiler) (plan.Node, error) {
+// planAndRun is the body RunQuery, CountQuery and ExplainAnalyze share:
+// optimize q under opts, then build and drain the plan in one measure window,
+// leaving a fresh Result in res (a failed earlier attempt is not charged to
+// this one). With a profiler the operators are instrumented. collect keeps the
+// rows in res.Rows; otherwise they are only counted, which reads and charges
+// exactly the same. The chosen plan is returned whenever planning succeeded,
+// so the caller can tell a plan that failed to run from a query that failed
+// to plan.
+func (e *Engine) planAndRun(st *stmt, res *Result, q *plan.Query, opts plan.Options, prof *exec.Profiler, collect bool) (plan.Node, error) {
 	node, err := plan.Optimize(e.Catalog, q, opts)
 	if err != nil {
 		return nil, err
@@ -532,7 +550,7 @@ func (e *Engine) planAndRun(st *stmt, res *Result, q *plan.Query, opts plan.Opti
 		if err != nil {
 			return err
 		}
-		if prof != nil {
+		if !collect {
 			res.RowCount, err = exec.Count(it)
 			return err
 		}
@@ -573,7 +591,7 @@ func (e *Engine) planReadsDerived(node plan.Node) bool {
 func (e *Engine) ExplainAnalyze(q *plan.Query) (*Result, error) {
 	return e.measured("ExplainAnalyze", "", readsOnly, func(st *stmt, res *Result) error {
 		prof := exec.NewProfiler()
-		node, err := e.planAndRun(st, res, q, e.planOptions(), prof)
+		node, err := e.planAndRun(st, res, q, e.planOptions(), prof, false)
 		if err != nil {
 			return err
 		}

@@ -679,6 +679,12 @@ type BenchResult struct {
 	PredictedIssued      int     `json:"predicted_issued"`
 	PredictedGos         int     `json:"predicted_gos"`
 	AnswerCacheHits      int     `json:"answer_cache_hits"`
+	// PredictedUnholdable counts the replay pass's executed predictions whose
+	// answer the cache could never hold, and PredictedUnholdableS the
+	// simulated seconds they ran: they complete, so waste never counts them,
+	// and none of them can ever answer a GO.
+	PredictedUnholdable  int     `json:"predicted_unholdable"`
+	PredictedUnholdableS float64 `json:"predicted_unholdable_s"`
 }
 
 // RunBench executes the paired replay once and summarizes it for the bench
@@ -749,6 +755,8 @@ func RunBench(scaleName string, traces []*trace.Trace, seed uint64) (*BenchResul
 	res.PredictedIssued = po.PredictedIssued
 	res.PredictedGos = po.PredictedGos
 	res.AnswerCacheHits = po.AnswerCacheHits
+	res.PredictedUnholdable = po.Unholdable
+	res.PredictedUnholdableS = po.UnholdableS
 	return res, nil
 }
 

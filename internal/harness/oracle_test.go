@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"specdb/internal/core"
 	"specdb/internal/engine"
 	"specdb/internal/exec"
 	"specdb/internal/plan"
@@ -279,6 +280,11 @@ func oracleQueries(t *testing.T, eng *engine.Engine) (queries []*plan.Query, mul
 // compares them with the oracle only once the second round is done. An answer
 // that pointed into a chunk handed out again would by then hold a later
 // statement's values.
+//
+// A sixth, "served" (oracleServed), holds instant GO: the corpus is replayed
+// through speculators that predict whole finals, and every GO of the trained
+// pass is compared with the oracle, including those the answer cache served
+// without running a statement.
 func TestOracleAgreesWithEngine(t *testing.T) {
 	type config struct {
 		name  string
@@ -386,5 +392,93 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+	t.Run("served", oracleServed)
+}
+
+// servedCachePages is the answer cache's capacity in the served
+// configuration, the default: at the oracle's scale it admits some predicted
+// finals and is smaller than others (at 1024 pages it admits all of them).
+const servedCachePages = 256
+
+// oracleServed is TestOracleAgreesWithEngine's served configuration: the
+// reference corpus replayed twice on one engine with one Predictor,
+// AnswerCache and Learner, as RunPredictBench does — the first pass trains,
+// and every GO of the second, served from the cache or executed, is compared
+// with the oracle. The cache is small enough that some predictions are only
+// counted (DESIGN.md §14), and both kinds must occur.
+func oracleServed(t *testing.T) {
+	env := tinyEnv(t, EnvConfig{Scale: oracleScale})
+	queries, _ := oracleQueries(t, env.Eng) // the corpus finals first, in trace and GO order
+	traces, err := trace.GenerateCorpus(tpch.Vocabulary(), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.DefaultConfig()
+	base.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
+	base.Answers = core.NewAnswerCache(env.Eng.Metrics(), servedCachePages)
+	learner := core.NewLearner(DefaultLearnerConfig())
+	counter := func(name string) int64 { return env.Eng.Metrics().Snapshot().Counters[name] }
+
+	type answer struct {
+		query  int
+		rows   []tuple.Row
+		served bool
+	}
+	var answers []answer
+	var counted, stored int64
+	for pass := range 2 {
+		counted0, stored0 := counter("answers.unholdable"), counter("answers.stored")
+		query := 0
+		for i, tr := range traces {
+			if err := env.Eng.ColdStart(); err != nil {
+				t.Fatal(err)
+			}
+			cfg := base
+			cfg.NamePrefix = fmt.Sprintf("served_p%d_t%d", pass, i)
+			sp := core.NewSpeculator(env.Eng, learner, cfg)
+			for _, ev := range tr.Events {
+				at := ev.At()
+				if err := sp.Advance(at); err != nil {
+					t.Fatal(err)
+				}
+				if ev.Kind != trace.EvGo {
+					if _, err := sp.OnEvent(ev, at); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				res, _, err := sp.OnGo(at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pass == 1 {
+					answers = append(answers, answer{query: query, rows: res.Rows, served: res.Plan == nil})
+				}
+				query++
+			}
+			if err := sp.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counted, stored = counter("answers.unholdable")-counted0, counter("answers.stored")-stored0
+	}
+	if len(answers) != 124 {
+		t.Fatalf("the replay pass answered %d GOs, want the corpus's 124", len(answers))
+	}
+	served := 0
+	for _, a := range answers {
+		q := queries[a.query]
+		if diff := sameMultiset(a.rows, oracleEval(t, env.Eng, q)); diff != "" {
+			t.Errorf("query %d (%s) projecting %v, served %v:\n%s", a.query, q.Graph, q.Projections, a.served, diff)
+		}
+		if a.served {
+			served++
+		}
+	}
+	// The configuration must be able to see: GOs answered from the cache,
+	// and predictions both stored and only counted.
+	if served == 0 || stored == 0 || counted == 0 {
+		t.Errorf("replay pass: %d GOs served, %d predictions stored, %d only counted; want each above zero", served, stored, counted)
 	}
 }

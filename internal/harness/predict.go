@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"specdb/internal/core"
+	"specdb/internal/sim"
 	"specdb/internal/tpch"
 	"specdb/internal/trace"
 )
@@ -34,6 +35,12 @@ type PredictOutcome struct {
 	// build otherwise.
 	EquivFailures   int
 	AnswerCacheHits int
+	// Unholdable counts the predicted finals executed whose answer the cache
+	// could never hold (larger than the whole cache), so they ran for their
+	// cost and kept no rows; UnholdableS is the simulated time they took (s).
+	// They complete, so no waste figure counts them.
+	Unholdable  int
+	UnholdableS float64
 
 	TrainTotalS  float64
 	ReplayTotalS float64
@@ -64,8 +71,12 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64, oracl
 		want[[2]int{t.TraceIdx, t.QueryIdx}] = t.RowsKey
 	}
 
+	reg := env.Eng.Metrics()
+	unholdable, unholdableNs := reg.Counter("answers.unholdable"), reg.Counter("answers.unholdable_ns")
+
 	out := &PredictOutcome{}
 	for pass := 0; pass < 2; pass++ {
+		n0, ns0 := unholdable.Value(), unholdableNs.Value()
 		var finals []core.Stats
 		queries := 0
 		total := 0.0
@@ -104,6 +115,8 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64, oracl
 		out.PredictedGos = stats.PredictedGos
 		out.AnswerCacheHits = stats.AnswerCacheHits
 		out.InstantSavedS = stats.InstantSaved.Seconds()
+		out.Unholdable = int(unholdable.Value() - n0)
+		out.UnholdableS = sim.Duration(unholdableNs.Value() - ns0).Seconds()
 		if queries > 0 {
 			out.PredictedGoRate = float64(stats.PredictedGos) / float64(queries)
 		}

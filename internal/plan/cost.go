@@ -26,9 +26,11 @@ type Coster struct {
 	WorkMemBytes int64
 }
 
-// approxRowBytes estimates a row's encoded width from its schema.
-func approxRowBytes(s *tuple.Schema) float64 {
-	b := 0.0
+// rowWidth estimates a row's encoded width in bytes from its schema. A plan
+// node carries its output's width (Node.width), so spill costing sums small
+// integers instead of building a joined schema for every candidate.
+func rowWidth(s *tuple.Schema) int {
+	b := 0
 	for _, c := range s.Columns {
 		switch c.Kind {
 		case tuple.KindFloat:
@@ -59,11 +61,14 @@ func (c *Coster) edgeSelectivity(e JoinEdgeSpec) float64 {
 	return stats.EstimateJoinSelectivity(c.colStats(e.LeftCol), c.colStats(e.RightCol))
 }
 
-func qualifySchema(s *tuple.Schema, qualifier string) *tuple.Schema {
+// qualified is the name a stored column of a table read under qualifier has
+// in plans: "qualifier.col", or the stored name itself for a view, whose
+// columns are stored qualified.
+func qualified(qualifier, col string) string {
 	if qualifier == "" {
-		return s
+		return col
 	}
-	return s.Rename(func(n string) string { return qualifier + "." + n })
+	return qualifier + "." + col
 }
 
 // SeqAccess builds a sequential-scan access with residual filters.
@@ -75,7 +80,7 @@ func (c *Coster) SeqAccess(table *catalog.Table, qualifier string, rels []string
 		Method:     AccessSeq,
 		Filters:    filters,
 		ColFilters: colFilters,
-		schema:     qualifySchema(table.Schema, qualifier),
+		widthBytes: rowWidth(table.Schema),
 	}
 	n := float64(table.RowCount())
 	rows := n
@@ -112,7 +117,7 @@ func (c *Coster) IndexAccess(table *catalog.Table, qualifier string, rels []stri
 		Hi:         hi,
 		Filters:    residual,
 		ColFilters: colFilters,
-		schema:     qualifySchema(table.Schema, qualifier),
+		widthBytes: rowWidth(table.Schema),
 	}
 	n := float64(table.RowCount())
 	drivingSel := c.predSelectivity(driving)
@@ -171,11 +176,11 @@ func (c *Coster) Join(method JoinMethod, left, right Node, edges []JoinEdgeSpec)
 		})
 	}
 	j := &JoinNode{
-		Method: method,
-		Left:   left,
-		Right:  right,
-		Edges:  edges,
-		schema: left.Schema().Concat(right.Schema()),
+		Method:     method,
+		Left:       left,
+		Right:      right,
+		Edges:      edges,
+		widthBytes: left.width() + right.width(),
 	}
 	lrows, rrows := left.Rows(), right.Rows()
 	// primaryMatches is the stream the physical join emits before residual
@@ -199,10 +204,10 @@ func (c *Coster) Join(method JoinMethod, left, right Node, edges []JoinEdgeSpec)
 			cost += sim.Duration(primaryMatches) * c.Rates.Tuple // residual filter pass
 		}
 		if c.WorkMemBytes > 0 {
-			buildBytes := lrows * approxRowBytes(left.Schema())
+			buildBytes := lrows * float64(left.width())
 			if buildBytes > float64(c.WorkMemBytes) {
 				// GRACE spill: both sides written and re-read.
-				spillPages := (buildBytes + rrows*approxRowBytes(right.Schema())) / 8192
+				spillPages := (buildBytes + rrows*float64(right.width())) / 8192
 				cost += sim.Duration(spillPages) * (c.Rates.PageWrite + c.Rates.PageRead)
 			}
 		}
@@ -258,7 +263,8 @@ func (c *Coster) Project(child Node, cols []string) (*ProjectNode, error) {
 }
 
 // StatsResolver builds the Stats function for a set of table accesses: each
-// qualified column resolves to the statistics of the table providing it.
+// qualified column resolves to the statistics of the table providing it. The
+// names come from each table's stored schema, so no access builds its own.
 func StatsResolver(accesses []*TableAccess) func(string) *stats.ColumnStats {
 	type provider struct {
 		table  *catalog.Table
@@ -266,8 +272,8 @@ func StatsResolver(accesses []*TableAccess) func(string) *stats.ColumnStats {
 	}
 	m := make(map[string]provider)
 	for _, a := range accesses {
-		for _, col := range a.schema.Columns {
-			m[col.Name] = provider{table: a.Table, stored: a.storedCol(col.Name)}
+		for _, col := range a.Table.Schema.Columns {
+			m[qualified(a.Qualifier, col.Name)] = provider{table: a.Table, stored: col.Name}
 		}
 	}
 	return func(qualified string) *stats.ColumnStats {

@@ -13,7 +13,10 @@ import (
 
 // Node is a physical plan operator with cardinality and cost estimates.
 type Node interface {
-	// Schema is the qualified output schema.
+	// Schema is the qualified output schema. Table accesses and joins build
+	// it on the first call, because the optimizer prices far more candidates
+	// than it keeps; a plan Optimize returns has them all built, since its
+	// projection read them, so it is read-only and safe to share.
 	Schema() *tuple.Schema
 	// Rows is the estimated output cardinality.
 	Rows() float64
@@ -26,6 +29,9 @@ type Node interface {
 	// header is the operator line without estimates — shared by Explain
 	// and ExplainAnalyze renderings.
 	header() string
+	// width is the estimated encoded width of an output row in bytes
+	// (rowWidth of the output schema), what spill costing multiplies.
+	width() int
 }
 
 // PredSpec is a selection predicate in plan form, with a qualified column
@@ -72,13 +78,24 @@ type TableAccess struct {
 	// materialized view).
 	ColFilters []JoinEdgeSpec
 
-	schema *tuple.Schema
-	rows   float64
-	cost   sim.Duration
+	schema     *tuple.Schema // built by the first Schema call
+	widthBytes int
+	rows       float64
+	cost       sim.Duration
 }
 
-// Schema implements Node.
-func (a *TableAccess) Schema() *tuple.Schema { return a.schema }
+// Schema implements Node: the table's schema under qualified names.
+func (a *TableAccess) Schema() *tuple.Schema {
+	if a.schema == nil {
+		a.schema = a.Table.Schema
+		if a.Qualifier != "" {
+			a.schema = a.schema.Rename(func(n string) string { return qualified(a.Qualifier, n) })
+		}
+	}
+	return a.schema
+}
+
+func (a *TableAccess) width() int { return a.widthBytes }
 
 // Rows implements Node.
 func (a *TableAccess) Rows() float64 { return a.rows }
@@ -190,13 +207,21 @@ type JoinNode struct {
 	// tests them itself on each candidate pair, the others get a ColFilter.
 	Edges []JoinEdgeSpec
 
-	schema *tuple.Schema
-	rows   float64
-	cost   sim.Duration
+	schema     *tuple.Schema // built by the first Schema call
+	widthBytes int
+	rows       float64
+	cost       sim.Duration
 }
 
-// Schema implements Node.
-func (j *JoinNode) Schema() *tuple.Schema { return j.schema }
+// Schema implements Node: the left side's columns, then the right side's.
+func (j *JoinNode) Schema() *tuple.Schema {
+	if j.schema == nil {
+		j.schema = j.Left.Schema().Concat(j.Right.Schema())
+	}
+	return j.schema
+}
+
+func (j *JoinNode) width() int { return j.widthBytes }
 
 // Rows implements Node.
 func (j *JoinNode) Rows() float64 { return j.rows }
@@ -304,6 +329,8 @@ type ProjectNode struct {
 
 // Schema implements Node.
 func (p *ProjectNode) Schema() *tuple.Schema { return p.schema }
+
+func (p *ProjectNode) width() int { return rowWidth(p.schema) }
 
 // Rows implements Node.
 func (p *ProjectNode) Rows() float64 { return p.Child.Rows() }

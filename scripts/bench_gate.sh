@@ -7,6 +7,10 @@
 # The improvement metric is simulated time, so it is machine-independent: any
 # drift is a real behavior change, not noise.
 #
+# The same replay's prediction pass is gated too: the predicted-GO rate
+# (±TOLERANCE_PP), zero answers differing from the speculation-off oracle, and
+# the predictions the answer cache could never hold, count and seconds, exactly.
+#
 # Also replays the 64-session cross-session CSE benchmark and gates its waste
 # reduction (±TOLERANCE_PP) and dedup savings (±1% relative) against the
 # baseline, requiring at least one shared (deduplicated) build.
@@ -14,7 +18,8 @@
 # Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
 # filter, hash-join build/probe, a two-edge hash join, index-NL probe,
 # DecodeRowInto, pool miss, B+-tree lookup, one whole RunQuery through the
-# statement boundary, a served GO at two answer sizes, which must allocate the
+# statement boundary and the same statement through CountQuery, which keeps no
+# answer, a served GO at two answer sizes, which must allocate the
 # same, and the three builds — a speculative Materialize, ANALYZE of lineitem,
 # CREATE INDEX on lineitem.l_partkey — whose statistics and keys must not cost
 # an allocation per value) and gates their allocations and B/op against
@@ -170,6 +175,32 @@ if [[ -n "$base_predgo" ]]; then
   }
 else
   echo "bench_gate: baseline has no prediction metrics; skipping prediction gate" >&2
+fi
+
+# Predictions the answer cache could never hold (DESIGN.md §14): how many of
+# the prediction replay's executed finals ran for their cost alone, and the
+# simulated seconds they took. Both are counts of a deterministic replay, so
+# both must equal the baseline — the seconds to the precision the benchmark
+# prints them. Skipped for baselines written before the count.
+base_unhold=$(json_num predicted_unholdable)
+base_unhold_s=$(json_num predicted_unholdable_s)
+if [[ -n "$base_unhold" && -n "$base_unhold_s" ]]; then
+  live_unhold=$(metric "$out" "unholdable")
+  live_unhold_s=$(metric "$out" "unholdable_s")
+  if [[ -z "$live_unhold" || -z "$live_unhold_s" ]]; then
+    echo "bench_gate: benchmark produced no unholdable-prediction metrics" >&2
+    exit 1
+  fi
+  echo "bench_gate: unholdable predictions live=${live_unhold} (${live_unhold_s}s) baseline=${base_unhold} (${base_unhold_s}s), exact"
+  awk -v l="$live_unhold" -v b="$base_unhold" -v ls="$live_unhold_s" -v bs="$base_unhold_s" 'BEGIN {
+    d = index(ls, ".") ? length(ls) - index(ls, ".") : 0
+    exit !(l + 0 == b + 0 && ls == sprintf("%." d "f", bs))
+  }' || {
+    echo "bench_gate: FAIL — unholdable predictions moved from the baseline" >&2
+    exit 1
+  }
+else
+  echo "bench_gate: baseline has no unholdable-prediction metrics; skipping that gate" >&2
 fi
 
 base_waste_red=$(json_num scaled_waste_reduction_pct)
