@@ -10,6 +10,11 @@
 //	a1   Section 3.2 ablation: manipulation families
 //	a2   Section 6.1 prose: memory-resident database
 //	a3   Section 3.3 ablation: lookahead depth
+//	a4   Section 7 proposal: wait for almost-finished manipulations at GO
+//	a5   Section 7 proposal: suspend speculation under load, three users
+//
+// bench (never part of all) writes the spec-on vs spec-off benchmark report,
+// BENCH_spec.json by default (-benchout), for the first requested scale.
 //
 // Usage:
 //

@@ -42,7 +42,7 @@ func TestDecisionTrace(t *testing.T) {
 		{"default", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {
 			cfg := core.DefaultConfig()
 			cfg.Ledger = core.NewLedger(eng.Metrics(), false)
-			learner := func() *core.Learner { return core.NewLearner(DefaultLearnerConfig()) }
+			learner := func() *core.Learner { return core.NewLearner(core.DefaultLearnerConfig()) }
 			d.replaySerial(t, eng, traces, cfg, "spec", learner)
 		}},
 		{"wide_cse_budget", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {
@@ -67,7 +67,7 @@ func TestDecisionTrace(t *testing.T) {
 			cfg.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 			cfg.Answers = core.NewAnswerCache(eng.Metrics(), 0)
 			cfg.Ledger = core.NewLedger(eng.Metrics(), false)
-			shared := core.NewLearner(DefaultLearnerConfig())
+			shared := core.NewLearner(core.DefaultLearnerConfig())
 			learner := func() *core.Learner { return shared }
 			d.replaySerial(t, eng, traces, cfg, "train", learner)
 			d.replaySerial(t, eng, traces, cfg, "replay", learner)

@@ -299,12 +299,32 @@ type Figure7Result struct {
 // RunFigure7 replays three simultaneous traces with the 96 MB-equivalent
 // pool, selections-only enumeration, and the contention model.
 func RunFigure7(scaleName string, traces []*trace.Trace, seed uint64) (*Figure7Result, error) {
-	if len(traces) > 3 {
-		traces = traces[:3]
-	}
 	scale, err := tpch.ScaleByName(scaleName)
 	if err != nil {
 		return nil, err
+	}
+	cfg := core.DefaultConfig()
+	cfg.SelectionsOnly = true
+	normal, paired, stats, err := runMultiUser(scale, seed, traces, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure7Result{
+		Scale:      scaleName,
+		Buckets:    BucketImprovements(normal, paired, BucketSpecFor(scaleName, true)),
+		OverallPct: Improvement(seconds(normal), seconds(paired)) * 100,
+		Stats:      stats,
+	}, nil
+}
+
+// runMultiUser is the Section 6.3 setting: at most three traces replayed at
+// once on a fresh environment with the 96 MB-equivalent pool and the
+// contention model, first speculation-off, then with cfg. It returns the
+// normal timings, the speculative timings paired with them, and the
+// speculative sessions' summed counters.
+func runMultiUser(scale tpch.Scale, seed uint64, traces []*trace.Trace, cfg core.Config) (normal, paired []QueryTiming, stats core.Stats, err error) {
+	if len(traces) > 3 {
+		traces = traces[:3]
 	}
 	env, err := NewEnv(EnvConfig{
 		Scale:            scale,
@@ -313,28 +333,34 @@ func RunFigure7(scaleName string, traces []*trace.Trace, seed uint64) (*Figure7R
 		ContentionFactor: 0.35,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, stats, err
 	}
-	normal, err := RunMultiUserNormal(env.Eng, traces)
+	if normal, err = RunMultiUserNormal(env.Eng, traces); err != nil {
+		return nil, nil, stats, err
+	}
+	spec, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, stats, err
+	}
+	paired, err = alignTimings(normal, spec.Timings)
+	return normal, paired, spec.Stats, err
+}
+
+// pairedPct runs one paired replay on a fresh default environment, with the
+// default speculator configuration changed by tune, and returns the
+// improvement in percent and the speculative side's summed counters.
+func pairedPct(scale tpch.Scale, seed uint64, traces []*trace.Trace, tune func(*core.Config)) (float64, core.Stats, error) {
+	env, err := NewEnv(EnvConfig{Scale: scale, Seed: seed})
+	if err != nil {
+		return 0, core.Stats{}, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.SelectionsOnly = true
-	specOut, err := RunScaledSessions(env.Eng, traces, cfg)
+	tune(&cfg)
+	pr, err := RunPaired(env, traces, cfg)
 	if err != nil {
-		return nil, err
+		return 0, core.Stats{}, err
 	}
-	paired, err := alignTimings(normal, specOut.Timings)
-	if err != nil {
-		return nil, err
-	}
-	return &Figure7Result{
-		Scale:      scaleName,
-		Buckets:    BucketImprovements(normal, paired, BucketSpecFor(scaleName, true)),
-		OverallPct: Improvement(seconds(normal), seconds(paired)) * 100,
-		Stats:      specOut.Stats,
-	}, nil
+	return Improvement(seconds(pr.Normal), seconds(pr.Spec)) * 100, pr.Stats, nil
 }
 
 // AblationResult compares manipulation families (the Section 3.2 claim).
@@ -362,18 +388,14 @@ func RunAblationManipulations(scaleName string, traces []*trace.Trace, seed uint
 	}
 	res := &AblationResult{Scale: scaleName, PctByFamily: map[string]float64{}}
 	for _, fam := range families {
-		env, err := NewEnv(EnvConfig{Scale: scale, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Ops = fam.ops
-		cfg.MinBenefit = 0
-		pr, err := RunPaired(env, traces, cfg)
+		pct, _, err := pairedPct(scale, seed, traces, func(c *core.Config) {
+			c.Ops = fam.ops
+			c.MinBenefit = 0
+		})
 		if err != nil {
 			return nil, fmt.Errorf("harness: ablation %s: %w", fam.name, err)
 		}
-		res.PctByFamily[fam.name] = Improvement(seconds(pr.Normal), seconds(pr.Spec)) * 100
+		res.PctByFamily[fam.name] = pct
 	}
 	return res, nil
 }
@@ -445,7 +467,7 @@ func replayWarmNormal(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error)
 func replayWarmSpeculative(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error) {
 	cfg := core.DefaultConfig()
 	cfg.NamePrefix = fmt.Sprintf("specw_t%d", idx)
-	sp := core.NewSpeculator(env.Eng, core.NewLearner(DefaultLearnerConfig()), cfg)
+	sp := core.NewSpeculator(env.Eng, core.NewLearner(core.DefaultLearnerConfig()), cfg)
 	out, err := replayOne(sp, idx, tr)
 	if err != nil {
 		return nil, err
@@ -469,17 +491,11 @@ func RunLookahead(scaleName string, traces []*trace.Trace, seed uint64, depths [
 	}
 	res := &LookaheadResult{Scale: scaleName, PctByN: map[int]float64{}, Lookades: depths}
 	for _, n := range depths {
-		env, err := NewEnv(EnvConfig{Scale: scale, Seed: seed})
+		pct, _, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.Lookahead = n })
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Lookahead = n
-		pr, err := RunPaired(env, traces, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.PctByN[n] = Improvement(seconds(pr.Normal), seconds(pr.Spec)) * 100
+		res.PctByN[n] = pct
 	}
 	return res, nil
 }
@@ -502,20 +518,13 @@ func RunWaitAblation(scaleName string, traces []*trace.Trace, seed uint64) (*Wai
 	}
 	res := &WaitAblationResult{Scale: scaleName}
 	for _, wait := range []bool{false, true} {
-		env, err := NewEnv(EnvConfig{Scale: scale, Seed: seed})
+		pct, stats, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.WaitForCompletion = wait })
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.WaitForCompletion = wait
-		pr, err := RunPaired(env, traces, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pct := Improvement(seconds(pr.Normal), seconds(pr.Spec)) * 100
 		if wait {
 			res.WaitPct = pct
-			res.WaitedAtGo = pr.Stats.WaitedAtGo
+			res.WaitedAtGo = stats.WaitedAtGo
 		} else {
 			res.CancelPct = pct
 		}
@@ -536,44 +545,24 @@ type SuspendAblationResult struct {
 // RunSuspendAblation compares the two load policies with three simultaneous
 // users (full enumeration, where interference is worst).
 func RunSuspendAblation(scaleName string, traces []*trace.Trace, seed uint64) (*SuspendAblationResult, error) {
-	if len(traces) > 3 {
-		traces = traces[:3]
-	}
 	scale, err := tpch.ScaleByName(scaleName)
 	if err != nil {
 		return nil, err
 	}
 	res := &SuspendAblationResult{Scale: scaleName}
 	for _, suspend := range []bool{false, true} {
-		env, err := NewEnv(EnvConfig{
-			Scale:            scale,
-			Seed:             seed,
-			BufferPoolPages:  PoolPages96MB,
-			ContentionFactor: 0.35,
-		})
-		if err != nil {
-			return nil, err
-		}
-		normal, err := RunMultiUserNormal(env.Eng, traces)
-		if err != nil {
-			return nil, err
-		}
 		cfg := core.DefaultConfig()
 		if suspend {
 			cfg.SuspendWhenBusy = 1
 		}
-		spec, err := RunScaledSessions(env.Eng, traces, cfg)
-		if err != nil {
-			return nil, err
-		}
-		paired, err := alignTimings(normal, spec.Timings)
+		normal, paired, stats, err := runMultiUser(scale, seed, traces, cfg)
 		if err != nil {
 			return nil, err
 		}
 		pct := Improvement(seconds(normal), seconds(paired)) * 100
 		if suspend {
 			res.SuspendPct = pct
-			res.Suspended = spec.Stats.Suspended
+			res.Suspended = stats.Suspended
 		} else {
 			res.AlwaysPct = pct
 		}

@@ -223,7 +223,7 @@ type SpecOutcome struct {
 // final query. The pool starts cold.
 func RunTraceSpeculative(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Config) (*SpecOutcome, error) {
 	cfg.NamePrefix = fmt.Sprintf("spec_t%d", traceIdx)
-	return RunTraceWithLearner(eng, traceIdx, tr, cfg, core.NewLearner(DefaultLearnerConfig()))
+	return RunTraceWithLearner(eng, traceIdx, tr, cfg, core.NewLearner(core.DefaultLearnerConfig()))
 }
 
 // RunTraceWithLearner is RunTraceSpeculative with the learner (and
@@ -313,9 +313,6 @@ func replayOne(sp *core.Speculator, traceIdx int, tr *trace.Trace) ([]QueryTimin
 	timings, err := replay([]*core.Speculator{sp}, []*trace.Trace{tr})
 	return labelled(timings, traceIdx), err
 }
-
-// DefaultLearnerConfig re-exports the core default for harness callers.
-func DefaultLearnerConfig() core.LearnerConfig { return core.DefaultLearnerConfig() }
 
 // PairedRun replays every trace under normal then speculative processing on
 // the same environment, returning paired timings.
@@ -428,7 +425,7 @@ func RunScaledSessions(eng *engine.Engine, traces []*trace.Trace, cfg core.Confi
 	for i := range traces {
 		c := cfg
 		c.NamePrefix = fmt.Sprintf("spec_u%d", i)
-		sps[i] = core.NewSpeculator(eng, core.NewLearner(DefaultLearnerConfig()), c)
+		sps[i] = core.NewSpeculator(eng, core.NewLearner(core.DefaultLearnerConfig()), c)
 	}
 	timings, err := replay(sps, traces)
 	if err != nil {

@@ -417,7 +417,7 @@ func oracleServed(t *testing.T) {
 	base := core.DefaultConfig()
 	base.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 	base.Answers = core.NewAnswerCache(env.Eng.Metrics(), servedCachePages)
-	learner := core.NewLearner(DefaultLearnerConfig())
+	learner := core.NewLearner(core.DefaultLearnerConfig())
 	counter := func(name string) int64 { return env.Eng.Metrics().Snapshot().Counters[name] }
 
 	type answer struct {

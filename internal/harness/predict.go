@@ -65,7 +65,7 @@ func RunPredictBench(scaleName string, traces []*trace.Trace, seed uint64, oracl
 	base := core.DefaultConfig()
 	base.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 	base.Answers = core.NewAnswerCache(env.Eng.Metrics(), 0)
-	learner := core.NewLearner(DefaultLearnerConfig())
+	learner := core.NewLearner(core.DefaultLearnerConfig())
 	want := make(map[[2]int]uint64, len(oracle))
 	for _, t := range oracle {
 		want[[2]int{t.TraceIdx, t.QueryIdx}] = t.RowsKey

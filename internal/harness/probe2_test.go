@@ -34,7 +34,7 @@ func TestProbeSpecDetail(t *testing.T) {
 	}
 	eng := env.Eng
 	cfg := core.DefaultConfig()
-	sp := core.NewSpeculator(eng, core.NewLearner(DefaultLearnerConfig()), cfg)
+	sp := core.NewSpeculator(eng, core.NewLearner(core.DefaultLearnerConfig()), cfg)
 	qIdx := 0
 	var issuedLog []string
 	rewritten := 0

@@ -11,11 +11,11 @@ import (
 
 // LockOrder is the interprocedural half of the locking story (DESIGN.md §6,
 // §9). The per-package `locks` rule proves each struct guards its own fields;
-// this rule proves the structs compose: it infers, per function, the set of
-// locks acquired (receiver type + mutex field, the same identity the `locks`
-// rule's guarded-field inference uses), propagates acquisition sets over the
-// whole-program call graph, and builds the global lock-acquisition order
-// graph. Three findings come out of it:
+// this rule proves the structs compose. Both read the same walk of each body
+// (lockWalk) and name a lock the same way (lockSym: owning type + mutex
+// field). This rule infers, per function, the set of locks acquired,
+// propagates acquisition sets over the whole-program call graph, and builds
+// the global lock-acquisition order graph. Three findings come out of it:
 //
 //  1. any cycle in the order graph — two locks each acquirable while the
 //     other is held is a deadlock waiting for the right interleaving;
@@ -48,15 +48,6 @@ func (LockOrder) Doc() string {
 
 // Check is per-package and intentionally empty: LockOrder is a ProgramRule.
 func (LockOrder) Check(pkg *Package) []Diagnostic { return nil }
-
-// lockSym identifies one lock: the named type (or package) owning the mutex
-// plus the mutex field name.
-type lockSym struct {
-	Owner string // "pkgpath.Type", or "pkgpath" for a package-level mutex var
-	Field string
-}
-
-func (l lockSym) String() string { return l.Owner + "." + l.Field }
 
 // lockFacts is the per-function summary the rule infers.
 type lockFacts struct {
@@ -304,26 +295,23 @@ func orderEdges(prog *Program, facts map[*FuncNode]*lockFacts, trans map[*FuncNo
 // acquisitions, nesting pairs, and lock-held call sites.
 func gatherLockFacts(prog *Program, n *FuncNode) *lockFacts {
 	f := &lockFacts{acquires: map[lockSym]token.Pos{}}
-	lockWalk(n.Pkg, n.Decl.Body,
-		func(sym lockSym, pos token.Pos, held []lockSym) {
+	lockWalk(n.Pkg, n.Decl.Body, nil, lockEvents{
+		acquire: func(call *ast.CallExpr, sym lockSym, held []lockSym) {
 			if _, ok := f.acquires[sym]; !ok {
-				f.acquires[sym] = pos
+				f.acquires[sym] = call.Pos()
 			}
 			for _, outer := range held {
 				if outer != sym {
-					f.nested = append(f.nested, nestedAcq{outer: outer, inner: sym, pos: pos})
+					f.nested = append(f.nested, nestedAcq{outer: outer, inner: sym, pos: call.Pos()})
 				}
 			}
 		},
-		func(pos token.Pos, held []lockSym) {
-			if len(held) == 0 {
-				return
+		call: func(call *ast.CallExpr, held []lockSym) {
+			if len(held) > 0 && prog.Site(n, call.Pos()) != nil {
+				f.calls = append(f.calls, heldCallSite{held: held, pos: call.Pos()})
 			}
-			if prog.Site(n, pos) == nil {
-				return
-			}
-			f.calls = append(f.calls, heldCallSite{held: held, pos: pos})
-		})
+		},
+	})
 	return f
 }
 
@@ -487,253 +475,4 @@ func sortedEdges(edges map[[2]string]*lockEdge) []*lockEdge {
 		out[i] = edges[k]
 	}
 	return out
-}
-
-// lockWalk traverses body in statement order tracking the multiset of held
-// locks, with the same guard-clause awareness as the `locks` rule's walker:
-// an if-body that cannot fall through does not leak its lock-state changes.
-// onAcquire fires at each acquisition with the locks already held; onCall
-// fires at every other call expression with the held snapshot. Function
-// literals and `go` statements are walked with an empty held set (they run
-// under their own locking context), and `defer`red calls are skipped — a
-// deferred unlock releases at exit, not at its textual position, so the lock
-// correctly stays held for the rest of the walk.
-func lockWalk(pkg *Package, body *ast.BlockStmt, onAcquire func(sym lockSym, pos token.Pos, held []lockSym), onCall func(pos token.Pos, held []lockSym)) {
-	held := map[lockSym]int{}
-	snapshot := func() []lockSym {
-		var out []lockSym
-		for sym, n := range held {
-			if n > 0 {
-				out = append(out, sym)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-		return out
-	}
-	save := func() map[lockSym]int {
-		cp := make(map[lockSym]int, len(held))
-		for k, v := range held {
-			cp[k] = v
-		}
-		return cp
-	}
-
-	var walkExpr func(e ast.Expr)
-	var walkStmt func(s ast.Stmt)
-	var walkBody func(list []ast.Stmt)
-
-	fresh := func(f func()) {
-		saved := held
-		held = map[lockSym]int{}
-		f()
-		held = saved
-	}
-
-	walkExpr = func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				fresh(func() { walkBody(n.Body.List) })
-				return false
-			case *ast.CallExpr:
-				if sym, acquire, ok := lockRefAt(pkg, n); ok {
-					if acquire {
-						onAcquire(sym, n.Pos(), snapshot())
-						held[sym]++
-					} else if held[sym] > 0 {
-						held[sym]--
-					}
-					return false
-				}
-				onCall(n.Pos(), snapshot())
-				return true
-			}
-			return true
-		})
-	}
-	walkBody = func(list []ast.Stmt) {
-		for _, s := range list {
-			walkStmt(s)
-		}
-	}
-	walkStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *ast.BlockStmt:
-			walkBody(s.List)
-		case *ast.ExprStmt:
-			walkExpr(s.X)
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				walkExpr(rhs)
-			}
-			for _, lhs := range s.Lhs {
-				walkExpr(lhs)
-			}
-		case *ast.IncDecStmt:
-			walkExpr(s.X)
-		case *ast.DeferStmt:
-			// Runs at exit, not here; a deferred Unlock must not release now.
-		case *ast.GoStmt:
-			fresh(func() { walkExpr(s.Call) })
-		case *ast.ReturnStmt:
-			for _, res := range s.Results {
-				walkExpr(res)
-			}
-		case *ast.IfStmt:
-			walkStmt(s.Init)
-			walkExpr(s.Cond)
-			before := save()
-			walkStmt(s.Body)
-			if terminates(s.Body) {
-				held = before
-			}
-			if s.Else != nil {
-				beforeElse := save()
-				walkStmt(s.Else)
-				if terminates(s.Else) {
-					held = beforeElse
-				}
-			}
-		case *ast.ForStmt:
-			walkStmt(s.Init)
-			walkExpr(s.Cond)
-			walkStmt(s.Body)
-			walkStmt(s.Post)
-		case *ast.RangeStmt:
-			walkExpr(s.X)
-			walkExpr(s.Key)
-			walkExpr(s.Value)
-			walkStmt(s.Body)
-		case *ast.SwitchStmt:
-			walkStmt(s.Init)
-			walkExpr(s.Tag)
-			before := save()
-			for _, c := range s.Body.List {
-				held = save()
-				for k, v := range before {
-					held[k] = v
-				}
-				if cc, ok := c.(*ast.CaseClause); ok {
-					for _, e := range cc.List {
-						walkExpr(e)
-					}
-					walkBody(cc.Body)
-				}
-			}
-			held = before
-		case *ast.TypeSwitchStmt:
-			walkStmt(s.Init)
-			walkStmt(s.Assign)
-			before := save()
-			for _, c := range s.Body.List {
-				held = save()
-				for k, v := range before {
-					held[k] = v
-				}
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkBody(cc.Body)
-				}
-			}
-			held = before
-		case *ast.SelectStmt:
-			before := save()
-			for _, c := range s.Body.List {
-				held = save()
-				for k, v := range before {
-					held[k] = v
-				}
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkStmt(cc.Comm)
-					walkBody(cc.Body)
-				}
-			}
-			held = before
-		case *ast.LabeledStmt:
-			walkStmt(s.Stmt)
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, v := range vs.Values {
-							walkExpr(v)
-						}
-					}
-				}
-			}
-		case *ast.SendStmt:
-			walkExpr(s.Chan)
-			walkExpr(s.Value)
-		}
-	}
-	walkBody(body.List)
-}
-
-// lockRefAt reports whether call is a sync.Mutex/RWMutex (or promoted
-// embedded mutex) Lock/RLock/TryLock/Unlock/RUnlock on a nameable lock: a
-// mutex field of a named struct, or a package-level mutex var. Locally
-// declared mutexes and mutexes reached through unnameable expressions are
-// untracked (they cannot participate in a cross-function ordering).
-func lockRefAt(pkg *Package, call *ast.CallExpr) (sym lockSym, acquire bool, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return lockSym{}, false, false
-	}
-	name := sel.Sel.Name
-	if !lockAcquire[name] && !lockRelease[name] {
-		return lockSym{}, false, false
-	}
-	selection := pkg.Info.Selections[sel]
-	if selection == nil || selection.Kind() != types.MethodVal {
-		return lockSym{}, false, false
-	}
-	obj := selection.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return lockSym{}, false, false
-	}
-	x := ast.Unparen(sel.X)
-	if isSyncMutexType(pkg.Info.TypeOf(x)) {
-		switch inner := x.(type) {
-		case *ast.SelectorExpr: // owner.muField.Lock()
-			if named, okN := derefNamed(pkg.Info.TypeOf(inner.X)); okN && named.Obj().Pkg() != nil {
-				owner := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-				return lockSym{Owner: owner, Field: inner.Sel.Name}, lockAcquire[name], true
-			}
-		case *ast.Ident: // package-level `var mu sync.Mutex`
-			if o := pkg.Info.Uses[inner]; o != nil && o.Pkg() != nil && o.Parent() == o.Pkg().Scope() {
-				return lockSym{Owner: o.Pkg().Path(), Field: inner.Name}, lockAcquire[name], true
-			}
-		}
-		return lockSym{}, false, false
-	}
-	// Promoted method on a struct embedding the mutex: owner.Lock().
-	if named, okN := derefNamed(pkg.Info.TypeOf(x)); okN && named.Obj().Pkg() != nil {
-		if st, okS := named.Underlying().(*types.Struct); okS {
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if f.Embedded() && isSyncMutexType(f.Type()) {
-					owner := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-					return lockSym{Owner: owner, Field: f.Name()}, lockAcquire[name], true
-				}
-			}
-		}
-	}
-	return lockSym{}, false, false
-}
-
-// isSyncMutexType reports whether t (possibly behind a pointer) is
-// sync.Mutex or sync.RWMutex.
-func isSyncMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := derefNamed(t)
-	if !ok {
-		return false
-	}
-	o := named.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" && (o.Name() == "Mutex" || o.Name() == "RWMutex")
 }

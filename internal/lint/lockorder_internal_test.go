@@ -137,6 +137,37 @@ func TestLockOrderSeesEngineNesting(t *testing.T) {
 	}
 }
 
+// TestLocksSeesGuardedFields guards the `locks` rule the same way: its zero
+// findings on HEAD must come from every method locking in time, not from an
+// empty access stream leaving nothing guarded. The pool's shard (strict
+// discipline, *Locked helpers) and the speculation ledger (plain exported
+// methods) must each show the fields their locked writers write.
+func TestLocksSeesGuardedFields(t *testing.T) {
+	want := map[string][]string{
+		"specdb/internal/buffer.shard": {"hits", "frames"},
+		"specdb/internal/core.Ledger":  {"assets", "misuses"},
+	}
+	seen := 0
+	for _, pkg := range loadModulePkgs(t) {
+		for _, st := range lockedStructs(pkg) {
+			fields, ok := want[st.owner]
+			if !ok {
+				continue
+			}
+			seen++
+			guarded := st.guarded()
+			for _, f := range fields {
+				if !guarded[f] {
+					t.Errorf("%s.%s not inferred as guarded (guarded set %v); the access stream may have gone vacuous", st.owner, f, guarded)
+				}
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("found %d of the %d expected locked structs", seen, len(want))
+	}
+}
+
 // TestMeterFlowSeesDiskSites guards meterflow's vacuous-pass mode the same
 // way: its zero findings on HEAD must come from every path being priced,
 // not from the analysis failing to find the disk call sites. The fault

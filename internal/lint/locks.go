@@ -3,27 +3,33 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 )
 
 // LockDiscipline enforces the substrate's locking conventions (DESIGN.md §6):
 // a struct carrying a sync.Mutex/RWMutex guards its mutable state with it.
 // The guarded field set is inferred, not declared — a field counts as
-// guarded when some method writes it while holding a lock. Two checks
-// follow:
+// guarded when some method writes it while holding one of the struct's
+// locks. Two checks follow:
 //
 //  1. an exported method must not touch a guarded field before acquiring a
 //     lock (exported methods are the concurrent API surface; unexported
 //     helpers may rely on a caller's lock);
 //  2. a method whose name ends in "Locked" documents "caller holds the
-//     lock" — it must never acquire the receiver's own lock, which would
-//     self-deadlock on a plain Mutex.
+//     lock" — it holds it from its first statement, and must never acquire
+//     the receiver's lock while holding it, which would self-deadlock on a
+//     plain Mutex.
 //
 // A struct that declares any *Locked helper opts into strict discipline:
 // the naming convention makes lock ownership explicit, so an unexported
 // method that relies on the caller's lock must say so in its name. On such
 // structs (the sharded buffer pool's shard is the canonical case) check 1
 // extends to every non-Locked method, exported or not.
+//
+// Each method body is walked once, by lockWalk. Only accesses outside
+// function literals and go statements count: those bodies run under their
+// caller's locking, not this method's.
 type LockDiscipline struct{}
 
 func (LockDiscipline) Name() string { return "locks" }
@@ -31,46 +37,22 @@ func (LockDiscipline) Doc() string {
 	return "exported methods lock before touching guarded fields; *Locked helpers never re-lock; structs with *Locked helpers hold all non-Locked methods to the exported standard"
 }
 
-var lockAcquire = map[string]bool{"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true}
-var lockRelease = map[string]bool{"Unlock": true, "RUnlock": true}
-
 func (r LockDiscipline) Check(pkg *Package) []Diagnostic {
 	if pkg.isToolOrDemo() {
 		return nil
 	}
 	var out []Diagnostic
 	for _, st := range lockedStructs(pkg) {
-		guarded := map[string]bool{}
-		// Inference pass: a field written under any held lock is guarded.
-		// *Locked methods assume the caller's lock, so their writes count.
-		for _, m := range st.methods {
-			held := hasLockedSuffix(m.decl.Name.Name)
-			walkMethod(pkg, st, m, held, func(acc access, lockHeld bool) {
-				if acc.write && lockHeld {
-					guarded[acc.field] = true
-				}
-			})
-		}
+		guarded := st.guarded()
 		if len(guarded) == 0 {
 			continue
 		}
-		// A *Locked helper anywhere on the struct signals strict discipline:
-		// unexported non-Locked methods are then checked like exported ones.
-		strict := false
-		for _, m := range st.methods {
-			if hasLockedSuffix(m.decl.Name.Name) {
-				strict = true
-				break
-			}
-		}
-		// Enforcement pass.
+		strict := slices.ContainsFunc(st.methods, func(m *methodInfo) bool { return hasLockedSuffix(m.decl.Name.Name) })
 		for _, m := range st.methods {
 			name := m.decl.Name.Name
 			if hasLockedSuffix(name) {
-				m.selfLocks = nil // the inference pass already walked this method
-				walkMethod(pkg, st, m, true, nil)
-				for _, bad := range m.selfLocks {
-					out = append(out, diag(pkg, r.Name(), bad,
+				for _, call := range m.relocks {
+					out = append(out, diag(pkg, r.Name(), call,
 						"%s.%s acquires the receiver's lock, but its Locked suffix promises the caller already holds it", st.name, name))
 				}
 				continue
@@ -79,25 +61,16 @@ func (r LockDiscipline) Check(pkg *Package) []Diagnostic {
 				continue
 			}
 			reported := map[string]bool{}
-			walkMethod(pkg, st, m, false, func(acc access, lockHeld bool) {
-				if lockHeld || !guarded[acc.field] || reported[acc.field] {
-					return
+			for _, acc := range m.accesses {
+				if acc.held || !guarded[acc.field] || reported[acc.field] {
+					continue
 				}
 				reported[acc.field] = true
 				out = append(out, diag(pkg, r.Name(), acc.node,
 					"%s.%s touches guarded field %q before acquiring the lock", st.name, name, acc.field))
-			})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		return out[i].Col < out[j].Col
-	})
 	return out
 }
 
@@ -110,27 +83,48 @@ func hasLockedSuffix(name string) bool {
 // methods.
 type lockedStruct struct {
 	name    string
-	obj     types.Object
-	mutexes map[string]bool // field names holding a sync.Mutex / sync.RWMutex
-	fields  map[string]bool // all field names
+	owner   string    // the lockSym.Owner of the struct's own mutexes
+	locks   []lockSym // the struct's own mutexes
 	methods []*methodInfo
 }
 
+// methodInfo is one method of a lockedStruct and what lockWalk saw in its
+// body.
 type methodInfo struct {
-	decl      *ast.FuncDecl
-	recv      types.Object
-	selfLocks []ast.Node // filled by walkMethod for *Locked methods
+	decl     *ast.FuncDecl
+	accesses []access        // receiver-field reads and writes, in walk order
+	relocks  []*ast.CallExpr // receiver-lock acquisitions with one already held
 }
 
 // access is one read or write of a receiver field.
 type access struct {
 	field string
 	write bool
+	held  bool // one of the receiver's locks is held
 	node  ast.Node
 }
 
-// lockedStructs finds every struct in pkg with a mutex field and gathers its
-// methods, in declaration order.
+// holds reports whether one of held is a lock of the struct's type.
+func (st *lockedStruct) holds(held []lockSym) bool {
+	return slices.ContainsFunc(held, func(s lockSym) bool { return s.Owner == st.owner })
+}
+
+// guarded is the inferred guarded field set: every field some method writes
+// while holding the struct's lock.
+func (st *lockedStruct) guarded() map[string]bool {
+	guarded := map[string]bool{}
+	for _, m := range st.methods {
+		for _, acc := range m.accesses {
+			if acc.write && acc.held {
+				guarded[acc.field] = true
+			}
+		}
+	}
+	return guarded
+}
+
+// lockedStructs finds every struct in pkg with a mutex field and walks each
+// of its methods, in declaration order.
 func lockedStructs(pkg *Package) []*lockedStruct {
 	byType := map[types.Object]*lockedStruct{}
 	var order []*lockedStruct
@@ -138,8 +132,7 @@ func lockedStructs(pkg *Package) []*lockedStruct {
 	names := scope.Names()
 	sort.Strings(names)
 	for _, n := range names {
-		obj := scope.Lookup(n)
-		tn, ok := obj.(*types.TypeName)
+		tn, ok := scope.Lookup(n).(*types.TypeName)
 		if !ok {
 			continue
 		}
@@ -147,19 +140,14 @@ func lockedStructs(pkg *Package) []*lockedStruct {
 		if !ok {
 			continue
 		}
-		ls := &lockedStruct{name: n, obj: obj, mutexes: map[string]bool{}, fields: map[string]bool{}}
+		ls := &lockedStruct{name: n, owner: typeOwner(tn)}
 		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			ls.fields[f.Name()] = true
-			if named, ok := derefNamed(f.Type()); ok {
-				o := named.Obj()
-				if o.Pkg() != nil && o.Pkg().Path() == "sync" && (o.Name() == "Mutex" || o.Name() == "RWMutex") {
-					ls.mutexes[f.Name()] = true
-				}
+			if f := st.Field(i); isSyncMutexType(f.Type()) {
+				ls.locks = append(ls.locks, lockSym{Owner: ls.owner, Field: f.Name()})
 			}
 		}
-		if len(ls.mutexes) > 0 {
-			byType[obj] = ls
+		if len(ls.locks) > 0 {
+			byType[tn] = ls
 			order = append(order, ls)
 		}
 	}
@@ -176,269 +164,45 @@ func lockedStructs(pkg *Package) []*lockedStruct {
 			if len(field.Names) == 0 {
 				continue
 			}
-			recvObj := pkg.Info.Defs[field.Names[0]]
-			if recvObj == nil {
+			recv := pkg.Info.Defs[field.Names[0]]
+			if recv == nil {
 				continue
 			}
-			named, ok := derefNamed(recvObj.Type())
+			named, ok := derefNamed(recv.Type())
 			if !ok {
 				continue
 			}
 			if ls, ok := byType[named.Obj()]; ok {
-				ls.methods = append(ls.methods, &methodInfo{decl: fd, recv: recvObj})
+				ls.methods = append(ls.methods, ls.walk(pkg, fd, recv))
 			}
 		}
 	}
 	return order
 }
 
-// walkMethod traverses m's body in statement order, tracking how many
-// receiver locks are held, and invokes visit for every receiver-field
-// access. The walk is branch-aware in the one way that matters for the
-// common guard-clause shape: an if-body that ends in return/panic does not
-// leak its lock-state changes (an early `mu.Unlock(); return`) into the
-// fall-through path. Deferred statements and function literals are skipped —
-// a `defer mu.Unlock()` does not release at its textual position, and
-// closures run under their caller's locking, not this method's. Lock calls
-// inside *Locked methods are recorded on m.selfLocks.
-func walkMethod(pkg *Package, st *lockedStruct, m *methodInfo, startHeld bool, visit func(access, bool)) {
-	held := 0
-	if startHeld {
-		held = 1
+// walk records one method's receiver-field accesses and relocks. A *Locked
+// method holds the struct's locks from its first statement.
+func (st *lockedStruct) walk(pkg *Package, fd *ast.FuncDecl, recv types.Object) *methodInfo {
+	m := &methodInfo{decl: fd}
+	var start []lockSym
+	if hasLockedSuffix(fd.Name.Name) {
+		start = st.locks
 	}
-	isLockedHelper := hasLockedSuffix(m.decl.Name.Name)
-
-	// walkExpr visits reads and lock transitions inside one expression.
-	var walkExpr func(e ast.Expr)
-	walkExpr = func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if _, name, ok := mutexMethod(pkg, st, m, n); ok {
-					if lockAcquire[name] {
-						if isLockedHelper {
-							m.selfLocks = append(m.selfLocks, n)
-						}
-						held++
-					} else if held > 0 {
-						held--
-					}
-					return false
-				}
-			case *ast.SelectorExpr:
-				if acc, ok := fieldAccess(pkg, st, m, n); ok {
-					if visit != nil {
-						visit(acc, held > 0)
-					}
-					return false
-				}
+	lockWalk(pkg, fd.Body, start, lockEvents{
+		acquire: func(call *ast.CallExpr, sym lockSym, held []lockSym) {
+			if sym.Owner == st.owner && st.holds(held) {
+				m.relocks = append(m.relocks, call)
 			}
-			return true
-		})
-	}
-	writeTo := func(lhs ast.Expr) {
-		if acc, ok := fieldAccess(pkg, st, m, lhs); ok {
-			acc.write = true
-			if visit != nil {
-				visit(acc, held > 0)
+		},
+		field: func(sel *ast.SelectorExpr, write bool, held []lockSym) {
+			// Only the receiver's own non-mutex fields, not promoted ones.
+			base, ok := ast.Unparen(sel.X).(*ast.Ident)
+			s := pkg.Info.Selections[sel]
+			if !ok || pkg.Info.Uses[base] != recv || len(s.Index()) != 1 || isSyncMutexType(s.Obj().Type()) {
+				return
 			}
-			return
-		}
-		walkExpr(lhs)
-	}
-
-	var walkStmt func(s ast.Stmt)
-	var walkBody func(list []ast.Stmt)
-	walkBody = func(list []ast.Stmt) {
-		for _, s := range list {
-			walkStmt(s)
-		}
-	}
-	walkStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *ast.BlockStmt:
-			walkBody(s.List)
-		case *ast.ExprStmt:
-			walkExpr(s.X)
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				walkExpr(rhs)
-			}
-			for _, lhs := range s.Lhs {
-				writeTo(lhs)
-			}
-		case *ast.IncDecStmt:
-			writeTo(s.X)
-		case *ast.DeferStmt, *ast.GoStmt:
-			// Runs at exit / concurrently; not at this textual position.
-		case *ast.ReturnStmt:
-			for _, res := range s.Results {
-				walkExpr(res)
-			}
-		case *ast.IfStmt:
-			walkStmt(s.Init)
-			walkExpr(s.Cond)
-			before := held
-			walkStmt(s.Body)
-			if terminates(s.Body) {
-				held = before
-			}
-			if s.Else != nil {
-				beforeElse := held
-				walkStmt(s.Else)
-				if terminates(s.Else) {
-					held = beforeElse
-				}
-			}
-		case *ast.ForStmt:
-			walkStmt(s.Init)
-			walkExpr(s.Cond)
-			walkStmt(s.Body)
-			walkStmt(s.Post)
-		case *ast.RangeStmt:
-			walkExpr(s.X)
-			writeTo(s.Key)
-			writeTo(s.Value)
-			walkStmt(s.Body)
-		case *ast.SwitchStmt:
-			walkStmt(s.Init)
-			walkExpr(s.Tag)
-			before := held
-			for _, c := range s.Body.List {
-				held = before
-				if cc, ok := c.(*ast.CaseClause); ok {
-					for _, e := range cc.List {
-						walkExpr(e)
-					}
-					walkBody(cc.Body)
-				}
-			}
-			held = before
-		case *ast.TypeSwitchStmt:
-			walkStmt(s.Init)
-			walkStmt(s.Assign)
-			before := held
-			for _, c := range s.Body.List {
-				held = before
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkBody(cc.Body)
-				}
-			}
-			held = before
-		case *ast.SelectStmt:
-			before := held
-			for _, c := range s.Body.List {
-				held = before
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkStmt(cc.Comm)
-					walkBody(cc.Body)
-				}
-			}
-			held = before
-		case *ast.LabeledStmt:
-			walkStmt(s.Stmt)
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, v := range vs.Values {
-							walkExpr(v)
-						}
-					}
-				}
-			}
-		case *ast.SendStmt:
-			walkExpr(s.Chan)
-			walkExpr(s.Value)
-		}
-	}
-	walkStmt(m.decl.Body)
-}
-
-// terminates reports whether control cannot fall out of the bottom of stmt:
-// it ends in return, a branch, or a panic call.
-func terminates(stmt ast.Stmt) bool {
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		if len(s.List) == 0 {
-			return false
-		}
-		return terminates(s.List[len(s.List)-1])
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.IfStmt:
-		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
-	}
-	return false
-}
-
-// mutexMethod reports whether call is recv.<mutexField>.<method>() (or
-// recv.<method>() for an embedded mutex), returning the field and method
-// name.
-func mutexMethod(pkg *Package, st *lockedStruct, m *methodInfo, call *ast.CallExpr) (field, method string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	method = sel.Sel.Name
-	if !lockAcquire[method] && !lockRelease[method] {
-		return "", "", false
-	}
-	switch base := ast.Unparen(sel.X).(type) {
-	case *ast.SelectorExpr: // recv.mu.Lock()
-		if id, isID := ast.Unparen(base.X).(*ast.Ident); isID && pkg.Info.Uses[id] == m.recv && st.mutexes[base.Sel.Name] {
-			return base.Sel.Name, method, true
-		}
-	case *ast.Ident: // recv.Lock() via embedded mutex
-		if pkg.Info.Uses[base] == m.recv && (st.mutexes["Mutex"] || st.mutexes["RWMutex"]) {
-			return "", method, true
-		}
-	}
-	return "", "", false
-}
-
-// fieldAccess reports whether expr is recv.<field> (possibly wrapped in
-// index/star/paren expressions), for a non-mutex field of st.
-func fieldAccess(pkg *Package, st *lockedStruct, m *methodInfo, expr ast.Expr) (access, bool) {
-	e := ast.Unparen(expr)
-	for {
-		switch x := e.(type) {
-		case *ast.IndexExpr:
-			e = ast.Unparen(x.X)
-			continue
-		case *ast.StarExpr:
-			e = ast.Unparen(x.X)
-			continue
-		}
-		break
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return access{}, false
-	}
-	base, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok || pkg.Info.Uses[base] != m.recv {
-		return access{}, false
-	}
-	name := sel.Sel.Name
-	if !st.fields[name] || st.mutexes[name] {
-		return access{}, false
-	}
-	// Only struct-field selections count, not promoted methods.
-	if s := pkg.Info.Selections[sel]; s == nil || s.Kind() != types.FieldVal {
-		return access{}, false
-	}
-	return access{field: name, node: sel}, true
+			m.accesses = append(m.accesses, access{field: sel.Sel.Name, write: write, held: st.holds(held), node: sel})
+		},
+	})
+	return m
 }

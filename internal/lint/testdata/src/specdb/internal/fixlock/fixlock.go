@@ -98,3 +98,44 @@ func (l *Lax) Add(d int) {
 // peek relies on Add's callers holding the lock; without a Locked helper on
 // the struct this stays un-flagged.
 func (l *Lax) peek() int { return l.n }
+
+// Table guards n with mu. slots is never assigned as a whole under the lock,
+// so it is not guarded; only its elements change.
+type Table struct {
+	mu    sync.Mutex
+	slots []int
+	n     int
+}
+
+// Add establishes n as lock-guarded.
+func (t *Table) Add() {
+	t.mu.Lock()
+	t.n++
+	t.mu.Unlock()
+}
+
+// BadIndexRead writes an unguarded slot, but reads the guarded n to index
+// it, without the lock.
+func (t *Table) BadIndexRead() {
+	t.slots[t.n] = 1
+}
+
+// Later touches n only inside a goroutine and a returned closure; each runs
+// under its own locking, not this method's, so neither is flagged here.
+func (t *Table) Later() func() int {
+	go func() {
+		t.n--
+	}()
+	return func() int { return t.n }
+}
+
+// resetLocked holds the caller's lock; the closure it returns takes the lock
+// itself when it runs later, which is not a re-lock.
+func (t *Table) resetLocked() func() {
+	t.n = 0
+	return func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.n = 0
+	}
+}

@@ -2,7 +2,7 @@
 # scripts/lint.sh — the speclint gate, exactly as CI runs it, so local runs
 # and CI cannot drift (DESIGN.md §9).
 #
-# Four passes over the whole module:
+# Six passes over the whole module:
 #   1. text findings (the human-facing gate; nonzero exit on any finding),
 #      under a 120 s budget so call-graph construction cost cannot silently
 #      balloon;

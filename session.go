@@ -28,11 +28,6 @@ type SessionConfig struct {
 	// than losing it, the final query is delayed until the manipulation
 	// completes. The session clock advances by the wait.
 	WaitForCompletion bool
-	// BudgetPages overrides the DB's default per-session speculation budget
-	// (Options.SpecBudgetPages) for this session: the retained speculative
-	// footprint this session may hold, in pages. 0 inherits the DB default;
-	// negative disables the budget for this session.
-	BudgetPages int
 }
 
 // Session is the programmatic equivalent of the paper's visual query
@@ -92,12 +87,7 @@ func (db *DB) newSession(ctx context.Context, cfg SessionConfig, learner *core.L
 		c.Governor = db.gov
 		c.Predictor = db.pred
 		c.Answers = db.answers
-		switch {
-		case cfg.BudgetPages > 0:
-			c.BudgetPages = cfg.BudgetPages
-		case cfg.BudgetPages == 0:
-			c.BudgetPages = db.budgetPages
-		}
+		c.BudgetPages = db.budgetPages
 		s.sp = core.NewSpeculator(db.eng, learner, c)
 	}
 	return s

@@ -67,7 +67,6 @@ type Options struct {
 	// SpecBudgetPages caps each session's retained speculative footprint
 	// (outstanding manipulations plus held materializations, in pages).
 	// Candidates that would exceed it are skipped. 0 disables the budget.
-	// Individual sessions may override it via SessionConfig.BudgetPages.
 	SpecBudgetPages int
 	// PredictFinals enables whole-query speculation (DESIGN.md §14): a shared
 	// n-gram predictor learns which final queries follow which canvas states,
@@ -131,7 +130,7 @@ type DB struct {
 	// ledger is where every session's speculator enters its jobs and held
 	// views; it shares builds across sessions iff Options.SharedSpeculation.
 	ledger *core.Ledger
-	// budgetPages is the default per-session speculation budget
+	// budgetPages is every session's speculation budget
 	// (Options.SpecBudgetPages; 0 = unlimited).
 	budgetPages int
 	// gov is the engine-wide overload governor (nil unless Options.Governor).
@@ -312,5 +311,5 @@ func parseValue(v any) (tuple.Value, error) {
 	}
 }
 
-// simTime converts wall-style durations to the simulated timeline.
+// simDuration converts wall-style durations to the simulated timeline.
 func simDuration(d time.Duration) sim.Duration { return d }
