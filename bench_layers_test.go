@@ -584,3 +584,25 @@ func BenchmarkLayerIndexBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkLayerHistogramBuild is CREATE HISTOGRAM and DROP HISTOGRAM on
+// lineitem.l_extendedprice: one heap scan into a column slice sized once from
+// the row count, a sort, and twenty equi-depth buckets.
+func BenchmarkLayerHistogramBuild(b *testing.B) {
+	l := layerSetup(b)
+	build := func() {
+		if _, err := l.eng.CreateHistogram("lineitem", "l_extendedprice"); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.eng.DropHistogram("lineitem", "l_extendedprice"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	build() // the column's statistics exist from here on, as they do after ANALYZE
+	stop := passes(b)
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+	stop()
+	perRow(b, len(l.lineitemRecords))
+}

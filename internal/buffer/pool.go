@@ -24,6 +24,7 @@ import (
 	"specdb/internal/fault"
 	"specdb/internal/obs"
 	"specdb/internal/sim"
+	"specdb/internal/slab"
 	"specdb/internal/storage"
 )
 
@@ -89,10 +90,11 @@ type shard struct {
 	frames map[storage.PageID]*frame
 	lru    *list.List // front = most recently used; holds unpinned candidates too
 	cap    int
-	// spare is the page buffer of the frame that left the shard last (evicted
-	// or freed); the next admission takes it instead of allocating. A frame
+	// spare is the page buffer of a frame that left the shard (evicted or
+	// freed); the next admission takes it before asking slab.Bytes. A frame
 	// leaves only unpinned, so no caller holds the buffer — the pin rule of
-	// DESIGN.md §15 — and frames plus spare never exceed cap buffers.
+	// DESIGN.md §15. A buffer that leaves while spare is taken goes to
+	// slab.Bytes, so the shard itself never keeps more than cap buffers.
 	spare []byte
 
 	hits    int64
@@ -481,7 +483,7 @@ func (p *Pool) Free(id storage.PageID) error {
 		}
 		s.lru.Remove(f.elem)
 		delete(s.frames, id)
-		s.spare = f.buf
+		s.retireLocked(f.buf)
 	}
 	delete(s.sums, id)
 	// A double Free surfaces here as the disk's "free of unallocated page"
@@ -631,8 +633,8 @@ func (s *shard) flushAllLocked(m *sim.Meter) error {
 	return nil
 }
 
-// evictAllLocked empties this shard (after flushing). Any pinned page makes
-// it fail.
+// evictAllLocked empties this shard (after flushing), retiring every
+// buffer. Any pinned page makes it fail.
 func (s *shard) evictAllLocked(m *sim.Meter) error {
 	for id, f := range s.frames {
 		if f.pins > 0 {
@@ -643,13 +645,26 @@ func (s *shard) evictAllLocked(m *sim.Meter) error {
 		}
 		s.lru.Remove(f.elem)
 		delete(s.frames, id)
+		s.retireLocked(f.buf)
 	}
 	return nil
 }
 
-// admitLocked loads page id into a frame, evicting if necessary. If read is
-// false the frame is zeroed (freshly allocated page); otherwise the disk read
-// overwrites every byte, so a recycled buffer never leaks its previous page.
+// retireLocked takes the buffer of a frame that left the shard unpinned: it
+// becomes the spare, or goes to slab.Bytes when the spare is taken.
+func (s *shard) retireLocked(buf []byte) {
+	if s.spare == nil {
+		s.spare = buf
+		return
+	}
+	slab.Bytes.Give(buf)
+}
+
+// admitLocked loads page id into a frame, evicting if necessary. The buffer is
+// the spare, else one from slab.Bytes; either holds an earlier page's bytes.
+// If read is false the frame is zeroed (freshly allocated page); otherwise
+// the disk read overwrites every byte, so a recycled buffer never leaks its
+// previous page.
 //
 // Fault handling: a transient injected read error or a checksum mismatch
 // (corrupted read) is retried up to maxIORetries times, each retry charging
@@ -680,8 +695,9 @@ func (s *shard) admitLocked(id storage.PageID, read bool, m *sim.Meter) (*frame,
 	buf := s.spare
 	s.spare = nil
 	if buf == nil {
-		buf = make([]byte, s.disk.PageSize())
-	} else if !read {
+		buf = slab.Bytes.Take(s.disk.PageSize())
+	}
+	if !read {
 		clear(buf)
 	}
 	f := &frame{id: id, buf: buf}
@@ -746,7 +762,7 @@ func (s *shard) evictOneLocked(m *sim.Meter) error {
 		}
 		s.lru.Remove(e)
 		delete(s.frames, f.id)
-		s.spare = f.buf
+		s.retireLocked(f.buf)
 		return nil
 	}
 	return fmt.Errorf("buffer: all %d frames pinned or staged", s.cap)

@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"specdb/internal/sim"
 	"specdb/internal/storage"
 )
 
-// Frame recycling (DESIGN.md §15): an evicted frame's buffer serves the next
-// admission, so a steady stream of misses allocates no page buffers — and a
-// recycled buffer must never show its previous page.
+// Frame recycling (DESIGN.md §15): a departing frame's buffer serves the next
+// admission, through the shard's spare or slab.Bytes, so a steady stream of
+// misses allocates no page buffers — and a recycled buffer must never show
+// its previous page.
 
 func TestSteadyStateMissAllocatesNoPageBuffer(t *testing.T) {
 	const frames = 8
@@ -86,6 +88,92 @@ func TestNewPageOnRecycledFrameIsZero(t *testing.T) {
 	defer p.Unpin(ids[0], false)
 	if !bytes.Equal(buf, bytes.Repeat([]byte{0xFF}, len(buf))) {
 		t.Fatal("page 0 lost its content")
+	}
+}
+
+// TestNewPageOnSlabBufferIsZero: buffers that leave a pool beyond its one
+// spare go to slab.Bytes, where another pool's admissions take them; a page
+// that pool creates reads all zeros all the same.
+func TestNewPageOnSlabBufferIsZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // slab.Bytes is per P
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // and a collection empties it
+	const frames = 4
+	junked := map[*byte]bool{}
+	old := NewPool(storage.NewDiskManager(0), frames, sim.NewMeter())
+	for i := 0; i < frames; i++ {
+		id, buf, err := old.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = 0xFF
+		}
+		junked[&buf[0]] = true
+		old.Unpin(id, true)
+	}
+	if err := old.EvictAll(); err != nil { // one buffer stays the spare, three go to the slab
+		t.Fatal(err)
+	}
+	p := NewPool(storage.NewDiskManager(0), frames, sim.NewMeter())
+	recycled := 0
+	for i := 0; i < frames; i++ {
+		id, buf, err := p.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if junked[&buf[0]] {
+			recycled++
+		}
+		if j := bytes.IndexFunc(buf, func(r rune) bool { return r != 0 }); j >= 0 {
+			t.Fatalf("new page %d has byte %#x at %d", id, buf[j], j)
+		}
+		p.Unpin(id, false)
+	}
+	// The new disk's Allocate takes from the same slab, so the three given
+	// buffers are shared between page images and frames.
+	if !raceEnabled && recycled == 0 {
+		t.Fatal("no page of the new pool took a buffer the old pool gave back: the test never saw a recycled buffer")
+	}
+}
+
+// TestWarmFreeAllocateAdmitAllocatesNoPageBuffer: a page created and freed
+// again and again — the disk's image given back at Free and taken at
+// Allocate, the frame buffer retired to the spare or, past it, to the slab,
+// and taken at admission — allocates no page-sized buffer once warm, only the
+// frame records and LRU elements.
+func TestWarmFreeAllocateAdmitAllocatesNoPageBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	disk := storage.NewDiskManager(0)
+	p := NewPool(disk, 8, sim.NewMeter())
+	cycle := func() {
+		var ids [2]storage.PageID // two, so one buffer goes past the spare
+		for i := range ids {
+			id, _, err := p.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(id, true)
+			ids[i] = id
+		}
+		for _, id := range ids {
+			if err := p.Free(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(200, cycle)
+	runtime.ReadMemStats(&m1)
+	if allocs > 4 {
+		t.Fatalf("creating and freeing two pages allocates %.1f times, want at most 2 frame records and 2 list elements", allocs)
+	}
+	if perCycle := (m1.TotalAlloc - m0.TotalAlloc) / 201; perCycle > uint64(disk.PageSize())/16 {
+		t.Fatalf("creating and freeing two pages allocates %d bytes: page images or frame buffers (%d bytes) are not recycled", perCycle, disk.PageSize())
 	}
 }
 

@@ -14,6 +14,11 @@ import (
 // so analyzing charges real simulated I/O like any other statement.
 func Analyze(t *Table) error {
 	cols := make([]stats.Collector, t.Schema.Len())
+	defer func() {
+		for i := range cols {
+			cols[i].Release()
+		}
+	}()
 	row := make(tuple.Row, t.Schema.Len())
 	err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
 		if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
@@ -37,11 +42,12 @@ func Analyze(t *Table) error {
 	return nil
 }
 
-// ColumnValues returns every value of one column, in heap order. It is the
-// input to histogram creation and index builds.
+// ColumnValues returns every value of one column, in heap order, in a slice
+// sized once from the table's row count. It is the input to histogram
+// creation.
 func ColumnValues(t *Table, col string) ([]tuple.Value, error) {
 	ord := t.Schema.MustOrdinal(col)
-	var out []tuple.Value
+	out := make([]tuple.Value, 0, t.RowCount())
 	row := make(tuple.Row, t.Schema.Len())
 	err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
 		if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {

@@ -200,7 +200,7 @@ func TestTwoPublishersBothHoldTheAnswer(t *testing.T) {
 }
 
 // TestAnswerRowsSurviveLaterStatements holds the line recycling must not cross
-// (DESIGN.md §15, "Arenas"): a join gives its build memory back to the pools
+// (DESIGN.md §15, "Slabs"): a join gives its build memory back to the slabs
 // at Close, but an answer is memory that left the executor. RunQuery's rows
 // and the rows a served GO hands over from the AnswerCache are kept while 60
 // more join statements run — among them build sides as wide as the first

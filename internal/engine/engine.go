@@ -26,6 +26,7 @@ import (
 	"specdb/internal/plan"
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
+	"specdb/internal/slab"
 	"specdb/internal/sql"
 	"specdb/internal/stats"
 	"specdb/internal/storage"
@@ -665,8 +666,15 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 			// Statistics are collected from the stream as it is written, the
 			// way a real engine piggybacks stats on CREATE TABLE AS SELECT: each
 			// value goes to its column's collector and is not kept — no second
-			// scan and no buffered copy of the view.
+			// scan and no buffered copy of the view. The collectors' sets go
+			// back to their slab on every path; on success the table's stats
+			// have copied out their numbers first.
 			cols := make([]stats.Collector, table.Schema.Len())
+			defer func() {
+				for i := range cols {
+					cols[i].Release()
+				}
+			}()
 			var buf []byte
 			var n int64
 			err = exec.Drain(it, func(r tuple.Row) error {
@@ -727,20 +735,24 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			// Keys are carved out of one growing buffer, not allocated per
-			// row. A key keeps pointing into the buffer it was carved from,
-			// which append abandons whole when it moves on to a larger one.
-			entries := make([]btree.Entry, 0, t.RowCount())
-			var keys []byte
+			// The sort input lives only for the build: the entries and the key
+			// chunks they point into come from slabs and go back on every
+			// path once BulkLoad, which copies each key into a page and keeps
+			// none, has returned.
+			rows := int(t.RowCount())
+			entries := entrySlabs.Take(max(rows, 1))[:0]
+			keys := keyChunks{next: 8 * rows}
+			defer func() {
+				entrySlabs.Give(entries)
+				keys.release()
+			}()
 			row := make(tuple.Row, t.Schema.Len())
 			err = t.Heap.Scan(func(rid storage.RID, rec []byte) error {
 				if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
 					return err
 				}
 				st.meter.ChargeTuples(1)
-				start := len(keys)
-				keys = tuple.EncodeKey(keys, row[ord])
-				entries = append(entries, btree.Entry{Key: keys[start:len(keys):len(keys)], RID: rid})
+				entries = append(entries, btree.Entry{Key: keys.encode(row[ord]), RID: rid})
 				res.RowCount++
 				return nil
 			})
@@ -758,6 +770,42 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 			return err
 		})
 	})
+}
+
+// entrySlabs recycles CreateIndex's sort input.
+var entrySlabs slab.Classes[btree.Entry]
+
+// keyChunks carves index keys out of chunks from slab.Bytes, back to back, so
+// a build allocates no key of its own. A key never moves once carved, so a
+// full chunk is kept until release and the next is taken twice as large.
+type keyChunks struct {
+	cur  []byte   // the chunk keys are carved from
+	full [][]byte // chunks with no room left
+	next int      // size of the next chunk to take
+}
+
+// encode appends v's key to the chunks and returns it, capacity clipped.
+func (k *keyChunks) encode(v tuple.Value) []byte {
+	if n := tuple.KeySize(v); cap(k.cur)-len(k.cur) < n {
+		if k.cur != nil {
+			k.full = append(k.full, k.cur)
+		}
+		k.cur = slab.Bytes.Take(max(k.next, n))[:0]
+		k.next = 2 * cap(k.cur)
+	}
+	start := len(k.cur)
+	k.cur = tuple.EncodeKey(k.cur, v)
+	return k.cur[start:len(k.cur):len(k.cur)]
+}
+
+// release gives every chunk back; no key carved from them may be read
+// afterwards.
+func (k *keyChunks) release() {
+	for _, c := range k.full {
+		slab.Bytes.Give(c)
+	}
+	slab.Bytes.Give(k.cur)
+	*k = keyChunks{}
 }
 
 // DropIndex removes the index on table.column, freeing its pages.

@@ -1,9 +1,8 @@
 package exec
 
 import (
-	"math/bits"
-	"sync"
-
+	"specdb/internal/slab"
+	"specdb/internal/storage"
 	"specdb/internal/tuple"
 )
 
@@ -19,14 +18,13 @@ import (
 // Who owns the memory decides where it comes from (DESIGN.md §15). The join
 // operators set recycle: their kept rows never leave them — every row they
 // lend is their own output row — so the chunks and the header block are taken
-// from the size-class pools below and given back by release at the
-// operator's Close, for the next statement's joins. Collect does not: its rows
-// leave in the answer, which a caller or the AnswerCache may hold for as long
-// as it likes, so its chunks are fresh and live exactly as long as the rows
-// that point into them.
+// from the slabs below and given back by release at the operator's Close, for
+// the next statement's joins. Collect does not: its rows leave in the answer,
+// which a caller or the AnswerCache may hold for as long as it likes, so its
+// chunks are fresh and live exactly as long as the rows that point into them.
 type rowArena struct {
 	width   int           // values per row; set before the first keep
-	recycle bool          // chunks and header block are pooled and go back at release
+	recycle bool          // chunks and header block come from the slabs and go back at release
 	n       int           // rows kept
 	free    []tuple.Value // unused tail of the newest chunk
 	chunk   int           // size of the newest chunk, in values
@@ -60,7 +58,7 @@ func (a *rowArena) keep(r tuple.Row) {
 	if a.width > len(a.free) {
 		a.chunk = min(max(2*a.chunk, arenaMinChunk), arenaMaxChunk)
 		if size := max(a.chunk, a.width); a.recycle {
-			a.free = valueSlabs.take(size)
+			a.free = valueSlabs.Take(size)
 		} else {
 			a.free = make([]tuple.Value, size)
 		}
@@ -103,7 +101,7 @@ func (a *rowArena) rows() []tuple.Row {
 	}
 	var out []tuple.Row
 	if a.recycle {
-		out = rowSlabs.take(a.n)
+		out = rowSlabs.Take(a.n)
 		a.block = out
 	} else {
 		out = make([]tuple.Row, a.n)
@@ -124,64 +122,26 @@ func (a *rowArena) rows() []tuple.Row {
 }
 
 // release empties the arena at its operator's Close, giving a recycled
-// arena's chunks and header block back to their pools: no row it handed out
+// arena's chunks and header block back to their slabs: no row it handed out
 // may be read afterwards. Releasing an empty arena does nothing, so Close may
 // run after a failed Open and more than once.
 func (a *rowArena) release() {
 	if a.recycle {
 		for k := 0; k < a.chunks; k++ {
-			valueSlabs.give(a.chunkAt(k))
+			valueSlabs.Give(a.chunkAt(k))
 		}
 		if a.block != nil {
-			rowSlabs.give(a.block)
+			rowSlabs.Give(a.block)
 		}
 	}
 	*a = rowArena{}
 }
 
-// sizeClasses recycles []T by capacity, one sync.Pool per power of two:
-// take(n) returns a slice of length n ≥ 1 whose capacity is n rounded up to a
-// power of two, and give hands it back for the next take of its class. A
-// taken slice holds whatever its last user left in it. The pools are per P,
-// so statements running at once share no lock, and the collector empties
-// them: an item nobody took for two collections is freed with what it points
-// to.
-//
-// This file is the only one that may name sync.Pool (scripts/lint.sh): what
-// goes into a pool must be memory no one else can still reach, and the
-// arena's and the join table's release are the two places that know it.
-type sizeClasses[T any] struct {
-	class [bits.UintSize]sync.Pool // *[]T of capacity 1<<i in class[i]
-	// boxes holds empty *[]T: a slice travels through a pool in a box, and
-	// reusing the boxes keeps give from allocating one each time.
-	boxes sync.Pool
-}
-
-// The pools: arena chunks and header blocks, and the join table's arrays.
+// The classes only the executor uses; join-table key images share
+// slab.Uint64s with the statistics sets.
 var (
-	valueSlabs  sizeClasses[tuple.Value]
-	rowSlabs    sizeClasses[tuple.Row]
-	uint64Slabs sizeClasses[uint64]
-	int32Slabs  sizeClasses[int32]
+	valueSlabs slab.Classes[tuple.Value]
+	rowSlabs   slab.Classes[tuple.Row]
+	int32Slabs slab.Classes[int32]
+	ridSlabs   slab.Classes[storage.RID]
 )
-
-func (p *sizeClasses[T]) take(n int) []T {
-	c := bits.Len(uint(n - 1))
-	b, _ := p.class[c].Get().(*[]T)
-	if b == nil {
-		return make([]T, n, 1<<c)
-	}
-	s := (*b)[:n]
-	*b = nil
-	p.boxes.Put(b)
-	return s
-}
-
-func (p *sizeClasses[T]) give(s []T) {
-	b, _ := p.boxes.Get().(*[]T)
-	if b == nil {
-		b = new([]T)
-	}
-	*b = s
-	p.class[bits.Len(uint(cap(s)-1))].Put(b)
-}

@@ -118,7 +118,7 @@ func Drain(it Iterator, fn func(tuple.Row) error) (err error) {
 // copied once, into chunks shared by the rows of this answer, and the slice is
 // cut from the chunks at its exact length when the stream ends. An empty
 // stream collects to nil. The answer is the caller's for as long as it likes,
-// so none of its memory comes from or goes back to a pool.
+// so none of its memory comes from or goes back to a slab.
 func Collect(it Iterator) ([]tuple.Row, error) {
 	kept := rowArena{width: it.Schema().Len()}
 	if err := kept.drain(it); err != nil {

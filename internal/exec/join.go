@@ -7,6 +7,7 @@ import (
 
 	"specdb/internal/btree"
 	"specdb/internal/catalog"
+	"specdb/internal/slab"
 	"specdb/internal/storage"
 	"specdb/internal/tuple"
 )
@@ -197,7 +198,7 @@ func (j *HashJoin) residualHolds(build tuple.Row) bool {
 const pageSizeForSpill = 8192
 
 // Close closes both children and gives the hash table and its arena back to
-// their pools.
+// their slabs.
 func (j *HashJoin) Close() error {
 	j.table.release()
 	j.arena.release()
@@ -225,7 +226,7 @@ func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
 // float columns, where equal images mean equal values, and a hash for string
 // columns, where the slot search also compares the strings. Everything is
 // sized once, after the build side has been drained and its row count is
-// known, from the size-class pools, and given back by release. Row references
+// known, from the slabs, and given back by release. Row references
 // are 1 + the row's index, so that 0 means none.
 type joinTable struct {
 	rows  []tuple.Row // build rows in build order
@@ -256,9 +257,9 @@ func (t *joinTable) build(rows []tuple.Row, ord int) error {
 	size := 2 * len(rows) // load factor ≤ 1/2
 	logSize := uint(bits.Len(uint(size - 1)))
 	t.rows, t.ord = rows, ord
-	t.keys = uint64Slabs.take(len(rows))
-	t.next = int32Slabs.take(len(rows))
-	t.slots = int32Slabs.take(1 << logSize)
+	t.keys = slab.Uint64s.Take(len(rows))
+	t.next = int32Slabs.Take(len(rows))
+	t.slots = int32Slabs.Take(1 << logSize)
 	clear(t.slots) // an empty slot is 0; keys and next are written below
 	t.shift = 64 - logSize
 	// Inserting last row first and pushing each row at the head of its chain
@@ -274,12 +275,12 @@ func (t *joinTable) build(rows []tuple.Row, ord int) error {
 	return nil
 }
 
-// release gives the table's arrays back to their pools and empties it.
+// release gives the table's arrays back to their slabs and empties it.
 func (t *joinTable) release() {
 	if t.keys != nil {
-		uint64Slabs.give(t.keys)
-		int32Slabs.give(t.next)
-		int32Slabs.give(t.slots)
+		slab.Uint64s.Give(t.keys)
+		int32Slabs.Give(t.next)
+		int32Slabs.Give(t.slots)
 	}
 	*t = joinTable{}
 }
@@ -481,7 +482,7 @@ func (j *CrossJoin) Next() (tuple.Row, bool, error) {
 }
 
 // Close closes the outer child (the inner was closed by its drain at Open)
-// and gives the materialized inner side back to the pools.
+// and gives the materialized inner side back to the slabs.
 func (j *CrossJoin) Close() error {
 	j.kept.release()
 	j.innerRows, j.current, j.haveOuter = nil, nil, false

@@ -73,8 +73,10 @@ func (s *SeqScan) Schema() *tuple.Schema { return s.schema }
 
 // IndexScan fetches the rows whose indexed column falls within [lo, hi] via
 // a B+-tree, then fetches each matching row from the heap. Matching RIDs are
-// gathered at Open (charging index-page I/O); heap fetches happen lazily, each
-// record decoded under its page pin into one scan-owned row.
+// gathered at Open (charging index-page I/O) into a list taken from a slab and
+// given back at Close — the scan lends rows, never the list; heap fetches
+// happen lazily, each record decoded under its page pin into one scan-owned
+// row.
 type IndexScan struct {
 	ctx    *Context
 	table  *catalog.Table
@@ -104,6 +106,12 @@ func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, 
 		row:    make(tuple.Row, table.Schema.Len()),
 	}
 	s.gather = func(_ []byte, rid storage.RID) error {
+		if len(s.rids) == cap(s.rids) {
+			grown := ridSlabs.Take(2 * cap(s.rids))[:len(s.rids)]
+			copy(grown, s.rids)
+			ridSlabs.Give(s.rids)
+			s.rids = grown
+		}
 		s.rids = append(s.rids, rid)
 		return nil
 	}
@@ -114,8 +122,14 @@ func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, 
 	return s
 }
 
+// ridsMin is the capacity of a fresh RID list; it doubles from there.
+const ridsMin = 64
+
 // Open walks the index and gathers matching RIDs.
 func (s *IndexScan) Open() error {
+	if s.rids == nil {
+		s.rids = ridSlabs.Take(ridsMin)
+	}
 	s.rids = s.rids[:0]
 	s.pos = 0
 	return s.index.Tree.ScanVia(s.ctx.Pool, s.lo, s.hi, s.gather)
@@ -134,9 +148,11 @@ func (s *IndexScan) Next() (tuple.Row, bool, error) {
 	return s.row, true, nil
 }
 
-// Close releases nothing (Open re-gathers).
+// Close gives the RID list back.
 func (s *IndexScan) Close() error {
 	s.ctx.flush()
+	ridSlabs.Give(s.rids)
+	s.rids, s.pos = nil, 0
 	return nil
 }
 

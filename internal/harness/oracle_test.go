@@ -274,8 +274,8 @@ func oracleQueries(t *testing.T, eng *engine.Engine) (queries []*plan.Query, mul
 // and both fail here.
 //
 // A fifth configuration, "recycled", holds the line between memory the joins
-// give back to the pools at Close and memory that leaves in an answer
-// (DESIGN.md §15, "Arenas"): one engine runs the matrix twice, each round in
+// give back to the slabs at Close and memory that leaves in an answer
+// (DESIGN.md §15, "Slabs"): one engine runs the matrix twice, each round in
 // its own seeded shuffled order, keeps every answer of both rounds, and
 // compares them with the oracle only once the second round is done. An answer
 // that pointed into a chunk handed out again would by then hold a later

@@ -1,0 +1,5 @@
+//go:build !race
+
+package slab
+
+const raceEnabled = false

@@ -1,6 +1,9 @@
 package stats
 
-import "specdb/internal/tuple"
+import (
+	"specdb/internal/slab"
+	"specdb/internal/tuple"
+)
 
 // Collector accumulates one column's Count/Distinct/Min/Max from a stream of
 // values, one Add per value, holding only the column's distinct values. The
@@ -14,6 +17,12 @@ import "specdb/internal/tuple"
 // Min and Max are Value.Compare's choice, the first seen among values that
 // compare equal — +0.0 and -0.0 are distinct to the key image and equal to
 // Compare.
+//
+// The set of key images lives in tables taken from slab.Uint64s: each
+// doubling gives the outgrown table back, and Release gives the last one back
+// once Stats has copied out the numbers, so a build's statistics pass leaves
+// nothing behind for the collector and the next build's sets cost no
+// allocation.
 type Collector struct {
 	count    int64
 	min, max tuple.Value
@@ -68,7 +77,8 @@ func (c *Collector) inRange(v tuple.Value) bool {
 	return false
 }
 
-// Stats returns the statistics of the values added so far.
+// Stats returns the statistics of the values added so far. The ColumnStats
+// holds numbers and the two bound values, never the set.
 func (c *Collector) Stats() *ColumnStats {
 	cs := &ColumnStats{Count: c.count}
 	if c.count == 0 {
@@ -80,6 +90,14 @@ func (c *Collector) Stats() *ColumnStats {
 	return cs
 }
 
+// Release gives the set's table back and empties the collector, which may
+// then be reused. Call it once Stats has been read: nothing else refers to
+// the table, because Stats copies numbers out of it.
+func (c *Collector) Release() {
+	slab.Uint64s.Give(c.bits.slots)
+	*c = Collector{}
+}
+
 // CollectColumnStats computes Count/Distinct/Min/Max from a column's values.
 // Histograms are built separately (BuildHistogram) because histogram creation
 // is a distinct, costed manipulation.
@@ -88,14 +106,18 @@ func CollectColumnStats(values []tuple.Value) *ColumnStats {
 	for _, v := range values {
 		c.Add(v)
 	}
-	return c.Stats()
+	cs := c.Stats()
+	c.Release()
+	return cs
 }
 
 // bitsSet is an exact set of 64-bit key images: open addressing with linear
 // probing over a power-of-two table kept at most half full, doubling as it
-// fills, so n adds allocate O(log n) times and nothing per value. A zero slot
+// fills, so n adds take O(log n) tables and nothing per value. A zero slot
 // is an empty slot, so the zero image — a legitimate one, tuple.KeyBits of
-// math.MinInt64 — is remembered beside the table instead of in it.
+// math.MinInt64 — is remembered beside the table instead of in it; and a
+// table taken from the slab is cleared before use, since it holds its last
+// owner's images.
 type bitsSet struct {
 	slots   []uint64
 	n       int // images in slots
@@ -141,12 +163,16 @@ func (s *bitsSet) insert(k uint64) bool {
 	}
 }
 
+// grow moves the images to a table twice the size and gives the old one
+// back: the set was its only reader.
 func (s *bitsSet) grow() {
 	old := s.slots
-	s.slots = make([]uint64, max(bitsSetMinSlots, 2*len(old)))
+	s.slots = slab.Uint64s.Take(max(bitsSetMinSlots, 2*len(old)))
+	clear(s.slots)
 	for _, k := range old {
 		if k != 0 {
 			s.insert(k)
 		}
 	}
+	slab.Uint64s.Give(old)
 }

@@ -7,6 +7,8 @@ package storage
 import (
 	"fmt"
 	"sync"
+
+	"specdb/internal/slab"
 )
 
 // PageID identifies a disk page. Zero is never a valid page, so PageID 0 can
@@ -107,12 +109,16 @@ func NewDiskManager(pageSize int) *DiskManager {
 func (d *DiskManager) PageSize() int { return d.pageSize }
 
 // Allocate reserves a zeroed page and returns its ID, reusing the most
-// recently freed page when one exists.
+// recently freed page when one exists. The page image comes from slab.Bytes,
+// so it is cleared: a freed page's or a departed frame's bytes are still in
+// it.
 func (d *DiskManager) Allocate() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	id := d.take()
-	d.pages[id] = make([]byte, d.pageSize)
+	p := slab.Bytes.Take(d.pageSize)
+	clear(p)
+	d.pages[id] = p
 	return id
 }
 
@@ -149,15 +155,19 @@ func (d *DiskManager) Write(id PageID, buf []byte) error {
 }
 
 // Free releases page id and queues it for reuse. Freeing an unallocated page
-// is an error — it indicates double-free in the heap-file layer.
+// is an error — it indicates double-free in the heap-file layer. The page's
+// image goes to slab.Bytes: Read and Write copy, so nothing outside the map
+// ever pointed into it.
 func (d *DiskManager) Free(id PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.pages[id]; !ok {
+	p, ok := d.pages[id]
+	if !ok {
 		return fmt.Errorf("storage: free of unallocated page %d", id)
 	}
 	delete(d.pages, id)
 	d.release(id)
+	slab.Bytes.Give(p)
 	return nil
 }
 

@@ -141,6 +141,14 @@ func EncodeKey(dst []byte, v Value) []byte {
 	}
 }
 
+// KeySize is the number of bytes EncodeKey appends for v.
+func KeySize(v Value) int {
+	if v.Kind == KindString {
+		return int(v.word)
+	}
+	return 8
+}
+
 // KeyBits is the 8-byte EncodeKey image of an int, date or float value as an
 // integer: unsigned comparison of two images matches Value.Compare, and two
 // values of one kind have equal images exactly when their encodings are

@@ -20,9 +20,11 @@
 # DecodeRowInto, pool miss, B+-tree lookup, one whole RunQuery through the
 # statement boundary and the same statement through CountQuery, which keeps no
 # answer, a served GO at two answer sizes, which must allocate the
-# same, and the three builds — a speculative Materialize, ANALYZE of lineitem,
-# CREATE INDEX on lineitem.l_partkey — whose statistics and keys must not cost
-# an allocation per value) and gates their allocations and B/op against
+# same, and the four builds — a speculative Materialize, ANALYZE of lineitem,
+# CREATE INDEX on lineitem.l_partkey, a histogram on lineitem.l_extendedprice
+# — whose statistics and keys must not cost an allocation per value, and
+# whose sets, sort input and freed pages come back from the slabs warm) and
+# gates their allocations and B/op against
 # BENCH_allocs.txt. Both are counts of a deterministic program on a pool that
 # holds its data, so they do not depend on the machine, provided three things
 # are held still:
@@ -35,8 +37,8 @@
 #     still collects between benchmarks, peak RSS ≈ 105 MB): a pass during
 #     which a GC cycle runs allocates 2–3 objects more (one Materialize: 3778
 #     without a cycle, 3780–3781 with one), and a cycle also empties the
-#     executor's recycling pools;
-#   - they run on one P (-cpu 1): those pools are per P, so on two a pass the
+#     slabs (internal/slab) that recycled memory waits in;
+#   - they run on one P (-cpu 1): the slabs are per P, so on two a pass the
 #     scheduler moves to the other P misses what the first P holds and
 #     allocates it again, and the count would say how often that happened.
 # A baseline line may end in an allowance, "±N": the total may then differ

@@ -12,8 +12,8 @@
 #   4. unsafe stays where tuple.Value's string payload is built and read:
 #      no non-test .go file but internal/tuple/value.go may import it
 #      (DESIGN.md §15, "What a value costs");
-#   5. recycling stays where it is known to be safe: no non-test .go file but
-#      internal/exec/arena.go may name sync.Pool (DESIGN.md §15, "Arenas");
+#   5. recycling has one mechanism: no non-test .go file but
+#      internal/slab/slab.go may name sync.Pool (DESIGN.md §15, "Slabs");
 #   6. internal/golden, which the passes above exempt as test scaffolding, is
 #      imported by _test.go files only.
 #
@@ -55,9 +55,9 @@ fi
 
 echo "== sync.Pool =="
 offenders=$(grep -rlE 'sync\.Pool' --include='*.go' . |
-    grep -vE '_test\.go$|/testdata/|^\./internal/exec/arena\.go$')
+    grep -vE '_test\.go$|/testdata/|^\./internal/slab/slab\.go$')
 if [ -n "$offenders" ]; then
-    echo "sync.Pool named outside internal/exec/arena.go:" >&2
+    echo "sync.Pool named outside internal/slab/slab.go:" >&2
     echo "$offenders" >&2
     exit 1
 fi
