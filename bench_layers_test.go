@@ -219,6 +219,25 @@ func BenchmarkLayerFilter(b *testing.B) {
 	perRow(b, len(l.lineitemRecords))
 }
 
+// BenchmarkLayerScanFiltered is BenchmarkLayerFilter with the selection fused
+// into the scan, as a planned sequential access runs it: the scan tests
+// l_quantity on each stored record and decodes only the rows that pass.
+func BenchmarkLayerScanFiltered(b *testing.B) {
+	l := layerSetup(b)
+	pred, err := exec.CompilePred(l.lineitem.Schema, "l_quantity", tuple.CmpLT, tuple.NewInt(25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	stop := passes(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Count(exec.NewSeqScan(l.ctx, l.lineitem, "").Where(pred)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stop()
+	perRow(b, len(l.lineitemRecords))
+}
+
 // ordersJoinLineitem is one orders ⋈ lineitem per pass, orders on the build
 // side. Operators are constructed before the timer starts: building a schema
 // allocates a map, whose cost depends on the Go version, and the gate
@@ -257,6 +276,49 @@ func BenchmarkLayerHashJoinProbe(b *testing.B) {
 	joins := ordersJoinLineitem(b, l)
 	for _, hj := range joins {
 		if err := hj.Open(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stop := passes(b)
+	for _, hj := range joins {
+		for {
+			_, ok, err := hj.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+	}
+	stop()
+	perRow(b, len(l.lineitemRecords))
+	for _, hj := range joins {
+		if err := hj.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLayerHashJoinProbeSelective probes lineitem against every fourth
+// order, so about one probe key in four matches, as in the replay corpus: the
+// probe scan takes the join's key test and skips the other records undecoded.
+// The build sides are opened before the timer starts.
+func BenchmarkLayerHashJoinProbeSelective(b *testing.B) {
+	l := layerSetup(b)
+	var quarter []tuple.Row
+	for i := 0; i < len(l.orderRows); i += 4 {
+		quarter = append(quarter, l.orderRows[i])
+	}
+	joins := make([]*exec.HashJoin, b.N)
+	for i := range joins {
+		var err error
+		joins[i], err = exec.NewHashJoin(l.ctx, exec.NewValuesScan(l.ctx, l.orders.Schema, quarter),
+			exec.NewSeqScan(l.ctx, l.lineitem, ""), "o_orderkey", "l_orderkey")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := joins[i].Open(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -74,6 +74,91 @@ func TestScanFilterAllocatesNothingPerRejectedRow(t *testing.T) {
 	}
 }
 
+// stringTable creates name(k int, s string, v int) with n rows, k = i % keys
+// and s a twelve-byte string, on a pool large enough that scans never miss.
+// Decoding a row copies its string, which is one allocation.
+func stringTable(t *testing.T, cat *catalog.Catalog, name string, n, keys int) *catalog.Table {
+	t.Helper()
+	schema := tuple.NewSchema(
+		tuple.Column{Name: "k", Kind: tuple.KindInt},
+		tuple.Column{Name: "s", Kind: tuple.KindString},
+		tuple.Column{Name: "v", Kind: tuple.KindInt},
+	)
+	tb, err := cat.CreateTable(name, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec []byte
+	for i := 0; i < n; i++ {
+		row := tuple.Row{tuple.NewInt(int64(i % keys)), tuple.NewString(fmt.Sprintf("row-%08d", i)), tuple.NewInt(int64(i))}
+		if rec, err = tuple.EncodeRow(rec[:0], schema, row); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.Heap.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb
+}
+
+// TestFusedScanAllocatesNothingPerRejectedRow is the scan+filter gate with
+// the selection fused into the scan, over a string column: a record the
+// selection rejects is never decoded, so the one allocation of a Next is the
+// string of the row it returns. A Filter over a plain scan copies the string
+// of each of the hundred rows it rejects.
+func TestFusedScanAllocatesNothingPerRejectedRow(t *testing.T) {
+	cat, ctx := allocEnv()
+	tb := stringTable(t, cat, "strs", 40000, 100)
+	pred, err := CompilePred(tb.Schema, "k", tuple.CmpEQ, tuple.NewInt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := NewSeqScan(ctx, tb, "").Where(pred)
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer scan.Close()
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, ok, err := scan.Next(); err != nil || !ok {
+			t.Fatalf("Next: ok=%v err=%v", ok, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a fused scan allocates %.2f times per row returned (a hundred records read), want 1: its string", allocs)
+	}
+}
+
+// TestGatedProbeAllocatesNothingPerSkippedRow: a hash join hands its key
+// test to the sequential scan on its probe side, which skips the records
+// whose key the build side does not hold without decoding them. One probe
+// record in four matches, so a plain scan would copy four strings per emitted
+// row; the gated one copies only the matching row's.
+func TestGatedProbeAllocatesNothingPerSkippedRow(t *testing.T) {
+	cat, ctx := allocEnv()
+	build := intTable(t, cat, "b", 250, 250)
+	probe := stringTable(t, cat, "p", 40000, 1000)
+	scan := NewSeqScan(ctx, probe, "p")
+	j, err := NewHashJoin(ctx, NewSeqScan(ctx, build, "b"), scan, "b.k", "p.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if scan.gate == nil {
+		t.Fatal("the join did not gate its probe scan")
+	}
+	allocs := testing.AllocsPerRun(5000, func() {
+		if _, ok, err := j.Next(); err != nil || !ok {
+			t.Fatalf("Next: ok=%v err=%v", ok, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a gated probe allocates %.2f times per emitted row (four records read), want 1: the match's string", allocs)
+	}
+}
+
 func TestHashJoinProbeAllocatesNothing(t *testing.T) {
 	cat, ctx := allocEnv()
 	build := intTable(t, cat, "b", 500, 500)

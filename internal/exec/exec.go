@@ -32,7 +32,9 @@ type Context struct {
 	// Observe, when non-nil, may wrap each operator iterator as the plan
 	// is built (EXPLAIN ANALYZE). node is the plan node that produced it —
 	// typed any because exec cannot import plan. The wrapper must preserve
-	// the iterator's behaviour exactly; it exists only to record actuals.
+	// the iterator's behaviour exactly; it exists only to record actuals. One
+	// that does not forward Gated keeps a hash join from handing its key
+	// test to the scan below, which costs speed and changes nothing else.
 	Observe func(node any, it Iterator) Iterator
 
 	// tuples counts what the operators have processed since the last flush.

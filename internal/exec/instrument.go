@@ -75,6 +75,27 @@ type profiledIter struct {
 	inner Iterator
 	stats *OpStats
 	ctx   *Context
+	gate  *KeyGate // the hash join key test forwarded to inner, if it took one
+}
+
+// Gate forwards a hash join's key test, so a profiled plan gates the scans a
+// bare one does. A record the scan then skips is a row it would have returned
+// without the test, and Next counts it as one.
+func (p *profiledIter) Gate(g *KeyGate) bool {
+	inner, ok := p.inner.(Gated)
+	if !ok || !inner.Gate(g) {
+		return false
+	}
+	p.gate = g
+	return true
+}
+
+// skipped is the forwarded gate's count of skipped records.
+func (p *profiledIter) skipped() int64 {
+	if p.gate == nil {
+		return 0
+	}
+	return p.gate.skipped
 }
 
 func (p *profiledIter) snapshot() sim.Work {
@@ -91,9 +112,10 @@ func (p *profiledIter) Open() error {
 }
 
 func (p *profiledIter) Next() (tuple.Row, bool, error) {
-	before := p.snapshot()
+	before, skipped := p.snapshot(), p.skipped()
 	row, ok, err := p.inner.Next()
 	p.addWork(before)
+	p.stats.Rows += p.skipped() - skipped
 	if ok && err == nil {
 		p.stats.Rows++
 	}

@@ -44,6 +44,35 @@ type HashJoin struct {
 	current tuple.Row
 	match   int32
 	out     tuple.Row
+	// gate is the key test handed to the right child, which took it if gated.
+	gate  KeyGate
+	gated bool
+}
+
+// KeyGate is a hash join's probe-key test, handed down to its probe child at
+// Open (DESIGN.md §15, "What a scan decodes"). A child that takes it reads the
+// join column of each stored record and looks it up in the build table before
+// it decodes the record. A record with no match is skipped undecoded and
+// counted here; a row the child returns comes with its first match, so the
+// join looks up nothing itself. The join reads and resets the counts after
+// every pull, and counts and spills each skipped record as the probe row it
+// would have been.
+type KeyGate struct {
+	table *joinTable
+	ord   int // the join column in the child's rows
+	// match refers to the first build row matching the row last returned.
+	match int32
+	// skipped counts the records skipped since the join last read it, and
+	// skippedBytes their stored length: a record's length is EncodedSize of
+	// its decoded row, what the join charges a probe row's spill by.
+	skipped, skippedBytes int64
+}
+
+// Gated is implemented by an iterator that can take a hash join's key test
+// (KeyGate). Gate reports whether it did; if not, the join looks every probe
+// key up itself. A wrapper that only observes its iterator forwards the call.
+type Gated interface {
+	Gate(g *KeyGate) bool
 }
 
 // JoinEdge names one equi-join edge of a join: a column of the left (build)
@@ -139,6 +168,9 @@ func (j *HashJoin) Open() error {
 	if err := j.table.build(rows, j.leftOrd); err != nil {
 		return err
 	}
+	j.gate = KeyGate{table: &j.table, ord: j.rightOrd}
+	g, ok := j.right.(Gated)
+	j.gated = ok && g.Gate(&j.gate)
 	return j.right.Open()
 }
 
@@ -165,22 +197,43 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 			return j.out, true, nil
 		}
 		row, ok, err := j.right.Next()
+		j.probed(row, ok && err == nil)
 		if err != nil || !ok {
 			return nil, false, err
-		}
-		j.ctx.count(1)
-		if j.spilled {
-			j.spillBytes += int64(tuple.EncodedSize(j.right.Schema(), row))
-			for j.spillBytes >= pageSizeForSpill {
-				j.spillBytes -= pageSizeForSpill
-				j.ctx.Meter.ChargePageWrite(1)
-				j.ctx.Meter.ChargePageRead(1)
-			}
 		}
 		// row stays valid until the next pull from the right child, which
 		// happens only once its matches are exhausted.
 		j.current = row
-		j.match = j.table.lookup(row[j.rightOrd])
+		if j.gated {
+			j.match = j.gate.match
+		} else {
+			j.match = j.table.lookup(row[j.rightOrd])
+		}
+	}
+}
+
+// probed counts the probe rows one pull from the right child consumed — the
+// records a gated child skipped, and row if ok — and, when the join spilled,
+// charges the pages their bytes fill. It runs on every pull, the last one too,
+// so the skipped records at the end of the stream are charged as well.
+func (j *HashJoin) probed(row tuple.Row, ok bool) {
+	n, bytes := j.gate.skipped, j.gate.skippedBytes
+	j.gate.skipped, j.gate.skippedBytes = 0, 0
+	if ok {
+		n++
+		if j.spilled {
+			bytes += int64(tuple.EncodedSize(j.right.Schema(), row))
+		}
+	}
+	j.ctx.count(n)
+	if !j.spilled {
+		return
+	}
+	j.spillBytes += bytes
+	for j.spillBytes >= pageSizeForSpill {
+		j.spillBytes -= pageSizeForSpill
+		j.ctx.Meter.ChargePageWrite(1)
+		j.ctx.Meter.ChargePageRead(1)
 	}
 }
 

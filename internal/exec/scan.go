@@ -18,25 +18,53 @@ func qualify(s *tuple.Schema, qualifier string) *tuple.Schema {
 	return s.Rename(func(n string) string { return qualifier + "." + n })
 }
 
-// SeqScan reads a table front to back. Every stored record is decoded into
-// one scan-owned row, which Next lends out until the following call.
+// SeqScan reads a table front to back. Every stored record it returns is
+// decoded into one scan-owned row, which Next lends out until the following
+// call. It may carry selections (Where) and a hash join's key test (Gate);
+// both are tested on the stored record, a column at a time, and only a record
+// that passes them all is decoded (DESIGN.md §15, "What a scan decodes").
 type SeqScan struct {
 	ctx    *Context
 	table  *catalog.Table
 	schema *tuple.Schema
 	iter   *storage.HeapIterator
 	row    tuple.Row
+	preds  []Pred
+	gate   *KeyGate
+	// perRecord is what one stored record counts: the scanned tuple, and the
+	// input of the Filter the selections used to be.
+	perRecord int64
 }
 
 // NewSeqScan builds a sequential scan over table. qualifier, when non-empty,
 // prefixes column names ("R" turns column "a" into "R.a").
 func NewSeqScan(ctx *Context, table *catalog.Table, qualifier string) *SeqScan {
 	return &SeqScan{
-		ctx:    ctx,
-		table:  table,
-		schema: qualify(table.Schema, qualifier),
-		row:    make(tuple.Row, table.Schema.Len()),
+		ctx:       ctx,
+		table:     table,
+		schema:    qualify(table.Schema, qualifier),
+		row:       make(tuple.Row, table.Schema.Len()),
+		perRecord: 1,
 	}
+}
+
+// Where fuses a conjunctive selection, compiled against the scan's schema,
+// into the scan, which then returns the rows NewFilter over it would and
+// counts what that pair counted: a scanned tuple and a filter input for every
+// record. It returns the scan.
+func (s *SeqScan) Where(preds ...Pred) *SeqScan {
+	s.preds, s.perRecord = preds, 1
+	if len(preds) > 0 {
+		s.perRecord = 2
+	}
+	return s
+}
+
+// Gate implements Gated: from now on a record whose key the join's table
+// does not hold is skipped undecoded.
+func (s *SeqScan) Gate(g *KeyGate) bool {
+	s.gate = g
+	return true
 }
 
 // Open positions the cursor.
@@ -45,17 +73,49 @@ func (s *SeqScan) Open() error {
 	return nil
 }
 
-// Next decodes and returns the next stored row.
+// Next returns the next stored row that passes the selections and the gate.
 func (s *SeqScan) Next() (tuple.Row, bool, error) {
-	_, rec, ok, err := s.iter.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	for {
+		_, rec, ok, err := s.iter.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		s.ctx.count(s.perRecord)
+		pass, err := s.passes(rec)
+		if err == nil && pass {
+			_, err = tuple.DecodeRowInto(s.row, rec, s.table.Schema)
+		}
+		if err != nil {
+			return nil, false, fmt.Errorf("exec: decoding row in %q: %w", s.table.Name, err)
+		}
+		if pass {
+			return s.row, true, nil
+		}
 	}
-	if _, err := tuple.DecodeRowInto(s.row, rec, s.table.Schema); err != nil {
-		return nil, false, fmt.Errorf("exec: decoding row in %q: %w", s.table.Name, err)
+}
+
+// passes tests the selections, then the gate, on a stored record. The values
+// it reads alias the record and die with the test. A record that fails only
+// the gate is counted on it as skipped: it reached the join, and had no match.
+func (s *SeqScan) passes(rec []byte) (bool, error) {
+	for _, p := range s.preds {
+		v, _, err := tuple.DecodeColumn(rec, s.table.Schema, p.Ord)
+		if err != nil || !p.Op.Eval(v, p.Const) {
+			return false, err
+		}
 	}
-	s.ctx.count(1)
-	return s.row, true, nil
+	if g := s.gate; g != nil {
+		v, _, err := tuple.DecodeColumn(rec, s.table.Schema, g.ord)
+		if err != nil {
+			return false, err
+		}
+		if g.match = g.table.lookup(v); g.match == 0 {
+			g.skipped++
+			g.skippedBytes += int64(len(rec))
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // Close releases the cursor.

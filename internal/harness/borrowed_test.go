@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"specdb/internal/catalog"
 	"specdb/internal/core"
 	"specdb/internal/exec"
 	"specdb/internal/plan"
@@ -51,15 +52,18 @@ func (p *poisonIter) Close() error {
 
 func (p *poisonIter) Schema() *tuple.Schema { return p.inner.Schema() }
 
-// TestBorrowedRowContract replays the equivalence corpus — the metamorphic
-// traces plus hand-written queries for the operators they do not reach — with
-// every plan node wrapped in a poisonIter, over base tables and over a forced
-// view, with and without spilling hash joins, and requires every answer to be
-// the row multiset of the unwrapped run.
-func TestBorrowedRowContract(t *testing.T) {
-	env := tinyEnv(t, EnvConfig{BufferPoolPages: 512})
-	cat := env.Eng.Catalog
+// Gate forwards a hash join's key test, so the replay poisons the rows of
+// gated probe scans too.
+func (p *poisonIter) Gate(g *exec.KeyGate) bool {
+	inner, ok := p.inner.(exec.Gated)
+	return ok && inner.Gate(g)
+}
 
+// contractQueries are the equivalence corpus of the borrowed-row replay: the
+// finals of two shortened metamorphic traces, and hand-written queries for
+// the operators they do not reach.
+func contractQueries(t *testing.T, cat *catalog.Catalog) []*plan.Query {
+	t.Helper()
 	var queries []*plan.Query
 	for _, tr := range tinyTraces(t, 2) {
 		qs, err := trace.ExtractQueries(tr)
@@ -95,6 +99,19 @@ func TestBorrowedRowContract(t *testing.T) {
 		}
 		queries = append(queries, bound)
 	}
+	return queries
+}
+
+// TestBorrowedRowContract replays the equivalence corpus — the metamorphic
+// traces plus hand-written queries for the operators they do not reach — with
+// every plan node wrapped in a poisonIter, over base tables and over a forced
+// view, with and without spilling hash joins, and requires every answer to be
+// the row multiset of the unwrapped run.
+func TestBorrowedRowContract(t *testing.T) {
+	env := tinyEnv(t, EnvConfig{BufferPoolPages: 512})
+	cat := env.Eng.Catalog
+
+	queries := contractQueries(t, cat)
 
 	seen := map[string]bool{}
 	poisoned := 0
@@ -115,8 +132,14 @@ func TestBorrowedRowContract(t *testing.T) {
 				if cat.View(n.Table.Name) != nil {
 					seen["view"] = true
 				}
+				if fusesSelection(n) {
+					seen["fused selection"] = true
+				}
 			case *plan.JoinNode:
 				seen[n.Method.String()] = true
+				if gatesProbe(n) {
+					seen["gated probe"] = true
+				}
 			}
 		})
 		ctx := &exec.Context{Meter: sim.NewMeter(), WorkMemBytes: workMem}
@@ -158,7 +181,7 @@ func TestBorrowedRowContract(t *testing.T) {
 	}
 	check("forced view")
 
-	for _, want := range []string{"seq scan", "index scan", "HashJoin", "IndexNLJoin", "CrossJoin", "view"} {
+	for _, want := range []string{"seq scan", "index scan", "HashJoin", "IndexNLJoin", "CrossJoin", "view", "fused selection", "gated probe"} {
 		if !seen[want] {
 			t.Errorf("the corpus never planned %s; seen %v", want, seen)
 		}

@@ -181,7 +181,8 @@ var oracleScale = tpch.NewScale("oracle", 0.0003)
 
 // oracleQueries is the matrix: the 124 finals of the reference corpus (seed
 // 7, three users — what BENCH_spec.json and every benchmark workload replay),
-// then every shape of multi-edge join the vocabulary's relations allow. The
+// then every shape of multi-edge join the vocabulary's relations allow, then
+// two joins on a string key. The
 // foreign keys close one cycle, part – lineitem – supplier – partsupp, so a
 // plan over it must join two sub-plans on two edges at once; partsupp ⋈
 // lineitem on partkey AND suppkey is the same join without the dimension
@@ -256,6 +257,17 @@ func oracleQueries(t *testing.T, eng *engine.Engine) (queries []*plan.Query, mul
 			multiEdge++
 		}
 	}
+	// No foreign key is a string, so the corpus never hashes one: join
+	// customers and suppliers on their nation, which gates a probe scan on a
+	// string key that aliases its record.
+	for _, sels := range [][]qgraph.Selection{nil, {{Rel: "customer", Col: "c_custkey", Op: tuple.CmpLT, Const: tuple.NewInt(20)}}} {
+		g := qgraph.New()
+		g.AddJoin(qgraph.NewJoin("customer", "c_nation", "supplier", "s_nation"))
+		for _, s := range sels {
+			g.AddSelection(s)
+		}
+		add(g, nil)
+	}
 	return queries, multiEdge
 }
 
@@ -280,6 +292,13 @@ func oracleQueries(t *testing.T, eng *engine.Engine) (queries []*plan.Query, mul
 // compares them with the oracle only once the second round is done. An answer
 // that pointed into a chunk handed out again would by then hold a later
 // statement's values.
+//
+// Every configuration also holds the scans that test before they decode
+// (DESIGN.md §15, "What a scan decodes"): each has plans whose probe scan
+// takes its hash join's key test and plans whose scan fuses its selections.
+// Reading the key from the neighbouring column, matching a string key by its
+// hash alone, and testing a fused selection on the previous row were each
+// tried, and each fails here.
 //
 // A sixth, "served" (oracleServed), holds instant GO: the corpus is replayed
 // through speculators that predict whole finals, and every GO of the trained
@@ -355,7 +374,7 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 			for i, q := range queries {
 				wants[i] = oracleEval(t, env.Eng, q)
 			}
-			nonEmpty, residualJoins, viewReads := 0, 0, 0
+			nonEmpty, residualJoins, viewReads, gatedProbes, fusedSelections := 0, 0, 0, 0, 0
 			for k, i := range order {
 				q, got, node, want := queries[i], answers[k].rows, answers[k].node, wants[i]
 				if diff := sameMultiset(got, want); diff != "" {
@@ -370,20 +389,31 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 						if n.Method == plan.JoinHash && len(n.Edges) > 1 {
 							residualJoins++
 						}
+						if gatesProbe(n) {
+							gatedProbes++
+						}
 					case *plan.TableAccess:
 						if n.Table.Name == "oracle_view" {
 							viewReads++
+						}
+						if fusesSelection(n) {
+							fusedSelections++
 						}
 					}
 				})
 			}
 			// The matrix must be able to see: answers with rows in them, hash
-			// joins with residual edges, and the view where one was forced.
+			// joins with residual edges, probe scans that take their join's
+			// key test, scans with their selections fused, and the view where
+			// one was forced.
 			if nonEmpty < len(order)/2 {
 				t.Errorf("only %d of %d answers have rows", nonEmpty, len(order))
 			}
 			if residualJoins < len(order)/len(queries)*multiEdge/2 {
 				t.Errorf("only %d hash joins carried a residual edge (%d multi-edge queries)", residualJoins, multiEdge)
+			}
+			if gatedProbes == 0 || fusedSelections == 0 {
+				t.Errorf("%d plans gate a probe scan and %d fuse a selection; want both above zero", gatedProbes, fusedSelections)
 			}
 			if cfg.name == "forced view" && viewReads == 0 {
 				t.Error("no plan read the forced view")

@@ -111,31 +111,35 @@ func (a *TableAccess) storedCol(qualified string) string {
 	return strings.TrimPrefix(qualified, a.Qualifier+".")
 }
 
-// Build implements Node.
+// Build implements Node. A sequential scan takes the selections itself and
+// tests them before it decodes a record; an index scan gets a Filter.
 func (a *TableAccess) Build(ctx *exec.Context) (exec.Iterator, error) {
+	var preds []exec.Pred
+	if len(a.Filters) > 0 {
+		preds = make([]exec.Pred, len(a.Filters))
+		for i, f := range a.Filters {
+			p, err := exec.CompilePred(a.Schema(), f.Col, f.Op, f.Const)
+			if err != nil {
+				return nil, err
+			}
+			preds[i] = p
+		}
+	}
 	var it exec.Iterator
 	switch a.Method {
 	case AccessSeq:
-		it = exec.NewSeqScan(ctx, a.Table, a.Qualifier)
+		it = exec.NewSeqScan(ctx, a.Table, a.Qualifier).Where(preds...)
 	case AccessIndex:
 		idx := a.Table.Index(a.IndexCol)
 		if idx == nil {
 			return nil, fmt.Errorf("plan: index on %s.%s vanished", a.Table.Name, a.IndexCol)
 		}
 		it = exec.NewIndexScan(ctx, a.Table, idx, a.Lo, a.Hi, a.Qualifier)
+		if preds != nil {
+			it = exec.NewFilter(ctx, it, preds)
+		}
 	default:
 		return nil, fmt.Errorf("plan: unknown access method %d", a.Method)
-	}
-	if len(a.Filters) > 0 {
-		preds := make([]exec.Pred, len(a.Filters))
-		for i, f := range a.Filters {
-			p, err := exec.CompilePred(it.Schema(), f.Col, f.Op, f.Const)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = p
-		}
-		it = exec.NewFilter(ctx, it, preds)
 	}
 	if len(a.ColFilters) > 0 {
 		preds := make([]exec.ColPred, len(a.ColFilters))

@@ -58,49 +58,116 @@ func DecodeRowInto(dst Row, buf []byte, s *Schema) (int, error) {
 	off := 0
 	for i, k := range s.kinds {
 		switch k {
-		case KindInt, KindDate:
-			// Most stored integers are one varint byte; the rest take the
-			// general decoder.
-			if off < len(buf) && buf[off] < 0x80 {
-				ux := uint64(buf[off])
-				dst[i] = Value{Kind: k, word: ux>>1 ^ -(ux & 1)} // zig-zag
-				off++
-				continue
-			}
-			v, n := binary.Varint(buf[off:])
-			if n <= 0 {
-				return 0, fmt.Errorf("tuple: truncated varint in column %q", s.Columns[i].Name)
-			}
-			off += n
-			dst[i] = Value{Kind: k, word: uint64(v)}
 		case KindFloat:
-			if len(buf[off:]) < 8 {
-				return 0, fmt.Errorf("tuple: truncated float in column %q", s.Columns[i].Name)
+			if len(buf)-off < 8 {
+				return 0, truncated("float", s, i)
 			}
 			dst[i] = Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])}
 			off += 8
-		case KindString:
-			var l uint64
-			if off < len(buf) && buf[off] < 0x80 {
-				l = uint64(buf[off])
-				off++
-			} else {
-				var n int
-				if l, n = binary.Uvarint(buf[off:]); n <= 0 {
-					return 0, fmt.Errorf("tuple: truncated string length in column %q", s.Columns[i].Name)
-				}
-				off += n
-			}
-			if uint64(len(buf[off:])) < l {
-				return 0, fmt.Errorf("tuple: truncated string in column %q", s.Columns[i].Name)
-			}
-			dst[i] = NewString(string(buf[off : off+int(l)]))
-			off += int(l)
+			continue
+		case KindInt, KindDate, KindString:
 		default:
 			return 0, fmt.Errorf("tuple: cannot decode kind %v", k)
 		}
+		// Ints, dates and string lengths are varints, nearly all of one or two
+		// bytes, read inline. The rest take binary.Uvarint, so what it rejects
+		// is rejected here too (binary.Varint is it plus the zig-zag).
+		var ux uint64
+		if off < len(buf) && buf[off] < 0x80 {
+			ux = uint64(buf[off])
+			off++
+		} else if off+1 < len(buf) && buf[off+1] < 0x80 {
+			ux = uint64(buf[off]&0x7f) | uint64(buf[off+1])<<7
+			off += 2
+		} else {
+			var n int
+			if ux, n = binary.Uvarint(buf[off:]); n <= 0 {
+				return 0, truncatedVarint(s, i)
+			}
+			off += n
+		}
+		if k != KindString {
+			dst[i] = Value{Kind: k, word: ux>>1 ^ -(ux & 1)} // zig-zag
+			continue
+		}
+		if uint64(len(buf)-off) < ux {
+			return 0, truncated("string", s, i)
+		}
+		dst[i] = NewString(string(buf[off : off+int(ux)]))
+		off += int(ux)
 	}
 	return off, nil
+}
+
+// DecodeColumn decodes column ord of the row of schema s stored in buf and
+// returns it with the offset just past it. The columns before ord are skipped,
+// not decoded, and those after it are not read. A string value aliases buf
+// instead of copying it: it is valid only while buf is, so a caller tests it
+// or looks it up and then drops it, and never keeps it. Up to column ord it
+// fails where, and with the error, DecodeRowInto fails on the same bytes. ord
+// must be a column of s.
+func DecodeColumn(buf []byte, s *Schema, ord int) (Value, int, error) {
+	off := 0
+	for i, k := range s.kinds[:ord+1] {
+		switch k {
+		case KindFloat:
+			if len(buf)-off < 8 {
+				return Value{}, 0, truncated("float", s, i)
+			}
+			off += 8
+			if i == ord {
+				return Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off-8:])}, off, nil
+			}
+			continue
+		case KindInt, KindDate, KindString:
+		default:
+			return Value{}, 0, fmt.Errorf("tuple: cannot decode kind %v", k)
+		}
+		// DecodeRowInto's varint read.
+		var ux uint64
+		if off < len(buf) && buf[off] < 0x80 {
+			ux = uint64(buf[off])
+			off++
+		} else if off+1 < len(buf) && buf[off+1] < 0x80 {
+			ux = uint64(buf[off]&0x7f) | uint64(buf[off+1])<<7
+			off += 2
+		} else {
+			var n int
+			if ux, n = binary.Uvarint(buf[off:]); n <= 0 {
+				return Value{}, 0, truncatedVarint(s, i)
+			}
+			off += n
+		}
+		if k != KindString {
+			if i == ord {
+				return Value{Kind: k, word: ux>>1 ^ -(ux & 1)}, off, nil
+			}
+			continue
+		}
+		if uint64(len(buf)-off) < ux {
+			return Value{}, 0, truncated("string", s, i)
+		}
+		off += int(ux)
+		if i == ord {
+			return aliasString(buf[off-int(ux) : off]), off, nil
+		}
+	}
+	// invariant: callers pass an ordinal of s, and the loop returns there.
+	panic(fmt.Sprintf("tuple: no column %d in a schema of %d", ord, len(s.kinds)))
+}
+
+// truncated is the error for a value of column i that buf ends inside.
+func truncated(what string, s *Schema, i int) error {
+	return fmt.Errorf("tuple: truncated %s in column %q", what, s.Columns[i].Name)
+}
+
+// truncatedVarint is the error for a varint of column i that buf ends inside,
+// or that binary.Uvarint rejects as too long.
+func truncatedVarint(s *Schema, i int) error {
+	if s.kinds[i] == KindString {
+		return truncated("string length", s, i)
+	}
+	return truncated("varint", s, i)
 }
 
 // EncodedSize reports the encoded length of r under schema s without

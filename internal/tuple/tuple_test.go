@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"specdb/internal/sim"
 )
@@ -320,43 +321,196 @@ func decodeRowIntoReference(dst Row, buf []byte, s *Schema) (int, error) {
 	return off, nil
 }
 
-// TestDecodeRowIntoMatchesReference decodes rows whose integers and string
-// lengths sit on both sides of every varint length boundary, whole and cut at
-// every byte, and wants the reference's values, byte counts and errors — the
-// errors name the column, so the texts are compared.
-func TestDecodeRowIntoMatchesReference(t *testing.T) {
-	s := testSchema()
-	ints := []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, 8192, -8193, 1 << 20, -(1 << 20), 1<<53 + 1, math.MaxInt64, math.MinInt64}
-	strs := []string{"", "x", strings.Repeat("a", 127), strings.Repeat("b", 128), strings.Repeat("c", 16384)}
-	got, want := make(Row, s.Len()), make(Row, s.Len())
-	for i, v := range ints {
-		r := Row{NewInt(v), NewFloat(float64(v) / 3), NewString(strs[i%len(strs)]), NewDate(ints[len(ints)-1-i])}
+// wideSchema leads with a string, so a later column is reached only by
+// skipping one.
+func wideSchema() *Schema {
+	return NewSchema(
+		Column{"tag", KindString},
+		Column{"n", KindInt},
+		Column{"d", KindDate},
+		Column{"f", KindFloat},
+		Column{"s", KindString},
+	)
+}
+
+// edgeRecords are stored rows for the codec's reference tests. Encoded rows
+// put integers, dates and string lengths on both sides of the 1-, 2- and
+// 3-byte varint boundaries, beside the value edge cases (±2⁵³ and their
+// neighbours, MinInt64, −0.0, NaN, "", date 0). Hand-made records add what
+// EncodeRow never writes: overlong 2- and 3-byte varints, which
+// binary.Uvarint accepts, and varints it rejects as too long.
+func edgeRecords(t testing.TB) (records [][]byte, schemas []*Schema) {
+	t.Helper()
+	ints := []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, 8192, -8193, 1<<20 - 1, -(1 << 20), 1 << 20, -(1 << 20) - 1,
+		1<<53 - 1, 1 << 53, 1<<53 + 1, -(1 << 53) - 1, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1 << 53, -1.5}
+	strs := []string{"", "x", strings.Repeat("a", 127), strings.Repeat("b", 128), strings.Repeat("c", 16383), strings.Repeat("d", 16384)}
+	add := func(s *Schema, r Row) {
 		buf, err := EncodeRow(nil, s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for cut := 0; cut <= len(buf); cut++ {
-			if cut > 40 && cut < len(buf)-40 {
-				continue // inside a long string: nothing new
-			}
+		records, schemas = append(records, buf), append(schemas, s)
+	}
+	for i, v := range ints {
+		w := ints[len(ints)-1-i]
+		f, str := floats[i%len(floats)], strs[i%len(strs)]
+		add(testSchema(), Row{NewInt(v), NewFloat(f), NewString(str), NewDate(w)})
+		add(wideSchema(), Row{NewString(str), NewInt(w), NewDate(v), NewFloat(f), NewString(strs[(i+1)%len(strs)])})
+	}
+	float := binary.BigEndian.AppendUint64(nil, math.Float64bits(2.5))
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, raw := range [][]byte{
+		// overlong 2-byte varints: 0, 127 and a string length of 1
+		cat([]byte{0x80, 0x00}, float, []byte{0x81, 0x00, 'x'}, []byte{0xff, 0x00}),
+		// overlong 3-byte varints
+		cat([]byte{0x80, 0x80, 0x00}, float, []byte{0x80, 0x80, 0x00}, []byte{0x81, 0x80, 0x00}),
+		// eleven bytes, and ten whose last is above 1: binary.Uvarint rejects both
+		cat(bytes.Repeat([]byte{0xff}, 10), []byte{0x01}, float, []byte{0}, []byte{0}),
+		cat(bytes.Repeat([]byte{0xff}, 9), []byte{0x02}, float, []byte{0}, []byte{0}),
+		cat([]byte{0x02}, float, bytes.Repeat([]byte{0x80}, 10), []byte{0x01}, []byte{0}),
+		// a string length far past the record
+		cat([]byte{0x02}, float, binary.AppendUvarint(nil, 1<<62), []byte{'y', 0}),
+	} {
+		records, schemas = append(records, raw), append(schemas, testSchema())
+	}
+	return records, schemas
+}
+
+// cuts are the lengths a reference test decodes a record at: all of them but
+// those inside a long string, where nothing new happens.
+func cuts(buf []byte) []int {
+	var out []int
+	for cut := 0; cut <= len(buf); cut++ {
+		if cut <= 40 || cut >= len(buf)-40 {
+			out = append(out, cut)
+		}
+	}
+	return out
+}
+
+// sameValue compares two values by kind and payload, floats by their bits.
+func sameValue(a, b Value) bool {
+	return a.Kind == b.Kind && a.word == b.word && a.Str() == b.Str()
+}
+
+// sameError reports whether two errors are both nil or have the same text.
+func sameError(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+// TestDecodeRowIntoMatchesReference decodes the edge records whole and cut at
+// every byte, and wants the reference's values, byte counts and errors — the
+// errors name the column, so the texts are compared.
+func TestDecodeRowIntoMatchesReference(t *testing.T) {
+	records, schemas := edgeRecords(t)
+	for r, buf := range records {
+		s := schemas[r]
+		got, want := make(Row, s.Len()), make(Row, s.Len())
+		for _, cut := range cuts(buf) {
 			gn, gerr := DecodeRowInto(got, buf[:cut], s)
 			wn, werr := decodeRowIntoReference(want, buf[:cut], s)
-			if gn != wn || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-				t.Fatalf("row %v cut at %d/%d: got (%d, %v), reference (%d, %v)", r[0], cut, len(buf), gn, gerr, wn, werr)
+			if gn != wn || !sameError(gerr, werr) {
+				t.Fatalf("record %d cut at %d/%d: got (%d, %v), reference (%d, %v)", r, cut, len(buf), gn, gerr, wn, werr)
 			}
 			if gerr != nil {
 				continue
 			}
 			for c := range got {
-				if got[c].Kind != want[c].Kind || got[c].word != want[c].word || got[c].Str() != want[c].Str() {
-					t.Fatalf("row %v column %d: got %v, reference %v", r[0], c, got[c], want[c])
+				if !sameValue(got[c], want[c]) {
+					t.Fatalf("record %d column %d: got %v, reference %v", r, c, got[c], want[c])
 				}
 			}
 		}
 	}
-	if _, err := DecodeRowInto(make(Row, 2), nil, s); err == nil || err.Error() != "tuple: decode into 2 values, schema arity 4" {
+	if _, err := DecodeRowInto(make(Row, 2), nil, testSchema()); err == nil || err.Error() != "tuple: decode into 2 values, schema arity 4" {
 		t.Fatalf("arity error: %v", err)
 	}
+}
+
+// decodeColumnReference is DecodeColumn by way of the reference decoder: the
+// row of the schema's first ord+1 columns, and its last value.
+func decodeColumnReference(buf []byte, s *Schema, ord int) (Value, int, error) {
+	prefix := NewSchema(s.Columns[:ord+1]...)
+	row := make(Row, ord+1)
+	n, err := decodeRowIntoReference(row, buf, prefix)
+	if err != nil {
+		return Value{}, 0, err
+	}
+	return row[ord], n, nil
+}
+
+// TestDecodeColumnMatchesReference decodes every column of every edge record,
+// whole and cut at every byte, and wants what the reference decoder makes of
+// the columns up to it: the value, the bytes consumed through it, and the
+// error text. A string it returns reads the record's own bytes.
+func TestDecodeColumnMatchesReference(t *testing.T) {
+	records, schemas := edgeRecords(t)
+	aliased := 0
+	for r, buf := range records {
+		s := schemas[r]
+		for _, cut := range cuts(buf) {
+			for ord := range s.Len() {
+				gv, gn, gerr := DecodeColumn(buf[:cut], s, ord)
+				wv, wn, werr := decodeColumnReference(buf[:cut], s, ord)
+				if gn != wn || !sameError(gerr, werr) || !sameValue(gv, wv) {
+					t.Fatalf("record %d cut at %d/%d, column %d: got (%v, %d, %v), reference (%v, %d, %v)",
+						r, cut, len(buf), ord, gv, gn, gerr, wv, wn, werr)
+				}
+				if str := gv.Str(); gerr == nil && str != "" {
+					if unsafe.StringData(str) != &buf[gn-len(str)] {
+						t.Fatalf("record %d column %d: the string is a copy, not the record's bytes", r, ord)
+					}
+					aliased++
+				}
+			}
+		}
+	}
+	if aliased == 0 {
+		t.Fatal("no string column was decoded")
+	}
+}
+
+// FuzzDecodeColumn holds DecodeRowInto and DecodeColumn to the reference
+// decoder on arbitrary bytes, for both test schemas and every column: the
+// same values, byte counts and error texts, and no panic. Whenever
+// DecodeRowInto succeeds, DecodeColumn returns its columns.
+func FuzzDecodeColumn(f *testing.F) {
+	records, schemas := edgeRecords(f)
+	for r, buf := range records {
+		wide := schemas[r].Len() == wideSchema().Len()
+		f.Add(buf, uint8(r), wide)
+	}
+	narrow, wide := testSchema(), wideSchema()
+	f.Fuzz(func(t *testing.T, buf []byte, ord uint8, useWide bool) {
+		s := narrow
+		if useWide {
+			s = wide
+		}
+		row, want := make(Row, s.Len()), make(Row, s.Len())
+		n, err := DecodeRowInto(row, buf, s)
+		wn, werr := decodeRowIntoReference(want, buf, s)
+		if n != wn || !sameError(err, werr) {
+			t.Fatalf("DecodeRowInto: (%d, %v), reference (%d, %v)", n, err, wn, werr)
+		}
+		o := int(ord) % s.Len()
+		v, m, cerr := DecodeColumn(buf, s, o)
+		wv, wm, wcerr := decodeColumnReference(buf, s, o)
+		if m != wm || !sameError(cerr, wcerr) || !sameValue(v, wv) {
+			t.Fatalf("DecodeColumn(%d): (%v, %d, %v), reference (%v, %d, %v)", o, v, m, cerr, wv, wm, wcerr)
+		}
+		if err != nil {
+			return
+		}
+		for c := range row {
+			if !sameValue(row[c], want[c]) {
+				t.Fatalf("DecodeRowInto column %d: %v, reference %v", c, row[c], want[c])
+			}
+		}
+		if cerr != nil || !sameValue(v, row[o]) {
+			t.Fatalf("DecodeColumn(%d) = (%v, %v) where DecodeRowInto decoded %v", o, v, cerr, row[o])
+		}
+	})
 }
 
 // TestEncodeRowErrorsAreValidates pins the one-walk EncodeRow to the error

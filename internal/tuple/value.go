@@ -71,6 +71,16 @@ func NewString(v string) Value {
 	return Value{Kind: KindString, word: uint64(len(v)), ptr: unsafe.Pointer(unsafe.StringData(v))}
 }
 
+// aliasString wraps b as a string value without copying it: the value reads
+// b's bytes, so it is valid only while they stay unchanged. DecodeColumn hands
+// such values out for a test or a lookup that drops them.
+func aliasString(b []byte) Value {
+	if len(b) == 0 {
+		return Value{Kind: KindString}
+	}
+	return Value{Kind: KindString, word: uint64(len(b)), ptr: unsafe.Pointer(unsafe.SliceData(b))}
+}
+
 // NewDate wraps a day count since 1970-01-01.
 func NewDate(days int64) Value { return Value{Kind: KindDate, word: uint64(days)} }
 
