@@ -474,21 +474,6 @@ func BenchmarkLayerRunQuery(b *testing.B) {
 	stop()
 }
 
-// BenchmarkLayerCountQuery is BenchmarkLayerRunQuery's statement through
-// CountQuery, which counts the rows instead of keeping them: what it allocates
-// less is the answer — its chunks, their list and its header block.
-func BenchmarkLayerCountQuery(b *testing.B) {
-	l := layerSetup(b)
-	q := layerQuery(b, l)
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := l.eng.CountQuery(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-	stop()
-}
-
 // BenchmarkLayerRunQueryParallel is the same statement from GOMAXPROCS
 // sessions at once: read-only statements share the statement lock, so ns/op
 // falls with the cores instead of staying at the serial figure. Wall time

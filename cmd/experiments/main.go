@@ -164,7 +164,7 @@ func bench(traces []*trace.Trace, scale string, users int, seed, dataSeed uint64
 		res.ScaledWasteOffS, res.ScaledWasteOnS, res.ScaledWasteReductionPct, res.ScaledHitRateOff, res.ScaledHitRateOn)
 	fmt.Printf("  predicted GO rate %.2f (%d/%d issued)   instant GO saved %.1fs   equivalence failures %d\n",
 		res.PredictedGoRate, res.PredictedGos, res.PredictedIssued, res.InstantGoSavedS, res.PredictEquivFailures)
-	fmt.Printf("  predictions the answer cache could never hold: %d, %.1fs of simulated build\n",
+	fmt.Printf("  executed predictions the answer cache refused: %d, %.1fs of simulated build\n",
 		res.PredictedUnholdable, res.PredictedUnholdableS)
 }
 

@@ -81,6 +81,12 @@ func (sp *Speculator) walkPredicted(now sim.Time) (job *Job, stop bool, err erro
 		if err := sp.cm.ScorePredicted(&m, c.Confidence); err != nil {
 			return nil, true, err
 		}
+		if !sp.cfg.Answers.Admits(m.EstPages) {
+			// No cache entry could ever hold this answer, so no GO could ever
+			// read it: its slot goes to the next candidate (DESIGN.md §14).
+			sp.eng.Metrics().Counter("answers.refused").Inc()
+			continue
+		}
 		if m.Benefit < sp.cfg.MinBenefit {
 			continue
 		}
@@ -300,22 +306,8 @@ func (sp *Speculator) execute(m Manipulation, now sim.Time) (*Job, error) {
 			sp.stats.AnswerCacheHits++
 			return job, nil
 		}
-		q := &plan.Query{Graph: m.Graph, Projections: m.Projs}
-		if !sp.cfg.Answers.Admits(m.EstPages) {
-			// No cache entry could ever hold this answer, so no GO could ever
-			// read it: the job still runs for what it costs — its slot, its
-			// simulated time, its pool traffic — but keeps no rows, and
-			// publish stores nothing (DESIGN.md §14).
-			if res, err = sp.eng.CountQuery(q); err != nil {
-				return nil, err
-			}
-			reg := sp.eng.Metrics()
-			reg.Counter("answers.unholdable").Inc()
-			reg.Counter("answers.unholdable_ns").Add(int64(res.Duration))
-			break
-		}
 		job.predVersions = sp.eng.DataVersions(m.Graph.Relations())
-		if res, err = sp.eng.RunQuery(q); err != nil {
+		if res, err = sp.eng.RunQuery(&plan.Query{Graph: m.Graph, Projections: m.Projs}); err != nil {
 			return nil, err
 		}
 		job.predRows, job.predSchema, job.predCost = res.Rows, res.Schema, res.Duration

@@ -25,7 +25,7 @@ type answerEntry struct {
 	// write invalidates exactly the answers that read it.
 	versions map[string]uint64
 	// refs counts sessions currently holding the entry (the producer plus
-	// every later claimant); GC under pressure only evicts refs == 0 entries.
+	// every later claimant); eviction only ever takes refs == 0 entries.
 	refs int
 	hits int
 }
@@ -42,9 +42,10 @@ type AnswerCache struct {
 	entries  map[string]*answerEntry
 	pages    int
 
-	obsHits, obsMisses, obsStored *obs.Counter
-	obsInvalidated, obsEvicted    *obs.Counter
-	obsPages                      *obs.Gauge
+	obsHits, obsMisses, obsStored  *obs.Counter
+	obsInvalidated, obsEvicted     *obs.Counter
+	obsUnholdable, obsUnholdableNs *obs.Counter
+	obsPages                       *obs.Gauge
 }
 
 // NewAnswerCache constructs an answer cache capped at capacityPages
@@ -57,23 +58,25 @@ func NewAnswerCache(reg *obs.Registry, capacityPages int) *AnswerCache {
 		reg = obs.NewRegistry()
 	}
 	return &AnswerCache{
-		capacity:       capacityPages,
-		entries:        make(map[string]*answerEntry),
-		obsHits:        reg.Counter("answers.hits"),
-		obsMisses:      reg.Counter("answers.misses"),
-		obsStored:      reg.Counter("answers.stored"),
-		obsInvalidated: reg.Counter("answers.invalidated"),
-		obsEvicted:     reg.Counter("answers.evicted"),
-		obsPages:       reg.Gauge("answers.pages"),
+		capacity:        capacityPages,
+		entries:         make(map[string]*answerEntry),
+		obsHits:         reg.Counter("answers.hits"),
+		obsMisses:       reg.Counter("answers.misses"),
+		obsStored:       reg.Counter("answers.stored"),
+		obsInvalidated:  reg.Counter("answers.invalidated"),
+		obsEvicted:      reg.Counter("answers.evicted"),
+		obsUnholdable:   reg.Counter("answers.unholdable"),
+		obsUnholdableNs: reg.Counter("answers.unholdable_ns"),
+		obsPages:        reg.Gauge("answers.pages"),
 	}
 }
 
 // Admits reports whether an answer whose estimated footprint is pages could
 // ever be stored: Put refuses an entry larger than the whole cache, whatever
 // the cache holds at the time, and a nil cache stores nothing. It is the one
-// admission rule — Put applies it, and a speculator asks it before executing
-// a predicted final, to run one that can never be stored for its cost alone
-// (DESIGN.md §14). The capacity never changes, so no lock is needed.
+// admission rule — Put applies it, and a speculator's admission walk asks it
+// before issuing a predicted final, so one that can never be stored never
+// runs (DESIGN.md §14). The capacity never changes, so no lock is needed.
 func (ac *AnswerCache) Admits(pages int) bool {
 	return ac != nil && max(pages, MinEstPages) <= ac.capacity
 }
@@ -81,10 +84,17 @@ func (ac *AnswerCache) Admits(pages int) bool {
 // Put stores a completed answer under key, taking one reference for the
 // caller whenever it returns true. pages is clamped to at least MinEstPages
 // so no entry is footprint-free. An entry the cache does not admit is
-// rejected (false); replacing an existing key refreshes its contents and
-// versions and adds the caller's reference to the ones already held.
+// rejected (false) and counted, with the simulated cost of the execution that
+// produced it, in answers.unholdable and answers.unholdable_ns; replacing an
+// existing key refreshes its contents and versions and adds the caller's
+// reference to the ones already held.
 func (ac *AnswerCache) Put(key string, rows []tuple.Row, schema *tuple.Schema, cost sim.Duration, pages int, versions map[string]uint64) bool {
+	if ac == nil {
+		return false
+	}
 	if !ac.Admits(pages) {
+		ac.obsUnholdable.Inc()
+		ac.obsUnholdableNs.Add(int64(cost))
 		return false
 	}
 	pages = max(pages, MinEstPages)
@@ -192,15 +202,23 @@ func (ac *AnswerCache) Ref(key string) bool {
 
 // Release drops one reference on key. Unlike a held view in the Ledger, the
 // entry is NOT removed at refs == 0 — a cached answer is an asset for future
-// replays — it merely becomes evictable under footprint pressure.
+// replays — it becomes evictable. The release that drops the last reference
+// sheds refs == 0 entries until the footprint fits the capacity, so the cap
+// holds at rest, not only at the next Put.
 func (ac *AnswerCache) Release(key string) {
 	if ac == nil {
 		return
 	}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	if e, ok := ac.entries[key]; ok && e.refs > 0 {
-		e.refs--
+	e, ok := ac.entries[key]
+	if !ok || e.refs == 0 {
+		return
+	}
+	e.refs--
+	if e.refs == 0 {
+		ac.evictLocked("")
+		ac.obsPages.Set(float64(ac.pages))
 	}
 }
 

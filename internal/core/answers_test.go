@@ -120,6 +120,78 @@ func TestAnswerCacheCapacityAndEviction(t *testing.T) {
 	}
 }
 
+// TestAnswerCacheReleaseEnforcesCap: the cache keeps its capacity at rest,
+// not only at the next Put. Entries held by their sessions may stand over the
+// cap; the release that drops an entry's last reference evicts refs == 0
+// entries, least-hit first, until the footprint fits again, and never one
+// that a session still holds.
+func TestAnswerCacheReleaseEnforcesCap(t *testing.T) {
+	reg := obs.NewRegistry()
+	ac := NewAnswerCache(reg, 10)
+	evicted := func() int64 { return reg.Snapshot().Counters["answers.evicted"] }
+	// Three sessions each hold the answer they produced: 12 pages against 10,
+	// and Put can shed nothing, since every entry is referenced.
+	for _, k := range []string{"a", "b", "c"} {
+		if !ac.Put(k, acRows(1), nil, 1, 4, nil) {
+			t.Fatalf("Put %s rejected", k)
+		}
+	}
+	if ac.Len() != 3 || ac.Pages() != 12 {
+		t.Fatalf("held entries: %d in %d pages, want 3 in 12", ac.Len(), ac.Pages())
+	}
+	// A release that leaves a reference behind evicts nothing.
+	if !ac.Ref("c") {
+		t.Fatal("Ref failed")
+	}
+	ac.Release("c")
+	if ac.Len() != 3 || evicted() != 0 {
+		t.Fatalf("a release with a reference left evicted: %d entries, %d evicted", ac.Len(), evicted())
+	}
+	// c's last release: c is the only refs == 0 entry, so it goes, although
+	// it has more hits than a, which a session still holds.
+	ac.Get("c", nil)
+	ac.Release("c")
+	if _, ok := ac.entries["c"]; ok || ac.Pages() != 8 || evicted() != 1 || reg.Snapshot().Gauges["answers.pages"] != 8 {
+		t.Fatalf("after c's last release: c kept %v, %d pages, %d evicted, gauge %v",
+			ok, ac.Pages(), evicted(), reg.Snapshot().Gauges["answers.pages"])
+	}
+	if _, _, _, ok := ac.Get("a", nil); !ok {
+		t.Fatal("a session's ready answer was evicted when another session released")
+	}
+	// At or under capacity a last release keeps the entry: an asset for later
+	// replays.
+	ac.Release("b")
+	if ac.Len() != 2 || ac.Pages() != 8 || evicted() != 1 {
+		t.Fatalf("a release under the cap evicted: %d entries in %d pages", ac.Len(), ac.Pages())
+	}
+
+	// Several unreferenced entries over the cap, as a cache shrunk under
+	// them leaves: the last release sheds least-hit first, key-ascending on
+	// ties, and stops as soon as the footprint fits.
+	ac = NewAnswerCache(reg, 100)
+	for _, k := range []string{"p", "q", "r", "s"} {
+		ac.Put(k, acRows(1), nil, 1, 4, nil)
+	}
+	for _, k := range []string{"p", "q", "r"} {
+		ac.Release(k)
+	}
+	for k, hits := range map[string]int{"p": 2, "q": 0, "r": 1} {
+		for range hits {
+			ac.Get(k, nil)
+		}
+	}
+	ac.capacity = 8
+	ac.Release("s") // 16 pages: q (0 hits) then s (0 hits, key after q) go
+	for k, want := range map[string]bool{"p": true, "q": false, "r": true, "s": false} {
+		if _, ok := ac.entries[k]; ok != want {
+			t.Errorf("entry %s kept %v, want %v", k, ok, want)
+		}
+	}
+	if ac.Pages() != 8 {
+		t.Fatalf("Pages = %d after the last release, want 8", ac.Pages())
+	}
+}
+
 func TestAnswerCacheRefReleaseSemantics(t *testing.T) {
 	ac := NewAnswerCache(nil, 10)
 	ac.Put("k", acRows(1), nil, 1, 2, nil)

@@ -180,8 +180,8 @@ func (sp *Speculator) publish(job *Job) error {
 		// write may have invalidated since — then the prediction quietly
 		// yields nothing). Either way the form is marked ready for an instant
 		// GO only while this session holds a reference, so the entry cannot be
-		// evicted out from under it. A build the cache does not admit was only
-		// counted (execute), and Put refuses it here by the same rule.
+		// evicted out from under it. The walk never issues a final the cache
+		// does not admit (walkPredicted), so Put refuses none by that rule.
 		if job.fromCache {
 			if sp.cfg.Answers.Ref(job.formKey) {
 				sp.predictedReady[job.formKey] = true

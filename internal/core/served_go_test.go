@@ -16,6 +16,18 @@ import (
 // at second 1.
 func predictOnly(t testing.TB, e *engine.Engine, capacityPages int) (*Speculator, *Job) {
 	t.Helper()
+	sp, issued := predictIssue(t, e, capacityPages)
+	job := one(issued)
+	if job == nil || job.Manip.Kind != ManipPredictFinal {
+		t.Fatalf("no predicted final issued: %v", issued)
+	}
+	return sp, job
+}
+
+// predictIssue is predictOnly's speculator and every job its first edit
+// issued, whatever they are.
+func predictIssue(t testing.TB, e *engine.Engine, capacityPages int) (*Speculator, []*Job) {
+	t.Helper()
 	final := qgraph.SelectionSubgraph(selRC(18))
 	cfg := DefaultConfig()
 	cfg.Ops, cfg.MinBenefit = OpSet{}, 0
@@ -27,11 +39,7 @@ func predictOnly(t testing.TB, e *engine.Engine, capacityPages int) (*Speculator
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := one(out.Issued)
-	if job == nil || job.Manip.Kind != ManipPredictFinal {
-		t.Fatalf("no predicted final issued: %v", out.Issued)
-	}
-	return sp, job
+	return sp, out.Issued
 }
 
 // newServedGoSpec is predictOnly on the default cache, with the prediction

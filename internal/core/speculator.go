@@ -227,8 +227,7 @@ type Job struct {
 
 	// Predicted-final payload (ManipPredictFinal only): the answer produced
 	// at issue time — fresh execution or answer-cache hit — published to the
-	// cache at completion and served instantly if GO matches; none when the
-	// cache does not admit the answer, which was then only counted. predVersions
+	// cache at completion and served instantly if GO matches. predVersions
 	// snapshots the base relations' data versions when the rows were computed,
 	// so an intervening write invalidates the published entry.
 	formKey      string

@@ -63,7 +63,8 @@ const histogramBuckets = 20
 
 // Result reports one executed statement.
 type Result struct {
-	// Rows holds query output (nil for DDL, materializations and CountQuery).
+	// Rows holds query output (nil for DDL, materializations and EXPLAIN
+	// ANALYZE).
 	Rows []tuple.Row
 	// Schema describes Rows.
 	Schema *tuple.Schema
@@ -84,8 +85,8 @@ type Result struct {
 // Engine is the database server. It is safe for concurrent sessions, and
 // their queries really overlap: every entry point that executes or mutates
 // runs through the one statement boundary (see statement), which holds the
-// statement lock shared for the read-only ones (RunQuery, CountQuery,
-// ExplainAnalyze) and exclusively for everything that changes the catalog, a
+// statement lock shared for the read-only ones (RunQuery, ExplainAnalyze)
+// and exclusively for everything that changes the catalog, a
 // heap, an index, statistics, staging or pool residency. Each statement is
 // metered on a sim.Meter of its own, so what it reports never depended on who
 // else was running. Planning (PlanGraph/Explain) runs lock-free at this level and
@@ -494,30 +495,14 @@ func (e *Engine) Exec(src string) (res *Result, err error) {
 // user's query. The original error surfaces only if the degraded plan fails
 // too (or none of the plan was derived).
 func (e *Engine) RunQuery(q *plan.Query) (*Result, error) {
-	return e.query("RunQuery", q, true)
-}
-
-// CountQuery is RunQuery for a caller that needs the answer's size and cost
-// but not its rows: the same statement — lock, plan, degraded replan, measure
-// window, pages fetched, tuples charged and counters — whose rows are counted
-// as they stream past instead of kept. Result.Rows is nil and RowCount is set.
-// A speculator runs a predicted final through it when the answer cache could
-// never hold the answer (DESIGN.md §14).
-func (e *Engine) CountQuery(q *plan.Query) (*Result, error) {
-	return e.query("CountQuery", q, false)
-}
-
-// query is RunQuery's and CountQuery's statement; collect says whether the
-// rows are kept.
-func (e *Engine) query(op string, q *plan.Query, collect bool) (*Result, error) {
-	return e.measured(op, "", readsOnly, func(st *stmt, res *Result) error {
-		node, err := e.planAndRun(st, res, q, e.planOptions(), nil, collect)
+	return e.measured("RunQuery", "", readsOnly, func(st *stmt, res *Result) error {
+		node, err := e.planAndRun(st, res, q, e.planOptions(), nil, true)
 		if err == nil || node == nil || !e.planReadsDerived(node) {
 			return err
 		}
 		opts := e.planOptions()
 		opts.AvoidViews, opts.AvoidIndexes = true, true
-		degraded, replanErr := e.planAndRun(st, res, q, opts, nil, collect)
+		degraded, replanErr := e.planAndRun(st, res, q, opts, nil, true)
 		if degraded != nil {
 			e.obsReplans.Inc()
 		}
@@ -528,7 +513,7 @@ func (e *Engine) query(op string, q *plan.Query, collect bool) (*Result, error) 
 	})
 }
 
-// planAndRun is the body RunQuery, CountQuery and ExplainAnalyze share:
+// planAndRun is the body RunQuery and ExplainAnalyze share:
 // optimize q under opts, then build and drain the plan in one measure window,
 // leaving a fresh Result in res (a failed earlier attempt is not charged to
 // this one). With a profiler the operators are instrumented. collect keeps the

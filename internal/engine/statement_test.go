@@ -64,7 +64,7 @@ func vanishedQuery(e *Engine) (*plan.Query, error) {
 
 func resultless(_ *Result, err error) error { return err }
 
-// boundaryOps enumerates the sixteen entry points of the statement boundary.
+// boundaryOps enumerates the fifteen entry points of the statement boundary.
 func boundaryOps() []boundaryOp {
 	query := func(run func(e *Engine, q *plan.Query) error) func(e *Engine, tb string) error {
 		return func(e *Engine, tb string) error {
@@ -76,11 +76,9 @@ func boundaryOps() []boundaryOp {
 		}
 	}
 	runQuery := func(e *Engine, q *plan.Query) error { return resultless(e.RunQuery(q)) }
-	countQuery := func(e *Engine, q *plan.Query) error { return resultless(e.CountQuery(q)) }
 	explainAnalyze := func(e *Engine, q *plan.Query) error { return resultless(e.ExplainAnalyze(q)) }
 	return []boundaryOp{
 		{name: "RunQuery", run: query(runQuery), fail: runQuery},
-		{name: "CountQuery", run: query(countQuery), fail: countQuery},
 		{name: "ExplainAnalyze", run: query(explainAnalyze), fail: explainAnalyze},
 		{name: "Materialize", touched: "_m", commits: true,
 			run: func(e *Engine, tb string) error {

@@ -669,9 +669,9 @@ type BenchResult struct {
 	PredictedGos         int     `json:"predicted_gos"`
 	AnswerCacheHits      int     `json:"answer_cache_hits"`
 	// PredictedUnholdable counts the replay pass's executed predictions whose
-	// answer the cache could never hold, and PredictedUnholdableS the
-	// simulated seconds they ran: they complete, so waste never counts them,
-	// and none of them can ever answer a GO.
+	// answer the cache refused, and PredictedUnholdableS the simulated seconds
+	// they ran: none of them can ever answer a GO, and waste would never count
+	// them. The admission walk skips such finals, so both read 0.
 	PredictedUnholdable  int     `json:"predicted_unholdable"`
 	PredictedUnholdableS float64 `json:"predicted_unholdable_s"`
 }

@@ -435,8 +435,9 @@ const servedCachePages = 256
 // reference corpus replayed twice on one engine with one Predictor,
 // AnswerCache and Learner, as RunPredictBench does — the first pass trains,
 // and every GO of the second, served from the cache or executed, is compared
-// with the oracle. The cache is small enough that some predictions are only
-// counted (DESIGN.md §14), and both kinds must occur.
+// with the oracle. The cache is small enough that the admission walk refuses
+// some predicted finals it could never hold (DESIGN.md §14) while it stores
+// others, and both must occur.
 func oracleServed(t *testing.T) {
 	env := tinyEnv(t, EnvConfig{Scale: oracleScale})
 	queries, _ := oracleQueries(t, env.Eng) // the corpus finals first, in trace and GO order
@@ -456,9 +457,9 @@ func oracleServed(t *testing.T) {
 		served bool
 	}
 	var answers []answer
-	var counted, stored int64
+	var refused, stored int64
 	for pass := range 2 {
-		counted0, stored0 := counter("answers.unholdable"), counter("answers.stored")
+		refused0, stored0 := counter("answers.refused"), counter("answers.stored")
 		query := 0
 		for i, tr := range traces {
 			if err := env.Eng.ColdStart(); err != nil {
@@ -491,7 +492,7 @@ func oracleServed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		counted, stored = counter("answers.unholdable")-counted0, counter("answers.stored")-stored0
+		refused, stored = counter("answers.refused")-refused0, counter("answers.stored")-stored0
 	}
 	if len(answers) != 124 {
 		t.Fatalf("the replay pass answered %d GOs, want the corpus's 124", len(answers))
@@ -507,8 +508,8 @@ func oracleServed(t *testing.T) {
 		}
 	}
 	// The configuration must be able to see: GOs answered from the cache,
-	// and predictions both stored and only counted.
-	if served == 0 || stored == 0 || counted == 0 {
-		t.Errorf("replay pass: %d GOs served, %d predictions stored, %d only counted; want each above zero", served, stored, counted)
+	// predictions stored, and candidates refused at the walk.
+	if served == 0 || stored == 0 || refused == 0 {
+		t.Errorf("replay pass: %d GOs served, %d predictions stored, %d candidates refused at the walk; want each above zero", served, stored, refused)
 	}
 }

@@ -36,9 +36,9 @@ type PredictOutcome struct {
 	EquivFailures   int
 	AnswerCacheHits int
 	// Unholdable counts the predicted finals executed whose answer the cache
-	// could never hold (larger than the whole cache), so they ran for their
-	// cost and kept no rows; UnholdableS is the simulated time they took (s).
-	// They complete, so no waste figure counts them.
+	// then refused (larger than the whole cache); UnholdableS is the simulated
+	// time they took (s). The admission walk issues none of them, so both are
+	// expected to read 0; they complete, so no waste figure would count them.
 	Unholdable  int
 	UnholdableS float64
 

@@ -9,7 +9,7 @@
 #
 # The same replay's prediction pass is gated too: the predicted-GO rate
 # (±TOLERANCE_PP), zero answers differing from the speculation-off oracle, and
-# the predictions the answer cache could never hold, count and seconds, exactly.
+# the executed predictions the answer cache refused, count and seconds, exactly.
 #
 # Also replays the 64-session cross-session CSE benchmark and gates its waste
 # reduction (±TOLERANCE_PP) and dedup savings (±1% relative) against the
@@ -18,8 +18,7 @@
 # Also runs the executor's layer benchmarks (bench_layers_test.go: scan,
 # filter, hash-join build/probe, a two-edge hash join, index-NL probe,
 # DecodeRowInto, pool miss, B+-tree lookup, one whole RunQuery through the
-# statement boundary and the same statement through CountQuery, which keeps no
-# answer, a served GO at two answer sizes, which must allocate the
+# statement boundary, a served GO at two answer sizes, which must allocate the
 # same, and the four builds — a speculative Materialize, ANALYZE of lineitem,
 # CREATE INDEX on lineitem.l_partkey, a histogram on lineitem.l_extendedprice
 # — whose statistics and keys must not cost an allocation per value, and
@@ -180,8 +179,9 @@ else
 fi
 
 # Predictions the answer cache could never hold (DESIGN.md §14): how many of
-# the prediction replay's executed finals ran for their cost alone, and the
-# simulated seconds they took. Both are counts of a deterministic replay, so
+# the prediction replay's executed finals the cache refused, and the simulated
+# seconds they took — 0 since the admission walk skips such finals. Both are
+# counts of a deterministic replay, so
 # both must equal the baseline — the seconds to the precision the benchmark
 # prints them. Skipped for baselines written before the count.
 base_unhold=$(json_num predicted_unholdable)
