@@ -1,7 +1,8 @@
 // Multiuser: the Section 6.3 scenario — three analysts exploring the same
 // database simultaneously. Each has their own Speculator (restricted to
 // selection materializations, the paper's low-interference strategy); the
-// server runs everything on one shared buffer pool with a contention model.
+// server runs everything on one shared buffer pool, and every user's work
+// slows the others' down (the speculators' contention model).
 //
 // This example drives the experiment harness directly: it replays three
 // synthetic interface traces interleaved by timestamp, once without and once
@@ -28,10 +29,9 @@ func main() {
 	}
 	fmt.Println("loading the 100MB TPC-H subset (96MB-equivalent shared pool)...")
 	env, err := harness.NewEnv(harness.EnvConfig{
-		Scale:            tpch.Scale100MB,
-		Seed:             42,
-		BufferPoolPages:  harness.PoolPages96MB,
-		ContentionFactor: 0.35,
+		Scale:           tpch.Scale100MB,
+		Seed:            42,
+		BufferPoolPages: harness.PoolPages96MB,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -43,6 +43,7 @@ func main() {
 	}
 	cfg := core.DefaultConfig()
 	cfg.SelectionsOnly = true // reduce interference between users
+	cfg.ContentionFactor = 0.35
 	spec, err := harness.RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		log.Fatal(err)

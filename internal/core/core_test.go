@@ -16,7 +16,12 @@ import (
 // newTestEngine loads the Figure 2 relations R(a,c), S(a,b), W(b,d).
 func newTestEngine(t *testing.T, n int) *engine.Engine {
 	t.Helper()
-	e := engine.New(engine.Config{BufferPoolPages: 256})
+	return loadTestEngine(t, engine.New(engine.Config{BufferPoolPages: 256}), n)
+}
+
+// loadTestEngine loads the Figure 2 relations, n rows each, into e.
+func loadTestEngine(t *testing.T, e *engine.Engine, n int) *engine.Engine {
+	t.Helper()
 	mk := func(name string, cols [2]string, gen func(i int) (int64, int64)) {
 		schema := tuple.NewSchema(
 			tuple.Column{Name: cols[0], Kind: tuple.KindInt},
@@ -669,9 +674,15 @@ func TestSuspendWhenBusy(t *testing.T) {
 	e := newTestEngine(t, 20000)
 	cfg := DefaultConfig()
 	cfg.SuspendWhenBusy = 2
+	cfg.Ledger = NewLedger(e.Metrics(), false)
 	sp := newSpec(e, cfg)
 
-	j1, j2 := e.BeginJob(), e.BeginJob() // server busy: speculation suspends
+	// Another session on the same ledger has two jobs in flight: the server
+	// is busy and speculation suspends.
+	other := cfg.Ledger.NewHolder()
+	j1, j2 := AssetKey{Scope: other, Manip: "j1"}, AssetKey{Scope: other, Manip: "j2"}
+	cfg.Ledger.Claim(j1, other, 0, 1)
+	cfg.Ledger.Claim(j2, other, 0, 1)
 	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -683,8 +694,8 @@ func TestSuspendWhenBusy(t *testing.T) {
 		t.Fatal("suspension not counted")
 	}
 
-	e.EndJob(j1) // load fell below the threshold: speculation resumes
-	e.EndJob(j2)
+	cfg.Ledger.End(j1, other) // load fell below the threshold: speculation resumes
+	cfg.Ledger.End(j2, other)
 	out, err = sp.OnEvent(evAddSel(qgraph.Selection{
 		Rel: "W", Col: "d", Op: tuple.CmpLT, Const: tuple.NewInt(100),
 	}), sim.FromSeconds(1))
@@ -693,6 +704,73 @@ func TestSuspendWhenBusy(t *testing.T) {
 	}
 	if one(out.Issued) == nil {
 		t.Fatal("did not resume after load dropped")
+	}
+}
+
+// TestContentionModel: with ContentionFactor 0.5 and two other jobs in flight
+// in the ledger, a build and an executed GO do the same work as on an idle
+// server and take exactly (1 + 0.5×2) = 2× as long — a build's own ledger
+// claim does not slow it down.
+func TestContentionModel(t *testing.T) {
+	e := newTestEngine(t, 20000)
+	cfg := DefaultConfig()
+	cfg.ContentionFactor = 0.5
+	cfg.Ledger = NewLedger(e.Metrics(), false)
+	sp := newSpec(e, cfg)
+	other := cfg.Ledger.NewHolder()
+	busy := [2]AssetKey{{Scope: other, Manip: "j1"}, {Scope: other, Manip: "j2"}}
+	load := func(on bool) {
+		for _, key := range busy {
+			if on {
+				cfg.Ledger.Claim(key, other, 0, 1)
+			} else {
+				cfg.Ledger.End(key, other)
+			}
+		}
+	}
+	build := func(ev trace.Event, at sim.Time) sim.Duration {
+		t.Helper()
+		if err := e.ColdStart(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sp.OnEvent(ev, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := one(out.Issued)
+		if job == nil || job.Manip.Kind != ManipMaterialize {
+			t.Fatalf("issued %v, want one materialization", out.Issued)
+		}
+		sp.CancelOutstanding()
+		return job.CompletesAt.Sub(job.IssuedAt)
+	}
+	idleBuild := build(evAddSel(selRC(18)), 0)
+	load(true)
+	if got := build(trace.Event{Kind: trace.EvSetProjections}, sim.FromSeconds(1)); got != 2*idleBuild {
+		t.Fatalf("build under load took %v, want 2 × %v", got, idleBuild)
+	}
+	load(false)
+
+	sp.cfg.MinBenefit = math.MaxInt64 // nothing issued: the GO alone runs
+	run := func(at sim.Time) *engine.Result {
+		t.Helper()
+		if err := e.ColdStart(); err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := sp.OnGo(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	idle := run(sim.FromSeconds(2))
+	load(true)
+	got := run(sim.FromSeconds(3))
+	if got.Work != idle.Work {
+		t.Fatalf("work differs between runs: %+v vs %+v", got.Work, idle.Work)
+	}
+	if got.Duration != 2*idle.Duration {
+		t.Fatalf("GO under load took %v, want 2 × %v", got.Duration, idle.Duration)
 	}
 }
 

@@ -45,30 +45,23 @@ func (l PressureLevel) String() string {
 	}
 }
 
-// GovernorConfig tunes a Governor. The hysteresis thresholds act on the
-// pressure signal: the pool's claimable free fraction minus the fraction of
-// capacity the engine's speculation currently retains. Enter thresholds move
-// the band up as the signal falls; a band is only left again once the signal
-// recovers past its (higher) exit threshold, so transitions do not flap.
-type GovernorConfig struct {
-	// PressuredEnter/PressuredExit bound the normal↔pressured transition
-	// (defaults 0.25 / 0.35).
-	PressuredEnter float64
-	PressuredExit  float64
-	// CriticalEnter/CriticalExit bound the pressured↔critical transition
-	// (defaults 0.10 / 0.20).
-	CriticalEnter float64
-	CriticalExit  float64
-	// DeadlineFactor is the stuck-job watchdog's k: a build still running at
+// The governor's hysteresis thresholds act on the pressure signal: the pool's
+// claimable free fraction minus the fraction of capacity the engine's
+// speculation currently retains. An enter threshold moves the band up as the
+// signal falls below it; a band is left again only once the signal recovers
+// past its (higher) exit threshold, so transitions do not flap.
+const (
+	pressuredEnter = 0.25
+	pressuredExit  = 0.35
+	criticalEnter  = 0.10
+	criticalExit   = 0.20
+	// deadlineFactor is the stuck-job watchdog's k: a build still running at
 	// an event boundary past k× its cost estimate is aborted
-	// (DeadlineExceeded). <= 0 selects the default 4; deadlines cannot be
-	// disabled while a governor is installed — an unkillable stuck build is
-	// exactly the failure mode the governor exists for.
-	DeadlineFactor float64
-	// Breaker tunes the engine-wide circuit breaker (zero values select
-	// fault.GlobalBreaker defaults).
-	Breaker fault.GlobalBreakerConfig
-}
+	// (DeadlineExceeded). Deadlines cannot be disabled while a governor is
+	// installed — an unkillable stuck build is exactly the failure mode the
+	// governor exists for.
+	deadlineFactor = 4
+)
 
 // Governor is the engine-wide resource-pressure layer above the scheduler
 // and the per-session budgets (DESIGN.md §13). At event boundaries sessions
@@ -84,7 +77,6 @@ type GovernorConfig struct {
 // to the pre-governor engine.
 type Governor struct {
 	mu      sync.Mutex
-	cfg     GovernorConfig
 	pool    *buffer.Pool
 	breaker *fault.GlobalBreaker
 
@@ -96,24 +88,9 @@ type Governor struct {
 	obsShedMarked  *obs.Counter
 }
 
-// NewGovernor builds a governor over pool with defaults filled in.
-func NewGovernor(cfg GovernorConfig, pool *buffer.Pool) *Governor {
-	if cfg.PressuredEnter <= 0 {
-		cfg.PressuredEnter = 0.25
-	}
-	if cfg.PressuredExit <= cfg.PressuredEnter {
-		cfg.PressuredExit = cfg.PressuredEnter + 0.10
-	}
-	if cfg.CriticalEnter <= 0 {
-		cfg.CriticalEnter = 0.10
-	}
-	if cfg.CriticalExit <= cfg.CriticalEnter {
-		cfg.CriticalExit = cfg.CriticalEnter + 0.10
-	}
-	if cfg.DeadlineFactor <= 0 {
-		cfg.DeadlineFactor = 4
-	}
-	return &Governor{cfg: cfg, pool: pool, breaker: fault.NewGlobalBreaker(cfg.Breaker)}
+// NewGovernor builds a governor over pool.
+func NewGovernor(pool *buffer.Pool) *Governor {
+	return &Governor{pool: pool, breaker: fault.NewGlobalBreaker()}
 }
 
 // AttachMetrics mirrors governor state into reg under "governor.*" and wires
@@ -157,13 +134,13 @@ func (g *Governor) NoteSuccess(now sim.Time) {
 }
 
 // DeadlineFor stamps the watchdog deadline for a job issued at now with cost
-// estimate est: now + DeadlineFactor×est. Zero (no deadline) without a
+// estimate est: now + deadlineFactor×est. Zero (no deadline) without a
 // governor or without an estimate.
 func (g *Governor) DeadlineFor(now sim.Time, est sim.Duration) sim.Time {
 	if g == nil || est <= 0 {
 		return 0
 	}
-	return now.Add(sim.Duration(g.cfg.DeadlineFactor * float64(est)))
+	return now.Add(sim.Duration(deadlineFactor * float64(est)))
 }
 
 // AllowIssue reports whether a session may issue a new speculative job at
@@ -232,16 +209,16 @@ func (g *Governor) band(l *Ledger, now sim.Time) (PressureLevel, float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	target := PressureNormal
-	if sig < g.cfg.PressuredEnter {
+	if sig < pressuredEnter {
 		target = PressurePressured
 	}
-	if sig < g.cfg.CriticalEnter {
+	if sig < criticalEnter {
 		target = PressureCritical
 	}
 	if target < g.level {
 		switch g.level {
 		case PressureCritical:
-			if sig < g.cfg.CriticalExit {
+			if sig < criticalExit {
 				target = PressureCritical
 			} else {
 				// De-escalation steps one band at a time: even a fully
@@ -251,7 +228,7 @@ func (g *Governor) band(l *Ledger, now sim.Time) (PressureLevel, float64) {
 				target = PressurePressured
 			}
 		case PressurePressured:
-			if sig < g.cfg.PressuredExit {
+			if sig < pressuredExit {
 				target = PressurePressured
 			}
 		}
@@ -286,9 +263,9 @@ func (g *Governor) ShedSet(l *Ledger, holder int, now sim.Time) map[AssetKey]boo
 	capacity := g.pool.Capacity()
 	need := capacity // degraded: work the backlog all the way down
 	if lvl != PressureDegraded {
-		exit := g.cfg.PressuredExit
+		exit := pressuredExit
 		if lvl == PressureCritical {
-			exit = g.cfg.CriticalExit
+			exit = criticalExit
 		}
 		short := exit - sig
 		if short <= 0 {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"specdb/internal/buffer"
-	"specdb/internal/fault"
 	"specdb/internal/obs"
 	"specdb/internal/sim"
 	"specdb/internal/storage"
@@ -66,7 +65,7 @@ func TestGovernorNilSafe(t *testing.T) {
 // one band at a time, so a flapping signal cannot flap the band.
 func TestGovernorHysteresis(t *testing.T) {
 	pool := testPool(t, 100) // FreeFraction 1.0 while untouched
-	g := NewGovernor(GovernorConfig{}, pool)
+	g := NewGovernor(pool)
 	l := newFootprintLedger()
 
 	if lvl := g.Level(l.Ledger, 0); lvl != PressureNormal {
@@ -110,7 +109,7 @@ func TestGovernorHysteresis(t *testing.T) {
 // only a session's first build, critical and degraded admit nothing.
 func TestGovernorAllowIssueBands(t *testing.T) {
 	pool := testPool(t, 100)
-	g := NewGovernor(GovernorConfig{}, pool)
+	g := NewGovernor(pool)
 	l := newFootprintLedger()
 
 	if !g.AllowIssue(l.Ledger, 0, false) || !g.AllowIssue(l.Ledger, 0, true) {
@@ -134,7 +133,7 @@ func TestGovernorAllowIssueBands(t *testing.T) {
 // the calling session's share.
 func TestGovernorShedRanking(t *testing.T) {
 	pool := testPool(t, 100)
-	g := NewGovernor(GovernorConfig{}, pool)
+	g := NewGovernor(pool)
 	l := NewLedger(obs.NewRegistry(), false)
 	a, b := l.NewHolder(), l.NewHolder()
 	view := func(holder int, name string, cost sim.Duration) AssetKey {
@@ -166,13 +165,13 @@ func TestGovernorShedRanking(t *testing.T) {
 	}
 }
 
-// TestGovernorDeadlineFor: deadlines are k× the cost estimate from now, and
+// TestGovernorDeadlineFor: deadlines are 4× the cost estimate from now, and
 // absent (0) for unscored manipulations.
 func TestGovernorDeadlineFor(t *testing.T) {
-	g := NewGovernor(GovernorConfig{DeadlineFactor: 3}, testPool(t, 10))
+	g := NewGovernor(testPool(t, 10))
 	now := sim.Time(secs(100))
-	if d := g.DeadlineFor(now, secs(2)); d != now.Add(secs(6)) {
-		t.Fatalf("DeadlineFor = %v, want now+6s", d)
+	if d := g.DeadlineFor(now, secs(2)); d != now.Add(secs(8)) {
+		t.Fatalf("DeadlineFor = %v, want now+8s", d)
 	}
 	if d := g.DeadlineFor(now, 0); d != 0 {
 		t.Fatal("unscored manipulation must get no deadline")
@@ -184,27 +183,21 @@ func TestGovernorDeadlineFor(t *testing.T) {
 // while open, banks degraded time, and closes after the cooldown.
 func TestGlobalBreakerTripAndRecover(t *testing.T) {
 	pool := testPool(t, 100)
-	g := NewGovernor(GovernorConfig{
-		Breaker: fault.GlobalBreakerConfig{
-			Window:      sim.Duration(secs(30)),
-			MinSamples:  4,
-			FailureRate: 0.5,
-			Cooldown:    sim.Duration(secs(60)),
-		},
-	}, pool)
+	g := NewGovernor(pool)
 	l := newFootprintLedger()
 
 	now := sim.Time(0)
-	g.NoteSuccess(now)
-	g.NoteFailure(now.Add(secs(1)))
-	g.NoteFailure(now.Add(secs(2)))
-	if g.Breaker().Open(now.Add(secs(2))) {
-		t.Fatal("breaker tripped below MinSamples")
+	for i := range 11 {
+		g.NoteFailure(now.Add(secs(i)))
 	}
-	g.NoteFailure(now.Add(secs(3))) // 3 fails / 4 samples ≥ 0.5 → trip
-	at := now.Add(secs(3))
+	if g.Breaker().Open(now.Add(secs(10))) {
+		t.Fatal("breaker tripped below 12 samples")
+	}
+	g.NoteSuccess(now.Add(secs(11)))
+	g.NoteFailure(now.Add(secs(12))) // 12 fails / 13 samples ≥ 0.5 → trip
+	at := now.Add(secs(12))
 	if !g.Breaker().Open(at) {
-		t.Fatal("breaker did not trip at 75% failure rate")
+		t.Fatal("breaker did not trip at a 12/13 failure rate")
 	}
 	if lvl := g.Level(l.Ledger, at); lvl != PressureDegraded {
 		t.Fatalf("open breaker level = %v, want degraded", lvl)
@@ -213,11 +206,11 @@ func TestGlobalBreakerTripAndRecover(t *testing.T) {
 		t.Fatal("degraded mode must refuse every issue")
 	}
 	// Outcomes reported while open must not extend or re-trip.
-	g.NoteFailure(now.Add(secs(10)))
+	g.NoteFailure(at.Add(secs(10)))
 	if g.Breaker().Trips() != 1 {
 		t.Fatalf("trips = %d, want 1", g.Breaker().Trips())
 	}
-	// Cooldown passes: closed again, degraded time banked.
+	// The 60 s cooldown passes: closed again, degraded time banked.
 	later := at.Add(secs(61))
 	if g.Breaker().Open(later) {
 		t.Fatal("breaker still open after cooldown")
@@ -248,7 +241,7 @@ func TestGovernorMetricsAndNames(t *testing.T) {
 	}
 
 	pool := testPool(t, 100)
-	g := NewGovernor(GovernorConfig{}, pool)
+	g := NewGovernor(pool)
 	reg := obs.NewRegistry()
 	g.AttachMetrics(reg)
 	var nilGov *Governor

@@ -241,28 +241,28 @@ func TestSchedulerZeroEstPagesFloor(t *testing.T) {
 		t.Fatalf("headroom-reserve = %d, want within [%d, %d)", got, MinEstPages, floor)
 	}
 
-	s := NewScheduler(2, pool)
+	s := NewScheduler(pool)
 	l := NewLedger(obs.NewRegistry(), false)
 	cand := AssetKey{Scope: 1, Manip: "candidate"}
 	l.Claim(cand, 1, 0, 0)
-	if s.AdmitExtra(l, cand, 0) {
+	if s.AdmitExtra(l, cand, 0, 2) {
 		t.Fatal("unscored job admitted under pool pressure")
 	}
-	if s.AdmitExtra(l, cand, -3) {
+	if s.AdmitExtra(l, cand, -3, 2) {
 		t.Fatal("negative estimate admitted under pool pressure")
 	}
 	// A genuinely tiny scored job still fits.
-	if !s.AdmitExtra(l, cand, MinEstPages) {
+	if !s.AdmitExtra(l, cand, MinEstPages, 2) {
 		t.Fatal("minimal scored job deferred with headroom available")
 	}
 	// The worker cap counts the other jobs in flight, whoever's they are, and
 	// never the candidate's own entry.
 	l.Claim(AssetKey{Scope: 1, Manip: "first"}, 1, 0, 0)
-	if !s.AdmitExtra(l, cand, MinEstPages) {
+	if !s.AdmitExtra(l, cand, MinEstPages, 2) {
 		t.Fatal("deferred with one of two workers busy")
 	}
 	l.Claim(AssetKey{Scope: 2, Manip: "other"}, 2, 0, 0)
-	if s.AdmitExtra(l, cand, MinEstPages) {
+	if s.AdmitExtra(l, cand, MinEstPages, 2) {
 		t.Fatal("admitted past the worker cap")
 	}
 }
@@ -400,7 +400,7 @@ func TestWasteChargedOncePerBuild(t *testing.T) {
 func TestWasteChargedOncePerBuildShared(t *testing.T) {
 	e := newTestEngine(t, 400)
 	sb := NewLedger(e.Metrics(), true)
-	sched := NewScheduler(2, e.Pool)
+	sched := NewScheduler(e.Pool)
 	specs := make([]*Speculator, 3)
 	for i := range specs {
 		cfg := DefaultConfig()

@@ -7,9 +7,9 @@
 // Every operation returns its simulated duration, derived from the work it
 // actually performed (buffer-pool misses, write-backs, tuples processed) as
 // counted on a meter of its own, so statements of different sessions may
-// overlap without touching each other's numbers.
-// A configurable contention model scales durations by concurrent load for
-// the multi-user experiments (Section 6.3 of the paper).
+// overlap without touching each other's numbers. How concurrent speculative
+// load stretches a duration (Section 6.3 of the paper) is the speculator's
+// model, not the engine's.
 package engine
 
 import (
@@ -44,9 +44,6 @@ type Config struct {
 	// UseViews lets the optimizer consider non-forced materialized views
 	// (query-materialization semantics). Forced views always apply.
 	UseViews bool
-	// ContentionFactor scales statement durations by
-	// (1 + ContentionFactor × ActiveJobs); 0 disables the load model.
-	ContentionFactor float64
 	// Fault configures deterministic fault injection (DESIGN.md §8). The
 	// zero value injects nothing and leaves the engine byte-identical to an
 	// uninstrumented one.
@@ -73,7 +70,7 @@ type Result struct {
 	RowCount int64
 	// Work is the raw work performed.
 	Work sim.Work
-	// Duration is the simulated elapsed time, after the contention model.
+	// Duration is the simulated elapsed time: Work at the engine's rates.
 	Duration sim.Duration
 	// Plan is the physical plan, when one was produced.
 	Plan plan.Node
@@ -91,9 +88,7 @@ type Result struct {
 // metered on a sim.Meter of its own, so what it reports never depended on who
 // else was running. Planning (PlanGraph/Explain) runs lock-free at this level and
 // relies on the fine-grained locks inside the catalog, buffer pool, B-trees,
-// and heap files. Simulated concurrency — the effect of other in-flight jobs
-// on a statement's duration — is modeled by the contention factor over the
-// registered-job count, not by physical overlap.
+// and heap files.
 type Engine struct {
 	Disk    storage.Disk
 	Pool    *buffer.Pool
@@ -127,12 +122,6 @@ type Engine struct {
 	// stmtMu is the statement lock: shared by statements that only read,
 	// exclusive for every other. Only statement locks it.
 	stmtMu sync.RWMutex
-
-	// jobsMu guards the registry of logically in-flight jobs (speculative
-	// manipulations, other users' queries) that the contention model counts.
-	jobsMu sync.Mutex
-	jobs   map[int64]struct{}
-	jobSeq int64
 
 	seqMu sync.Mutex
 	seq   int64
@@ -186,7 +175,6 @@ func build(cfg Config, base storage.Disk) *Engine {
 		sink:         sink,
 		workMemBytes: int64(cfg.BufferPoolPages) * int64(disk.PageSize()) / 4,
 		injector:     inj,
-		jobs:         make(map[int64]struct{}),
 		dataVersions: make(map[string]uint64),
 		metrics:      obs.NewRegistry(),
 		tracer:       obs.NewTracer(0),
@@ -232,33 +220,6 @@ func (e *Engine) recoverTo(op string, err *error) {
 // Rates reports the engine's cost rates: what converts work counters to
 // simulated time.
 func (e *Engine) Rates() sim.CostRates { return sim.DefaultRates() }
-
-// BeginJob registers a logically in-flight job with the contention model and
-// returns a handle for EndJob. Speculators register their outstanding
-// manipulations; the multi-user harness registers other users' running
-// queries.
-func (e *Engine) BeginJob() int64 {
-	e.jobsMu.Lock()
-	defer e.jobsMu.Unlock()
-	e.jobSeq++
-	e.jobs[e.jobSeq] = struct{}{}
-	return e.jobSeq
-}
-
-// EndJob deregisters a job. Ending an already-ended job is a no-op, so
-// completion and cancellation paths need not coordinate.
-func (e *Engine) EndJob(id int64) {
-	e.jobsMu.Lock()
-	defer e.jobsMu.Unlock()
-	delete(e.jobs, id)
-}
-
-// ActiveJobs reports the number of registered in-flight jobs.
-func (e *Engine) ActiveJobs() int {
-	e.jobsMu.Lock()
-	defer e.jobsMu.Unlock()
-	return len(e.jobs)
-}
 
 // bumpDataVersion advances name's data version after a table-mutating
 // statement, invalidating any cached answer that read the table.
@@ -419,7 +380,7 @@ func (e *Engine) mutate(op, table string, eff effect, body func(t *catalog.Table
 
 // measure is one measure window, the engine's only accounting path: it runs
 // fn and, when fn succeeds, records in res the work st's meter gained
-// meanwhile and its duration under the contention model. The meter is the
+// meanwhile and its duration at the engine's rates. The meter is the
 // statement's own, so the delta is fn's work by construction; it is a delta
 // (not the meter's total) because a statement may open a second window after
 // a failed first one.
@@ -430,9 +391,6 @@ func (e *Engine) measure(st *stmt, res *Result, fn func() error) error {
 	}
 	res.Work = st.meter.Since(before)
 	res.Duration = res.Work.Cost(e.Rates())
-	if n := e.ActiveJobs(); e.cfg.ContentionFactor > 0 && n > 0 {
-		res.Duration = sim.Duration(float64(res.Duration) * (1 + e.cfg.ContentionFactor*float64(n)))
-	}
 	e.obsStmts.Inc()
 	e.obsStmtDur.Observe(int64(res.Duration))
 	return nil

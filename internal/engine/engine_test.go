@@ -296,34 +296,6 @@ func TestStageWarmsPool(t *testing.T) {
 	}
 }
 
-func TestContentionModel(t *testing.T) {
-	e := newTestEngine(t, 500, Config{ContentionFactor: 0.5})
-	if err := e.ColdStart(); err != nil {
-		t.Fatal(err)
-	}
-	idle, err := e.Exec("SELECT * FROM R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.BeginJob()
-	e.BeginJob()
-	if err := e.ColdStart(); err != nil {
-		t.Fatal(err)
-	}
-	busy, err := e.Exec("SELECT * FROM R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if busy.Work != idle.Work {
-		t.Fatalf("work differs between runs: %+v vs %+v", busy.Work, idle.Work)
-	}
-	// Same work, but duration scaled by (1 + 0.5×2) = 2×.
-	ratio := float64(busy.Duration) / float64(idle.Duration)
-	if ratio < 1.99 || ratio > 2.01 {
-		t.Fatalf("contention ratio %.2f, want 2", ratio)
-	}
-}
-
 func TestDropTableUnknown(t *testing.T) {
 	e := newTestEngine(t, 10, Config{})
 	if err := e.DropTable("ghost"); err == nil {

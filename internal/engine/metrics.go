@@ -18,7 +18,7 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // MetricsSnapshot refreshes point-in-time gauges (buffer residency, B+-tree
-// shapes, catalog sizes, in-flight jobs) and returns a snapshot of every
+// shapes, catalog sizes) and returns a snapshot of every
 // metric. Counters in the snapshot are cumulative since engine construction.
 func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	r := e.metrics
@@ -26,7 +26,6 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	r.Gauge("buffer.pool.resident").Set(float64(e.Pool.Resident()))
 	r.Gauge("buffer.pool.staged").Set(float64(e.Pool.StagedCount()))
 	r.Gauge("buffer.pool.hit_ratio").Set(e.Pool.Stats().HitRatio())
-	r.Gauge("engine.jobs.active").Set(float64(e.ActiveJobs()))
 
 	var indexes, pages, splits, maxHeight int64
 	tables := e.Catalog.TableNames()

@@ -34,22 +34,18 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes a Breaker.
-type BreakerConfig struct {
-	// Failures is the number of consecutive failures that trips the
-	// breaker open.
-	Failures int
-	// Cooldown is the sim-time the breaker stays open before letting one
-	// half-open probe through.
-	Cooldown sim.Duration
-}
+// A Breaker trips open after breakerFailures consecutive failures and lets one
+// half-open probe through breakerCooldown of sim time (not wall time) later.
+const (
+	breakerFailures = 3
+	breakerCooldown = 30 * time.Second
+)
 
 // Breaker is a per-session circuit breaker over speculation, driven entirely
 // by the session's simulated clock: deterministic, never reading wall time.
 // It is not internally locked — the owning speculator already serializes all
 // calls under the session lock.
 type Breaker struct {
-	cfg      BreakerConfig
 	state    BreakerState
 	failures int // consecutive failures while closed
 	openedAt sim.Time
@@ -60,15 +56,7 @@ type Breaker struct {
 }
 
 // NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Failures <= 0 {
-		cfg.Failures = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 30 * time.Second // sim time, not wall time
-	}
-	return &Breaker{cfg: cfg}
-}
+func NewBreaker() *Breaker { return &Breaker{} }
 
 // AttachMetrics mirrors state transitions into reg under "breaker.*".
 func (b *Breaker) AttachMetrics(reg *obs.Registry) {
@@ -89,7 +77,7 @@ func (b *Breaker) Allow(now sim.Time) bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if now.Sub(b.openedAt) >= b.cfg.Cooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			b.state = BreakerHalfOpen
 			b.probes.Inc()
 			return true
@@ -105,7 +93,7 @@ func (b *Breaker) Allow(now sim.Time) bool {
 // restarts the cooldown.
 func (b *Breaker) Failure(now sim.Time) (tripped bool) {
 	b.failures++
-	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.failures >= b.cfg.Failures) {
+	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.failures >= breakerFailures) {
 		b.state = BreakerOpen
 		b.openedAt = now
 		b.failures = 0

@@ -166,7 +166,7 @@ func TestWrapDisk(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	br := NewBreaker(BreakerConfig{Failures: 3, Cooldown: 10 * time.Second})
+	br := NewBreaker()
 	reg := obs.NewRegistry()
 	br.AttachMetrics(reg)
 	at := func(sec int) sim.Time { return sim.Time(sec) * sim.Time(time.Second) }
@@ -186,42 +186,42 @@ func TestBreakerStateMachine(t *testing.T) {
 	if br.State() != BreakerOpen {
 		t.Fatalf("state %v, want open", br.State())
 	}
-	if br.Allow(at(4)) {
-		t.Fatal("open breaker allowed before cooldown")
+	if br.Allow(at(4)) || br.Allow(at(32)) {
+		t.Fatal("open breaker allowed before the 30 s cooldown")
 	}
 	// Cooldown elapsed: one half-open probe is admitted, a second is not.
-	if !br.Allow(at(14)) {
+	if !br.Allow(at(33)) {
 		t.Fatal("half-open probe rejected after cooldown")
 	}
 	if br.State() != BreakerHalfOpen {
 		t.Fatalf("state %v, want half-open", br.State())
 	}
-	if br.Allow(at(14)) {
+	if br.Allow(at(33)) {
 		t.Fatal("second concurrent probe admitted")
 	}
 	// A failed probe reopens immediately (no threshold).
-	if tripped := br.Failure(at(15)); !tripped {
+	if tripped := br.Failure(at(34)); !tripped {
 		t.Fatal("failed probe did not reopen")
 	}
-	if br.Allow(at(16)) {
+	if br.Allow(at(63)) {
 		t.Fatal("reopened breaker allowed before a fresh cooldown")
 	}
 	// A canceled probe also reopens.
-	if !br.Allow(at(26)) {
+	if !br.Allow(at(64)) {
 		t.Fatal("second probe rejected")
 	}
-	br.Canceled(at(26))
+	br.Canceled(at(64))
 	if br.State() != BreakerOpen {
 		t.Fatalf("state %v after canceled probe, want open", br.State())
 	}
 	// A successful probe closes the breaker and failures reset.
-	if !br.Allow(at(37)) {
+	if !br.Allow(at(94)) {
 		t.Fatal("third probe rejected")
 	}
 	if resumed := br.Success(); !resumed {
 		t.Fatal("successful probe did not resume")
 	}
-	if br.State() != BreakerClosed || !br.Allow(at(38)) {
+	if br.State() != BreakerClosed || !br.Allow(at(95)) {
 		t.Fatal("breaker should be closed and allowing after resume")
 	}
 	if resumed := br.Success(); resumed {

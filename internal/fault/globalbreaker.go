@@ -8,22 +8,17 @@ import (
 	"specdb/internal/sim"
 )
 
-// GlobalBreakerConfig tunes a GlobalBreaker.
-type GlobalBreakerConfig struct {
-	// Window is the sim-time span over which the failure rate is sampled.
-	Window sim.Duration
-	// MinSamples is the minimum number of outcomes inside a window before
-	// the rate is trusted enough to trip — a single early failure must not
-	// take the whole engine degraded.
-	MinSamples int
-	// FailureRate is the fraction of failed outcomes (0..1] inside a full
-	// window that trips the breaker.
-	FailureRate float64
-	// Cooldown is the sim-time the breaker stays open (speculation-off
-	// degraded mode) before the first state query at or past the deadline
-	// closes it again.
-	Cooldown sim.Duration
-}
+// A GlobalBreaker samples outcomes in fixed windows of gbreakerWindow sim
+// time. It trips once a window holds at least gbreakerMinSamples outcomes —
+// a single early failure must not take the whole engine degraded — of which
+// at least gbreakerFailureRate failed, and stays open (speculation-off
+// degraded mode) until the first state query gbreakerCooldown later.
+const (
+	gbreakerWindow      = 30 * time.Second
+	gbreakerMinSamples  = 12
+	gbreakerFailureRate = 0.5
+	gbreakerCooldown    = 60 * time.Second
+)
 
 // GlobalBreaker is the engine-wide circuit breaker layered above the
 // per-session Breakers (DESIGN.md §13). Per-session breakers react to one
@@ -38,8 +33,7 @@ type GlobalBreakerConfig struct {
 // purely cooldown-driven, because while degraded no speculative work runs
 // that could serve as a probe.
 type GlobalBreaker struct {
-	mu  sync.Mutex
-	cfg GlobalBreakerConfig
+	mu sync.Mutex
 
 	// Current sampling window. Outcomes are bucketed into fixed windows
 	// anchored at winStart; a sample past the window end resets it.
@@ -55,22 +49,8 @@ type GlobalBreaker struct {
 	opened, closed *obs.Counter
 }
 
-// NewGlobalBreaker returns a closed global breaker with defaults filled in.
-func NewGlobalBreaker(cfg GlobalBreakerConfig) *GlobalBreaker {
-	if cfg.Window <= 0 {
-		cfg.Window = 30 * time.Second // sim time
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 12
-	}
-	if cfg.FailureRate <= 0 || cfg.FailureRate > 1 {
-		cfg.FailureRate = 0.5
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 60 * time.Second // sim time
-	}
-	return &GlobalBreaker{cfg: cfg}
-}
+// NewGlobalBreaker returns a closed global breaker.
+func NewGlobalBreaker() *GlobalBreaker { return &GlobalBreaker{} }
 
 // AttachMetrics mirrors transitions into reg under "gbreaker.*".
 func (b *GlobalBreaker) AttachMetrics(reg *obs.Registry) {
@@ -94,8 +74,8 @@ func (b *GlobalBreaker) Failure(now sim.Time) (tripped bool) {
 	b.sampleLocked(now)
 	b.fails++
 	b.total++
-	if b.total >= b.cfg.MinSamples &&
-		float64(b.fails) >= b.cfg.FailureRate*float64(b.total) {
+	if b.total >= gbreakerMinSamples &&
+		float64(b.fails) >= gbreakerFailureRate*float64(b.total) {
 		b.open = true
 		b.openedAt = now
 		b.trips++
@@ -162,7 +142,7 @@ func (b *GlobalBreaker) DegradedTime(now sim.Time) sim.Duration {
 // maybeCloseLocked closes the breaker when the cooldown has elapsed,
 // banking the open span into the degraded-time total.
 func (b *GlobalBreaker) maybeCloseLocked(now sim.Time) {
-	if !b.open || now.Sub(b.openedAt) < b.cfg.Cooldown {
+	if !b.open || now.Sub(b.openedAt) < gbreakerCooldown {
 		return
 	}
 	b.degraded += now.Sub(b.openedAt)
@@ -176,7 +156,7 @@ func (b *GlobalBreaker) maybeCloseLocked(now sim.Time) {
 // Sessions feed time stamps from independent per-session clocks, so now may
 // lag winStart; lagging samples are simply counted into the current window.
 func (b *GlobalBreaker) sampleLocked(now sim.Time) {
-	if now.Sub(b.winStart) >= b.cfg.Window {
+	if now.Sub(b.winStart) >= gbreakerWindow {
 		b.winStart = now
 		b.fails, b.total = 0, 0
 	}

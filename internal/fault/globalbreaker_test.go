@@ -27,43 +27,32 @@ func TestGlobalBreakerNilReceiverIsClosed(t *testing.T) {
 	}
 }
 
-func TestGlobalBreakerDefaultsFilledIn(t *testing.T) {
-	b := NewGlobalBreaker(GlobalBreakerConfig{FailureRate: 1.5})
-	if b.cfg.Window != 30*time.Second {
-		t.Fatalf("default window = %v, want 30s", b.cfg.Window)
-	}
-	if b.cfg.MinSamples != 12 {
-		t.Fatalf("default min samples = %d, want 12", b.cfg.MinSamples)
-	}
-	if b.cfg.FailureRate != 0.5 {
-		t.Fatalf("out-of-range failure rate kept: %v, want default 0.5", b.cfg.FailureRate)
-	}
-	if b.cfg.Cooldown != 60*time.Second {
-		t.Fatalf("default cooldown = %v, want 60s", b.cfg.Cooldown)
-	}
-}
-
 func TestGlobalBreakerTripCooldownAndMetrics(t *testing.T) {
-	b := NewGlobalBreaker(GlobalBreakerConfig{
-		Window:      gbSecs(30),
-		MinSamples:  4,
-		FailureRate: 0.5,
-		Cooldown:    gbSecs(60),
-	})
+	b := NewGlobalBreaker()
 	reg := obs.NewRegistry()
 	b.AttachMetrics(reg)
 	opened := reg.Counter("gbreaker.opened")
 	closed := reg.Counter("gbreaker.closed")
 
+	// Eleven outcomes, all but five failed: a rate far past 0.5, but fewer
+	// than the 12 samples a trip needs.
 	now := sim.Time(0)
-	b.Success(now)
-	if b.Failure(now.Add(gbSecs(1))) || b.Failure(now.Add(gbSecs(2))) {
-		t.Fatal("breaker tripped below MinSamples")
+	for i := range 5 {
+		b.Success(now.Add(gbSecs(i)))
 	}
-	if !b.Failure(now.Add(gbSecs(3))) { // 3 fails / 4 samples ≥ 0.5
-		t.Fatal("breaker did not trip at 75% failure rate")
+	for i := 5; i < 10; i++ {
+		if b.Failure(now.Add(gbSecs(i))) {
+			t.Fatal("breaker tripped below 12 samples")
+		}
 	}
-	at := now.Add(gbSecs(3))
+	b.Success(now.Add(gbSecs(10)))
+	if b.Open(now.Add(gbSecs(10))) {
+		t.Fatal("breaker open below 12 samples")
+	}
+	if !b.Failure(now.Add(gbSecs(11))) { // 6 fails / 12 samples ≥ 0.5
+		t.Fatal("breaker did not trip at a 50% failure rate over 12 samples")
+	}
+	at := now.Add(gbSecs(11))
 	if !b.Open(at) {
 		t.Fatal("tripped breaker reports closed")
 	}
@@ -85,7 +74,11 @@ func TestGlobalBreakerTripCooldownAndMetrics(t *testing.T) {
 		t.Fatalf("mid-cooldown DegradedTime = %v, want 10s", d)
 	}
 
-	// The first query at or past the deadline closes it and banks the span.
+	// The first query at or past the 60 s deadline closes it and banks the
+	// span.
+	if !b.Open(at.Add(gbSecs(59))) {
+		t.Fatal("breaker closed before its 60 s cooldown")
+	}
 	later := at.Add(gbSecs(60))
 	if b.Open(later) {
 		t.Fatal("breaker still open after full cooldown")
@@ -99,22 +92,17 @@ func TestGlobalBreakerTripCooldownAndMetrics(t *testing.T) {
 }
 
 func TestGlobalBreakerWindowRollDropsStaleSamples(t *testing.T) {
-	b := NewGlobalBreaker(GlobalBreakerConfig{
-		Window:      gbSecs(30),
-		MinSamples:  4,
-		FailureRate: 0.5,
-		Cooldown:    gbSecs(60),
-	})
+	b := NewGlobalBreaker()
 	now := sim.Time(0)
-	b.Failure(now)
-	b.Failure(now.Add(gbSecs(1)))
-	b.Failure(now.Add(gbSecs(2)))
-	// The 4th outcome lands past the window: the stale failures must not
-	// combine with it into a trip.
-	if b.Failure(now.Add(gbSecs(31))) {
+	for i := range 11 {
+		b.Failure(now.Add(gbSecs(i)))
+	}
+	// The 12th outcome lands 30 s into the window, so the window has rolled:
+	// the stale failures must not combine with it into a trip.
+	if b.Failure(now.Add(gbSecs(30))) {
 		t.Fatal("stale failures outside the window tripped the breaker")
 	}
-	if b.Open(now.Add(gbSecs(31))) {
+	if b.Open(now.Add(gbSecs(30))) {
 		t.Fatal("breaker open after window roll")
 	}
 	if b.Trips() != 0 {

@@ -47,8 +47,7 @@ type ChaosConfig struct {
 	Workers     int
 	BudgetPages int
 
-	Fault    fault.Config        // transient faults for the chaos runs
-	Governor core.GovernorConfig // zero value selects governor defaults
+	Fault fault.Config // transient faults for the chaos runs
 
 	// Dir, when non-empty, makes every other batch durable: the dataset is
 	// loaded into a page file, a crash gate is armed at a seeded write count
@@ -114,9 +113,9 @@ func chaosCore(cfg ChaosConfig, eng *engine.Engine) core.Config {
 	c := core.DefaultConfig()
 	c.Workers = cfg.Workers
 	c.BudgetPages = cfg.BudgetPages
-	c.Scheduler = core.NewScheduler(cfg.Workers, eng.Pool)
+	c.Scheduler = core.NewScheduler(eng.Pool)
 	c.Ledger = core.NewLedger(eng.Metrics(), true)
-	c.Governor = core.NewGovernor(cfg.Governor, eng.Pool)
+	c.Governor = core.NewGovernor(eng.Pool)
 	c.Governor.AttachMetrics(eng.Metrics())
 	return c
 }

@@ -77,9 +77,9 @@ func TestGovernorOverloadShedsButAnswersCorrect(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = 2
 	cfg.BudgetPages = 10
-	cfg.Scheduler = core.NewScheduler(2, env.Eng.Pool)
+	cfg.Scheduler = core.NewScheduler(env.Eng.Pool)
 	cfg.Ledger = core.NewLedger(env.Eng.Metrics(), true)
-	cfg.Governor = core.NewGovernor(core.GovernorConfig{}, env.Eng.Pool)
+	cfg.Governor = core.NewGovernor(env.Eng.Pool)
 	out, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		t.Fatal(err)

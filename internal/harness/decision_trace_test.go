@@ -49,7 +49,7 @@ func TestDecisionTrace(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = 2
 			cfg.BudgetPages = 10
-			cfg.Scheduler = core.NewScheduler(2, eng.Pool)
+			cfg.Scheduler = core.NewScheduler(eng.Pool)
 			cfg.Scheduler.AttachMetrics(eng.Metrics())
 			cfg.Ledger = core.NewLedger(eng.Metrics(), true)
 			// Every user twice, at the same instants: the second copy finds the

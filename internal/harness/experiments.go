@@ -326,18 +326,14 @@ func runMultiUser(scale tpch.Scale, seed uint64, traces []*trace.Trace, cfg core
 	if len(traces) > 3 {
 		traces = traces[:3]
 	}
-	env, err := NewEnv(EnvConfig{
-		Scale:            scale,
-		Seed:             seed,
-		BufferPoolPages:  PoolPages96MB,
-		ContentionFactor: 0.35,
-	})
+	env, err := NewEnv(EnvConfig{Scale: scale, Seed: seed, BufferPoolPages: PoolPages96MB})
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	if normal, err = RunMultiUserNormal(env.Eng, traces); err != nil {
 		return nil, nil, stats, err
 	}
+	cfg.ContentionFactor = 0.35
 	spec, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		return nil, nil, stats, err

@@ -180,7 +180,7 @@ func TestPrematerializedViews(t *testing.T) {
 }
 
 func TestMultiUserReplay(t *testing.T) {
-	env := tinyEnv(t, EnvConfig{BufferPoolPages: PoolPages96MB, ContentionFactor: 0.5})
+	env := tinyEnv(t, EnvConfig{BufferPoolPages: PoolPages96MB})
 	traces := tinyTraces(t, 3)
 
 	normal, err := RunMultiUserNormal(env.Eng, traces)
@@ -189,6 +189,8 @@ func TestMultiUserReplay(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.SelectionsOnly = true
+	cfg.ContentionFactor = 0.5
+	cfg.Ledger = core.NewLedger(env.Eng.Metrics(), false)
 	spec, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +208,8 @@ func TestMultiUserReplay(t *testing.T) {
 			t.Fatalf("user %d query %d: rows %d vs %d", n.TraceIdx, n.QueryIdx, n.Rows, s.Rows)
 		}
 	}
-	if env.Eng.ActiveJobs() != 0 {
-		t.Fatal("ActiveJobs not reset")
+	if n := cfg.Ledger.InFlight(core.AssetKey{}); n != 0 || cfg.Ledger.Len() != 0 {
+		t.Fatalf("ledger not emptied: %d in flight, %d entries", n, cfg.Ledger.Len())
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"specdb/internal/core"
 )
 
 // tableSet snapshots the catalog's table names.
@@ -409,13 +411,13 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		}
 	}
 
-	// Shared-substrate invariants: no leaked speculative tables, no stuck
-	// jobs in the contention model, a consistent buffer pool.
+	// Shared-substrate invariants: no leaked speculative tables, no job
+	// still in flight in the ledger, a consistent buffer pool.
 	if leaked := newTables(db, before); len(leaked) != 0 {
 		t.Fatalf("speculative tables leaked: %v", leaked)
 	}
-	if got := db.eng.ActiveJobs(); got != 0 {
-		t.Fatalf("ActiveJobs = %d after all sessions closed", got)
+	if got := db.ledger.InFlight(core.AssetKey{}); got != 0 {
+		t.Fatalf("%d jobs in flight after all sessions closed", got)
 	}
 	pool := db.eng.Pool
 	if pool.Resident() > pool.Capacity() {
@@ -544,8 +546,8 @@ func TestScaledSessionsSharedSpeculation(t *testing.T) {
 	if leaked := newTables(db, before); len(leaked) != 0 {
 		t.Fatalf("speculative tables leaked: %v", leaked)
 	}
-	if got := db.eng.ActiveJobs(); got != 0 {
-		t.Fatalf("ActiveJobs = %d after all sessions closed", got)
+	if got := db.ledger.InFlight(core.AssetKey{}); got != 0 {
+		t.Fatalf("%d jobs in flight after all sessions closed", got)
 	}
 	if got := db.eng.Pool.StagedCount(); got != 0 {
 		t.Fatalf("%d pages still staged after all sessions closed", got)

@@ -171,12 +171,12 @@ func assemble(opts Options, eng *engine.Engine) *DB {
 	if workers < 1 {
 		workers = 1
 	}
-	sched := core.NewScheduler(workers, eng.Pool)
+	sched := core.NewScheduler(eng.Pool)
 	sched.AttachMetrics(eng.Metrics())
 	db := &DB{eng: eng, sched: sched, specWorkers: workers, budgetPages: opts.SpecBudgetPages,
 		ledger: core.NewLedger(eng.Metrics(), opts.SharedSpeculation)}
 	if opts.Governor {
-		db.gov = core.NewGovernor(core.GovernorConfig{}, eng.Pool)
+		db.gov = core.NewGovernor(eng.Pool)
 		db.gov.AttachMetrics(eng.Metrics())
 	}
 	if opts.PredictFinals {
