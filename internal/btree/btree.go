@@ -32,12 +32,11 @@ type BTree struct {
 	height   int
 	entries  int64
 	splits   int64
-	merges   int64
 	pages    []storage.PageID // every page owned by the tree, for Drop/PageIDs
 }
 
 // node is the in-memory form of one page, used by the paths that change a
-// page (insert, delete, bulk load) and by the invariant audit: they parse the
+// page (insert, bulk load) and by the invariant audit: they parse the
 // page, edit the slices and re-serialize. Scan, the read path every index
 // lookup takes, never builds one — it walks the serialized entries of the
 // pinned page in place (leafEntry, internalEntry), because parsing a node

@@ -36,12 +36,6 @@ func (m *refModel) insert(e modelEntry) {
 	m.entries[i] = e
 }
 
-func (m *refModel) remove(i int) modelEntry {
-	e := m.entries[i]
-	m.entries = append(m.entries[:i], m.entries[i+1:]...)
-	return e
-}
-
 // scanRange returns the model's entries with lo ≤ key ≤ hi (nil = unbounded,
 // always inclusive — matching how the test drives tree.Scan).
 func (m *refModel) scanRange(lo, hi []byte) []modelEntry {
@@ -58,10 +52,10 @@ func (m *refModel) scanRange(lo, hi []byte) []modelEntry {
 	return out
 }
 
-// TestBTreePropertyRandomOps drives randomized insert/delete/range-scan
-// sequences against a sorted reference model, checking structural invariants
-// after every mutation and full equivalence periodically. A small page size
-// forces frequent splits and merges, a small key domain forces duplicates.
+// TestBTreePropertyRandomOps drives randomized insert/range-scan sequences
+// against a sorted reference model, checking structural invariants after
+// every insert and full equivalence periodically. A small page size forces
+// frequent splits, a small key domain forces duplicates.
 func TestBTreePropertyRandomOps(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1337} {
 		seed := seed
@@ -72,7 +66,7 @@ func TestBTreePropertyRandomOps(t *testing.T) {
 }
 
 func runBTreeProperty(t *testing.T, seed uint64, ops int) {
-	const pageSize = 256 // tiny pages: splits/merges every few entries
+	const pageSize = 256 // tiny pages: a split every few entries
 	disk := storage.NewDiskManager(pageSize)
 	pool := buffer.NewPool(disk, 64, sim.NewMeter())
 	tree, err := New(pool, pageSize)
@@ -85,36 +79,13 @@ func runBTreeProperty(t *testing.T, seed uint64, ops int) {
 	keyOf := func(v int) []byte { return intKey(int64(v)) }
 
 	for op := 0; op < ops; op++ {
-		switch r := rng.Float64(); {
-		case r < 0.55 || len(model.entries) == 0: // insert
-			k := keyOf(rng.Intn(64)) // small domain → duplicates
-			nextRID++
-			rid := storage.RID{Page: nextRID, Slot: nextRID % 7}
-			if err := tree.Insert(k, rid); err != nil {
-				t.Fatalf("op %d: insert: %v", op, err)
-			}
-			model.insert(modelEntry{key: k, rid: rid})
-		case r < 0.90: // delete an existing entry
-			i := rng.Intn(len(model.entries))
-			e := model.remove(i)
-			ok, err := tree.Delete(e.key, e.rid)
-			if err != nil {
-				t.Fatalf("op %d: delete: %v", op, err)
-			}
-			if !ok {
-				t.Fatalf("op %d: delete of existing entry reported missing", op)
-			}
-		default: // delete a definite miss
-			k := keyOf(rng.Intn(64))
-			rid := storage.RID{Page: -1, Slot: -1} // never inserted
-			ok, err := tree.Delete(k, rid)
-			if err != nil {
-				t.Fatalf("op %d: miss delete: %v", op, err)
-			}
-			if ok {
-				t.Fatalf("op %d: delete of absent entry reported found", op)
-			}
+		k := keyOf(rng.Intn(64)) // small domain → duplicates
+		nextRID++
+		rid := storage.RID{Page: nextRID, Slot: nextRID % 7}
+		if err := tree.Insert(k, rid); err != nil {
+			t.Fatalf("op %d: insert: %v", op, err)
 		}
+		model.insert(modelEntry{key: k, rid: rid})
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
@@ -126,9 +97,6 @@ func runBTreeProperty(t *testing.T, seed uint64, ops int) {
 		}
 	}
 	checkEquivalence(t, ops, tree, model, rng, keyOf)
-	if tree.Merges() == 0 {
-		t.Fatal("workload never exercised a merge; tighten the parameters")
-	}
 	if tree.Splits() == 0 {
 		t.Fatal("workload never exercised a split; tighten the parameters")
 	}

@@ -317,7 +317,3 @@ func (c *Catalog) ViewByGraph(graph *qgraph.Graph) *MatView {
 	}
 	return nil
 }
-
-// ViewColumn is the naming convention mapping a base column to its name in a
-// materialized view's schema.
-func ViewColumn(rel, col string) string { return rel + "." + col }

@@ -140,17 +140,17 @@ type refusal uint8
 
 const (
 	admitted refusal = iota
-	// refusedBudget and refusedScheduler defer this candidate only: the walk
+	// refusedBudget and refusedWorkerGate defer this candidate only: the walk
 	// goes on to the next one, which may be smaller.
 	refusedBudget
-	refusedScheduler
+	refusedWorkerGate
 	// refusedBreaker ends the walk: nothing may be issued.
 	refusedBreaker
 )
 
 // deferred is the Stats field counting a walk-on refusal.
 func (s *Stats) deferred(r refusal) *int {
-	return [...]*int{refusedBudget: &s.BudgetDeferred, refusedScheduler: &s.Deferred}[r]
+	return [...]*int{refusedBudget: &s.BudgetDeferred, refusedWorkerGate: &s.Deferred}[r]
 }
 
 // footprint is the summed EstPages of outstanding jobs plus held views — what
@@ -172,10 +172,10 @@ func (sp *Speculator) admit(m *Manipulation, key AssetKey, now sim.Time) refusal
 	switch {
 	case sp.cfg.BudgetPages > 0 && sp.footprint()+m.EstPages > sp.cfg.BudgetPages:
 		return refusedBudget
-	case len(sp.outstanding) > 0 && !sp.cfg.Scheduler.AdmitExtra(sp.cfg.Ledger, key, m.EstPages, sp.cfg.Workers):
+	case len(sp.outstanding) > 0 && !sp.admitExtra(key, m.EstPages):
 		// Only extra jobs, beyond this speculator's first outstanding
-		// manipulation, pass the engine-wide scheduler.
-		return refusedScheduler
+		// manipulation, pass the worker gate.
+		return refusedWorkerGate
 	case !sp.breaker.Allow(now):
 		// Consulted last, once a candidate is actually worth issuing, so an
 		// admitted half-open probe always corresponds to a real job (a probe
@@ -184,6 +184,30 @@ func (sp *Speculator) admit(m *Manipulation, key AssetKey, now sim.Time) refusal
 		return refusedBreaker
 	}
 	return admitted
+}
+
+// admitExtra is the worker gate an extra job, beyond this speculator's first
+// outstanding one, must pass to run as the candidate entered in the ledger
+// under key with retained footprint estPages. Fewer than Config.Workers other
+// jobs may be in flight across the ledger's sessions — a job holds its slot
+// from issue to its terminal transition, and a first job is never asked (the
+// paper's one-manipulation-per-user convention of §3.1), so lone speculators
+// can transiently overcommit the cap but are never throttled. The footprint
+// must fit in the pool's current headroom minus a quarter of its capacity,
+// reserved for the foreground working set. The cost model never prices real
+// work below MinEstPages, so a missing estimate (estPages <= 0) means
+// "unscored", not "free", and is floored at half that reserve.
+func (sp *Speculator) admitExtra(key AssetKey, estPages int) bool {
+	reserve := sp.eng.Pool.Capacity() / 4
+	if estPages <= 0 {
+		estPages = max(MinEstPages, reserve/2)
+	}
+	if sp.cfg.Ledger.InFlight(key) >= sp.cfg.Workers || estPages > sp.eng.Pool.Headroom()-reserve {
+		sp.gateDeferred.Inc()
+		return false
+	}
+	sp.gateAdmitted.Inc()
+	return true
 }
 
 // tryIssue takes one scored candidate, whose ledger entry is key, through

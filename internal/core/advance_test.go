@@ -25,9 +25,9 @@ func manipSpans(e *engine.Engine) []obs.Span {
 	return out
 }
 
-// threeJobs puts R ⋈ S ⋈ W with a selection on the canvas of a three-worker
-// speculator and returns it with its three outstanding jobs, in issue order.
-func threeJobs(t *testing.T, e *engine.Engine) (*Speculator, []*Job) {
+// threeWorkers puts R ⋈ S ⋈ W with a selection on the canvas of a
+// three-worker speculator and returns it.
+func threeWorkers(t *testing.T, e *engine.Engine) *Speculator {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MinBenefit = 0
@@ -42,6 +42,14 @@ func threeJobs(t *testing.T, e *engine.Engine) (*Speculator, []*Job) {
 			t.Fatal(err)
 		}
 	}
+	return sp
+}
+
+// threeJobs returns threeWorkers' speculator with its three outstanding
+// jobs, in issue order.
+func threeJobs(t *testing.T, e *engine.Engine) (*Speculator, []*Job) {
+	t.Helper()
+	sp := threeWorkers(t, e)
 	if len(sp.outstanding) != 3 {
 		t.Fatalf("%d jobs outstanding, want 3", len(sp.outstanding))
 	}

@@ -356,7 +356,8 @@ func TestTheorem31(t *testing.T) {
 	q1 := qgraph.SelectionSubgraph(theta)
 	q2 := qgraph.New()
 	q2.AddJoin(qgraph.NewJoin("R", "a", "S", "a"))
-	q3 := q1.Union(q2)
+	q3 := q2.Clone()
+	q3.AddSelection(theta)
 
 	costOf := func(g *qgraph.Graph) float64 {
 		node, err := e.PlanGraph(g)
@@ -508,7 +509,7 @@ func TestEnumerateManipulations(t *testing.T) {
 	if len(ms) != 1 {
 		t.Fatalf("selections-only enumerated %d, want 1", len(ms))
 	}
-	ms = EnumerateManipulations(partial, OpsAll(), false, none)
+	ms = EnumerateManipulations(partial, OpSet{Materialize: true, Index: true, Histogram: true, Stage: true}, false, none)
 	// 2 materializations + 1 index + 1 histogram + 2 stagings.
 	if len(ms) != 6 {
 		t.Fatalf("full ops enumerated %d, want 6", len(ms))

@@ -63,13 +63,13 @@ const (
 	deadlineFactor = 4
 )
 
-// Governor is the engine-wide resource-pressure layer above the scheduler
-// and the per-session budgets (DESIGN.md §13). At event boundaries sessions
-// ask it which of their builds to shed (benefit-ascending, never a session's
-// last) and whether new issues are allowed; what is in flight and held it
-// reads from the Ledger they hand it, and keeps only its band. All decisions
-// are driven by the callers' sim-clocks, the ledger and the pool's exact
-// headroom — never wall time — so governed runs stay deterministic per
+// Governor is the engine-wide resource-pressure layer above the speculators'
+// worker gate and per-session budgets (DESIGN.md §13). At event boundaries
+// sessions ask it which of their builds to shed (benefit-ascending, never a
+// session's last) and whether new issues are allowed; what is in flight and
+// held it reads from the Ledger they hand it, and keeps only its band. All
+// decisions are driven by the callers' sim-clocks, the ledger and the pool's
+// exact headroom — never wall time — so governed runs stay deterministic per
 // timeline.
 //
 // Every method is nil-receiver safe and a *Governor field left nil (the

@@ -67,12 +67,14 @@ func (a *asset) holdIndex(holder int) int {
 
 // Ledger is the engine-wide record of speculative work (DESIGN.md §16): every
 // started job and every held view is one entry, written by the speculators'
-// lifecycle transitions and read by the governor, the scheduler and the
-// speculators themselves. On a sharing ledger (DESIGN.md §11) a
-// materialization's entry is keyed by its subplan alone, so concurrent
-// sessions build it once and hold it together; everything else, and every
-// entry of a non-sharing ledger, is keyed under the session that issued it.
-// Sessions that share a Scheduler or a Governor must share the Ledger.
+// lifecycle transitions and read by the governor and the speculators
+// themselves, whose worker gate counts the jobs in flight here. On a sharing
+// ledger (DESIGN.md §11) a materialization's entry is keyed by its subplan
+// alone, so concurrent sessions build it once and hold it together;
+// everything else, and every entry of a non-sharing ledger, is keyed under
+// the session that issued it.
+// Sessions that go wide (Config.Workers > 1) or share a Governor must share
+// the Ledger.
 type Ledger struct {
 	mu         sync.Mutex
 	share      bool

@@ -204,9 +204,10 @@ func stagePages(t *testing.T, e *engine.Engine, rel string, n int) {
 	}
 }
 
-// TestSchedulerZeroEstPagesFloor is the admission-floor bugfix regression: a job
-// with no cost estimate (EstPages == 0) must be floored to a conservative
-// footprint, not admitted as if it were free.
+// TestSchedulerZeroEstPagesFloor is the admission-floor bugfix regression for
+// the speculator's worker gate: a job with no cost estimate (EstPages == 0)
+// must be floored to a conservative footprint, not admitted as if it were
+// free.
 func TestSchedulerZeroEstPagesFloor(t *testing.T) {
 	// A 64-page pool: reserve 16, floor max(MinEstPages, 8) = 8. One wide
 	// table supplies enough heap pages to stage the headroom down.
@@ -241,29 +242,58 @@ func TestSchedulerZeroEstPagesFloor(t *testing.T) {
 		t.Fatalf("headroom-reserve = %d, want within [%d, %d)", got, MinEstPages, floor)
 	}
 
-	s := NewScheduler(pool)
 	l := NewLedger(obs.NewRegistry(), false)
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.Ledger = l
+	sp := newSpec(e, cfg)
 	cand := AssetKey{Scope: 1, Manip: "candidate"}
 	l.Claim(cand, 1, 0, 0)
-	if s.AdmitExtra(l, cand, 0, 2) {
+	if sp.admitExtra(cand, 0) {
 		t.Fatal("unscored job admitted under pool pressure")
 	}
-	if s.AdmitExtra(l, cand, -3, 2) {
+	if sp.admitExtra(cand, -3) {
 		t.Fatal("negative estimate admitted under pool pressure")
 	}
 	// A genuinely tiny scored job still fits.
-	if !s.AdmitExtra(l, cand, MinEstPages, 2) {
+	if !sp.admitExtra(cand, MinEstPages) {
 		t.Fatal("minimal scored job deferred with headroom available")
 	}
 	// The worker cap counts the other jobs in flight, whoever's they are, and
 	// never the candidate's own entry.
 	l.Claim(AssetKey{Scope: 1, Manip: "first"}, 1, 0, 0)
-	if !s.AdmitExtra(l, cand, MinEstPages, 2) {
+	if !sp.admitExtra(cand, MinEstPages) {
 		t.Fatal("deferred with one of two workers busy")
 	}
 	l.Claim(AssetKey{Scope: 2, Manip: "other"}, 2, 0, 0)
-	if s.AdmitExtra(l, cand, MinEstPages, 2) {
+	if sp.admitExtra(cand, MinEstPages) {
 		t.Fatal("admitted past the worker cap")
+	}
+}
+
+// TestWorkerGateDefersUnderPoolPressure: a speculator allowed three workers
+// gates its extra jobs itself, with no other wiring. On a pool staged until
+// no footprint fits in the headroom beyond the foreground reserve, it issues
+// its first job only and counts the others Deferred, here and in the
+// engine's sched.* counters.
+func TestWorkerGateDefersUnderPoolPressure(t *testing.T) {
+	e := loadTestEngine(t, engine.New(engine.Config{BufferPoolPages: 48}), 20000)
+	reserve := e.Pool.Capacity() / 4
+	need := e.Pool.Headroom() - reserve - MinEstPages + 1
+	for i, rel := range []string{"R", "S", "W"} {
+		stagePages(t, e, rel, (need+i)/3)
+	}
+	sp := threeWorkers(t, e)
+	st := sp.Stats()
+	if len(sp.outstanding) != 1 || st.Issued != 1 || st.Deferred == 0 {
+		t.Fatalf("%d outstanding, stats %+v; want one issued job and the rest deferred", len(sp.outstanding), st)
+	}
+	c := e.Metrics().Snapshot().Counters
+	if c["sched.deferred"] != int64(st.Deferred) || c["sched.admitted"] != 0 {
+		t.Fatalf("sched.deferred %d, sched.admitted %d; want %d and 0", c["sched.deferred"], c["sched.admitted"], st.Deferred)
+	}
+	if err := sp.Shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -400,14 +430,12 @@ func TestWasteChargedOncePerBuild(t *testing.T) {
 func TestWasteChargedOncePerBuildShared(t *testing.T) {
 	e := newTestEngine(t, 400)
 	sb := NewLedger(e.Metrics(), true)
-	sched := NewScheduler(e.Pool)
 	specs := make([]*Speculator, 3)
 	for i := range specs {
 		cfg := DefaultConfig()
 		cfg.MinBenefit = 0
 		cfg.NamePrefix = fmt.Sprintf("cse_u%d", i)
 		cfg.Ledger = sb
-		cfg.Scheduler = sched
 		specs[i] = newSpec(e, cfg)
 	}
 	for i, sp := range specs {

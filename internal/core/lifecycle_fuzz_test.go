@@ -114,7 +114,6 @@ func newLifecycleRig(t *testing.T, prog []byte) *lifecycleRig {
 	cfg := DefaultConfig()
 	cfg.MinBenefit = 0
 	cfg.Workers = 1 + int(shape>>4)%2
-	cfg.Scheduler = NewScheduler(e.Pool)
 	cfg.Ledger = NewLedger(e.Metrics(), conf&1 != 0)
 	if conf&2 != 0 {
 		cfg.Governor = NewGovernor(e.Pool)

@@ -109,7 +109,6 @@ func TestLifecycleTable(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := DefaultConfig()
-				cfg.Scheduler = NewScheduler(e.Pool)
 				cfg.Governor = NewGovernor(e.Pool)
 				cfg.Ledger = NewLedger(e.Metrics(), false)
 				kind.configure(e, &cfg)

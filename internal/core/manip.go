@@ -60,9 +60,6 @@ type OpSet struct {
 // uses them exclusively.
 func OpsMaterializeOnly() OpSet { return OpSet{Materialize: true} }
 
-// OpsAll enables every family (the A1 ablation).
-func OpsAll() OpSet { return OpSet{Materialize: true, Index: true, Histogram: true, Stage: true} }
-
 // Manipulation is one alternative the Speculator can issue.
 type Manipulation struct {
 	Kind ManipKind
@@ -90,7 +87,7 @@ type Manipulation struct {
 	SingleBenefit sim.Duration
 	// EstPages is the manipulation's estimated *retained* buffer-pool
 	// footprint (result pages for a materialization, tree pages for an
-	// index, sticky pages for staging). The speculation scheduler checks it
+	// index, sticky pages for staging). The worker gate (admitExtra) checks it
 	// against the pool's headroom before admitting concurrent work, so
 	// background jobs cannot crowd out a foreground query's working set.
 	EstPages int

@@ -11,7 +11,7 @@ import (
 // exactly per-user knowledge that outlives a process. ExportProfile and
 // ImportProfile serialize the Learner's counters for the durable backend's
 // commit metadata. Everything else in core (manipulations, shared builds,
-// schedulers) is deliberately volatile and rebuilt from scratch.
+// the ledger) is deliberately volatile and rebuilt from scratch.
 
 // profileVersion guards the serialized layout; bump on any field change.
 const profileVersion = 1

@@ -51,18 +51,15 @@ type Config struct {
 	// Workers is the maximum number of manipulations this speculator may
 	// have outstanding at once. The default (0 or 1) is the paper's
 	// convention; higher values fill idle worker slots with the next-best
-	// candidates in descending benefit order.
+	// candidates in descending benefit order, each through the worker gate
+	// (admitExtra).
 	Workers int
-	// Scheduler coordinates worker slots and pool-pressure admission across
-	// every speculator of one engine. Nil admits everything (single-session
-	// default).
-	Scheduler *Scheduler
 	// Ledger is where this speculator writes down every job it starts and
 	// every view it holds (DESIGN.md §16). Sessions of one engine share one —
-	// they must, to share a Scheduler or a Governor — and on a sharing ledger
-	// (DESIGN.md §11) they build identical materialization subplans once and
-	// hold them together. Nil makes NewSpeculator create a private,
-	// non-sharing one.
+	// they must, for the worker gate or a Governor to see each other's jobs —
+	// and on a sharing ledger (DESIGN.md §11) they build identical
+	// materialization subplans once and hold them together. Nil makes
+	// NewSpeculator create a private, non-sharing one.
 	Ledger *Ledger
 	// BudgetPages caps this session's retained speculative footprint: the
 	// summed EstPages of its outstanding manipulations and completed
@@ -132,7 +129,7 @@ type Stats struct {
 	// busy (the SuspendWhenBusy extension).
 	Suspended int
 	// Deferred counts extra-job candidates (beyond the first outstanding
-	// manipulation) the scheduler declined for lack of a worker slot or
+	// manipulation) the worker gate declined for lack of a worker slot or
 	// buffer-pool headroom. Always 0 with Workers <= 1.
 	Deferred int
 	// MaterializationsIssued counts issued materializations and
@@ -304,6 +301,10 @@ type Speculator struct {
 	wasteCharges map[string]int
 
 	stats Stats
+	// gateAdmitted and gateDeferred count the worker gate's decisions in the
+	// engine's registry (sched.admitted, sched.deferred); nil with Workers 1,
+	// where the gate never runs.
+	gateAdmitted, gateDeferred *obs.Counter
 	// mirror maps the address of a Stats field to its counter in the engine's
 	// metrics registry (shared across every speculator on the engine, so
 	// multi-user runs aggregate); count keeps the two in step.
@@ -372,6 +373,10 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		mirror:         make(map[any]*obs.Counter),
 	}
 	sp.breaker.AttachMetrics(eng.Metrics())
+	if cfg.Workers > 1 {
+		sp.gateAdmitted = eng.Metrics().Counter("sched.admitted")
+		sp.gateDeferred = eng.Metrics().Counter("sched.deferred")
+	}
 	st := &sp.stats
 	for _, m := range []struct {
 		name  string
@@ -573,8 +578,8 @@ func (sp *Speculator) governDegrade(now sim.Time) ([]*Job, error) {
 // maxManipAttempts bounds how often one manipulation (by key) may fail — at
 // issue or at completion — before it is abandoned for the rest of the
 // session. retryBackoff is the sim-time pause after a failure before the
-// speculator issues anything again, doubling per consecutive failure of the
-// same manipulation up to 8x.
+// speculator issues anything again, doubling per earlier failure of the same
+// manipulation: 2, 4 and 8 s, the third failure being the last.
 const (
 	maxManipAttempts = 3
 	retryBackoff     = 2 * time.Second
@@ -587,7 +592,7 @@ func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 	count(sp, &sp.stats.Failed, 1)
 	n := sp.attempts[key] + 1
 	sp.attempts[key] = n
-	if t := now.Add(retryBackoff << min(n-1, 3)); t > sp.retryAt {
+	if t := now.Add(retryBackoff << (n - 1)); t > sp.retryAt {
 		sp.retryAt = t
 	}
 	if n >= maxManipAttempts && !sp.abandoned[key] {

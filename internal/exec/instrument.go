@@ -126,8 +126,5 @@ func (p *profiledIter) Close() error          { return p.inner.Close() }
 func (p *profiledIter) Schema() *tuple.Schema { return p.inner.Schema() }
 
 func (p *profiledIter) addWork(before sim.Work) {
-	after := p.snapshot()
-	p.stats.Work.PageReads += after.PageReads - before.PageReads
-	p.stats.Work.PageWrites += after.PageWrites - before.PageWrites
-	p.stats.Work.Tuples += after.Tuples - before.Tuples
+	p.stats.Work = p.stats.Work.Add(p.snapshot().Sub(before))
 }

@@ -25,8 +25,9 @@ import (
 //   - quiesce identity per session (Issued == Stats.Terminals());
 //   - charged-once waste accounting (no build charged twice);
 //   - zero buffer-pool pin-discipline violations;
-//   - the governor's job registry drains to zero after shutdown, and the
-//     shared-build registry retains no pages;
+//   - the ledger every batch's sessions share is empty after shutdown and
+//     was never misused (no end, finish or release of what the asker did
+//     not hold);
 //   - every measured answer equals the fault-free reference run byte-for-byte
 //     (order-insensitive row-set fingerprints).
 
@@ -107,13 +108,12 @@ type chaosBatch struct {
 	endAt  sim.Time      // latest event instant, for DegradedTime
 }
 
-// chaosCore assembles the per-batch speculation config: fresh scheduler,
-// sharing ledger, and governor over the given engine.
+// chaosCore assembles the per-batch speculation config: a sharing ledger and
+// a governor over the given engine.
 func chaosCore(cfg ChaosConfig, eng *engine.Engine) core.Config {
 	c := core.DefaultConfig()
 	c.Workers = cfg.Workers
 	c.BudgetPages = cfg.BudgetPages
-	c.Scheduler = core.NewScheduler(eng.Pool)
 	c.Ledger = core.NewLedger(eng.Metrics(), true)
 	c.Governor = core.NewGovernor(eng.Pool)
 	c.Governor.AttachMetrics(eng.Metrics())

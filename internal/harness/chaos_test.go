@@ -77,7 +77,6 @@ func TestGovernorOverloadShedsButAnswersCorrect(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = 2
 	cfg.BudgetPages = 10
-	cfg.Scheduler = core.NewScheduler(env.Eng.Pool)
 	cfg.Ledger = core.NewLedger(env.Eng.Metrics(), true)
 	cfg.Governor = core.NewGovernor(env.Eng.Pool)
 	out, err := RunScaledSessions(env.Eng, traces, cfg)

@@ -48,7 +48,6 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 	specCore := func(eng *engine.Engine) core.Config {
 		c := core.DefaultConfig()
 		c.Workers = workers
-		c.Scheduler = core.NewScheduler(eng.Pool)
 		c.Ledger = core.NewLedger(eng.Metrics(), true)
 		return c
 	}

@@ -49,8 +49,6 @@ func TestDecisionTrace(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = 2
 			cfg.BudgetPages = 10
-			cfg.Scheduler = core.NewScheduler(eng.Pool)
-			cfg.Scheduler.AttachMetrics(eng.Metrics())
 			cfg.Ledger = core.NewLedger(eng.Metrics(), true)
 			// Every user twice, at the same instants: the second copy finds the
 			// first one's builds in flight, then adopts them.
@@ -59,7 +57,6 @@ func TestDecisionTrace(t *testing.T) {
 		{"chaos_governor", EnvConfig{BufferPoolPages: chaos.PoolPages, PoolShards: chaos.PoolShards, Fault: chaos.Fault},
 			func(t *testing.T, d *decisionDump, eng *engine.Engine) {
 				cfg := chaosCore(chaos, eng)
-				cfg.Scheduler.AttachMetrics(eng.Metrics())
 				d.replayConcurrent(t, eng, traces, cfg)
 			}},
 		{"predictor_trained", EnvConfig{}, func(t *testing.T, d *decisionDump, eng *engine.Engine) {

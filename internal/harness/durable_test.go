@@ -32,7 +32,6 @@ func TestScaledSessionsPageFootprintStable(t *testing.T) {
 	cycle := func() {
 		cfg := core.DefaultConfig()
 		cfg.Workers = 1
-		cfg.Scheduler = core.NewScheduler(env.Eng.Pool)
 		if _, err := RunScaledSessions(env.Eng, traces, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +102,6 @@ func TestDurableEnvReopen(t *testing.T) {
 	}
 	ccfg := core.DefaultConfig()
 	ccfg.Workers = 1
-	ccfg.Scheduler = core.NewScheduler(eng.Pool)
 	if _, err := RunScaledSessions(eng, traces, ccfg); err != nil {
 		t.Fatal(err)
 	}

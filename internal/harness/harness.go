@@ -407,7 +407,7 @@ type ScaledOutcome struct {
 // after a cold start: events from all users interleave by timestamp, each user
 // has an independent Speculator, and the contention model, if cfg sets one,
 // sees the other users' in-flight manipulations in the ledger they share. The
-// caller supplies the config — scheduler, governor, and the ledger the
+// caller supplies the config — workers, governor, and the ledger the
 // sessions share (a sharing one for cross-session CSE; nil gets a non-sharing
 // one) — so CSE on/off comparisons replay the identical merged event
 // sequence. Stats and waste ledgers are snapshotted before each user's

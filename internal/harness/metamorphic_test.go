@@ -43,9 +43,6 @@ func TestMetamorphicEquivalence(t *testing.T) {
 			if m.spec {
 				cfg := core.DefaultConfig()
 				cfg.Workers = m.workers
-				if m.workers > 1 {
-					cfg.Scheduler = core.NewScheduler(env.Eng.Pool)
-				}
 				spec, err := RunTraceSpeculative(env.Eng, i, tr, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -123,7 +120,6 @@ func TestMetamorphicScaledCSE(t *testing.T) {
 			env := tinyEnv(t, EnvConfig{BufferPoolPages: PoolPages96MB})
 			cfg := core.DefaultConfig()
 			cfg.Workers = m.workers
-			cfg.Scheduler = core.NewScheduler(env.Eng.Pool)
 			cfg.Ledger = core.NewLedger(env.Eng.Metrics(), m.cse)
 			out, err := RunScaledSessions(env.Eng, traces, cfg)
 			if err != nil {

@@ -2,9 +2,10 @@
 // defines them: each relation in a conjunctive (select-project-join) query is
 // a vertex; each join between two relations is an edge between their
 // vertices; each selection is an edge to a constant vertex. The vertices and
-// edges are the *atomic parts* of the query, and the set operators ⊆, ∪, ∩
-// over those parts are what Theorem 3.1's cost reduction, materialized-view
-// matching, and the Learner all run on.
+// edges are the *atomic parts* of the query, and containment ⊆ over those
+// parts is what Theorem 3.1's local formula, materialized-view matching and
+// the Learner run on. The ∪ of property P2 only justifies that formula: no
+// run-time path composes two graphs, so the package has no union operator.
 //
 // The graph model matches the paper's visual interface: a relation appears at
 // most once per query (no self-joins), joins are equality joins, and
@@ -271,66 +272,6 @@ func (g *Graph) Contains(sub *Graph) bool {
 
 // Equal reports whether g and o have identical parts.
 func (g *Graph) Equal(o *Graph) bool { return g.Contains(o) && o.Contains(g) }
-
-// Union returns a new graph with the parts of both. This is the ∪ of
-// property P2.
-func (g *Graph) Union(o *Graph) *Graph {
-	u := g.Clone()
-	for r := range o.rels {
-		u.rels[r] = struct{}{}
-	}
-	for k, s := range o.sels {
-		u.sels[k] = s
-	}
-	for k, j := range o.joins {
-		u.joins[k] = j
-	}
-	return u
-}
-
-// Intersect returns a new graph with the parts common to both.
-func (g *Graph) Intersect(o *Graph) *Graph {
-	x := New()
-	for r := range g.rels {
-		if o.HasRelation(r) {
-			x.rels[r] = struct{}{}
-		}
-	}
-	for k, s := range g.sels {
-		if _, ok := o.sels[k]; ok {
-			x.sels[k] = s
-		}
-	}
-	for k, j := range g.joins {
-		if _, ok := o.joins[k]; ok {
-			x.joins[k] = j
-		}
-	}
-	return x
-}
-
-// Subtract returns a new graph with g's parts that are not in o. A relation
-// vertex survives if it is not a vertex of o, or if any surviving edge still
-// touches it.
-func (g *Graph) Subtract(o *Graph) *Graph {
-	d := New()
-	for k, s := range g.sels {
-		if _, ok := o.sels[k]; !ok {
-			d.AddSelection(s)
-		}
-	}
-	for k, j := range g.joins {
-		if _, ok := o.joins[k]; !ok {
-			d.AddJoin(j)
-		}
-	}
-	for r := range g.rels {
-		if !o.HasRelation(r) {
-			d.AddRelation(r)
-		}
-	}
-	return d
-}
 
 // IsConnected reports whether the relation vertices form one connected
 // component under join edges. Graphs with ≤1 relation are connected.

@@ -59,22 +59,6 @@ func (op CmpOp) Eval(a, b Value) bool {
 	}
 }
 
-// Flip returns the operator with operands swapped: a op b ⇔ b Flip(op) a.
-func (op CmpOp) Flip() CmpOp {
-	switch op {
-	case CmpLT:
-		return CmpGT
-	case CmpLE:
-		return CmpGE
-	case CmpGT:
-		return CmpLT
-	case CmpGE:
-		return CmpLE
-	default: // EQ, NE are symmetric
-		return op
-	}
-}
-
 // ParseCmpOp maps SQL operator text to a CmpOp; ok is false for unknown text.
 func ParseCmpOp(s string) (CmpOp, bool) {
 	switch s {

@@ -67,19 +67,6 @@ func (s *Schema) MustOrdinal(name string) int {
 	return i
 }
 
-// Project returns a new schema containing the named columns in order.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	cols := make([]Column, 0, len(names))
-	for _, n := range names {
-		i := s.Ordinal(n)
-		if i < 0 {
-			return nil, fmt.Errorf("tuple: unknown column %q", n)
-		}
-		cols = append(cols, s.Columns[i])
-	}
-	return NewSchema(cols...), nil
-}
-
 // Concat returns the schema of a join output: s's columns followed by o's.
 // Name collisions are resolved by the caller (the planner prefixes with
 // relation aliases before concatenating).

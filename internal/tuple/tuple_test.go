@@ -97,20 +97,6 @@ func TestSchemaDuplicatePanics(t *testing.T) {
 	NewSchema(Column{"a", KindInt}, Column{"a", KindInt})
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := testSchema()
-	p, err := s.Project("name", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || p.Columns[0].Name != "name" || p.Columns[1].Name != "id" {
-		t.Fatalf("projected schema %v", p)
-	}
-	if _, err := s.Project("ghost"); err == nil {
-		t.Fatal("projecting missing column should error")
-	}
-}
-
 func TestSchemaConcatRename(t *testing.T) {
 	a := NewSchema(Column{"x", KindInt})
 	b := NewSchema(Column{"y", KindFloat})
@@ -139,13 +125,8 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestRowClone(t *testing.T) {
+func TestRowString(t *testing.T) {
 	r := Row{NewInt(1), NewString("a")}
-	c := r.Clone()
-	c[0] = NewInt(9)
-	if r[0].Int() != 1 {
-		t.Fatal("clone aliases original")
-	}
 	if got := r.String(); got != "(1, 'a')" {
 		t.Fatalf("row string %q", got)
 	}

@@ -166,14 +166,6 @@ func (v Value) String() string {
 // Row is one tuple: values positionally aligned with a Schema.
 type Row []Value
 
-// Clone returns a deep-enough copy (Value is value-typed; strings share
-// backing storage, which is safe because rows are immutable once produced).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // String renders the row as a parenthesized value list.
 func (r Row) String() string {
 	parts := make([]string, len(r))

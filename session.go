@@ -15,9 +15,6 @@ import (
 
 // SessionConfig tunes a speculative session.
 type SessionConfig struct {
-	// DisableSpeculation turns the speculation subsystem off for this
-	// session; the zero value speculates.
-	DisableSpeculation bool
 	// SelectionsOnly restricts manipulations to selection materializations
 	// (the paper's multi-user strategy).
 	SelectionsOnly bool
@@ -72,25 +69,21 @@ func (db *DB) NewSessionContext(ctx context.Context, cfg SessionConfig) *Session
 }
 
 func (db *DB) newSession(ctx context.Context, cfg SessionConfig, learner *core.Learner, prefix string, mgr *SessionManager, id int64) *Session {
-	s := &Session{db: db, ctx: ctx, mgr: mgr, id: id, clock: sim.NewClock()}
-	if !cfg.DisableSpeculation {
-		c := core.DefaultConfig()
-		c.SelectionsOnly = cfg.SelectionsOnly
-		if cfg.Lookahead > 0 {
-			c.Lookahead = cfg.Lookahead
-		}
-		c.WaitForCompletion = cfg.WaitForCompletion
-		c.NamePrefix = prefix
-		c.Workers = db.specWorkers
-		c.Scheduler = db.sched
-		c.Ledger = db.ledger
-		c.Governor = db.gov
-		c.Predictor = db.pred
-		c.Answers = db.answers
-		c.BudgetPages = db.budgetPages
-		s.sp = core.NewSpeculator(db.eng, learner, c)
+	c := core.DefaultConfig()
+	c.SelectionsOnly = cfg.SelectionsOnly
+	if cfg.Lookahead > 0 {
+		c.Lookahead = cfg.Lookahead
 	}
-	return s
+	c.WaitForCompletion = cfg.WaitForCompletion
+	c.NamePrefix = prefix
+	c.Workers = db.specWorkers
+	c.Ledger = db.ledger
+	c.Governor = db.gov
+	c.Predictor = db.pred
+	c.Answers = db.answers
+	c.BudgetPages = db.budgetPages
+	return &Session{db: db, ctx: ctx, mgr: mgr, id: id, clock: sim.NewClock(),
+		sp: core.NewSpeculator(db.eng, learner, c)}
 }
 
 // Now reports the session's position on the simulated timeline.
@@ -103,9 +96,7 @@ func (s *Session) checkLive() error {
 		return fmt.Errorf("specdb: session is closed")
 	}
 	if err := s.ctx.Err(); err != nil {
-		if s.sp != nil {
-			s.sp.CancelOutstanding()
-		}
+		s.sp.CancelOutstanding()
 		return fmt.Errorf("specdb: session canceled: %w", err)
 	}
 	return nil
@@ -135,10 +126,8 @@ func (s *Session) Think(d time.Duration) (err error) {
 		return fmt.Errorf("specdb: negative think time %v", d)
 	}
 	target := s.clock.Now().Add(simDuration(d))
-	if s.sp != nil {
-		if err = s.sp.Advance(target); err != nil {
-			err = fmt.Errorf("specdb: completing manipulation: %w", err)
-		}
+	if err = s.sp.Advance(target); err != nil {
+		err = fmt.Errorf("specdb: completing manipulation: %w", err)
 	}
 	s.clock.AdvanceTo(target)
 	return err
@@ -151,9 +140,6 @@ func (s *Session) apply(ev trace.Event) (err error) {
 	defer s.mu.Unlock()
 	if err := s.checkLive(); err != nil {
 		return err
-	}
-	if s.sp == nil {
-		return fmt.Errorf("specdb: session has speculation disabled; use DB.Exec for plain SQL")
 	}
 	if _, err := s.sp.OnEvent(ev, s.clock.Now()); err != nil {
 		return err
@@ -251,17 +237,16 @@ func (s *Session) Go() (res *Result, err error) {
 	if err := s.checkLive(); err != nil {
 		return nil, err
 	}
-	if s.sp == nil {
-		return nil, fmt.Errorf("specdb: session has speculation disabled")
-	}
 	eres, out, err := s.sp.OnGo(s.clock.Now())
 	if err != nil {
 		return nil, err
 	}
+	// The GO is recorded at the instant it was pressed, before the clock
+	// moves past any wait, so a replay keeps the user's think time.
+	s.record(trace.Event{Kind: trace.EvGo})
 	if out.Waited > 0 {
 		s.clock.Advance(out.Waited)
 	}
-	s.record(trace.Event{Kind: trace.EvGo})
 	return wrapResult(eres), nil
 }
 
@@ -274,9 +259,6 @@ type Stats = core.Stats
 func (s *Session) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sp == nil {
-		return Stats{}
-	}
 	return s.sp.Stats()
 }
 
@@ -295,9 +277,6 @@ func (s *Session) Close() error {
 	s.closed = true
 	if s.mgr != nil {
 		s.mgr.remove(s.id)
-	}
-	if s.sp == nil {
-		return nil
 	}
 	return s.sp.Shutdown()
 }

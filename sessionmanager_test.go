@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"specdb/internal/core"
+	"specdb/internal/sim"
+	"specdb/internal/trace"
 )
 
 // tableSet snapshots the catalog's table names.
@@ -38,9 +40,8 @@ func TestSessionManagerLifecycle(t *testing.T) {
 
 	s1 := m.Open(SessionConfig{})
 	s2 := m.Open(SessionConfig{})
-	s3 := m.Open(SessionConfig{DisableSpeculation: true})
-	if got := m.OpenSessions(); got != 3 {
-		t.Fatalf("OpenSessions = %d, want 3", got)
+	if got := m.OpenSessions(); got != 2 {
+		t.Fatalf("OpenSessions = %d, want 2", got)
 	}
 	// All sessions train one shared multi-user profile.
 	if s1.sp.Learner() != m.learner || s2.sp.Learner() != m.learner {
@@ -72,14 +73,14 @@ func TestSessionManagerLifecycle(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.OpenSessions(); got != 2 {
-		t.Fatalf("OpenSessions after one close = %d, want 2", got)
+	if got := m.OpenSessions(); got != 1 {
+		t.Fatalf("OpenSessions after one close = %d, want 1", got)
 	}
 	if err := s1.Close(); err != nil { // double close is a no-op
 		t.Fatal(err)
 	}
-	if got := m.OpenSessions(); got != 2 {
-		t.Fatalf("OpenSessions after double close = %d, want 2", got)
+	if got := m.OpenSessions(); got != 1 {
+		t.Fatalf("OpenSessions after double close = %d, want 1", got)
 	}
 	if err := s1.Think(time.Second); err == nil {
 		t.Fatal("closed session should reject Think")
@@ -91,7 +92,7 @@ func TestSessionManagerLifecycle(t *testing.T) {
 	if got := m.OpenSessions(); got != 0 {
 		t.Fatalf("OpenSessions after CloseAll = %d, want 0", got)
 	}
-	if err := s3.AddRelation("orders"); err == nil {
+	if err := s2.AddRelation("orders"); err == nil {
 		t.Fatal("session closed by CloseAll should reject edits")
 	}
 	// Everything speculative was released.
@@ -167,6 +168,7 @@ func TestGoWaitForCompletionAdvancesClock(t *testing.T) {
 	if err := s.Think(completesAt - time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
+	pressed := s.Now()
 	res, err := s.Go()
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +182,20 @@ func TestGoWaitForCompletionAdvancesClock(t *testing.T) {
 	}
 	if res.RowCount == 0 {
 		t.Fatal("empty result")
+	}
+	// The recorded GO stays at the instant it was pressed: the wait is not
+	// think time, and a replay must not add it.
+	data, err := s.TraceJSON("waiter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goEv := tr.Events[len(tr.Events)-1]
+	if goEv.Kind != trace.EvGo || goEv.AtSeconds != sim.Time(pressed).Seconds() {
+		t.Fatalf("last recorded event %v at %vs, want GO at %vs", goEv.Kind, goEv.AtSeconds, sim.Time(pressed).Seconds())
 	}
 }
 
@@ -295,10 +311,10 @@ func TestAddJoinRejectsSelfJoin(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsStress drives many concurrent sessions — mixed
-// speculation on/off, overlapping relations — against one shared DB, and then
-// checks the shared substrate's invariants. Run under -race this is the
-// tentpole's safety net.
+// TestConcurrentSessionsStress drives many concurrent sessions over
+// overlapping relations, beside plain-SQL users, against one shared DB, and
+// then checks the shared substrate's invariants. Run under -race this is the
+// concurrency safety net.
 func TestConcurrentSessionsStress(t *testing.T) {
 	db := getDB(t)
 	m := db.NewSessionManager()
@@ -314,16 +330,10 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%4 == 3 {
-				// A plain-SQL user: no speculation, direct queries on the
+				// A plain-SQL user: no session, direct queries on the
 				// shared engine while others speculate.
-				s := m.Open(SessionConfig{DisableSpeculation: true})
-				sessions[i] = s
 				for k := 0; k < 3; k++ {
 					if _, err := db.Exec("SELECT * FROM supplier WHERE supplier.s_acctbal > 9000"); err != nil {
-						errCh <- err
-						return
-					}
-					if err := s.Think(time.Second); err != nil {
 						errCh <- err
 						return
 					}
@@ -399,7 +409,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	// Speculator lifecycle: with every session closed, each issued job reached
 	// exactly one terminal state.
 	for i, s := range sessions {
-		if s == nil || i%4 == 3 {
+		if s == nil { // a plain-SQL user
 			continue
 		}
 		st := s.Stats()

@@ -55,8 +55,8 @@ type Options struct {
 	// SpecWorkers caps concurrently outstanding speculative manipulations
 	// per session (default 1, the paper's one-at-a-time convention, and
 	// byte-identical to historical behavior). Higher values let a session's
-	// speculator keep several manipulations in flight, subject to the shared
-	// scheduler's admission control against buffer-pool pressure.
+	// speculator keep several manipulations in flight, each extra one
+	// admitted only while the buffer pool has headroom.
 	SpecWorkers int
 	// SharedSpeculation enables the cross-session manipulation CSE layer
 	// (DESIGN.md §11): sessions speculating the same subplan materialize it
@@ -122,10 +122,8 @@ type FaultConfig = fault.Config
 // DB is a database instance with a speculative query processor attached.
 type DB struct {
 	eng *engine.Engine
-	// sched is the speculation scheduler shared by every session: it caps
-	// concurrently outstanding manipulations at SpecWorkers and admits extra
-	// jobs only while the buffer pool has headroom.
-	sched       *core.Scheduler
+	// specWorkers is every session's Config.Workers (Options.SpecWorkers,
+	// at least 1).
 	specWorkers int
 	// ledger is where every session's speculator enters its jobs and held
 	// views; it shares builds across sessions iff Options.SharedSpeculation.
@@ -171,9 +169,7 @@ func assemble(opts Options, eng *engine.Engine) *DB {
 	if workers < 1 {
 		workers = 1
 	}
-	sched := core.NewScheduler(eng.Pool)
-	sched.AttachMetrics(eng.Metrics())
-	db := &DB{eng: eng, sched: sched, specWorkers: workers, budgetPages: opts.SpecBudgetPages,
+	db := &DB{eng: eng, specWorkers: workers, budgetPages: opts.SpecBudgetPages,
 		ledger: core.NewLedger(eng.Metrics(), opts.SharedSpeculation)}
 	if opts.Governor {
 		db.gov = core.NewGovernor(eng.Pool)

@@ -163,20 +163,6 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := s.Go(); err == nil {
 		t.Fatal("GO on empty canvas should fail")
 	}
-
-	off := db.NewSession(SessionConfig{DisableSpeculation: true})
-	if err := off.AddRelation("orders"); err == nil {
-		t.Fatal("disabled session should reject edits")
-	}
-	if _, err := off.Go(); err == nil {
-		t.Fatal("disabled session should reject Go")
-	}
-	if off.Stats() != (Stats{}) {
-		t.Fatal("disabled session should have empty stats")
-	}
-	if err := off.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSessionClock(t *testing.T) {
