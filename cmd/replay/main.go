@@ -70,8 +70,8 @@ func main() {
 	fmt.Printf("\ntotal: normal %.1fs, speculative %.1fs, improvement %.1f%%\n",
 		nTotal, sTotal, (1-sTotal/nTotal)*100)
 	st := spec.Stats
-	fmt.Printf("manipulations: issued %d, completed %d, canceled (invalidated %d, at GO %d), GC'd %d\n",
-		st.Issued, st.Completed, st.CanceledInvalidated, st.CanceledAtGo, st.GarbageCollected)
+	fmt.Printf("manipulations: issued %d, completed %d, canceled (invalidated %d, at GO %d), ran on across GO %d, GC'd %d\n",
+		st.Issued, st.Completed, st.CanceledInvalidated, st.CanceledAtGo, st.ContinuedAtGo, st.GarbageCollected)
 	if st.MaterializationsIssued > 0 {
 		fmt.Printf("avg materialization: %.1fs\n",
 			st.MaterializationTime.Seconds()/float64(st.MaterializationsIssued))

@@ -89,6 +89,6 @@ func main() {
 	govern("revised: very high volume, any price")
 
 	st := s.Stats()
-	fmt.Printf("\nsession speculation: issued %d, completed %d, canceled (invalidated %d / at GO %d), GC'd %d\n",
-		st.Issued, st.Completed, st.CanceledInvalidated, st.CanceledAtGo, st.GarbageCollected)
+	fmt.Printf("\nsession speculation: issued %d, completed %d, canceled (invalidated %d / at GO %d), ran on across GO %d, GC'd %d\n",
+		st.Issued, st.Completed, st.CanceledInvalidated, st.CanceledAtGo, st.ContinuedAtGo, st.GarbageCollected)
 }

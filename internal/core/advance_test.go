@@ -130,7 +130,7 @@ func TestAdvanceCompletesFollowUps(t *testing.T) {
 func TestAdvancePastWaitedJob(t *testing.T) {
 	e := newTestEngine(t, 20000)
 	cfg := DefaultConfig()
-	cfg.WaitForCompletion = true
+	cfg.AtGo = GoWait
 	sp := newSpec(e, cfg)
 	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestAdvanceMatchesOwnerSchedule(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MinBenefit = 0
 		cfg.Workers = 3
-		cfg.WaitForCompletion = true
+		cfg.AtGo = GoWait
 		sp := newSpec(e, cfg)
 		replayRandom(t, sp, 10, 150, time.Millisecond, owner)
 		if err := sp.Shutdown(); err != nil {

@@ -181,7 +181,9 @@ func TestSpeculatorCancelsOnInvalidation(t *testing.T) {
 
 func TestSpeculatorCancelsAtGo(t *testing.T) {
 	e := newTestEngine(t, 20000)
-	sp := newSpec(e, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.AtGo = GoCancel
+	sp := newSpec(e, cfg)
 
 	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
 	if err != nil {
@@ -208,6 +210,73 @@ func TestSpeculatorCancelsAtGo(t *testing.T) {
 	}
 	if sp.Stats().CanceledAtGo != 1 {
 		t.Fatalf("stats %+v", sp.Stats())
+	}
+}
+
+// TestSpeculatorContinuesAtGo: under the default GO policy a job in flight at
+// GO runs on across it — same CompletesAt, same ledger entry, nothing
+// canceled — completes through Advance at its own instant, and its view
+// serves the next GO.
+func TestSpeculatorContinuesAtGo(t *testing.T) {
+	e := newTestEngine(t, 20000)
+	cfg := DefaultConfig()
+	cfg.Ledger = NewLedger(e.Metrics(), false)
+	sp := newSpec(e, cfg)
+
+	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := one(out.Issued)
+	if job == nil {
+		t.Fatal("no job issued")
+	}
+	completesAt, asset := job.CompletesAt, job.asset
+	goAt := completesAt / 2
+	res, goOut, err := sp.OnGo(goAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(goOut.Canceled) != 0 || len(goOut.Issued) != 0 || goOut.Waited != 0 {
+		t.Fatalf("GO ended or issued jobs: %+v", goOut)
+	}
+	if strings.Contains(plan.Explain(res.Plan), job.tableName) {
+		t.Fatal("final query used an incomplete materialization")
+	}
+	if len(sp.outstanding) != 1 || sp.outstanding[0] != job || job.CompletesAt != completesAt || job.asset != asset {
+		t.Fatalf("the job did not run on: outstanding %v, completes at %v (was %v)", sp.outstanding, job.CompletesAt, completesAt)
+	}
+	if n := cfg.Ledger.InFlight(AssetKey{}); n != 1 || cfg.Ledger.IsReady(asset) {
+		t.Fatalf("ledger entry changed at GO: %d in flight, ready %v", n, cfg.Ledger.IsReady(asset))
+	}
+	checkLedger(t, "after GO", sp)
+	if st := sp.Stats(); st.ContinuedAtGo != 1 || st.Terminals() != 0 {
+		t.Fatalf("stats after GO %+v", st)
+	}
+
+	if err := sp.Advance(completesAt - 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.outstanding) != 1 {
+		t.Fatal("the job completed before its instant")
+	}
+	if err := sp.Advance(completesAt); err != nil {
+		t.Fatal(err)
+	}
+	if st := sp.Stats(); st.Completed != 1 || st.Terminals() != 1 || !cfg.Ledger.IsReady(asset) {
+		t.Fatalf("the job did not complete at its instant: stats %+v", st)
+	}
+	checkLedger(t, "after Advance", sp)
+
+	res, _, err = sp.OnGo(completesAt.Add(sim.DurationFromSeconds(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan.Explain(res.Plan), job.tableName) {
+		t.Fatalf("the next GO did not read the continued job's view:\n%s", plan.Explain(res.Plan))
+	}
+	if st := sp.Stats(); st.Hits != 1 || st.ContinuedAtGo != 1 {
+		t.Fatalf("stats after the second GO %+v", st)
 	}
 }
 
@@ -608,7 +677,7 @@ func TestManipulationKeysAndStrings(t *testing.T) {
 func TestWaitForCompletionAtGo(t *testing.T) {
 	e := newTestEngine(t, 20000)
 	cfg := DefaultConfig()
-	cfg.WaitForCompletion = true
+	cfg.AtGo = GoWait
 	sp := newSpec(e, cfg)
 
 	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
@@ -651,7 +720,7 @@ func TestWaitForCompletionSkipsLongWaits(t *testing.T) {
 		t.Fatal(err) // cold pool: the manipulation pays full I/O
 	}
 	cfg := DefaultConfig()
-	cfg.WaitForCompletion = true
+	cfg.AtGo = GoWait
 	sp := newSpec(e, cfg)
 	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
 	if err != nil {

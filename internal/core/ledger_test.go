@@ -392,19 +392,23 @@ func replayRandom(t *testing.T, sp *Speculator, seed uint64, steps int, unit sim
 }
 
 // TestWasteChargedOncePerBuild is the waste double-charge audit made
-// executable: across randomized replays — cancellations, GO-cancels,
-// garbage collection, clears, waits — no single build execution may hit
-// Stats.Waste more than once.
+// executable: across randomized replays — cancellations, GO-cancels, builds
+// that run on across GO, garbage collection, clears, waits — no single build
+// execution may hit Stats.Waste more than once. The subtests name the GO
+// policy: wait=false cancels at GO, wait=true waits, continue runs on.
 func TestWasteChargedOncePerBuild(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		for _, wait := range []bool{false, true} {
-			t.Run(fmt.Sprintf("seed=%d/wait=%v", seed, wait), func(t *testing.T) {
+		for _, at := range []struct {
+			name   string
+			policy GoPolicy
+		}{{"wait=false", GoCancel}, {"wait=true", GoWait}, {"continue", GoContinue}} {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, at.name), func(t *testing.T) {
 				// Small relations: the replay materializes three-way joins,
 				// whose row counts grow quadratically with relation size.
 				e := newTestEngine(t, 400)
 				cfg := DefaultConfig()
 				cfg.MinBenefit = 0
-				cfg.WaitForCompletion = wait
+				cfg.AtGo = at.policy
 				sp := newSpec(e, cfg)
 				replayRandom(t, sp, seed, 120, time.Second, false)
 				if err := sp.Shutdown(); err != nil {

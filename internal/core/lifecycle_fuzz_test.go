@@ -37,7 +37,7 @@ func lifecycleProgram(seed uint64, steps int) []byte {
 }
 
 // FuzzLifecycle drives one to four speculators that share an engine, a
-// ledger, a scheduler, an answer cache and a predictor through a byte-coded
+// ledger, an answer cache and a predictor through a byte-coded
 // program of edits, GOs, Advance, Close, governor shedding and injected build
 // faults, and after every step holds them to a reference model of what must
 // be true of every job and every ledger entry (DESIGN.md §16):
@@ -54,6 +54,8 @@ func lifecycleProgram(seed uint64, steps int) []byte {
 //   - no build is charged to waste twice, across sessions;
 //   - the optimizer can reach no view, and the catalog holds no speculative
 //     table, that no job or ledger entry accounts for;
+//   - under GoContinue a GO ends no job: what was in flight before it runs
+//     on at the same CompletesAt and Deadline, and still ends exactly once;
 //   - after Close, every job a speculator issued has ended.
 func FuzzLifecycle(f *testing.F) {
 	for seed := uint64(1); seed <= lifecycleSeeds; seed++ {
@@ -91,10 +93,11 @@ type lifecycleRig struct {
 }
 
 // lifecycleJob is the model's state of one job: the speculator that issued
-// it, and whether it has ended.
+// it, whether it ran on across a GO, and whether it has ended.
 type lifecycleJob struct {
-	sp    *Speculator
-	ended bool
+	sp        *Speculator
+	continued bool
+	ended     bool
 }
 
 func newLifecycleRig(t *testing.T, prog []byte) *lifecycleRig {
@@ -122,8 +125,10 @@ func newLifecycleRig(t *testing.T, prog []byte) *lifecycleRig {
 		cfg.Predictor = NewPredictor(DefaultPredictorConfig())
 		cfg.Answers = NewAnswerCache(e.Metrics(), 16)
 	}
-	cfg.WaitForCompletion = conf&8 != 0
-	if conf&16 != 0 {
+	// Two bits pick the GO policy; the fourth value is GoContinue, the
+	// default, again.
+	cfg.AtGo = GoPolicy((conf >> 3 & 3) % 3)
+	if conf&32 != 0 {
 		cfg.Ops = OpSet{Materialize: true, Index: true, Histogram: true, Stage: true}
 	}
 	r.cfg = cfg
@@ -172,9 +177,7 @@ func (r *lifecycleRig) run() {
 		case 7, 8, 9:
 			r.advance(sp)
 			if !sp.Partial().IsEmpty() {
-				if _, _, err := sp.OnGo(r.now); err != nil {
-					t.Fatalf("step %d: GO: %v", step, err)
-				}
+				r.goQuery(sp, step)
 			}
 		case 10:
 			for _, sp := range r.sps {
@@ -255,6 +258,50 @@ func (r *lifecycleRig) run() {
 	}
 }
 
+// goQuery sends sp a GO. Under GoContinue the GO ends no job: every job in
+// flight before it is still outstanding afterwards, at the same CompletesAt
+// and Deadline, and counted continued once. The model marks it continued; it
+// must still end exactly once, which account and close check.
+func (r *lifecycleRig) goQuery(sp *Speculator, step int) {
+	t := r.t
+	type flight struct{ completesAt, deadline sim.Time }
+	before := map[*Job]flight{}
+	fresh := 0
+	for _, job := range sp.outstanding {
+		before[job] = flight{job.CompletesAt, job.Deadline}
+		if !job.continued {
+			fresh++
+		}
+	}
+	prev := sp.Stats().ContinuedAtGo
+	_, out, err := sp.OnGo(r.now)
+	if err != nil {
+		t.Fatalf("step %d: GO: %v", step, err)
+	}
+	if r.cfg.AtGo != GoContinue {
+		return
+	}
+	if len(out.Canceled) != 0 || out.Waited != 0 {
+		t.Errorf("step %d: a GO under GoContinue ended %d jobs and waited %v", step, len(out.Canceled), out.Waited)
+	}
+	still := map[*Job]bool{}
+	for _, job := range sp.outstanding {
+		still[job] = true
+	}
+	for job, f := range before {
+		if !still[job] || job.CompletesAt != f.completesAt || job.Deadline != f.deadline {
+			t.Errorf("step %d: job %s did not run on across the GO (outstanding %v, %v → %v)",
+				step, job.Manip.Key(), still[job], f, flight{job.CompletesAt, job.Deadline})
+		}
+		if m := r.jobs[job]; m != nil {
+			m.continued = true
+		}
+	}
+	if got := sp.Stats().ContinuedAtGo - prev; got != fresh {
+		t.Errorf("step %d: the GO counted %d jobs continued, %d ran on across their first GO", step, got, fresh)
+	}
+}
+
 // advance completes sp's due jobs, as an owner does before every event.
 func (r *lifecycleRig) advance(sp *Speculator) {
 	if err := sp.Advance(r.now); err != nil {
@@ -272,6 +319,11 @@ func (r *lifecycleRig) close(sp *Speculator) {
 	if st := sp.Stats(); st.Issued != st.Terminals() || len(sp.held) != 0 || len(sp.predictedReady) != 0 {
 		r.t.Errorf("closed speculator: issued %d, ended %d, %d views and %d answers still held",
 			st.Issued, st.Terminals(), len(sp.held), len(sp.predictedReady))
+	}
+	for job, m := range r.jobs {
+		if m.sp == sp && m.continued && !m.ended {
+			r.t.Errorf("closed speculator: job %s ran on across a GO and never ended", job.Manip.Key())
+		}
 	}
 }
 

@@ -94,21 +94,36 @@ func lifecycleKinds() []lifecycleKind {
 // after every transition the ledger holds exactly what outstanding and held
 // say, on a non-sharing and on a sharing ledger — the waste ledger charges the
 // build at most once, and the breaker gets the right verdict — each job runs as the half-open probe of a tripped breaker, so a
-// cancel must re-open it, a completion close it, an abort re-trip it.
+// cancel must re-open it, a completion close it, an abort re-trip it. The
+// speculators cancel at GO (GoCancel), so that canceled_at_go is reachable;
+// one more row per kind, continued_at_go, lets a GO pass under GoContinue
+// first: the job must come out of it untouched and then complete.
 func TestLifecycleTable(t *testing.T) {
 	const issueAt = 31 // seconds: past the breaker's 30 s cooldown
 	neutral := trace.Event{Kind: trace.EvSetProjections}
+	type row struct {
+		name string
+		want Terminal
+		atGo GoPolicy
+	}
+	var rows []row
+	for want := Terminal(0); want < numTerminals; want++ {
+		rows = append(rows, row{want.String(), want, GoCancel})
+	}
+	rows = append(rows, row{"continued_at_go", TermCompleted, GoContinue})
 	for _, kind := range lifecycleKinds() {
-		for want := Terminal(0); want < numTerminals; want++ {
+		for _, r := range rows {
+			want := r.want
 			if want == TermAborted && kind.breakPublish == nil {
 				continue // publishing a staged relation or a predicted answer cannot fail
 			}
-			t.Run(fmt.Sprintf("%s/%v", kind.name, want), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", kind.name, r.name), func(t *testing.T) {
 				e := newTestEngine(t, 20000)
 				if err := e.ColdStart(); err != nil {
 					t.Fatal(err)
 				}
 				cfg := DefaultConfig()
+				cfg.AtGo = r.atGo
 				cfg.Governor = NewGovernor(e.Pool)
 				cfg.Ledger = NewLedger(e.Metrics(), false)
 				kind.configure(e, &cfg)
@@ -139,7 +154,24 @@ func TestLifecycleTable(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if _, err := sp.Complete(job, job.CompletesAt); err != nil {
+					if r.atGo == GoContinue {
+						completesAt := job.CompletesAt
+						if _, out, err = sp.OnGo(mid); err != nil {
+							t.Fatal(err)
+						}
+						if len(out.Canceled)+len(out.Issued) != 0 || len(sp.outstanding) != 1 ||
+							sp.outstanding[0] != job || job.CompletesAt != completesAt {
+							t.Fatalf("the GO touched the job: outcome %+v, outstanding %v", out, sp.outstanding)
+						}
+						if st := sp.Stats(); st.ContinuedAtGo != 1 || st.Terminals() != before.Terminals() {
+							t.Fatalf("stats after the GO %+v", st)
+						}
+						checkLedger(t, "after GO", sp)
+						err = sp.Advance(completesAt)
+					} else {
+						_, err = sp.Complete(job, job.CompletesAt)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
 					ended = []*Job{job}
@@ -188,7 +220,7 @@ func TestLifecycleTable(t *testing.T) {
 				if n := cfg.Ledger.InFlight(AssetKey{}); n != 0 {
 					t.Errorf("in-flight registration leaked: %d in flight", n)
 				}
-				checkLedger(t, "after "+want.String(), sp)
+				checkLedger(t, "after "+r.name, sp)
 				held := 0
 				if want == TermCompleted && job.Manip.Kind == ManipMaterialize {
 					held = 1 // the view stays a retained, sheddable asset

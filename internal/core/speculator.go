@@ -34,11 +34,9 @@ type Config struct {
 	// NamePrefix prefixes speculative table names (unique per user in
 	// multi-user runs).
 	NamePrefix string
-	// WaitForCompletion implements the paper's Section 7 proposal: when GO
-	// arrives while a manipulation is still running and waiting out its
-	// remaining time is cheaper than losing its expected benefit, the final
-	// query is delayed until it completes and uses its result.
-	WaitForCompletion bool
+	// AtGo is what a GO does with the jobs still in flight (GoPolicy); the
+	// zero value, GoContinue, lets them run on.
+	AtGo GoPolicy
 	// SuspendWhenBusy, when positive, suspends speculation while at least
 	// that many jobs are in flight in the ledger — the paper's Section 7
 	// load-aware proposal for multi-user settings. 0 disables suspension.
@@ -84,6 +82,30 @@ type Config struct {
 	Answers *AnswerCache
 }
 
+// GoPolicy is what OnGo does with the jobs in flight when the final query
+// arrives (DESIGN.md §5).
+type GoPolicy uint8
+
+const (
+	// GoContinue ends no job at GO: every in-flight job keeps its ledger
+	// entry, CompletesAt, Deadline and span, and completes, through Advance,
+	// when it would have without the GO. Each one passed stillUseful at the
+	// last event and the canvas has not changed since, so the walk after the
+	// query would only issue it again. Its build already ran at issue, so it
+	// costs the GO nothing unless the contention model is on
+	// (ContentionFactor), which stretches the GO by every job in flight.
+	GoContinue GoPolicy = iota
+	// GoCancel cancels every in-flight job at GO (TermCanceledAtGo): the
+	// paper's conservative convention (§3.1), under which no manipulation
+	// runs beside the measured query.
+	GoCancel
+	// GoWait is the paper's Section 7 proposal: when waiting out a job's
+	// remaining time is cheaper than losing its expected benefit, the final
+	// query is delayed until the earliest such job completes and uses its
+	// result; every other in-flight job is canceled as under GoCancel.
+	GoWait
+)
+
 // DefaultConfig is the paper's main experimental configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -114,7 +136,8 @@ type Stats struct {
 	// The seven terminals (DESIGN.md §16): every issued job ends in exactly
 	// one, so Issued == Terminals() once nothing is outstanding.
 	// CanceledInvalidated were canceled because the partial query changed;
-	// CanceledAtGo were still running when the final query arrived;
+	// CanceledAtGo were still running when the final query arrived and the
+	// GO policy canceled them (GoCancel, GoWait);
 	// CanceledOnClose were canceled by CancelOutstanding or Shutdown; Aborted
 	// were rolled back after a failed completion (DESIGN.md §8); Shed were
 	// canceled by the governor under pool pressure, lowest benefit first, and
@@ -122,8 +145,12 @@ type Stats struct {
 	Completed           int
 	CanceledInvalidated int
 	CanceledAtGo        int
+	// ContinuedAtGo counts jobs that were in flight at a GO and ran on
+	// across it (GoContinue), each job once however many GOs it spans. It is
+	// not a terminal: the job still ends in one of the seven.
+	ContinuedAtGo int
 	// WaitedAtGo counts final queries delayed until an almost-finished
-	// manipulation completed (the WaitForCompletion extension).
+	// manipulation completed (GoWait).
 	WaitedAtGo int
 	// Suspended counts issue opportunities skipped because the server was
 	// busy (the SuspendWhenBusy extension).
@@ -224,6 +251,9 @@ type Job struct {
 	asset AssetKey
 	// seq is the job's issue ordinal in its session (Stats.Issued before it).
 	seq int
+	// continued is set at the first GO the job runs on across
+	// (Stats.ContinuedAtGo).
+	continued bool
 
 	// Predicted-final payload (ManipPredictFinal only): the answer produced
 	// at issue time — fresh execution or answer-cache hit — published to the
@@ -246,17 +276,17 @@ type Job struct {
 // that still schedules Complete itself (cmd/bench).
 type EventOutcome struct {
 	// Canceled are the jobs this event took off the speculator's plate —
-	// invalidated, canceled at GO, shed, or completed-early by the
-	// wait-for-completion rule; a self-scheduling owner must drop their
-	// completions.
+	// invalidated, shed, canceled at GO or completed early by the wait rule
+	// (GoCancel, GoWait); a self-scheduling owner must drop their
+	// completions. Under GoContinue a GO lists none: the jobs in flight keep
+	// their scheduled completions.
 	Canceled []*Job
 	// Issued are the newly issued jobs (at most Config.Workers outstanding);
 	// a self-scheduling owner must complete each one at its CompletesAt.
 	Issued []*Job
 	// Waited is the real delay before the final query ran because OnGo let
-	// an almost-finished manipulation complete (WaitForCompletion). The
-	// session owner must advance its clock by this much in addition to the
-	// query duration.
+	// an almost-finished manipulation complete (GoWait). The session owner
+	// must advance its clock by this much in addition to the query duration.
 	Waited sim.Duration
 }
 
@@ -264,9 +294,10 @@ type EventOutcome struct {
 // (Figure 3): it tracks the partial query, asks the Cost Model to price the
 // Manipulation Space, issues the best manipulations asynchronously in
 // descending benefit order, enforces the paper's conventions (cancel on
-// invalidation and at GO; garbage-collect results the partial query no
-// longer indicates useful; at most Workers outstanding manipulations), and
-// answers final queries on the prepared database.
+// invalidation; garbage-collect results the partial query no longer
+// indicates useful; at most Workers outstanding manipulations) and
+// Config.AtGo's policy for what is in flight at GO, and answers final
+// queries on the prepared database.
 type Speculator struct {
 	eng     *engine.Engine
 	learner *Learner
@@ -394,6 +425,7 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		{"spec.abandoned", &st.Abandoned},
 		{"spec.undo_failures", nil},
 		{"spec.deferred", &st.Deferred},
+		{"spec.continued_at_go", &st.ContinuedAtGo},
 		{"spec.waited_at_go", &st.WaitedAtGo},
 		{"spec.suspended", &st.Suspended},
 		{"spec.budget_deferred", &st.BudgetDeferred},
@@ -611,21 +643,29 @@ func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 	s.End(now)
 }
 
-// OnGo handles the final query: any in-flight manipulation is canceled (the
-// paper's conservative convention), the final query is served from a ready
-// prediction or runs on the prepared database (completed materializations
-// rewrite it), and the Learner trains on the observed formulation. The canvas
-// still shows the query while the user views results, so the Speculator keeps
-// preparing: the outcome may carry a freshly issued manipulation for the next
-// query.
+// OnGo handles the final query: the jobs in flight run on, are canceled, or
+// one is waited for, as Config.AtGo says; the final query is served from a
+// ready prediction or runs on the prepared database (completed
+// materializations rewrite it), and the Learner trains on the observed
+// formulation. The canvas still shows the query while the user views results,
+// so the Speculator keeps preparing: the outcome may carry freshly issued
+// manipulations for the next query, in whatever slots are free.
 func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	var out EventOutcome
-	// Section 7 extension: a manipulation worth more than its remaining run
-	// time is allowed to finish and serve this very query. With several
-	// outstanding the earliest-completing qualifying job wins — the user
-	// waits for at most one.
+	if sp.cfg.AtGo == GoContinue {
+		for _, job := range sp.outstanding {
+			if !job.continued {
+				job.continued = true
+				count(sp, &sp.stats.ContinuedAtGo, 1)
+			}
+		}
+	}
+	// Section 7 extension (GoWait): a manipulation worth more than its
+	// remaining run time is allowed to finish and serve this very query. With
+	// several outstanding the earliest-completing qualifying job wins — the
+	// user waits for at most one.
 	var waitJob *Job
-	if sp.cfg.WaitForCompletion {
+	if sp.cfg.AtGo == GoWait {
 		for _, job := range sp.outstanding {
 			remaining := job.CompletesAt.Sub(now)
 			if remaining > 0 && remaining < job.Manip.SingleBenefit &&
@@ -634,7 +674,9 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 			}
 		}
 	}
-	out.Canceled = sp.finishWhere(TermCanceledAtGo, now, func(job *Job) bool { return job != waitJob })
+	if sp.cfg.AtGo != GoContinue {
+		out.Canceled = sp.finishWhere(TermCanceledAtGo, now, func(job *Job) bool { return job != waitJob })
+	}
 	if waitJob != nil {
 		// A self-scheduling owner must unschedule its completion: it happens
 		// here.

@@ -57,7 +57,7 @@ func TestMultiUserContentionGolden(t *testing.T) {
 	env := tinyEnv(t, EnvConfig{Scale: scale, BufferPoolPages: PoolPages96MB})
 	cfg := core.DefaultConfig()
 	cfg.ContentionFactor = 0.35
-	cfg.WaitForCompletion = true
+	cfg.AtGo = core.GoWait
 	cfg.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 	cfg.Answers = core.NewAnswerCache(env.Eng.Metrics(), 0)
 	var served *ScaledOutcome
@@ -82,6 +82,7 @@ func TestMultiUserContentionGolden(t *testing.T) {
 		tune   func(*core.Config)
 	}{{f7, func(c *core.Config) { c.SelectionsOnly = true }}, {always, func(*core.Config) {}}} {
 		cfg := core.DefaultConfig()
+		cfg.AtGo = core.GoCancel // runMultiUser's policy
 		c.tune(&cfg)
 		out, err := RunScaledSessions(plain.Eng, traces, cfg)
 		if err != nil {

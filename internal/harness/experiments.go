@@ -188,7 +188,7 @@ type SpecVsNormalResult struct {
 	// materialization time (6 / 9 / 10 s).
 	AvgMaterializationSec float64
 	// IncompletePct is the share of issued manipulations still running at
-	// GO (the paper reports 17 / 25 / 30 %).
+	// a GO (the paper reports 17 / 25 / 30 %; incompletePct).
 	IncompletePct float64
 	Stats         core.Stats
 }
@@ -218,10 +218,18 @@ func RunSpecVsNormal(scaleName string, traces []*trace.Trace, seed uint64) (*Spe
 	if pr.Stats.MaterializationsIssued > 0 {
 		res.AvgMaterializationSec = pr.Stats.MaterializationTime.Seconds() / float64(pr.Stats.MaterializationsIssued)
 	}
-	if pr.Stats.Issued > 0 {
-		res.IncompletePct = 100 * float64(pr.Stats.CanceledAtGo) / float64(pr.Stats.Issued)
-	}
+	res.IncompletePct = incompletePct(pr.Stats)
 	return res, nil
+}
+
+// incompletePct is the share of issued manipulations, in percent, that were
+// still running at a GO: canceled there (GoCancel, GoWait) or run on across
+// it (GoContinue).
+func incompletePct(st core.Stats) float64 {
+	if st.Issued == 0 {
+		return 0
+	}
+	return 100 * float64(st.CanceledAtGo+st.ContinuedAtGo) / float64(st.Issued)
 }
 
 // Figure6Result compares Views, Spec, and Spec+Views against normal
@@ -334,6 +342,11 @@ func runMultiUser(scale tpch.Scale, seed uint64, traces []*trace.Trace, cfg core
 		return nil, nil, stats, err
 	}
 	cfg.ContentionFactor = 0.35
+	// Under the contention model a job that ran on across a GO would stretch
+	// that GO (Speculator.contended), the think-time work queueing ahead of
+	// the foreground; the multi-user experiments keep the paper's
+	// cancel-at-GO convention, under which nothing is in flight beside a GO.
+	cfg.AtGo = core.GoCancel
 	spec, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		return nil, nil, stats, err
@@ -496,33 +509,36 @@ func RunLookahead(scaleName string, traces []*trace.Trace, seed uint64, depths [
 	return res, nil
 }
 
-// WaitAblationResult is the A4 experiment: the paper's Section 7 proposal of
-// waiting for almost-finished manipulations at GO, versus the conservative
-// always-cancel default.
+// WaitAblationResult is the A4 experiment: what a GO does with the
+// manipulations still in flight — let them run on (the default), cancel them
+// (the paper's conservative convention), or wait for an almost-finished one
+// (the paper's Section 7 proposal).
 type WaitAblationResult struct {
-	Scale      string
-	CancelPct  float64 // improvement with the default cancel-at-GO policy
-	WaitPct    float64 // improvement with WaitForCompletion
-	WaitedAtGo int
+	Scale       string
+	ContinuePct float64 // improvement with core.GoContinue
+	CancelPct   float64 // improvement with core.GoCancel
+	WaitPct     float64 // improvement with core.GoWait
+	WaitedAtGo  int
 }
 
-// RunWaitAblation compares the two GO policies on one dataset size.
+// RunWaitAblation compares the three GO policies on one dataset size.
 func RunWaitAblation(scaleName string, traces []*trace.Trace, seed uint64) (*WaitAblationResult, error) {
 	scale, err := tpch.ScaleByName(scaleName)
 	if err != nil {
 		return nil, err
 	}
 	res := &WaitAblationResult{Scale: scaleName}
-	for _, wait := range []bool{false, true} {
-		pct, stats, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.WaitForCompletion = wait })
+	for _, row := range []struct {
+		policy core.GoPolicy
+		pct    *float64
+	}{{core.GoContinue, &res.ContinuePct}, {core.GoCancel, &res.CancelPct}, {core.GoWait, &res.WaitPct}} {
+		pct, stats, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.AtGo = row.policy })
 		if err != nil {
 			return nil, err
 		}
-		if wait {
-			res.WaitPct = pct
+		*row.pct = pct
+		if row.policy == core.GoWait {
 			res.WaitedAtGo = stats.WaitedAtGo
-		} else {
-			res.CancelPct = pct
 		}
 	}
 	return res, nil
@@ -589,9 +605,9 @@ func RenderBuckets(buckets []Bucket, withExtremes bool) string {
 // spec-on replay of the corpus with the headline speculation metrics. Every
 // field is simulated time or a count, so the file is machine-independent;
 // wall-clock numbers live in cmd/bench. RunBench replays core.DefaultConfig(),
-// which sets neither WaitForCompletion nor SuspendWhenBusy, so WaitedAtGo and
-// Suspended are 0 by construction (the 6 waited / 29 suspended belong to
-// -exp a4 / a5, which set them).
+// whose GO policy is core.GoContinue and which does not set SuspendWhenBusy,
+// so CanceledAtGo, WaitedAtGo and Suspended are 0 by construction (the 6
+// waited belong to -exp a4's GoWait row, the 29 suspended to -exp a5).
 type BenchResult struct {
 	Scale    string `json:"scale"`
 	Users    int    `json:"users"`
@@ -612,7 +628,8 @@ type BenchResult struct {
 	HitRate float64 `json:"hit_rate"`
 	// WasteS is simulated manipulation time that never served a query (s).
 	WasteS float64 `json:"waste_s"`
-	// IncompletePct is the share of issued manipulations still running at GO.
+	// IncompletePct is the share of issued manipulations still running at a
+	// GO, canceled there or run on across it (incompletePct).
 	IncompletePct       float64 `json:"incomplete_pct"`
 	AvgMaterializationS float64 `json:"avg_materialization_s"`
 
@@ -620,6 +637,7 @@ type BenchResult struct {
 	Completed           int `json:"completed"`
 	CanceledInvalidated int `json:"canceled_invalidated"`
 	CanceledAtGo        int `json:"canceled_at_go"`
+	ContinuedAtGo       int `json:"continued_at_go"`
 	GarbageCollected    int `json:"garbage_collected"`
 	Hits                int `json:"hits"`
 	Misses              int `json:"misses"`
@@ -705,6 +723,7 @@ func RunBench(scaleName string, traces []*trace.Trace, seed uint64) (*BenchResul
 		Completed:           pr.Stats.Completed,
 		CanceledInvalidated: pr.Stats.CanceledInvalidated,
 		CanceledAtGo:        pr.Stats.CanceledAtGo,
+		ContinuedAtGo:       pr.Stats.ContinuedAtGo,
 		GarbageCollected:    pr.Stats.GarbageCollected,
 		Hits:                pr.Stats.Hits,
 		Misses:              pr.Stats.Misses,
@@ -721,9 +740,7 @@ func RunBench(scaleName string, traces []*trace.Trace, seed uint64) (*BenchResul
 	if t := pr.Stats.Hits + pr.Stats.Misses; t > 0 {
 		res.HitRate = float64(pr.Stats.Hits) / float64(t)
 	}
-	if pr.Stats.Issued > 0 {
-		res.IncompletePct = 100 * float64(pr.Stats.CanceledAtGo) / float64(pr.Stats.Issued)
-	}
+	res.IncompletePct = incompletePct(pr.Stats)
 	if pr.Stats.MaterializationsIssued > 0 {
 		res.AvgMaterializationS = pr.Stats.MaterializationTime.Seconds() / float64(pr.Stats.MaterializationsIssued)
 	}

@@ -271,8 +271,9 @@ func replay(sps []*core.Speculator, traces []*trace.Trace) ([]QueryTiming, error
 
 	// Under the contention model (core.Config.ContentionFactor) a build sees
 	// every job in flight in the speculators' shared ledger but its own, and a
-	// GO every one left after its own were canceled: each user's statements
-	// are stretched by the other users' work.
+	// GO every one in flight once its GO policy has acted (runMultiUser
+	// cancels them): each user's statements are stretched by the other users'
+	// work.
 	var timings []QueryTiming
 	queries := make([]int, len(sps))
 	for _, item := range all {
@@ -353,6 +354,7 @@ func SumStatsAll(per []core.Stats) core.Stats {
 		a.CanceledInvalidated += b.CanceledInvalidated
 		a.CanceledAtGo += b.CanceledAtGo
 		a.CanceledOnClose += b.CanceledOnClose
+		a.ContinuedAtGo += b.ContinuedAtGo
 		a.WaitedAtGo += b.WaitedAtGo
 		a.Suspended += b.Suspended
 		a.Deferred += b.Deferred

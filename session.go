@@ -20,12 +20,26 @@ type SessionConfig struct {
 	SelectionsOnly bool
 	// Lookahead is the cost model's future-query depth (default 3).
 	Lookahead int
-	// WaitForCompletion enables the paper's Section 7 extension: when Go
-	// arrives while a manipulation is almost finished and waiting is cheaper
-	// than losing it, the final query is delayed until the manipulation
-	// completes. The session clock advances by the wait.
-	WaitForCompletion bool
+	// AtGo is what Go does with the manipulations still in flight. The zero
+	// value, GoContinue, lets them run on and complete as if no Go had come;
+	// GoCancel cancels them (the paper's convention); GoWait is the paper's
+	// Section 7 extension: when a manipulation is almost finished and waiting
+	// is cheaper than losing it, the final query is delayed until it
+	// completes, the session clock advancing by the wait, and the rest are
+	// canceled.
+	AtGo GoPolicy
 }
+
+// GoPolicy is what a Go does with the manipulations in flight
+// (SessionConfig.AtGo).
+type GoPolicy = core.GoPolicy
+
+// The GO policies: see SessionConfig.AtGo.
+const (
+	GoContinue = core.GoContinue
+	GoCancel   = core.GoCancel
+	GoWait     = core.GoWait
+)
 
 // Session is the programmatic equivalent of the paper's visual query
 // interface: the caller edits a query part by part, think-time passes, and
@@ -74,7 +88,7 @@ func (db *DB) newSession(ctx context.Context, cfg SessionConfig, learner *core.L
 	if cfg.Lookahead > 0 {
 		c.Lookahead = cfg.Lookahead
 	}
-	c.WaitForCompletion = cfg.WaitForCompletion
+	c.AtGo = cfg.AtGo
 	c.NamePrefix = prefix
 	c.Workers = db.specWorkers
 	c.Ledger = db.ledger
@@ -220,12 +234,13 @@ func (s *Session) Clear() error {
 	return s.apply(trace.Event{Kind: trace.EvClear})
 }
 
-// Go submits the final query: any incomplete manipulation is canceled (or,
-// with WaitForCompletion, briefly waited for), the query is served from a
-// completed prediction (Options.PredictFinals; the Result then has no Plan) or
-// runs on the prepared database (completed materializations rewrite it), and
-// the user profile learns from the formulation. The session clock advances by any wait, so
-// the timeline matches the charged result duration.
+// Go submits the final query: any incomplete manipulation runs on (or, as
+// SessionConfig.AtGo says, is canceled or briefly waited for), the query is
+// served from a completed prediction (Options.PredictFinals; the Result then
+// has no Plan) or runs on the prepared database (completed materializations
+// rewrite it), and the user profile learns from the formulation. The session
+// clock advances by any wait, so the timeline matches the charged result
+// duration.
 func (s *Session) Go() (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -150,7 +150,7 @@ func TestSessionContextCancellation(t *testing.T) {
 // timeline drifted behind its accounted costs.
 func TestGoWaitForCompletionAdvancesClock(t *testing.T) {
 	db := getDB(t)
-	s := db.NewSession(SessionConfig{WaitForCompletion: true})
+	s := db.NewSession(SessionConfig{AtGo: GoWait})
 	defer s.Close()
 
 	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
