@@ -50,7 +50,7 @@ func ColumnValues(t *Table, col string) ([]tuple.Value, error) {
 	out := make([]tuple.Value, 0, t.RowCount())
 	row := make(tuple.Row, t.Schema.Len())
 	err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
-		if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
+		if _, err := tuple.DecodeLive(row, rec, t.Schema, tuple.ColsOf(ord), nil); err != nil {
 			return err
 		}
 		out = append(out, row[ord])

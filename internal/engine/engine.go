@@ -689,13 +689,15 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 				entrySlabs.Give(entries)
 				keys.release()
 			}()
-			row := make(tuple.Row, t.Schema.Len())
 			err = t.Heap.Scan(func(rid storage.RID, rec []byte) error {
-				if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
+				// Only the key column is decoded; a string aliases the record,
+				// and keys.encode copies it.
+				v, _, err := tuple.DecodeColumn(rec, t.Schema, ord)
+				if err != nil {
 					return err
 				}
 				st.meter.ChargeTuples(1)
-				entries = append(entries, btree.Entry{Key: keys.encode(row[ord]), RID: rid})
+				entries = append(entries, btree.Entry{Key: keys.encode(v), RID: rid})
 				res.RowCount++
 				return nil
 			})

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math/bits"
+
 	"specdb/internal/slab"
 	"specdb/internal/storage"
 	"specdb/internal/tuple"
@@ -55,6 +57,47 @@ func (a *rowArena) keep(r tuple.Row) {
 		// the arena's width is the schema's; rows cuts the chunks by it.
 		panic("exec: row width differs from its stream's schema")
 	}
+	copy(a.next(), r)
+	a.commit()
+}
+
+// keepLive copies the columns in live of r to the end of the arena, back to
+// back, a.width being keptWidth(live, len(r)). A pruned row carries its
+// stored length (Iterator.StoredLen) after them as one more value: a join
+// keeps only some columns of it, and still charges its spill by the whole
+// record. A whole row needs none, since its length is EncodedSize of itself,
+// so a join whose rows are all read keeps them whole and nothing else.
+func (a *rowArena) keepLive(r tuple.Row, live tuple.ColSet, stored int) {
+	if live == tuple.AllCols {
+		a.keep(r)
+		return
+	}
+	dst := a.next()
+	gather(dst, r, live)
+	dst[len(dst)-1] = tuple.NewInt(int64(stored))
+	a.commit()
+}
+
+// keptWidth is the width of a row of n columns kept by keepLive.
+func keptWidth(live tuple.ColSet, n int) int {
+	if live == tuple.AllCols {
+		return n
+	}
+	return live.Count(n) + 1
+}
+
+// storedLen is the stored length of a row of schema s that keepLive kept
+// with live.
+func storedLen(kept tuple.Row, s *tuple.Schema, live tuple.ColSet) int {
+	if live == tuple.AllCols {
+		return tuple.EncodedSize(s, kept)
+	}
+	return int(kept[len(kept)-1].Int())
+}
+
+// next returns the place of the next row, taking a chunk when the newest has
+// no room for one; commit keeps what was written there.
+func (a *rowArena) next() tuple.Row {
 	if a.width > len(a.free) {
 		a.chunk = min(max(2*a.chunk, arenaMinChunk), arenaMaxChunk)
 		if size := max(a.chunk, a.width); a.recycle {
@@ -69,7 +112,19 @@ func (a *rowArena) keep(r tuple.Row) {
 		}
 		a.chunks++
 	}
-	copy(a.free, r)
+	return a.free[:a.width:a.width]
+}
+
+// room is the place of the next row if the newest chunk has one, else nil.
+func (a *rowArena) room() tuple.Row {
+	if a.width > len(a.free) {
+		return nil
+	}
+	return a.free[:a.width:a.width]
+}
+
+// commit keeps the row written at the place next or room returned.
+func (a *rowArena) commit() {
 	a.free = a.free[a.width:]
 	a.n++
 }
@@ -79,6 +134,27 @@ func (a *rowArena) drain(it Iterator) error {
 	return Drain(it, func(r tuple.Row) error {
 		a.keep(r)
 		return nil
+	})
+}
+
+// collect keeps every row of p, which it opens and closes, each written by p
+// where it is kept. Only the first row of a chunk goes through p's own row
+// first: the chunk is taken once a row needs it, so an empty answer takes
+// none.
+func (a *rowArena) collect(p *Project) error {
+	return run(p, func() (bool, error) {
+		if dst := a.room(); dst != nil {
+			ok, err := p.nextInto(dst)
+			if ok && err == nil {
+				a.commit()
+			}
+			return ok, err
+		}
+		ok, err := p.nextInto(p.out)
+		if ok && err == nil {
+			a.keep(p.out)
+		}
+		return ok, err
 	})
 }
 
@@ -135,6 +211,45 @@ func (a *rowArena) release() {
 		}
 	}
 	*a = rowArena{}
+}
+
+// gather copies the columns in live of src to dst, back to back.
+func gather(dst, src tuple.Row, live tuple.ColSet) {
+	if live == tuple.AllCols {
+		copy(dst, src)
+		return
+	}
+	k := 0
+	for m := uint64(live); m != 0; m &= m - 1 {
+		dst[k] = src[bits.TrailingZeros64(m)]
+		k++
+	}
+}
+
+// spread is gather's inverse: dst's columns in live are src's values, in
+// order.
+func spread(dst, src tuple.Row, live tuple.ColSet) {
+	if live == tuple.AllCols {
+		copy(dst, src)
+		return
+	}
+	k := 0
+	for m := uint64(live); m != 0; m &= m - 1 {
+		dst[bits.TrailingZeros64(m)] = src[k]
+		k++
+	}
+}
+
+// copyLive copies the columns in live of src to the same places of dst.
+func copyLive(dst, src tuple.Row, live tuple.ColSet) {
+	if live == tuple.AllCols {
+		copy(dst, src)
+		return
+	}
+	for m := uint64(live); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		dst[i] = src[i]
+	}
 }
 
 // The classes only the executor uses; join-table key images share

@@ -76,3 +76,14 @@ func (f *ColFilter) Close() error {
 
 // Schema is the child's schema.
 func (f *ColFilter) Schema() *tuple.Schema { return f.child.Schema() }
+
+// StoredLen implements Iterator: the row is the child's.
+func (f *ColFilter) StoredLen() int { return f.child.StoredLen() }
+
+// Prune implements Pruner: the child must also produce the compared columns.
+func (f *ColFilter) Prune(live tuple.ColSet) {
+	for _, p := range f.preds {
+		live = live.With(p.LeftOrd).With(p.RightOrd)
+	}
+	prune(f.child, live)
+}

@@ -86,11 +86,47 @@ type Iterator interface {
 	Close() error
 	// Schema describes the rows produced.
 	Schema() *tuple.Schema
+	// StoredLen is the stored length of the row Next last returned: what its
+	// records take on pages — a scanned record's own length, the sum of a
+	// join's two sides — however few of its columns the row carries. A join
+	// charges its spill by it (DESIGN.md §15, "What a query decodes and
+	// copies").
+	StoredLen() int
+}
+
+// Pruner is implemented by an operator that can leave columns of its rows
+// unwritten. Prune, called before Open, names the columns something above it
+// reads; from then on the others may hold anything. The operator passes on
+// to its children what they must produce for it: those columns, and the ones
+// it reads itself. A wrapper that only observes its iterator forwards the
+// call; one that does not leaves its subtree whole, which costs speed and
+// changes nothing else.
+type Pruner interface {
+	Prune(live tuple.ColSet)
+}
+
+// prune hands live to it, if it takes it.
+func prune(it Iterator, live tuple.ColSet) {
+	if p, ok := it.(Pruner); ok {
+		p.Prune(live)
+	}
 }
 
 // Drain runs an iterator to completion, invoking fn for each row, and always
 // closes it. It is the standard top-level execution loop.
-func Drain(it Iterator, fn func(tuple.Row) error) (err error) {
+func Drain(it Iterator, fn func(tuple.Row) error) error {
+	return run(it, func() (bool, error) {
+		row, ok, err := it.Next()
+		if err != nil || !ok || fn == nil {
+			return ok, err
+		}
+		return true, fn(row)
+	})
+}
+
+// run opens it, calls step until step reports the end of the stream or fails,
+// and always closes it.
+func run(it Iterator, step func() (bool, error)) (err error) {
 	if err := it.Open(); err != nil {
 		it.Close()
 		return err
@@ -101,29 +137,28 @@ func Drain(it Iterator, fn func(tuple.Row) error) (err error) {
 		}
 	}()
 	for {
-		row, ok, err2 := it.Next()
-		if err2 != nil {
-			return err2
-		}
-		if !ok {
-			return nil
-		}
-		if fn != nil {
-			if err2 := fn(row); err2 != nil {
-				return err2
-			}
+		if ok, err := step(); err != nil || !ok {
+			return err
 		}
 	}
 }
 
 // Collect drains an iterator into a materialized row slice. Each row is
 // copied once, into chunks shared by the rows of this answer, and the slice is
-// cut from the chunks at its exact length when the stream ends. An empty
-// stream collects to nil. The answer is the caller's for as long as it likes,
-// so none of its memory comes from or goes back to a slab.
+// cut from the chunks at its exact length when the stream ends. Under a
+// Project that copy is the only write of an answer value: the projection
+// writes each row straight into its chunk. An empty stream collects to nil.
+// The answer is the caller's for as long as it likes, so none of its memory
+// comes from or goes back to a slab.
 func Collect(it Iterator) ([]tuple.Row, error) {
 	kept := rowArena{width: it.Schema().Len()}
-	if err := kept.drain(it); err != nil {
+	var err error
+	if p, ok := it.(*Project); ok {
+		err = kept.collect(p)
+	} else {
+		err = kept.drain(it)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return kept.rows(), nil

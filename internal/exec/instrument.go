@@ -124,6 +124,11 @@ func (p *profiledIter) Next() (tuple.Row, bool, error) {
 
 func (p *profiledIter) Close() error          { return p.inner.Close() }
 func (p *profiledIter) Schema() *tuple.Schema { return p.inner.Schema() }
+func (p *profiledIter) StoredLen() int        { return p.inner.StoredLen() }
+
+// Prune forwards the live columns, so a profiled plan decodes and copies
+// what a bare one does.
+func (p *profiledIter) Prune(live tuple.ColSet) { prune(p.inner, live) }
 
 func (p *profiledIter) addWork(before sim.Work) {
 	p.stats.Work = p.stats.Work.Add(p.snapshot().Sub(before))

@@ -16,9 +16,11 @@ import (
 // table at Open, the right child probes it. The planner puts the smaller
 // estimated side on the left. The build rows are the only rows it keeps
 // (copied once, into a recycled arena given back at Close, with the table's
-// arrays); a probe row is borrowed from the right child for as long as its
-// matches are being emitted, and every match is assembled in the one
-// join-owned output row, so no build row is ever lent out.
+// arrays, and only the columns it or its consumers read, a pruned row
+// followed by its stored length); a probe row is borrowed from the right child
+// for as long as its matches are being emitted, and every match is assembled
+// in the one join-owned output row — or, under a Project, written by the
+// Project straight from the two rows — so no build row is ever lent out.
 //
 // A join on several edges hashes on the first and tests the others on each
 // (build row, probe row) pair the table proposes, before anything is copied:
@@ -33,6 +35,13 @@ type HashJoin struct {
 	residual []ColPred
 	schema   *tuple.Schema
 
+	// keep are the columns of a build row the join keeps: those its
+	// consumers read (Prune) and those its edges compare. A kept build row
+	// holds only these, back to back. probeLive are the probe row's columns
+	// its consumers read.
+	keep, probeLive tuple.ColSet
+	nl              int // build columns: where the probe's start in an output row
+
 	arena      rowArena
 	table      joinTable
 	emptyBuild bool
@@ -44,6 +53,7 @@ type HashJoin struct {
 	current tuple.Row
 	match   int32
 	out     tuple.Row
+	last    int32 // the returned match's build row
 	// gate is the key test handed to the right child, which took it if gated.
 	gate  KeyGate
 	gated bool
@@ -63,8 +73,8 @@ type KeyGate struct {
 	// match refers to the first build row matching the row last returned.
 	match int32
 	// skipped counts the records skipped since the join last read it, and
-	// skippedBytes their stored length: a record's length is EncodedSize of
-	// its decoded row, what the join charges a probe row's spill by.
+	// skippedBytes their stored length, what the join charges a probe row's
+	// spill by.
 	skipped, skippedBytes int64
 }
 
@@ -114,15 +124,32 @@ func NewHashJoin(ctx *Context, left, right Iterator, leftCol, rightCol string, r
 	}
 	schema := left.Schema().Concat(right.Schema())
 	return &HashJoin{
-		ctx:      ctx,
-		left:     left,
-		right:    right,
-		leftOrd:  lo,
-		rightOrd: ro,
-		residual: preds,
-		schema:   schema,
-		out:      make(tuple.Row, schema.Len()),
+		ctx:       ctx,
+		left:      left,
+		right:     right,
+		leftOrd:   lo,
+		rightOrd:  ro,
+		residual:  preds,
+		schema:    schema,
+		keep:      tuple.AllCols,
+		probeLive: tuple.AllCols,
+		nl:        left.Schema().Len(),
+		out:       make(tuple.Row, schema.Len()),
 	}, nil
+}
+
+// Prune implements Pruner: the join copies only the live columns of a match
+// into its output row, keeps only those of a build row and the ones its edges
+// compare, and asks its children for no more.
+func (j *HashJoin) Prune(live tuple.ColSet) {
+	left, probeLive := live.Split(j.nl)
+	left, right := left.With(j.leftOrd), probeLive.With(j.rightOrd)
+	for _, p := range j.residual {
+		left, right = left.With(p.LeftOrd), right.With(p.RightOrd)
+	}
+	j.keep, j.probeLive = left.Over(j.nl), probeLive.Over(j.schema.Len()-j.nl)
+	prune(j.left, left)
+	prune(j.right, right)
 }
 
 // Open builds the hash table from the left child.
@@ -131,8 +158,7 @@ func (j *HashJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	leftSchema := j.left.Schema()
-	j.arena = rowArena{width: leftSchema.Len(), recycle: true}
+	j.arena = rowArena{width: keptWidth(j.keep, j.nl), recycle: true}
 	var buildBytes int64
 	for {
 		row, ok, err := j.left.Next()
@@ -142,9 +168,10 @@ func (j *HashJoin) Open() error {
 		if !ok {
 			break
 		}
-		j.arena.keep(row)
+		stored := j.left.StoredLen()
+		j.arena.keepLive(row, j.keep, stored)
 		j.ctx.count(1)
-		buildBytes += int64(tuple.EncodedSize(leftSchema, row))
+		buildBytes += int64(stored)
 	}
 	if err := j.left.Close(); err != nil {
 		return err
@@ -165,7 +192,7 @@ func (j *HashJoin) Open() error {
 		j.emptyBuild = true
 		return nil
 	}
-	if err := j.table.build(rows, j.leftOrd); err != nil {
+	if err := j.table.build(rows, j.keep.Rank(j.leftOrd)); err != nil {
 		return err
 	}
 	j.gate = KeyGate{table: &j.table, ord: j.rightOrd}
@@ -174,15 +201,40 @@ func (j *HashJoin) Open() error {
 	return j.right.Open()
 }
 
-// Next emits the next (left ++ right) match.
+// Next emits the next (left ++ right) match, its live columns written.
 func (j *HashJoin) Next() (tuple.Row, bool, error) {
+	build, ok, err := j.advance()
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	spread(j.out[:j.nl], build, j.keep)
+	copyLive(j.out[j.nl:], j.current, j.probeLive)
+	return j.out, true, nil
+}
+
+// project writes the columns ords of the match (build, the current probe
+// row) to dst, in that order: a Project's write, with no output row between.
+func (j *HashJoin) project(dst, build tuple.Row, ords []int) {
+	for i, o := range ords {
+		if o < j.nl {
+			dst[i] = build[j.keep.Rank(o)]
+		} else {
+			dst[i] = j.current[o-j.nl]
+		}
+	}
+}
+
+// advance moves to the next match and returns its kept build row; its probe
+// row is j.current. It counts what a match counts, and assembles nothing.
+func (j *HashJoin) advance() (tuple.Row, bool, error) {
 	if j.emptyBuild {
 		return nil, false, nil
 	}
 	for {
 		for j.match != 0 {
-			build := j.table.rows[j.match-1]
-			j.match = j.table.next[j.match-1]
+			m := j.match - 1
+			build := j.table.rows[m]
+			j.match = j.table.next[m]
 			j.ctx.count(1)
 			if len(j.residual) != 0 {
 				// A candidate also counts as the input of the ColFilter that
@@ -192,12 +244,11 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 					continue
 				}
 			}
-			n := copy(j.out, build)
-			copy(j.out[n:], j.current)
-			return j.out, true, nil
+			j.last = m
+			return build, true, nil
 		}
 		row, ok, err := j.right.Next()
-		j.probed(row, ok && err == nil)
+		j.probed(ok && err == nil)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -213,16 +264,17 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 }
 
 // probed counts the probe rows one pull from the right child consumed — the
-// records a gated child skipped, and row if ok — and, when the join spilled,
-// charges the pages their bytes fill. It runs on every pull, the last one too,
-// so the skipped records at the end of the stream are charged as well.
-func (j *HashJoin) probed(row tuple.Row, ok bool) {
+// records a gated child skipped, and the returned row if ok — and, when the
+// join spilled, charges the pages their stored bytes fill. It runs on every
+// pull, the last one too, so the skipped records at the end of the stream are
+// charged as well.
+func (j *HashJoin) probed(ok bool) {
 	n, bytes := j.gate.skipped, j.gate.skippedBytes
 	j.gate.skipped, j.gate.skippedBytes = 0, 0
 	if ok {
 		n++
 		if j.spilled {
-			bytes += int64(tuple.EncodedSize(j.right.Schema(), row))
+			bytes += int64(j.right.StoredLen())
 		}
 	}
 	j.ctx.count(n)
@@ -240,7 +292,7 @@ func (j *HashJoin) probed(row tuple.Row, ok bool) {
 // residualHolds tests the join's other edges on (build, the current probe row).
 func (j *HashJoin) residualHolds(build tuple.Row) bool {
 	for _, p := range j.residual {
-		if !p.Op.Eval(build[p.LeftOrd], j.current[p.RightOrd]) {
+		if !p.Op.Eval(build[j.keep.Rank(p.LeftOrd)], j.current[p.RightOrd]) {
 			return false
 		}
 	}
@@ -269,6 +321,11 @@ func (j *HashJoin) Close() error {
 
 // Schema is left ++ right.
 func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
+
+// StoredLen implements Iterator: the build row's length plus the probe row's.
+func (j *HashJoin) StoredLen() int {
+	return storedLen(j.table.rows[j.last], j.left.Schema(), j.keep) + j.right.StoredLen()
+}
 
 // joinTable is the hash join's table: open addressing over the build rows,
 // with the rows of one key chained in build order. Match order within a key
@@ -361,7 +418,8 @@ func (t *joinTable) lookup(v tuple.Value) int32 {
 // on the inner base table — the access path whose absence on freshly
 // materialized relations is the paper's main source of speculation penalties
 // (Section 6.1). The outer row is borrowed while its matches are emitted; the
-// matching inner rows are decoded under their page pins into one reused
+// matching inner records are tested against the inner selections and, if they
+// pass, their live columns decoded under their page pins into one reused
 // buffer, and every match is assembled in the one join-owned output row.
 type IndexNLJoin struct {
 	ctx      *Context
@@ -369,15 +427,21 @@ type IndexNLJoin struct {
 	outerOrd int
 	inner    *catalog.Table
 	index    *catalog.Index
-	// innerPreds filter inner rows (selections on the inner relation),
-	// compiled against the inner's qualified schema.
+	// innerPreds filter inner records (selections on the inner relation),
+	// compiled against the inner's stored schema.
 	innerPreds  []Pred
 	innerSchema *tuple.Schema
 	schema      *tuple.Schema
+	// outerLive and innerLive are the columns of each side the join's
+	// consumers read (Prune).
+	outerLive, innerLive tuple.ColSet
+	no                   int // outer columns: where the inner's start in an output row
 
-	current tuple.Row     // the borrowed outer row
-	pending []tuple.Value // its matching inner rows, back to back
-	pos     int           // offset in pending of the next one to emit
+	current tuple.Row // the borrowed outer row
+	// pending are its matching inner rows, back to back, as a join side
+	// keeps them (keepLive), and pos indexes the next to emit.
+	pending []tuple.Value
+	pos     int
 	out     tuple.Row
 	keyBuf  []byte
 	// visit and decode are the Scan and View callbacks, built once so a
@@ -403,29 +467,42 @@ func NewIndexNLJoin(ctx *Context, outer Iterator, outerCol string, inner *catalo
 		innerPreds:  innerPreds,
 		innerSchema: innerSchema,
 		schema:      schema,
+		outerLive:   tuple.AllCols,
+		innerLive:   tuple.AllCols,
+		no:          outer.Schema().Len(),
 		out:         make(tuple.Row, schema.Len()),
 	}
 	width := inner.Schema.Len()
 	j.decode = func(rec []byte) error {
-		// Decode at the tail of pending; a row the inner predicates reject
-		// is cut off again.
-		n := len(j.pending)
-		j.pending = append(j.pending, make([]tuple.Value, width)...)
-		inRow := tuple.Row(j.pending[n:])
-		if _, err := tuple.DecodeRowInto(inRow, rec, inner.Schema); err != nil {
+		pass, err := holds(rec, inner.Schema, j.innerPreds)
+		if err != nil {
 			return err
 		}
-		j.ctx.count(1)
-		for _, p := range j.innerPreds {
-			if !p.Eval(inRow) {
-				j.pending = j.pending[:n]
-				break
+		if pass {
+			// Decode at the tail of pending.
+			n := len(j.pending)
+			j.pending = append(j.pending, make([]tuple.Value, j.pendingWidth())...)
+			if _, err := tuple.DecodeLive(j.pending[n:n+width], rec, inner.Schema, j.innerLive, nil); err != nil {
+				return err
+			}
+			if j.innerLive != tuple.AllCols {
+				j.pending[len(j.pending)-1] = tuple.NewInt(int64(len(rec)))
 			}
 		}
+		j.ctx.count(1)
 		return nil
 	}
 	j.visit = func(_ []byte, rid storage.RID) error { return inner.Heap.View(ctx.Pool, rid, j.decode) }
 	return j, nil
+}
+
+// Prune implements Pruner: the join writes only the live columns of a match,
+// decodes only the live inner columns, and asks its outer child for the live
+// outer ones and the join column.
+func (j *IndexNLJoin) Prune(live tuple.ColSet) {
+	outer, inner := live.Split(j.no)
+	j.outerLive, j.innerLive = outer.Over(j.no), inner.Over(j.innerSchema.Len())
+	prune(j.outer, outer.With(j.outerOrd))
 }
 
 // Open opens the outer child.
@@ -434,9 +511,10 @@ func (j *IndexNLJoin) Open() error { return j.outer.Open() }
 // Next emits the next (outer ++ inner) match.
 func (j *IndexNLJoin) Next() (tuple.Row, bool, error) {
 	for {
-		if j.pos < len(j.pending) {
-			n := copy(j.out, j.current)
-			j.pos += copy(j.out[n:], j.pending[j.pos:]) // fills out: one inner row
+		if inner := j.pendingRow(j.pos); inner != nil {
+			copyLive(j.out[:j.no], j.current, j.outerLive)
+			copyLive(j.out[j.no:], inner, j.innerLive)
+			j.pos++
 			j.ctx.count(1)
 			return j.out, true, nil
 		}
@@ -466,6 +544,30 @@ func (j *IndexNLJoin) Close() error {
 // Schema is outer ++ inner.
 func (j *IndexNLJoin) Schema() *tuple.Schema { return j.schema }
 
+// StoredLen implements Iterator: the outer row's length plus the inner
+// record's.
+func (j *IndexNLJoin) StoredLen() int {
+	return j.outer.StoredLen() + storedLen(j.pendingRow(j.pos-1), j.inner.Schema, j.innerLive)
+}
+
+// pendingWidth is the width of a pending inner row: decoded in place, and
+// followed by its record's length when pruned, as keepLive keeps one.
+func (j *IndexNLJoin) pendingWidth() int {
+	if j.innerLive == tuple.AllCols {
+		return j.innerSchema.Len()
+	}
+	return j.innerSchema.Len() + 1
+}
+
+// pendingRow is the k-th pending inner row, nil past the last.
+func (j *IndexNLJoin) pendingRow(k int) tuple.Row {
+	w := j.pendingWidth()
+	if (k+1)*w > len(j.pending) {
+		return nil
+	}
+	return j.pending[k*w : (k+1)*w]
+}
+
 // CrossJoin is a nested-loop cross product with the inner side materialized
 // at Open. The planner only emits it for queries whose graph is disconnected
 // (transient states while a user assembles a query).
@@ -473,6 +575,10 @@ type CrossJoin struct {
 	ctx          *Context
 	outer, inner Iterator
 	schema       *tuple.Schema
+	// outerLive and innerLive are the columns of each side the join's
+	// consumers read (Prune); a kept inner row holds only the latter.
+	outerLive, innerLive tuple.ColSet
+	no                   int // outer columns: where the inner's start in an output row
 
 	kept      rowArena    // the inner side, recycled at Close
 	innerRows []tuple.Row // cut from kept
@@ -486,12 +592,23 @@ type CrossJoin struct {
 func NewCrossJoin(ctx *Context, outer, inner Iterator) *CrossJoin {
 	schema := outer.Schema().Concat(inner.Schema())
 	return &CrossJoin{
-		ctx:    ctx,
-		outer:  outer,
-		inner:  inner,
-		schema: schema,
-		out:    make(tuple.Row, schema.Len()),
+		ctx:       ctx,
+		outer:     outer,
+		inner:     inner,
+		schema:    schema,
+		outerLive: tuple.AllCols,
+		innerLive: tuple.AllCols,
+		no:        outer.Schema().Len(),
+		out:       make(tuple.Row, schema.Len()),
 	}
+}
+
+// Prune implements Pruner: each side is asked for its live columns only.
+func (j *CrossJoin) Prune(live tuple.ColSet) {
+	outer, inner := live.Split(j.no)
+	j.outerLive, j.innerLive = outer.Over(j.no), inner.Over(j.inner.Schema().Len())
+	prune(j.outer, outer)
+	prune(j.inner, inner)
 }
 
 // Open materializes the inner side.
@@ -499,8 +616,11 @@ func (j *CrossJoin) Open() error {
 	if err := j.outer.Open(); err != nil {
 		return err
 	}
-	j.kept = rowArena{width: j.inner.Schema().Len(), recycle: true}
-	if err := j.kept.drain(j.inner); err != nil {
+	j.kept = rowArena{width: keptWidth(j.innerLive, j.inner.Schema().Len()), recycle: true}
+	if err := Drain(j.inner, func(r tuple.Row) error {
+		j.kept.keepLive(r, j.innerLive, j.inner.StoredLen())
+		return nil
+	}); err != nil {
 		return err
 	}
 	j.innerRows = j.kept.rows()
@@ -513,8 +633,8 @@ func (j *CrossJoin) Open() error {
 func (j *CrossJoin) Next() (tuple.Row, bool, error) {
 	for {
 		if j.haveOuter && j.pos < len(j.innerRows) {
-			n := copy(j.out, j.current)
-			copy(j.out[n:], j.innerRows[j.pos])
+			copyLive(j.out, j.current, j.outerLive)
+			spread(j.out[j.no:], j.innerRows[j.pos], j.innerLive)
 			j.pos++
 			j.ctx.count(1)
 			return j.out, true, nil
@@ -545,3 +665,8 @@ func (j *CrossJoin) Close() error {
 
 // Schema is outer ++ inner.
 func (j *CrossJoin) Schema() *tuple.Schema { return j.schema }
+
+// StoredLen implements Iterator: the outer row's length plus the inner row's.
+func (j *CrossJoin) StoredLen() int {
+	return j.outer.StoredLen() + storedLen(j.innerRows[j.pos-1], j.inner.Schema(), j.innerLive)
+}

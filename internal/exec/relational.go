@@ -70,13 +70,31 @@ func (f *Filter) Close() error {
 // Schema is the child's schema.
 func (f *Filter) Schema() *tuple.Schema { return f.child.Schema() }
 
-// Project reorders/narrows columns by ordinal.
+// StoredLen implements Iterator: the row is the child's.
+func (f *Filter) StoredLen() int { return f.child.StoredLen() }
+
+// Prune implements Pruner: the child must also produce the tested columns.
+func (f *Filter) Prune(live tuple.ColSet) {
+	for _, p := range f.preds {
+		live = live.With(p.Ord)
+	}
+	prune(f.child, live)
+}
+
+// Project reorders/narrows columns by ordinal. It prunes its child to the
+// columns it reads, and writes each row it produces straight from where its
+// child holds the values: the build and probe rows of a hash join's match, or
+// the record a scan reads, in projected order (nextInto). Only over any other
+// child is its row a copy of the child's.
 type Project struct {
 	ctx    *Context
 	child  Iterator
 	ords   []int
 	schema *tuple.Schema
 	out    tuple.Row
+	// decode is what a scan child decodes a record through: ords, or nil
+	// when they are the identity and the record decodes in place.
+	decode []int
 }
 
 // NewProject projects child onto the named columns, in order.
@@ -92,13 +110,31 @@ func NewProject(ctx *Context, child Iterator, cols []string) (*Project, error) {
 		ords[i] = ord
 		outCols[i] = in.Columns[ord]
 	}
-	return &Project{
+	prune(child, tuple.ColsOf(ords...))
+	p := &Project{
 		ctx:    ctx,
 		child:  child,
 		ords:   ords,
-		schema: tuple.NewSchema(outCols...),
+		schema: tuple.NewProjection(outCols...),
 		out:    make(tuple.Row, len(cols)),
-	}, nil
+	}
+	if !identity(ords, in.Len()) {
+		p.decode = ords
+	}
+	return p, nil
+}
+
+// identity reports whether ords are 0, 1, …, n−1.
+func identity(ords []int, n int) bool {
+	if len(ords) != n {
+		return false
+	}
+	for i, o := range ords {
+		if o != i {
+			return false
+		}
+	}
+	return true
 }
 
 // Open opens the child.
@@ -106,15 +142,40 @@ func (p *Project) Open() error { return p.child.Open() }
 
 // Next narrows the next child row. The returned row is reused.
 func (p *Project) Next() (tuple.Row, bool, error) {
-	row, ok, err := p.child.Next()
-	if err != nil || !ok {
+	if ok, err := p.nextInto(p.out); !ok || err != nil {
 		return nil, false, err
 	}
-	for i, ord := range p.ords {
-		p.out[i] = row[ord]
+	return p.out, true, nil
+}
+
+// nextInto writes the next projected row into dst, which holds a value per
+// projected column: Collect hands it the row's place in the answer.
+func (p *Project) nextInto(dst tuple.Row) (bool, error) {
+	var ok bool
+	var err error
+	switch c := p.child.(type) {
+	case *HashJoin:
+		var build tuple.Row
+		if build, ok, err = c.advance(); ok && err == nil {
+			c.project(dst, build, p.ords)
+		}
+	case *SeqScan:
+		ok, err = c.next(dst, p.decode)
+	case *IndexScan:
+		ok, err = c.next(dst, p.decode)
+	default:
+		var row tuple.Row
+		if row, ok, err = c.Next(); ok && err == nil {
+			for i, ord := range p.ords {
+				dst[i] = row[ord]
+			}
+		}
+	}
+	if !ok || err != nil {
+		return false, err
 	}
 	p.ctx.count(1)
-	return p.out, true, nil
+	return true, nil
 }
 
 // Close closes the child.
@@ -125,3 +186,6 @@ func (p *Project) Close() error {
 
 // Schema reports the projected schema.
 func (p *Project) Schema() *tuple.Schema { return p.schema }
+
+// StoredLen implements Iterator: the child's row's.
+func (p *Project) StoredLen() int { return p.child.StoredLen() }

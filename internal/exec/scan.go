@@ -22,7 +22,8 @@ func qualify(s *tuple.Schema, qualifier string) *tuple.Schema {
 // decoded into one scan-owned row, which Next lends out until the following
 // call. It may carry selections (Where) and a hash join's key test (Gate);
 // both are tested on the stored record, a column at a time, and only a record
-// that passes them all is decoded (DESIGN.md §15, "What a scan decodes").
+// that passes them all is decoded (DESIGN.md §15, "What a scan decodes") —
+// and of it only the columns its consumers read (Prune).
 type SeqScan struct {
 	ctx    *Context
 	table  *catalog.Table
@@ -31,6 +32,8 @@ type SeqScan struct {
 	row    tuple.Row
 	preds  []Pred
 	gate   *KeyGate
+	live   tuple.ColSet
+	stored int // the returned record's length
 	// perRecord is what one stored record counts: the scanned tuple, and the
 	// input of the Filter the selections used to be.
 	perRecord int64
@@ -44,6 +47,7 @@ func NewSeqScan(ctx *Context, table *catalog.Table, qualifier string) *SeqScan {
 		table:     table,
 		schema:    qualify(table.Schema, qualifier),
 		row:       make(tuple.Row, table.Schema.Len()),
+		live:      tuple.AllCols,
 		perRecord: 1,
 	}
 }
@@ -53,11 +57,16 @@ func NewSeqScan(ctx *Context, table *catalog.Table, qualifier string) *SeqScan {
 // counts what that pair counted: a scanned tuple and a filter input for every
 // record. It returns the scan.
 func (s *SeqScan) Where(preds ...Pred) *SeqScan {
-	s.preds, s.perRecord = preds, 1
-	if len(preds) > 0 {
-		s.perRecord = 2
-	}
+	s.preds, s.perRecord = preds, perRecord(preds)
 	return s
+}
+
+// perRecord is what a scan counts for each record it reads.
+func perRecord(preds []Pred) int64 {
+	if len(preds) > 0 {
+		return 2
+	}
+	return 1
 }
 
 // Gate implements Gated: from now on a record whose key the join's table
@@ -67,6 +76,10 @@ func (s *SeqScan) Gate(g *KeyGate) bool {
 	return true
 }
 
+// Prune implements Pruner: only the columns in live are decoded. The
+// selections and the key test read the record, not the row.
+func (s *SeqScan) Prune(live tuple.ColSet) { s.live = live.Over(s.schema.Len()) }
+
 // Open positions the cursor.
 func (s *SeqScan) Open() error {
 	s.iter = s.table.Heap.NewIterator(s.ctx.Pool)
@@ -75,21 +88,32 @@ func (s *SeqScan) Open() error {
 
 // Next returns the next stored row that passes the selections and the gate.
 func (s *SeqScan) Next() (tuple.Row, bool, error) {
+	if ok, err := s.next(s.row, nil); !ok || err != nil {
+		return nil, false, err
+	}
+	return s.row, true, nil
+}
+
+// next decodes the next record that passes the selections and the gate into
+// dst: the live columns in place when ords is nil, else the projection ords
+// of the record (tuple.DecodeLive).
+func (s *SeqScan) next(dst tuple.Row, ords []int) (bool, error) {
 	for {
 		_, rec, ok, err := s.iter.Next()
 		if err != nil || !ok {
-			return nil, false, err
+			return false, err
 		}
 		s.ctx.count(s.perRecord)
 		pass, err := s.passes(rec)
 		if err == nil && pass {
-			_, err = tuple.DecodeRowInto(s.row, rec, s.table.Schema)
+			_, err = tuple.DecodeLive(dst, rec, s.table.Schema, s.live, ords)
 		}
 		if err != nil {
-			return nil, false, fmt.Errorf("exec: decoding row in %q: %w", s.table.Name, err)
+			return false, fmt.Errorf("exec: decoding row in %q: %w", s.table.Name, err)
 		}
 		if pass {
-			return s.row, true, nil
+			s.stored = len(rec)
+			return true, nil
 		}
 	}
 }
@@ -98,9 +122,8 @@ func (s *SeqScan) Next() (tuple.Row, bool, error) {
 // it reads alias the record and die with the test. A record that fails only
 // the gate is counted on it as skipped: it reached the join, and had no match.
 func (s *SeqScan) passes(rec []byte) (bool, error) {
-	for _, p := range s.preds {
-		v, _, err := tuple.DecodeColumn(rec, s.table.Schema, p.Ord)
-		if err != nil || !p.Op.Eval(v, p.Const) {
+	if len(s.preds) != 0 {
+		if pass, err := holds(rec, s.table.Schema, s.preds); err != nil || !pass {
 			return false, err
 		}
 	}
@@ -113,6 +136,18 @@ func (s *SeqScan) passes(rec []byte) (bool, error) {
 			g.skipped++
 			g.skippedBytes += int64(len(rec))
 			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// holds tests the selections on a stored record of schema s, a column at a
+// time through tuple.DecodeColumn, up to the first that fails.
+func holds(rec []byte, s *tuple.Schema, preds []Pred) (bool, error) {
+	for _, p := range preds {
+		v, _, err := tuple.DecodeColumn(rec, s, p.Ord)
+		if err != nil || !p.Op.Eval(v, p.Const) {
+			return false, err
 		}
 	}
 	return true, nil
@@ -131,12 +166,16 @@ func (s *SeqScan) Close() error {
 // Schema reports the (possibly qualified) output schema.
 func (s *SeqScan) Schema() *tuple.Schema { return s.schema }
 
+// StoredLen implements Iterator: the record's length.
+func (s *SeqScan) StoredLen() int { return s.stored }
+
 // IndexScan fetches the rows whose indexed column falls within [lo, hi] via
 // a B+-tree, then fetches each matching row from the heap. Matching RIDs are
 // gathered at Open (charging index-page I/O) into a list taken from a slab and
 // given back at Close — the scan lends rows, never the list; heap fetches
-// happen lazily, each record decoded under its page pin into one scan-owned
-// row.
+// happen lazily, each record tested against the scan's selections (Where) and,
+// if it passes, decoded under its page pin into one scan-owned row, as a
+// SeqScan does.
 type IndexScan struct {
 	ctx    *Context
 	table  *catalog.Table
@@ -144,26 +183,37 @@ type IndexScan struct {
 	lo, hi btree.Bound
 	schema *tuple.Schema
 
-	rids []storage.RID
-	pos  int
-	row  tuple.Row
-	// gather and decode are the Scan and View callbacks, built once so a
+	rids      []storage.RID
+	pos       int
+	row       tuple.Row
+	preds     []Pred
+	perRecord int64
+	live      tuple.ColSet
+	stored    int
+	// The View callback's arguments and result: it decodes a passing record
+	// into dst (through ords, if set) and sets pass.
+	dst  tuple.Row
+	ords []int
+	pass bool
+	// gather and visit are the Scan and View callbacks, built once so a
 	// lookup allocates no closure.
 	gather func(key []byte, rid storage.RID) error
-	decode func(rec []byte) error
+	visit  func(rec []byte) error
 }
 
 // NewIndexScan builds an index scan with the given key bounds (tuple.EncodeKey
 // encodings; nil key = unbounded).
 func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, hi btree.Bound, qualifier string) *IndexScan {
 	s := &IndexScan{
-		ctx:    ctx,
-		table:  table,
-		index:  index,
-		lo:     lo,
-		hi:     hi,
-		schema: qualify(table.Schema, qualifier),
-		row:    make(tuple.Row, table.Schema.Len()),
+		ctx:       ctx,
+		table:     table,
+		index:     index,
+		lo:        lo,
+		hi:        hi,
+		schema:    qualify(table.Schema, qualifier),
+		row:       make(tuple.Row, table.Schema.Len()),
+		perRecord: 1,
+		live:      tuple.AllCols,
 	}
 	s.gather = func(_ []byte, rid storage.RID) error {
 		if len(s.rids) == cap(s.rids) {
@@ -175,12 +225,28 @@ func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, 
 		s.rids = append(s.rids, rid)
 		return nil
 	}
-	s.decode = func(rec []byte) error {
-		_, err := tuple.DecodeRowInto(s.row, rec, table.Schema)
+	s.visit = func(rec []byte) error {
+		pass, err := holds(rec, table.Schema, s.preds)
+		if err == nil && pass {
+			_, err = tuple.DecodeLive(s.dst, rec, table.Schema, s.live, s.ords)
+		}
+		s.pass, s.stored = pass && err == nil, len(rec)
 		return err
 	}
 	return s
 }
+
+// Where fuses a conjunctive selection, compiled against the scan's schema,
+// into the scan, as SeqScan.Where does: a fetched record is tested before it
+// is decoded, and counts a scanned tuple and a filter input. It returns the
+// scan.
+func (s *IndexScan) Where(preds ...Pred) *IndexScan {
+	s.preds, s.perRecord = preds, perRecord(preds)
+	return s
+}
+
+// Prune implements Pruner: only the columns in live are decoded.
+func (s *IndexScan) Prune(live tuple.ColSet) { s.live = live.Over(s.schema.Len()) }
 
 // ridsMin is the capacity of a fresh RID list; it doubles from there.
 const ridsMin = 64
@@ -195,17 +261,29 @@ func (s *IndexScan) Open() error {
 	return s.index.Tree.ScanVia(s.ctx.Pool, s.lo, s.hi, s.gather)
 }
 
-// Next fetches the row for the next matching RID.
+// Next fetches the row for the next matching RID that passes the selections.
 func (s *IndexScan) Next() (tuple.Row, bool, error) {
-	if s.pos >= len(s.rids) {
-		return nil, false, nil
-	}
-	if err := s.table.Heap.View(s.ctx.Pool, s.rids[s.pos], s.decode); err != nil {
+	if ok, err := s.next(s.row, nil); !ok || err != nil {
 		return nil, false, err
 	}
-	s.pos++
-	s.ctx.count(1)
 	return s.row, true, nil
+}
+
+// next decodes the next fetched record that passes the selections into dst,
+// as SeqScan.next does.
+func (s *IndexScan) next(dst tuple.Row, ords []int) (bool, error) {
+	s.dst, s.ords = dst, ords
+	for s.pos < len(s.rids) {
+		if err := s.table.Heap.View(s.ctx.Pool, s.rids[s.pos], s.visit); err != nil {
+			return false, err
+		}
+		s.pos++
+		s.ctx.count(s.perRecord)
+		if s.pass {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // Close gives the RID list back.
@@ -213,11 +291,15 @@ func (s *IndexScan) Close() error {
 	s.ctx.flush()
 	ridSlabs.Give(s.rids)
 	s.rids, s.pos = nil, 0
+	s.dst, s.ords = nil, nil
 	return nil
 }
 
 // Schema reports the output schema.
 func (s *IndexScan) Schema() *tuple.Schema { return s.schema }
+
+// StoredLen implements Iterator: the record's length.
+func (s *IndexScan) StoredLen() int { return s.stored }
 
 // ValuesScan replays an in-memory row set; used for tests and for
 // re-scanning materialized intermediates. It lends out the stored rows
@@ -253,6 +335,10 @@ func (v *ValuesScan) Close() error {
 	v.ctx.flush()
 	return nil
 }
+
+// StoredLen implements Iterator: a values scan's rows were never records, so
+// its length is the one the row would have as one.
+func (v *ValuesScan) StoredLen() int { return tuple.EncodedSize(v.schema, v.rows[v.pos-1]) }
 
 // Schema reports the row schema.
 func (v *ValuesScan) Schema() *tuple.Schema { return v.schema }

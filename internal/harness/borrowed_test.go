@@ -52,6 +52,17 @@ func (p *poisonIter) Close() error {
 
 func (p *poisonIter) Schema() *tuple.Schema { return p.inner.Schema() }
 
+func (p *poisonIter) StoredLen() int { return p.inner.StoredLen() }
+
+// Prune forwards the live columns, so the replay poisons the rows of pruned
+// plans: a column an operator leaves unwritten stays poisoned, and a consumer
+// that reads one reads poison.
+func (p *poisonIter) Prune(live tuple.ColSet) {
+	if inner, ok := p.inner.(exec.Pruner); ok {
+		inner.Prune(live)
+	}
+}
+
 // Gate forwards a hash join's key test, so the replay poisons the rows of
 // gated probe scans too.
 func (p *poisonIter) Gate(g *exec.KeyGate) bool {

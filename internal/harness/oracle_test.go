@@ -424,6 +424,77 @@ func TestOracleAgreesWithEngine(t *testing.T) {
 		})
 	}
 	t.Run("served", oracleServed)
+	t.Run("projected", func(t *testing.T) {
+		oracleProjected(t, map[string]func(*engine.Engine, *plan.Query) ([]tuple.Row, plan.Node, error){
+			"default pool":       runQuery,
+			"1-byte work memory": spillAll,
+		})
+	})
+}
+
+// oracleProjected is TestOracleAgreesWithEngine's projected configuration
+// (DESIGN.md §15, "What a query decodes and copies"): every query of the
+// matrix again, under each single-column projection of its SELECT *, under
+// its last and first columns in that order, and under its first column twice,
+// each run by every runner. The oracle evaluates each graph once, whole, and
+// projects its answer. A scan that leaves a column unwritten that its parent
+// reads, a join that copies the wrong side's column, or a projection written
+// from the wrong place of a join's match fails here on the first query whose
+// projection reaches it.
+func oracleProjected(t *testing.T, runners map[string]func(*engine.Engine, *plan.Query) ([]tuple.Row, plan.Node, error)) {
+	env := tinyEnv(t, EnvConfig{Scale: oracleScale})
+	queries, _ := oracleQueries(t, env.Eng)
+	type projected struct {
+		q    *plan.Query
+		want []tuple.Row
+	}
+	var cases []projected
+	for _, q := range queries {
+		star, err := plan.BindGraph(env.Eng.Catalog, q.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := oracleEval(t, env.Eng, star)
+		cols := star.Projections
+		ordsList := [][]int{{len(cols) - 1, 0}, {0, 0}}
+		for i := range cols {
+			ordsList = append(ordsList, []int{i})
+		}
+		for _, ords := range ordsList {
+			pq := &plan.Query{Graph: q.Graph}
+			for _, o := range ords {
+				pq.Projections = append(pq.Projections, cols[o])
+			}
+			want := make([]tuple.Row, len(whole))
+			for r, row := range whole {
+				want[r] = make(tuple.Row, len(ords))
+				for i, o := range ords {
+					want[r][i] = row[o]
+				}
+			}
+			cases = append(cases, projected{pq, want})
+		}
+	}
+	for _, name := range []string{"default pool", "1-byte work memory"} {
+		t.Run(name, func(t *testing.T) {
+			nonEmpty := 0
+			for _, c := range cases {
+				got, node, err := runners[name](env.Eng, c.q)
+				if err != nil {
+					t.Fatalf("%s projecting %v: %v", c.q.Graph, c.q.Projections, err)
+				}
+				if diff := sameMultiset(got, c.want); diff != "" {
+					t.Fatalf("%s projecting %v:\n%s\n%s", c.q.Graph, c.q.Projections, diff, plan.Explain(node))
+				}
+				if len(c.want) > 0 {
+					nonEmpty++
+				}
+			}
+			if nonEmpty < len(cases)/2 {
+				t.Errorf("only %d of %d projected answers have rows", nonEmpty, len(cases))
+			}
+		})
+	}
 }
 
 // servedCachePages is the answer cache's capacity in the served
@@ -512,4 +583,85 @@ func oracleServed(t *testing.T) {
 	if served == 0 || stored == 0 || refused == 0 {
 		t.Errorf("replay pass: %d GOs served, %d predictions stored, %d candidates refused at the walk; want each above zero", served, stored, refused)
 	}
+}
+
+// TestProjectionDoesNotMoveWork: a query's work does not depend on how many
+// of its columns it returns (DESIGN.md §15, "What a query decodes and
+// copies"). For every final of the reference corpus, Result.Work under the
+// trace's projection equals Result.Work of the same graph under SELECT * —
+// through RunQuery from a cold 8-frame pool, whose work memory is a quarter
+// of it (16 KB: at the tiny scale about forty of the finals spill), and planned and run with one byte of work memory, where every join
+// spills. A join that charged its spill by the columns it kept instead of the
+// stored records would charge fewer pages under the narrower projection.
+func TestProjectionDoesNotMoveWork(t *testing.T) {
+	env := tinyEnv(t, EnvConfig{BufferPoolPages: 8})
+	eng := env.Eng
+	traces, err := trace.GenerateCorpus(tpch.Vocabulary(), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atEngine := func(q *plan.Query) sim.Work {
+		if err := eng.ColdStart(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.RunQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Work
+	}
+	atOneByte := func(q *plan.Query) sim.Work {
+		node, err := plan.Optimize(eng.Catalog, q, plan.Options{Rates: sim.DefaultRates(), WorkMemBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter := sim.NewMeter()
+		it, err := node.Build(&exec.Context{Meter: meter, WorkMemBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Collect(it); err != nil {
+			t.Fatal(err)
+		}
+		return meter.Snapshot()
+	}
+	finals, narrow, spilled := 0, 0, map[string]int{}
+	for _, tr := range traces {
+		qs, err := trace.ExtractQueries(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range qs {
+			projected, err := plan.BindGraphProjections(eng.Catalog, f.Graph, f.Projs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			star, err := plan.BindGraph(eng.Catalog, f.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finals++
+			if len(projected.Projections) < len(star.Projections) {
+				narrow++
+			}
+			for name, run := range map[string]func(*plan.Query) sim.Work{"engine work memory": atEngine, "1-byte work memory": atOneByte} {
+				got, want := run(projected), run(star)
+				if got != want {
+					t.Errorf("%s, %s projecting %v: work %+v, under SELECT * %+v", name, f.Graph, projected.Projections, got, want)
+				}
+				if want.PageWrites > 0 {
+					spilled[name]++
+				}
+			}
+		}
+	}
+	if finals != 124 || narrow < 60 {
+		t.Fatalf("%d finals, %d of them narrower than SELECT *; want 124, and at least 60 narrower", finals, narrow)
+	}
+	for _, name := range []string{"engine work memory", "1-byte work memory"} {
+		if spilled[name] == 0 {
+			t.Errorf("no final spilled at %s", name)
+		}
+	}
+	t.Logf("%d finals, %d projecting fewer columns than SELECT *; spilling: %v", finals, narrow, spilled)
 }

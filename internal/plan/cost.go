@@ -257,7 +257,7 @@ func (c *Coster) Project(child Node, cols []string) (*ProjectNode, error) {
 	return &ProjectNode{
 		Child:  child,
 		Cols:   cols,
-		schema: tuple.NewSchema(outCols...),
+		schema: tuple.NewProjection(outCols...),
 		cost:   child.Cost() + sim.Duration(child.Rows())*c.Rates.Tuple,
 	}, nil
 }

@@ -111,8 +111,8 @@ func (a *TableAccess) storedCol(qualified string) string {
 	return strings.TrimPrefix(qualified, a.Qualifier+".")
 }
 
-// Build implements Node. A sequential scan takes the selections itself and
-// tests them before it decodes a record; an index scan gets a Filter.
+// Build implements Node. The scan takes the selections itself and tests them
+// before it decodes a record.
 func (a *TableAccess) Build(ctx *exec.Context) (exec.Iterator, error) {
 	var preds []exec.Pred
 	if len(a.Filters) > 0 {
@@ -134,10 +134,7 @@ func (a *TableAccess) Build(ctx *exec.Context) (exec.Iterator, error) {
 		if idx == nil {
 			return nil, fmt.Errorf("plan: index on %s.%s vanished", a.Table.Name, a.IndexCol)
 		}
-		it = exec.NewIndexScan(ctx, a.Table, idx, a.Lo, a.Hi, a.Qualifier)
-		if preds != nil {
-			it = exec.NewFilter(ctx, it, preds)
-		}
+		it = exec.NewIndexScan(ctx, a.Table, idx, a.Lo, a.Hi, a.Qualifier).Where(preds...)
 	default:
 		return nil, fmt.Errorf("plan: unknown access method %d", a.Method)
 	}

@@ -47,22 +47,36 @@ func DecodeRow(buf []byte, s *Schema) (Row, int, error) {
 }
 
 // DecodeRowInto decodes one row of schema s from buf into dst, which must
-// hold s.Len() values, and returns the number of bytes consumed. It is the
-// decode the executor's scans use: dst is owned by the caller and overwritten
-// on every call, so only string columns allocate (their bytes are copied out
-// of buf, which usually aliases a pinned page).
+// hold s.Len() values, and returns the number of bytes consumed. It is
+// DecodeLive with every column live: dst is owned by the caller and
+// overwritten on every call, so only string columns allocate (their bytes are
+// copied out of buf, which usually aliases a pinned page).
 func DecodeRowInto(dst Row, buf []byte, s *Schema) (int, error) {
 	if len(dst) != len(s.kinds) {
 		return 0, fmt.Errorf("tuple: decode into %d values, schema arity %d", len(dst), len(s.kinds))
 	}
+	return DecodeLive(dst, buf, s, AllCols, nil)
+}
+
+// DecodeLive decodes the columns in live of the row of schema s stored in buf
+// and returns the offset just past the last of them. With ords nil, column i
+// goes to dst[i], and dst holds s.Len() values; otherwise dst is a projection
+// of the row, dst[p] getting column ords[p], and live must hold every ordinal
+// in ords. The walk stops after the last live column, so it fails where, and
+// with the error, DecodeRowInto fails on the same bytes up to that column.
+// What dst holds in the places of columns outside live is unspecified: a dead
+// string is skipped, since its copy is what it would cost, and a dead number
+// may be written, since testing for it costs more than the store. Strings are
+// copied out of buf, once however many places of dst they go to.
+func DecodeLive(dst Row, buf []byte, s *Schema, live ColSet, ords []int) (int, error) {
 	off := 0
-	for i, k := range s.kinds {
+	for i, k := range s.kinds[:live.bound(len(s.kinds))] {
 		switch k {
 		case KindFloat:
 			if len(buf)-off < 8 {
 				return 0, truncated("float", s, i)
 			}
-			dst[i] = Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])}
+			put(dst, ords, i, Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])})
 			off += 8
 			continue
 		case KindInt, KindDate, KindString:
@@ -87,16 +101,31 @@ func DecodeRowInto(dst Row, buf []byte, s *Schema) (int, error) {
 			off += n
 		}
 		if k != KindString {
-			dst[i] = Value{Kind: k, word: ux>>1 ^ -(ux & 1)} // zig-zag
+			put(dst, ords, i, Value{Kind: k, word: ux>>1 ^ -(ux & 1)}) // zig-zag
 			continue
 		}
 		if uint64(len(buf)-off) < ux {
 			return 0, truncated("string", s, i)
 		}
-		dst[i] = NewString(string(buf[off : off+int(ux)]))
+		if live.Has(i) {
+			put(dst, ords, i, NewString(string(buf[off:off+int(ux)])))
+		}
 		off += int(ux)
 	}
 	return off, nil
+}
+
+// put stores column i's value v where DecodeLive's ords send it.
+func put(dst Row, ords []int, i int, v Value) {
+	if ords == nil {
+		dst[i] = v
+		return
+	}
+	for p, o := range ords {
+		if o == i {
+			dst[p] = v
+		}
+	}
 }
 
 // DecodeColumn decodes column ord of the row of schema s stored in buf and
@@ -123,7 +152,7 @@ func DecodeColumn(buf []byte, s *Schema, ord int) (Value, int, error) {
 		default:
 			return Value{}, 0, fmt.Errorf("tuple: cannot decode kind %v", k)
 		}
-		// DecodeRowInto's varint read.
+		// DecodeLive's varint read.
 		var ux uint64
 		if off < len(buf) && buf[off] < 0x80 {
 			ux = uint64(buf[off])

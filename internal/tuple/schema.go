@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -25,7 +26,14 @@ type Schema struct {
 
 // NewSchema builds a schema from the given columns. Duplicate column names
 // panic: schemas are engine-constructed, so a duplicate is a programming bug.
-func NewSchema(cols ...Column) *Schema {
+func NewSchema(cols ...Column) *Schema { return newSchema(cols, false) }
+
+// NewProjection builds the schema of a projection, which may name a column
+// more than once (SELECT r.a, r.a): Ordinal resolves such a name to its first
+// place.
+func NewProjection(cols ...Column) *Schema { return newSchema(cols, true) }
+
+func newSchema(cols []Column, repeats bool) *Schema {
 	s := &Schema{Columns: cols, byName: make(map[string]int, len(cols))}
 	if len(cols) <= len(s.narrow) {
 		s.kinds = s.narrow[:len(cols)]
@@ -35,8 +43,12 @@ func NewSchema(cols ...Column) *Schema {
 	for i, c := range cols {
 		s.kinds[i] = c.Kind
 		if _, dup := s.byName[c.Name]; dup {
+			if repeats {
+				continue
+			}
 			// Programmer invariant: schemas are built from catalog
-			// definitions and planner projections, which dedupe columns.
+			// definitions and from the concatenation of a join's two sides,
+			// which the planner qualifies apart; only a projection repeats.
 			panic("tuple: duplicate column " + c.Name)
 		}
 		s.byName[c.Name] = i
@@ -107,4 +119,77 @@ func (s *Schema) Validate(r Row) error {
 		}
 	}
 	return nil
+}
+
+// ColSet is a set of a schema's column ordinals, bit i for column i: the
+// columns of an operator's rows that something above it reads (DESIGN.md
+// §15, "What a query decodes and copies"). It names the first 64 columns
+// only: a set that would hold a later one is AllCols.
+type ColSet uint64
+
+// AllCols holds every column of any schema.
+const AllCols = ^ColSet(0)
+
+// ColsOf is the set of the given ordinals.
+func ColsOf(ords ...int) ColSet {
+	var c ColSet
+	for _, o := range ords {
+		c = c.With(o)
+	}
+	return c
+}
+
+// Has reports whether column i is in the set.
+func (c ColSet) Has(i int) bool { return c == AllCols || i < 64 && c>>i&1 != 0 }
+
+// With adds column i; a column past the 64th makes the set AllCols.
+func (c ColSet) With(i int) ColSet {
+	if i >= 64 {
+		return AllCols
+	}
+	return c | 1<<i
+}
+
+// Over is the set as one over a schema of n columns: AllCols if it holds all
+// of them, so that a reader of every column takes the whole-row paths.
+func (c ColSet) Over(n int) ColSet {
+	if c.Count(n) == n {
+		return AllCols
+	}
+	return c
+}
+
+// Count is the number of columns in the set among a schema's first n.
+func (c ColSet) Count(n int) int {
+	if c == AllCols {
+		return n
+	}
+	return bits.OnesCount64(uint64(c) & (1<<n - 1))
+}
+
+// Rank is the number of columns in the set before column i: where column i
+// sits in a row that keeps only the set's columns, back to back.
+func (c ColSet) Rank(i int) int {
+	if c == AllCols {
+		return i
+	}
+	return bits.OnesCount64(uint64(c) & (1<<i - 1))
+}
+
+// Split divides the set over a join's output, whose first nl columns are its
+// left child's, into the sets over the two children.
+func (c ColSet) Split(nl int) (left, right ColSet) {
+	if c == AllCols {
+		return AllCols, AllCols
+	}
+	return c & (1<<nl - 1), c >> nl
+}
+
+// bound is one past the set's last column of a schema of n columns: what a
+// decode of the set must walk.
+func (c ColSet) bound(n int) int {
+	if c == AllCols {
+		return n
+	}
+	return min(n, bits.Len64(uint64(c)))
 }

@@ -494,6 +494,98 @@ func FuzzDecodeColumn(f *testing.F) {
 	})
 }
 
+// TestColSet pins the set arithmetic the executor's pruning rests on, past
+// the 64th column too: naming one makes the set AllCols, and a set that holds
+// every column of its schema reads as AllCols over it.
+func TestColSet(t *testing.T) {
+	c := ColsOf(1, 3, 4)
+	if !c.Has(3) || c.Has(2) || c.Has(70) || c.Count(5) != 3 || c.Count(4) != 2 || c.Rank(4) != 2 || c.bound(10) != 5 {
+		t.Fatalf("%b: Has, Count, Rank or bound wrong", c)
+	}
+	if left, right := c.Split(3); left != ColsOf(1) || right != ColsOf(0, 1) {
+		t.Fatalf("Split(3) = %b, %b", left, right)
+	}
+	if c.With(64) != AllCols || ColsOf(0, 1, 2).Over(3) != AllCols || c.Over(5) != c {
+		t.Fatal("With past 64 or Over wrong")
+	}
+	if !AllCols.Has(200) || AllCols.Count(70) != 70 || AllCols.Rank(66) != 66 || AllCols.bound(70) != 70 {
+		t.Fatal("AllCols is not every column")
+	}
+	if l, r := AllCols.Split(40); l != AllCols || r != AllCols {
+		t.Fatal("AllCols splits into less than AllCols")
+	}
+	// A set over a 70-column schema that reads column 3 only.
+	if wide := ColsOf(3); wide.Count(70) != 1 || wide.bound(70) != 4 || wide.Over(70) != wide {
+		t.Fatalf("%b over 70 columns: Count %d, bound %d", wide, wide.Count(70), wide.bound(70))
+	}
+}
+
+// FuzzDecodeLive holds DecodeLive to DecodeRowInto on the columns it decodes:
+// for any set of live columns, in place and through a projection that may
+// repeat a column and run against storage order, it consumes what the
+// reference consumes up to the last live column, fails with its error there,
+// and otherwise yields the reference's values wherever the live columns go.
+func FuzzDecodeLive(f *testing.F) {
+	records, schemas := edgeRecords(f)
+	for r, buf := range records {
+		wide := schemas[r].Len() == wideSchema().Len()
+		f.Add(buf, uint8(r), uint16(r*7919), wide)
+	}
+	narrow, wide := testSchema(), wideSchema()
+	f.Fuzz(func(t *testing.T, buf []byte, mask uint8, order uint16, useWide bool) {
+		s := narrow
+		if useWide {
+			s = wide
+		}
+		live := ColSet(mask) & (1<<s.Len() - 1)
+		// The projection: every live column, in an order the fuzzer picks,
+		// and the first of them once more.
+		var ords []int
+		for i := range s.Len() {
+			if live.Has(i) {
+				ords = append(ords, i)
+			}
+		}
+		for i := len(ords) - 1; i > 0; i-- {
+			k := int(order) % (i + 1)
+			ords[i], ords[k] = ords[k], ords[i]
+			order /= uint16(i + 1)
+		}
+		if len(ords) > 0 {
+			ords = append(ords, ords[0])
+		}
+		// The reference: the row of the schema's columns up to the last live
+		// one, decoded whole.
+		end := 0
+		for i := range s.Len() {
+			if live.Has(i) {
+				end = i + 1
+			}
+		}
+		want := make(Row, end)
+		wn, werr := decodeRowIntoReference(want, buf, NewSchema(s.Columns[:end]...))
+		row, proj := make(Row, s.Len()), make(Row, len(ords))
+		n, err := DecodeLive(row, buf, s, live, nil)
+		pn, perr := DecodeLive(proj, buf, s, live, ords)
+		if n != wn || !sameError(err, werr) || pn != wn || !sameError(perr, werr) {
+			t.Fatalf("live %b: in place (%d, %v), projected (%d, %v), reference (%d, %v)", live, n, err, pn, perr, wn, werr)
+		}
+		if werr != nil {
+			return
+		}
+		for i := range end {
+			if live.Has(i) && !sameValue(row[i], want[i]) {
+				t.Fatalf("live %b column %d: %v, reference %v", live, i, row[i], want[i])
+			}
+		}
+		for p, o := range ords {
+			if !sameValue(proj[p], want[o]) {
+				t.Fatalf("live %b, ords %v: place %d holds %v, reference column %d %v", live, ords, p, proj[p], o, want[o])
+			}
+		}
+	})
+}
+
 // TestEncodeRowErrorsAreValidates pins the one-walk EncodeRow to the error
 // texts of Schema.Validate, which it used to call first.
 func TestEncodeRowErrorsAreValidates(t *testing.T) {
