@@ -243,24 +243,6 @@ func BenchmarkLookahead(b *testing.B) {
 	}
 }
 
-// BenchmarkWaitForCompletion regenerates the A4 ablation of the three GO
-// policies: letting the builds in flight run on across GO (the default),
-// always canceling them (the paper's convention), and the paper's Section 7
-// proposal of delaying a final query until an almost-finished manipulation
-// completes.
-func BenchmarkWaitForCompletion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunWaitAblation("100MB", corpus(b), benchData)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ContinuePct, "continue_%")
-		b.ReportMetric(res.CancelPct, "cancel_%")
-		b.ReportMetric(res.WaitPct, "wait_%")
-		b.ReportMetric(float64(res.WaitedAtGo), "waited_queries")
-	}
-}
-
 // BenchmarkSuspendWhenBusy regenerates the A5 extension ablation: the
 // Section 7 proposal of suspending speculation while the server is busy,
 // in the three-user setting.

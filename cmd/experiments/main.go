@@ -10,7 +10,7 @@
 //	a1   Section 3.2 ablation: manipulation families
 //	a2   Section 6.1 prose: memory-resident database
 //	a3   Section 3.3 ablation: lookahead depth
-//	a4   GO policies: run builds on, cancel them, or wait (Section 7 proposal)
+//	a4   GO policies: run builds on or cancel them
 //	a5   Section 7 proposal: suspend speculation under load, three users
 //
 // bench (never part of all) writes the spec-on vs spec-off benchmark report,
@@ -298,13 +298,12 @@ func a3(traces []*trace.Trace, seed uint64) {
 
 func a4(traces []*trace.Trace, seed uint64) {
 	header("A4  builds in flight at GO (100MB) — run on, cancel, or the paper's Section 7 wait")
-	res, err := harness.RunWaitAblation("100MB", traces, seed)
+	res, err := harness.RunGoPolicyAblation("100MB", traces, seed)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  run on across GO (default):     %6.1f%%\n", res.ContinuePct)
 	fmt.Printf("  cancel at GO (paper's default): %6.1f%%\n", res.CancelPct)
-	fmt.Printf("  wait when worthwhile:           %6.1f%%  (%d queries waited)\n", res.WaitPct, res.WaitedAtGo)
 }
 
 func a5(traces []*trace.Trace, seed uint64) {

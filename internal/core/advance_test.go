@@ -124,39 +124,8 @@ func TestAdvanceCompletesFollowUps(t *testing.T) {
 	}
 }
 
-// TestAdvancePastWaitedJob: OnGo completes the job it waits for; advancing to
-// that job's completion instant afterwards finds nothing to do (a
-// self-scheduling owner that forgot to unschedule it would get an error).
-func TestAdvancePastWaitedJob(t *testing.T) {
-	e := newTestEngine(t, 20000)
-	cfg := DefaultConfig()
-	cfg.AtGo = GoWait
-	sp := newSpec(e, cfg)
-	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := one(out.Issued)
-	if job == nil {
-		t.Fatal("no job issued")
-	}
-	if _, _, err := sp.OnGo(job.CompletesAt - sim.Time(sim.DurationFromSeconds(0.01))); err != nil {
-		t.Fatal(err)
-	}
-	before := sp.Stats()
-	if before.WaitedAtGo != 1 || before.Completed != 1 {
-		t.Fatalf("GO did not wait the job out: %+v", before)
-	}
-	if err := sp.Advance(job.CompletesAt); err != nil {
-		t.Fatal(err)
-	}
-	if after := sp.Stats(); after != before {
-		t.Fatalf("Advance past a waited-for job changed the counters:\n before %+v\n after  %+v", before, after)
-	}
-}
-
 // TestAdvanceMatchesOwnerSchedule replays one script twice — three workers,
-// waits at GO — completing due jobs once through the owner-side schedule
+// cancels at GO — completing due jobs once through the owner-side schedule
 // cmd/bench keeps (testPending) and once through Advance. Both must end every
 // job the same way at the same instant.
 func TestAdvanceMatchesOwnerSchedule(t *testing.T) {
@@ -170,7 +139,7 @@ func TestAdvanceMatchesOwnerSchedule(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MinBenefit = 0
 		cfg.Workers = 3
-		cfg.AtGo = GoWait
+		cfg.AtGo = GoCancel
 		sp := newSpec(e, cfg)
 		replayRandom(t, sp, 10, 150, time.Millisecond, owner)
 		if err := sp.Shutdown(); err != nil {
@@ -179,7 +148,7 @@ func TestAdvanceMatchesOwnerSchedule(t *testing.T) {
 		return outcome{sp.Stats(), sp.WasteCharges(), manipSpans(e)}
 	}
 	want, got := run(true), run(false)
-	if want.stats.Completed == 0 || want.stats.WaitedAtGo == 0 || want.stats.CanceledInvalidated == 0 {
+	if want.stats.Completed == 0 || want.stats.CanceledAtGo == 0 || want.stats.CanceledInvalidated == 0 {
 		t.Fatalf("script exercises too little: %+v", want.stats)
 	}
 	if got.stats != want.stats {

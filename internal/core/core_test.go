@@ -237,7 +237,7 @@ func TestSpeculatorContinuesAtGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(goOut.Canceled) != 0 || len(goOut.Issued) != 0 || goOut.Waited != 0 {
+	if len(goOut.Canceled) != 0 || len(goOut.Issued) != 0 {
 		t.Fatalf("GO ended or issued jobs: %+v", goOut)
 	}
 	if strings.Contains(plan.Explain(res.Plan), job.tableName) {
@@ -671,72 +671,6 @@ func TestManipulationKeysAndStrings(t *testing.T) {
 			t.Fatalf("duplicate key %q", m.Key())
 		}
 		keys[m.Key()] = true
-	}
-}
-
-func TestWaitForCompletionAtGo(t *testing.T) {
-	e := newTestEngine(t, 20000)
-	cfg := DefaultConfig()
-	cfg.AtGo = GoWait
-	sp := newSpec(e, cfg)
-
-	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := one(out.Issued)
-	if job == nil {
-		t.Fatal("no job issued")
-	}
-	// GO arrives just before completion: the job is worth more than the
-	// remaining wait, so the speculator waits and uses it.
-	goAt := job.CompletesAt - sim.Time(sim.DurationFromSeconds(0.01))
-	res, goOut, err := sp.OnGo(goAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one(goOut.Canceled) != job {
-		t.Fatal("harness must be told to unschedule the original completion")
-	}
-	if sp.Stats().WaitedAtGo != 1 || sp.Stats().CanceledAtGo != 0 {
-		t.Fatalf("stats %+v", sp.Stats())
-	}
-	if !strings.Contains(plan.Explain(res.Plan), job.tableName) {
-		t.Fatalf("final query did not use the awaited materialization:\n%s", plan.Explain(res.Plan))
-	}
-	// The reported duration includes the wait.
-	bare, err := e.RunGraph(qgraph.SelectionSubgraph(selRC(18)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Duration < bare.Duration {
-		t.Fatalf("duration %v should include the wait (bare rewritten run %v)", res.Duration, bare.Duration)
-	}
-}
-
-func TestWaitForCompletionSkipsLongWaits(t *testing.T) {
-	e := newTestEngine(t, 20000)
-	if err := e.ColdStart(); err != nil {
-		t.Fatal(err) // cold pool: the manipulation pays full I/O
-	}
-	cfg := DefaultConfig()
-	cfg.AtGo = GoWait
-	sp := newSpec(e, cfg)
-	out, err := sp.OnEvent(evAddSel(selRC(18)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one(out.Issued) == nil {
-		t.Fatal("no job issued")
-	}
-	// GO immediately: almost the whole manipulation remains; waiting would
-	// cost more than the benefit, so the conservative cancel applies.
-	_, goOut, err := sp.OnGo(sim.FromSeconds(0.0001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one(goOut.Canceled) == nil || sp.Stats().CanceledAtGo != 1 || sp.Stats().WaitedAtGo != 0 {
-		t.Fatalf("expected cancel, stats %+v", sp.Stats())
 	}
 }
 

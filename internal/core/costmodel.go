@@ -104,7 +104,6 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 		return nil
 	}
 	f := cm.Learner.SubgraphSurvival(m.Graph)
-	m.SingleBenefit = sim.Duration(f * float64(saving))
 	benefit := f*float64(saving) - cm.RiskAversion*float64(after)
 	if benefit <= 0 {
 		m.Benefit = 0
@@ -135,9 +134,7 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 // benefit is the whole final query's execution cost weighted by the model's
 // confidence that the user actually ends there — there is no reuse lookahead
 // (a final is consumed by exactly one GO) and no separate completion-risk
-// term (the confidence already prices the prediction failing). SingleBenefit
-// equals Benefit: completing a correct prediction saves the entire imminent
-// query, so the wait-for-completion rule sees the full saving.
+// term (the confidence already prices the prediction failing).
 func (cm *CostModel) ScorePredicted(m *Manipulation, confidence float64) error {
 	node, err := cm.Eng.PlanGraph(m.Graph)
 	if err != nil {
@@ -146,7 +143,6 @@ func (cm *CostModel) ScorePredicted(m *Manipulation, confidence float64) error {
 	m.EstPages = int(math.Ceil(cm.estimatePages(m.Graph, node.Rows())))
 	m.EstDuration = node.Cost()
 	m.Benefit = sim.Duration(confidence * float64(node.Cost()))
-	m.SingleBenefit = m.Benefit
 	return nil
 }
 

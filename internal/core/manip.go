@@ -80,11 +80,6 @@ type Manipulation struct {
 	// Benefit is Cost⊆(m∅) − Cost⊆(m) ≥ 0: the expected saving on future
 	// query execution (already weighted by f⊆, reuse, and completion risk).
 	Benefit sim.Duration
-	// SingleBenefit is the expected saving on the imminent final query
-	// alone: f⊆ × (cost(qm,m∅) − cost(qm,m)), with no reuse or completion
-	// weighting. The wait-for-completion rule compares the remaining
-	// execution time against this.
-	SingleBenefit sim.Duration
 	// EstPages is the manipulation's estimated *retained* buffer-pool
 	// footprint (result pages for a materialization, tree pages for an
 	// index, sticky pages for staging). The worker gate (admitExtra) checks it

@@ -34,8 +34,9 @@ type Config struct {
 	// NamePrefix prefixes speculative table names (unique per user in
 	// multi-user runs).
 	NamePrefix string
-	// AtGo is what a GO does with the jobs still in flight (GoPolicy); the
-	// zero value, GoContinue, lets them run on.
+	// AtGo is what a GO does with the jobs still in flight (GoPolicy): the
+	// zero value, GoContinue, lets them run on; GoCancel cancels them. A GO
+	// never waits for a job.
 	AtGo GoPolicy
 	// SuspendWhenBusy, when positive, suspends speculation while at least
 	// that many jobs are in flight in the ledger — the paper's Section 7
@@ -99,11 +100,6 @@ const (
 	// paper's conservative convention (§3.1), under which no manipulation
 	// runs beside the measured query.
 	GoCancel
-	// GoWait is the paper's Section 7 proposal: when waiting out a job's
-	// remaining time is cheaper than losing its expected benefit, the final
-	// query is delayed until the earliest such job completes and uses its
-	// result; every other in-flight job is canceled as under GoCancel.
-	GoWait
 )
 
 // DefaultConfig is the paper's main experimental configuration.
@@ -137,7 +133,7 @@ type Stats struct {
 	// one, so Issued == Terminals() once nothing is outstanding.
 	// CanceledInvalidated were canceled because the partial query changed;
 	// CanceledAtGo were still running when the final query arrived and the
-	// GO policy canceled them (GoCancel, GoWait);
+	// GO policy canceled them (GoCancel);
 	// CanceledOnClose were canceled by CancelOutstanding or Shutdown; Aborted
 	// were rolled back after a failed completion (DESIGN.md §8); Shed were
 	// canceled by the governor under pool pressure, lowest benefit first, and
@@ -149,9 +145,6 @@ type Stats struct {
 	// across it (GoContinue), each job once however many GOs it spans. It is
 	// not a terminal: the job still ends in one of the seven.
 	ContinuedAtGo int
-	// WaitedAtGo counts final queries delayed until an almost-finished
-	// manipulation completed (GoWait).
-	WaitedAtGo int
 	// Suspended counts issue opportunities skipped because the server was
 	// busy (the SuspendWhenBusy extension).
 	Suspended int
@@ -272,22 +265,18 @@ type Job struct {
 }
 
 // EventOutcome reports what an interface event made the Speculator do. An
-// owner that calls Advance needs only Waited; the two job lists serve an owner
-// that still schedules Complete itself (cmd/bench).
+// owner that calls Advance needs nothing from it; the two job lists serve an
+// owner that still schedules Complete itself (cmd/bench).
 type EventOutcome struct {
 	// Canceled are the jobs this event took off the speculator's plate —
-	// invalidated, shed, canceled at GO or completed early by the wait rule
-	// (GoCancel, GoWait); a self-scheduling owner must drop their
-	// completions. Under GoContinue a GO lists none: the jobs in flight keep
-	// their scheduled completions.
+	// invalidated, shed, or canceled at GO (GoCancel); a self-scheduling
+	// owner must drop their completions. Under GoContinue a GO lists none:
+	// the jobs in flight keep their scheduled completions.
 	Canceled []*Job
-	// Issued are the newly issued jobs (at most Config.Workers outstanding);
-	// a self-scheduling owner must complete each one at its CompletesAt.
+	// Issued are the newly issued jobs (at most Config.Workers outstanding),
+	// all at the event's own instant; a self-scheduling owner must complete
+	// each one at its CompletesAt.
 	Issued []*Job
-	// Waited is the real delay before the final query ran because OnGo let
-	// an almost-finished manipulation complete (GoWait). The session owner
-	// must advance its clock by this much in addition to the query duration.
-	Waited sim.Duration
 }
 
 // Speculator is the central component of the speculation subsystem
@@ -426,7 +415,6 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		{"spec.undo_failures", nil},
 		{"spec.deferred", &st.Deferred},
 		{"spec.continued_at_go", &st.ContinuedAtGo},
-		{"spec.waited_at_go", &st.WaitedAtGo},
 		{"spec.suspended", &st.Suspended},
 		{"spec.budget_deferred", &st.BudgetDeferred},
 		{"spec.shed", &st.Shed},
@@ -643,51 +631,25 @@ func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 	s.End(now)
 }
 
-// OnGo handles the final query: the jobs in flight run on, are canceled, or
-// one is waited for, as Config.AtGo says; the final query is served from a
-// ready prediction or runs on the prepared database (completed
+// OnGo handles the final query: the jobs in flight run on or are canceled,
+// as Config.AtGo says, and none is waited for; the final query is served
+// from a ready prediction or runs on the prepared database (completed
 // materializations rewrite it), and the Learner trains on the observed
-// formulation. The canvas still shows the query while the user views results,
-// so the Speculator keeps preparing: the outcome may carry freshly issued
-// manipulations for the next query, in whatever slots are free.
+// formulation. The canvas still shows the query while the user views
+// results, so the Speculator keeps preparing: the outcome may carry freshly
+// issued manipulations for the next query, in whatever slots are free, all
+// issued at now.
 func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	var out EventOutcome
-	if sp.cfg.AtGo == GoContinue {
+	if sp.cfg.AtGo == GoCancel {
+		out.Canceled = sp.finishWhere(TermCanceledAtGo, now, func(*Job) bool { return true })
+	} else {
 		for _, job := range sp.outstanding {
 			if !job.continued {
 				job.continued = true
 				count(sp, &sp.stats.ContinuedAtGo, 1)
 			}
 		}
-	}
-	// Section 7 extension (GoWait): a manipulation worth more than its
-	// remaining run time is allowed to finish and serve this very query. With
-	// several outstanding the earliest-completing qualifying job wins — the
-	// user waits for at most one.
-	var waitJob *Job
-	if sp.cfg.AtGo == GoWait {
-		for _, job := range sp.outstanding {
-			remaining := job.CompletesAt.Sub(now)
-			if remaining > 0 && remaining < job.Manip.SingleBenefit &&
-				(waitJob == nil || job.CompletesAt < waitJob.CompletesAt) {
-				waitJob = job
-			}
-		}
-	}
-	if sp.cfg.AtGo != GoContinue {
-		out.Canceled = sp.finishWhere(TermCanceledAtGo, now, func(job *Job) bool { return job != waitJob })
-	}
-	if waitJob != nil {
-		// A self-scheduling owner must unschedule its completion: it happens
-		// here.
-		out.Canceled = append(out.Canceled, waitJob)
-		next, err := sp.Complete(waitJob, waitJob.CompletesAt)
-		if err != nil {
-			return nil, out, err
-		}
-		out.Issued = append(out.Issued, next...)
-		out.Waited = waitJob.CompletesAt.Sub(now)
-		count(sp, &sp.stats.WaitedAtGo, 1)
 	}
 	if sp.canvas.Graph.IsEmpty() {
 		return nil, out, fmt.Errorf("core: GO with empty partial query")
@@ -709,7 +671,6 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 		res.Duration = sp.contended(res.Duration, AssetKey{})
 		sp.recordHit(res.Plan)
 	}
-	res.Duration += out.Waited // the user waited for the manipulation first
 
 	// Train the Learner. The survival counters decay exponentially, so the
 	// observation order matters — flatten the seen sets in sorted key order,
@@ -743,13 +704,9 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	sp.formStarted = false
 	// Use the result-viewing pause: prepare for the next query, which will
 	// very likely retain most of this one's parts (Section 5 persistence).
-	// Any wait for a completing manipulation has already elapsed, so fresh
-	// jobs are issued at now+waited, on the session's actual timeline.
-	issued, err := sp.fillSlots(now.Add(out.Waited))
-	if err != nil {
+	if out.Issued, err = sp.fillSlots(now); err != nil {
 		return nil, out, err
 	}
-	out.Issued = append(out.Issued, issued...)
 	return res, out, nil
 }
 

@@ -15,7 +15,7 @@ import (
 // interleaved on one engine and one ledger, the 96 MB-equivalent pool,
 // contention factor 0.35 — per GO: three users with F7's selections-only
 // speculators and with A5's always and suspend-when-busy policies, and six
-// trained-predictor users whose GOs may be served or wait for a build. Each
+// trained-predictor users whose GOs are served or execute. Each
 // GO's simulated seconds, and the counters contention moves, must reproduce
 // byte for byte. The golden holds what the engine-side load model produced
 // before the speculator took it over; never regenerate it to absorb a
@@ -29,8 +29,8 @@ func TestMultiUserContentionGolden(t *testing.T) {
 		for _, qt := range timings {
 			fmt.Fprintf(&b, "u%d q%d %v\n", qt.TraceIdx, qt.QueryIdx, qt.Seconds)
 		}
-		fmt.Fprintf(&b, "issued %d completed %d suspended %d waited %d predicted_gos %d materialization_s %v waste_s %v\n",
-			st.Issued, st.Completed, st.Suspended, st.WaitedAtGo, st.PredictedGos,
+		fmt.Fprintf(&b, "issued %d completed %d suspended %d predicted_gos %d materialization_s %v waste_s %v\n",
+			st.Issued, st.Completed, st.Suspended, st.PredictedGos,
 			st.MaterializationTime.Seconds(), st.Waste.Seconds())
 	}
 	multiUser := func(name string, tune func(*core.Config)) ([]QueryTiming, core.Stats) {
@@ -51,13 +51,12 @@ func TestMultiUserContentionGolden(t *testing.T) {
 	}
 
 	// Trained predictors: one pass to train, then the pinned pass, whose GOs
-	// are served from the answer cache, wait for a build, or execute. Six
-	// users, so that some GO waits for its prediction and is then served
-	// while other users' jobs are in flight.
+	// are served from the answer cache or execute while other users' jobs
+	// are in flight. Six users, under runMultiUser's GO policy.
 	env := tinyEnv(t, EnvConfig{Scale: scale, BufferPoolPages: PoolPages96MB})
 	cfg := core.DefaultConfig()
 	cfg.ContentionFactor = 0.35
-	cfg.AtGo = core.GoWait
+	cfg.AtGo = core.GoCancel
 	cfg.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 	cfg.Answers = core.NewAnswerCache(env.Eng.Metrics(), 0)
 	var served *ScaledOutcome
@@ -68,10 +67,9 @@ func TestMultiUserContentionGolden(t *testing.T) {
 		}
 		served = out
 	}
-	dump("predictor_wait", served.Timings, served.Stats)
-	if served.Stats.PredictedGos == 0 || served.Stats.WaitedAtGo == 0 {
-		t.Errorf("trained pass served %d GOs and waited at %d: the configuration no longer reaches both",
-			served.Stats.PredictedGos, served.Stats.WaitedAtGo)
+	dump("predictor_cancel", served.Timings, served.Stats)
+	if served.Stats.PredictedGos == 0 {
+		t.Error("the trained pass served no GO: the configuration no longer reaches the answer cache")
 	}
 
 	// The same speculators without contention: some GO must differ, or the

@@ -223,8 +223,8 @@ func RunSpecVsNormal(scaleName string, traces []*trace.Trace, seed uint64) (*Spe
 }
 
 // incompletePct is the share of issued manipulations, in percent, that were
-// still running at a GO: canceled there (GoCancel, GoWait) or run on across
-// it (GoContinue).
+// still running at a GO: canceled there (GoCancel) or run on across it
+// (GoContinue).
 func incompletePct(st core.Stats) float64 {
 	if st.Issued == 0 {
 		return 0
@@ -357,19 +357,19 @@ func runMultiUser(scale tpch.Scale, seed uint64, traces []*trace.Trace, cfg core
 
 // pairedPct runs one paired replay on a fresh default environment, with the
 // default speculator configuration changed by tune, and returns the
-// improvement in percent and the speculative side's summed counters.
-func pairedPct(scale tpch.Scale, seed uint64, traces []*trace.Trace, tune func(*core.Config)) (float64, core.Stats, error) {
+// improvement in percent.
+func pairedPct(scale tpch.Scale, seed uint64, traces []*trace.Trace, tune func(*core.Config)) (float64, error) {
 	env, err := NewEnv(EnvConfig{Scale: scale, Seed: seed})
 	if err != nil {
-		return 0, core.Stats{}, err
+		return 0, err
 	}
 	cfg := core.DefaultConfig()
 	tune(&cfg)
 	pr, err := RunPaired(env, traces, cfg)
 	if err != nil {
-		return 0, core.Stats{}, err
+		return 0, err
 	}
-	return Improvement(seconds(pr.Normal), seconds(pr.Spec)) * 100, pr.Stats, nil
+	return Improvement(seconds(pr.Normal), seconds(pr.Spec)) * 100, nil
 }
 
 // AblationResult compares manipulation families (the Section 3.2 claim).
@@ -397,7 +397,7 @@ func RunAblationManipulations(scaleName string, traces []*trace.Trace, seed uint
 	}
 	res := &AblationResult{Scale: scaleName, PctByFamily: map[string]float64{}}
 	for _, fam := range families {
-		pct, _, err := pairedPct(scale, seed, traces, func(c *core.Config) {
+		pct, err := pairedPct(scale, seed, traces, func(c *core.Config) {
 			c.Ops = fam.ops
 			c.MinBenefit = 0
 		})
@@ -500,7 +500,7 @@ func RunLookahead(scaleName string, traces []*trace.Trace, seed uint64, depths [
 	}
 	res := &LookaheadResult{Scale: scaleName, PctByN: map[int]float64{}, Lookades: depths}
 	for _, n := range depths {
-		pct, _, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.Lookahead = n })
+		pct, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.Lookahead = n })
 		if err != nil {
 			return nil, err
 		}
@@ -509,37 +509,31 @@ func RunLookahead(scaleName string, traces []*trace.Trace, seed uint64, depths [
 	return res, nil
 }
 
-// WaitAblationResult is the A4 experiment: what a GO does with the
-// manipulations still in flight — let them run on (the default), cancel them
-// (the paper's conservative convention), or wait for an almost-finished one
-// (the paper's Section 7 proposal).
-type WaitAblationResult struct {
+// GoPolicyResult is the A4 experiment: what a GO does with the
+// manipulations still in flight — let them run on (the default) or cancel
+// them (the paper's conservative convention).
+type GoPolicyResult struct {
 	Scale       string
 	ContinuePct float64 // improvement with core.GoContinue
 	CancelPct   float64 // improvement with core.GoCancel
-	WaitPct     float64 // improvement with core.GoWait
-	WaitedAtGo  int
 }
 
-// RunWaitAblation compares the three GO policies on one dataset size.
-func RunWaitAblation(scaleName string, traces []*trace.Trace, seed uint64) (*WaitAblationResult, error) {
+// RunGoPolicyAblation compares the two GO policies on one dataset size.
+func RunGoPolicyAblation(scaleName string, traces []*trace.Trace, seed uint64) (*GoPolicyResult, error) {
 	scale, err := tpch.ScaleByName(scaleName)
 	if err != nil {
 		return nil, err
 	}
-	res := &WaitAblationResult{Scale: scaleName}
+	res := &GoPolicyResult{Scale: scaleName}
 	for _, row := range []struct {
 		policy core.GoPolicy
 		pct    *float64
-	}{{core.GoContinue, &res.ContinuePct}, {core.GoCancel, &res.CancelPct}, {core.GoWait, &res.WaitPct}} {
-		pct, stats, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.AtGo = row.policy })
+	}{{core.GoContinue, &res.ContinuePct}, {core.GoCancel, &res.CancelPct}} {
+		pct, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.AtGo = row.policy })
 		if err != nil {
 			return nil, err
 		}
 		*row.pct = pct
-		if row.policy == core.GoWait {
-			res.WaitedAtGo = stats.WaitedAtGo
-		}
 	}
 	return res, nil
 }
@@ -606,8 +600,8 @@ func RenderBuckets(buckets []Bucket, withExtremes bool) string {
 // field is simulated time or a count, so the file is machine-independent;
 // wall-clock numbers live in cmd/bench. RunBench replays core.DefaultConfig(),
 // whose GO policy is core.GoContinue and which does not set SuspendWhenBusy,
-// so CanceledAtGo, WaitedAtGo and Suspended are 0 by construction (the 6
-// waited belong to -exp a4's GoWait row, the 29 suspended to -exp a5).
+// so CanceledAtGo and Suspended are 0 by construction (the 29 suspended
+// belong to -exp a5).
 type BenchResult struct {
 	Scale    string `json:"scale"`
 	Users    int    `json:"users"`
@@ -641,7 +635,6 @@ type BenchResult struct {
 	GarbageCollected    int `json:"garbage_collected"`
 	Hits                int `json:"hits"`
 	Misses              int `json:"misses"`
-	WaitedAtGo          int `json:"waited_at_go"`
 	Suspended           int `json:"suspended"`
 
 	// Scaled-session cross-session CSE comparison (DESIGN.md §11): the same
@@ -728,7 +721,6 @@ func RunBench(scaleName string, traces []*trace.Trace, seed uint64) (*BenchResul
 		Hits:                pr.Stats.Hits,
 		Misses:              pr.Stats.Misses,
 		WasteS:              pr.Stats.Waste.Seconds(),
-		WaitedAtGo:          pr.Stats.WaitedAtGo,
 		Suspended:           pr.Stats.Suspended,
 		Shed:                pr.Stats.Shed + pr.Stats.ShedRetained,
 		DeadlineAborts:      pr.Stats.DeadlineAborts,

@@ -355,7 +355,6 @@ func SumStatsAll(per []core.Stats) core.Stats {
 		a.CanceledAtGo += b.CanceledAtGo
 		a.CanceledOnClose += b.CanceledOnClose
 		a.ContinuedAtGo += b.ContinuedAtGo
-		a.WaitedAtGo += b.WaitedAtGo
 		a.Suspended += b.Suspended
 		a.Deferred += b.Deferred
 		a.MaterializationsIssued += b.MaterializationsIssued

@@ -8,7 +8,7 @@ import (
 
 // Bounded enforces termination evidence on retry/wait loops: a for-loop that
 // consumes typed-transient faults (fault.IsTransient, fault.Injector methods)
-// or advances the sim clock (sim.Clock Advance/AdvanceTo) must carry a
+// or advances the sim clock (sim.Clock.AdvanceTo) must carry a
 // compile-visible bound — a comparison against a compile-time constant (a
 // retry cap), a sim.Time/sim.Duration comparison (a deadline), or a len/cap
 // bounded condition. An unbounded retry loop is how a transient fault becomes
@@ -71,7 +71,7 @@ func boundTrigger(pkg *Package, loop *ast.ForStmt) string {
 				found = "fault.IsTransient"
 			case recvIs(fn, mod+"/internal/fault", "Injector"):
 				found = "fault.Injector." + fn.Name()
-			case recvIs(fn, mod+"/internal/sim", "Clock") && (fn.Name() == "Advance" || fn.Name() == "AdvanceTo"):
+			case recvIs(fn, mod+"/internal/sim", "Clock") && fn.Name() == "AdvanceTo":
 				found = "sim.Clock." + fn.Name()
 			}
 		})

@@ -23,7 +23,7 @@ func unboundedRetry(try func() error) error {
 // unboundedWait advances the clock with no deadline: flagged.
 func unboundedWait(c *sim.Clock, ready func() bool) {
 	for !ready() {
-		c.Advance(sim.Duration(1))
+		c.AdvanceTo(c.Now().Add(1))
 	}
 }
 
@@ -62,7 +62,7 @@ func bodyCap(try func() error) error {
 // deadline bounds the wait with a sim.Time comparison: clean.
 func deadline(c *sim.Clock, until sim.Time) {
 	for c.Now() < until {
-		c.Advance(sim.Duration(1))
+		c.AdvanceTo(c.Now().Add(1))
 	}
 }
 
@@ -77,7 +77,7 @@ func drain(c *sim.Clock, pending []sim.Time) {
 // ranged iterates a finite collection: range loops are exempt.
 func ranged(c *sim.Clock, steps []sim.Duration) {
 	for _, d := range steps {
-		c.Advance(d)
+		c.AdvanceTo(c.Now().Add(d))
 	}
 }
 

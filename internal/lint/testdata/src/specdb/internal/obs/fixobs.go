@@ -20,7 +20,7 @@ func BadCharge(m *sim.Meter) {
 
 // BadAdvance moves the simulated clock from observability code.
 func BadAdvance(c *sim.Clock) {
-	c.Advance(sim.Duration(1))
+	c.AdvanceTo(c.Now().Add(1))
 }
 
 // GoodStamp only reads the clock — timestamps are byte-invisible.

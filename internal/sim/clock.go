@@ -38,7 +38,7 @@ func FromSeconds(s float64) Time { return Time(s * float64(time.Second)) }
 // DurationFromSeconds converts fractional seconds to a Duration.
 func DurationFromSeconds(s float64) Duration { return Duration(s * float64(time.Second)) }
 
-// Clock is a virtual clock. It only moves when Advance or AdvanceTo is called;
+// Clock is a virtual clock. It only moves when AdvanceTo is called;
 // nothing in the repository sleeps on it. A clock is owned by one session but
 // may be read (Now) by observers on other goroutines, so access is guarded.
 type Clock struct {
@@ -54,19 +54,6 @@ func (c *Clock) Now() Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
-}
-
-// Advance moves the clock forward by d. Negative d panics: simulated time is
-// monotone by construction and a rewind always indicates a harness bug.
-func (c *Clock) Advance(d Duration) {
-	if d < 0 {
-		// invariant: simulated time is monotone; durations come from the
-		// cost model and think-time distributions, which are non-negative.
-		panic(fmt.Sprintf("sim: clock rewind by %v", d))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
 }
 
 // AdvanceTo moves the clock forward to t. Moving backwards panics.

@@ -42,7 +42,7 @@ type ReplaySummary struct {
 	ImprovementPct float64
 	// PerQuery holds (normal, speculative) seconds per final query.
 	PerQuery [][2]float64
-	// Waited/Completed/Issued summarize speculation activity.
+	// Issued and Completed summarize speculation activity.
 	Issued, Completed int
 }
 

@@ -22,11 +22,7 @@ type SessionConfig struct {
 	Lookahead int
 	// AtGo is what Go does with the manipulations still in flight. The zero
 	// value, GoContinue, lets them run on and complete as if no Go had come;
-	// GoCancel cancels them (the paper's convention); GoWait is the paper's
-	// Section 7 extension: when a manipulation is almost finished and waiting
-	// is cheaper than losing it, the final query is delayed until it
-	// completes, the session clock advancing by the wait, and the rest are
-	// canceled.
+	// GoCancel cancels them (the paper's convention). Go never waits for one.
 	AtGo GoPolicy
 }
 
@@ -38,7 +34,6 @@ type GoPolicy = core.GoPolicy
 const (
 	GoContinue = core.GoContinue
 	GoCancel   = core.GoCancel
-	GoWait     = core.GoWait
 )
 
 // Session is the programmatic equivalent of the paper's visual query
@@ -235,12 +230,11 @@ func (s *Session) Clear() error {
 }
 
 // Go submits the final query: any incomplete manipulation runs on (or, as
-// SessionConfig.AtGo says, is canceled or briefly waited for), the query is
-// served from a completed prediction (Options.PredictFinals; the Result then
-// has no Plan) or runs on the prepared database (completed materializations
-// rewrite it), and the user profile learns from the formulation. The session
-// clock advances by any wait, so the timeline matches the charged result
-// duration.
+// SessionConfig.AtGo says, is canceled), the query is served from a
+// completed prediction (Options.PredictFinals; the Result then has no Plan)
+// or runs on the prepared database (completed materializations rewrite it),
+// and the user profile learns from the formulation. Go never moves the
+// session clock: think time alone does.
 func (s *Session) Go() (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -252,16 +246,11 @@ func (s *Session) Go() (res *Result, err error) {
 	if err := s.checkLive(); err != nil {
 		return nil, err
 	}
-	eres, out, err := s.sp.OnGo(s.clock.Now())
+	eres, _, err := s.sp.OnGo(s.clock.Now())
 	if err != nil {
 		return nil, err
 	}
-	// The GO is recorded at the instant it was pressed, before the clock
-	// moves past any wait, so a replay keeps the user's think time.
 	s.record(trace.Event{Kind: trace.EvGo})
-	if out.Waited > 0 {
-		s.clock.Advance(out.Waited)
-	}
 	return wrapResult(eres), nil
 }
 

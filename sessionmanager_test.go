@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"specdb/internal/core"
-	"specdb/internal/sim"
-	"specdb/internal/trace"
 )
 
 // tableSet snapshots the catalog's table names.
@@ -141,61 +139,6 @@ func TestSessionContextCancellation(t *testing.T) {
 	}
 	if _, err := s.Go(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Go after cancel = %v, want context.Canceled", err)
-	}
-}
-
-// TestGoWaitForCompletionAdvancesClock is a regression test: when GO waits
-// for an almost-finished manipulation, the wait is charged to the result AND
-// the session clock — previously the clock stayed put, so the session's
-// timeline drifted behind its accounted costs.
-func TestGoWaitForCompletionAdvancesClock(t *testing.T) {
-	db := getDB(t)
-	s := db.NewSession(SessionConfig{AtGo: GoWait})
-	defer s.Close()
-
-	if err := s.AddSelection("lineitem", "l_quantity", "=", 1); err != nil {
-		t.Fatal(err)
-	}
-	// One materialization, issued at time zero: it completes when its build
-	// time has passed.
-	st := s.Stats()
-	if st.Issued != 1 || st.MaterializationsIssued != 1 {
-		t.Fatalf("want exactly one materialization in flight: %+v", st)
-	}
-	completesAt := time.Duration(st.MaterializationTime)
-	// Stop thinking just before the manipulation finishes: GO should wait out
-	// the sliver rather than cancel.
-	if err := s.Think(completesAt - time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	pressed := s.Now()
-	res, err := s.Go()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = s.Stats()
-	if st.WaitedAtGo != 1 || st.CanceledAtGo != 0 {
-		t.Fatalf("stats %+v, want one wait and no cancels", st)
-	}
-	if s.Now() < completesAt {
-		t.Fatalf("session clock %v never reached the awaited completion %v", s.Now(), completesAt)
-	}
-	if res.RowCount == 0 {
-		t.Fatal("empty result")
-	}
-	// The recorded GO stays at the instant it was pressed: the wait is not
-	// think time, and a replay must not add it.
-	data, err := s.TraceJSON("waiter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goEv := tr.Events[len(tr.Events)-1]
-	if goEv.Kind != trace.EvGo || goEv.AtSeconds != sim.Time(pressed).Seconds() {
-		t.Fatalf("last recorded event %v at %vs, want GO at %vs", goEv.Kind, goEv.AtSeconds, sim.Time(pressed).Seconds())
 	}
 }
 
