@@ -11,7 +11,7 @@
 //	a2   Section 6.1 prose: memory-resident database
 //	a3   Section 3.3 ablation: lookahead depth
 //	a4   GO policies: run builds on or cancel them
-//	a5   Section 7 proposal: suspend speculation under load, three users
+//	a5   Section 7 proposal: suspend speculation under load, three users, per scale
 //
 // bench (never part of all) writes the spec-on vs spec-off benchmark report,
 // BENCH_spec.json by default (-benchout), for the first requested scale.
@@ -97,7 +97,7 @@ func run(args []string, stderr io.Writer) int {
 		a4(traces, *dataSeed)
 	}
 	if run("a5") {
-		a5(traces, *dataSeed)
+		a5(traces, scales, *dataSeed)
 	}
 	// bench runs only when named explicitly: it writes a file, so it must not
 	// ride along with -exp all.
@@ -291,7 +291,7 @@ func a3(traces []*trace.Trace, seed uint64) {
 	if err != nil {
 		fatal(err)
 	}
-	for _, n := range res.Lookades {
+	for _, n := range res.Depths {
 		fmt.Printf("  n=%d  %6.1f%%\n", n, res.PctByN[n])
 	}
 }
@@ -306,14 +306,16 @@ func a4(traces []*trace.Trace, seed uint64) {
 	fmt.Printf("  cancel at GO (paper's default): %6.1f%%\n", res.CancelPct)
 }
 
-func a5(traces []*trace.Trace, seed uint64) {
-	header("A5  suspend-when-busy, 3 users (100MB) — the paper's Section 7 proposal")
-	res, err := harness.RunSuspendAblation("100MB", traces, seed)
-	if err != nil {
-		fatal(err)
+func a5(traces []*trace.Trace, scales []string, seed uint64) {
+	for _, scale := range scales {
+		res, err := harness.RunSuspendAblation(scale, traces, seed)
+		if err != nil {
+			fatal(err)
+		}
+		header(fmt.Sprintf("A5(%s)  suspend-when-busy, three simultaneous users — the paper's Section 7 proposal", scale))
+		fmt.Printf("  always speculate: %6.1f%%\n", res.AlwaysPct)
+		fmt.Printf("  suspend if busy:  %6.1f%%  (%d opportunities suspended)\n", res.SuspendPct, res.Suspended)
 	}
-	fmt.Printf("  always speculate: %6.1f%%\n", res.AlwaysPct)
-	fmt.Printf("  suspend if busy:  %6.1f%%  (%d opportunities suspended)\n", res.SuspendPct, res.Suspended)
 }
 
 func fatal(err error) {

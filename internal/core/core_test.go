@@ -634,22 +634,35 @@ func TestCostModelLookaheadIncreasesBenefit(t *testing.T) {
 	}
 }
 
+// TestCompletionRiskLowersBenefit holds Score to multiplying the benefit by
+// the probability that the manipulation completes before GO: nothing else in
+// Score depends on how long the formulation has run, so two scores at
+// different elapsed times must differ by exactly the ratio of their
+// completion probabilities. Both probabilities lie below 1, so the risk
+// lowers both benefits.
 func TestCompletionRiskLowersBenefit(t *testing.T) {
 	e := newTestEngine(t, 30000)
 	l := NewLearner(DefaultLearnerConfig())
-	sel := selRC(20)
-	with := &CostModel{Eng: e, Learner: l, UseCompletionRisk: true}
-	without := &CostModel{Eng: e, Learner: l}
-	mw := Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(sel)}
-	mo := Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(sel)}
-	if err := with.Score(&mw, 30); err != nil { // 30 s into formulation already
-		t.Fatal(err)
+	cm := &CostModel{Eng: e, Learner: l}
+	score := func(elapsed float64) (benefit, p float64) {
+		m := Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(selRC(20))}
+		if err := cm.Score(&m, elapsed); err != nil {
+			t.Fatal(err)
+		}
+		return float64(m.Benefit), l.CompletionProbability(elapsed, m.EstDuration.Seconds())
 	}
-	if err := without.Score(&mo, 30); err != nil {
-		t.Fatal(err)
+	// 5 s into a formulation a one-second build is likelier to be cut off
+	// by GO (p ≈ 0.93) than 600 s into one (p ≈ 0.996).
+	bEarly, pEarly := score(5)
+	bLate, pLate := score(600)
+	if bEarly <= 0 || bLate <= 0 {
+		t.Fatalf("benefits %v, %v: the manipulation must pass every guard", bEarly, bLate)
 	}
-	if mw.Benefit >= mo.Benefit {
-		t.Fatalf("completion risk should lower benefit: %v vs %v", mw.Benefit, mo.Benefit)
+	if pLate-pEarly < 0.05 || pLate >= 1 {
+		t.Fatalf("completion probabilities %v, %v must differ and lie below 1", pEarly, pLate)
+	}
+	if got, want := bEarly/bLate, pEarly/pLate; math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("benefit ratio %v, completion-probability ratio %v: Score must scale the benefit by the completion probability", got, want)
 	}
 }
 

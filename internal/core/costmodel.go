@@ -24,32 +24,34 @@ type CostModel struct {
 	// Lookahead is the number of future queries n whose expected reuse adds
 	// to the benefit (0 reproduces the single-query formula (2)).
 	Lookahead int
-	// UseCompletionRisk multiplies benefits by the probability that the
-	// manipulation completes before GO.
-	UseCompletionRisk bool
-	// MinCompletionProb, with UseCompletionRisk, skips manipulations that
-	// are too unlikely to finish before GO: issuing them would occupy the
-	// single manipulation slot (Section 3.1's third convention) that a
-	// cheaper, completable manipulation could use.
-	MinCompletionProb float64
-	// RiskAversion discounts the benefit by a fraction of the post-
+}
+
+// The cost model's guards, constants since every speculator ran with the
+// same values (DESIGN.md §5).
+const (
+	// minCompletionProb skips manipulations that are too unlikely to finish
+	// before GO: issuing them would occupy the single manipulation slot
+	// (Section 3.1's third convention) that a cheaper, completable
+	// manipulation could use. Every benefit is also multiplied by the
+	// probability that the manipulation completes before GO.
+	minCompletionProb = 0.15
+	// riskAversion discounts the benefit by a fraction of the post-
 	// materialization access cost. Properties P1/P2 are approximations
 	// (Section 3.3): a forced rewrite can lose in the final query's context
 	// even when the local formula says it wins — most often for wide,
 	// unselective join materializations that displace indexed base
 	// relations (the paper's own penalty mechanism, Section 6.1). The risk
 	// term makes the Speculator conservative about exactly those.
-	RiskAversion float64
-	// CompressionThreshold gates materializations on actually shrinking
+	riskAversion = 0.35
+	// compressionThreshold gates materializations on actually shrinking
 	// their inputs: the estimated result pages must be at most this
 	// fraction of the source relations' pages. The paper's Section 1
 	// example is explicit that the win is the 1/f I/O reduction of reading
 	// a selective result instead of its inputs; a materialization that is
 	// as large as its inputs (a raw FK join, an unselective predicate)
-	// cannot deliver it and only displaces indexed access paths. 0 disables
-	// the gate; DefaultConfig uses 0.65.
-	CompressionThreshold float64
-}
+	// cannot deliver it and only displaces indexed access paths.
+	compressionThreshold = 0.65
+)
 
 // Score fills m.EstDuration and m.Benefit. elapsedFormulation is how long
 // the current formulation has been running (seconds), for completion risk.
@@ -63,17 +65,15 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 		}
 		resultPages := cm.estimatePages(m.Graph, node.Rows())
 		m.EstPages = int(math.Ceil(resultPages))
-		if cm.CompressionThreshold > 0 {
-			sourcePages := 0.0
-			for _, rel := range m.Graph.Relations() {
-				if t, err := cm.Eng.Catalog.Table(rel); err == nil {
-					sourcePages += float64(t.NumPages())
-				}
+		sourcePages := 0.0
+		for _, rel := range m.Graph.Relations() {
+			if t, err := cm.Eng.Catalog.Table(rel); err == nil {
+				sourcePages += float64(t.NumPages())
 			}
-			if resultPages > cm.CompressionThreshold*sourcePages {
-				m.EstDuration, m.Benefit = 0, 0
-				return nil
-			}
+		}
+		if resultPages > compressionThreshold*sourcePages {
+			m.EstDuration, m.Benefit = 0, 0
+			return nil
 		}
 		base = node.Cost()
 		after = cm.scanCostAfterMaterialize(m.Graph, node.Rows())
@@ -104,7 +104,7 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 		return nil
 	}
 	f := cm.Learner.SubgraphSurvival(m.Graph)
-	benefit := f*float64(saving) - cm.RiskAversion*float64(after)
+	benefit := f*float64(saving) - riskAversion*float64(after)
 	if benefit <= 0 {
 		m.Benefit = 0
 		return nil
@@ -118,14 +118,12 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 		}
 		benefit *= 1 + reuse
 	}
-	if cm.UseCompletionRisk {
-		p := cm.Learner.CompletionProbability(elapsedFormulation, duration.Seconds())
-		if p < cm.MinCompletionProb {
-			m.Benefit = 0
-			return nil
-		}
-		benefit *= p
+	p := cm.Learner.CompletionProbability(elapsedFormulation, duration.Seconds())
+	if p < minCompletionProb {
+		m.Benefit = 0
+		return nil
 	}
+	benefit *= p
 	m.Benefit = sim.Duration(benefit)
 	return nil
 }

@@ -108,7 +108,7 @@ func DefaultConfig() Config {
 		Ops:        OpsMaterializeOnly(),
 		Lookahead:  3,
 		MinBenefit: 200 * time.Millisecond,
-		NamePrefix: "spec",
+		NamePrefix: engine.VolatilePrefix,
 	}
 }
 
@@ -116,15 +116,6 @@ func DefaultConfig() Config {
 // semantics — the final query MUST use them — rather than as an option for the
 // optimizer, as in the paper's evaluation (Section 4.2).
 const forcedViews = true
-
-// The cost model's settings every speculator runs with (CostModel documents
-// each field).
-const (
-	useCompletionRisk    = true
-	minCompletionProb    = 0.15
-	riskAversion         = 0.35
-	compressionThreshold = 0.65
-)
 
 // Stats counts the Speculator's activity across a session.
 type Stats struct {
@@ -353,7 +344,7 @@ type Speculator struct {
 // NewSpeculator attaches a speculation subsystem to an engine.
 func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator {
 	if cfg.NamePrefix == "" {
-		cfg.NamePrefix = "spec"
+		cfg.NamePrefix = engine.VolatilePrefix
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -371,13 +362,9 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		holder:  cfg.Ledger.NewHolder(),
 		learner: learner,
 		cm: &CostModel{
-			Eng:                  eng,
-			Learner:              learner,
-			Lookahead:            cfg.Lookahead,
-			UseCompletionRisk:    useCompletionRisk,
-			MinCompletionProb:    minCompletionProb,
-			RiskAversion:         riskAversion,
-			CompressionThreshold: compressionThreshold,
+			Eng:       eng,
+			Learner:   learner,
+			Lookahead: cfg.Lookahead,
 		},
 		cfg:            cfg,
 		canvas:         trace.State{Graph: qgraph.New()},

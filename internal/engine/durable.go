@@ -36,12 +36,13 @@ type StorageConfig struct {
 	Sync bool
 	// Crash arms deterministic crash-point injection (tests only).
 	Crash *fault.Crash
-	// VolatilePrefix marks table names excluded from durability ("" means
-	// "spec", covering both spec_N materializations and spec_s<id> session
-	// namespaces). Statements touching only such tables do not commit, and
-	// their pages are garbage-collected on recovery.
-	VolatilePrefix string
 }
+
+// VolatilePrefix marks table names excluded from durability: speculative
+// spec_N materializations and spec_s<id> session namespaces. Statements
+// touching only such tables do not commit, and their pages are
+// garbage-collected on recovery.
+const VolatilePrefix = "spec"
 
 // metaVersion guards the commit-record blob layout; bump on change.
 const metaVersion = 1
@@ -177,9 +178,6 @@ func fromMetaPages(ids []int64) []storage.PageID {
 func Open(cfg Config) (*Engine, error) {
 	if cfg.Storage.Path == "" {
 		return New(cfg), nil
-	}
-	if cfg.Storage.VolatilePrefix == "" {
-		cfg.Storage.VolatilePrefix = "spec"
 	}
 	fd, err := storage.OpenFileDisk(storage.FileConfig{
 		Path:            cfg.Storage.Path,
@@ -318,7 +316,7 @@ func (e *Engine) restoreDurable() error {
 func (e *Engine) buildMetaLocked(seq int64) ([]byte, error) {
 	root := metaRoot{Version: metaVersion, AppliedSeq: seq}
 	for _, name := range e.Catalog.TableNames() {
-		if strings.HasPrefix(name, e.cfg.Storage.VolatilePrefix) {
+		if strings.HasPrefix(name, VolatilePrefix) {
 			continue
 		}
 		t, err := e.Catalog.Table(name)
@@ -369,7 +367,7 @@ func (e *Engine) buildMetaLocked(seq int64) ([]byte, error) {
 		root.Tables = append(root.Tables, mt)
 	}
 	for _, v := range e.Catalog.Views() {
-		if strings.HasPrefix(v.Name, e.cfg.Storage.VolatilePrefix) {
+		if strings.HasPrefix(v.Name, VolatilePrefix) {
 			continue
 		}
 		mv := metaView{Name: v.Name, Forced: v.Forced, Rels: v.Graph.Relations()}
@@ -409,7 +407,7 @@ func (e *Engine) buildMetaLocked(seq int64) ([]byte, error) {
 // speculation namespace skip the commit entirely (their pages die with the
 // process, by design).
 func (e *Engine) commitStmt(name string) error {
-	if e.fileDisk == nil || strings.HasPrefix(name, e.cfg.Storage.VolatilePrefix) {
+	if e.fileDisk == nil || strings.HasPrefix(name, VolatilePrefix) {
 		return nil
 	}
 	e.durMu.Lock()

@@ -544,15 +544,6 @@ func (e *Engine) ExplainAnalyze(q *plan.Query) (*Result, error) {
 	})
 }
 
-// RunGraph binds and executes a query graph with SELECT * projections.
-func (e *Engine) RunGraph(g *qgraph.Graph) (*Result, error) {
-	q, err := plan.BindGraph(e.Catalog, g)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunQuery(q)
-}
-
 // PlanGraph optimizes a query graph without executing it (the speculation
 // cost model calls this to price alternatives).
 func (e *Engine) PlanGraph(g *qgraph.Graph) (plan.Node, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"specdb/internal/plan"
 	"specdb/internal/qgraph"
 	"specdb/internal/storage"
 )
@@ -112,7 +113,11 @@ func TestFailedMaterializeLeavesNothingBehind(t *testing.T) {
 			if got := e.PanicLog().Total(); panics && int(got) != failures {
 				t.Fatalf("%d panics recorded, %d injected", got, failures)
 			}
-			if _, err := e.RunGraph(g); err != nil {
+			q, err := plan.BindGraph(e.Catalog, g)
+			if err == nil {
+				_, err = e.RunQuery(q)
+			}
+			if err != nil {
 				t.Fatalf("query after the sweep: %v", err)
 			}
 		})

@@ -336,7 +336,11 @@ func TestStatementBoundary(t *testing.T) {
 					t.Errorf("panicking statement committed or bumped: %+v → %+v", before, after)
 				}
 				free("after a panic")
-				if err := resultless(e.RunGraph(selectionOn("base"))); err != nil {
+				q, err := boundQuery(e, "base")
+				if err == nil {
+					err = resultless(e.RunQuery(q))
+				}
+				if err != nil {
 					t.Fatalf("engine unusable after a recovered panic: %v", err)
 				}
 			})

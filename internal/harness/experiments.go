@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"specdb/internal/core"
+	"specdb/internal/plan"
 	"specdb/internal/tpch"
 	"specdb/internal/trace"
 )
@@ -262,7 +263,7 @@ func RunFigure6(scaleName string, traces []*trace.Trace, seed uint64) (*Figure6R
 	baseline, spec := pr.Normal, pr.Spec
 
 	// Views + Spec+Views run on the pre-materialized battery.
-	viewEnv, err := NewEnv(EnvConfig{Scale: scale, Seed: seed, PrematerializeViews: true, UseViews: true})
+	viewEnv, err := NewEnv(EnvConfig{Scale: scale, Seed: seed, PrematerializeViews: true})
 	if err != nil {
 		return nil, err
 	}
@@ -428,27 +429,9 @@ func RunMemoryResident(scaleName string, traces []*trace.Trace, seed uint64) (*M
 	if err != nil {
 		return nil, err
 	}
-	// Warm the pool: one pass over every table.
-	for _, name := range env.Eng.Catalog.TableNames() {
-		if _, err := env.Eng.Exec("SELECT * FROM " + name); err != nil {
-			return nil, err
-		}
-	}
-	var normal, spec []QueryTiming
-	for i, tr := range traces {
-		// No ColdStart between traces: memory-resident means staying warm.
-		qs, err := replayWarmNormal(env, i, tr)
-		if err != nil {
-			return nil, err
-		}
-		normal = append(normal, qs...)
-	}
-	for i, tr := range traces {
-		so, err := replayWarmSpeculative(env, i, tr)
-		if err != nil {
-			return nil, err
-		}
-		spec = append(spec, so...)
+	normal, spec, err := replayMemoryResident(env, traces)
+	if err != nil {
+		return nil, err
 	}
 	return &MemoryResidentResult{
 		Scale:      scaleName,
@@ -456,6 +439,35 @@ func RunMemoryResident(scaleName string, traces []*trace.Trace, seed uint64) (*M
 	}, nil
 }
 
+// replayMemoryResident warms env's pool, then replays every trace without
+// speculation and again with it, never cold-starting in between.
+func replayMemoryResident(env *Env, traces []*trace.Trace) (normal, spec []QueryTiming, err error) {
+	// Warm the pool: one pass over every table.
+	for _, name := range env.Eng.Catalog.TableNames() {
+		if _, err := env.Eng.Exec("SELECT * FROM " + name); err != nil {
+			return nil, nil, err
+		}
+	}
+	for i, tr := range traces {
+		// No ColdStart between traces: memory-resident means staying warm.
+		qs, err := replayWarmNormal(env, i, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		normal = append(normal, qs...)
+	}
+	for i, tr := range traces {
+		so, err := replayWarmSpeculative(env, i, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		spec = append(spec, so...)
+	}
+	return normal, spec, nil
+}
+
+// replayWarmNormal runs each final query of tr, with its projections, on
+// env as it is.
 func replayWarmNormal(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error) {
 	queries, err := trace.ExtractQueries(tr)
 	if err != nil {
@@ -463,11 +475,21 @@ func replayWarmNormal(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error)
 	}
 	var out []QueryTiming
 	for _, q := range queries {
-		res, err := env.Eng.RunGraph(q.Graph)
+		bound, err := plan.BindGraphProjections(env.Eng.Catalog, q.Graph, q.Projs)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, QueryTiming{TraceIdx: idx, QueryIdx: q.Index, Seconds: res.Duration.Seconds(), Rows: res.RowCount})
+		res, err := env.Eng.RunQuery(bound)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, QueryTiming{
+			TraceIdx: idx,
+			QueryIdx: q.Index,
+			Seconds:  res.Duration.Seconds(),
+			Rows:     res.RowCount,
+			RowsKey:  RowSetKey(res.Rows),
+		})
 	}
 	return out, nil
 }
@@ -487,9 +509,9 @@ func replayWarmSpeculative(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, e
 // LookaheadResult is the A3 ablation over the cost model's future-query
 // depth n (Section 3.3's extension).
 type LookaheadResult struct {
-	Scale    string
-	PctByN   map[int]float64
-	Lookades []int
+	Scale  string
+	PctByN map[int]float64
+	Depths []int
 }
 
 // RunLookahead compares lookahead depths.
@@ -498,7 +520,7 @@ func RunLookahead(scaleName string, traces []*trace.Trace, seed uint64, depths [
 	if err != nil {
 		return nil, err
 	}
-	res := &LookaheadResult{Scale: scaleName, PctByN: map[int]float64{}, Lookades: depths}
+	res := &LookaheadResult{Scale: scaleName, PctByN: map[int]float64{}, Depths: depths}
 	for _, n := range depths {
 		pct, err := pairedPct(scale, seed, traces, func(c *core.Config) { c.Lookahead = n })
 		if err != nil {

@@ -51,10 +51,9 @@ type EnvConfig struct {
 	PoolShards int
 	// PrematerializeViews builds the join of every connected subset of the
 	// relations (all attributes) as optional views — the paper's extreme
-	// pro-views configuration (Section 6.2).
+	// pro-views configuration (Section 6.2) — and lets the optimizer
+	// consider them.
 	PrematerializeViews bool
-	// UseViews lets the optimizer consider optional views.
-	UseViews bool
 	// Fault configures deterministic fault injection (zero value: none).
 	// Faults are enabled only after the dataset loads, so every environment
 	// starts from identical on-disk state regardless of fault rates.
@@ -70,7 +69,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	eng := engine.New(engine.Config{
 		BufferPoolPages: cfg.BufferPoolPages,
 		PoolShards:      cfg.PoolShards,
-		UseViews:        cfg.UseViews,
+		UseViews:        cfg.PrematerializeViews,
 		Fault:           cfg.Fault,
 	})
 	// Hold faults until the environment is fully built, so every fault rate

@@ -154,8 +154,33 @@ func TestPairedRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestMemoryResidentSidesRunTheSameQuery holds A2's two replays to the same
+// query: the normal side binds each final query's projections and
+// fingerprints its rows as the speculative side does, so every (trace,
+// query) agrees on rows and RowsKey.
+func TestMemoryResidentSidesRunTheSameQuery(t *testing.T) {
+	env := tinyEnv(t, EnvConfig{BufferPoolPages: 1 << 12})
+	normal, spec, err := replayMemoryResident(env, tinyTraces(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(normal) == 0 || len(normal) != len(spec) {
+		t.Fatalf("timings %d/%d", len(normal), len(spec))
+	}
+	for i, n := range normal {
+		s := spec[i]
+		if n.TraceIdx != s.TraceIdx || n.QueryIdx != s.QueryIdx {
+			t.Fatalf("pairing broken at %d", i)
+		}
+		if n.Rows != s.Rows || n.RowsKey != s.RowsKey {
+			t.Errorf("trace %d query %d: normal %d rows key %x, speculative %d rows key %x",
+				n.TraceIdx, n.QueryIdx, n.Rows, n.RowsKey, s.Rows, s.RowsKey)
+		}
+	}
+}
+
 func TestPrematerializedViews(t *testing.T) {
-	env := tinyEnv(t, EnvConfig{PrematerializeViews: true, UseViews: true})
+	env := tinyEnv(t, EnvConfig{PrematerializeViews: true})
 	if len(env.Views) < 10 {
 		t.Fatalf("only %d views prematerialized", len(env.Views))
 	}

@@ -1,6 +1,9 @@
 package lint_test
 
 import (
+	"go/ast"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,6 +149,146 @@ func TestTestOnlyAPIPinned(t *testing.T) {
 		if !found[name] {
 			t.Errorf("%s is pinned as test-only but is gone or has a production caller now: unpin it", name)
 		}
+	}
+}
+
+// TestEveryOptionIsSet pins the exported fields of the option structs below
+// that no non-test code outside the declaring package writes — by a keyed or
+// positional composite literal, an assignment, an increment or an &field
+// handed to a setter — each with the reason it stays. A field only its own
+// package or the tests set has one value in use: make it a constant, or pin
+// it here.
+func TestEveryOptionIsSet(t *testing.T) {
+	const (
+		public         = "public API: a library caller sets it"
+		deployment     = "public API: a deployment setting, kept configurable"
+		ownPackage     = "set inside its package from a constructor's arguments"
+		ownRunners     = "set by its package's own experiment runners"
+		seam           = "test seam"
+		cmdBenchFrozen = "frozen by cmd/bench's calls until ROADMAP 5(b)"
+	)
+	structs := map[string][]string{
+		"specdb":                  {"Options", "SessionConfig", "StorageConfig"},
+		"specdb/internal/core":    {"Config", "CostModel", "LearnerConfig", "PredictorConfig"},
+		"specdb/internal/engine":  {"Config", "StorageConfig"},
+		"specdb/internal/harness": {"EnvConfig"},
+		"specdb/internal/trace":   {"GenConfig"},
+		"specdb/internal/fault":   {"Config"},
+		"specdb/internal/storage": {"FileConfig"},
+		"specdb/internal/plan":    {"Options"},
+	}
+	pinned := map[string]string{
+		"specdb.Options.BufferPoolPages":             public,     // TestOpenDurableRoundTrip
+		"specdb.Options.PoolShards":                  public,     // TestScaledSessionsSharedSpeculation
+		"specdb.Options.SpecWorkers":                 public,     // TestScaledSessionsSharedSpeculation
+		"specdb.Options.SharedSpeculation":           public,     // TestScaledSessionsSharedSpeculation
+		"specdb.Options.SpecBudgetPages":             public,     // TestScaledSessionsSharedSpeculation
+		"specdb.Options.PredictFinals":               public,     // TestPredictedResultEquivalence
+		"specdb.Options.Governor":                    public,     // TestPredictedResultEquivalence
+		"specdb.Options.Fault":                       public,     // TestConcurrentSessionsStressWithFaults
+		"specdb.Options.Storage":                     public,     // TestOpenDurableRoundTrip
+		"specdb.StorageConfig.Path":                  public,     // TestOpenDurableRoundTrip
+		"specdb.StorageConfig.CheckpointBytes":       deployment, // the engine's crash matrix varies engine.StorageConfig's
+		"specdb.StorageConfig.Sync":                  deployment, // fsync at durability points; TestFileDiskAccessors sets storage.FileConfig's
+		"specdb.SessionConfig.SelectionsOnly":        public,     // TestConcurrentSessionsStress
+		"core.CostModel.Eng":                         ownPackage, // NewSpeculator
+		"core.CostModel.Learner":                     ownPackage, // NewSpeculator
+		"core.CostModel.Lookahead":                   ownPackage, // NewSpeculator, from Config.Lookahead
+		"trace.GenConfig.Seed":                       ownPackage, // DefaultGenConfig
+		"trace.GenConfig.User":                       ownPackage, // DefaultGenConfig
+		"harness.EnvConfig.PrematerializeViews":      ownRunners, // RunFigure6
+		"harness.EnvConfig.Fault":                    ownRunners, // the chaos soak
+		"storage.FileConfig.PageSize":                seam,       // the storage property tests run on small pages
+		"fault.Config.SlowIOPenaltyPages":            seam,       // FuzzLifecycle's deadline seam
+		"core.LearnerConfig.Decay":                   cmdBenchFrozen,
+		"core.LearnerConfig.PriorStrength":           cmdBenchFrozen,
+		"core.LearnerConfig.SelectionSurvivalPrior":  cmdBenchFrozen,
+		"core.LearnerConfig.JoinSurvivalPrior":       cmdBenchFrozen,
+		"core.LearnerConfig.SelectionRetentionPrior": cmdBenchFrozen,
+		"core.LearnerConfig.JoinRetentionPrior":      cmdBenchFrozen,
+		"core.PredictorConfig.TopK":                  cmdBenchFrozen,
+		"core.PredictorConfig.MinConfidence":         cmdBenchFrozen,
+		"core.PredictorConfig.Decay":                 cmdBenchFrozen,
+		"core.PredictorConfig.TransitionWeight":      cmdBenchFrozen,
+	}
+	pkgs := selfPkgs(t)
+	byPath := map[string]*lint.Package{}
+	for _, p := range pkgs {
+		byPath[p.Path] = p
+	}
+	declared := map[*types.Var]string{} // every exported field of the structs above, by name
+	for path, names := range structs {
+		for _, name := range names {
+			p := byPath[path]
+			if p == nil || p.Pkg.Scope().Lookup(name) == nil {
+				t.Fatalf("%s.%s is gone: update the struct list", path, name)
+			}
+			st := p.Pkg.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					declared[f] = p.Pkg.Name() + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	set := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		mark := func(obj types.Object) {
+			if f, ok := obj.(*types.Var); ok && f.Pkg() != p.Pkg {
+				set[f] = true
+			}
+		}
+		selected := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					mark(s.Obj())
+				}
+			}
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := p.Info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(p.Info.Uses[id])
+							}
+						} else {
+							mark(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						selected(lhs)
+					}
+				case *ast.IncDecStmt:
+					selected(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						selected(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for f, name := range declared {
+		_, pin := pinned[name]
+		switch {
+		case !set[f] && !pin:
+			t.Errorf("%s is written only by its own package or by tests: make it a constant, delete it, or pin it here with its reason", name)
+		case set[f] && pin:
+			t.Errorf("%s is pinned as unset but non-test code outside its package writes it now: unpin it", name)
+		}
+		delete(pinned, name)
+	}
+	for name := range pinned {
+		t.Errorf("%s is pinned but is no longer a field of a listed struct: unpin it", name)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestThinkTimeDistributionMatchesDraw(t *testing.T) {
 	r := sim.NewRand(7)
 	var draw []float64
 	for i := 0; i < 20000; i++ {
-		draw = append(draw, clamp(r.LogNormal(math.Log(11), 1.42), 1, 680))
+		draw = append(draw, clamp(r.LogNormal(math.Log(thinkMedian), thinkSigma), minThink, maxThink))
 	}
 	sort.Float64s(draw)
 

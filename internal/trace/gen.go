@@ -60,56 +60,48 @@ func (v *Vocabulary) selectionsOn(rel string) []SelectionTemplate {
 	return out
 }
 
-// GenConfig parameterizes the synthetic user model. The defaults reproduce
-// every Section 5 statistic: ~42 queries per trace, 1–2 selections and ~4
-// relations per query, selection persistence ≈3 queries, join persistence
-// ≈10, and the formulation-duration distribution
-// (min 1 / p25 4 / median 11 / p75 29 / mean 28 / max 680 seconds).
+// GenConfig parameterizes the synthetic user model: which user, how many
+// GO events and how many exploration tasks. The user model itself is the
+// Section 5 calibration below.
 type GenConfig struct {
 	Seed       uint64
 	User       string
-	NumQueries int     // GO events per trace
-	NumTasks   int     // exploration tasks (canvas clears) per trace
-	ThinkMu    float64 // lognormal location of formulation duration
-	ThinkSigma float64 // lognormal scale
-	MinThink   float64 // clamp, seconds
-	MaxThink   float64 // clamp, seconds
-	ViewMu     float64 // lognormal location of post-GO result-viewing pause
-	ViewSigma  float64
-	// SelectionDropProb is the chance an existing selection is removed on
-	// each query transition (persistence ≈ 1/p queries).
-	SelectionDropProb float64
-	// JoinDropProb likewise for join edges.
-	JoinDropProb float64
-	// ChurnProb is the chance a query's formulation includes a transient
-	// part that is removed again before GO — the uncertainty the Learner
-	// must cope with.
-	ChurnProb float64
-	// TargetRelations is the typical relation count of a final query.
-	TargetRelations int
-	// MaxSelections bounds selections per query.
-	MaxSelections int
+	NumQueries int // GO events per trace
+	NumTasks   int // exploration tasks (canvas clears) per trace
 }
 
-// DefaultGenConfig returns the Section 5 calibration for one user.
+// The user model's calibration reproduces every Section 5 statistic: ~42
+// queries per trace, 1–2 selections and ~4 relations per query, selection
+// persistence ≈3 queries, join persistence ≈10, and the formulation-duration
+// distribution (min 1 / p25 4 / median 11 / p75 29 / mean 28 / max 680
+// seconds). A formulation lasts a clamped lognormal draw whose median is
+// 11 s; the post-GO result-viewing pause is a lognormal draw whose median is
+// 8 s.
+const (
+	thinkMedian = 11   // seconds; the lognormal location is its log
+	thinkSigma  = 1.42 // lognormal scale of formulation duration
+	minThink    = 1    // clamp, seconds
+	maxThink    = 680  // clamp, seconds
+	viewMedian  = 8    // seconds; the lognormal location is its log
+	viewSigma   = 0.8
+	// selectionDropProb is the chance an existing selection is removed on
+	// each query transition (persistence ≈ 1/p queries).
+	selectionDropProb = 1.0 / 3
+	// joinDropProb likewise for join edges.
+	joinDropProb = 1.0 / 10
+	// churnProb is the chance a query's formulation includes a transient
+	// part that is removed again before GO — the uncertainty the Learner
+	// must cope with.
+	churnProb = 0.22
+	// targetRelations is the typical relation count of a final query.
+	targetRelations = 4
+	// maxSelections bounds selections per query.
+	maxSelections = 2
+)
+
+// DefaultGenConfig returns the Section 5 configuration for one user.
 func DefaultGenConfig(user string, seed uint64) GenConfig {
-	return GenConfig{
-		Seed:              seed,
-		User:              user,
-		NumQueries:        42,
-		NumTasks:          5,
-		ThinkMu:           math.Log(11),
-		ThinkSigma:        1.42,
-		MinThink:          1,
-		MaxThink:          680,
-		ViewMu:            math.Log(8),
-		ViewSigma:         0.8,
-		SelectionDropProb: 1.0 / 3,
-		JoinDropProb:      1.0 / 10,
-		ChurnProb:         0.22,
-		TargetRelations:   4,
-		MaxSelections:     2,
-	}
+	return GenConfig{Seed: seed, User: user, NumQueries: 42, NumTasks: 5}
 }
 
 // Generate produces one synthetic session trace.
@@ -172,7 +164,7 @@ func (g *generator) emitQuery(clearFirst bool) {
 
 	// 1. Drop selections (persistence model).
 	for _, s := range target.Selections() {
-		if g.r.Float64() < g.cfg.SelectionDropProb {
+		if g.r.Float64() < selectionDropProb {
 			target.RemoveSelection(s)
 			sj := FromSelection(s)
 			edits = append(edits, edit{Event{Kind: EvRemoveSelection, Sel: &sj}})
@@ -180,7 +172,7 @@ func (g *generator) emitQuery(clearFirst bool) {
 	}
 	// 2. Drop joins; then prune disconnected fragments.
 	for _, j := range target.Joins() {
-		if g.r.Float64() < g.cfg.JoinDropProb {
+		if g.r.Float64() < joinDropProb {
 			target.RemoveJoin(j)
 			jj := FromJoin(j)
 			edits = append(edits, edit{Event{Kind: EvRemoveJoin, Join: &jj}})
@@ -189,7 +181,7 @@ func (g *generator) emitQuery(clearFirst bool) {
 	edits = append(edits, g.pruneDisconnected(target)...)
 
 	// 3. Grow toward the target relation count via FK random walk.
-	targetRels := g.cfg.TargetRelations + g.r.Intn(3) - 1 // ±1
+	targetRels := targetRelations + g.r.Intn(3) - 1 // ±1
 	if targetRels < 1 {
 		targetRels = 1
 	}
@@ -212,8 +204,8 @@ func (g *generator) emitQuery(clearFirst bool) {
 		}
 	}
 
-	// 4. Top up selections to 1..MaxSelections.
-	wantSels := 1 + g.r.Intn(g.cfg.MaxSelections)
+	// 4. Top up selections to 1..maxSelections.
+	wantSels := 1 + g.r.Intn(maxSelections)
 	for target.NumSelections() < wantSels {
 		s, ok := g.pickSelection(target)
 		if !ok {
@@ -225,7 +217,7 @@ func (g *generator) emitQuery(clearFirst bool) {
 	}
 
 	// 5. Churn: a transient selection added and removed mid-formulation.
-	if g.r.Float64() < g.cfg.ChurnProb {
+	if g.r.Float64() < churnProb {
 		if s, ok := g.pickSelection(target); ok {
 			sj := FromSelection(s)
 			pos := 0
@@ -276,7 +268,7 @@ func (g *generator) emitQuery(clearFirst bool) {
 	g.out = append(g.out, Event{Kind: EvGo, AtSeconds: g.now})
 
 	// Result-viewing pause before the next query's formulation begins.
-	g.now += clamp(g.r.LogNormal(g.cfg.ViewMu, g.cfg.ViewSigma), 1, 120)
+	g.now += clamp(g.r.LogNormal(math.Log(viewMedian), viewSigma), 1, 120)
 	g.state = target
 }
 
@@ -434,7 +426,7 @@ func (g *generator) pickProjections(target *qgraph.Graph) []string {
 
 // thinkTime draws one formulation duration.
 func (g *generator) thinkTime() float64 {
-	return clamp(g.r.LogNormal(g.cfg.ThinkMu, g.cfg.ThinkSigma), g.cfg.MinThink, g.cfg.MaxThink)
+	return clamp(g.r.LogNormal(math.Log(thinkMedian), thinkSigma), minThink, maxThink)
 }
 
 // splitDuration splits d into n positive gaps with random proportions.

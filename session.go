@@ -18,23 +18,7 @@ type SessionConfig struct {
 	// SelectionsOnly restricts manipulations to selection materializations
 	// (the paper's multi-user strategy).
 	SelectionsOnly bool
-	// Lookahead is the cost model's future-query depth (default 3).
-	Lookahead int
-	// AtGo is what Go does with the manipulations still in flight. The zero
-	// value, GoContinue, lets them run on and complete as if no Go had come;
-	// GoCancel cancels them (the paper's convention). Go never waits for one.
-	AtGo GoPolicy
 }
-
-// GoPolicy is what a Go does with the manipulations in flight
-// (SessionConfig.AtGo).
-type GoPolicy = core.GoPolicy
-
-// The GO policies: see SessionConfig.AtGo.
-const (
-	GoContinue = core.GoContinue
-	GoCancel   = core.GoCancel
-)
 
 // Session is the programmatic equivalent of the paper's visual query
 // interface: the caller edits a query part by part, think-time passes, and
@@ -80,10 +64,6 @@ func (db *DB) NewSessionContext(ctx context.Context, cfg SessionConfig) *Session
 func (db *DB) newSession(ctx context.Context, cfg SessionConfig, learner *core.Learner, prefix string, mgr *SessionManager, id int64) *Session {
 	c := core.DefaultConfig()
 	c.SelectionsOnly = cfg.SelectionsOnly
-	if cfg.Lookahead > 0 {
-		c.Lookahead = cfg.Lookahead
-	}
-	c.AtGo = cfg.AtGo
 	c.NamePrefix = prefix
 	c.Workers = db.specWorkers
 	c.Ledger = db.ledger
@@ -229,12 +209,11 @@ func (s *Session) Clear() error {
 	return s.apply(trace.Event{Kind: trace.EvClear})
 }
 
-// Go submits the final query: any incomplete manipulation runs on (or, as
-// SessionConfig.AtGo says, is canceled), the query is served from a
-// completed prediction (Options.PredictFinals; the Result then has no Plan)
-// or runs on the prepared database (completed materializations rewrite it),
-// and the user profile learns from the formulation. Go never moves the
-// session clock: think time alone does.
+// Go submits the final query: any incomplete manipulation runs on, the query
+// is served from a completed prediction (Options.PredictFinals; the Result
+// then has no Plan) or runs on the prepared database (completed
+// materializations rewrite it), and the user profile learns from the
+// formulation. Go never moves the session clock: think time alone does.
 func (s *Session) Go() (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

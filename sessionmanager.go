@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"specdb/internal/core"
+	"specdb/internal/engine"
 )
 
 // SessionManager opens and tracks concurrent sessions against one DB. All of
@@ -52,7 +53,7 @@ func (m *SessionManager) OpenContext(ctx context.Context, cfg SessionConfig) *Se
 	m.nextID++
 	id := m.nextID
 	m.mu.Unlock()
-	s := m.db.newSession(ctx, cfg, m.learner, fmt.Sprintf("spec_s%d", id), m, id)
+	s := m.db.newSession(ctx, cfg, m.learner, fmt.Sprintf("%s_s%d", engine.VolatilePrefix, id), m, id)
 	m.mu.Lock()
 	m.sessions[id] = s
 	m.mu.Unlock()
