@@ -102,6 +102,20 @@ func BenchmarkPredictReplay(b *testing.B) {
 	})
 }
 
+// BenchmarkSetup is cmd/bench's set-up, the setup_s of every replay
+// workload: harness.NewEnv at 100MB on the 46-page pool — generate and load
+// the six tables, ANALYZE each, build every index and histogram tpch.Load
+// prepares, cold-start the pool. One op is one environment; scripts/profile.sh
+// setup profiles it.
+func BenchmarkSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := harness.NewEnv(harness.EnvConfig{Scale: tpch.Scale100MB, Seed: benchData, BufferPoolPages: harness.PoolPages32MB}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // layerEnv is the 100MB dataset on a pool that holds all of it; the loader
 // builds the l_orderkey index the index-NL and B+-tree benchmarks probe.
 // Loaded once per process.

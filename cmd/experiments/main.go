@@ -297,7 +297,7 @@ func a3(traces []*trace.Trace, seed uint64) {
 }
 
 func a4(traces []*trace.Trace, seed uint64) {
-	header("A4  builds in flight at GO (100MB) — run on, cancel, or the paper's Section 7 wait")
+	header("A4  builds in flight at GO (100MB) — run on across GO, or cancel at GO")
 	res, err := harness.RunGoPolicyAblation("100MB", traces, seed)
 	if err != nil {
 		fatal(err)

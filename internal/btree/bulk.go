@@ -2,9 +2,13 @@ package btree
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
+	"specdb/internal/radix"
+	"specdb/internal/slab"
 	"specdb/internal/storage"
 )
 
@@ -23,7 +27,76 @@ func compareEntries(a, b Entry) int {
 }
 
 // SortEntries orders entries by (key, RID), the tree's internal order.
-func SortEntries(entries []Entry) { slices.SortFunc(entries, compareEntries) }
+//
+// Entries whose keys are all 8 bytes (tuple.EncodeKey of an int, date or
+// float) and that arrive in ascending RID order — CreateIndex's heap-scan
+// order — are sorted in linear time by their keys as integers: radix.Sort is
+// stable, so equal keys stay in RID order, which is (key, RID) order. Any
+// other input, string keys or RIDs out of order, is comparison-sorted.
+func SortEntries(entries []Entry) {
+	if len(entries) < 2 {
+		return
+	}
+	if !imageSortable(entries) {
+		slices.SortFunc(entries, compareEntries)
+		return
+	}
+	keys := slab.Uint64s.Take(len(entries))
+	perm := slab.Uint64s.Take(len(entries))
+	for i, e := range entries {
+		keys[i] = binary.BigEndian.Uint64(e.Key)
+		perm[i] = uint64(i)
+	}
+	radix.Sort(keys, perm)
+	permute(entries, perm)
+	slab.Uint64s.Give(keys)
+	slab.Uint64s.Give(perm)
+}
+
+// imageSortable reports whether every key is 8 bytes and the RIDs ascend.
+func imageSortable(entries []Entry) bool {
+	for i, e := range entries {
+		if len(e.Key) != 8 || i > 0 && compareRID(entries[i-1].RID, e.RID) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// permute rearranges entries in place so that entry i is the one that stood
+// at perm[i], following each cycle of the permutation once; perm is consumed
+// (every element ends equal to its index).
+func permute(entries []Entry, perm []uint64) {
+	for i := range entries {
+		if perm[i] == uint64(i) {
+			continue
+		}
+		held := entries[i]
+		j := i
+		for {
+			from := int(perm[j])
+			perm[j] = uint64(j)
+			if from == i {
+				entries[j] = held
+				break
+			}
+			entries[j] = entries[from]
+			j = from
+		}
+	}
+}
+
+// entryOrder is compareEntries with two 8-byte keys compared as the integers
+// they encode, which is the order their bytes compare in: BulkLoad's check.
+func entryOrder(a, b Entry) int {
+	if len(a.Key) != 8 || len(b.Key) != 8 {
+		return compareEntries(a, b)
+	}
+	if c := cmp.Compare(binary.BigEndian.Uint64(a.Key), binary.BigEndian.Uint64(b.Key)); c != 0 {
+		return c
+	}
+	return compareRID(a.RID, b.RID)
+}
 
 // BulkLoad builds the tree bottom-up from sorted entries (see SortEntries).
 // The tree must be empty. Bulk loading writes each page exactly once, unlike
@@ -42,7 +115,7 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 		return nil
 	}
 	for i := 1; i < len(entries); i++ {
-		if compareEntries(entries[i-1], entries[i]) > 0 {
+		if entryOrder(entries[i-1], entries[i]) > 0 {
 			return fmt.Errorf("btree: bulk load entries not sorted at %d", i)
 		}
 	}
@@ -61,8 +134,11 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 	// the page; its size is a running sum of nodeSize's own terms rather than
 	// nodeSize over the node per entry, so every split lands where it did.
 	var level []levelNode
-	var leaf node
-	leaf.leaf = true
+	// A leaf of 8-byte keys holds a fixed number of entries, so one
+	// allocation per slice holds any leaf instead of a doubling series per
+	// build; for keys of other widths the first key's size is a hint.
+	perLeaf := min(len(entries), (t.capacity-nodeHeaderSize)/entrySize(true, entries[0].Key))
+	leaf := node{leaf: true, keys: make([][]byte, 0, perLeaf), rids: make([]storage.RID, 0, perLeaf)}
 	size := nodeHeaderSize
 	flushLeaf := func() error {
 		id, buf, err := t.pool.New()

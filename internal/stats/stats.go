@@ -10,9 +10,12 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
+	"specdb/internal/radix"
+	"specdb/internal/slab"
 	"specdb/internal/tuple"
 )
 
@@ -141,45 +144,70 @@ type Histogram struct {
 
 // BuildHistogram constructs an equi-depth histogram with at most numBuckets
 // buckets from the given numeric values. Non-numeric values are rejected.
+//
+// The values are sorted as their order-preserving KeyBits images, in linear
+// time (radix.Sort) and in scratch from slab.Uint64s. Two floats other than
+// NaN and -0 are equal exactly when their images are, so this is the order
+// sort.Float64s gives bit for bit; a column holding a NaN or a -0, whose
+// placement among values that compare equal to it sort.Float64s leaves to its
+// algorithm, is sorted by sort.Float64s itself.
 func BuildHistogram(values []tuple.Value, numBuckets int) (*Histogram, error) {
 	if numBuckets <= 0 {
 		return nil, fmt.Errorf("stats: numBuckets must be positive, got %d", numBuckets)
 	}
-	xs := make([]float64, 0, len(values))
-	for _, v := range values {
+	h := &Histogram{Total: int64(len(values))}
+	if len(values) == 0 {
+		return h, nil
+	}
+	images := slab.Uint64s.Take(len(values))
+	defer slab.Uint64s.Give(images)
+	plain := true // no NaN and no -0
+	for i, v := range values {
 		if !v.IsNumeric() {
 			return nil, fmt.Errorf("stats: histogram over non-numeric kind %v", v.Kind)
 		}
-		xs = append(xs, v.AsFloat())
+		x := v.AsFloat()
+		plain = plain && x == x && (x != 0 || !math.Signbit(x))
+		images[i] = tuple.KeyBits(tuple.NewFloat(x))
 	}
-	sort.Float64s(xs)
-	h := &Histogram{Total: int64(len(xs))}
-	if len(xs) == 0 {
+	if plain {
+		radix.Sort(images, nil)
+		h.Buckets = equiDepth(len(images), numBuckets, func(i int) float64 { return tuple.FloatOfKeyBits(images[i]) })
 		return h, nil
 	}
-	depth := (len(xs) + numBuckets - 1) / numBuckets
-	for start := 0; start < len(xs); {
-		end := start + depth
-		if end > len(xs) {
-			end = len(xs)
-		}
+	xs := make([]float64, len(values))
+	for i, v := range values {
+		xs[i] = v.AsFloat()
+	}
+	sort.Float64s(xs)
+	h.Buckets = equiDepth(len(xs), numBuckets, func(i int) float64 { return xs[i] })
+	return h, nil
+}
+
+// equiDepth cuts n sorted values, the i-th of which is at(i), into at most
+// numBuckets buckets of about equal depth.
+func equiDepth(n, numBuckets int, at func(int) float64) []Bucket {
+	var buckets []Bucket
+	depth := (n + numBuckets - 1) / numBuckets
+	for start := 0; start < n; {
+		end := min(start+depth, n)
 		// Extend the bucket so equal values never straddle a boundary;
 		// otherwise equality estimates near boundaries double-count.
-		for end < len(xs) && xs[end] == xs[end-1] {
+		for end < n && at(end) == at(end-1) {
 			end++
 		}
-		b := Bucket{Lo: xs[start], Hi: xs[end-1], Count: int64(end - start)}
+		b := Bucket{Lo: at(start), Hi: at(end - 1), Count: int64(end - start)}
 		d := int64(1)
 		for i := start + 1; i < end; i++ {
-			if xs[i] != xs[i-1] {
+			if at(i) != at(i-1) {
 				d++
 			}
 		}
 		b.Distinct = d
-		h.Buckets = append(h.Buckets, b)
+		buckets = append(buckets, b)
 		start = end
 	}
-	return h, nil
+	return buckets
 }
 
 // Selectivity estimates the fraction of rows with "value op c".

@@ -3,6 +3,7 @@ package tpch
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -213,5 +214,35 @@ func TestIndexBuildsKeepTheirShape(t *testing.T) {
 	}
 	if !golden.Check(t, "testdata/index_shapes.golden", got.String()) {
 		t.Fatal("index shapes changed: re-record with -update only if a change to the index format is intended")
+	}
+}
+
+// TestHistogramsKeepTheirBuckets pins every histogram Load builds: per bucket
+// its bounds as IEEE bit patterns, so a signed zero or a NaN payload would
+// show, its row count and its distinct count. A histogram steers the planner's
+// estimates, so one bucket bound moved by a change to how the values are
+// sorted would move plan choices and every simulated output downstream.
+func TestHistogramsKeepTheirBuckets(t *testing.T) {
+	e := loadSmall(t)
+	var got strings.Builder
+	for _, name := range e.Catalog.TableNames() {
+		tb, err := e.Catalog.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range tb.Schema.Columns {
+			h := tb.ColumnStats(col.Name).Hist()
+			if h == nil {
+				continue
+			}
+			fmt.Fprintf(&got, "%s.%s total=%d buckets=%d\n", name, col.Name, h.Total, len(h.Buckets))
+			for _, b := range h.Buckets {
+				fmt.Fprintf(&got, "  lo=%016x hi=%016x count=%d distinct=%d\n",
+					math.Float64bits(b.Lo), math.Float64bits(b.Hi), b.Count, b.Distinct)
+			}
+		}
+	}
+	if !golden.Check(t, "testdata/histograms.golden", got.String()) {
+		t.Fatal("histogram buckets changed: re-record with -update only if a change to histogram construction is intended")
 	}
 }

@@ -3,6 +3,7 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Row codec: a compact, schema-driven binary format used by slotted pages.
@@ -264,4 +265,13 @@ func KeyBits(v Value) uint64 {
 		// fixed-width image.
 		panic("tuple: no 8-byte key image for kind " + v.Kind.String())
 	}
+}
+
+// FloatOfKeyBits is the float whose KeyBits image is u: the inverse of
+// KeyBits on floats.
+func FloatOfKeyBits(u uint64) float64 {
+	if u&(1<<63) != 0 {
+		return math.Float64frombits(u &^ (1 << 63)) // positive: sign flipped
+	}
+	return math.Float64frombits(^u) // negative: all flipped
 }

@@ -126,6 +126,31 @@ func TestDecodedStringOwnsItsBytes(t *testing.T) {
 	}
 }
 
+// TestFloatOfKeyBitsInvertsKeyBits: a float's key image maps back to the
+// same IEEE bits — both zeros, infinities, NaN payloads, subnormals — and
+// images keep the float order wherever Compare has one.
+func TestFloatOfKeyBitsInvertsKeyBits(t *testing.T) {
+	xs := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.1, -2.5e-300}
+	rng := sim.NewRand(64)
+	for range 1000 {
+		xs = append(xs, math.Float64frombits(rng.Uint64()))
+	}
+	for _, x := range xs {
+		if got := FloatOfKeyBits(KeyBits(NewFloat(x))); math.Float64bits(got) != math.Float64bits(x) {
+			t.Fatalf("FloatOfKeyBits(KeyBits(%x)) = %x", math.Float64bits(x), math.Float64bits(got))
+		}
+	}
+	for _, a := range xs {
+		for _, b := range xs[:15] {
+			if a < b && KeyBits(NewFloat(a)) >= KeyBits(NewFloat(b)) {
+				t.Fatalf("%v < %v but their images are %x, %x", a, b, KeyBits(NewFloat(a)), KeyBits(NewFloat(b)))
+			}
+		}
+	}
+}
+
 // TestCompareAgreesWithKeyOrder: Value.Compare, CmpOp.Eval, the byte order of
 // EncodeKey and the unsigned order of KeyBits are one order on int64 payloads
 // — an index scan and a scan-plus-filter of one predicate see the same rows.

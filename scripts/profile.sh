@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# profile.sh — CPU and allocation profiles of one replay of the 3-user corpus.
-# cmd/bench carries no profiling hook, so each replay workload of
-# BENCHMARK.json has a `go test -bench` twin in bench_layers_test.go (same
-# dataset, corpus 7, 46-page pool, cold start per trace):
+# profile.sh — CPU and allocation profiles of one replay of the 3-user corpus,
+# or of the set-up before it. cmd/bench carries no profiling hook, so each
+# replay workload of BENCHMARK.json has a `go test -bench` twin in
+# bench_layers_test.go (same dataset, corpus 7, 46-page pool, cold start per
+# trace), and so does the set-up every workload times as setup_s:
 #
 #   normal   BenchmarkNormalReplay   mirrors normal_replay: speculation off —
 #            plan, exec, tuple, buffer, storage; the GO path.
@@ -11,6 +12,9 @@
 #            engine.Materialize) beside the GOs.
 #   predict  BenchmarkPredictReplay  mirrors predict_replay: shared predictor,
 #            answer cache and learner, after one untimed training pass.
+#   setup    BenchmarkSetup          mirrors setup_s: harness.NewEnv at 100MB
+#            on the 46-page pool — load, ANALYZE, every index and histogram
+#            tpch.Load builds; one pass is one environment.
 #
 # concurrent_hot has no twin here; BenchmarkLayerRunQueryParallel is its
 # nearest `go test -bench` target.
@@ -19,13 +23,13 @@
 # profiles/ directory and prints the top of each. -memprofilerate=4096 samples
 # allocations finely enough to rank per-row sites.
 #
-# Usage: scripts/profile.sh [replay] [passes]   # replay: normal (default), spec, predict; passes default 10
+# Usage: scripts/profile.sh [replay] [passes]   # replay: normal (default), spec, predict, setup; passes default 10
 #        scripts/profile.sh 5                   # five passes of the normal replay
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 replay="normal"
-if [[ "${1:-}" =~ ^(normal|spec|predict)$ ]]; then
+if [[ "${1:-}" =~ ^(normal|spec|predict|setup)$ ]]; then
   replay="$1"
   shift
 fi
@@ -34,6 +38,7 @@ case "$replay" in
   normal) bench="BenchmarkNormalReplay" ;;
   spec) bench="BenchmarkSpecReplay" ;;
   predict) bench="BenchmarkPredictReplay" ;;
+  setup) bench="BenchmarkSetup" ;;
 esac
 out="profiles"
 mkdir -p "$out"
