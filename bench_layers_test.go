@@ -32,6 +32,28 @@ import (
 	"specdb/internal/tuple"
 )
 
+// The replays run the 3-user corpus of seed 7 on the 100MB data of seed 42:
+// BENCH_spec.json's corpus, and cmd/bench's.
+const (
+	benchUsers = 3
+	benchSeed  = 7
+	benchData  = 42
+)
+
+var benchTraces []*trace.Trace
+
+func corpus(b *testing.B) []*trace.Trace {
+	b.Helper()
+	if benchTraces == nil {
+		var err error
+		benchTraces, err = trace.GenerateCorpus(tpch.Vocabulary(), benchUsers, benchSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return benchTraces
+}
+
 // replayBench times passes of the 3-user corpus (corpus 7 of cmd/bench) on a
 // cold 32 MB-equivalent pool, after warm untimed ones: one op is every trace
 // through replayTrace once, and the metric is wall milliseconds per GO. The
@@ -163,25 +185,28 @@ func layerSetup(b *testing.B) *layerEnv {
 	return l
 }
 
-// passes starts the measured window of a layer benchmark, as b.ResetTimer
-// does, and returns the function that ends it, as b.StopTimer does. Beside
-// testing's allocs/op it reports the window's allocations undivided, as
-// "allocs": scripts/bench_gate.sh compares that total, because allocs/op is
-// the total divided by b.N and rounded down — one allocation more in ten
-// passes turns 4889 into 4890 and 488 allocs/op into 489.
-func passes(b *testing.B) (stop func()) {
+// passes runs pass(0) untimed, then pass(1) … pass(b.N) in the measured
+// window of a layer benchmark. The untimed pass leaves behind what a pass
+// makes once: the pool holding what it reads, and the per-P array of every
+// slab (internal/slab) it touches, which the runtime.GC testing runs before
+// each measured run empties. Beside testing's allocs/op it reports the
+// window's allocations undivided, as "allocs": scripts/bench_gate.sh
+// compares that total, because allocs/op is the total divided by b.N and
+// rounded down — one allocation more in ten passes turns 4889 into 4890 and
+// 488 allocs/op into 489.
+func passes(b *testing.B, pass func(i int)) {
+	pass(0)
 	var m runtime.MemStats
-	var start uint64
-	stop = func() { // made before the window opens: a closure is an allocation
-		b.StopTimer()
-		runtime.ReadMemStats(&m)
-		b.ReportMetric(float64(m.Mallocs-start), "allocs")
-	}
 	runtime.ReadMemStats(&m)
-	start = m.Mallocs
+	start := m.Mallocs
 	b.ReportAllocs()
 	b.ResetTimer()
-	return stop
+	for i := 1; i <= b.N; i++ {
+		pass(i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m)
+	b.ReportMetric(float64(m.Mallocs-start), "allocs")
 }
 
 // perRow reports the pass time divided by the rows one pass handles.
@@ -192,27 +217,23 @@ func perRow(b *testing.B, rows int) {
 func BenchmarkLayerDecodeRowInto(b *testing.B) {
 	l := layerSetup(b)
 	dst := make(tuple.Row, l.lineitem.Schema.Len())
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		for _, rec := range l.lineitemRecords {
 			if _, err := tuple.DecodeRowInto(dst, rec, l.lineitem.Schema); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 }
 
 func BenchmarkLayerSeqScan(b *testing.B) {
 	l := layerSetup(b)
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		if _, err := exec.Count(exec.NewSeqScan(l.ctx, l.lineitem, "")); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 }
 
@@ -222,14 +243,12 @@ func BenchmarkLayerFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		scan := exec.NewSeqScan(l.ctx, l.lineitem, "")
 		if _, err := exec.Count(exec.NewFilter(l.ctx, scan, []exec.Pred{pred})); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 }
 
@@ -242,22 +261,20 @@ func BenchmarkLayerScanFiltered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		if _, err := exec.Count(exec.NewSeqScan(l.ctx, l.lineitem, "").Where(pred)); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 }
 
-// ordersJoinLineitem is one orders ⋈ lineitem per pass, orders on the build
-// side. Operators are constructed before the timer starts: building a schema
-// allocates a map, whose cost depends on the Go version, and the gate
-// compares counts exactly.
+// ordersJoinLineitem is one orders ⋈ lineitem per pass and one for the
+// untimed pass, orders on the build side. Operators are constructed before
+// the timer starts: building a schema allocates a map, whose cost depends on
+// the Go version, and the gate compares counts exactly.
 func ordersJoinLineitem(b *testing.B, l *layerEnv) []*exec.HashJoin {
-	joins := make([]*exec.HashJoin, b.N)
+	joins := make([]*exec.HashJoin, b.N+1)
 	for i := range joins {
 		var err error
 		joins[i], err = exec.NewHashJoin(l.ctx, exec.NewSeqScan(l.ctx, l.orders, ""),
@@ -272,16 +289,15 @@ func ordersJoinLineitem(b *testing.B, l *layerEnv) []*exec.HashJoin {
 func BenchmarkLayerHashJoinBuild(b *testing.B) {
 	l := layerSetup(b)
 	joins := ordersJoinLineitem(b, l)
-	stop := passes(b)
-	for _, hj := range joins {
+	passes(b, func(i int) {
+		hj := joins[i]
 		if err := hj.Open(); err != nil {
 			b.Fatal(err)
 		}
 		if err := hj.Close(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.orderRows))
 }
 
@@ -293,8 +309,8 @@ func BenchmarkLayerHashJoinProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	stop := passes(b)
-	for _, hj := range joins {
+	passes(b, func(i int) {
+		hj := joins[i]
 		for {
 			_, ok, err := hj.Next()
 			if err != nil {
@@ -304,8 +320,7 @@ func BenchmarkLayerHashJoinProbe(b *testing.B) {
 				break
 			}
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 	for _, hj := range joins {
 		if err := hj.Close(); err != nil {
@@ -324,7 +339,7 @@ func BenchmarkLayerHashJoinProbeSelective(b *testing.B) {
 	for i := 0; i < len(l.orderRows); i += 4 {
 		quarter = append(quarter, l.orderRows[i])
 	}
-	joins := make([]*exec.HashJoin, b.N)
+	joins := make([]*exec.HashJoin, b.N+1)
 	for i := range joins {
 		var err error
 		joins[i], err = exec.NewHashJoin(l.ctx, exec.NewValuesScan(l.ctx, l.orders.Schema, quarter),
@@ -336,8 +351,8 @@ func BenchmarkLayerHashJoinProbeSelective(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	stop := passes(b)
-	for _, hj := range joins {
+	passes(b, func(i int) {
+		hj := joins[i]
 		for {
 			_, ok, err := hj.Next()
 			if err != nil {
@@ -347,8 +362,7 @@ func BenchmarkLayerHashJoinProbeSelective(b *testing.B) {
 				break
 			}
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 	for _, hj := range joins {
 		if err := hj.Close(); err != nil {
@@ -366,7 +380,7 @@ func BenchmarkLayerHashJoinResidual(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	joins := make([]*exec.HashJoin, b.N)
+	joins := make([]*exec.HashJoin, b.N+1)
 	for i := range joins {
 		joins[i], err = exec.NewHashJoin(l.ctx, exec.NewSeqScan(l.ctx, partsupp, ""), exec.NewSeqScan(l.ctx, l.lineitem, ""),
 			"ps_partkey", "l_partkey", exec.JoinEdge{LeftCol: "ps_suppkey", RightCol: "l_suppkey"})
@@ -374,20 +388,19 @@ func BenchmarkLayerHashJoinResidual(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	stop := passes(b)
-	for _, hj := range joins {
+	passes(b, func(i int) {
+		hj := joins[i]
 		if n, err := exec.Count(hj); err != nil || n == 0 {
 			b.Fatalf("%d rows, %v", n, err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 }
 
 func BenchmarkLayerIndexNLProbe(b *testing.B) {
 	l := layerSetup(b)
 	outer := l.orderRows[:2000]
-	joins := make([]*exec.IndexNLJoin, b.N)
+	joins := make([]*exec.IndexNLJoin, b.N+1)
 	for i := range joins {
 		var err error
 		joins[i], err = exec.NewIndexNLJoin(l.ctx, exec.NewValuesScan(l.ctx, l.orders.Schema, outer),
@@ -396,13 +409,12 @@ func BenchmarkLayerIndexNLProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	stop := passes(b)
-	for _, j := range joins {
+	passes(b, func(i int) {
+		j := joins[i]
 		if _, err := exec.Count(j); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(outer))
 }
 
@@ -413,15 +425,13 @@ func BenchmarkLayerBTreeLookup(b *testing.B) {
 		keys[i] = tuple.EncodeKey(nil, l.orderRows[i][0])
 	}
 	visit := func([]byte, storage.RID) error { return nil }
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		for _, k := range keys {
 			if err := l.byOrder.Tree.Scan(btree.Exact(k), btree.Exact(k), visit); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	stop()
+	})
 	perRow(b, len(keys))
 }
 
@@ -439,16 +449,14 @@ func BenchmarkLayerPoolMiss(b *testing.B) {
 		pool.Unpin(id, true)
 		ids[i] = id
 	}
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		for _, id := range ids {
 			if _, err := pool.Get(id); err != nil {
 				b.Fatal(err)
 			}
 			pool.Unpin(id, false)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(ids))
 }
 
@@ -479,13 +487,11 @@ func layerQuery(b *testing.B, l *layerEnv) *plan.Query {
 func BenchmarkLayerRunQuery(b *testing.B) {
 	l := layerSetup(b)
 	q := layerQuery(b, l)
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		if _, err := l.eng.RunQuery(q); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 }
 
 // BenchmarkLayerRunQueryParallel is the same statement from GOMAXPROCS
@@ -562,13 +568,11 @@ func BenchmarkLayerServedGo(b *testing.B) {
 			for i := 0; i < warmup; i++ {
 				served()
 			}
-			stop := passes(b)
-			for i := 0; i < b.N; i++ {
+			passes(b, func(int) {
 				served()
-			}
-			stop()
-			if got := sp.Stats().PredictedGos; got != warmup+b.N {
-				b.Fatalf("%d of %d GOs were served", got, warmup+b.N)
+			})
+			if got := sp.Stats().PredictedGos; got != warmup+1+b.N {
+				b.Fatalf("%d of %d GOs were served", got, warmup+1+b.N)
 			}
 		})
 	}
@@ -600,25 +604,20 @@ func BenchmarkLayerMaterialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	build() // the pool now holds whatever the build reads
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		build()
-	}
-	stop()
+	})
 }
 
 // BenchmarkLayerAnalyze is ANALYZE of lineitem: one heap scan feeding a
 // collector per column.
 func BenchmarkLayerAnalyze(b *testing.B) {
 	l := layerSetup(b)
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		if err := l.eng.Analyze("lineitem"); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 }
 
@@ -630,16 +629,14 @@ func BenchmarkLayerIndexBuild(b *testing.B) {
 	if err := l.eng.DropIndex("lineitem", "l_partkey"); err != nil {
 		b.Fatal(err)
 	}
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		if _, err := l.eng.CreateIndex("lineitem", "l_partkey"); err != nil {
 			b.Fatal(err)
 		}
 		if err := l.eng.DropIndex("lineitem", "l_partkey"); err != nil {
 			b.Fatal(err)
 		}
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 	if _, err := l.eng.CreateIndex("lineitem", "l_partkey"); err != nil {
 		b.Fatal(err)
@@ -659,11 +656,8 @@ func BenchmarkLayerHistogramBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	build() // the column's statistics exist from here on, as they do after ANALYZE
-	stop := passes(b)
-	for i := 0; i < b.N; i++ {
+	passes(b, func(int) {
 		build()
-	}
-	stop()
+	})
 	perRow(b, len(l.lineitemRecords))
 }

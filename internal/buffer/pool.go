@@ -9,9 +9,9 @@
 // The pool is lock-striped: frames are partitioned into N shards by a hash of
 // the page ID, and each shard owns its own mutex, frame table, LRU list, and
 // counters, so concurrent sessions touching disjoint pages never contend.
-// With one shard (the default, and the experiment-harness configuration) the
-// code path is exactly the historical single-mutex pool, so deterministic
-// baselines are unchanged by construction.
+// With one shard (the default, and the experiment-harness configuration) one
+// mutex guards every frame and eviction is one global LRU: the pool every
+// pinned experiment's numbers come from.
 package buffer
 
 import (
@@ -122,8 +122,8 @@ type shard struct {
 
 	// durable marks a WAL-backed disk underneath: every successful
 	// write-back is then also a log append, so it is counted separately and
-	// charged one extra page write. Off (the default) leaves the in-memory
-	// accounting byte-identical to history.
+	// charged one extra page write. Off (the default): a write-back on an
+	// in-memory disk appends no log and costs one page write.
 	durable bool
 
 	// Mirror counters in an observability registry (nil until AttachMetrics).
@@ -167,8 +167,8 @@ type frame struct {
 }
 
 // NewPool returns a single-shard pool of capacity frames over disk whose
-// default charge target is meter — the historical, fully serialized
-// configuration.
+// default charge target is meter: one mutex over every frame, the
+// configuration every pinned experiment runs.
 func NewPool(disk storage.Disk, capacity int, meter *sim.Meter) *Pool {
 	return NewShardedPool(disk, capacity, 1, meter)
 }
@@ -209,9 +209,8 @@ func NewShardedPool(disk storage.Disk, capacity, shards int, meter *sim.Meter) *
 }
 
 // shardFor routes page id to its lock stripe. The mix is a splitmix64-style
-// finalizer so sequential page IDs spread across shards; with one shard it
-// degenerates to shard 0 and the hash cost is the only difference from the
-// historical pool.
+// finalizer so sequential page IDs spread across shards; with one shard
+// every page goes to shard 0 without hashing.
 func (p *Pool) shardFor(id storage.PageID) *shard {
 	if len(p.shards) == 1 {
 		return p.shards[0]

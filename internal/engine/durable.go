@@ -26,7 +26,7 @@ import (
 )
 
 // StorageConfig selects and tunes the durable backend. The zero value keeps
-// the engine on the in-memory DiskManager, byte-identical to history.
+// the engine on the in-memory DiskManager, which logs nothing.
 type StorageConfig struct {
 	// Path is the page file location; "" means in-memory.
 	Path string

@@ -38,8 +38,9 @@ type Config struct {
 	// BufferPoolPages is the frame count of the buffer pool.
 	BufferPoolPages int
 	// PoolShards is the number of lock-striped buffer-pool shards. 0 or 1
-	// means a single shard (byte-identical to the historical single-mutex
-	// pool); higher values reduce lock contention for concurrent sessions.
+	// means a single shard (one mutex over every frame, the configuration
+	// every pinned experiment runs); higher values reduce lock contention
+	// for concurrent sessions.
 	PoolShards int
 	// UseViews lets the optimizer consider non-forced materialized views
 	// (query-materialization semantics). Forced views always apply.
@@ -135,7 +136,7 @@ type Engine struct {
 	dataVersions map[string]uint64
 
 	// Durable-mode state (see durable.go); all nil/zero on in-memory
-	// engines, whose behavior stays byte-identical to history.
+	// engines, which commit nothing.
 	fileDisk           *storage.FileDisk
 	durMu              sync.Mutex
 	appliedSeq         int64

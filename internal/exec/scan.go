@@ -34,8 +34,8 @@ type SeqScan struct {
 	gate   *KeyGate
 	live   tuple.ColSet
 	stored int // the returned record's length
-	// perRecord is what one stored record counts: the scanned tuple, and the
-	// input of the Filter the selections used to be.
+	// perRecord is what one stored record counts: the scanned tuple, and
+	// once more when fused selections test it, as a Filter would count it.
 	perRecord int64
 }
 

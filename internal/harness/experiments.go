@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"specdb/internal/core"
-	"specdb/internal/plan"
 	"specdb/internal/tpch"
 	"specdb/internal/trace"
 )
@@ -450,60 +449,25 @@ func replayMemoryResident(env *Env, traces []*trace.Trace) (normal, spec []Query
 	}
 	for i, tr := range traces {
 		// No ColdStart between traces: memory-resident means staying warm.
-		qs, err := replayWarmNormal(env, i, tr)
+		qs, err := replayNormal(env.Eng, []*trace.Trace{tr})
 		if err != nil {
 			return nil, nil, err
+		}
+		for j := range qs {
+			qs[j].TraceIdx = i
 		}
 		normal = append(normal, qs...)
 	}
 	for i, tr := range traces {
-		so, err := replayWarmSpeculative(env, i, tr)
+		cfg := core.DefaultConfig()
+		cfg.NamePrefix = fmt.Sprintf("specw_t%d", i)
+		so, err := replayTrace(env.Eng, i, tr, cfg, core.NewLearner(core.DefaultLearnerConfig()))
 		if err != nil {
 			return nil, nil, err
 		}
-		spec = append(spec, so...)
+		spec = append(spec, so.Timings...)
 	}
 	return normal, spec, nil
-}
-
-// replayWarmNormal runs each final query of tr, with its projections, on
-// env as it is.
-func replayWarmNormal(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error) {
-	queries, err := trace.ExtractQueries(tr)
-	if err != nil {
-		return nil, err
-	}
-	var out []QueryTiming
-	for _, q := range queries {
-		bound, err := plan.BindGraphProjections(env.Eng.Catalog, q.Graph, q.Projs)
-		if err != nil {
-			return nil, err
-		}
-		res, err := env.Eng.RunQuery(bound)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, QueryTiming{
-			TraceIdx: idx,
-			QueryIdx: q.Index,
-			Seconds:  res.Duration.Seconds(),
-			Rows:     res.RowCount,
-			RowsKey:  RowSetKey(res.Rows),
-		})
-	}
-	return out, nil
-}
-
-// replayWarmSpeculative is RunTraceSpeculative without the cold start.
-func replayWarmSpeculative(env *Env, idx int, tr *trace.Trace) ([]QueryTiming, error) {
-	cfg := core.DefaultConfig()
-	cfg.NamePrefix = fmt.Sprintf("specw_t%d", idx)
-	sp := core.NewSpeculator(env.Eng, core.NewLearner(core.DefaultLearnerConfig()), cfg)
-	out, err := replayOne(sp, idx, tr)
-	if err != nil {
-		return nil, err
-	}
-	return out, sp.Shutdown()
 }
 
 // LookaheadResult is the A3 ablation over the cost model's future-query

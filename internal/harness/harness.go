@@ -46,8 +46,8 @@ type EnvConfig struct {
 	Scale           tpch.Scale
 	Seed            uint64
 	BufferPoolPages int
-	// PoolShards is the buffer pool's lock-stripe count (0 or 1: single
-	// shard, the historical pool).
+	// PoolShards is the buffer pool's lock-stripe count (0 or 1: a single
+	// shard, which every pinned experiment runs).
 	PoolShards int
 	// PrematerializeViews builds the join of every connected subset of the
 	// relations (all attributes) as optional views — the paper's extreme
@@ -230,6 +230,11 @@ func RunTraceWithLearner(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg 
 	if err := eng.ColdStart(); err != nil {
 		return nil, err
 	}
+	return replayTrace(eng, traceIdx, tr, cfg, learner)
+}
+
+// replayTrace is RunTraceWithLearner on the pool as it is.
+func replayTrace(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Config, learner *core.Learner) (*SpecOutcome, error) {
 	sp := core.NewSpeculator(eng, learner, cfg)
 	timings, err := replayOne(sp, traceIdx, tr)
 	if err != nil {
@@ -468,6 +473,11 @@ func RunMultiUserNormal(eng *engine.Engine, traces []*trace.Trace) ([]QueryTimin
 	if err := eng.ColdStart(); err != nil {
 		return nil, err
 	}
+	return replayNormal(eng, traces)
+}
+
+// replayNormal is RunMultiUserNormal on the pool as it is.
+func replayNormal(eng *engine.Engine, traces []*trace.Trace) ([]QueryTiming, error) {
 	type item struct {
 		user int
 		q    trace.Query

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"specdb/internal/core"
@@ -42,7 +45,50 @@ type oraclePred struct {
 	c     tuple.Value
 }
 
+// oracleMemo holds the oracle's answers for the life of the test binary,
+// keyed by the query and, per relation it reads, the relation's schema and a
+// checksum of its stored records: the configurations of
+// TestOracleAgreesWithEngine load the same data and ask the same queries, and
+// an engine whose heaps differ from the one an answer was computed on misses.
+var (
+	oracleMu   sync.Mutex
+	oracleMemo = map[string][]tuple.Row{}
+	heapSeed   = maphash.MakeSeed()
+)
+
+// oracleEval is the oracle's answer to q on eng's base relations.
 func oracleEval(t testing.TB, eng *engine.Engine, q *plan.Query) []tuple.Row {
+	t.Helper()
+	key := fmt.Sprintf("%s|%q", q.Graph.Key(), q.Projections)
+	for _, rel := range q.Graph.Relations() {
+		tb, err := eng.Catalog.Table(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h maphash.Hash
+		h.SetSeed(heapSeed)
+		err = tb.Heap.Scan(func(_ storage.RID, rec []byte) error {
+			h.Write(binary.AppendUvarint(nil, uint64(len(rec))))
+			h.Write(rec)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key += fmt.Sprintf("|%s%v:%x", rel, tb.Schema.Columns, h.Sum64())
+	}
+	oracleMu.Lock()
+	defer oracleMu.Unlock()
+	if rows, ok := oracleMemo[key]; ok {
+		return rows
+	}
+	rows := oracleNestedLoops(t, eng, q)
+	oracleMemo[key] = rows
+	return rows
+}
+
+// oracleNestedLoops evaluates q by the nested loops described above.
+func oracleNestedLoops(t testing.TB, eng *engine.Engine, q *plan.Query) []tuple.Row {
 	t.Helper()
 	rels := q.Graph.Relations()
 	for i := 1; i < len(rels); i++ {

@@ -6,6 +6,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -306,5 +308,161 @@ func TestLockOrderManifestMatchesDesign(t *testing.T) {
 	}
 	if err := lint.CrossCheckManifest(design); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The citation forms TestDocReferencesResolve checks: a DESIGN.md section, a
+// DESIGN.md numbered item (§N.K, §N item K), a titled paragraph of a section
+// (§N, "Title"), and an EXPERIMENTS.md section by its ID. A bare §N is not
+// matched: it also names the paper's sections.
+var (
+	designSecRe   = regexp.MustCompile(`DESIGN\.md §(\d+)(?:\.(\d+))?`)
+	designItemRe  = regexp.MustCompile(`§(\d+),? items? (\d+)`)
+	designTitleRe = regexp.MustCompile(`§(\d+)(?:\.\d+)?,? "([^"]+)"`)
+	experimentRe  = regexp.MustCompile(`EXPERIMENTS\.md ([A-Z]\d+(?:\.\d+)?)\b`)
+	commentLeadRe = regexp.MustCompile(`^\s*(?://|#)?\s*`)
+)
+
+// designDoc is DESIGN.md cut at its "## N." headings: per section, the
+// numbers of its top-level numbered items and its text with lines joined.
+type designDoc struct {
+	items map[int]map[int]bool
+	text  map[int]string
+}
+
+func parseDesign(src string) designDoc {
+	d := designDoc{items: map[int]map[int]bool{}, text: map[int]string{}}
+	sec := 0
+	var lines []string
+	flush := func() {
+		if sec > 0 {
+			d.text[sec] = strings.Join(strings.Fields(strings.Join(lines, " ")), " ")
+		}
+		lines = nil
+	}
+	headRe := regexp.MustCompile(`^## (\d+)\. `)
+	itemRe := regexp.MustCompile(`^(\d+)\. `)
+	for _, line := range strings.Split(src, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			flush()
+			sec = 0
+			if m := headRe.FindStringSubmatch(line); m != nil {
+				sec, _ = strconv.Atoi(m[1])
+				d.items[sec] = map[int]bool{}
+			}
+			continue
+		}
+		if m := itemRe.FindStringSubmatch(line); m != nil && sec > 0 {
+			k, _ := strconv.Atoi(m[1])
+			d.items[sec][k] = true
+		}
+		lines = append(lines, line)
+	}
+	flush()
+	return d
+}
+
+// TestDocReferencesResolve holds every citation of a DESIGN.md section, item
+// or paragraph title and of an EXPERIMENTS.md section, in every Go, Markdown,
+// shell and workflow file of the module, to a heading, numbered item or bold
+// or italic paragraph lead that exists: a document shortened or renumbered
+// without its citations fails here. A citation a comment wraps across lines
+// is read joined. Section and ID citations hold in CHANGES.md too, since
+// headings and IDs stay put; paragraph titles there are not checked.
+func TestDocReferencesResolve(t *testing.T) {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	design := parseDesign(read("DESIGN.md"))
+	experiments := map[string]bool{}
+	for _, line := range strings.Split(read("EXPERIMENTS.md"), "\n") {
+		if heading, ok := strings.CutPrefix(line, "## "); ok {
+			if id, _, ok := strings.Cut(heading, " — "); ok {
+				experiments[id] = true
+			}
+		}
+	}
+	if len(design.text) < 16 || len(experiments) < 20 {
+		t.Fatalf("parsed %d DESIGN.md sections and %d EXPERIMENTS.md IDs; the heading formats changed", len(design.text), len(experiments))
+	}
+
+	checked := 0
+	err = filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := e.Name()
+		if e.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") && name != ".github" || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch filepath.Ext(name) {
+		case ".go", ".md", ".sh", ".yml":
+		default:
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		lines := strings.Split(string(b), "\n")
+		for i, l := range lines {
+			lines[i] = commentLeadRe.ReplaceAllString(l, "")
+		}
+		text := strings.Join(lines, " ")
+		rel, _ := filepath.Rel(root, path)
+		bad := func(cite, why string) { t.Errorf("%s: %q: %s", rel, cite, why) }
+		for _, m := range designSecRe.FindAllStringSubmatch(text, -1) {
+			checked++
+			n, _ := strconv.Atoi(m[1])
+			if _, ok := design.text[n]; !ok {
+				bad(m[0], "DESIGN.md has no such section")
+			} else if m[2] != "" {
+				if k, _ := strconv.Atoi(m[2]); !design.items[n][k] {
+					bad(m[0], "that DESIGN.md section has no such numbered item")
+				}
+			}
+		}
+		for _, m := range designItemRe.FindAllStringSubmatch(text, -1) {
+			checked++
+			n, _ := strconv.Atoi(m[1])
+			if k, _ := strconv.Atoi(m[2]); !design.items[n][k] {
+				bad(m[0], "DESIGN.md has no such numbered item")
+			}
+		}
+		for _, m := range designTitleRe.FindAllStringSubmatch(text, -1) {
+			if rel == "CHANGES.md" {
+				continue // the log quotes a paragraph's title as it read when that change landed
+			}
+			checked++
+			n, _ := strconv.Atoi(m[1])
+			sec, title := design.text[n], strings.Join(strings.Fields(m[2]), " ")
+			if !strings.Contains(sec, "**"+title+".**") && !strings.Contains(sec, "*"+title+".*") {
+				bad(m[0], "no paragraph of that DESIGN.md section leads with this title")
+			}
+		}
+		for _, m := range experimentRe.FindAllStringSubmatch(text, -1) {
+			checked++
+			if !experiments[m[1]] {
+				bad(m[0], "EXPERIMENTS.md has no such section")
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 100 {
+		t.Fatalf("checked only %d citations; the file walk or the citation forms broke", checked)
 	}
 }

@@ -47,14 +47,14 @@ type Options struct {
 	// paper's 32 MB pool at this repository's data scale).
 	BufferPoolPages int
 	// PoolShards is the number of lock-striped buffer-pool shards (default
-	// 1). With one shard the pool is byte-identical to the historical
-	// single-mutex pool; more shards reduce lock contention when many
+	// 1: one mutex over every frame, the configuration every pinned
+	// experiment runs); more shards reduce lock contention when many
 	// sessions run concurrently. The pool clamps the count so every shard
 	// keeps at least two frames.
 	PoolShards int
 	// SpecWorkers caps concurrently outstanding speculative manipulations
-	// per session (default 1, the paper's one-at-a-time convention, and
-	// byte-identical to historical behavior). Higher values let a session's
+	// per session (default 1, the paper's one-at-a-time convention, which
+	// every pinned experiment runs). Higher values let a session's
 	// speculator keep several manipulations in flight, each extra one
 	// admitted only while the buffer pool has headroom.
 	SpecWorkers int
@@ -74,8 +74,8 @@ type Options struct {
 	// jobs, and a GO matching a completed prediction is served the cached
 	// rows without executing. Completed answers live in a shared refcounted
 	// cache invalidated by base-table writes, so repeated replays of a
-	// workload get faster. Default false — prediction off is byte-identical
-	// to history.
+	// workload get faster. Default false: with prediction off a session
+	// runs only the paper's speculation.
 	PredictFinals bool
 	// Governor enables the engine-wide overload governor (DESIGN.md §13):
 	// pressure-band gating of new speculation, benefit-ranked load shedding,
@@ -93,8 +93,8 @@ type Options struct {
 	// fails a user query for an injected fault (see DESIGN.md §8).
 	Fault FaultConfig
 	// Storage selects the durable page-file backend (DESIGN.md §12). It is
-	// honored by OpenDurable; Open ignores it and stays in-memory, keeping
-	// existing callers byte-identical to history.
+	// honored by OpenDurable; Open ignores it and stays in-memory, where
+	// no commit writes a log.
 	Storage StorageConfig
 }
 
