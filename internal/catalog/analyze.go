@@ -13,7 +13,7 @@ import (
 // by a separate, costed manipulation). The scan goes through the buffer pool,
 // so analyzing charges real simulated I/O like any other statement.
 func Analyze(t *Table) error {
-	cols := make([]stats.Collector, t.Schema.Len())
+	cols := stats.ColumnCollectors(t.Schema)
 	defer func() {
 		for i := range cols {
 			cols[i].Release()

@@ -300,7 +300,7 @@ func sameRow(a, b tuple.Row) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Kind != b[i].Kind || !a[i].Equal(b[i]) {
+		if a[i].Kind() != b[i].Kind() || !a[i].Equal(b[i]) {
 			return false
 		}
 	}

@@ -146,7 +146,7 @@ func crashFingerprint(e *Engine) (string, error) {
 		fmt.Fprintf(&b, "probe %q rows=%d\n", q, res.RowCount)
 		for _, row := range res.Rows {
 			for _, v := range row {
-				fmt.Fprintf(&b, " %d:%v", v.Kind, v)
+				fmt.Fprintf(&b, " %d:%v", v.Kind(), v)
 			}
 			b.WriteByte('\n')
 		}

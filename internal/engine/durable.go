@@ -131,8 +131,8 @@ type metaRoot struct {
 // toMetaValue fills the one payload field v's kind names, keeping the JSON
 // shape (Str is "" for a non-string).
 func toMetaValue(v tuple.Value) metaValue {
-	m := metaValue{Kind: uint8(v.Kind), S: v.Str()}
-	switch v.Kind {
+	m := metaValue{Kind: uint8(v.Kind()), S: v.Str()}
+	switch v.Kind() {
 	case tuple.KindInt, tuple.KindDate:
 		m.I = v.Int()
 	case tuple.KindFloat:
@@ -152,7 +152,7 @@ func fromMetaValue(m metaValue) tuple.Value {
 	case tuple.KindString:
 		return tuple.NewString(m.S)
 	}
-	return tuple.Value{Kind: tuple.Kind(m.Kind)}
+	return tuple.Value{} // KindInvalid
 }
 
 func toMetaPages(ids []storage.PageID) []int64 {

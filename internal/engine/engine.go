@@ -604,7 +604,7 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 			// scan and no buffered copy of the view. The collectors' sets go
 			// back to their slab on every path; on success the table's stats
 			// have copied out their numbers first.
-			cols := make([]stats.Collector, table.Schema.Len())
+			cols := stats.ColumnCollectors(table.Schema)
 			defer func() {
 				for i := range cols {
 					cols[i].Release()
@@ -676,7 +676,7 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 			// none, has returned.
 			rows := int(t.RowCount())
 			entries := entrySlabs.Take(max(rows, 1))[:0]
-			keys := keyChunks{next: 8 * rows}
+			keys := keyChunks{next: 8 * rows, kind: t.Schema.Columns[ord].Kind}
 			defer func() {
 				entrySlabs.Give(entries)
 				keys.release()
@@ -716,14 +716,16 @@ var entrySlabs slab.Classes[btree.Entry]
 // a build allocates no key of its own. A key never moves once carved, so a
 // full chunk is kept until release and the next is taken twice as large.
 type keyChunks struct {
-	cur  []byte   // the chunk keys are carved from
-	full [][]byte // chunks with no room left
-	next int      // size of the next chunk to take
+	cur  []byte     // the chunk keys are carved from
+	full [][]byte   // chunks with no room left
+	next int        // size of the next chunk to take
+	kind tuple.Kind // the indexed column's, every key's
 }
 
-// encode appends v's key to the chunks and returns it, capacity clipped.
+// encode appends the key of v, of the chunks' kind, to the chunks and returns
+// it, capacity clipped.
 func (k *keyChunks) encode(v tuple.Value) []byte {
-	if n := tuple.KeySize(v); cap(k.cur)-len(k.cur) < n {
+	if n := tuple.KeySizeOf(k.kind, v); cap(k.cur)-len(k.cur) < n {
 		if k.cur != nil {
 			k.full = append(k.full, k.cur)
 		}
@@ -731,7 +733,7 @@ func (k *keyChunks) encode(v tuple.Value) []byte {
 		k.next = 2 * cap(k.cur)
 	}
 	start := len(k.cur)
-	k.cur = tuple.EncodeKey(k.cur, v)
+	k.cur = tuple.EncodeKeyOf(k.cur, k.kind, v)
 	return k.cur[start:len(k.cur):len(k.cur)]
 }
 
@@ -886,11 +888,29 @@ func (e *Engine) CreateTable(name string, schema *tuple.Schema) (*catalog.Table,
 // InsertRows bulk-inserts rows into a table (no per-statement measurement —
 // loading is setup, not workload).
 func (e *Engine) InsertRows(name string, rows []tuple.Row) error {
-	return e.mutate("InsertRows", name, changesData, func(t *catalog.Table) error {
+	return e.insert("InsertRows", name, len(rows), func(i int, _ tuple.Row) tuple.Row { return rows[i] })
+}
+
+// InsertGenerated is InsertRows for a generator: one statement inserting n
+// rows, row i written by fill(i, row) into one reused row, so a load keeps no
+// row of its own. fill runs inside the statement and must not call the
+// engine.
+func (e *Engine) InsertGenerated(name string, n int, fill func(i int, row tuple.Row)) error {
+	return e.insert("InsertGenerated", name, n, func(i int, row tuple.Row) tuple.Row {
+		fill(i, row)
+		return row
+	})
+}
+
+// insert is the statement of InsertRows and InsertGenerated: it encodes and
+// stores next(i, row) for i < n, row being a scratch row of the table's width.
+func (e *Engine) insert(op, name string, n int, next func(i int, row tuple.Row) tuple.Row) error {
+	return e.mutate(op, name, changesData, func(t *catalog.Table) error {
+		row := make(tuple.Row, t.Schema.Len())
 		var buf []byte
 		var err error
-		for _, r := range rows {
-			if buf, err = tuple.EncodeRow(buf[:0], t.Schema, r); err != nil {
+		for i := range n {
+			if buf, err = tuple.EncodeRow(buf[:0], t.Schema, next(i, row)); err != nil {
 				return err
 			}
 			if _, err := t.Heap.Insert(buf); err != nil {

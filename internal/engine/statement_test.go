@@ -64,7 +64,7 @@ func vanishedQuery(e *Engine) (*plan.Query, error) {
 
 func resultless(_ *Result, err error) error { return err }
 
-// boundaryOps enumerates the fifteen entry points of the statement boundary.
+// boundaryOps enumerates the sixteen entry points of the statement boundary.
 func boundaryOps() []boundaryOp {
 	query := func(run func(e *Engine, q *plan.Query) error) func(e *Engine, tb string) error {
 		return func(e *Engine, tb string) error {
@@ -140,6 +140,13 @@ func boundaryOps() []boundaryOp {
 				return e.InsertRows(tb, intRows(3, func(i int) (int64, int64) { return int64(i), 0 }))
 			},
 			fail: func(e *Engine, _ *plan.Query) error { return e.InsertRows("nope", nil) }},
+		{name: "InsertGenerated", commits: true, bumps: true,
+			run: func(e *Engine, tb string) error {
+				return e.InsertGenerated(tb, 3, func(i int, row tuple.Row) { row[0], row[1] = tuple.NewInt(int64(i)), tuple.NewInt(0) })
+			},
+			fail: func(e *Engine, _ *plan.Query) error {
+				return e.InsertGenerated("nope", 1, func(int, tuple.Row) {})
+			}},
 		{name: "Analyze", commits: true,
 			run:  func(e *Engine, tb string) error { return e.Analyze(tb) },
 			fail: func(e *Engine, _ *plan.Query) error { return e.Analyze("nope") }},

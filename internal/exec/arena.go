@@ -39,9 +39,9 @@ type rowArena struct {
 	block []tuple.Row // the header block rows cut, when recycled
 }
 
-// Chunks double from arenaMinChunk to arenaMaxChunk values (24 bytes each): a
-// three-row build side costs 6 KB, and the unused tail that an answer kept
-// in a cache drags along stays under 96 KB. The sizes are in values, not
+// Chunks double from arenaMinChunk to arenaMaxChunk values (16 bytes each): a
+// three-row build side costs 4 KB, and the unused tail that an answer kept
+// in a cache drags along stays under 64 KB. The sizes are in values, not
 // bytes, so the number of chunks a statement takes does not depend on what a
 // value costs.
 const (

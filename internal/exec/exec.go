@@ -107,9 +107,54 @@ type Pruner interface {
 
 // prune hands live to it, if it takes it.
 func prune(it Iterator, live tuple.ColSet) {
-	if p, ok := it.(Pruner); ok {
+	if p, ok := asPruner(it); ok {
 		p.Prune(live)
 	}
+}
+
+// asPruner is it.(Pruner), with the executor's own iterators named by a
+// switch on their types, which compares type words. An assertion to an
+// interface goes through the runtime's per-site type-assertion cache, which
+// it rebuilds — an allocation — on about one miss in 1,024, at random, so a
+// statement's allocation count would depend on the draw (scripts/bench_gate.sh
+// counts them). Other iterators are asserted.
+func asPruner(it Iterator) (Pruner, bool) {
+	switch p := it.(type) {
+	case *SeqScan:
+		return p, true
+	case *IndexScan:
+		return p, true
+	case *Filter:
+		return p, true
+	case *ColFilter:
+		return p, true
+	case *HashJoin:
+		return p, true
+	case *IndexNLJoin:
+		return p, true
+	case *CrossJoin:
+		return p, true
+	case *profiledIter:
+		return p, true
+	case *Project, *ValuesScan:
+		return nil, false
+	}
+	p, ok := it.(Pruner)
+	return p, ok
+}
+
+// asGated is it.(Gated), the executor's own iterators named as in asPruner.
+func asGated(it Iterator) (Gated, bool) {
+	switch p := it.(type) {
+	case *SeqScan:
+		return p, true
+	case *profiledIter:
+		return p, true
+	case *IndexScan, *Filter, *ColFilter, *HashJoin, *IndexNLJoin, *CrossJoin, *Project, *ValuesScan:
+		return nil, false
+	}
+	p, ok := it.(Gated)
+	return p, ok
 }
 
 // Drain runs an iterator to completion, invoking fn for each row, and always

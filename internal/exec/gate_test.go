@@ -209,7 +209,7 @@ func TestGatedStringKeyComparesTheString(t *testing.T) {
 	}
 	defer j.Close()
 	// Give "apple" the hash of "pear", in the slot "pear" hashes to.
-	k := keyImage(tuple.NewString("pear"))
+	k := keyImage(tuple.KindString, tuple.NewString("pear"))
 	j.table.keys[0] = k
 	clear(j.table.slots)
 	j.table.slots[(k*0x9E3779B97F4A7C15)>>j.table.shift] = 1
@@ -218,5 +218,22 @@ func TestGatedStringKeyComparesTheString(t *testing.T) {
 	}
 	if scan.gate == nil || scan.gate.match != 0 {
 		t.Fatal("the probe scan was not gated, or kept a match")
+	}
+}
+
+// TestAsPrunerAndAsGatedAgreeWithTheInterfaces: the type switches that stand
+// in for the assertions answer what the assertions answer, for every
+// iterator the executor defines.
+func TestAsPrunerAndAsGatedAgreeWithTheInterfaces(t *testing.T) {
+	for _, it := range []Iterator{(*SeqScan)(nil), (*IndexScan)(nil), (*ValuesScan)(nil), (*Filter)(nil),
+		(*ColFilter)(nil), (*Project)(nil), (*HashJoin)(nil), (*IndexNLJoin)(nil), (*CrossJoin)(nil), (*profiledIter)(nil)} {
+		_, isPruner := it.(Pruner)
+		_, isGated := it.(Gated)
+		if _, ok := asPruner(it); ok != isPruner {
+			t.Errorf("%T: asPruner says %v, the Pruner assertion %v", it, ok, isPruner)
+		}
+		if _, ok := asGated(it); ok != isGated {
+			t.Errorf("%T: asGated says %v, the Gated assertion %v", it, ok, isGated)
+		}
 	}
 }

@@ -82,7 +82,7 @@ type profiledIter struct {
 // bare one does. A record the scan then skips is a row it would have returned
 // without the test, and Next counts it as one.
 func (p *profiledIter) Gate(g *KeyGate) bool {
-	inner, ok := p.inner.(Gated)
+	inner, ok := asGated(p.inner)
 	if !ok || !inner.Gate(g) {
 		return false
 	}

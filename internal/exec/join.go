@@ -192,11 +192,11 @@ func (j *HashJoin) Open() error {
 		j.emptyBuild = true
 		return nil
 	}
-	if err := j.table.build(rows, j.keep.Rank(j.leftOrd)); err != nil {
+	if err := j.table.build(rows, j.keep.Rank(j.leftOrd), j.left.Schema().Columns[j.leftOrd].Kind); err != nil {
 		return err
 	}
 	j.gate = KeyGate{table: &j.table, ord: j.rightOrd}
-	g, ok := j.right.(Gated)
+	g, ok := asGated(j.right)
 	j.gated = ok && g.Gate(&j.gate)
 	return j.right.Open()
 }
@@ -332,7 +332,7 @@ func (j *HashJoin) StoredLen() int {
 // must be build order — answers are compared as multisets, but a materialized
 // view stores rows as emitted and later page counts depend on that order.
 //
-// A key is a 64-bit image of the join value: tuple.KeyBits for int, date and
+// A key is a 64-bit image of the join value: tuple.KeyBitsOf for int, date and
 // float columns, where equal images mean equal values, and a hash for string
 // columns, where the slot search also compares the strings. Everything is
 // sized once, after the build side has been drained and its row count is
@@ -341,15 +341,17 @@ func (j *HashJoin) StoredLen() int {
 type joinTable struct {
 	rows  []tuple.Row // build rows in build order
 	ord   int         // join column within a build row
+	kind  tuple.Kind  // the join column's kind, on both sides
 	keys  []uint64    // keys[i] is the key image of rows[i]
 	next  []int32     // next[i] refers to the following row with rows[i]'s key
 	slots []int32     // slots[p] refers to the first row of the key hashed to p
 	shift uint        // 64 − log2(len(slots))
 }
 
-func keyImage(v tuple.Value) uint64 {
-	if v.Kind != tuple.KindString {
-		return tuple.KeyBits(v)
+// keyImage is the key of v, a value of kind k.
+func keyImage(k tuple.Kind, v tuple.Value) uint64 {
+	if k != tuple.KindString {
+		return tuple.KeyBitsOf(k, v)
 	}
 	h := uint64(14695981039346656037) // FNV-1a
 	s := v.Str()
@@ -359,14 +361,14 @@ func keyImage(v tuple.Value) uint64 {
 	return h
 }
 
-// build indexes rows on column ord.
-func (t *joinTable) build(rows []tuple.Row, ord int) error {
+// build indexes rows on column ord, of kind k.
+func (t *joinTable) build(rows []tuple.Row, ord int, k tuple.Kind) error {
 	if len(rows) > math.MaxInt32 {
 		return fmt.Errorf("exec: hash join build side of %d rows exceeds the table's 2^31−1", len(rows))
 	}
 	size := 2 * len(rows) // load factor ≤ 1/2
 	logSize := uint(bits.Len(uint(size - 1)))
-	t.rows, t.ord = rows, ord
+	t.rows, t.ord, t.kind = rows, ord, k
 	t.keys = slab.Uint64s.Take(len(rows))
 	t.next = int32Slabs.Take(len(rows))
 	t.slots = int32Slabs.Take(1 << logSize)
@@ -376,9 +378,9 @@ func (t *joinTable) build(rows []tuple.Row, ord int) error {
 	// leaves every chain in build order.
 	for i := len(rows) - 1; i >= 0; i-- {
 		v := rows[i][ord]
-		k := keyImage(v)
-		t.keys[i] = k
-		p := t.slot(k, v)
+		img := keyImage(k, v)
+		t.keys[i] = img
+		p := t.slot(img, v)
 		t.next[i] = t.slots[p]
 		t.slots[p] = int32(i) + 1
 	}
@@ -403,7 +405,7 @@ func (t *joinTable) slot(k uint64, v tuple.Value) uint64 {
 		if head == 0 {
 			return p
 		}
-		if t.keys[head-1] == k && (v.Kind != tuple.KindString || t.rows[head-1][t.ord].Str() == v.Str()) {
+		if t.keys[head-1] == k && (t.kind != tuple.KindString || t.rows[head-1][t.ord].Str() == v.Str()) {
 			return p
 		}
 	}
@@ -411,7 +413,7 @@ func (t *joinTable) slot(k uint64, v tuple.Value) uint64 {
 
 // lookup returns a reference to the first build row matching v.
 func (t *joinTable) lookup(v tuple.Value) int32 {
-	return t.slots[t.slot(keyImage(v), v)]
+	return t.slots[t.slot(keyImage(t.kind, v), v)]
 }
 
 // IndexNLJoin drives the outer child and, for each outer row, probes an index
@@ -422,11 +424,12 @@ func (t *joinTable) lookup(v tuple.Value) int32 {
 // pass, their live columns decoded under their page pins into one reused
 // buffer, and every match is assembled in the one join-owned output row.
 type IndexNLJoin struct {
-	ctx      *Context
-	outer    Iterator
-	outerOrd int
-	inner    *catalog.Table
-	index    *catalog.Index
+	ctx       *Context
+	outer     Iterator
+	outerOrd  int
+	outerKind tuple.Kind // the outer join column's: every probe key's
+	inner     *catalog.Table
+	index     *catalog.Index
 	// innerPreds filter inner records (selections on the inner relation),
 	// compiled against the inner's stored schema.
 	innerPreds  []Pred
@@ -462,6 +465,7 @@ func NewIndexNLJoin(ctx *Context, outer Iterator, outerCol string, inner *catalo
 		ctx:         ctx,
 		outer:       outer,
 		outerOrd:    oo,
+		outerKind:   outer.Schema().Columns[oo].Kind,
 		inner:       inner,
 		index:       index,
 		innerPreds:  innerPreds,
@@ -523,7 +527,7 @@ func (j *IndexNLJoin) Next() (tuple.Row, bool, error) {
 			return nil, false, err
 		}
 		j.ctx.count(1)
-		j.keyBuf = tuple.EncodeKey(j.keyBuf[:0], row[j.outerOrd])
+		j.keyBuf = tuple.EncodeKeyOf(j.keyBuf[:0], j.outerKind, row[j.outerOrd])
 		j.pending, j.pos = j.pending[:0], 0
 		if err := j.index.Tree.ScanVia(j.ctx.Pool, btree.Exact(j.keyBuf), btree.Exact(j.keyBuf), j.visit); err != nil {
 			return nil, false, err

@@ -67,7 +67,7 @@ func durableFingerprint(t *testing.T, eng *engine.Engine) string {
 		fmt.Fprintf(&b, "%q rows=%d\n", q, res.RowCount)
 		for _, row := range res.Rows {
 			for _, v := range row {
-				fmt.Fprintf(&b, " %d:%v", v.Kind, v)
+				fmt.Fprintf(&b, " %d:%v", v.Kind(), v)
 			}
 			b.WriteByte('\n')
 		}

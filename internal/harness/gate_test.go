@@ -47,7 +47,7 @@ func orderedKey(rows []tuple.Row) uint64 {
 	for _, r := range rows {
 		fmt.Fprintf(h, "%d:", len(r))
 		for _, v := range r {
-			fmt.Fprintf(h, "%d%s|", v.Kind, v)
+			fmt.Fprintf(h, "%d%s|", v.Kind(), v)
 		}
 	}
 	return h.Sum64()

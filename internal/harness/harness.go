@@ -167,8 +167,9 @@ func RowSetKey(rows []tuple.Row) uint64 {
 	for _, r := range rows {
 		h := fnv.New64a()
 		for _, v := range r {
-			h.Write([]byte{byte(v.Kind)})
-			switch v.Kind {
+			k := v.Kind()
+			h.Write([]byte{byte(k)})
+			switch k {
 			case tuple.KindFloat:
 				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
 				h.Write(buf[:])

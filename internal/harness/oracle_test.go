@@ -192,7 +192,7 @@ func multiset(rows []tuple.Row) map[string]int {
 	for _, r := range rows {
 		b.Reset()
 		for _, v := range r {
-			fmt.Fprintf(&b, "%d:%s|", v.Kind, v)
+			fmt.Fprintf(&b, "%d:%s|", v.Kind(), v)
 		}
 		m[b.String()]++
 	}

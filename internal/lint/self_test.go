@@ -106,6 +106,7 @@ func TestTestOnlyAPIPinned(t *testing.T) {
 		"(*specdb/internal/engine.Engine).DataVersion":       unseen,   // core hands it to AnswerCache.Get
 		"(*specdb/internal/engine.Engine).DropIndex":         seam,     // the crash matrix and BenchmarkLayerIndexBuild reset with it
 		"(*specdb/internal/engine.Engine).DropHistogram":     seam,     // TestStatementBoundary and BenchmarkLayerHistogramBuild reset with it
+		"(*specdb/internal/engine.Engine).InsertRows":        seam,     // tests and the layer benchmarks load literal rows; tpch loads through InsertGenerated
 		"(*specdb/internal/fault.Breaker).State":             accessor, // TestBreakerStateMachine
 		"(*specdb/internal/fault.Crash).Dead":                accessor, // TestCrashMatrixRecoversIdentically
 		"(*specdb/internal/fault.Crash).Writes":              accessor, // TestCrashMatrixRecoversIdentically

@@ -102,7 +102,7 @@ func Bind(cat *catalog.Catalog, stmt *sql.SelectStmt) (*Query, error) {
 			continue
 		}
 		c := *cond.RightConst
-		if err := checkComparable(lkind, c.Kind); err != nil {
+		if err := checkComparable(lkind, c.Kind()); err != nil {
 			return nil, fmt.Errorf("plan: selection %s: %w", cond, err)
 		}
 		g.AddSelection(qgraph.Selection{Rel: lrel, Col: lcol, Op: cond.Op, Const: c})
@@ -144,7 +144,7 @@ func BindGraph(cat *catalog.Catalog, g *qgraph.Graph) (*Query, error) {
 		if ord < 0 {
 			return nil, fmt.Errorf("plan: relation %q has no column %q", s.Rel, s.Col)
 		}
-		if err := checkComparable(tables[s.Rel].Schema.Columns[ord].Kind, s.Const.Kind); err != nil {
+		if err := checkComparable(tables[s.Rel].Schema.Columns[ord].Kind, s.Const.Kind()); err != nil {
 			return nil, fmt.Errorf("plan: selection %s: %w", s, err)
 		}
 	}

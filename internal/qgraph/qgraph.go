@@ -30,7 +30,7 @@ type Selection struct {
 
 // Key is a canonical identity for the selection, usable as a map key.
 func (s Selection) Key() string {
-	return fmt.Sprintf("σ|%s|%s|%s|%d|%s", s.Rel, s.Col, s.Op, s.Const.Kind, s.Const.String())
+	return fmt.Sprintf("σ|%s|%s|%s|%d|%s", s.Rel, s.Col, s.Op, s.Const.Kind(), s.Const.String())
 }
 
 // String renders the selection as SQL text.

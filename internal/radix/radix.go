@@ -1,4 +1,4 @@
-// Package radix sorts 64-bit key images — tuple.KeyBits's order-preserving
+// Package radix sorts 64-bit key images — tuple.KeyBitsOf's order-preserving
 // integers — in linear time. Set-up sorts every indexed column and every
 // histogram column once (DESIGN.md §15, "What a set-up costs"), and a
 // comparison sort over byte slices or floats was the larger part of it.

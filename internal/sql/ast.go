@@ -51,7 +51,7 @@ func (c Condition) String() string {
 // so it re-parses as a float; everything else uses the value's own rendering
 // (date(N) is a literal form the parser recognizes).
 func renderConst(v tuple.Value) string {
-	switch v.Kind {
+	switch v.Kind() {
 	case tuple.KindString:
 		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	case tuple.KindFloat:

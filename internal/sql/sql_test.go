@@ -85,10 +85,10 @@ func TestParseConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := stmt.Where
-	if w[0].RightConst.Kind != tuple.KindInt || w[0].RightConst.Int() != -5 {
+	if w[0].RightConst.Kind() != tuple.KindInt || w[0].RightConst.Int() != -5 {
 		t.Fatalf("int const %v", w[0].RightConst)
 	}
-	if w[1].RightConst.Kind != tuple.KindFloat || w[1].RightConst.Float() != 2.75 {
+	if w[1].RightConst.Kind() != tuple.KindFloat || w[1].RightConst.Float() != 2.75 {
 		t.Fatalf("float const %v", w[1].RightConst)
 	}
 	if w[2].RightConst.Str() != "it's" {

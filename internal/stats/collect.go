@@ -11,7 +11,7 @@ import (
 // feed every selectivity estimate, so every plan and every pinned simulated
 // output depends on them to the last unit.
 //
-// Distinct counts key images: tuple.KeyBits for int, date and float values
+// Distinct counts key images: tuple.KeyBitsOf for int, date and float values
 // (the 8-byte tuple.EncodeKey image as an integer, so two values count once
 // exactly when their index keys are equal) and the string itself for strings.
 // Min and Max are Value.Compare's choice, the first seen among values that
@@ -23,23 +23,44 @@ import (
 // once Stats has copied out the numbers, so a build's statistics pass leaves
 // nothing behind for the collector and the next build's sets cost no
 // allocation.
+//
+// A collector from ColumnCollectors knows its column's kind from the schema
+// and asks no value for its own (DESIGN.md §15, "What a value costs"), so
+// only values of that kind may be added to it, as a row the schema encodes or
+// decodes holds. The zero collector asks each value, so its values may mix
+// numeric kinds; it then leaves the bounds to Compare alone.
 type Collector struct {
 	count    int64
+	kind     tuple.Kind // the column's; KindInvalid asks each value
 	min, max tuple.Value
 	bits     bitsSet
 	strs     map[string]struct{}
 }
 
+// ColumnCollectors returns an empty collector for each column of s, each of
+// its column's kind.
+func ColumnCollectors(s *tuple.Schema) []Collector {
+	cols := make([]Collector, s.Len())
+	for i, c := range s.Columns {
+		cols[i].kind = c.Kind
+	}
+	return cols
+}
+
 // Add feeds the next value of the column.
 func (c *Collector) Add(v tuple.Value) {
+	k := c.kind
+	if k == tuple.KindInvalid {
+		k = v.Kind()
+	}
 	c.count++
-	if v.Kind == tuple.KindString {
+	if k == tuple.KindString {
 		if c.strs == nil {
 			c.strs = make(map[string]struct{})
 		}
 		c.strs[v.Str()] = struct{}{}
 	} else {
-		c.bits.add(tuple.KeyBits(v))
+		c.bits.add(tuple.KeyBitsOf(k, v))
 	}
 	if c.count == 1 {
 		c.min, c.max = v, v
@@ -61,12 +82,10 @@ func (c *Collector) Add(v tuple.Value) {
 // that cannot (Add then asks Compare), never true for one that can: within one
 // kind, v ≥ min in the kind's own order implies Compare(v, min) ≥ 0 — it is
 // the order Compare uses, and a float NaN fails both tests here and so goes
-// to Compare — and likewise for max.
+// to Compare — and likewise for max. v and both bounds are of the column's
+// kind; a collector that does not know it says false.
 func (c *Collector) inRange(v tuple.Value) bool {
-	if v.Kind != c.min.Kind || v.Kind != c.max.Kind {
-		return false
-	}
-	switch v.Kind {
+	switch c.kind {
 	case tuple.KindInt, tuple.KindDate:
 		return v.Int() >= c.min.Int() && v.Int() <= c.max.Int()
 	case tuple.KindFloat:
@@ -90,12 +109,12 @@ func (c *Collector) Stats() *ColumnStats {
 	return cs
 }
 
-// Release gives the set's table back and empties the collector, which may
-// then be reused. Call it once Stats has been read: nothing else refers to
-// the table, because Stats copies numbers out of it.
+// Release gives the set's table back and empties the collector, which keeps
+// its kind and may then be reused. Call it once Stats has been read: nothing
+// else refers to the table, because Stats copies numbers out of it.
 func (c *Collector) Release() {
 	slab.Uint64s.Give(c.bits.slots)
-	*c = Collector{}
+	*c = Collector{kind: c.kind}
 }
 
 // CollectColumnStats computes Count/Distinct/Min/Max from a column's values.
@@ -114,7 +133,7 @@ func CollectColumnStats(values []tuple.Value) *ColumnStats {
 // bitsSet is an exact set of 64-bit key images: open addressing with linear
 // probing over a power-of-two table kept at most half full, doubling as it
 // fills, so n adds take O(log n) tables and nothing per value. A zero slot
-// is an empty slot, so the zero image — a legitimate one, tuple.KeyBits of
+// is an empty slot, so the zero image — a legitimate one, tuple.KeyBitsOf of
 // math.MinInt64 — is remembered beside the table instead of in it; and a
 // table taken from the slab is cleared before use, since it holds its last
 // owner's images.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +44,20 @@ func requireExact(t *testing.T, name string, values []tuple.Value) {
 	want, got := SummaryOf(referenceColumnStats(values)), SummaryOf(CollectColumnStats(values))
 	if !want.Same(got) {
 		t.Fatalf("%s (%d values): want %+v, got %+v", name, len(values), want, got)
+	}
+	// A column's collector, which takes the kind from the schema instead of
+	// from each value, when the values share one.
+	if len(values) == 0 || slices.ContainsFunc(values, func(v tuple.Value) bool { return v.Kind() != values[0].Kind() }) {
+		return
+	}
+	c := ColumnCollectors(tuple.NewSchema(tuple.Column{Name: "c", Kind: values[0].Kind()}))[0]
+	for _, v := range values {
+		c.Add(v)
+	}
+	got = SummaryOf(c.Stats())
+	c.Release()
+	if !want.Same(got) {
+		t.Fatalf("%s (%d values), column collector: want %+v, got %+v", name, len(values), want, got)
 	}
 }
 
@@ -174,7 +189,7 @@ func TestCollectorFirstSeenAmongCompareEquals(t *testing.T) {
 // TestCollectorZeroImage: the set's empty-slot marker is the zero word, and
 // zero is also the key image of math.MinInt64.
 func TestCollectorZeroImage(t *testing.T) {
-	if tuple.KeyBits(tuple.NewInt(math.MinInt64)) != 0 {
+	if tuple.KeyBitsOf(tuple.KindInt, tuple.NewInt(math.MinInt64)) != 0 {
 		t.Fatal("MinInt64 no longer has the all-zero key image; pick the value that does")
 	}
 	for _, values := range [][]tuple.Value{

@@ -34,10 +34,10 @@ func (a Summary) Same(b Summary) bool {
 // Compare-equal: the same kind and the same payload, floats bit for bit (NaN
 // is itself, +0.0 is not -0.0).
 func identical(a, b tuple.Value) bool {
-	if a.Kind != b.Kind {
+	if a.Kind() != b.Kind() {
 		return false
 	}
-	switch a.Kind {
+	switch a.Kind() {
 	case tuple.KindFloat:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case tuple.KindString:

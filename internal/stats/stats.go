@@ -145,7 +145,7 @@ type Histogram struct {
 // BuildHistogram constructs an equi-depth histogram with at most numBuckets
 // buckets from the given numeric values. Non-numeric values are rejected.
 //
-// The values are sorted as their order-preserving KeyBits images, in linear
+// The values are sorted as their order-preserving KeyBitsOf images, in linear
 // time (radix.Sort) and in scratch from slab.Uint64s. Two floats other than
 // NaN and -0 are equal exactly when their images are, so this is the order
 // sort.Float64s gives bit for bit; a column holding a NaN or a -0, whose
@@ -164,11 +164,11 @@ func BuildHistogram(values []tuple.Value, numBuckets int) (*Histogram, error) {
 	plain := true // no NaN and no -0
 	for i, v := range values {
 		if !v.IsNumeric() {
-			return nil, fmt.Errorf("stats: histogram over non-numeric kind %v", v.Kind)
+			return nil, fmt.Errorf("stats: histogram over non-numeric kind %v", v.Kind())
 		}
 		x := v.AsFloat()
 		plain = plain && x == x && (x != 0 || !math.Signbit(x))
-		images[i] = tuple.KeyBits(tuple.NewFloat(x))
+		images[i] = tuple.KeyBitsOf(tuple.KindFloat, tuple.NewFloat(x))
 	}
 	if plain {
 		radix.Sort(images, nil)

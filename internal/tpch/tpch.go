@@ -271,95 +271,71 @@ func Load(e *engine.Engine, scale Scale, seed uint64) error {
 
 func loadSupplier(e *engine.Engine, s Scale, r *sim.Rand) error {
 	zNation := sim.NewZipf(r, len(nations), 1.1)
-	rows := make([]tuple.Row, s.Supplier)
-	for i := range rows {
-		rows[i] = tuple.Row{
-			tuple.NewInt(int64(i + 1)),
-			tuple.NewString(fmt.Sprintf("Supplier#%05d", i+1)),
-			tuple.NewString(nations[zNation.Next()]),
-			tuple.NewFloat(skewedFloat(r, -900, 10000, 2)),
-		}
-	}
-	return e.InsertRows("supplier", rows)
+	return e.InsertGenerated("supplier", s.Supplier, func(i int, row tuple.Row) {
+		row[0] = tuple.NewInt(int64(i + 1))
+		row[1] = tuple.NewString(fmt.Sprintf("Supplier#%05d", i+1))
+		row[2] = tuple.NewString(nations[zNation.Next()])
+		row[3] = tuple.NewFloat(skewedFloat(r, -900, 10000, 2))
+	})
 }
 
 func loadPart(e *engine.Engine, s Scale, r *sim.Rand) error {
 	zSize := sim.NewZipf(r, 50, 1.0)
 	zBrand := sim.NewZipf(r, len(brands), 0.9)
-	rows := make([]tuple.Row, s.Part)
-	for i := range rows {
-		rows[i] = tuple.Row{
-			tuple.NewInt(int64(i + 1)),
-			tuple.NewString(fmt.Sprintf("Part#%06d", i+1)),
-			tuple.NewString(brands[zBrand.Next()]),
-			tuple.NewInt(int64(zSize.Next() + 1)),
-			tuple.NewFloat(skewedFloat(r, 900, 2100, 1.5)),
-		}
-	}
-	return e.InsertRows("part", rows)
+	return e.InsertGenerated("part", s.Part, func(i int, row tuple.Row) {
+		row[0] = tuple.NewInt(int64(i + 1))
+		row[1] = tuple.NewString(fmt.Sprintf("Part#%06d", i+1))
+		row[2] = tuple.NewString(brands[zBrand.Next()])
+		row[3] = tuple.NewInt(int64(zSize.Next() + 1))
+		row[4] = tuple.NewFloat(skewedFloat(r, 900, 2100, 1.5))
+	})
 }
 
 func loadPartSupp(e *engine.Engine, s Scale, r *sim.Rand) error {
-	rows := make([]tuple.Row, s.PartSupp)
-	for i := range rows {
-		rows[i] = tuple.Row{
-			tuple.NewInt(r.Int63n(int64(s.Part)) + 1),
-			tuple.NewInt(r.Int63n(int64(s.Supplier)) + 1),
-			tuple.NewInt(r.Int63n(10000) + 1),
-			tuple.NewFloat(skewedFloat(r, 1, 1000, 2)),
-		}
-	}
-	return e.InsertRows("partsupp", rows)
+	return e.InsertGenerated("partsupp", s.PartSupp, func(_ int, row tuple.Row) {
+		row[0] = tuple.NewInt(r.Int63n(int64(s.Part)) + 1)
+		row[1] = tuple.NewInt(r.Int63n(int64(s.Supplier)) + 1)
+		row[2] = tuple.NewInt(r.Int63n(10000) + 1)
+		row[3] = tuple.NewFloat(skewedFloat(r, 1, 1000, 2))
+	})
 }
 
 func loadCustomer(e *engine.Engine, s Scale, r *sim.Rand) error {
 	zNation := sim.NewZipf(r, len(nations), 1.1)
 	zSeg := sim.NewZipf(r, len(segments), 0.8)
-	rows := make([]tuple.Row, s.Customer)
-	for i := range rows {
-		rows[i] = tuple.Row{
-			tuple.NewInt(int64(i + 1)),
-			tuple.NewString(fmt.Sprintf("Customer#%06d", i+1)),
-			tuple.NewString(nations[zNation.Next()]),
-			tuple.NewString(segments[zSeg.Next()]),
-			tuple.NewFloat(skewedFloat(r, -900, 10000, 2)),
-		}
-	}
-	return e.InsertRows("customer", rows)
+	return e.InsertGenerated("customer", s.Customer, func(i int, row tuple.Row) {
+		row[0] = tuple.NewInt(int64(i + 1))
+		row[1] = tuple.NewString(fmt.Sprintf("Customer#%06d", i+1))
+		row[2] = tuple.NewString(nations[zNation.Next()])
+		row[3] = tuple.NewString(segments[zSeg.Next()])
+		row[4] = tuple.NewFloat(skewedFloat(r, -900, 10000, 2))
+	})
 }
 
 func loadOrders(e *engine.Engine, s Scale, r *sim.Rand) error {
 	zPrio := sim.NewZipf(r, 5, 1.3)
-	rows := make([]tuple.Row, s.Orders)
-	for i := range rows {
-		rows[i] = tuple.Row{
-			tuple.NewInt(int64(i + 1)),
-			tuple.NewInt(r.Int63n(int64(s.Customer)) + 1),
-			tuple.NewFloat(skewedFloat(r, 1000, 400000, 2.5)),
-			tuple.NewDate(8035 + r.Int63n(2556)), // 1992..1998
-			tuple.NewInt(int64(zPrio.Next() + 1)),
-		}
-	}
-	return e.InsertRows("orders", rows)
+	return e.InsertGenerated("orders", s.Orders, func(i int, row tuple.Row) {
+		row[0] = tuple.NewInt(int64(i + 1))
+		row[1] = tuple.NewInt(r.Int63n(int64(s.Customer)) + 1)
+		row[2] = tuple.NewFloat(skewedFloat(r, 1000, 400000, 2.5))
+		row[3] = tuple.NewDate(8035 + r.Int63n(2556)) // 1992..1998
+		row[4] = tuple.NewInt(int64(zPrio.Next() + 1))
+	})
 }
 
 func loadLineItem(e *engine.Engine, s Scale, r *sim.Rand) error {
 	zQty := sim.NewZipf(r, 50, 1.0)
-	rows := make([]tuple.Row, s.LineItem)
-	for i := range rows {
+	return e.InsertGenerated("lineitem", s.LineItem, func(_ int, row tuple.Row) {
 		qty := int64(zQty.Next() + 1)
 		price := skewedFloat(r, 900, 2100, 1.5) * float64(qty)
-		rows[i] = tuple.Row{
-			tuple.NewInt(r.Int63n(int64(s.Orders)) + 1),
-			tuple.NewInt(r.Int63n(int64(s.Part)) + 1),
-			tuple.NewInt(r.Int63n(int64(s.Supplier)) + 1),
-			tuple.NewInt(qty),
-			tuple.NewFloat(price),
-			tuple.NewFloat(float64(r.Intn(11)) / 100),
-			tuple.NewDate(8035 + r.Int63n(2678)),
-		}
-	}
-	return e.InsertRows("lineitem", rows)
+		row[0] = tuple.NewInt(r.Int63n(int64(s.Orders)) + 1)
+		row[1] = tuple.NewInt(r.Int63n(int64(s.Part)) + 1)
+		row[2] = tuple.NewInt(r.Int63n(int64(s.Supplier)) + 1)
+		row[3] = tuple.NewInt(qty)
+		row[4] = tuple.NewFloat(price)
+		row[5] = tuple.NewFloat(float64(r.Intn(11)) / 100)
+		row[6] = tuple.NewDate(8035 + r.Int63n(2678))
+	})
 }
 
 // skewedFloat draws a right-skewed value in [min, max]: mass concentrates

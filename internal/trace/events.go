@@ -57,7 +57,7 @@ func (v ValueJSON) ToValue() (tuple.Value, error) {
 
 // FromValue encodes a tuple.Value.
 func FromValue(v tuple.Value) ValueJSON {
-	switch v.Kind {
+	switch v.Kind() {
 	case tuple.KindInt:
 		return ValueJSON{Kind: "int", I: v.Int()}
 	case tuple.KindFloat:

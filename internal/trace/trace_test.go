@@ -43,7 +43,7 @@ func TestValueRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Kind != v.Kind || !got.Equal(v) {
+		if got.Kind() != v.Kind() || !got.Equal(v) {
 			t.Fatalf("round trip %v -> %v", v, got)
 		}
 	}

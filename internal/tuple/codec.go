@@ -18,19 +18,20 @@ func EncodeRow(dst []byte, s *Schema, r Row) ([]byte, error) {
 		return nil, s.Validate(r)
 	}
 	for i, v := range r {
-		if v.Kind != s.kinds[i] {
+		k := s.kinds[i]
+		if !v.Is(k) {
 			return nil, s.Validate(r) // names the column
 		}
-		switch v.Kind {
+		switch k {
 		case KindInt, KindDate:
 			dst = binary.AppendVarint(dst, v.Int())
 		case KindFloat:
 			dst = binary.BigEndian.AppendUint64(dst, v.word)
 		case KindString:
 			dst = binary.AppendUvarint(dst, v.word)
-			dst = append(dst, v.Str()...)
+			dst = append(dst, v.str()...)
 		default:
-			return nil, fmt.Errorf("tuple: cannot encode kind %v", v.Kind)
+			return nil, fmt.Errorf("tuple: cannot encode kind %v", k)
 		}
 	}
 	return dst, nil
@@ -77,7 +78,7 @@ func DecodeLive(dst Row, buf []byte, s *Schema, live ColSet, ords []int) (int, e
 			if len(buf)-off < 8 {
 				return 0, truncated("float", s, i)
 			}
-			put(dst, ords, i, Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])})
+			put(dst, ords, i, numeric(KindFloat, binary.BigEndian.Uint64(buf[off:])))
 			off += 8
 			continue
 		case KindInt, KindDate, KindString:
@@ -102,7 +103,7 @@ func DecodeLive(dst Row, buf []byte, s *Schema, live ColSet, ords []int) (int, e
 			off += n
 		}
 		if k != KindString {
-			put(dst, ords, i, Value{Kind: k, word: ux>>1 ^ -(ux & 1)}) // zig-zag
+			put(dst, ords, i, numeric(k, ux>>1^-(ux&1))) // zig-zag
 			continue
 		}
 		if uint64(len(buf)-off) < ux {
@@ -146,7 +147,7 @@ func DecodeColumn(buf []byte, s *Schema, ord int) (Value, int, error) {
 			}
 			off += 8
 			if i == ord {
-				return Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off-8:])}, off, nil
+				return numeric(KindFloat, binary.BigEndian.Uint64(buf[off-8:])), off, nil
 			}
 			continue
 		case KindInt, KindDate, KindString:
@@ -170,7 +171,7 @@ func DecodeColumn(buf []byte, s *Schema, ord int) (Value, int, error) {
 		}
 		if k != KindString {
 			if i == ord {
-				return Value{Kind: k, word: ux>>1 ^ -(ux & 1)}, off, nil
+				return numeric(k, ux>>1^-(ux&1)), off, nil
 			}
 			continue
 		}
@@ -205,8 +206,8 @@ func truncatedVarint(s *Schema, i int) error {
 func EncodedSize(s *Schema, r Row) int {
 	size := 0
 	var scratch [binary.MaxVarintLen64]byte
-	for _, v := range r {
-		switch v.Kind {
+	for i, v := range r {
+		switch s.kinds[i] {
 		case KindInt, KindDate:
 			size += binary.PutVarint(scratch[:], v.Int())
 		case KindFloat:
@@ -225,33 +226,39 @@ func EncodedSize(s *Schema, r Row) int {
 // Ints/dates: offset-binary (flip sign bit) big-endian 8 bytes.
 // Floats: IEEE bits with sign-aware flipping.
 // Strings: raw bytes (memcmp order equals lexical order for UTF-8).
-func EncodeKey(dst []byte, v Value) []byte {
-	switch v.Kind {
+func EncodeKey(dst []byte, v Value) []byte { return EncodeKeyOf(dst, v.Kind(), v) }
+
+// EncodeKeyOf is EncodeKey of a value of kind k, the kind of its column.
+func EncodeKeyOf(dst []byte, k Kind, v Value) []byte {
+	switch k {
 	case KindInt, KindDate, KindFloat:
-		return binary.BigEndian.AppendUint64(dst, KeyBits(v))
+		return binary.BigEndian.AppendUint64(dst, KeyBitsOf(k, v))
 	case KindString:
-		return append(dst, v.Str()...)
+		return append(dst, v.str()...)
 	default:
 		// Programmer invariant: index keys are typed by the catalog, and
 		// every kind the catalog can produce is handled above.
-		panic("tuple: cannot key-encode kind " + v.Kind.String())
+		panic("tuple: cannot key-encode kind " + k.String())
 	}
 }
 
-// KeySize is the number of bytes EncodeKey appends for v.
-func KeySize(v Value) int {
-	if v.Kind == KindString {
+// KeySizeOf is the number of bytes EncodeKeyOf appends for v of kind k.
+func KeySizeOf(k Kind, v Value) int {
+	if k == KindString {
 		return int(v.word)
 	}
 	return 8
 }
 
-// KeyBits is the 8-byte EncodeKey image of an int, date or float value as an
-// integer: unsigned comparison of two images matches Value.Compare, and two
-// values of one kind have equal images exactly when their encodings are
-// equal, which is what lets the hash join key on it.
-func KeyBits(v Value) uint64 {
-	switch v.Kind {
+// KeyBitsOf is the 8-byte EncodeKey image of an int, date or float value v of
+// kind k as an integer: unsigned comparison of two images matches
+// Value.Compare, and two values of one kind have equal images exactly when
+// their encodings are equal, which is what lets the hash join key on it. k is
+// the kind of v's column: a loop over a column's values takes it from the
+// schema once instead of asking each value (DESIGN.md §15, "What a value
+// costs").
+func KeyBitsOf(k Kind, v Value) uint64 {
+	switch k {
 	case KindInt, KindDate:
 		return v.word ^ (1 << 63)
 	case KindFloat:
@@ -263,12 +270,12 @@ func KeyBits(v Value) uint64 {
 	default:
 		// invariant: callers select on the column kind first; strings have no
 		// fixed-width image.
-		panic("tuple: no 8-byte key image for kind " + v.Kind.String())
+		panic("tuple: no 8-byte key image for kind " + k.String())
 	}
 }
 
-// FloatOfKeyBits is the float whose KeyBits image is u: the inverse of
-// KeyBits on floats.
+// FloatOfKeyBits is the float whose KeyBitsOf image is u: the inverse of
+// KeyBitsOf on floats.
 func FloatOfKeyBits(u uint64) float64 {
 	if u&(1<<63) != 0 {
 		return math.Float64frombits(u &^ (1 << 63)) // positive: sign flipped

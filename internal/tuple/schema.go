@@ -113,9 +113,9 @@ func (s *Schema) Validate(r Row) error {
 		return fmt.Errorf("tuple: row arity %d, schema arity %d", len(r), s.Len())
 	}
 	for i, v := range r {
-		if v.Kind != s.kinds[i] {
+		if !v.Is(s.kinds[i]) {
 			return fmt.Errorf("tuple: column %q wants %v, row has %v",
-				s.Columns[i].Name, s.kinds[i], v.Kind)
+				s.Columns[i].Name, s.kinds[i], v.Kind())
 		}
 	}
 	return nil

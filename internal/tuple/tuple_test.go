@@ -155,7 +155,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			t.Fatalf("consumed %d of %d bytes", n, len(buf))
 		}
 		for i := range r {
-			if got[i].Kind != r[i].Kind || !got[i].Equal(r[i]) {
+			if got[i].Kind() != r[i].Kind() || !got[i].Equal(r[i]) {
 				t.Fatalf("round-trip mismatch at %d: %v vs %v", i, got[i], r[i])
 			}
 		}
@@ -277,12 +277,12 @@ func decodeRowIntoReference(dst Row, buf []byte, s *Schema) (int, error) {
 				return 0, fmt.Errorf("tuple: truncated varint in column %q", c.Name)
 			}
 			off += n
-			dst[i] = Value{Kind: c.Kind, word: uint64(v)}
+			dst[i] = numeric(c.Kind, uint64(v))
 		case KindFloat:
 			if len(buf[off:]) < 8 {
 				return 0, fmt.Errorf("tuple: truncated float in column %q", c.Name)
 			}
-			dst[i] = Value{Kind: KindFloat, word: binary.BigEndian.Uint64(buf[off:])}
+			dst[i] = numeric(KindFloat, binary.BigEndian.Uint64(buf[off:]))
 			off += 8
 		case KindString:
 			l, n := binary.Uvarint(buf[off:])
@@ -358,6 +358,17 @@ func edgeRecords(t testing.TB) (records [][]byte, schemas []*Schema) {
 	return records, schemas
 }
 
+// emptyLastString is a record of wideSchema whose last column is the empty
+// string: a value with no bytes of its own, ending the record.
+func emptyLastString(t testing.TB) []byte {
+	t.Helper()
+	buf, err := EncodeRow(nil, wideSchema(), Row{NewString("t"), NewInt(1), NewDate(2), NewFloat(3), NewString("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
 // cuts are the lengths a reference test decodes a record at: all of them but
 // those inside a long string, where nothing new happens.
 func cuts(buf []byte) []int {
@@ -372,7 +383,7 @@ func cuts(buf []byte) []int {
 
 // sameValue compares two values by kind and payload, floats by their bits.
 func sameValue(a, b Value) bool {
-	return a.Kind == b.Kind && a.word == b.word && a.Str() == b.Str()
+	return a.Kind() == b.Kind() && a.word == b.word && a.Str() == b.Str()
 }
 
 // sameError reports whether two errors are both nil or have the same text.
@@ -462,6 +473,7 @@ func FuzzDecodeColumn(f *testing.F) {
 		wide := schemas[r].Len() == wideSchema().Len()
 		f.Add(buf, uint8(r), wide)
 	}
+	f.Add(emptyLastString(f), uint8(4), true)
 	narrow, wide := testSchema(), wideSchema()
 	f.Fuzz(func(t *testing.T, buf []byte, ord uint8, useWide bool) {
 		s := narrow
@@ -490,6 +502,11 @@ func FuzzDecodeColumn(f *testing.F) {
 		}
 		if cerr != nil || !sameValue(v, row[o]) {
 			t.Fatalf("DecodeColumn(%d) = (%v, %v) where DecodeRowInto decoded %v", o, v, cerr, row[o])
+		}
+		for c := range row {
+			if row[c].Kind() != s.Columns[c].Kind {
+				t.Fatalf("DecodeRowInto column %d is a %v, the schema's a %v", c, row[c].Kind(), s.Columns[c].Kind)
+			}
 		}
 	})
 }
@@ -531,6 +548,8 @@ func FuzzDecodeLive(f *testing.F) {
 		wide := schemas[r].Len() == wideSchema().Len()
 		f.Add(buf, uint8(r), uint16(r*7919), wide)
 	}
+	f.Add(emptyLastString(f), uint8(0x1f), uint16(0), true)
+	f.Add(emptyLastString(f), uint8(0x10), uint16(0), true)
 	narrow, wide := testSchema(), wideSchema()
 	f.Fuzz(func(t *testing.T, buf []byte, mask uint8, order uint16, useWide bool) {
 		s := narrow
@@ -581,6 +600,9 @@ func FuzzDecodeLive(f *testing.F) {
 		for p, o := range ords {
 			if !sameValue(proj[p], want[o]) {
 				t.Fatalf("live %b, ords %v: place %d holds %v, reference column %d %v", live, ords, p, proj[p], o, want[o])
+			}
+			if proj[p].Kind() != s.Columns[o].Kind {
+				t.Fatalf("live %b, ords %v: place %d is a %v, column %d a %v", live, ords, p, proj[p].Kind(), o, s.Columns[o].Kind)
 			}
 		}
 	})

@@ -43,10 +43,13 @@ func (k Kind) String() string {
 
 // Value is a scalar: a compact tagged union rather than an interface, so rows
 // are allocation-light — hot join/filter paths copy, hash and compare millions
-// of these. It is 24 bytes (DESIGN.md §15, "What a value costs"): the kind,
-// one payload word — the int64 or date, the float64's bits, or the string's
-// length — and one pointer to the string's bytes. Only the kind says how to
-// read the payload, so it is private behind Int, Float and Str.
+// of these. It is 16 bytes (DESIGN.md §15, "What a value costs"): one payload
+// word — the int64 or date, the float64's bits, or the string's length — and
+// one pointer, which carries the kind. A string's ptr points at its bytes;
+// every other kind's ptr, and an empty string's, points at that kind's byte
+// in kindTags; the zero Value's is nil and its kind KindInvalid. Only the
+// kind says how to read the payload, so it is private behind Int, Float and
+// Str.
 //
 // The zero-size func array makes a Value non-comparable: on a pointer payload
 // == would ask "same bytes in memory", so it does not compile; Equal and
@@ -55,20 +58,54 @@ func (k Kind) String() string {
 // "different" — it would follow a *byte and compare one byte.
 type Value struct {
 	_    [0]func()
-	Kind Kind
 	word uint64
 	ptr  unsafe.Pointer
 }
 
+// kindTags holds one byte per kind; a non-string value points at its kind's.
+// It is a package variable, outside the heap: the collector ignores pointers
+// to it, and no string's bytes can lie inside it, so a pointer into it is a
+// kind and any other non-nil pointer is string bytes.
+var kindTags [KindDate + 1]byte
+
+// tag is the ptr of a value of kind k that carries no string bytes.
+func tag(k Kind) unsafe.Pointer { return unsafe.Pointer(&kindTags[k]) }
+
+// Kind is the value's type. A loop over the values of one column takes the
+// column's kind from its schema instead, once (DESIGN.md §15, "What a value
+// costs").
+func (v Value) Kind() Kind {
+	if d := uintptr(v.ptr) - uintptr(tag(KindInvalid)); d < uintptr(len(kindTags)) {
+		return Kind(d)
+	}
+	if v.ptr == nil {
+		return KindInvalid
+	}
+	return KindString
+}
+
+// Is reports whether v is of kind k: for a number one comparison, where Kind
+// takes two.
+func (v Value) Is(k Kind) bool {
+	switch k {
+	case KindInt, KindFloat, KindDate:
+		return v.ptr == tag(k)
+	}
+	return v.Kind() == k
+}
+
 // NewInt wraps an int64.
-func NewInt(v int64) Value { return Value{Kind: KindInt, word: uint64(v)} }
+func NewInt(v int64) Value { return Value{word: uint64(v), ptr: tag(KindInt)} }
 
 // NewFloat wraps a float64.
-func NewFloat(v float64) Value { return Value{Kind: KindFloat, word: math.Float64bits(v)} }
+func NewFloat(v float64) Value { return Value{word: math.Float64bits(v), ptr: tag(KindFloat)} }
 
 // NewString wraps a string. The value shares the string's bytes.
 func NewString(v string) Value {
-	return Value{Kind: KindString, word: uint64(len(v)), ptr: unsafe.Pointer(unsafe.StringData(v))}
+	if len(v) == 0 {
+		return Value{ptr: tag(KindString)}
+	}
+	return Value{word: uint64(len(v)), ptr: unsafe.Pointer(unsafe.StringData(v))}
 }
 
 // aliasString wraps b as a string value without copying it: the value reads
@@ -76,13 +113,16 @@ func NewString(v string) Value {
 // such values out for a test or a lookup that drops them.
 func aliasString(b []byte) Value {
 	if len(b) == 0 {
-		return Value{Kind: KindString}
+		return Value{ptr: tag(KindString)}
 	}
-	return Value{Kind: KindString, word: uint64(len(b)), ptr: unsafe.Pointer(unsafe.SliceData(b))}
+	return Value{word: uint64(len(b)), ptr: unsafe.Pointer(unsafe.SliceData(b))}
 }
 
 // NewDate wraps a day count since 1970-01-01.
-func NewDate(days int64) Value { return Value{Kind: KindDate, word: uint64(days)} }
+func NewDate(days int64) Value { return Value{word: uint64(days), ptr: tag(KindDate)} }
+
+// numeric is a value of kind k (not a string) with payload word w.
+func numeric(k Kind, w uint64) Value { return Value{word: w, ptr: tag(k)} }
 
 // Int is the payload of a KindInt or KindDate value. Like Float it reads the
 // payload word without looking at the kind: callers have switched on it.
@@ -94,20 +134,24 @@ func (v Value) Float() float64 { return math.Float64frombits(v.word) }
 // Str is the payload of a KindString value, and "" for every other kind —
 // the one accessor that must check, because there the word is not a length.
 func (v Value) Str() string {
-	if v.Kind != KindString {
+	if v.Kind() != KindString {
 		return ""
 	}
-	return unsafe.String((*byte)(v.ptr), int(v.word))
+	return v.str()
 }
+
+// str is the payload of a value known to be a string.
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.word)) }
 
 // IsNumeric reports whether the value participates in numeric comparison.
 func (v Value) IsNumeric() bool {
-	return v.Kind == KindInt || v.Kind == KindFloat || v.Kind == KindDate
+	k := v.Kind()
+	return k == KindInt || k == KindFloat || k == KindDate
 }
 
 // AsFloat converts a numeric value to float64 for mixed-type comparison.
 func (v Value) AsFloat() float64 {
-	if v.Kind == KindFloat {
+	if v.ptr == tag(KindFloat) {
 		return v.Float()
 	}
 	return float64(v.Int())
@@ -115,33 +159,33 @@ func (v Value) AsFloat() float64 {
 
 // Compare orders v against o: −1, 0, +1. Numeric kinds compare numerically
 // across int/float/date; strings compare lexically. Two int64 payloads (ints,
-// dates) compare as int64, the order EncodeKey and KeyBits give them; only a
+// dates) compare as int64, the order EncodeKey and KeyBitsOf give them; only a
 // pair with a float in it goes through float64, which cannot tell 2⁵³ from
 // 2⁵³+1. Comparing a string with a numeric value panics — the planner
 // type-checks predicates before execution, so reaching that case is an
 // engine bug.
 func (v Value) Compare(o Value) int {
-	if v.IsNumeric() && o.IsNumeric() {
-		if v.Kind != KindFloat && o.Kind != KindFloat {
-			return cmp.Compare(v.Int(), o.Int())
-		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+	vk, ok := v.Kind(), o.Kind()
+	switch {
+	case (vk == KindInt || vk == KindDate) && (ok == KindInt || ok == KindDate):
+		return cmp.Compare(v.Int(), o.Int())
+	case vk == KindString && ok == KindString:
+		return strings.Compare(v.str(), o.str())
+	case !v.IsNumeric() || !o.IsNumeric():
+		// Programmer invariant: the planner type-checks every comparison
+		// (plan.BindGraph rejects incomparable kinds) before execution, so an
+		// incomparable pair here means a plan bypassed binding.
+		panic(fmt.Sprintf("tuple: incomparable kinds %v and %v", vk, ok))
 	}
-	if v.Kind == KindString && o.Kind == KindString {
-		return strings.Compare(v.Str(), o.Str())
+	a, b := v.AsFloat(), o.AsFloat()
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
 	}
-	// Programmer invariant: the planner type-checks every comparison
-	// (plan.BindGraph rejects incomparable kinds) before execution, so an
-	// incomparable pair here means a plan bypassed binding.
-	panic(fmt.Sprintf("tuple: incomparable kinds %v and %v", v.Kind, o.Kind))
 }
 
 // Equal reports whether v and o compare equal.
@@ -149,7 +193,7 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
 // String renders the value for display and EXPLAIN output.
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt:
 		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:

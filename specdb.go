@@ -220,7 +220,7 @@ func wrapResult(r *engine.Result) *Result {
 	for _, row := range r.Rows {
 		vals := make([]any, len(row))
 		for i, v := range row {
-			switch v.Kind {
+			switch v.Kind() {
 			case tuple.KindInt, tuple.KindDate:
 				vals[i] = v.Int()
 			case tuple.KindFloat:
