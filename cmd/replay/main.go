@@ -1,7 +1,7 @@
 // Command replay replays one recorded trace against a freshly loaded
 // dataset, once under normal processing and once under speculative
-// processing, and prints the per-query comparison — the paper's
-// methodology (Section 4.1) for a single trace.
+// processing (specdb.DB.ReplayTrace), and prints the per-query comparison —
+// the paper's methodology (Section 4.1) for a single trace.
 //
 // Usage:
 //
@@ -13,10 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"specdb/internal/core"
-	"specdb/internal/harness"
-	"specdb/internal/tpch"
-	"specdb/internal/trace"
+	"specdb"
 )
 
 func main() {
@@ -32,44 +29,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tr, err := trace.Decode(data)
-	if err != nil {
+	db := specdb.Open(specdb.Options{})
+	fmt.Fprintf(os.Stderr, "loading %s dataset...\n", *scale)
+	if err := db.LoadTPCH(*scale, *seed); err != nil {
 		fatal(err)
 	}
-	sc, err := tpch.ScaleByName(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "loading %s dataset...\n", sc.Name)
-	env, err := harness.NewEnv(harness.EnvConfig{Scale: sc, Seed: *seed})
-	if err != nil {
-		fatal(err)
-	}
-
-	normal, err := harness.RunTraceNormal(env.Eng, 0, tr)
-	if err != nil {
-		fatal(err)
-	}
-	spec, err := harness.RunTraceSpeculative(env.Eng, 0, tr, core.DefaultConfig())
+	sum, err := db.ReplayTrace(data)
 	if err != nil {
 		fatal(err)
 	}
 
 	fmt.Printf("%-5s %10s %10s %9s\n", "query", "normal(s)", "spec(s)", "improve%")
-	var nTotal, sTotal float64
-	for i := range normal {
-		n, s := normal[i].Seconds, spec.Timings[i].Seconds
-		nTotal += n
-		sTotal += s
+	for i, q := range sum.PerQuery { // normal, speculative seconds
 		imp := 0.0
-		if n > 0 {
-			imp = (1 - s/n) * 100
+		if q[0] > 0 {
+			imp = (1 - q[1]/q[0]) * 100
 		}
-		fmt.Printf("q%-4d %10.2f %10.2f %8.1f%%\n", i, n, s, imp)
+		fmt.Printf("q%-4d %10.2f %10.2f %8.1f%%\n", i, q[0], q[1], imp)
 	}
 	fmt.Printf("\ntotal: normal %.1fs, speculative %.1fs, improvement %.1f%%\n",
-		nTotal, sTotal, (1-sTotal/nTotal)*100)
-	st := spec.Stats
+		sum.NormalSeconds, sum.SpeculativeSeconds, sum.ImprovementPct)
+	st := sum.Stats
 	fmt.Printf("manipulations: issued %d, completed %d, canceled (invalidated %d, at GO %d), ran on across GO %d, GC'd %d\n",
 		st.Issued, st.Completed, st.CanceledInvalidated, st.CanceledAtGo, st.ContinuedAtGo, st.GarbageCollected)
 	if st.MaterializationsIssued > 0 {

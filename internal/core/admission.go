@@ -278,7 +278,8 @@ func (sp *Speculator) isKnown(m Manipulation) bool {
 
 // execute runs the manipulation, whose ledger entry is key, eagerly, hides
 // its side effects until completion, and returns the not-yet-started job. The
-// build's duration is contended by every job in flight but its own.
+// entry records the job's span and page-I/O time, which other sessions' GOs
+// wait behind (Speculator.deviceWait); the build itself is never stretched.
 func (sp *Speculator) execute(m Manipulation, key AssetKey, now sim.Time) (*Job, error) {
 	job := &Job{Manip: m, IssuedAt: now, asset: key}
 	var res *engine.Result
@@ -336,7 +337,6 @@ func (sp *Speculator) execute(m Manipulation, key AssetKey, now sim.Time) (*Job,
 	default:
 		return nil, fmt.Errorf("core: cannot issue %v", m)
 	}
-	res.Duration = sp.contended(res.Duration, key)
 	switch m.Kind {
 	case ManipMaterialize:
 		sp.stats.MaterializationsIssued++
@@ -345,6 +345,7 @@ func (sp *Speculator) execute(m Manipulation, key AssetKey, now sim.Time) (*Job,
 		job.predCost = res.Duration
 	}
 	job.CompletesAt = now.Add(res.Duration)
+	sp.cfg.Ledger.Run(key, sp.holder, now, job.CompletesAt, sp.ioTime(res))
 	return job, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -724,27 +725,28 @@ func TestSuspendWhenBusy(t *testing.T) {
 	}
 }
 
-// TestContentionModel: with ContentionFactor 0.5 and two other jobs in flight
-// in the ledger, a build and an executed GO do the same work as on an idle
-// server and take exactly (1 + 0.5×2) = 2× as long — a build's own ledger
-// claim does not slow it down.
-func TestContentionModel(t *testing.T) {
+// TestDeviceRule pins how a GO meets the device (DESIGN.md §6): an executed
+// GO beside another session's in-flight job is stretched by its own page-I/O
+// time times the share of its window [now, now+d) that job keeps the device
+// busy — the job's page-I/O time spread evenly over its span. The session's
+// own jobs, a build, a GO that reads no page and a served GO are never
+// stretched.
+func TestDeviceRule(t *testing.T) {
 	e := newTestEngine(t, 20000)
 	cfg := DefaultConfig()
-	cfg.ContentionFactor = 0.5
 	cfg.Ledger = NewLedger(e.Metrics(), false)
 	sp := newSpec(e, cfg)
 	other := cfg.Ledger.NewHolder()
-	busy := [2]AssetKey{{Scope: other, Manip: "j1"}, {Scope: other, Manip: "j2"}}
-	load := func(on bool) {
-		for _, key := range busy {
-			if on {
-				cfg.Ledger.Claim(key, other, 0, 1)
-			} else {
-				cfg.Ledger.End(key, other)
-			}
-		}
+	// load puts holder's job name in flight over [from, to), io of it on the
+	// device; the returned func ends it.
+	load := func(l *Ledger, holder int, name string, from, to sim.Time, io sim.Duration) func() {
+		key := AssetKey{Scope: holder, Manip: name}
+		l.Claim(key, holder, 0, 1)
+		l.Run(key, holder, from, to, io)
+		return func() { l.End(key, holder) }
 	}
+	const forever = sim.Time(1 << 50)
+
 	build := func(ev trace.Event, at sim.Time) sim.Duration {
 		t.Helper()
 		if err := e.ColdStart(); err != nil {
@@ -762,17 +764,19 @@ func TestContentionModel(t *testing.T) {
 		return job.CompletesAt.Sub(job.IssuedAt)
 	}
 	idleBuild := build(evAddSel(selRC(18)), 0)
-	load(true)
-	if got := build(trace.Event{Kind: trace.EvSetProjections}, sim.FromSeconds(1)); got != 2*idleBuild {
-		t.Fatalf("build under load took %v, want 2 × %v", got, idleBuild)
+	end := load(cfg.Ledger, other, "busy", 0, forever, sim.Duration(forever))
+	if got := build(trace.Event{Kind: trace.EvSetProjections}, sim.FromSeconds(1)); got != idleBuild {
+		t.Fatalf("build beside a busy device took %v, want %v as on an idle one", got, idleBuild)
 	}
-	load(false)
+	end()
 
 	sp.cfg.MinBenefit = math.MaxInt64 // nothing issued: the GO alone runs
-	run := func(at sim.Time) *engine.Result {
+	run := func(at sim.Time, cold bool) *engine.Result {
 		t.Helper()
-		if err := e.ColdStart(); err != nil {
-			t.Fatal(err)
+		if cold {
+			if err := e.ColdStart(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, _, err := sp.OnGo(at)
 		if err != nil {
@@ -780,15 +784,97 @@ func TestContentionModel(t *testing.T) {
 		}
 		return res
 	}
-	idle := run(sim.FromSeconds(2))
-	load(true)
-	got := run(sim.FromSeconds(3))
-	if got.Work != idle.Work {
-		t.Fatalf("work differs between runs: %+v vs %+v", got.Work, idle.Work)
+	at := sim.FromSeconds(10)
+	idle := run(at, true)
+	d, io := idle.Duration, sp.ioTime(idle)
+	if io == 0 || io == d {
+		t.Fatalf("the GO must read pages and process tuples: duration %v, I/O %v", d, io)
 	}
-	if got.Duration != 2*idle.Duration {
-		t.Fatalf("GO under load took %v, want 2 × %v", got.Duration, idle.Duration)
+	// want is d + io × busy/d, busy the job's page-I/O time over its span
+	// times its overlap with [at, at+d), in exact integers truncated as the
+	// ledger truncates.
+	want := func(from, to sim.Time, jobIO sim.Duration) sim.Duration {
+		overlap := min(to, at.Add(d)).Sub(max(from, at))
+		if overlap <= 0 {
+			return d
+		}
+		b := new(big.Int).Mul(big.NewInt(int64(overlap)), big.NewInt(int64(jobIO)))
+		b.Quo(b, big.NewInt(int64(to.Sub(from))))
+		b.Mul(b, big.NewInt(int64(io)))
+		return d + sim.Duration(b.Quo(b, big.NewInt(int64(d))).Int64())
 	}
+	third := d / 3
+	for _, c := range []struct {
+		name     string
+		from, to sim.Time
+		jobIO    sim.Duration
+	}{
+		{"device busy throughout", 0, forever, sim.Duration(forever)},
+		{"job spans the GO, device busy two fifths", at - 7, at.Add(4 * d), 2 * (4*d + 7) / 5},
+		{"job ends a third into the GO", at - sim.Time(third), at.Add(third), third},
+		{"job starts a third into the GO", at.Add(third), at.Add(5 * d), d},
+		{"job ended at the GO", 0, at, sim.Duration(at)},
+		{"job starts as the GO ends", at.Add(d), forever, sim.Duration(forever - at.Add(d))},
+	} {
+		end := load(cfg.Ledger, other, "busy", c.from, c.to, c.jobIO)
+		if got, want := run(at, true).Duration, want(c.from, c.to, c.jobIO); got != want {
+			t.Errorf("%s: GO took %v, want %v (idle %v, I/O %v)", c.name, got, want, d, io)
+		}
+		end()
+	}
+	if got := want(0, forever, sim.Duration(forever)); got != d+io {
+		t.Fatalf("a fully busy device stretches the GO to %v, want %v + %v", got, d, io)
+	}
+
+	// Three jobs of two other sessions: their device time sums, whatever
+	// order the ledger's map yields them in, and reading it allocates nothing.
+	third2 := cfg.Ledger.NewHolder()
+	ends := []func(){
+		load(cfg.Ledger, other, "a", at-3, at.Add(d), d/7),
+		load(cfg.Ledger, other, "b", at.Add(d/2), at.Add(3*d), d/3),
+		load(cfg.Ledger, third2, "c", 0, at.Add(d/5), sim.Duration(at)/11),
+	}
+	first := run(at, true).Duration
+	for range 20 {
+		if got := run(at, true).Duration; got != first {
+			t.Fatalf("the same load stretched the GO to %v, then %v", first, got)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { sp.deviceWait(at, idle) }); n != 0 {
+		t.Fatalf("deviceWait allocates %v times", n)
+	}
+	for _, end := range ends {
+		end()
+	}
+
+	// The session's own job in flight: no stretch.
+	end = load(cfg.Ledger, sp.holder, "own", 0, forever, sim.Duration(forever))
+	if got := run(at, true).Duration; got != d {
+		t.Fatalf("the session's own job stretched its GO to %v, want %v", got, d)
+	}
+	end()
+
+	// A GO on a warm pool reads no page: nothing to wait for.
+	warm := run(at, false)
+	end = load(cfg.Ledger, other, "busy", 0, forever, sim.Duration(forever))
+	if got := run(at, false); got.Work != warm.Work || got.Work.PageReads+got.Work.PageWrites != 0 || got.Duration != warm.Duration {
+		t.Fatalf("a GO reading no page: work %+v duration %v, want %+v %v", got.Work, got.Duration, warm.Work, warm.Duration)
+	}
+	end()
+
+	// A served GO runs no statement, so it takes no time beside a busy device.
+	e2 := newTestEngine(t, 20000)
+	sp2, now := newServedGoSpec(t, e2)
+	l2 := sp2.cfg.Ledger
+	end = load(l2, l2.NewHolder(), "busy", 0, forever, sim.Duration(forever))
+	res, _, err := sp2.OnGo(now.Add(sim.DurationFromSeconds(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp2.Stats().PredictedGos != 1 || res.Duration != 0 {
+		t.Fatalf("served GO: %d served, duration %v", sp2.Stats().PredictedGos, res.Duration)
+	}
+	end()
 }
 
 func TestSpeculatorIndexFamily(t *testing.T) {

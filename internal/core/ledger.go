@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -48,6 +49,9 @@ type asset struct {
 	// work, never waste.
 	paid    bool
 	builder int
+	// from, to and io are a started job's span and page-I/O time (Run).
+	from, to sim.Time
+	io       sim.Duration
 	// holds has one element while in flight (the builder) and one per holding
 	// session once ready; the last to release drops the table.
 	holds []Holding
@@ -167,6 +171,39 @@ func (l *Ledger) End(key AssetKey, holder int) {
 	if l.inFlight(key, holder) != nil {
 		delete(l.assets, key)
 	}
+}
+
+// Run records the span [from, to) of holder's in-flight job under key and the
+// page-I/O time io it spends in it.
+func (l *Ledger) Run(key AssetKey, holder int, from, to sim.Time, io sim.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if a := l.inFlight(key, holder); a != nil {
+		a.from, a.to, a.io = from, to, io
+	}
+}
+
+// DeviceBusy is how much of [from, to) other holders' in-flight jobs keep the
+// device busy (DESIGN.md §6), each one's I/O spread evenly over its span: whole
+// nanoseconds per entry, so map order cannot move the sum, at most the window.
+func (l *Ledger) DeviceBusy(holder int, from, to sim.Time) sim.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var busy sim.Duration
+	for _, a := range l.assets {
+		lo, hi := max(from, a.from), min(to, a.to)
+		if !a.ready && a.builder != holder && hi > lo {
+			busy += mulDiv(a.io, hi.Sub(lo), a.to.Sub(a.from))
+		}
+	}
+	return min(busy, to.Sub(from))
+}
+
+// mulDiv is x·y/z, truncated, exact where x·y overflows; y <= z.
+func mulDiv(x, y, z sim.Duration) sim.Duration {
+	hi, lo := bits.Mul64(uint64(x), uint64(y))
+	q, _ := bits.Div64(hi, lo, uint64(z))
+	return sim.Duration(q)
 }
 
 // Ready turns holder's in-flight materialization into a held view on table

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -65,9 +66,25 @@ func FuzzLifecycle(f *testing.F) {
 		f.Add(lifecycleProgram(seed, lifecycleSteps))
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		newLifecycleRig(t, prog).run()
+		lifecycleMu.Lock()
+		held := lifecycleHeld[string(prog)]
+		lifecycleMu.Unlock()
+		if !held {
+			newLifecycleRig(t, prog).run()
+		}
 	})
 }
+
+// lifecycleHeld holds, for the life of the test binary, every program
+// TestLifecycleSeedsReachEveryTerminal ran to its end with every check of the
+// rig passing. Those are FuzzLifecycle's seeds, so its seed corpus does not
+// hold the same programs to the same reference model a second time; any
+// other input, and every seed when the test did not run first or failed,
+// runs.
+var (
+	lifecycleMu   sync.Mutex
+	lifecycleHeld = map[string]bool{}
+)
 
 // TestLifecycleSeedsReachEveryTerminal: FuzzLifecycle's committed seeds,
 // summed, end jobs in each of the seven terminals, so the seed corpus holds
@@ -75,13 +92,19 @@ func FuzzLifecycle(f *testing.F) {
 func TestLifecycleSeedsReachEveryTerminal(t *testing.T) {
 	var reached [numTerminals]int
 	for seed := uint64(1); seed <= lifecycleSeeds; seed++ {
-		r := newLifecycleRig(t, lifecycleProgram(seed, lifecycleSteps))
+		prog := lifecycleProgram(seed, lifecycleSteps)
+		r := newLifecycleRig(t, prog)
 		r.run()
 		for _, sp := range r.all {
 			st := sp.Stats()
 			for term := range numTerminals {
 				reached[term] += *st.terminal(term)
 			}
+		}
+		if !t.Failed() {
+			lifecycleMu.Lock()
+			lifecycleHeld[string(prog)] = true
+			lifecycleMu.Unlock()
 		}
 	}
 	for term, n := range reached {

@@ -42,11 +42,6 @@ type Config struct {
 	// that many jobs are in flight in the ledger — the paper's Section 7
 	// load-aware proposal for multi-user settings. 0 disables suspension.
 	SuspendWhenBusy int
-	// ContentionFactor is the multi-user load model (Section 6.3): a build or
-	// an executed GO takes (1 + ContentionFactor × n) times its work's cost,
-	// n being the other jobs in flight in the ledger when it ran. Sessions
-	// that contend must share the ledger. 0 disables the model.
-	ContentionFactor float64
 	// Workers is the maximum number of manipulations this speculator may
 	// have outstanding at once. The default (0 or 1) is the paper's
 	// convention; higher values fill idle worker slots with the next-best
@@ -92,9 +87,8 @@ const (
 	// entry, CompletesAt, Deadline and span, and completes, through Advance,
 	// when it would have without the GO. Each one passed stillUseful at the
 	// last event and the canvas has not changed since, so the walk after the
-	// query would only issue it again. Its build already ran at issue, so it
-	// costs the GO nothing unless the contention model is on
-	// (ContentionFactor), which stretches the GO by every job in flight.
+	// query would only issue it again. Its build already ran at issue, and a
+	// session's own jobs never slow its GO (deviceWait).
 	GoContinue GoPolicy = iota
 	// GoCancel cancels every in-flight job at GO (TermCanceledAtGo): the
 	// paper's conservative convention (§3.1), under which no manipulation
@@ -655,7 +649,7 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 		if res, err = sp.eng.RunQuery(q); err != nil {
 			return nil, out, err
 		}
-		res.Duration = sp.contended(res.Duration, AssetKey{})
+		res.Duration += sp.deviceWait(now, res)
 		sp.recordHit(res.Plan)
 	}
 
@@ -697,16 +691,21 @@ func (sp *Speculator) OnGo(now sim.Time) (*engine.Result, EventOutcome, error) {
 	return res, out, nil
 }
 
-// contended stretches d, the cost of a statement this speculator just ran,
-// by the contention model: every job in flight in the ledger but except slows
-// it by ContentionFactor.
-func (sp *Speculator) contended(d sim.Duration, except AssetKey) sim.Duration {
-	if cf := sp.cfg.ContentionFactor; cf > 0 {
-		if n := sp.cfg.Ledger.InFlight(except); n > 0 {
-			return sim.Duration(float64(d) * (1 + cf*float64(n)))
-		}
+// deviceWait is how much longer an executed GO's page I/O takes because
+// other sessions' in-flight jobs keep the device busy for part of its window
+// [now, now+d) (DESIGN.md §6): its I/O time times that share. A GO that reads
+// no page waits for nothing.
+func (sp *Speculator) deviceWait(now sim.Time, res *engine.Result) sim.Duration {
+	busy := sp.cfg.Ledger.DeviceBusy(sp.holder, now, now.Add(res.Duration))
+	if busy == 0 {
+		return 0
 	}
-	return d
+	return mulDiv(sp.ioTime(res), busy, res.Duration)
+}
+
+// ioTime is the page-I/O part of a statement's duration: all but its tuples.
+func (sp *Speculator) ioTime(res *engine.Result) sim.Duration {
+	return res.Duration - sim.Duration(res.Work.Tuples)*sp.eng.Rates().Tuple
 }
 
 // servePredicted answers a GO from the session's ready prediction of exactly

@@ -298,14 +298,12 @@ func RunFigure6(scaleName string, traces []*trace.Trace, seed uint64) (*Figure6R
 
 // Figure7Result is the multi-user experiment (Section 6.3).
 type Figure7Result struct {
-	Scale      string
 	Buckets    []Bucket
 	OverallPct float64
-	Stats      core.Stats
 }
 
 // RunFigure7 replays three simultaneous traces with the 96 MB-equivalent
-// pool, selections-only enumeration, and the contention model.
+// pool and selections-only enumeration.
 func RunFigure7(scaleName string, traces []*trace.Trace, seed uint64) (*Figure7Result, error) {
 	scale, err := tpch.ScaleByName(scaleName)
 	if err != nil {
@@ -313,21 +311,20 @@ func RunFigure7(scaleName string, traces []*trace.Trace, seed uint64) (*Figure7R
 	}
 	cfg := core.DefaultConfig()
 	cfg.SelectionsOnly = true
-	normal, paired, stats, err := runMultiUser(scale, seed, traces, cfg)
+	normal, paired, _, err := runMultiUser(scale, seed, traces, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Figure7Result{
-		Scale:      scaleName,
 		Buckets:    BucketImprovements(normal, paired, BucketSpecFor(scaleName, true)),
 		OverallPct: Improvement(seconds(normal), seconds(paired)) * 100,
-		Stats:      stats,
 	}, nil
 }
 
 // runMultiUser is the Section 6.3 setting: at most three traces replayed at
-// once on a fresh environment with the 96 MB-equivalent pool and the
-// contention model, first speculation-off, then with cfg. It returns the
+// once on a fresh environment with the 96 MB-equivalent pool, first
+// speculation-off, then with cfg on one ledger, where each user's GOs wait
+// behind the other users' in-flight jobs (DESIGN.md §6). It returns the
 // normal timings, the speculative timings paired with them, and the
 // speculative sessions' summed counters.
 func runMultiUser(scale tpch.Scale, seed uint64, traces []*trace.Trace, cfg core.Config) (normal, paired []QueryTiming, stats core.Stats, err error) {
@@ -341,12 +338,6 @@ func runMultiUser(scale tpch.Scale, seed uint64, traces []*trace.Trace, cfg core
 	if normal, err = RunMultiUserNormal(env.Eng, traces); err != nil {
 		return nil, nil, stats, err
 	}
-	cfg.ContentionFactor = 0.35
-	// Under the contention model a job that ran on across a GO would stretch
-	// that GO (Speculator.contended), the think-time work queueing ahead of
-	// the foreground; the multi-user experiments keep the paper's
-	// cancel-at-GO convention, under which nothing is in flight beside a GO.
-	cfg.AtGo = core.GoCancel
 	spec, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		return nil, nil, stats, err
@@ -528,7 +519,6 @@ func RunGoPolicyAblation(scaleName string, traces []*trace.Trace, seed uint64) (
 // proposal — suspend speculation while the server is busy — in the
 // multi-user setting.
 type SuspendAblationResult struct {
-	Scale      string
 	AlwaysPct  float64 // improvement without suspension
 	SuspendPct float64 // improvement when suspending under load
 	Suspended  int
@@ -541,7 +531,7 @@ func RunSuspendAblation(scaleName string, traces []*trace.Trace, seed uint64) (*
 	if err != nil {
 		return nil, err
 	}
-	res := &SuspendAblationResult{Scale: scaleName}
+	res := &SuspendAblationResult{}
 	for _, suspend := range []bool{false, true} {
 		cfg := core.DefaultConfig()
 		if suspend {

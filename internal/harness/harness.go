@@ -253,9 +253,10 @@ func replayTrace(eng *engine.Engine, traceIdx int, tr *trace.Trace, cfg core.Con
 // replay is the one speculative replay loop: user u's trace drives sps[u], and
 // the events of all users interleave by timestamp (stable by user for
 // determinism). Before each event every speculator advances to the event's
-// instant, completing the manipulations due by then. It returns one timing per
-// GO, in event order, TraceIdx naming the user. Cold start, configuration and
-// Shutdown stay with the caller.
+// instant, completing the manipulations due by then; a GO waits for the page
+// I/O of the in-flight jobs of the other speculators on its ledger (DESIGN.md
+// §6 item 3). It returns one timing per GO, in event order, TraceIdx naming
+// the user. Cold start, configuration and Shutdown stay with the caller.
 func replay(sps []*core.Speculator, traces []*trace.Trace) ([]QueryTiming, error) {
 	type tagged struct {
 		user int
@@ -274,11 +275,6 @@ func replay(sps []*core.Speculator, traces []*trace.Trace) ([]QueryTiming, error
 		return all[i].user < all[j].user
 	})
 
-	// Under the contention model (core.Config.ContentionFactor) a build sees
-	// every job in flight in the speculators' shared ledger but its own, and a
-	// GO every one in flight once its GO policy has acted (runMultiUser
-	// cancels them): each user's statements are stretched by the other users'
-	// work.
 	var timings []QueryTiming
 	queries := make([]int, len(sps))
 	for _, item := range all {
@@ -411,8 +407,8 @@ type ScaledOutcome struct {
 
 // RunScaledSessions replays several traces simultaneously against one engine,
 // after a cold start: events from all users interleave by timestamp, each user
-// has an independent Speculator, and the contention model, if cfg sets one,
-// sees the other users' in-flight manipulations in the ledger they share. The
+// has an independent Speculator, and its GOs wait behind the page I/O of the
+// other users' in-flight manipulations in the ledger they share. The
 // caller supplies the config — workers, governor, and the ledger the
 // sessions share (a sharing one for cross-session CSE; nil gets a non-sharing
 // one) — so CSE on/off comparisons replay the identical merged event

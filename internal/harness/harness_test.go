@@ -3,6 +3,7 @@ package harness
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"specdb/internal/core"
@@ -214,11 +215,19 @@ func TestMultiUserReplay(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.SelectionsOnly = true
-	cfg.ContentionFactor = 0.5
 	cfg.Ledger = core.NewLedger(env.Eng.Metrics(), false)
 	spec, err := RunScaledSessions(env.Eng, traces, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The device time a GO waits for is summed in whole nanoseconds, so the
+	// ledger's map order cannot move it: a second run agrees exactly.
+	again, err := RunScaledSessions(env.Eng, traces, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(spec.Timings, again.Timings) {
+		t.Fatal("two runs of the same multi-user replay disagree")
 	}
 	if len(normal) != len(spec.Timings) {
 		t.Fatalf("normal %d vs spec %d timings", len(normal), len(spec.Timings))

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -223,7 +224,7 @@ func planCover(cat *catalog.Catalog, q *Query, cover []*catalog.MatView, opt Opt
 			if u.table.Index(stored) == nil || f.Op == tuple.CmpNE {
 				continue
 			}
-			lo, hi, ok := boundsFor(f.Op, f.Const)
+			lo, hi, ok := boundsFor(f.Op, u.table.Schema.Columns[u.table.Schema.Ordinal(stored)].Kind, f.Const)
 			if !ok {
 				continue
 			}
@@ -435,20 +436,33 @@ func joinCandidates(coster *Coster, l, r Node, sub, rest int, between []crossEdg
 	return out, nil
 }
 
-// boundsFor converts a driving predicate into B+-tree scan bounds.
-func boundsFor(op tuple.CmpOp, c tuple.Value) (lo, hi btree.Bound, ok bool) {
-	key := tuple.EncodeKey(nil, c)
+// boundsFor converts a driving predicate on a column of kind k into B+-tree
+// bounds holding exactly the keys Value.Compare puts on its side: a float
+// column compares numbers as floats and −0.0 equal to +0.0 (a zero covers
+// both images); NaN and a float constant on an integer column get no range.
+func boundsFor(op tuple.CmpOp, k tuple.Kind, c tuple.Value) (lo, hi btree.Bound, ok bool) {
+	if k == tuple.KindFloat {
+		c = tuple.NewFloat(c.AsFloat())
+	}
+	if c.Is(tuple.KindFloat) && (k != tuple.KindFloat || math.IsNaN(c.Float())) {
+		return btree.Unbounded, btree.Unbounded, false
+	}
+	first := tuple.EncodeKeyOf(nil, k, c)
+	last := first
+	if c.Is(tuple.KindFloat) && c.Float() == 0 {
+		first, last = tuple.EncodeKeyOf(nil, k, tuple.NewFloat(math.Copysign(0, -1))), tuple.EncodeKeyOf(nil, k, tuple.NewFloat(0))
+	}
 	switch op {
 	case tuple.CmpEQ:
-		return btree.Exact(key), btree.Exact(key), true
+		return btree.Exact(first), btree.Exact(last), true
 	case tuple.CmpLT:
-		return btree.Unbounded, btree.Bound{Key: key, Inclusive: false}, true
+		return btree.Unbounded, btree.Bound{Key: first, Inclusive: false}, true
 	case tuple.CmpLE:
-		return btree.Unbounded, btree.Bound{Key: key, Inclusive: true}, true
+		return btree.Unbounded, btree.Bound{Key: last, Inclusive: true}, true
 	case tuple.CmpGT:
-		return btree.Bound{Key: key, Inclusive: false}, btree.Unbounded, true
+		return btree.Bound{Key: last, Inclusive: false}, btree.Unbounded, true
 	case tuple.CmpGE:
-		return btree.Bound{Key: key, Inclusive: true}, btree.Unbounded, true
+		return btree.Bound{Key: first, Inclusive: true}, btree.Unbounded, true
 	default:
 		return btree.Unbounded, btree.Unbounded, false
 	}

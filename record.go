@@ -42,8 +42,8 @@ type ReplaySummary struct {
 	ImprovementPct float64
 	// PerQuery holds (normal, speculative) seconds per final query.
 	PerQuery [][2]float64
-	// Issued and Completed summarize speculation activity.
-	Issued, Completed int
+	// Stats are the speculative replay's counters.
+	Stats Stats
 }
 
 // ReplayTrace replays a recorded trace against this database, once under
@@ -62,11 +62,7 @@ func (db *DB) ReplayTrace(data []byte) (*ReplaySummary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("specdb: speculative replay: %w", err)
 	}
-	sum := &ReplaySummary{
-		Queries:   len(normal),
-		Issued:    spec.Stats.Issued,
-		Completed: spec.Stats.Completed,
-	}
+	sum := &ReplaySummary{Queries: len(normal), Stats: spec.Stats}
 	for i := range normal {
 		n, s := normal[i].Seconds, spec.Timings[i].Seconds
 		sum.NormalSeconds += n
@@ -83,8 +79,7 @@ func (db *DB) ReplayTrace(data []byte) (*ReplaySummary, error) {
 // paper's Section 5 statistics, as JSON documents (one per user). Useful for
 // driving ReplayTrace without collecting real interactions.
 func GenerateTraces(users int, seed uint64) ([][]byte, error) {
-	voc := tpchVocabulary()
-	traces, err := trace.GenerateCorpus(voc, users, seed)
+	traces, err := trace.GenerateCorpus(tpch.Vocabulary(), users, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +93,3 @@ func GenerateTraces(users int, seed uint64) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// tpchVocabulary exposes the dataset's schema knowledge to the trace
-// generator.
-func tpchVocabulary() *trace.Vocabulary { return tpch.Vocabulary() }
