@@ -460,11 +460,6 @@ func pageFirst(buf []byte) storage.PageID {
 	return storage.PageID(binary.LittleEndian.Uint64(buf[3:11]))
 }
 
-// setLeafNext sets the next-leaf pointer of a serialized leaf.
-func setLeafNext(buf []byte, next storage.PageID) {
-	binary.LittleEndian.PutUint64(buf[3:11], uint64(next))
-}
-
 // entryKey reads the key of the entry at off. The key aliases buf.
 func entryKey(buf []byte, off int) (key []byte, next int) {
 	kl, m := binary.Uvarint(buf[off:])
@@ -490,36 +485,50 @@ func internalEntry(buf []byte, off int) (key []byte, child int64, next int) {
 }
 
 func writeNode(buf []byte, n *node) {
-	if n.leaf {
-		buf[0] = 1
-	} else {
-		buf[0] = 0
-	}
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
-	if n.leaf {
-		setLeafNext(buf, n.next)
-	} else {
-		binary.LittleEndian.PutUint64(buf[3:11], uint64(n.children[0]))
-	}
 	off := nodeHeaderSize
-	var scratch []byte
 	for i, k := range n.keys {
-		scratch = binary.AppendUvarint(scratch[:0], uint64(len(k)))
-		off += copy(buf[off:], scratch)
-		off += copy(buf[off:], k)
 		if n.leaf {
-			scratch = binary.AppendVarint(scratch[:0], int64(n.rids[i].Page))
-			scratch = binary.AppendVarint(scratch, int64(n.rids[i].Slot))
+			off = putLeafEntry(buf, off, k, n.rids[i])
 		} else {
-			scratch = binary.AppendVarint(scratch[:0], int64(n.children[i+1]))
+			off = putKey(buf, off, k)
+			off += binary.PutVarint(buf[off:], int64(n.children[i+1]))
 		}
-		off += copy(buf[off:], scratch)
 	}
-	if off > len(buf) {
-		// invariant: insert/split checks capacity before writing, so an
-		// overflow here means the serializer and the capacity check disagree.
+	first := n.next
+	if !n.leaf {
+		first = n.children[0]
+	}
+	putHeader(buf, n.leaf, len(n.keys), first)
+}
+
+// putHeader writes a node's header: its kind, its entry count, and its next
+// leaf (a leaf) or first child (an internal node).
+func putHeader(buf []byte, leaf bool, count int, first storage.PageID) {
+	buf[0] = 0
+	if leaf {
+		buf[0] = 1
+	}
+	binary.LittleEndian.PutUint16(buf[1:3], uint16(count))
+	binary.LittleEndian.PutUint64(buf[3:11], uint64(first))
+}
+
+// putLeafEntry writes a leaf entry at off and returns the offset after it.
+// Writing past the page panics: insert, split and bulk load check capacity
+// first, so that means the serializer and the capacity check disagree.
+func putLeafEntry(buf []byte, off int, key []byte, rid storage.RID) int {
+	off = putKey(buf, off, key)
+	off += binary.PutVarint(buf[off:], int64(rid.Page))
+	return off + binary.PutVarint(buf[off:], int64(rid.Slot))
+}
+
+// putKey writes key behind its length at off and returns the offset after it.
+func putKey(buf []byte, off int, key []byte) int {
+	off += binary.PutUvarint(buf[off:], uint64(len(key)))
+	if copy(buf[off:], key) < len(key) {
+		// invariant: see putLeafEntry.
 		panic("btree: node overflowed its page")
 	}
+	return off + len(key)
 }
 
 func readNode(buf []byte) *node {

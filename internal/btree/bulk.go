@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"slices"
 
-	"specdb/internal/radix"
-	"specdb/internal/slab"
 	"specdb/internal/storage"
 )
 
@@ -26,64 +24,12 @@ func compareEntries(a, b Entry) int {
 	return compareRID(a.RID, b.RID)
 }
 
-// SortEntries orders entries by (key, RID), the tree's internal order.
-//
-// Entries whose keys are all 8 bytes (tuple.EncodeKey of an int, date or
-// float) and that arrive in ascending RID order — CreateIndex's heap-scan
-// order — are sorted in linear time by their keys as integers: radix.Sort is
-// stable, so equal keys stay in RID order, which is (key, RID) order. Any
-// other input, string keys or RIDs out of order, is comparison-sorted.
+// SortEntries orders entries by (key, RID), the tree's internal order, for a
+// build whose keys are not 8-byte images: an index on a string column. A
+// numeric column's build sorts its images instead (stats.Images) and loads
+// them with BulkLoadImages.
 func SortEntries(entries []Entry) {
-	if len(entries) < 2 {
-		return
-	}
-	if !imageSortable(entries) {
-		slices.SortFunc(entries, compareEntries)
-		return
-	}
-	keys := slab.Uint64s.Take(len(entries))
-	perm := slab.Uint64s.Take(len(entries))
-	for i, e := range entries {
-		keys[i] = binary.BigEndian.Uint64(e.Key)
-		perm[i] = uint64(i)
-	}
-	radix.Sort(keys, perm)
-	permute(entries, perm)
-	slab.Uint64s.Give(keys)
-	slab.Uint64s.Give(perm)
-}
-
-// imageSortable reports whether every key is 8 bytes and the RIDs ascend.
-func imageSortable(entries []Entry) bool {
-	for i, e := range entries {
-		if len(e.Key) != 8 || i > 0 && compareRID(entries[i-1].RID, e.RID) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// permute rearranges entries in place so that entry i is the one that stood
-// at perm[i], following each cycle of the permutation once; perm is consumed
-// (every element ends equal to its index).
-func permute(entries []Entry, perm []uint64) {
-	for i := range entries {
-		if perm[i] == uint64(i) {
-			continue
-		}
-		held := entries[i]
-		j := i
-		for {
-			from := int(perm[j])
-			perm[j] = uint64(j)
-			if from == i {
-				entries[j] = held
-				break
-			}
-			entries[j] = entries[from]
-			j = from
-		}
-	}
+	slices.SortFunc(entries, compareEntries)
 }
 
 // entryOrder is compareEntries with two 8-byte keys compared as the integers
@@ -98,11 +44,42 @@ func entryOrder(a, b Entry) int {
 	return compareRID(a.RID, b.RID)
 }
 
-// BulkLoad builds the tree bottom-up from sorted entries (see SortEntries).
-// The tree must be empty. Bulk loading writes each page exactly once, unlike
-// repeated Insert which rewrites node pages, so index builds cost O(pages)
-// I/O — this is what a real engine's CREATE INDEX does.
+// BulkLoad builds the tree bottom-up from entries sorted by (key, RID) (see
+// SortEntries). The tree must be empty. Bulk loading writes each page exactly
+// once, unlike repeated Insert which rewrites node pages, so index builds cost
+// O(pages) I/O — this is what a real engine's CREATE INDEX does.
 func (t *BTree) BulkLoad(entries []Entry) error {
+	for i := 1; i < len(entries); i++ {
+		if entryOrder(entries[i-1], entries[i]) > 0 {
+			return fmt.Errorf("btree: bulk load entries not sorted at %d", i)
+		}
+	}
+	return t.bulkLoad(len(entries), func(i int) ([]byte, storage.RID) { return entries[i].Key, entries[i].RID })
+}
+
+// BulkLoadImages is BulkLoad of 8-byte keys given as the integers they encode
+// (tuple.KeyBitsOf), each beside its RID packed by storage.RID.Bits: keys
+// ascending, and RIDs ascending among equal keys — the order a stable radix
+// sort of a column read in heap order leaves.
+func (t *BTree) BulkLoadImages(keys, rids []uint64) error {
+	if len(keys) != len(rids) {
+		return fmt.Errorf("btree: bulk load of %d keys with %d RIDs", len(keys), len(rids))
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] > keys[i] || keys[i-1] == keys[i] && rids[i-1] > rids[i] {
+			return fmt.Errorf("btree: bulk load entries not sorted at %d", i)
+		}
+	}
+	var key [8]byte
+	return t.bulkLoad(len(keys), func(i int) ([]byte, storage.RID) {
+		binary.BigEndian.PutUint64(key[:], keys[i])
+		return key[:], storage.RIDOfBits(rids[i])
+	})
+}
+
+// bulkLoad builds the tree from n sorted entries, the i-th being at(i). The
+// key at returns is copied before the next call, so at may reuse its bytes.
+func (t *BTree) bulkLoad(n int, at func(i int) ([]byte, storage.RID)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.root == 0 {
@@ -111,13 +88,8 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 	if t.entries != 0 {
 		return fmt.Errorf("btree: bulk load into non-empty tree")
 	}
-	if len(entries) == 0 {
+	if n == 0 {
 		return nil
-	}
-	for i := 1; i < len(entries); i++ {
-		if entryOrder(entries[i-1], entries[i]) > 0 {
-			return fmt.Errorf("btree: bulk load entries not sorted at %d", i)
-		}
 	}
 	// Replace the empty root; fresh pages are allocated level by level.
 	if err := t.pool.Free(t.root); err != nil {
@@ -130,52 +102,48 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 		firstKey []byte
 	}
 
-	// Build the leaf level. A node fills until one more entry would overflow
-	// the page; its size is a running sum of nodeSize's own terms rather than
-	// nodeSize over the node per entry, so every split lands where it did.
+	// Build the leaf level. A leaf takes its page when it starts, so the leaf
+	// before it is written once, its successor's id already in its header, and
+	// nothing is read back; pages are still taken in leaf order. Each entry is
+	// serialized into the pinned page as it comes. A leaf fills until one more
+	// entry would overflow the page, its size a running sum of entrySize.
 	var level []levelNode
-	// A leaf of 8-byte keys holds a fixed number of entries, so one
-	// allocation per slice holds any leaf instead of a doubling series per
-	// build; for keys of other widths the first key's size is a hint.
-	perLeaf := min(len(entries), (t.capacity-nodeHeaderSize)/entrySize(true, entries[0].Key))
-	leaf := node{leaf: true, keys: make([][]byte, 0, perLeaf), rids: make([]storage.RID, 0, perLeaf)}
-	size := nodeHeaderSize
-	flushLeaf := func() error {
-		id, buf, err := t.pool.New()
-		if err != nil {
-			return err
+	var firsts []byte // every leaf's first key, back to back
+	var id storage.PageID
+	var buf []byte
+	count, off, size := 0, 0, 0
+	for i := 0; i < n; i++ {
+		key, rid := at(i)
+		es := entrySize(true, key)
+		if nodeHeaderSize+es > t.capacity {
+			if buf != nil {
+				t.pool.Unpin(id, false)
+			}
+			return fmt.Errorf("btree: a key of %d bytes does not fit a page", len(key))
 		}
-		t.pages = append(t.pages, id)
-		writeNode(buf, &leaf)
-		t.pool.Unpin(id, true)
-		level = append(level, levelNode{id: id, firstKey: leaf.keys[0]})
-		return nil
-	}
-	for _, e := range entries {
-		if size += entrySize(true, e.Key); size > t.capacity {
-			// Would overflow: flush without this entry, restart with it.
-			if err := flushLeaf(); err != nil {
+		if size += es; buf == nil || size > t.capacity {
+			next, nbuf, err := t.pool.New()
+			if err != nil {
+				if buf != nil {
+					t.pool.Unpin(id, false)
+				}
 				return err
 			}
-			leaf.keys, leaf.rids = leaf.keys[:0], leaf.rids[:0]
-			size = nodeHeaderSize + entrySize(true, e.Key)
+			t.pages = append(t.pages, next)
+			if buf != nil {
+				putHeader(buf, true, count, next)
+				t.pool.Unpin(id, true)
+			}
+			id, buf = next, nbuf
+			count, off, size = 0, nodeHeaderSize, nodeHeaderSize+es
+			firsts = append(firsts, key...)
+			level = append(level, levelNode{id: id, firstKey: firsts[len(firsts)-len(key) : len(firsts) : len(firsts)]})
 		}
-		leaf.keys = append(leaf.keys, e.Key)
-		leaf.rids = append(leaf.rids, e.RID)
+		off = putLeafEntry(buf, off, key, rid)
+		count++
 	}
-	if err := flushLeaf(); err != nil {
-		return err
-	}
-	// Chain the leaves: the pointer is a fixed-width header field, patched in
-	// place rather than through a decode and re-encode of every entry.
-	for i := 0; i < len(level)-1; i++ {
-		buf, err := t.pool.Get(level[i].id)
-		if err != nil {
-			return err
-		}
-		setLeafNext(buf, level[i+1].id)
-		t.pool.Unpin(level[i].id, true)
-	}
+	putHeader(buf, true, count, 0)
+	t.pool.Unpin(id, true)
 
 	// Build internal levels until one node remains.
 	t.height = 1
@@ -220,6 +188,6 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 		level = next
 	}
 	t.root = level[0].id
-	t.entries = int64(len(entries))
+	t.entries = int64(n)
 	return nil
 }

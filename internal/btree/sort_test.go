@@ -2,10 +2,12 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
 
+	"specdb/internal/radix"
 	"specdb/internal/sim"
 	"specdb/internal/storage"
 	"specdb/internal/tuple"
@@ -123,9 +125,12 @@ func sortSeeds() []sortInput {
 	}
 }
 
-// FuzzSortEntries holds SortEntries — the radix path on 8-byte keys in RID
-// order, the comparison sort on anything else — to slices.SortFunc with
-// compareEntries, and BulkLoad's integer order check to compareEntries.
+// FuzzSortEntries holds the two ways a build orders its entries to
+// slices.SortFunc with compareEntries: SortEntries, and — for 8-byte keys in
+// ascending RID order, a numeric column read in heap order — a radix sort of
+// the keys as integers with the packed RIDs riding along, which is what
+// stats.Images hands BulkLoadImages. It also holds BulkLoad's integer order
+// check to compareEntries.
 func FuzzSortEntries(f *testing.F) {
 	for _, s := range sortSeeds() {
 		f.Add(s.encode())
@@ -140,6 +145,18 @@ func FuzzSortEntries(f *testing.F) {
 				t.Fatalf("entry %d of %d: got (%x, %v), want (%x, %v)", i, len(want), got[i].Key, got[i].RID, want[i].Key, want[i].RID)
 			}
 		}
+		if imageSortable(entries) {
+			keys, rids := make([]uint64, len(entries)), make([]uint64, len(entries))
+			for i, e := range entries {
+				keys[i], rids[i] = binary.BigEndian.Uint64(e.Key), e.RID.Bits()
+			}
+			radix.Sort(keys, rids)
+			for i := range want {
+				if keys[i] != binary.BigEndian.Uint64(want[i].Key) || storage.RIDOfBits(rids[i]) != want[i].RID {
+					t.Fatalf("image %d of %d: got (%016x, %v), want (%x, %v)", i, len(want), keys[i], storage.RIDOfBits(rids[i]), want[i].Key, want[i].RID)
+				}
+			}
+		}
 		for i := 1; i < len(entries); i++ {
 			a, b := entries[i-1], entries[i]
 			if entryOrder(a, b) != compareEntries(a, b) {
@@ -149,8 +166,19 @@ func FuzzSortEntries(f *testing.F) {
 	})
 }
 
-// TestSortSeedsTakeBothPaths keeps FuzzSortEntries' seeds honest: the radix
-// path and the comparison fallback must each see some of them.
+// imageSortable reports whether every key is 8 bytes and the RIDs ascend:
+// whether the entries could be a numeric column's images in heap order.
+func imageSortable(entries []Entry) bool {
+	for i, e := range entries {
+		if len(e.Key) != 8 || i > 0 && compareRID(entries[i-1].RID, e.RID) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSortSeedsTakeBothPaths keeps FuzzSortEntries' seeds honest: the image
+// sort and the entries-only inputs must each see some of them.
 func TestSortSeedsTakeBothPaths(t *testing.T) {
 	radix, fallback := 0, 0
 	for _, s := range sortSeeds() {

@@ -1,44 +1,25 @@
 package catalog
 
 import (
-	"specdb/internal/stats"
 	"specdb/internal/storage"
 	"specdb/internal/tuple"
 )
 
-// Analyze scans a table and recomputes count/distinct/min/max statistics for
-// every column, feeding each decoded value to its column's stats.Collector —
-// the one the materialization path streams into — so the scan holds a row at a
-// time and never a column. Existing histograms are preserved (they are created
-// by a separate, costed manipulation). The scan goes through the buffer pool,
-// so analyzing charges real simulated I/O like any other statement.
+// Analyze recomputes count/distinct/min/max statistics for every column from
+// one scan of the table, through the builders every preparation shares
+// (Feed): each numeric column's statistics come off one sort of its key
+// images, each string column's from a stats.Collector, so the scan holds no
+// decoded row and no column. Existing histograms are preserved (they are
+// created by a separate, costed manipulation). The scan goes through the
+// buffer pool, so analyzing charges real simulated I/O like any other
+// statement.
 func Analyze(t *Table) error {
-	cols := stats.ColumnCollectors(t.Schema)
-	defer func() {
-		for i := range cols {
-			cols[i].Release()
-		}
-	}()
-	row := make(tuple.Row, t.Schema.Len())
-	err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
-		if _, err := tuple.DecodeRowInto(row, rec, t.Schema); err != nil {
-			return err
-		}
-		for i, v := range row {
-			cols[i].Add(v)
-		}
-		return nil
-	})
+	f, err := ScanFeed(t, tuple.AllCols, 0)
 	if err != nil {
 		return err
 	}
-	for i, c := range t.Schema.Columns {
-		cs := cols[i].Stats()
-		if old := t.ColumnStats(c.Name); old != nil {
-			cs.SetHist(old.Hist())
-		}
-		t.SetColumnStats(c.Name, cs)
-	}
+	defer f.Release()
+	f.Analyze()
 	return nil
 }
 

@@ -293,7 +293,7 @@ func (sp *Speculator) execute(m Manipulation, key AssetKey, now sim.Time) (*Job,
 		sp.eng.Catalog.DropView(name) // hidden until completion
 		job.tableName = name
 	case ManipIndex:
-		if res, err = sp.eng.CreateIndex(m.Rel, m.Col); err != nil {
+		if res, err = sp.eng.CreateIndex(m.Rel, m.Col, nil); err != nil {
 			return nil, err
 		}
 		t, err := sp.eng.Catalog.Table(m.Rel)
@@ -303,7 +303,7 @@ func (sp *Speculator) execute(m Manipulation, key AssetKey, now sim.Time) (*Job,
 		job.index = t.Index(m.Col)
 		t.RemoveIndex(m.Col) // hidden until completion
 	case ManipHistogram:
-		if res, err = sp.eng.CreateHistogram(m.Rel, m.Col); err != nil {
+		if res, err = sp.eng.CreateHistogram(m.Rel, m.Col, nil); err != nil {
 			return nil, err
 		}
 		t, err := sp.eng.Catalog.Table(m.Rel)

@@ -39,7 +39,7 @@ func loadTestEngine(t *testing.T, e *engine.Engine, n int) *engine.Engine {
 		if err := e.InsertRows(name, rows); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Analyze(name); err != nil {
+		if err := e.Analyze(name, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

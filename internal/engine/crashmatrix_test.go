@@ -58,7 +58,7 @@ func crashTrace() []crashTraceOp {
 				return int64(i % 40), int64(i % 17)
 			}))
 		}},
-		{"analyze R", func(e *Engine) error { return e.Analyze("R") }},
+		{"analyze R", func(e *Engine) error { return e.Analyze("R", nil) }},
 		{"create S", func(e *Engine) error {
 			_, err := e.CreateTable("S", intSchema("a", "b"))
 			return err
@@ -68,22 +68,22 @@ func crashTrace() []crashTraceOp {
 				return int64(i % 40), int64(i % 13)
 			}))
 		}},
-		{"analyze S", func(e *Engine) error { return e.Analyze("S") }},
-		{"index R.a", func(e *Engine) error { _, err := e.CreateIndex("R", "a"); return err }},
-		{"hist S.b", func(e *Engine) error { _, err := e.CreateHistogram("S", "b"); return err }},
+		{"analyze S", func(e *Engine) error { return e.Analyze("S", nil) }},
+		{"index R.a", func(e *Engine) error { _, err := e.CreateIndex("R", "a", nil); return err }},
+		{"hist S.b", func(e *Engine) error { _, err := e.CreateHistogram("S", "b", nil); return err }},
 		{"materialize smallS", func(e *Engine) error {
 			_, err := e.Exec("SELECT * FROM S WHERE S.b < 6 INTO TABLE smallS")
 			return err
 		}},
-		{"analyze smallS", func(e *Engine) error { return e.Analyze("smallS") }},
-		{"index S.a", func(e *Engine) error { _, err := e.CreateIndex("S", "a"); return err }},
+		{"analyze smallS", func(e *Engine) error { return e.Analyze("smallS", nil) }},
+		{"index S.a", func(e *Engine) error { _, err := e.CreateIndex("S", "a", nil); return err }},
 		{"drop index R.a", func(e *Engine) error { return e.DropIndex("R", "a") }},
 		{"materialize rs", func(e *Engine) error {
 			_, err := e.Exec("SELECT * FROM R, S WHERE R.a = S.a AND R.c < 9 INTO TABLE rs")
 			return err
 		}},
 		{"drop smallS", func(e *Engine) error { return e.DropTable("smallS") }},
-		{"hist R.c", func(e *Engine) error { _, err := e.CreateHistogram("R", "c"); return err }},
+		{"hist R.c", func(e *Engine) error { _, err := e.CreateHistogram("R", "c", nil); return err }},
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"specdb/internal/plan"
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
-	"specdb/internal/slab"
 	"specdb/internal/sql"
 	"specdb/internal/stats"
 	"specdb/internal/storage"
@@ -428,9 +427,9 @@ func (e *Engine) Exec(src string) (res *Result, err error) {
 		}
 		return &Result{Plan: node, Schema: node.Schema()}, nil
 	case *sql.CreateIndexStmt:
-		return e.CreateIndex(s.Table, s.Column)
+		return e.CreateIndex(s.Table, s.Column, nil)
 	case *sql.CreateHistogramStmt:
-		return e.CreateHistogram(s.Table, s.Column)
+		return e.CreateHistogram(s.Table, s.Column, nil)
 	case *sql.DropTableStmt:
 		if err := e.DropTable(s.Name); err != nil {
 			return nil, err
@@ -651,8 +650,10 @@ func (e *Engine) FreshName(prefix string) string {
 	return fmt.Sprintf("%s_%d", prefix, e.seq)
 }
 
-// CreateIndex builds a B+-tree index on table.column by scanning the table.
-func (e *Engine) CreateIndex(table, column string) (*Result, error) {
+// CreateIndex builds a B+-tree index on table.column from fed — what a load
+// gathered of the table's rows as it stored them — or, when fed is nil, from
+// one scan of the table.
+func (e *Engine) CreateIndex(table, column string, fed *catalog.Feed) (*Result, error) {
 	return e.measured("CreateIndex", table, changesShape, func(st *stmt, res *Result) error {
 		t, err := e.Catalog.Table(table)
 		if err != nil {
@@ -666,85 +667,41 @@ func (e *Engine) CreateIndex(table, column string) (*Result, error) {
 			return fmt.Errorf("engine: index on %s.%s already exists", table, column)
 		}
 		return e.measure(st, res, func() error {
+			cols := tuple.ColsOf(ord)
+			f, release, err := feedOf(st, t, fed, cols, cols)
+			if err != nil {
+				return err
+			}
+			defer release()
 			tree, err := btree.New(e.Pool, e.Disk.PageSize())
 			if err != nil {
 				return err
 			}
-			// The sort input lives only for the build: the entries and the key
-			// chunks they point into come from slabs and go back on every
-			// path once BulkLoad, which copies each key into a page and keeps
-			// none, has returned.
-			rows := int(t.RowCount())
-			entries := entrySlabs.Take(max(rows, 1))[:0]
-			keys := keyChunks{next: 8 * rows, kind: t.Schema.Columns[ord].Kind}
-			defer func() {
-				entrySlabs.Give(entries)
-				keys.release()
-			}()
-			err = t.Heap.Scan(func(rid storage.RID, rec []byte) error {
-				// Only the key column is decoded; a string aliases the record,
-				// and keys.encode copies it.
-				v, _, err := tuple.DecodeColumn(rec, t.Schema, ord)
-				if err != nil {
-					return err
-				}
-				st.meter.ChargeTuples(1)
-				entries = append(entries, btree.Entry{Key: keys.encode(v), RID: rid})
-				res.RowCount++
-				return nil
-			})
-			if err != nil {
+			st.meter.ChargeTuples(f.Rows()) // sort pass
+			if err := f.Index(ord, tree); err != nil {
 				_ = tree.Drop()
 				return err
 			}
-			btree.SortEntries(entries)
-			st.meter.ChargeTuples(int64(len(entries))) // sort pass
-			if err := tree.BulkLoad(entries); err != nil {
-				_ = tree.Drop()
-				return err
-			}
+			res.RowCount = f.Rows()
 			_, err = e.Catalog.AddIndex(table, column, tree)
 			return err
 		})
 	})
 }
 
-// entrySlabs recycles CreateIndex's sort input.
-var entrySlabs slab.Classes[btree.Entry]
-
-// keyChunks carves index keys out of chunks from slab.Bytes, back to back, so
-// a build allocates no key of its own. A key never moves once carved, so a
-// full chunk is kept until release and the next is taken twice as large.
-type keyChunks struct {
-	cur  []byte     // the chunk keys are carved from
-	full [][]byte   // chunks with no room left
-	next int        // size of the next chunk to take
-	kind tuple.Kind // the indexed column's, every key's
-}
-
-// encode appends the key of v, of the chunks' kind, to the chunks and returns
-// it, capacity clipped.
-func (k *keyChunks) encode(v tuple.Value) []byte {
-	if n := tuple.KeySizeOf(k.kind, v); cap(k.cur)-len(k.cur) < n {
-		if k.cur != nil {
-			k.full = append(k.full, k.cur)
-		}
-		k.cur = slab.Bytes.Take(max(k.next, n))[:0]
-		k.next = 2 * cap(k.cur)
+// feedOf returns fed, once it is known to hold t's rows, or else a feed of
+// one scan of t's columns cols (keyed: with what an index on them is built
+// from), charged a tuple per row scanned. release gives back a feed feedOf
+// made; the caller of the statement owns fed.
+func feedOf(st *stmt, t *catalog.Table, fed *catalog.Feed, cols, keyed tuple.ColSet) (f *catalog.Feed, release func(), err error) {
+	if fed != nil {
+		return fed, func() {}, fed.Check(t)
 	}
-	start := len(k.cur)
-	k.cur = tuple.EncodeKeyOf(k.cur, k.kind, v)
-	return k.cur[start:len(k.cur):len(k.cur)]
-}
-
-// release gives every chunk back; no key carved from them may be read
-// afterwards.
-func (k *keyChunks) release() {
-	for _, c := range k.full {
-		slab.Bytes.Give(c)
+	if f, err = catalog.ScanFeed(t, cols, keyed); err != nil {
+		return nil, nil, err
 	}
-	slab.Bytes.Give(k.cur)
-	*k = keyChunks{}
+	st.meter.ChargeTuples(f.Rows())
+	return f, f.Release, nil
 }
 
 // DropIndex removes the index on table.column, freeing its pages.
@@ -780,30 +737,37 @@ func dropIndex(on *catalog.Table, idx *catalog.Index) error {
 }
 
 // CreateHistogram builds an equi-depth histogram on table.column, improving
-// the optimizer's selectivity estimates (Section 3.2: histogram creation).
-func (e *Engine) CreateHistogram(table, column string) (*Result, error) {
+// the optimizer's selectivity estimates (Section 3.2: histogram creation),
+// from fed or, when fed is nil, from one scan of the table (see CreateIndex).
+func (e *Engine) CreateHistogram(table, column string, fed *catalog.Feed) (*Result, error) {
 	return e.measured("CreateHistogram", table, changesShape, func(st *stmt, res *Result) error {
 		t, err := e.Catalog.Table(table)
 		if err != nil {
 			return err
 		}
+		ord := t.Schema.Ordinal(column)
+		if ord < 0 {
+			return fmt.Errorf("engine: table %q has no column %q", table, column)
+		}
 		return e.measure(st, res, func() error {
-			values, err := catalog.ColumnValues(t, column)
+			f, release, err := feedOf(st, t, fed, tuple.ColsOf(ord), 0)
 			if err != nil {
 				return err
 			}
-			st.meter.ChargeTuples(int64(len(values)))
-			h, err := stats.BuildHistogram(values, histogramBuckets)
+			defer release()
+			h, err := f.Histogram(ord, histogramBuckets)
 			if err != nil {
 				return err
 			}
 			cs := t.ColumnStats(column)
 			if cs == nil {
-				cs = stats.CollectColumnStats(values)
+				if cs, err = f.Stats(ord); err != nil {
+					return err
+				}
 				t.SetColumnStats(column, cs)
 			}
 			cs.SetHist(h)
-			res.RowCount = int64(len(values))
+			res.RowCount = f.Rows()
 			return nil
 		})
 	})
@@ -888,42 +852,63 @@ func (e *Engine) CreateTable(name string, schema *tuple.Schema) (*catalog.Table,
 // InsertRows bulk-inserts rows into a table (no per-statement measurement —
 // loading is setup, not workload).
 func (e *Engine) InsertRows(name string, rows []tuple.Row) error {
-	return e.insert("InsertRows", name, len(rows), func(i int, _ tuple.Row) tuple.Row { return rows[i] })
+	return e.insert("InsertRows", name, len(rows), nil, func(i int, _ tuple.Row) tuple.Row { return rows[i] })
 }
 
 // InsertGenerated is InsertRows for a generator: one statement inserting n
 // rows, row i written by fill(i, row) into one reused row, so a load keeps no
-// row of its own. fill runs inside the statement and must not call the
-// engine.
-func (e *Engine) InsertGenerated(name string, n int, fill func(i int, row tuple.Row)) error {
-	return e.insert("InsertGenerated", name, n, func(i int, row tuple.Row) tuple.Row {
+// row of its own. Each stored row is also added to fed, a feed of the table
+// (nil: none), so that its statistics, indexes and histograms are built
+// without reading the table back. fill runs inside the statement and must not
+// call the engine.
+func (e *Engine) InsertGenerated(name string, n int, fed *catalog.Feed, fill func(i int, row tuple.Row)) error {
+	return e.insert("InsertGenerated", name, n, fed, func(i int, row tuple.Row) tuple.Row {
 		fill(i, row)
 		return row
 	})
 }
 
 // insert is the statement of InsertRows and InsertGenerated: it encodes and
-// stores next(i, row) for i < n, row being a scratch row of the table's width.
-func (e *Engine) insert(op, name string, n int, next func(i int, row tuple.Row) tuple.Row) error {
+// stores next(i, row) for i < n, row being a scratch row of the table's width,
+// and feeds each stored row to fed unless it is nil.
+func (e *Engine) insert(op, name string, n int, fed *catalog.Feed, next func(i int, row tuple.Row) tuple.Row) error {
 	return e.mutate(op, name, changesData, func(t *catalog.Table) error {
+		if fed != nil && fed.Table() != t {
+			return fmt.Errorf("engine: a feed of %q cannot take the rows of %q", fed.Table().Name, name)
+		}
 		row := make(tuple.Row, t.Schema.Len())
 		var buf []byte
 		var err error
 		for i := range n {
-			if buf, err = tuple.EncodeRow(buf[:0], t.Schema, next(i, row)); err != nil {
+			r := next(i, row)
+			if buf, err = tuple.EncodeRow(buf[:0], t.Schema, r); err != nil {
 				return err
 			}
-			if _, err := t.Heap.Insert(buf); err != nil {
+			rid, err := t.Heap.Insert(buf)
+			if err != nil {
 				return err
+			}
+			if fed != nil {
+				fed.Add(rid, r)
 			}
 		}
 		return nil
 	})
 }
 
-// Analyze recomputes statistics for a table.
-func (e *Engine) Analyze(name string) error {
-	return e.mutate("Analyze", name, changesShape, catalog.Analyze)
+// Analyze recomputes statistics for a table from fed, a feed of all its rows,
+// or, when fed is nil, from one scan of the table.
+func (e *Engine) Analyze(name string, fed *catalog.Feed) error {
+	return e.mutate("Analyze", name, changesShape, func(t *catalog.Table) error {
+		if fed == nil {
+			return catalog.Analyze(t)
+		}
+		if err := fed.Check(t); err != nil {
+			return err
+		}
+		fed.Analyze()
+		return nil
+	})
 }
 
 // ColdStart flushes and empties the buffer pool, simulating the paper's

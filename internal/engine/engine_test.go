@@ -34,7 +34,7 @@ func newTestEngine(t *testing.T, n int, cfg Config) *Engine {
 		if err := e.InsertRows(name, rows); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Analyze(name); err != nil {
+		if err := e.Analyze(name, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

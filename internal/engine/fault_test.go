@@ -83,7 +83,7 @@ func TestPanicRecoveryAtStatementBoundary(t *testing.T) {
 	if _, err := e.Exec("SELECT * FROM R WHERE R.c > 10"); err != nil {
 		t.Fatalf("engine unusable after recovered panic: %v", err)
 	}
-	if _, err := e.CreateIndex("R", "c"); err != nil {
+	if _, err := e.CreateIndex("R", "c", nil); err != nil {
 		t.Fatalf("writer blocked or failed after a recovered shared panic: %v", err)
 	}
 }

@@ -251,7 +251,7 @@ func writerPass(e *Engine) ([2]sim.Work, error) {
 	if err := e.DropTable("spec_side_m"); err != nil {
 		return w, err
 	}
-	ix, err := e.CreateIndex("side", "b")
+	ix, err := e.CreateIndex("side", "b", nil)
 	if err != nil {
 		return w, err
 	}

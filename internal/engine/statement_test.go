@@ -88,18 +88,18 @@ func boundaryOps() []boundaryOp {
 				return resultless(e.Materialize("base", selectionOn("base"), false))
 			}},
 		{name: "CreateIndex", commits: true,
-			run:  func(e *Engine, tb string) error { return resultless(e.CreateIndex(tb, "a")) },
-			fail: func(e *Engine, _ *plan.Query) error { return resultless(e.CreateIndex("base", "nope")) }},
+			run:  func(e *Engine, tb string) error { return resultless(e.CreateIndex(tb, "a", nil)) },
+			fail: func(e *Engine, _ *plan.Query) error { return resultless(e.CreateIndex("base", "nope", nil)) }},
 		{name: "DropIndex", commits: true,
-			prep: func(e *Engine, tb string) error { return resultless(e.CreateIndex(tb, "b")) },
+			prep: func(e *Engine, tb string) error { return resultless(e.CreateIndex(tb, "b", nil)) },
 			run:  func(e *Engine, tb string) error { return e.DropIndex(tb, "b") },
 			fail: func(e *Engine, _ *plan.Query) error { return e.DropIndex("base", "nope") }},
 		{name: "DropDetachedIndex", commits: true,
 			prep: func(e *Engine, tb string) error {
-				if err := resultless(e.CreateIndex(tb, "a")); err != nil {
+				if err := resultless(e.CreateIndex(tb, "a", nil)); err != nil {
 					return err
 				}
-				return resultless(e.CreateIndex(tb, "b"))
+				return resultless(e.CreateIndex(tb, "b", nil))
 			},
 			run: func(e *Engine, tb string) error {
 				t, err := e.Catalog.Table(tb)
@@ -112,8 +112,8 @@ func boundaryOps() []boundaryOp {
 			},
 			fail: dropIndexPinned},
 		{name: "CreateHistogram", commits: true,
-			run:  func(e *Engine, tb string) error { return resultless(e.CreateHistogram(tb, "a")) },
-			fail: func(e *Engine, _ *plan.Query) error { return resultless(e.CreateHistogram("nope", "a")) }},
+			run:  func(e *Engine, tb string) error { return resultless(e.CreateHistogram(tb, "a", nil)) },
+			fail: func(e *Engine, _ *plan.Query) error { return resultless(e.CreateHistogram("nope", "a", nil)) }},
 		{name: "DropHistogram", commits: true, commitPanicOnly: true,
 			run:  func(e *Engine, tb string) error { return e.DropHistogram(tb, "a") },
 			fail: func(e *Engine, _ *plan.Query) error { return e.DropHistogram("nope", "a") }},
@@ -142,14 +142,14 @@ func boundaryOps() []boundaryOp {
 			fail: func(e *Engine, _ *plan.Query) error { return e.InsertRows("nope", nil) }},
 		{name: "InsertGenerated", commits: true, bumps: true,
 			run: func(e *Engine, tb string) error {
-				return e.InsertGenerated(tb, 3, func(i int, row tuple.Row) { row[0], row[1] = tuple.NewInt(int64(i)), tuple.NewInt(0) })
+				return e.InsertGenerated(tb, 3, nil, func(i int, row tuple.Row) { row[0], row[1] = tuple.NewInt(int64(i)), tuple.NewInt(0) })
 			},
 			fail: func(e *Engine, _ *plan.Query) error {
-				return e.InsertGenerated("nope", 1, func(int, tuple.Row) {})
+				return e.InsertGenerated("nope", 1, nil, func(int, tuple.Row) {})
 			}},
 		{name: "Analyze", commits: true,
-			run:  func(e *Engine, tb string) error { return e.Analyze(tb) },
-			fail: func(e *Engine, _ *plan.Query) error { return e.Analyze("nope") }},
+			run:  func(e *Engine, tb string) error { return e.Analyze(tb, nil) },
+			fail: func(e *Engine, _ *plan.Query) error { return e.Analyze("nope", nil) }},
 		{name: "ColdStart", panicFree: true,
 			run:  func(e *Engine, _ string) error { return e.ColdStart() },
 			fail: coldStartPinned},
@@ -199,7 +199,7 @@ func loadRows(e *Engine, name string, n int) error {
 	if err := e.InsertRows(name, intRows(n, func(i int) (int64, int64) { return int64(i % 10), int64(i) })); err != nil {
 		return err
 	}
-	return e.Analyze(name)
+	return e.Analyze(name, nil)
 }
 
 // boundaryState is what the boundary may move: the commit count and the data

@@ -15,6 +15,7 @@ package qgraph
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"specdb/internal/tuple"
@@ -28,9 +29,13 @@ type Selection struct {
 	Const tuple.Value
 }
 
-// Key is a canonical identity for the selection, usable as a map key.
+// Key is a canonical identity for the selection, usable as a map key: the
+// learner's and a durable profile's, so its bytes never change. It is built
+// by concatenation, not fmt, whose interface assertions on the operator and
+// the kind cost an allocation now and then.
 func (s Selection) Key() string {
-	return fmt.Sprintf("σ|%s|%s|%s|%d|%s", s.Rel, s.Col, s.Op, s.Const.Kind(), s.Const.String())
+	return "σ|" + s.Rel + "|" + s.Col + "|" + s.Op.String() + "|" +
+		strconv.FormatUint(uint64(s.Const.Kind()), 10) + "|" + s.Const.String()
 }
 
 // String renders the selection as SQL text.

@@ -1,10 +1,10 @@
 // Package slab recycles slices whose owner knows they are dead: a hash join's
 // build side at its Close, a statistics set that has doubled or whose counts
 // have been read, a page the disk freed, a frame buffer that left the buffer
-// pool, an index build's sort input once the tree is loaded. Every site that
-// gives memory back says, beside its Give, why nothing can still reach it
-// (DESIGN.md §15, "Slabs"); a slice given back while something still reads
-// it is read by the next Take's owner, silently.
+// pool, a table's gathered columns once its preparation is built. Every site
+// that gives memory back says, beside its Give, why nothing can still reach
+// it (DESIGN.md §15, "Slabs"); a slice given back while something still
+// reads it is read by the next Take's owner, silently.
 //
 // This file is the only non-test file that may name sync.Pool
 // (scripts/lint.sh): what a pool keeps must be memory the collector may drop,
@@ -32,9 +32,10 @@ type Classes[T any] struct {
 var (
 	// Bytes holds page images — the disk's freed pages and the buffer pool's
 	// departing frame buffers, which serve each other's next page — and
-	// index builds' key chunks.
+	// string index builds' key chunks.
 	Bytes Classes[byte]
-	// Uint64s holds statistics sets and hash-join key images.
+	// Uint64s holds statistics sets, hash-join key images and the key
+	// images (with their RIDs) a column's preparation sorts.
 	Uint64s Classes[uint64]
 )
 

@@ -117,19 +117,6 @@ func (c *Collector) Release() {
 	*c = Collector{kind: c.kind}
 }
 
-// CollectColumnStats computes Count/Distinct/Min/Max from a column's values.
-// Histograms are built separately (BuildHistogram) because histogram creation
-// is a distinct, costed manipulation.
-func CollectColumnStats(values []tuple.Value) *ColumnStats {
-	var c Collector
-	for _, v := range values {
-		c.Add(v)
-	}
-	cs := c.Stats()
-	c.Release()
-	return cs
-}
-
 // bitsSet is an exact set of 64-bit key images: open addressing with linear
 // probing over a power-of-two table kept at most half full, doubling as it
 // fills, so n adds take O(log n) tables and nothing per value. A zero slot

@@ -11,6 +11,17 @@ import (
 // so cannot live inside it.
 var ReferenceColumnStats = referenceColumnStats
 
+// CollectColumnStats is a Collector's statistics over values, for tests that
+// hold a column as a slice.
+func CollectColumnStats(values []tuple.Value) *ColumnStats {
+	var c Collector
+	for _, v := range values {
+		c.Add(v)
+	}
+	defer c.Release()
+	return c.Stats()
+}
+
 // Summary is the part of a ColumnStats the optimizer reads.
 type Summary struct {
 	Count, Distinct int64

@@ -85,14 +85,14 @@ func TestBothFeedersAgree(t *testing.T) {
 				break
 			}
 		}
-		if _, err := eng.CreateHistogram(name, histCol); err != nil {
+		if _, err := eng.CreateHistogram(name, histCol, nil); err != nil {
 			t.Fatal(err)
 		}
 		hist := view.ColumnStats(histCol).Hist()
 		if hist == nil {
 			t.Fatalf("%s.%s: no histogram attached", name, histCol)
 		}
-		if err := eng.Analyze(name); err != nil {
+		if err := eng.Analyze(name, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := view.ColumnStats(histCol).Hist(); got != hist {

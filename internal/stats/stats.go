@@ -10,12 +10,8 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
-	"specdb/internal/radix"
-	"specdb/internal/slab"
 	"specdb/internal/tuple"
 )
 
@@ -145,43 +141,19 @@ type Histogram struct {
 // BuildHistogram constructs an equi-depth histogram with at most numBuckets
 // buckets from the given numeric values. Non-numeric values are rejected.
 //
-// The values are sorted as their order-preserving KeyBitsOf images, in linear
-// time (radix.Sort) and in scratch from slab.Uint64s. Two floats other than
-// NaN and -0 are equal exactly when their images are, so this is the order
-// sort.Float64s gives bit for bit; a column holding a NaN or a -0, whose
-// placement among values that compare equal to it sort.Float64s leaves to its
-// algorithm, is sorted by sort.Float64s itself.
+// The values are taken as floats and go through Images.Histogram: a linear-time
+// sort of their order-preserving images, the order sort.Float64s gives bit for
+// bit, or sort.Float64s itself for a column holding a NaN or a -0.
 func BuildHistogram(values []tuple.Value, numBuckets int) (*Histogram, error) {
-	if numBuckets <= 0 {
-		return nil, fmt.Errorf("stats: numBuckets must be positive, got %d", numBuckets)
-	}
-	h := &Histogram{Total: int64(len(values))}
-	if len(values) == 0 {
-		return h, nil
-	}
-	images := slab.Uint64s.Take(len(values))
-	defer slab.Uint64s.Give(images)
-	plain := true // no NaN and no -0
-	for i, v := range values {
+	c := NewImages(tuple.KindFloat, len(values), false)
+	defer c.Release()
+	for _, v := range values {
 		if !v.IsNumeric() {
 			return nil, fmt.Errorf("stats: histogram over non-numeric kind %v", v.Kind())
 		}
-		x := v.AsFloat()
-		plain = plain && x == x && (x != 0 || !math.Signbit(x))
-		images[i] = tuple.KeyBitsOf(tuple.KindFloat, tuple.NewFloat(x))
+		c.Add(tuple.NewFloat(v.AsFloat()), 0)
 	}
-	if plain {
-		radix.Sort(images, nil)
-		h.Buckets = equiDepth(len(images), numBuckets, func(i int) float64 { return tuple.FloatOfKeyBits(images[i]) })
-		return h, nil
-	}
-	xs := make([]float64, len(values))
-	for i, v := range values {
-		xs[i] = v.AsFloat()
-	}
-	sort.Float64s(xs)
-	h.Buckets = equiDepth(len(xs), numBuckets, func(i int) float64 { return xs[i] })
-	return h, nil
+	return c.Histogram(numBuckets)
 }
 
 // equiDepth cuts n sorted values, the i-th of which is at(i), into at most

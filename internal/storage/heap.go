@@ -25,6 +25,14 @@ type RID struct {
 	Slot int32
 }
 
+// Bits packs the RID into one word, page above slot, so that packed RIDs
+// order as RIDs do: a sort of key images can carry each row's RID beside its
+// image.
+func (r RID) Bits() uint64 { return uint64(uint32(r.Page))<<32 | uint64(uint32(r.Slot)) }
+
+// RIDOfBits is the RID that Bits packed into u.
+func RIDOfBits(u uint64) RID { return RID{Page: int32(u >> 32), Slot: int32(uint32(u))} }
+
 // String renders the RID as "page:slot".
 func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
@@ -97,9 +105,14 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		if err != nil {
 			return RID{}, err
 		}
-		page := AsSlotted(buf)
-		if slot, err := page.Insert(rec); err == nil {
-			h.pool.Unpin(h.pages[n-1], true)
+		// Room is tested first: a full page is the common case at every page
+		// boundary, and Insert's refusal is a formatted error.
+		if page := AsSlotted(buf); len(rec) <= page.FreeSpace() {
+			slot, err := page.Insert(rec)
+			h.pool.Unpin(h.pages[n-1], err == nil)
+			if err != nil {
+				return RID{}, err
+			}
 			h.rows++
 			return RID{Page: int32(n - 1), Slot: int32(slot)}, nil
 		}

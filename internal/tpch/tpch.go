@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"specdb/internal/catalog"
 	"specdb/internal/engine"
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
@@ -217,34 +218,48 @@ func SelectionColumns() []SelectionColumn {
 
 // Load creates, populates, analyzes, indexes, and histograms the dataset in
 // the engine, deterministically from seed.
+//
+// Each table's load feeds its preparation (catalog.Feed): the statistics,
+// indexes and histograms are built from what the load gathered as it stored
+// the rows, one sort per numeric column, and no heap page is read back. The
+// statements and their order are the scan-per-build set-up's, so every page
+// lands where it did. The feeds hold about 16 bytes per numeric value until
+// the last histogram is built.
 func Load(e *engine.Engine, scale Scale, seed uint64) error {
 	r := sim.NewRand(seed)
 	schemas := Schemas()
-	for _, name := range []string{"supplier", "part", "partsupp", "customer", "orders", "lineitem"} {
-		if _, err := e.CreateTable(name, schemas[name]); err != nil {
+	loads := []struct {
+		table string
+		rows  int
+		load  func(*engine.Engine, Scale, *sim.Rand, *catalog.Feed) error
+	}{
+		{"supplier", scale.Supplier, loadSupplier},
+		{"part", scale.Part, loadPart},
+		{"partsupp", scale.PartSupp, loadPartSupp},
+		{"customer", scale.Customer, loadCustomer},
+		{"orders", scale.Orders, loadOrders},
+		{"lineitem", scale.LineItem, loadLineItem},
+	}
+	feeds := make(map[string]*catalog.Feed, len(loads))
+	defer func() {
+		for _, f := range feeds {
+			f.Release()
+		}
+	}()
+	for _, l := range loads {
+		t, err := e.CreateTable(l.table, schemas[l.table])
+		if err != nil {
+			return err
+		}
+		feeds[l.table] = catalog.NewFeed(t, l.rows)
+	}
+	for _, l := range loads {
+		if err := l.load(e, scale, r, feeds[l.table]); err != nil {
 			return err
 		}
 	}
-	if err := loadSupplier(e, scale, r); err != nil {
-		return err
-	}
-	if err := loadPart(e, scale, r); err != nil {
-		return err
-	}
-	if err := loadPartSupp(e, scale, r); err != nil {
-		return err
-	}
-	if err := loadCustomer(e, scale, r); err != nil {
-		return err
-	}
-	if err := loadOrders(e, scale, r); err != nil {
-		return err
-	}
-	if err := loadLineItem(e, scale, r); err != nil {
-		return err
-	}
-	for _, name := range []string{"supplier", "part", "partsupp", "customer", "orders", "lineitem"} {
-		if err := e.Analyze(name); err != nil {
+	for _, l := range loads {
+		if err := e.Analyze(l.table, feeds[l.table]); err != nil {
 			return err
 		}
 	}
@@ -257,21 +272,21 @@ func Load(e *engine.Engine, scale Scale, seed uint64) error {
 			continue
 		}
 		done[key] = true
-		if _, err := e.CreateIndex(tc[0], tc[1]); err != nil {
+		if _, err := e.CreateIndex(tc[0], tc[1], feeds[tc[0]]); err != nil {
 			return fmt.Errorf("tpch: index %s: %w", key, err)
 		}
 	}
 	for _, tc := range skewedColumns {
-		if _, err := e.CreateHistogram(tc[0], tc[1]); err != nil {
+		if _, err := e.CreateHistogram(tc[0], tc[1], feeds[tc[0]]); err != nil {
 			return fmt.Errorf("tpch: histogram %s.%s: %w", tc[0], tc[1], err)
 		}
 	}
 	return e.ColdStart() // experiments start with a cold buffer pool
 }
 
-func loadSupplier(e *engine.Engine, s Scale, r *sim.Rand) error {
+func loadSupplier(e *engine.Engine, s Scale, r *sim.Rand, fed *catalog.Feed) error {
 	zNation := sim.NewZipf(r, len(nations), 1.1)
-	return e.InsertGenerated("supplier", s.Supplier, func(i int, row tuple.Row) {
+	return e.InsertGenerated("supplier", s.Supplier, fed, func(i int, row tuple.Row) {
 		row[0] = tuple.NewInt(int64(i + 1))
 		row[1] = tuple.NewString(fmt.Sprintf("Supplier#%05d", i+1))
 		row[2] = tuple.NewString(nations[zNation.Next()])
@@ -279,10 +294,10 @@ func loadSupplier(e *engine.Engine, s Scale, r *sim.Rand) error {
 	})
 }
 
-func loadPart(e *engine.Engine, s Scale, r *sim.Rand) error {
+func loadPart(e *engine.Engine, s Scale, r *sim.Rand, fed *catalog.Feed) error {
 	zSize := sim.NewZipf(r, 50, 1.0)
 	zBrand := sim.NewZipf(r, len(brands), 0.9)
-	return e.InsertGenerated("part", s.Part, func(i int, row tuple.Row) {
+	return e.InsertGenerated("part", s.Part, fed, func(i int, row tuple.Row) {
 		row[0] = tuple.NewInt(int64(i + 1))
 		row[1] = tuple.NewString(fmt.Sprintf("Part#%06d", i+1))
 		row[2] = tuple.NewString(brands[zBrand.Next()])
@@ -291,8 +306,8 @@ func loadPart(e *engine.Engine, s Scale, r *sim.Rand) error {
 	})
 }
 
-func loadPartSupp(e *engine.Engine, s Scale, r *sim.Rand) error {
-	return e.InsertGenerated("partsupp", s.PartSupp, func(_ int, row tuple.Row) {
+func loadPartSupp(e *engine.Engine, s Scale, r *sim.Rand, fed *catalog.Feed) error {
+	return e.InsertGenerated("partsupp", s.PartSupp, fed, func(_ int, row tuple.Row) {
 		row[0] = tuple.NewInt(r.Int63n(int64(s.Part)) + 1)
 		row[1] = tuple.NewInt(r.Int63n(int64(s.Supplier)) + 1)
 		row[2] = tuple.NewInt(r.Int63n(10000) + 1)
@@ -300,10 +315,10 @@ func loadPartSupp(e *engine.Engine, s Scale, r *sim.Rand) error {
 	})
 }
 
-func loadCustomer(e *engine.Engine, s Scale, r *sim.Rand) error {
+func loadCustomer(e *engine.Engine, s Scale, r *sim.Rand, fed *catalog.Feed) error {
 	zNation := sim.NewZipf(r, len(nations), 1.1)
 	zSeg := sim.NewZipf(r, len(segments), 0.8)
-	return e.InsertGenerated("customer", s.Customer, func(i int, row tuple.Row) {
+	return e.InsertGenerated("customer", s.Customer, fed, func(i int, row tuple.Row) {
 		row[0] = tuple.NewInt(int64(i + 1))
 		row[1] = tuple.NewString(fmt.Sprintf("Customer#%06d", i+1))
 		row[2] = tuple.NewString(nations[zNation.Next()])
@@ -312,9 +327,9 @@ func loadCustomer(e *engine.Engine, s Scale, r *sim.Rand) error {
 	})
 }
 
-func loadOrders(e *engine.Engine, s Scale, r *sim.Rand) error {
+func loadOrders(e *engine.Engine, s Scale, r *sim.Rand, fed *catalog.Feed) error {
 	zPrio := sim.NewZipf(r, 5, 1.3)
-	return e.InsertGenerated("orders", s.Orders, func(i int, row tuple.Row) {
+	return e.InsertGenerated("orders", s.Orders, fed, func(i int, row tuple.Row) {
 		row[0] = tuple.NewInt(int64(i + 1))
 		row[1] = tuple.NewInt(r.Int63n(int64(s.Customer)) + 1)
 		row[2] = tuple.NewFloat(skewedFloat(r, 1000, 400000, 2.5))
@@ -323,9 +338,9 @@ func loadOrders(e *engine.Engine, s Scale, r *sim.Rand) error {
 	})
 }
 
-func loadLineItem(e *engine.Engine, s Scale, r *sim.Rand) error {
+func loadLineItem(e *engine.Engine, s Scale, r *sim.Rand, fed *catalog.Feed) error {
 	zQty := sim.NewZipf(r, 50, 1.0)
-	return e.InsertGenerated("lineitem", s.LineItem, func(_ int, row tuple.Row) {
+	return e.InsertGenerated("lineitem", s.LineItem, fed, func(_ int, row tuple.Row) {
 		qty := int64(zQty.Next() + 1)
 		price := skewedFloat(r, 900, 2100, 1.5) * float64(qty)
 		row[0] = tuple.NewInt(r.Int63n(int64(s.Orders)) + 1)

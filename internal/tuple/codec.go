@@ -274,6 +274,21 @@ func KeyBitsOf(k Kind, v Value) uint64 {
 	}
 }
 
+// ValueOfKeyBits is the value of kind k whose KeyBitsOf image is u: the
+// inverse of KeyBitsOf, so statistics read off a sorted column of images give
+// back the column's own values.
+func ValueOfKeyBits(k Kind, u uint64) Value {
+	switch k {
+	case KindInt, KindDate:
+		return numeric(k, u^(1<<63))
+	case KindFloat:
+		return NewFloat(FloatOfKeyBits(u))
+	default:
+		// invariant: as KeyBitsOf, callers select on the column kind first.
+		panic("tuple: no value of kind " + k.String() + " has an 8-byte key image")
+	}
+}
+
 // FloatOfKeyBits is the float whose KeyBitsOf image is u: the inverse of
 // KeyBitsOf on floats.
 func FloatOfKeyBits(u uint64) float64 {

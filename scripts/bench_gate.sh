@@ -12,12 +12,13 @@
 # filter, hash-join build/probe, a two-edge hash join, index-NL probe,
 # DecodeRowInto, pool miss, B+-tree lookup, one whole RunQuery through the
 # statement boundary, a served GO at two answer sizes, which must allocate the
-# same, and the four builds — a speculative Materialize, ANALYZE of lineitem,
+# same, the four builds — a speculative Materialize, ANALYZE of lineitem,
 # CREATE INDEX on lineitem.l_partkey, a histogram on lineitem.l_extendedprice
 # — whose statistics and keys must not cost an allocation per value, whose
 # sorts of 8-byte key images are linear-time radix sorts (internal/radix), and
 # whose sets, sort input, sort scratch and freed pages come back from the
-# slabs warm) and gates their allocations and B/op against
+# slabs warm, and last the whole set-up at 100MB, harness.NewEnv) and gates
+# their allocations and B/op against
 # BENCH_allocs.txt. Both are counts of a deterministic program on a pool that
 # holds its data, so they do not depend on the machine, provided three things
 # are held still:

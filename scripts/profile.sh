@@ -12,7 +12,7 @@
 #            engine.Materialize) beside the GOs.
 #   predict  BenchmarkPredictReplay  mirrors predict_replay: shared predictor,
 #            answer cache and learner, after one untimed training pass.
-#   setup    BenchmarkSetup          mirrors setup_s: harness.NewEnv at 100MB
+#   setup    BenchmarkLayerSetup     mirrors setup_s: harness.NewEnv at 100MB
 #            on the 46-page pool — load, ANALYZE, every index and histogram
 #            tpch.Load builds; one pass is one environment.
 #
@@ -38,7 +38,7 @@ case "$replay" in
   normal) bench="BenchmarkNormalReplay" ;;
   spec) bench="BenchmarkSpecReplay" ;;
   predict) bench="BenchmarkPredictReplay" ;;
-  setup) bench="BenchmarkSetup" ;;
+  setup) bench="BenchmarkLayerSetup" ;;
 esac
 out="profiles"
 mkdir -p "$out"
