@@ -653,10 +653,10 @@ func BenchmarkLayerHistogramBuild(b *testing.B) {
 // the six tables, each load feeding its table's statistics, indexes and
 // histograms, build every index and histogram tpch.Load prepares, cold-start
 // the pool. One pass is one environment; scripts/bench_gate.sh gates its
-// allocations and scripts/profile.sh setup profiles it. It is the last layer
-// benchmark in the file, so the gate runs it last: the heap it grows, with the
-// collector off, is not inside another benchmark's window, where it read as
-// one allocation more in BenchmarkLayerDecodeRowInto two runs in three.
+// allocations and scripts/profile.sh setup profiles it. The gate runs it in a
+// go test process of its own: the heap it grows, with the collector off, must
+// not fall inside another benchmark's window, where it read as one allocation
+// more in BenchmarkLayerDecodeRowInto two runs in three.
 func BenchmarkLayerSetup(b *testing.B) {
 	passes(b, func(int) {
 		if _, err := harness.NewEnv(harness.EnvConfig{Scale: tpch.Scale100MB, Seed: benchData, BufferPoolPages: harness.PoolPages32MB}); err != nil {

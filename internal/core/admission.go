@@ -176,7 +176,7 @@ func (sp *Speculator) admit(m *Manipulation, key AssetKey, now sim.Time) refusal
 		// Only extra jobs, beyond this speculator's first outstanding
 		// manipulation, pass the worker gate.
 		return refusedWorkerGate
-	case !sp.breaker.Allow(now):
+	case !sp.breaker.allow(now):
 		// Consulted last, once a candidate is actually worth issuing, so an
 		// admitted half-open probe always corresponds to a real job (a probe
 		// consumed with nothing to issue would wedge the breaker half-open

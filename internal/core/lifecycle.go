@@ -93,7 +93,7 @@ func (sp *Speculator) finish(job *Job, t Terminal, at sim.Time, cause error) boo
 	switch t {
 	case TermCompleted:
 		delete(sp.attempts, key)
-		if sp.breaker.Success() {
+		if sp.breaker.success() {
 			sp.stats.BreakerResumes++
 		}
 		sp.cfg.Governor.NoteSuccess(at)
@@ -102,7 +102,7 @@ func (sp *Speculator) finish(job *Job, t Terminal, at sim.Time, cause error) boo
 	default:
 		// A canceled half-open probe resolves nothing: re-open the breaker so
 		// a later probe gets its turn (no-op unless half-open).
-		sp.breaker.Canceled(at)
+		sp.breaker.canceled(at)
 		if t == TermDeadlineExceeded {
 			// A strike on the GLOBAL breaker only: an overrunning build is
 			// usually a victim of engine-wide pressure, and tripping the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"specdb/internal/engine"
-	"specdb/internal/fault"
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
 	"specdb/internal/trace"
@@ -129,15 +128,15 @@ func TestLifecycleTable(t *testing.T) {
 				kind.configure(e, &cfg)
 				sp := newSpec(e, cfg)
 				for i := 0; i < 3; i++ {
-					sp.breaker.Failure(0)
+					sp.breaker.failure(0)
 				}
 				out, err := sp.OnEvent(kind.issue, sim.FromSeconds(issueAt))
 				if err != nil {
 					t.Fatal(err)
 				}
 				job := one(out.Issued)
-				if job == nil || sp.breaker.State() != fault.BreakerHalfOpen {
-					t.Fatalf("no probe job issued (job %v, breaker %v)", job, sp.breaker.State())
+				if job == nil || sp.breaker.state != breakerHalfOpen {
+					t.Fatalf("no probe job issued (job %v, breaker %v)", job, sp.breaker.state)
 				}
 				if n := cfg.Ledger.InFlight(AssetKey{}); n != 1 {
 					t.Fatalf("issued job not registered once: %d in flight", n)
@@ -231,11 +230,11 @@ func TestLifecycleTable(t *testing.T) {
 				if got := sp.footprint(); got != held*job.Manip.EstPages || got != cfg.Ledger.Footprint() {
 					t.Errorf("retained pages %d (ledger: %d), want %d", got, cfg.Ledger.Footprint(), held*job.Manip.EstPages)
 				}
-				wantBreaker := fault.BreakerOpen
+				wantBreaker := breakerOpen
 				if want == TermCompleted {
-					wantBreaker = fault.BreakerClosed
+					wantBreaker = breakerClosed
 				}
-				if got := sp.breaker.State(); got != wantBreaker {
+				if got := sp.breaker.state; got != wantBreaker {
 					t.Errorf("breaker %v after the probe ended %v, want %v", got, want, wantBreaker)
 				}
 				if job.Manip.Kind == ManipPredictFinal && after.PredictedIssued != after.PredictedCompleted+after.PredictedCanceled {

@@ -8,7 +8,6 @@ import (
 
 	"specdb/internal/catalog"
 	"specdb/internal/engine"
-	"specdb/internal/fault"
 	"specdb/internal/obs"
 	"specdb/internal/plan"
 	"specdb/internal/qgraph"
@@ -315,13 +314,13 @@ type Speculator struct {
 	// multi-user runs aggregate); count keeps the two in step.
 	mirror map[any]*obs.Counter
 
-	// Failure containment (DESIGN.md §8): per-key consecutive failure counts,
-	// keys abandoned after maxManipAttempts, the sim-time before which nothing
-	// new is issued (backoff), and the per-session circuit breaker.
+	// Failure containment (DESIGN.md §8, failure.go): per-key consecutive
+	// failure counts, keys abandoned after maxManipAttempts, the sim-time
+	// before which nothing new is issued (backoff), and the session breaker.
 	attempts  map[string]int
 	abandoned map[string]bool
 	retryAt   sim.Time
-	breaker   *fault.Breaker
+	breaker   sessionBreaker
 
 	// Whole-query prediction (DESIGN.md §14), unused without cfg.Predictor.
 	// predStates accumulates the canvas states (partial graph keys) the
@@ -369,11 +368,10 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		wasteCharges:   make(map[string]int),
 		attempts:       make(map[string]int),
 		abandoned:      make(map[string]bool),
-		breaker:        fault.NewBreaker(),
+		breaker:        newSessionBreaker(eng.Metrics()),
 		predictedReady: make(map[string]bool),
 		mirror:         make(map[any]*obs.Counter),
 	}
-	sp.breaker.AttachMetrics(eng.Metrics())
 	if cfg.Workers > 1 {
 		sp.gateAdmitted = eng.Metrics().Counter("sched.admitted")
 		sp.gateDeferred = eng.Metrics().Counter("sched.deferred")
@@ -574,42 +572,6 @@ func (sp *Speculator) governDegrade(now sim.Time) ([]*Job, error) {
 		}
 	}
 	return dropped, nil
-}
-
-// maxManipAttempts bounds how often one manipulation (by key) may fail — at
-// issue or at completion — before it is abandoned for the rest of the
-// session. retryBackoff is the sim-time pause after a failure before the
-// speculator issues anything again, doubling per earlier failure of the same
-// manipulation: 2, 4 and 8 s, the third failure being the last.
-const (
-	maxManipAttempts = 3
-	retryBackoff     = 2 * time.Second
-)
-
-// noteFailure records one contained manipulation failure: backoff before the
-// next issue, abandonment after maxManipAttempts, and a breaker strike. A
-// span marks the failure on the session timeline.
-func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
-	count(sp, &sp.stats.Failed, 1)
-	n := sp.attempts[key] + 1
-	sp.attempts[key] = n
-	if t := now.Add(retryBackoff << (n - 1)); t > sp.retryAt {
-		sp.retryAt = t
-	}
-	if n >= maxManipAttempts && !sp.abandoned[key] {
-		sp.abandoned[key] = true
-		count(sp, &sp.stats.Abandoned, 1)
-	}
-	if sp.breaker.Failure(now) {
-		sp.stats.BreakerTrips++
-	}
-	// The same outcome feeds the engine-wide breaker, which trips on the
-	// systemic rate across all sessions (nil-safe no-op without a governor).
-	sp.cfg.Governor.NoteFailure(now)
-	s := sp.eng.Tracer().Start("manip.failed", now, 0,
-		obs.Attr{Key: "key", Value: key},
-		obs.Attr{Key: "error", Value: cause.Error()})
-	s.End(now)
 }
 
 // OnGo handles the final query: the jobs in flight run on or are canceled,

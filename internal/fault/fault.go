@@ -1,15 +1,15 @@
-// Package fault implements deterministic fault injection and failure
-// containment for the engine (DESIGN.md §8). An Injector draws per-operation
-// fault decisions from a seeded sim.Rand, so a run with a given seed injects
-// exactly the same faults on every execution, and a zero-rate (or nil)
-// injector is bit-for-bit invisible: it never touches the meter, the clock,
-// or any shared counter on the fault-free path.
+// Package fault implements deterministic fault injection for the engine
+// (DESIGN.md §8). An Injector draws per-operation fault decisions from a
+// seeded sim.Rand, so a run with a given seed injects exactly the same faults
+// on every execution, and a zero-rate (or nil) injector is bit-for-bit
+// invisible: it never touches the meter, the clock, or any shared counter on
+// the fault-free path. Crash kills a durable disk at a chosen write.
 //
 // The package deliberately knows nothing about the pool or the speculator; it
 // only decides *whether* an operation fails and wraps storage.Disk to apply
-// read/write decisions at the I/O boundary. Containment policy (retries,
-// backoff, the circuit breaker) lives with the components that own the
-// operations.
+// read/write decisions at the I/O boundary. Containment policy lives with the
+// components that own the operations: the pool retries page I/O, and
+// internal/core backs off, abandons and breaks speculation.
 package fault
 
 import (

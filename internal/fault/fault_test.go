@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"specdb/internal/obs"
-	"specdb/internal/sim"
 	"specdb/internal/storage"
 )
 
@@ -162,78 +160,5 @@ func TestWrapDisk(t *testing.T) {
 	}
 	if clean[0] != 0x17 {
 		t.Fatal("corruption leaked to the underlying disk")
-	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	br := NewBreaker()
-	reg := obs.NewRegistry()
-	br.AttachMetrics(reg)
-	at := func(sec int) sim.Time { return sim.Time(sec) * sim.Time(time.Second) }
-
-	if br.State() != BreakerClosed || !br.Allow(at(0)) {
-		t.Fatal("breaker should start closed and allowing")
-	}
-	// Two failures: still closed.
-	br.Failure(at(1))
-	if tripped := br.Failure(at(2)); tripped {
-		t.Fatal("tripped below threshold")
-	}
-	// Third consecutive failure trips it.
-	if tripped := br.Failure(at(3)); !tripped {
-		t.Fatal("did not trip at threshold")
-	}
-	if br.State() != BreakerOpen {
-		t.Fatalf("state %v, want open", br.State())
-	}
-	if br.Allow(at(4)) || br.Allow(at(32)) {
-		t.Fatal("open breaker allowed before the 30 s cooldown")
-	}
-	// Cooldown elapsed: one half-open probe is admitted, a second is not.
-	if !br.Allow(at(33)) {
-		t.Fatal("half-open probe rejected after cooldown")
-	}
-	if br.State() != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", br.State())
-	}
-	if br.Allow(at(33)) {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// A failed probe reopens immediately (no threshold).
-	if tripped := br.Failure(at(34)); !tripped {
-		t.Fatal("failed probe did not reopen")
-	}
-	if br.Allow(at(63)) {
-		t.Fatal("reopened breaker allowed before a fresh cooldown")
-	}
-	// A canceled probe also reopens.
-	if !br.Allow(at(64)) {
-		t.Fatal("second probe rejected")
-	}
-	br.Canceled(at(64))
-	if br.State() != BreakerOpen {
-		t.Fatalf("state %v after canceled probe, want open", br.State())
-	}
-	// A successful probe closes the breaker and failures reset.
-	if !br.Allow(at(94)) {
-		t.Fatal("third probe rejected")
-	}
-	if resumed := br.Success(); !resumed {
-		t.Fatal("successful probe did not resume")
-	}
-	if br.State() != BreakerClosed || !br.Allow(at(95)) {
-		t.Fatal("breaker should be closed and allowing after resume")
-	}
-	if resumed := br.Success(); resumed {
-		t.Fatal("success while closed reported a resume")
-	}
-	if v := reg.Counter("breaker.opened").Value(); v != 3 {
-		t.Fatalf("breaker.opened = %d, want 3", v)
-	}
-	if v := reg.Counter("breaker.closed").Value(); v != 1 {
-		t.Fatalf("breaker.closed = %d, want 1", v)
-	}
-	if v := reg.Counter("breaker.probes").Value(); v != 3 {
-		t.Fatalf("breaker.probes = %d, want 3", v)
 	}
 }

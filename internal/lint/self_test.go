@@ -93,7 +93,6 @@ func TestTestOnlyAPIPinned(t *testing.T) {
 		"(*specdb/internal/buffer.Pool).IORetries":           accessor, // TestPoolRetriesInjectedReadAndWriteErrors
 		"(*specdb/internal/buffer.Pool).DetectedCorruptions": accessor, // TestPoolDetectsAndRidesOutInjectedCorruption
 		"(*specdb/internal/core.AnswerCache).Pages":          accessor, // TestUnholdablePredictionIsNeverIssued
-		"(*specdb/internal/core.Governor).Breaker":           accessor, // TestGlobalBreakerTripAndRecover
 		"(*specdb/internal/core.Governor).Level":             seam,     // TestGovernorHysteresis steps the band machine through it
 		"(*specdb/internal/core.Governor).Transitions":       accessor, // TestGovernorHysteresis
 		"(*specdb/internal/core.Learner).SelectionSurvival":  accessor, // TestLearnerEstimatesAreProbabilities
@@ -107,10 +106,8 @@ func TestTestOnlyAPIPinned(t *testing.T) {
 		"(*specdb/internal/engine.Engine).DropIndex":         seam,     // the crash matrix and BenchmarkLayerIndexBuild reset with it
 		"(*specdb/internal/engine.Engine).DropHistogram":     seam,     // TestStatementBoundary and BenchmarkLayerHistogramBuild reset with it
 		"(*specdb/internal/engine.Engine).InsertRows":        seam,     // tests and the layer benchmarks load literal rows; tpch loads through InsertGenerated
-		"(*specdb/internal/fault.Breaker).State":             accessor, // TestBreakerStateMachine
 		"(*specdb/internal/fault.Crash).Dead":                accessor, // TestCrashMatrixRecoversIdentically
 		"(*specdb/internal/fault.Crash).Writes":              accessor, // TestCrashMatrixRecoversIdentically
-		"(*specdb/internal/fault.GlobalBreaker).Trips":       accessor, // TestGlobalBreakerTripAndRecover
 		"specdb/internal/harness.DefaultChaosConfig":         soak,     // TestChaosSoak, scripts/soak.sh
 		"specdb/internal/harness.RunChaosSoak":               soak,     // TestChaosSoak, scripts/soak.sh
 		"(*specdb/internal/obs.PanicLog).Total":              accessor, // TestConcurrentSessionsStressWithFaults

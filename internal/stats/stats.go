@@ -1,11 +1,14 @@
 // Package stats provides the optimizer's statistics layer: per-column
 // statistics, equi-depth histograms, and selectivity estimation for selection
-// and join predicates. Column statistics have one implementation, the
-// streaming Collector (collect.go): a materialization feeds it the rows it is
-// writing, ANALYZE the rows it scans, and nobody buffers a column to
-// summarize it. Histogram creation is itself one of the paper's
-// speculative manipulations (Section 3.2): creating a histogram during user
-// think-time sharpens the optimizer's estimates for the final query.
+// and join predicates. Column statistics have two producers. A load or an
+// ANALYZE sorts each numeric column's key images once (Images, images.go)
+// and reads the column's statistics, histogram and index order off them. The
+// streaming Collector (collect.go) serves the rest: a materialization feeds
+// it the rows it writes, ANALYZE each string column, and Images falls back on
+// it for a float column holding a NaN or a -0. Histogram creation is itself
+// one of the paper's speculative manipulations (Section 3.2): creating a
+// histogram during user think-time sharpens the optimizer's estimates for the
+// final query.
 package stats
 
 import (

@@ -17,9 +17,10 @@
 # — whose statistics and keys must not cost an allocation per value, whose
 # sorts of 8-byte key images are linear-time radix sorts (internal/radix), and
 # whose sets, sort input, sort scratch and freed pages come back from the
-# slabs warm, and last the whole set-up at 100MB, harness.NewEnv) and gates
-# their allocations and B/op against
-# BENCH_allocs.txt. Both are counts of a deterministic program on a pool that
+# slabs warm, and last the whole set-up at 100MB, harness.NewEnv, in a go test
+# process of its own: the heap it grows would otherwise show as an allocation
+# in whichever benchmark follows it) and gates their allocations and B/op
+# against BENCH_allocs.txt. Both are counts of a deterministic program on a pool that
 # holds its data, so they do not depend on the machine, provided three things
 # are held still:
 #   - the allocations compared are the undivided total of the ten measured
@@ -51,9 +52,13 @@ set -euo pipefail
 allocs_file="BENCH_allocs.txt"
 
 # layer_table — run the gated layer benchmarks on one P with the collector
-# off and print "name allocs B/op ns/op", allocs being the ten passes' total.
+# off, BenchmarkLayerSetup alone after the rest, and print "name allocs B/op
+# ns/op", allocs being the ten passes' total.
 layer_table() {
-  GOGC=off go test -run '^$' -cpu 1 -skip 'Parallel$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x . | awk '
+  {
+    GOGC=off go test -run '^$' -cpu 1 -skip 'Parallel$|^BenchmarkLayerSetup$' -bench '^BenchmarkLayer' -benchmem -benchtime=10x . &&
+      GOGC=off go test -run '^$' -cpu 1 -bench '^BenchmarkLayerSetup$' -benchmem -benchtime=10x .
+  } | awk '
     /^BenchmarkLayer/ {
       name = $1; sub(/-[0-9]+$/, "", name)
       for (i = 2; i <= NF; i++) {
