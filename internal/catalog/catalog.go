@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"specdb/internal/btree"
 	"specdb/internal/qgraph"
@@ -32,6 +33,10 @@ type Table struct {
 	Name   string
 	Schema *tuple.Schema
 	Heap   *storage.HeapFile
+
+	// cat is the catalog the table was registered in, whose version every
+	// change below advances.
+	cat *Catalog
 
 	mu sync.RWMutex
 	// stats maps column name → statistics. Populated by Analyze; histogram
@@ -59,6 +64,20 @@ func (t *Table) SetColumnStats(col string, cs *stats.ColumnStats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats[col] = cs
+	t.cat.Changed()
+}
+
+// SetHistogram attaches h to col's statistics, or with nil detaches the
+// histogram there. A column without statistics is left as it is. This is the
+// one way a histogram the catalog holds changes, so that the change advances
+// the catalog's version.
+func (t *Table) SetHistogram(col string, h *stats.Histogram) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cs := t.stats[col]; cs != nil {
+		cs.SetHist(h)
+		t.cat.Changed()
+	}
 }
 
 // Index returns the index on col, or nil.
@@ -73,6 +92,7 @@ func (t *Table) SetIndex(col string, idx *Index) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.indexes[col] = idx
+	t.cat.Changed()
 }
 
 // RemoveIndex unregisters the index on col without dropping its tree (the
@@ -81,6 +101,7 @@ func (t *Table) RemoveIndex(col string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.indexes, col)
+	t.cat.Changed()
 }
 
 // IndexList returns the table's indexes sorted by column name.
@@ -121,6 +142,13 @@ type MatView struct {
 type Catalog struct {
 	pool storage.PagePool
 
+	// version counts the changes an optimizer can read: tables, views,
+	// indexes, statistics and histograms, and (through Changed) rows. Every
+	// change advances it after the change is visible, so a reader that sees
+	// the same version before and after planning planned against that
+	// version's state (DESIGN.md §6 item 2). It is read without a lock.
+	version atomic.Uint64
+
 	mu     sync.RWMutex
 	tables map[string]*Table
 	views  map[string]*MatView // by view (backing table) name
@@ -135,6 +163,16 @@ func New(pool storage.PagePool) *Catalog {
 	}
 }
 
+// Version reports how many changes the optimizer can read the catalog has
+// seen. Two equal readings mean that nothing a plan depends on changed in
+// between.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
+
+// Changed advances the version. The catalog's own mutators call it once their
+// change is visible; the engine calls it once rows written to a table's heap
+// are in, since row and page counts feed the coster.
+func (c *Catalog) Changed() { c.version.Add(1) }
+
 // CreateTable registers a new empty table.
 func (c *Catalog) CreateTable(name string, schema *tuple.Schema) (*Table, error) {
 	c.mu.Lock()
@@ -146,10 +184,12 @@ func (c *Catalog) CreateTable(name string, schema *tuple.Schema) (*Table, error)
 		Name:    name,
 		Schema:  schema,
 		Heap:    storage.NewHeapFile(c.pool),
+		cat:     c,
 		stats:   make(map[string]*stats.ColumnStats),
 		indexes: make(map[string]*Index),
 	}
 	c.tables[name] = t
+	c.Changed()
 	return t, nil
 }
 
@@ -166,10 +206,12 @@ func (c *Catalog) RestoreTable(name string, schema *tuple.Schema, heap *storage.
 		Name:    name,
 		Schema:  schema,
 		Heap:    heap,
+		cat:     c,
 		stats:   make(map[string]*stats.ColumnStats),
 		indexes: make(map[string]*Index),
 	}
 	c.tables[name] = t
+	c.Changed()
 	return t, nil
 }
 
@@ -223,6 +265,7 @@ func (c *Catalog) DropTable(name string) error {
 	}
 	delete(c.tables, name)
 	delete(c.views, name)
+	c.Changed()
 	return nil
 }
 
@@ -247,6 +290,7 @@ func (c *Catalog) AddIndex(table, column string, tree *btree.BTree) (*Index, err
 		return nil, fmt.Errorf("catalog: index on %s.%s already exists", table, column)
 	}
 	t.indexes[column] = idx
+	c.Changed()
 	return idx, nil
 }
 
@@ -259,6 +303,7 @@ func (c *Catalog) RegisterView(name string, graph *qgraph.Graph, forced bool) er
 		return fmt.Errorf("catalog: view %q has no backing table", name)
 	}
 	c.views[name] = &MatView{Name: name, Graph: graph, Table: t, Forced: forced}
+	c.Changed()
 	return nil
 }
 
@@ -268,6 +313,7 @@ func (c *Catalog) DropView(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.views, name)
+	c.Changed()
 }
 
 // View returns the view backed by table name, or nil.

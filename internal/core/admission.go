@@ -310,10 +310,8 @@ func (sp *Speculator) execute(m Manipulation, key AssetKey, now sim.Time) (*Job,
 		if err != nil {
 			return nil, err
 		}
-		if cs := t.ColumnStats(m.Col); cs != nil {
-			job.histogram = cs.Hist()
-			cs.SetHist(nil) // hidden until completion
-		}
+		job.histogram = t.ColumnStats(m.Col).Hist()
+		t.SetHistogram(m.Col, nil) // hidden until completion
 	case ManipStage:
 		if res, err = sp.eng.Stage(m.Rel); err != nil {
 			return nil, err

@@ -24,6 +24,19 @@ type CostModel struct {
 	// Lookahead is the number of future queries n whose expected reuse adds
 	// to the benefit (0 reproduces the single-query formula (2)).
 	Lookahead int
+
+	// plans holds what pricing reads of each graph's best plan, by graph key,
+	// as planned at catalog version plansAt (DESIGN.md §5): a candidate is
+	// planned once per version, however many walks score it.
+	plans   map[string]planned
+	plansAt uint64
+}
+
+// planned is what the cost model reads of a plan: its estimated cost and
+// output rows.
+type planned struct {
+	cost sim.Duration
+	rows float64
 }
 
 // The cost model's guards, constants since every speculator ran with the
@@ -59,11 +72,11 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 	var base, after, duration sim.Duration
 	switch m.Kind {
 	case ManipMaterialize:
-		node, err := cm.Eng.PlanGraph(m.Graph)
+		p, err := cm.plan(m.Graph)
 		if err != nil {
 			return err
 		}
-		resultPages := cm.estimatePages(m.Graph, node.Rows())
+		resultPages := cm.estimatePages(m.Graph, p.rows)
 		m.EstPages = int(math.Ceil(resultPages))
 		sourcePages := 0.0
 		for _, rel := range m.Graph.Relations() {
@@ -75,9 +88,9 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 			m.EstDuration, m.Benefit = 0, 0
 			return nil
 		}
-		base = node.Cost()
-		after = cm.scanCostAfterMaterialize(m.Graph, node.Rows())
-		duration = cm.materializeDuration(m.Graph, node.Cost(), node.Rows())
+		base = p.cost
+		after = cm.scanCostAfterMaterialize(m.Graph, p.rows)
+		duration = cm.materializeDuration(m.Graph, p.cost, p.rows)
 	case ManipIndex:
 		base, after, duration = cm.indexDeltas(m)
 		if t, err := cm.Eng.Catalog.Table(m.Rel); err == nil {
@@ -134,14 +147,45 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 // (a final is consumed by exactly one GO) and no separate completion-risk
 // term (the confidence already prices the prediction failing).
 func (cm *CostModel) ScorePredicted(m *Manipulation, confidence float64) error {
-	node, err := cm.Eng.PlanGraph(m.Graph)
+	p, err := cm.plan(m.Graph)
 	if err != nil {
 		return err
 	}
-	m.EstPages = int(math.Ceil(cm.estimatePages(m.Graph, node.Rows())))
-	m.EstDuration = node.Cost()
-	m.Benefit = sim.Duration(confidence * float64(node.Cost()))
+	m.EstPages = int(math.Ceil(cm.estimatePages(m.Graph, p.rows)))
+	m.EstDuration = p.cost
+	m.Benefit = sim.Duration(confidence * float64(p.cost))
 	return nil
+}
+
+// plan returns the cost and rows of g's best plan, planning g only if it was
+// not planned at the catalog's current version. A plan is kept only if the
+// version read before planning still holds after it: a change that lands
+// while the optimizer runs may or may not be in the plan, so the plan belongs
+// to no version. The catalog advances its version after each change is
+// visible, so an unchanged version means the planner read that version's
+// state.
+func (cm *CostModel) plan(g *qgraph.Graph) (planned, error) {
+	v := cm.Eng.Catalog.Version()
+	if cm.plans == nil {
+		cm.plans = make(map[string]planned)
+	}
+	if v != cm.plansAt {
+		clear(cm.plans)
+		cm.plansAt = v
+	}
+	key := g.Key()
+	if p, ok := cm.plans[key]; ok {
+		return p, nil
+	}
+	node, err := cm.Eng.PlanGraph(g)
+	if err != nil {
+		return planned{}, err
+	}
+	p := planned{cost: node.Cost(), rows: node.Rows()}
+	if cm.Eng.Catalog.Version() == v {
+		cm.plans[key] = p
+	}
+	return p, nil
 }
 
 // scanCostAfterMaterialize estimates cost(qm, m): scanning the materialized
@@ -199,13 +243,13 @@ func (cm *CostModel) indexDeltas(m *Manipulation) (base, after, duration sim.Dur
 	if err != nil {
 		return 0, 0, 0
 	}
-	node, err := cm.Eng.PlanGraph(m.Graph)
+	p, err := cm.plan(m.Graph)
 	if err != nil {
 		return 0, 0, 0
 	}
-	base = node.Cost()
+	base = p.cost
 	rates := cm.Eng.Rates()
-	match := node.Rows()
+	match := p.rows
 	// Index scan estimate: descent + unclustered fetches (capped).
 	fetch := match
 	if cap := 2 * float64(t.NumPages()); fetch > cap {
@@ -233,12 +277,12 @@ func (cm *CostModel) histogramDeltas(m *Manipulation) (base, after, duration sim
 	if t.ColumnStats(m.Col).Hist() != nil {
 		return 0, 0, 0 // already present: no benefit
 	}
-	node, err := cm.Eng.PlanGraph(m.Graph)
+	p, err := cm.plan(m.Graph)
 	if err != nil {
 		return 0, 0, 0
 	}
 	const improvementFactor = 0.05
-	base = node.Cost()
+	base = p.cost
 	after = sim.Duration(float64(base) * (1 - improvementFactor))
 	rates := cm.Eng.Rates()
 	duration = sim.Duration(t.NumPages())*rates.PageRead + sim.Duration(t.RowCount())*rates.Tuple

@@ -236,6 +236,7 @@ func (e *Engine) restoreDurable() error {
 					Min:      fromMetaValue(ms.Min),
 					Max:      fromMetaValue(ms.Max),
 				}
+				t.SetColumnStats(ms.Col, cs)
 				if ms.Hist != nil {
 					h := &stats.Histogram{Total: ms.Hist.Total}
 					for _, b := range ms.Hist.Buckets {
@@ -243,9 +244,8 @@ func (e *Engine) restoreDurable() error {
 							Lo: b.Lo, Hi: b.Hi, Count: b.Count, Distinct: b.Distinct,
 						})
 					}
-					cs.SetHist(h)
+					t.SetHistogram(ms.Col, h)
 				}
-				t.SetColumnStats(ms.Col, cs)
 			}
 			for _, mi := range mt.Indexes {
 				tree := btree.Open(e.Pool, e.Disk.PageSize(), storage.PageID(mi.Root),

@@ -341,6 +341,7 @@ func (e *Engine) statement(op, table string, eff effect, body func(st *stmt) err
 	}
 	if eff == changesData {
 		e.bumpDataVersion(table)
+		e.Catalog.Changed()
 	}
 	return nil
 }
@@ -545,8 +546,12 @@ func (e *Engine) ExplainAnalyze(q *plan.Query) (*Result, error) {
 }
 
 // PlanGraph optimizes a query graph without executing it (the speculation
-// cost model calls this to price alternatives).
+// cost model calls this to price alternatives). Each call counts under
+// engine.plans, a counter made at the first call, so that an engine that
+// never prices a graph (a set-up, a replay without speculation) allocates
+// nothing for it.
 func (e *Engine) PlanGraph(g *qgraph.Graph) (plan.Node, error) {
+	e.metrics.Counter("engine.plans").Inc()
 	q, err := plan.BindGraph(e.Catalog, g)
 	if err != nil {
 		return nil, err
@@ -766,7 +771,7 @@ func (e *Engine) CreateHistogram(table, column string, fed *catalog.Feed) (*Resu
 				}
 				t.SetColumnStats(column, cs)
 			}
-			cs.SetHist(h)
+			t.SetHistogram(column, h)
 			res.RowCount = f.Rows()
 			return nil
 		})
@@ -776,9 +781,7 @@ func (e *Engine) CreateHistogram(table, column string, fed *catalog.Feed) (*Resu
 // DropHistogram removes the histogram on table.column.
 func (e *Engine) DropHistogram(table, column string) error {
 	return e.mutate("DropHistogram", table, changesShape, func(t *catalog.Table) error {
-		if cs := t.ColumnStats(column); cs != nil {
-			cs.SetHist(nil)
-		}
+		t.SetHistogram(column, nil)
 		return nil
 	})
 }
