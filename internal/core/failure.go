@@ -45,7 +45,7 @@ func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 		count(sp, &sp.stats.Abandoned, 1)
 	}
 	if sp.breaker.failure(now) {
-		sp.stats.BreakerTrips++
+		count(sp, &sp.stats.BreakerTrips, 1)
 	}
 	// The same outcome feeds the engine-wide degraded band, which trips on
 	// the systemic rate across all sessions (nil-safe no-op without a
@@ -73,23 +73,21 @@ const (
 // sessionBreaker is one speculator's circuit breaker, driven entirely by the
 // session's simulated clock: deterministic, never reading wall time. It is
 // not locked: the speculator serializes every call under the session lock.
+// It reports each opening and closing to its caller, which counts them as
+// Stats.BreakerTrips and BreakerResumes, mirrored as breaker.opened and
+// breaker.closed; it counts only its probes itself.
 type sessionBreaker struct {
 	state    breakerState
 	failures int // consecutive failures while closed
 	openedAt sim.Time
 
-	// breaker.opened / breaker.closed / breaker.probes, shared by every
-	// session of one engine.
-	opened, closed, probes *obs.Counter
+	// probes is breaker.probes, shared by every session of one engine.
+	probes *obs.Counter
 }
 
-// newSessionBreaker returns a closed breaker counting its transitions in reg.
+// newSessionBreaker returns a closed breaker counting its probes in reg.
 func newSessionBreaker(reg *obs.Registry) sessionBreaker {
-	return sessionBreaker{
-		opened: reg.Counter("breaker.opened"),
-		closed: reg.Counter("breaker.closed"),
-		probes: reg.Counter("breaker.probes"),
-	}
+	return sessionBreaker{probes: reg.Counter("breaker.probes")}
 }
 
 // allow reports whether a new job may start at sim-time now. While open, the
@@ -119,7 +117,6 @@ func (b *sessionBreaker) failure(now sim.Time) (tripped bool) {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.failures = 0
-		b.opened.Inc()
 		return true
 	}
 	return false
@@ -133,17 +130,19 @@ func (b *sessionBreaker) success() (resumed bool) {
 		return false
 	}
 	b.state = breakerClosed
-	b.closed.Inc()
 	return true
 }
 
 // canceled records that the job in flight ended without a verdict (the
-// half-open probe was canceled, shed or ran past its deadline). The breaker
-// re-opens and waits out another cooldown rather than wedge half-open.
-func (b *sessionBreaker) canceled(now sim.Time) {
-	if b.state == breakerHalfOpen {
-		b.state = breakerOpen
-		b.openedAt = now
-		b.opened.Inc()
+// half-open probe was canceled, shed or ran past its deadline) and reports
+// whether that re-opened the breaker: it re-opens and waits out another
+// cooldown rather than wedge half-open. The re-open is a trip like any other
+// (DESIGN.md §8).
+func (b *sessionBreaker) canceled(now sim.Time) (tripped bool) {
+	if b.state != breakerHalfOpen {
+		return false
 	}
+	b.state = breakerOpen
+	b.openedAt = now
+	return true
 }

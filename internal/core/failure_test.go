@@ -51,7 +51,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !br.allow(at(64)) {
 		t.Fatal("second probe rejected")
 	}
-	br.canceled(at(64))
+	if tripped := br.canceled(at(64)); !tripped {
+		t.Fatal("canceled probe did not report its reopening")
+	}
 	if br.state != breakerOpen {
 		t.Fatalf("state %v after canceled probe, want open", br.state)
 	}
@@ -68,9 +70,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	if resumed := br.success(); resumed {
 		t.Fatal("success while closed reported a resume")
 	}
-	for name, want := range map[string]int64{"breaker.opened": 3, "breaker.closed": 1, "breaker.probes": 3} {
-		if v := reg.Counter(name).Value(); v != want {
-			t.Fatalf("%s = %d, want %d", name, v, want)
-		}
+	if tripped := br.canceled(at(96)); tripped {
+		t.Fatal("a canceled job while closed reported a trip")
+	}
+	// Openings and closings are the caller's to count (Stats.BreakerTrips
+	// and BreakerResumes, mirrored in the registry); the breaker counts its
+	// probes.
+	if v := reg.Counter("breaker.probes").Value(); v != 3 {
+		t.Fatalf("breaker.probes = %d, want 3", v)
 	}
 }

@@ -150,8 +150,9 @@ type Stats struct {
 	// Failure containment (DESIGN.md §8). Failed counts contained
 	// manipulation failures (issue- or completion-time); Abandoned counts
 	// manipulation keys given up after maxManipAttempts failures.
-	// BreakerTrips/BreakerResumes count this session's circuit breaker
-	// opening and closing again.
+	// BreakerTrips counts every opening of this session's circuit breaker,
+	// the re-open after a probe that ended with no verdict included;
+	// BreakerResumes counts its closing again.
 	Failed         int
 	Aborted        int
 	Abandoned      int
@@ -406,6 +407,8 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		{"spec.predicted_gos", &st.PredictedGos},
 		{"spec.predict_equiv_failures", &st.PredictEquivFailures}, // never bumped; see Stats
 		{"spec.instant_saved_ns", &st.InstantSaved},
+		{"breaker.opened", &st.BreakerTrips},
+		{"breaker.closed", &st.BreakerResumes},
 	} {
 		c := eng.Metrics().Counter(m.name)
 		if m.field != nil {

@@ -100,12 +100,17 @@ func TestMultiUserContentionGolden(t *testing.T) {
 	cfg.Predictor = core.NewPredictor(core.DefaultPredictorConfig())
 	cfg.Answers = core.NewAnswerCache(env.Eng.Metrics(), 0)
 	var served *ScaledOutcome
+	var trained []core.Stats
 	for range 2 {
 		out, err := RunScaledSessions(env.Eng, tinyTraces(t, 6), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		served = out
+		trained = append(trained, out.PerUser...)
+	}
+	for _, d := range engineDisagreements(t, env.Eng, trained) {
+		t.Errorf("trained predictors, one event, two counts: %s", d)
 	}
 	dump("predictor", served.Timings, served.Stats)
 	if served.Stats.PredictedGos == 0 {
@@ -116,6 +121,7 @@ func TestMultiUserContentionGolden(t *testing.T) {
 	// no other user's job is in sight: the sessions decide exactly as before,
 	// and some GO must be faster, or the golden pins nothing the device does.
 	plain := tinyEnv(t, EnvConfig{Scale: scale, BufferPoolPages: PoolPages96MB})
+	var private []core.Stats
 	for _, c := range []struct {
 		shared []QueryTiming
 		stats  core.Stats
@@ -142,6 +148,7 @@ func TestMultiUserContentionGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		private = append(private, per...)
 		if st := SumStatsAll(per); st != c.stats {
 			t.Errorf("private ledgers changed the sessions' decisions:\n%+v\nwant\n%+v", st, c.stats)
 		}
@@ -159,6 +166,9 @@ func TestMultiUserContentionGolden(t *testing.T) {
 		if !faster {
 			t.Error("no GO waited for the device: the other users' jobs were not seen")
 		}
+	}
+	for _, d := range engineDisagreements(t, plain.Eng, private) {
+		t.Errorf("private ledgers, one event, two counts: %s", d)
 	}
 	golden.Check(t, filepath.Join("testdata", "multiuser_contention.golden"), b.String())
 }

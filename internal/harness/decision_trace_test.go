@@ -91,6 +91,9 @@ func TestDecisionTrace(t *testing.T) {
 			if n := env.Eng.Tracer().Dropped(); n != 0 {
 				t.Fatalf("tracer dropped %d spans: the dump is incomplete", n)
 			}
+			for _, d := range dumpDisagreements(t, d.b.String()) {
+				t.Errorf("one event, two counts: %s", d)
+			}
 			golden.Check(t, filepath.Join("testdata", c.name+".decisions.golden"), d.b.String())
 		})
 	}
