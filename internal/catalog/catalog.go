@@ -353,11 +353,10 @@ func (c *Catalog) MatchingViews(query *qgraph.Graph) []*MatView {
 	return out
 }
 
-// ViewByGraph returns a view materializing exactly graph, or nil.
+// ViewByGraph returns a view materializing exactly graph (Graph.Equal), or nil.
 func (c *Catalog) ViewByGraph(graph *qgraph.Graph) *MatView {
-	key := graph.Key()
 	for _, v := range c.Views() {
-		if v.Graph.Key() == key {
+		if v.Graph.Equal(graph) {
 			return v
 		}
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"strings"
 	"testing"
 
 	"specdb/internal/btree"
@@ -169,6 +170,30 @@ func TestViewRegistryAndMatching(t *testing.T) {
 	if v := c.ViewByGraph(qs); v != nil {
 		t.Fatal("ViewByGraph on unknown graph should be nil")
 	}
+	// Graph keys join their parts with ';', which a string constant may hold:
+	// one selection can spell two. ViewByGraph compares parts, not keys.
+	eq := func(s string) qgraph.Selection {
+		return qgraph.Selection{Rel: "R", Col: "c", Op: tuple.CmpEQ, Const: tuple.NewString(s)}
+	}
+	two := qgraph.SelectionSubgraph(eq("x"))
+	two.AddSelection(eq("y"))
+	one := qgraph.SelectionSubgraph(eq("x';" + strings.TrimSuffix(eq("y").Key(), "'")))
+	if one.Key() != two.Key() {
+		t.Fatalf("no key collision to test: %q, %q", one.Key(), two.Key())
+	}
+	if _, err := c.CreateTable("v3", simpleSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterView("v3", two, false); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.ViewByGraph(one); v != nil {
+		t.Fatalf("ViewByGraph matched %s by its key alone", v.Name)
+	}
+	if v := c.ViewByGraph(two.Clone()); v == nil || v.Name != "v3" {
+		t.Fatalf("ViewByGraph(two) = %+v", v)
+	}
+	c.DropView("v3")
 
 	// Dropping the backing table unregisters the view.
 	if err := c.DropTable("v1"); err != nil {

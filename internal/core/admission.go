@@ -75,7 +75,7 @@ func (sp *Speculator) walkPredicted(now sim.Time) (job *Job, stop bool, err erro
 		}
 		m := Manipulation{Kind: ManipPredictFinal, Graph: c.Graph, Projs: q.Projections}
 		key := sp.cfg.Ledger.Key(sp.holder, &m)
-		if sp.abandoned[key.Manip] || sp.predictedReady[FormKey(m.Graph, m.Projs)] || sp.isKnown(m) {
+		if sp.predictedReady[FormKey(m.Graph, m.Projs)] || sp.isKnown(&m, key) {
 			continue
 		}
 		if err := sp.cm.ScorePredicted(&m, c.Confidence); err != nil {
@@ -105,15 +105,19 @@ func (sp *Speculator) walkFragments(now sim.Time) (*Job, error) {
 	if sp.formStarted {
 		elapsed = now.Sub(sp.formStart).Seconds()
 	}
-	candidates := EnumerateManipulations(sp.canvas.Graph, sp.cfg.Ops, sp.cfg.SelectionsOnly, sp.isKnown)
-	worth := candidates[:0]
-	for i := range candidates {
-		m := &candidates[i]
-		key := sp.cfg.Ledger.Key(sp.holder, m)
-		if sp.abandoned[key.Manip] {
+	// candidate is a scored manipulation with its ledger entry.
+	type candidate struct {
+		m   Manipulation
+		key AssetKey
+	}
+	ms := EnumerateManipulations(sp.canvas.Graph, sp.cfg.Ops, sp.cfg.SelectionsOnly)
+	worth := make([]candidate, 0, len(ms))
+	for _, m := range ms {
+		key := sp.cfg.Ledger.Key(sp.holder, &m)
+		if sp.isKnown(&m, key) {
 			continue
 		}
-		if err := sp.cm.Score(m, elapsed); err != nil {
+		if err := sp.cm.Score(&m, elapsed); err != nil {
 			return nil, err
 		}
 		// Adopt ready shared builds BEFORE the benefit filter: another
@@ -121,14 +125,14 @@ func (sp *Speculator) walkFragments(now sim.Time) (*Job, error) {
 		// so the candidate scores ~zero precisely because the work is done.
 		// Attaching refcounts the freeload — the build cannot then be dropped
 		// out from under this session.
-		if sp.adoptReady(m, key) || m.Benefit < sp.cfg.MinBenefit {
+		if sp.adoptReady(&m, key) || m.Benefit < sp.cfg.MinBenefit {
 			continue
 		}
-		worth = append(worth, *m)
+		worth = append(worth, candidate{m, key})
 	}
-	slices.SortStableFunc(worth, func(a, b Manipulation) int { return cmp.Compare(b.Benefit, a.Benefit) })
+	slices.SortStableFunc(worth, func(a, b candidate) int { return cmp.Compare(b.m.Benefit, a.m.Benefit) })
 	for i := range worth {
-		if job, stop := sp.tryIssue(&worth[i], sp.cfg.Ledger.Key(sp.holder, &worth[i]), now); job != nil || stop {
+		if job, stop := sp.tryIssue(&worth[i].m, worth[i].key, now); job != nil || stop {
 			return job, nil
 		}
 	}
@@ -153,24 +157,11 @@ func (s *Stats) deferred(r refusal) *int {
 	return [...]*int{refusedBudget: &s.BudgetDeferred, refusedWorkerGate: &s.Deferred}[r]
 }
 
-// footprint is the summed EstPages of outstanding jobs plus held views — what
-// Config.BudgetPages caps, and this session's holdings in the ledger.
-func (sp *Speculator) footprint() int {
-	pages := 0
-	for _, job := range sp.outstanding {
-		pages += job.Manip.EstPages
-	}
-	for _, h := range sp.held {
-		pages += h.pages
-	}
-	return pages
-}
-
 // admit runs the per-candidate gates on a scored manipulation whose ledger
-// entry is key.
+// entry is key, claimed already: the session's ledger pages count it.
 func (sp *Speculator) admit(m *Manipulation, key AssetKey, now sim.Time) refusal {
 	switch {
-	case sp.cfg.BudgetPages > 0 && sp.footprint()+m.EstPages > sp.cfg.BudgetPages:
+	case sp.cfg.BudgetPages > 0 && sp.cfg.Ledger.Pages(sp.holder) > sp.cfg.BudgetPages:
 		return refusedBudget
 	case len(sp.outstanding) > 0 && !sp.admitExtra(key, m.EstPages):
 		// Only extra jobs, beyond this speculator's first outstanding
@@ -242,28 +233,20 @@ func (sp *Speculator) tryIssue(m *Manipulation, key AssetKey, now sim.Time) (job
 	return job, false
 }
 
-// isKnown filters candidates against running and held work and against
-// database state (existing views, indexes, histograms, staging).
-func (sp *Speculator) isKnown(m Manipulation) bool {
-	if len(sp.outstanding) > 0 {
-		key := m.Key()
-		for _, job := range sp.outstanding {
-			if job.asset.Manip == key {
-				return true
-			}
-		}
+// isKnown filters out a candidate whose ledger entry is key: abandoned
+// (DESIGN.md §8), run or held by this session, or already in the database.
+func (sp *Speculator) isKnown(m *Manipulation, key AssetKey) bool {
+	if sp.failures[key.Manip] >= maxManipAttempts || sp.cfg.Ledger.Holds(key, sp.holder) {
+		return true
 	}
 	switch m.Kind {
 	case ManipMaterialize:
-		if _, held := sp.held[m.Graph.Key()]; held {
-			return true
-		}
 		// An identical view may pre-exist (Figure 6's Spec+Views mode). Another
 		// session's ready shared build is not "known", though: the subplan
 		// stays enumerable so the walk can adopt (refcount) it instead of
 		// silently freeloading on a view that may be dropped out from under
 		// this session.
-		return sp.eng.Catalog.ViewByGraph(m.Graph) != nil && !sp.cfg.Ledger.IsReady(sp.cfg.Ledger.Key(sp.holder, &m))
+		return sp.eng.Catalog.ViewByGraph(m.Graph) != nil && !sp.cfg.Ledger.IsReady(key)
 	case ManipIndex:
 		t, err := sp.eng.Catalog.Table(m.Rel)
 		return err != nil || t.Index(m.Col) != nil

@@ -569,27 +569,19 @@ func TestEnumerateManipulations(t *testing.T) {
 	partial := qgraph.New()
 	partial.AddJoin(qgraph.NewJoin("R", "a", "S", "a"))
 	partial.AddSelection(selRC(10))
-	none := func(Manipulation) bool { return false }
 
-	ms := EnumerateManipulations(partial, OpsMaterializeOnly(), false, none)
+	ms := EnumerateManipulations(partial, OpsMaterializeOnly(), false)
 	if len(ms) != 2 { // one selection + one join subgraph
 		t.Fatalf("enumerated %d manipulations, want 2", len(ms))
 	}
-	ms = EnumerateManipulations(partial, OpsMaterializeOnly(), true, none)
+	ms = EnumerateManipulations(partial, OpsMaterializeOnly(), true)
 	if len(ms) != 1 {
 		t.Fatalf("selections-only enumerated %d, want 1", len(ms))
 	}
-	ms = EnumerateManipulations(partial, OpSet{Materialize: true, Index: true, Histogram: true, Stage: true}, false, none)
+	ms = EnumerateManipulations(partial, OpSet{Materialize: true, Index: true, Histogram: true, Stage: true}, false)
 	// 2 materializations + 1 index + 1 histogram + 2 stagings.
 	if len(ms) != 6 {
 		t.Fatalf("full ops enumerated %d, want 6", len(ms))
-	}
-	// isKnown filters.
-	ms = EnumerateManipulations(partial, OpsMaterializeOnly(), false, func(m Manipulation) bool {
-		return m.Kind == ManipMaterialize
-	})
-	if len(ms) != 0 {
-		t.Fatalf("known filter failed: %d", len(ms))
 	}
 }
 

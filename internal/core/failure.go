@@ -35,13 +35,12 @@ const (
 // span marks the failure on the session timeline.
 func (sp *Speculator) noteFailure(key string, now sim.Time, cause error) {
 	count(sp, &sp.stats.Failed, 1)
-	n := sp.attempts[key] + 1
-	sp.attempts[key] = n
+	sp.failures[key]++
+	n := sp.failures[key]
 	if t := now.Add(retryBackoff << (n - 1)); t > sp.retryAt {
 		sp.retryAt = t
 	}
-	if n >= maxManipAttempts && !sp.abandoned[key] {
-		sp.abandoned[key] = true
+	if n == maxManipAttempts { // once: an abandoned key is never issued again
 		count(sp, &sp.stats.Abandoned, 1)
 	}
 	if sp.breaker.failure(now) {

@@ -36,6 +36,8 @@ type Holding struct {
 	Worth sim.Duration
 	// Pages is the holder's own estimate of the retained footprint.
 	Pages int
+	// Table is a ready view's speculative table; empty while in flight.
+	Table string
 }
 
 // asset is one ledger entry: a job in flight, or a completed materialization
@@ -214,21 +216,21 @@ func (l *Ledger) Ready(key AssetKey, holder int, table string, cost sim.Duration
 	defer l.mu.Unlock()
 	if a := l.inFlight(key, holder); a != nil {
 		a.ready, a.table, a.cost = true, table, cost
-		a.holds[0].Worth = cost
+		a.holds[0].Worth, a.holds[0].Table = cost, table
 	}
 }
 
 // Attach adds holder to a ready view it does not hold yet, with its own
-// estimate of the footprint, and returns the table and the build cost the
-// attachment avoided. ok is false while the entry is absent or in flight.
-func (l *Ledger) Attach(key AssetKey, holder, pages int) (table string, cost sim.Duration, ok bool) {
+// estimate of the footprint, and returns the build cost the attachment
+// avoided. ok is false while the entry is absent or in flight.
+func (l *Ledger) Attach(key AssetKey, holder, pages int) (cost sim.Duration, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	a := l.assets[key]
 	if a == nil || !a.ready || a.holdIndex(holder) >= 0 {
-		return "", 0, false
+		return 0, false
 	}
-	a.holds = append(a.holds, Holding{Key: key, Holder: holder, Worth: a.cost, Pages: pages})
+	a.holds = append(a.holds, Holding{Key: key, Holder: holder, Worth: a.cost, Pages: pages, Table: a.table})
 	if a.consumers++; a.consumers == 2 {
 		l.sharedCount++
 		l.obsShared.Inc()
@@ -236,7 +238,7 @@ func (l *Ledger) Attach(key AssetKey, holder, pages int) (table string, cost sim
 	l.savedNs += int64(a.cost)
 	l.obsAttached.Inc()
 	l.obsSavedNs.Add(int64(a.cost))
-	return a.table, a.cost, true
+	return a.cost, true
 }
 
 // Released is what letting go of a held view means for the session doing it.
@@ -299,6 +301,43 @@ func (l *Ledger) IsReady(key AssetKey) bool {
 	defer l.mu.Unlock()
 	a := l.assets[key]
 	return a != nil && a.ready
+}
+
+// Holds reports whether holder builds key's entry or holds its view.
+func (l *Ledger) Holds(key AssetKey, holder int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.assets[key]
+	return a != nil && a.holdIndex(holder) >= 0
+}
+
+// HeldViews lists holder's holds on ready views by manipulation key, the
+// order its engine-mutating teardown loops drop them in.
+func (l *Ledger) HeldViews(holder int) []Holding {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var hs []Holding
+	for _, a := range l.assets {
+		if i := a.holdIndex(holder); a.ready && i >= 0 {
+			hs = append(hs, a.holds[i])
+		}
+	}
+	slices.SortFunc(hs, func(a, b Holding) int { return cmp.Compare(a.Key.Manip, b.Key.Manip) })
+	return hs
+}
+
+// Pages sums the estimated pages of holder's holdings, in flight and
+// retained: the session's footprint, which Config.BudgetPages caps.
+func (l *Ledger) Pages(holder int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	pages := 0
+	for _, a := range l.assets {
+		if i := a.holdIndex(holder); i >= 0 {
+			pages += a.holds[i].Pages
+		}
+	}
+	return pages
 }
 
 // InFlight counts the jobs in flight across all sessions, not counting key —

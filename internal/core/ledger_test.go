@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,7 +56,7 @@ func TestSharedBuildsLifecycle(t *testing.T) {
 	a, b := l.NewHolder(), l.NewHolder()
 	k := AssetKey{Manip: "k"}
 
-	if _, _, ok := l.Attach(k, b, 7); ok {
+	if _, ok := l.Attach(k, b, 7); ok {
 		t.Fatal("attach to an absent build succeeded")
 	}
 	if !l.Claim(k, a, secs(1), 7) {
@@ -66,7 +68,7 @@ func TestSharedBuildsLifecycle(t *testing.T) {
 	if l.IsReady(k) || l.InFlight(AssetKey{}) != 1 || l.InFlight(k) != 0 {
 		t.Fatalf("claimed build: ready %v, %d in flight (%d beside itself)", l.IsReady(k), l.InFlight(AssetKey{}), l.InFlight(k))
 	}
-	if _, _, ok := l.Attach(k, b, 7); ok {
+	if _, ok := l.Attach(k, b, 7); ok {
 		t.Fatal("attach to an in-flight build succeeded")
 	}
 	if got := l.Footprint(); got != 7 {
@@ -77,11 +79,11 @@ func TestSharedBuildsLifecycle(t *testing.T) {
 	if !l.IsReady(k) || l.InFlight(AssetKey{}) != 0 {
 		t.Fatalf("finished build: ready %v, %d in flight", l.IsReady(k), l.InFlight(AssetKey{}))
 	}
-	table, cost, ok := l.Attach(k, b, 5)
-	if !ok || table != "spec_1" || cost != sim.DurationFromSeconds(3) {
-		t.Fatalf("Attach = (%q, %v, %v)", table, cost, ok)
+	cost, ok := l.Attach(k, b, 5)
+	if !ok || cost != sim.DurationFromSeconds(3) {
+		t.Fatalf("Attach = (%v, %v)", cost, ok)
 	}
-	if _, _, ok := l.Attach(k, b, 5); ok {
+	if _, ok := l.Attach(k, b, 5); ok {
 		t.Fatal("a holder attached twice")
 	}
 	if shared, saved := l.Snapshot(); shared != 1 || saved != sim.DurationFromSeconds(3) {
@@ -93,7 +95,7 @@ func TestSharedBuildsLifecycle(t *testing.T) {
 		t.Fatalf("Footprint with two holders = %d, want 12", got)
 	}
 	for _, h := range l.Holdings() {
-		if h.Key != k || h.Worth != sim.DurationFromSeconds(3) || h.Pages != map[int]int{a: 7, b: 5}[h.Holder] {
+		if h.Key != k || h.Worth != sim.DurationFromSeconds(3) || h.Pages != map[int]int{a: 7, b: 5}[h.Holder] || h.Table != "spec_1" {
 			t.Fatalf("holding %+v", h)
 		}
 	}
@@ -128,6 +130,86 @@ func TestSharedBuildsLifecycle(t *testing.T) {
 	if l.Misuses() != 5 || l.Len() != 0 {
 		t.Fatalf("%d misuses counted, want 5; %d entries left", l.Misuses(), l.Len())
 	}
+}
+
+// TestLedgerHoldsViewsPages: the ledger answers what one session runs and
+// holds — Holds, HeldViews and Pages — from its entries alone, for that
+// session only.
+func TestLedgerHoldsViewsPages(t *testing.T) {
+	l := NewLedger(obs.NewRegistry(), true)
+	a, b, c := l.NewHolder(), l.NewHolder(), l.NewHolder()
+	key := func(name string) AssetKey { return AssetKey{Manip: "mat|" + name} }
+	// a builds eight views, claimed against key order; b builds one that a
+	// attaches to; a's build of "g" goes to c; a and b each have one in flight.
+	var views []string
+	for i := 7; i >= 0; i-- {
+		name := fmt.Sprintf("v%d", i)
+		l.Claim(key(name), a, 0, 10+i)
+		l.Ready(key(name), a, "t_"+name, secs(i+1))
+		views = append([]string{name}, views...)
+	}
+	l.Claim(key("shared"), b, 0, 4)
+	l.Ready(key("shared"), b, "t_shared", secs(9))
+	l.Attach(key("shared"), a, 3)
+	l.Claim(key("g"), a, 0, 5)
+	l.Ready(key("g"), a, "t_g", secs(2))
+	l.Attach(key("g"), c, 6)
+	l.Release(key("g"), a, false)
+	l.Claim(key("run_a"), a, secs(1), 100)
+	l.Claim(key("run_b"), b, secs(1), 1000)
+	if l.Misuses() != 0 {
+		t.Fatalf("%d misuses setting up", l.Misuses())
+	}
+
+	t.Run("holds", func(t *testing.T) {
+		for _, tc := range []struct {
+			key    string
+			holder int
+			want   bool
+		}{
+			{"run_a", a, true}, {"run_a", b, false}, {"run_b", a, false},
+			{"v3", a, true}, {"v3", b, false},
+			{"shared", b, true}, {"shared", a, true}, {"shared", c, false},
+			{"g", a, false}, {"g", c, true}, {"absent", a, false},
+		} {
+			if got := l.Holds(key(tc.key), tc.holder); got != tc.want {
+				t.Errorf("Holds(%s, %d) = %v, want %v", tc.key, tc.holder, got, tc.want)
+			}
+		}
+	})
+	t.Run("held_views", func(t *testing.T) {
+		want := map[int][]Holding{
+			a: {{Key: key("shared"), Holder: a, Worth: secs(9), Pages: 3, Table: "t_shared"}},
+			b: {{Key: key("shared"), Holder: b, Worth: secs(9), Pages: 4, Table: "t_shared"}},
+			c: {{Key: key("g"), Holder: c, Worth: secs(2), Pages: 6, Table: "t_g"}},
+		}
+		for i, name := range views {
+			want[a] = append(want[a], Holding{Key: key(name), Holder: a, Worth: secs(i + 1), Pages: 10 + i, Table: "t_" + name})
+		}
+		slices.SortFunc(want[a], func(x, y Holding) int { return strings.Compare(x.Key.Manip, y.Key.Manip) })
+		for holder, hs := range want {
+			if got := l.HeldViews(holder); !slices.Equal(got, hs) {
+				t.Errorf("HeldViews(%d) =\n%+v\nwant\n%+v", holder, got, hs)
+			}
+		}
+		if got := l.HeldViews(l.NewHolder()); len(got) != 0 {
+			t.Errorf("a new holder holds %+v", got)
+		}
+	})
+	t.Run("pages", func(t *testing.T) {
+		wantA := 100 + 3
+		for i := range views {
+			wantA += 10 + i
+		}
+		for holder, want := range map[int]int{a: wantA, b: 1000 + 4, c: 6} {
+			if got := l.Pages(holder); got != want {
+				t.Errorf("Pages(%d) = %d, want %d", holder, got, want)
+			}
+		}
+		if got, sum := l.Footprint(), wantA+1004+6; got != sum {
+			t.Errorf("Footprint = %d, want the holders' sum %d", got, sum)
+		}
+	})
 }
 
 func TestSharedBuildsChargeSuppression(t *testing.T) {

@@ -92,7 +92,7 @@ func (sp *Speculator) finish(job *Job, t Terminal, at sim.Time, cause error) boo
 
 	switch t {
 	case TermCompleted:
-		delete(sp.attempts, key)
+		delete(sp.failures, key)
 		if sp.breaker.success() {
 			count(sp, &sp.stats.BreakerResumes, 1)
 		}
@@ -150,7 +150,6 @@ func (sp *Speculator) publish(job *Job) error {
 		if err := sp.eng.Catalog.RegisterView(job.tableName, m.Graph, forcedViews); err != nil {
 			return err
 		}
-		sp.held[m.Graph.Key()] = heldView{key: job.asset, table: job.tableName, pages: m.EstPages}
 		sp.cfg.Ledger.Ready(job.asset, sp.holder, job.tableName, job.CompletesAt.Sub(job.IssuedAt))
 		return nil
 	case ManipIndex:
@@ -212,16 +211,6 @@ func (sp *Speculator) undo(job *Job) {
 	}
 }
 
-// heldView is this session's handle on a completed materialization it holds,
-// built here or adopted: where its entry is in the ledger — which knows what it
-// cost, who else holds it and whether it ever served a query — and what the
-// session itself needs without asking.
-type heldView struct {
-	key   AssetKey
-	table string
-	pages int // this session's estimate, counted against Config.BudgetPages
-}
-
 // dropReason is why a held view goes; it decides the waste charge and the
 // counter.
 type dropReason uint8
@@ -232,28 +221,27 @@ const (
 	dropClose                   // session teardown: never waste
 )
 
-// dropHeld lets go of the held view under graph key gk. Its last holder drops
-// the table, and only then — if no final query ever read it and the session is
-// not closing — is its cost charged, once across all sessions (DESIGN.md §11).
-func (sp *Speculator) dropHeld(gk string, reason dropReason) error {
-	h := sp.held[gk]
-	delete(sp.held, gk)
-	r := sp.cfg.Ledger.Release(h.key, sp.holder, reason == dropClose)
+// dropHeld lets go of this session's hold h on a ready view. Its last holder
+// drops the table, and only then — if no final query ever read it and the
+// session is not closing — is its cost charged, once across all sessions
+// (DESIGN.md §11).
+func (sp *Speculator) dropHeld(h Holding, reason dropReason) error {
+	r := sp.cfg.Ledger.Release(h.Key, sp.holder, reason == dropClose)
 	if r.Built && reason != dropClose {
 		sp.stats.GarbageCollected++
 	}
 	if r.Last {
-		if err := sp.eng.DropTable(h.table); err != nil {
+		if err := sp.eng.DropTable(h.Table); err != nil {
 			return err
 		}
 		// A closing session's own tables are teardown, not collection; a shared
 		// view's last drop has always counted, whatever the reason, and
 		// wide_cse_budget.decisions.golden pins that.
-		if reason != dropClose || h.key.Shared() {
+		if reason != dropClose || h.Key.Shared() {
 			sp.eng.Metrics().Counter("spec.garbage_collected").Inc()
 		}
 		if r.Charge {
-			sp.chargeWaste(h.table, r.Cost)
+			sp.chargeWaste(h.Table, r.Cost)
 		}
 	}
 	if reason == dropShed {
@@ -269,11 +257,10 @@ func (sp *Speculator) dropHeld(gk string, reason dropReason) error {
 // avoided cost is recorded as DedupSaved. Adoption occupies no worker slot and
 // is never budget-gated (the pages exist once globally, whoever holds them).
 func (sp *Speculator) adoptReady(m *Manipulation, key AssetKey) bool {
-	table, cost, ok := sp.cfg.Ledger.Attach(key, sp.holder, m.EstPages)
+	cost, ok := sp.cfg.Ledger.Attach(key, sp.holder, m.EstPages)
 	if !ok {
 		return false
 	}
-	sp.held[m.Graph.Key()] = heldView{key: key, table: table, pages: m.EstPages}
 	sp.stats.SharedAttached++
 	sp.stats.DedupSaved += cost
 	return true

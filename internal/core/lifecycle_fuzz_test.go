@@ -49,12 +49,16 @@ func lifecycleProgram(seed uint64, steps int) []byte {
 //   - each job is in exactly one state: outstanding at one speculator, or
 //     ended — once, and never outstanding again; a stale completion is
 //     refused;
-//   - the ledger holds exactly the union of the speculators' outstanding jobs
-//     (in flight) and held views (ready), each with the holders and pages
-//     they say, and nothing was ever misused;
-//   - the ledger's footprint and the answer cache's pages are the sums over
-//     their entries, no cached answer has more references than sessions that
-//     hold it, and the cache is within its cap whenever nothing holds it;
+//   - the ledger's in-flight entries are exactly the speculators' outstanding
+//     jobs, each under the holder and with the pages the job says; every hold
+//     on a ready entry is a live speculator's, carries the entry's table and
+//     ranks by its cost, and the ready entries' tables are exactly the views
+//     the optimizer can reach (checkHeldViews); nothing was ever misused;
+//   - each speculator's ledger pages are its outstanding jobs' and held
+//     views' pages, the ledger's footprint and the answer cache's pages are
+//     the sums over their entries, no cached answer has more references than
+//     sessions that hold it, and the cache is within its cap whenever nothing
+//     holds it;
 //   - no build is charged to waste twice, across sessions;
 //   - the optimizer can reach no view, and the catalog holds no speculative
 //     table, that no job or ledger entry accounts for;
@@ -383,9 +387,9 @@ func (r *lifecycleRig) close(sp *Speculator) {
 		r.t.Fatal(err)
 	}
 	r.account(sp, "close")
-	if st := sp.Stats(); st.Issued != st.Terminals() || len(sp.held) != 0 || len(sp.predictedReady) != 0 {
+	if st, views := sp.Stats(), sp.cfg.Ledger.HeldViews(sp.holder); st.Issued != st.Terminals() || len(views) != 0 || len(sp.predictedReady) != 0 {
 		r.t.Errorf("closed speculator: issued %d, ended %d, %d views and %d answers still held",
-			st.Issued, st.Terminals(), len(sp.held), len(sp.predictedReady))
+			st.Issued, st.Terminals(), len(views), len(sp.predictedReady))
 	}
 	for job, m := range r.jobs {
 		if m.sp == sp && m.continued && !m.ended {
@@ -430,10 +434,9 @@ func (r *lifecycleRig) account(sp *Speculator, when string) {
 	r.last[sp] = st
 }
 
-// lifecycleHold is one holder's hold on one ledger entry.
+// lifecycleHold is a holder's in-flight hold on one ledger entry.
 type lifecycleHold struct {
-	ready bool
-	pages int
+	holder, pages int
 }
 
 func (r *lifecycleRig) check(when string) {
@@ -444,57 +447,69 @@ func (r *lifecycleRig) check(when string) {
 		r.account(sp, when)
 	}
 
-	// Entries by holders, and pages by entry: the ledger is exactly the union
-	// of what the speculators say they run and hold.
-	want := map[AssetKey]map[int]lifecycleHold{}
-	add := func(key AssetKey, holder int, h lifecycleHold) {
-		if want[key] == nil {
-			want[key] = map[int]lifecycleHold{}
-		}
-		want[key][holder] = h
-	}
-	pages := 0
+	// The in-flight entries are exactly what the speculators say they run;
+	// the ready ones are held by live speculators only.
+	want := map[AssetKey]lifecycleHold{}
+	live := map[int]bool{}
+	var holders []int
 	for _, sp := range r.sps {
+		live[sp.holder] = true
+		holders = append(holders, sp.holder)
 		for _, job := range sp.outstanding {
-			add(job.asset, sp.holder, lifecycleHold{false, job.Manip.EstPages})
-			pages += job.Manip.EstPages
-		}
-		for _, h := range sp.held {
-			add(h.key, sp.holder, lifecycleHold{true, h.pages})
-			pages += h.pages
+			if _, dup := want[job.asset]; dup {
+				t.Errorf("%s: two outstanding jobs under %v", when, job.asset)
+			}
+			want[job.asset] = lifecycleHold{sp.holder, job.Manip.EstPages}
 		}
 	}
 	if r.pressured {
-		add(r.pressure, r.pressure.Scope, lifecycleHold{false, r.pressurePages})
-		pages += r.pressurePages
+		want[r.pressure] = lifecycleHold{r.pressure.Scope, r.pressurePages}
 	}
 	l := r.cfg.Ledger
-	got := map[AssetKey]map[int]lifecycleHold{}
+	got := map[AssetKey]lifecycleHold{}
 	views := map[string]bool{}
 	l.mu.Lock()
 	for key, a := range l.assets {
-		got[key] = map[int]lifecycleHold{}
-		for _, h := range a.holds {
-			got[key][h.Holder] = lifecycleHold{a.ready, h.Pages}
+		if !a.ready {
+			if len(a.holds) != 1 {
+				t.Errorf("%s: in-flight entry %v has holds %+v", when, key, a.holds)
+			} else {
+				got[key] = lifecycleHold{a.holds[0].Holder, a.holds[0].Pages}
+			}
+			continue
 		}
-		if a.ready {
-			views[a.table] = true
+		views[a.table] = true
+		for _, h := range a.holds {
+			if !live[h.Holder] {
+				t.Errorf("%s: ready entry %v is held by %d, no live speculator", when, key, h.Holder)
+			}
 		}
 	}
 	misuses := l.misuses
 	l.mu.Unlock()
-	for key, holds := range got {
-		if !maps.Equal(holds, want[key]) {
-			t.Errorf("%s: ledger entry %v is held as %v, the speculators say %v", when, key, holds, want[key])
-		}
+	if !maps.Equal(got, want) {
+		t.Errorf("%s: the ledger's in-flight entries are %v, the speculators' jobs %v", when, got, want)
 	}
-	for key, holds := range want {
-		if got[key] == nil {
-			t.Errorf("%s: %v held as %v has no ledger entry", when, key, holds)
-		}
-	}
+	checkHeldViews(t, when, l, r.e.Catalog, holders)
 	if misuses != 0 {
 		t.Errorf("%s: %d ledger misuses", when, misuses)
+	}
+	pages := 0
+	if r.pressured {
+		pages = r.pressurePages
+	}
+	for _, sp := range r.sps {
+		mine := 0
+		for _, job := range sp.outstanding {
+			mine += job.Manip.EstPages
+		}
+		for _, h := range l.HeldViews(sp.holder) {
+			mine += h.Pages
+		}
+		if got := l.Pages(sp.holder); got != mine {
+			t.Errorf("%s: ledger pages of %d are %d, its jobs and views have %d", when, sp.holder, got, mine)
+		}
+		pages += mine
 	}
 	if fp := l.Footprint(); fp != pages {
 		t.Errorf("%s: ledger footprint %d, entries sum to %d", when, fp, pages)
@@ -547,11 +562,6 @@ func (r *lifecycleRig) check(when string) {
 	for _, sp := range r.sps {
 		for _, job := range sp.outstanding {
 			tables[job.tableName] = true
-		}
-	}
-	for _, v := range r.e.Catalog.Views() {
-		if !views[v.Name] {
-			t.Errorf("%s: view %s is reachable by the optimizer, no held entry has it", when, v.Name)
 		}
 	}
 	for _, name := range r.e.Catalog.TableNames() {

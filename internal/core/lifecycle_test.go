@@ -2,8 +2,12 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
+	"specdb/internal/catalog"
 	"specdb/internal/engine"
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
@@ -23,23 +27,24 @@ type lifecycleKind struct {
 	breakPublish func(e *engine.Engine, job *Job) error
 }
 
-// checkLedger requires the ledger to hold exactly what sp's outstanding and
-// held lists say: one in-flight entry per outstanding job and one ready entry
-// per held view — same table, this session among the holders with the same
-// pages — and no other holding of this session's.
+// checkLedger requires the ledger to hold one in-flight entry per job
+// outstanding at sp, entered under sp with the job's benefit and pages, and no
+// other in-flight holding of sp's; its ready entries to be what checkHeldViews
+// says a held view is; and no write to have misused it.
 func checkLedger(t *testing.T, when string, sp *Speculator) {
 	t.Helper()
 	l := sp.cfg.Ledger
+	checkHeldViews(t, when, l, sp.eng.Catalog, []int{sp.holder})
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	mine := 0
+	inFlight := 0
 	for _, a := range l.assets {
-		if a.holdIndex(sp.holder) >= 0 {
-			mine++
+		if !a.ready && a.holdIndex(sp.holder) >= 0 {
+			inFlight++
 		}
 	}
-	if want := len(sp.outstanding) + len(sp.held); mine != want {
-		t.Errorf("%s: the ledger has %d holdings of session %d, which has %d jobs and %d views", when, mine, sp.holder, len(sp.outstanding), len(sp.held))
+	if inFlight != len(sp.outstanding) {
+		t.Errorf("%s: the ledger has %d in-flight holdings of session %d, which has %d jobs", when, inFlight, sp.holder, len(sp.outstanding))
 	}
 	for _, job := range sp.outstanding {
 		a := l.assets[job.asset]
@@ -48,16 +53,60 @@ func checkLedger(t *testing.T, when string, sp *Speculator) {
 			t.Errorf("%s: outstanding %s is entered as %+v", when, job.Manip.Key(), a)
 		}
 	}
-	for gk, h := range sp.held {
-		a := l.assets[h.key]
-		if a == nil || !a.ready || a.table != h.table || h.key.Manip != "mat|"+gk || h.key.Shared() != l.share {
-			t.Errorf("%s: held view %s (%+v) is entered as %+v", when, gk, h, a)
-		} else if i := a.holdIndex(sp.holder); i < 0 || a.holds[i] != (Holding{Key: h.key, Holder: sp.holder, Worth: a.cost, Pages: h.pages}) {
-			t.Errorf("%s: held view %s: holders %+v", when, gk, a.holds)
-		}
-	}
 	if l.misuses != 0 {
 		t.Errorf("%s: %d ledger misuses", when, l.misuses)
+	}
+}
+
+// checkHeldViews holds the ledger's ready entries to what a held view is:
+// every hold on one carries the entry's table and ranks by its build cost;
+// the entry's table is a view registered in cat, and every view registered in
+// cat is some ready entry's table; and HeldViews lists exactly each of
+// holders' ready holds, in manipulation-key order.
+func checkHeldViews(t *testing.T, when string, l *Ledger, cat *catalog.Catalog, holders []int) {
+	t.Helper()
+	lists := map[int][]Holding{}
+	for _, holder := range holders {
+		lists[holder] = l.HeldViews(holder)
+	}
+	want := map[int]map[AssetKey]Holding{}
+	tables := map[string]bool{}
+	l.mu.Lock()
+	for key, a := range l.assets {
+		if !a.ready {
+			continue
+		}
+		tables[a.table] = true
+		if cat.View(a.table) == nil {
+			t.Errorf("%s: ready entry %v has table %s, which is no registered view", when, key, a.table)
+		}
+		for _, h := range a.holds {
+			if h.Key != key || h.Table != a.table || h.Worth != a.cost {
+				t.Errorf("%s: ready entry %v (table %s, cost %v) is held as %+v", when, key, a.table, a.cost, h)
+			}
+			if want[h.Holder] == nil {
+				want[h.Holder] = map[AssetKey]Holding{}
+			}
+			want[h.Holder][key] = h
+		}
+	}
+	l.mu.Unlock()
+	for _, v := range cat.Views() {
+		if !tables[v.Name] {
+			t.Errorf("%s: view %s is reachable by the optimizer, no ready entry has it", when, v.Name)
+		}
+	}
+	for holder, list := range lists {
+		got := map[AssetKey]Holding{}
+		for _, h := range list {
+			got[h.Key] = h
+		}
+		if len(got) != len(list) || !maps.Equal(got, want[holder]) {
+			t.Errorf("%s: HeldViews(%d) = %+v, the ledger's ready holds of %d are %+v", when, holder, list, holder, want[holder])
+		}
+		if !slices.IsSortedFunc(list, func(a, b Holding) int { return strings.Compare(a.Key.Manip, b.Key.Manip) }) {
+			t.Errorf("%s: HeldViews(%d) out of key order: %+v", when, holder, list)
+		}
 	}
 }
 
@@ -227,7 +276,7 @@ func TestLifecycleTable(t *testing.T) {
 				if got := cfg.Ledger.Len(); got != held || cfg.Ledger.IsReady(job.asset) != (held == 1) {
 					t.Errorf("ledger has %d entries (the job's ready: %v), want %d", got, cfg.Ledger.IsReady(job.asset), held)
 				}
-				if got := sp.footprint(); got != held*job.Manip.EstPages || got != cfg.Ledger.Footprint() {
+				if got := cfg.Ledger.Pages(sp.holder); got != held*job.Manip.EstPages || got != cfg.Ledger.Footprint() {
 					t.Errorf("retained pages %d (ledger: %d), want %d", got, cfg.Ledger.Footprint(), held*job.Manip.EstPages)
 				}
 				wantBreaker := breakerOpen
@@ -248,9 +297,9 @@ func TestLifecycleTable(t *testing.T) {
 				if st.Issued != st.Terminals() {
 					t.Errorf("issued %d != terminals %d: %+v", st.Issued, st.Terminals(), st)
 				}
-				if sp.footprint() != 0 || cfg.Ledger.Len() != 0 || cfg.Ledger.Misuses() != 0 {
+				if cfg.Ledger.Pages(sp.holder) != 0 || cfg.Ledger.Len() != 0 || cfg.Ledger.Misuses() != 0 {
 					t.Errorf("after Shutdown: %d retained pages, %d ledger entries, %d misuses",
-						sp.footprint(), cfg.Ledger.Len(), cfg.Ledger.Misuses())
+						cfg.Ledger.Pages(sp.holder), cfg.Ledger.Len(), cfg.Ledger.Misuses())
 				}
 				ledger := sp.WasteCharges()
 				if len(ledger) > 1 || (want == TermCompleted) != (len(ledger) == 0) {
@@ -312,30 +361,39 @@ func TestHeldViewDropReasons(t *testing.T) {
 				if _, err := sps[0].Complete(job, job.CompletesAt); err != nil {
 					t.Fatal(err)
 				}
-				gk := job.Manip.Graph.Key()
+				// viewOf is s's one hold on a view, or a zero Holding.
+				viewOf := func(s *Speculator) Holding {
+					if hs := sb.HeldViews(s.holder); len(hs) == 1 {
+						return hs[0]
+					}
+					return Holding{}
+				}
 				if h.shared {
 					if _, err := sps[1].OnEvent(evAddSel(selRC(18)), job.CompletesAt); err != nil {
 						t.Fatal(err)
 					}
-					if _, adopted := sps[1].held[gk]; !adopted {
+					if !sb.Holds(job.asset, sps[1].holder) {
 						t.Fatal("second session did not adopt the shared build")
 					}
 				}
 				check("after publish and adoption")
 				if h.otherLetsGo {
-					if err := sps[1].dropHeld(gk, dropClose); err != nil {
+					if err := sps[1].dropHeld(viewOf(sps[1]), dropClose); err != nil {
 						t.Fatal(err)
 					}
 				}
 
 				sp := sps[h.dropper]
-				if err := sp.dropHeld(gk, reason); err != nil {
+				if hv := viewOf(sp); hv.Key != job.asset || hv.Table != job.tableName {
+					t.Fatalf("session %d holds %+v, want the build", h.dropper, hv)
+				}
+				if err := sp.dropHeld(viewOf(sp), reason); err != nil {
 					t.Fatal(err)
 				}
 				check("after the drop")
 				st := sp.Stats()
-				if _, still := sp.held[gk]; still || sp.footprint() != 0 {
-					t.Errorf("view still held: %d retained pages", sp.footprint())
+				if sb.Holds(job.asset, sp.holder) || len(sb.HeldViews(sp.holder)) != 0 || sb.Pages(sp.holder) != 0 {
+					t.Errorf("view still held: %d retained pages", sb.Pages(sp.holder))
 				}
 				if got := e.Catalog.HasTable(job.tableName); got == h.wantDropped {
 					t.Errorf("table present %v, want dropped %v", got, h.wantDropped)

@@ -127,30 +127,24 @@ func (m Manipulation) String() string {
 // EnumerateManipulations generates the manipulation space M for the current
 // partial query, per Section 3.5: materializations of individual selection
 // edges and of individual join edges enhanced with all attached selections —
-// never arbitrary sub-queries. isKnown filters out work that is already
-// running or completed. selectionsOnly restricts to selection
+// never arbitrary sub-queries. selectionsOnly restricts to selection
 // materializations (the Section 6.3 multi-user strategy). Other families are
-// gated by ops.
-func EnumerateManipulations(partial *qgraph.Graph, ops OpSet, selectionsOnly bool, isKnown func(Manipulation) bool) []Manipulation {
+// gated by ops. The caller filters out work already running or completed.
+func EnumerateManipulations(partial *qgraph.Graph, ops OpSet, selectionsOnly bool) []Manipulation {
 	var out []Manipulation
-	add := func(m Manipulation) {
-		if !isKnown(m) {
-			out = append(out, m)
-		}
-	}
 	if ops.Materialize {
 		for _, s := range partial.Selections() {
-			add(Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(s)})
+			out = append(out, Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(s)})
 		}
 		if !selectionsOnly {
 			for _, j := range partial.Joins() {
-				add(Manipulation{Kind: ManipMaterialize, Graph: qgraph.JoinSubgraph(partial, j)})
+				out = append(out, Manipulation{Kind: ManipMaterialize, Graph: qgraph.JoinSubgraph(partial, j)})
 			}
 		}
 	}
 	if ops.Index {
 		for _, s := range partial.Selections() {
-			add(Manipulation{
+			out = append(out, Manipulation{
 				Kind:  ManipIndex,
 				Graph: qgraph.SelectionSubgraph(s),
 				Rel:   s.Rel, Col: s.Col,
@@ -159,7 +153,7 @@ func EnumerateManipulations(partial *qgraph.Graph, ops OpSet, selectionsOnly boo
 	}
 	if ops.Histogram {
 		for _, s := range partial.Selections() {
-			add(Manipulation{
+			out = append(out, Manipulation{
 				Kind:  ManipHistogram,
 				Graph: qgraph.SelectionSubgraph(s),
 				Rel:   s.Rel, Col: s.Col,
@@ -170,7 +164,7 @@ func EnumerateManipulations(partial *qgraph.Graph, ops OpSet, selectionsOnly boo
 		for _, rel := range partial.Relations() {
 			g := qgraph.New()
 			g.AddRelation(rel)
-			add(Manipulation{Kind: ManipStage, Graph: g, Rel: rel})
+			out = append(out, Manipulation{Kind: ManipStage, Graph: g, Rel: rel})
 		}
 	}
 	return out

@@ -291,13 +291,11 @@ type Speculator struct {
 	// benefit at issue time); at most cfg.Workers entries. Only start adds to
 	// it and only finish removes from it.
 	outstanding []*Job
-	// held are the completed materializations this session holds, by graph
-	// key; only publish and adoptReady add to it and only dropHeld removes.
-	held map[string]heldView
 	// stagedRels tracks data-staging results for garbage collection.
 	stagedRels map[string]bool
-	// holder is this session's identity in cfg.Ledger, where every
-	// outstanding job and held view above has its entry.
+	// holder is this session's identity in cfg.Ledger, where every outstanding
+	// job has its entry; the ledger is the only record of the views the
+	// session holds (HeldViews).
 	holder int
 
 	// wasteCharges ledgers every Stats.Waste charge by build identity
@@ -316,12 +314,11 @@ type Speculator struct {
 	mirror map[any]*obs.Counter
 
 	// Failure containment (DESIGN.md §8, failure.go): per-key consecutive
-	// failure counts, keys abandoned after maxManipAttempts, the sim-time
+	// failure counts (a key at maxManipAttempts is abandoned), the sim-time
 	// before which nothing new is issued (backoff), and the session breaker.
-	attempts  map[string]int
-	abandoned map[string]bool
-	retryAt   sim.Time
-	breaker   sessionBreaker
+	failures map[string]int
+	retryAt  sim.Time
+	breaker  sessionBreaker
 
 	// Whole-query prediction (DESIGN.md §14), unused without cfg.Predictor.
 	// predStates accumulates the canvas states (partial graph keys) the
@@ -364,11 +361,9 @@ func NewSpeculator(eng *engine.Engine, learner *Learner, cfg Config) *Speculator
 		canvas:         trace.State{Graph: qgraph.New()},
 		seenSels:       make(map[string]qgraph.Selection),
 		seenJoins:      make(map[string]qgraph.Join),
-		held:           make(map[string]heldView),
 		stagedRels:     make(map[string]bool),
 		wasteCharges:   make(map[string]int),
-		attempts:       make(map[string]int),
-		abandoned:      make(map[string]bool),
+		failures:       make(map[string]int),
 		breaker:        newSessionBreaker(eng.Metrics()),
 		predictedReady: make(map[string]bool),
 		mirror:         make(map[any]*obs.Counter),
@@ -567,9 +562,9 @@ func (sp *Speculator) governDegrade(now sim.Time) ([]*Job, error) {
 		return dropped, nil
 	}
 	dropped = append(dropped, sp.finishWhere(TermShed, now, func(job *Job) bool { return shed[job.asset] })...)
-	for _, gk := range sortedKeys(sp.held) {
-		if shed[sp.held[gk].key] {
-			if err := sp.dropHeld(gk, dropShed); err != nil {
+	for _, h := range sp.cfg.Ledger.HeldViews(sp.holder) {
+		if shed[h.Key] {
+			if err := sp.dropHeld(h, dropShed); err != nil {
 				return dropped, err
 			}
 		}
@@ -753,13 +748,13 @@ func (sp *Speculator) collectGarbage(reason dropReason) error {
 	// the call order must not depend on map iteration order: the engine is
 	// reused across traces and a different drop order leaves a different LRU
 	// state behind, making paired runs non-reproducible.
-	for _, key := range sortedKeys(sp.held) {
+	for _, h := range sp.cfg.Ledger.HeldViews(sp.holder) {
 		if reason == dropGC {
-			if v := sp.eng.Catalog.View(sp.held[key].table); v != nil && sp.canvas.Graph.Contains(v.Graph) {
+			if v := sp.eng.Catalog.View(h.Table); v != nil && sp.canvas.Graph.Contains(v.Graph) {
 				continue
 			}
 		}
-		if err := sp.dropHeld(key, reason); err != nil {
+		if err := sp.dropHeld(h, reason); err != nil {
 			return err
 		}
 	}

@@ -51,7 +51,7 @@ func TestOracleOverDerivedStates(t *testing.T) {
 	st := &derivedState{eng: eng, rng: rng, done: map[string]int{}}
 	for n := range oracleQueriesOverStates {
 		q := genOracleQuery(t, eng, cols, rng.Uint64())
-		cands := core.EnumerateManipulations(q.Graph, ops, false, func(core.Manipulation) bool { return false })
+		cands := core.EnumerateManipulations(q.Graph, ops, false)
 		price(kept, cands)
 		var changes []string
 		for range 1 + rng.Intn(3) {

@@ -116,7 +116,6 @@ func TestTestOnlyAPIPinned(t *testing.T) {
 		"(*specdb/internal/obs.ActiveSpan).ID":               accessor, // TestTracerSpans
 		"(*specdb/internal/obs.Tracer).Spans":                accessor, // TestDecisionTrace
 		"(*specdb/internal/obs.Tracer).Dropped":              accessor, // TestDecisionTrace
-		"(*specdb/internal/qgraph.Graph).Equal":              accessor, // TestGraphAlgebraProperties compares graphs with it
 		"specdb/internal/sim.DurationFromSeconds":            seam,     // the core tests' duration literal, FromSeconds' twin
 		"(*specdb/internal/slab.Classes[T]).Take":            unseen,   // called on instantiated slab.Classes
 		"(*specdb/internal/slab.Classes[T]).Give":            unseen,   // called on instantiated slab.Classes
