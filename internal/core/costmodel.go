@@ -250,9 +250,10 @@ func (cm *CostModel) indexDeltas(m *Manipulation) (base, after, duration sim.Dur
 	base = p.cost
 	rates := cm.Eng.Rates()
 	match := p.rows
-	// Index scan estimate: descent + unclustered fetches (capped).
+	// Index scan estimate: descent + unclustered fetches, capped at the table
+	// size, since the scan reads its matches in heap order (exec.IndexScan).
 	fetch := match
-	if cap := 2 * float64(t.NumPages()); fetch > cap {
+	if cap := float64(t.NumPages()); fetch > cap {
 		fetch = cap
 	}
 	after = sim.Duration(3+fetch)*rates.PageRead + sim.Duration(match)*rates.Tuple

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"specdb/internal/slab"
-	"specdb/internal/storage"
 	"specdb/internal/tuple"
 )
 
@@ -252,11 +251,10 @@ func copyLive(dst, src tuple.Row, live tuple.ColSet) {
 	}
 }
 
-// The classes only the executor uses; join-table key images share
-// slab.Uint64s with the statistics sets.
+// The classes only the executor uses; join-table key images and IndexScan's
+// RID lists share slab.Uint64s with the statistics sets.
 var (
 	valueSlabs slab.Classes[tuple.Value]
 	rowSlabs   slab.Classes[tuple.Row]
 	int32Slabs slab.Classes[int32]
-	ridSlabs   slab.Classes[storage.RID]
 )

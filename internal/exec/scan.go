@@ -5,6 +5,8 @@ import (
 
 	"specdb/internal/btree"
 	"specdb/internal/catalog"
+	"specdb/internal/radix"
+	"specdb/internal/slab"
 	"specdb/internal/storage"
 	"specdb/internal/tuple"
 )
@@ -172,10 +174,14 @@ func (s *SeqScan) StoredLen() int { return s.stored }
 // IndexScan fetches the rows whose indexed column falls within [lo, hi] via
 // a B+-tree, then fetches each matching row from the heap. Matching RIDs are
 // gathered at Open (charging index-page I/O) into a list taken from a slab and
-// given back at Close — the scan lends rows, never the list; heap fetches
-// happen lazily, each record tested against the scan's selections (Where) and,
-// if it passes, decoded under its page pin into one scan-owned row, as a
-// SeqScan does.
+// given back at Close — the scan lends rows, never the list — and sorted into
+// heap order, page then slot, so the fetches visit each heap page in one run
+// and read it at most once, whatever the pool holds: the cap
+// plan.Coster.IndexAccess prices. Heap fetches happen lazily, one pin per
+// record and none held across Next, each record tested against the scan's
+// selections (Where) and, if it passes, decoded under its page pin into one
+// scan-owned row, as a SeqScan does. Rows come out in heap order, not key
+// order; nothing above a scan relies on either.
 type IndexScan struct {
 	ctx    *Context
 	table  *catalog.Table
@@ -183,7 +189,7 @@ type IndexScan struct {
 	lo, hi btree.Bound
 	schema *tuple.Schema
 
-	rids      []storage.RID
+	rids      []uint64 // storage.RID.Bits of the matches, in heap order after Open
 	pos       int
 	row       tuple.Row
 	preds     []Pred
@@ -217,12 +223,12 @@ func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, 
 	}
 	s.gather = func(_ []byte, rid storage.RID) error {
 		if len(s.rids) == cap(s.rids) {
-			grown := ridSlabs.Take(2 * cap(s.rids))[:len(s.rids)]
+			grown := slab.Uint64s.Take(2 * cap(s.rids))[:len(s.rids)]
 			copy(grown, s.rids)
-			ridSlabs.Give(s.rids)
+			slab.Uint64s.Give(s.rids)
 			s.rids = grown
 		}
-		s.rids = append(s.rids, rid)
+		s.rids = append(s.rids, rid.Bits())
 		return nil
 	}
 	s.visit = func(rec []byte) error {
@@ -251,14 +257,19 @@ func (s *IndexScan) Prune(live tuple.ColSet) { s.live = live.Over(s.schema.Len()
 // ridsMin is the capacity of a fresh RID list; it doubles from there.
 const ridsMin = 64
 
-// Open walks the index and gathers matching RIDs.
+// Open walks the index, gathers the matching RIDs and sorts them into heap
+// order (RID.Bits orders as RIDs do).
 func (s *IndexScan) Open() error {
 	if s.rids == nil {
-		s.rids = ridSlabs.Take(ridsMin)
+		s.rids = slab.Uint64s.Take(ridsMin)
 	}
 	s.rids = s.rids[:0]
 	s.pos = 0
-	return s.index.Tree.ScanVia(s.ctx.Pool, s.lo, s.hi, s.gather)
+	if err := s.index.Tree.ScanVia(s.ctx.Pool, s.lo, s.hi, s.gather); err != nil {
+		return err
+	}
+	radix.Sort(s.rids, nil)
+	return nil
 }
 
 // Next fetches the row for the next matching RID that passes the selections.
@@ -274,7 +285,7 @@ func (s *IndexScan) Next() (tuple.Row, bool, error) {
 func (s *IndexScan) next(dst tuple.Row, ords []int) (bool, error) {
 	s.dst, s.ords = dst, ords
 	for s.pos < len(s.rids) {
-		if err := s.table.Heap.View(s.ctx.Pool, s.rids[s.pos], s.visit); err != nil {
+		if err := s.table.Heap.View(s.ctx.Pool, storage.RIDOfBits(s.rids[s.pos]), s.visit); err != nil {
 			return false, err
 		}
 		s.pos++
@@ -289,7 +300,7 @@ func (s *IndexScan) next(dst tuple.Row, ords []int) (bool, error) {
 // Close gives the RID list back.
 func (s *IndexScan) Close() error {
 	s.ctx.flush()
-	ridSlabs.Give(s.rids)
+	slab.Uint64s.Give(s.rids)
 	s.rids, s.pos = nil, 0
 	s.dst, s.ords = nil, nil
 	return nil

@@ -63,8 +63,9 @@ func runMultiUserOnce(t testing.TB, scale tpch.Scale, seed uint64, traces []*tra
 // speculators and with A5's always and suspend-when-busy policies, and six
 // trained-predictor users whose GOs are served or execute. Each GO's
 // simulated seconds, and the counters contention moves, must reproduce byte
-// for byte. The golden was re-pinned once, when the device rule replaced a
-// constant contention factor; never regenerate it to absorb a difference.
+// for byte. The golden was re-pinned twice, when the device rule replaced a
+// constant contention factor and when index scans began reading the heap in
+// page order; never regenerate it to absorb a difference.
 func TestMultiUserContentionGolden(t *testing.T) {
 	traces := tinyTraces(t, 3)
 	scale := tpch.Scale100MB

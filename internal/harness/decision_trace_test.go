@@ -22,7 +22,8 @@ import (
 // condition, that the ledger is empty and unmisused after every Shutdown. The
 // goldens under testdata/
 // were generated before the job-lifecycle refactor (DESIGN.md §16), and
-// failure_policy's before the breakers moved into internal/core; a
+// failure_policy's before the breakers moved into internal/core, and all were
+// re-pinned when index scans began reading the heap in page order; a
 // Speculator change that alters any decision shows up as a diff here.
 // Regenerate with: go test ./internal/harness -run DecisionTrace -update
 func TestDecisionTrace(t *testing.T) {
@@ -200,20 +201,23 @@ func (d *decisionDump) replayConcurrent(t *testing.T, eng *engine.Engine, traces
 // issue. At these rates the pool's retries give up on some builds' page I/O
 // (a failure: backoff, abandonment, the session breaker), and slow reads push
 // others past their watchdog deadline (a strike on the governor's degraded
-// band only).
+// band only). A build reads each heap page of an index scan once, so builds
+// do few page I/Os; the rates are high enough that some still fail, and the
+// seed is one at which every failure path is reached in one replay (the
+// check in replayFailing).
 var failingBuilds = fault.Config{
-	Seed:                2,
-	ReadErrorRate:       0.45,
-	WriteErrorRate:      0.45,
-	FrameExhaustionRate: 0.45,
+	Seed:                4,
+	ReadErrorRate:       0.65,
+	WriteErrorRate:      0.65,
+	FrameExhaustionRate: 0.65,
 	SlowIORate:          0.9,
 	SlowIOPenaltyPages:  100,
 }
 
-// failingHurry divides every event instant of replayFailing's traces: at a
-// quarter of the recorded think times three sessions end enough builds in
-// one of the governor's 30 s sampling windows for it to trip.
-const failingHurry = 4
+// failingHurry divides every event instant of replayFailing's traces: at an
+// eighth of the recorded think times three sessions end enough builds in one
+// of the governor's 30 s sampling windows for it to trip.
+const failingHurry = 8
 
 // replayFailing is replayConcurrent at failingHurry times the pace, with the
 // engine's fault injector armed only around OnEvent: builds issued at an edit

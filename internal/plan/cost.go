@@ -139,7 +139,8 @@ func (c *Coster) IndexAccess(table *catalog.Table, qualifier string, rels []stri
 		leafPages = float64(idx.Tree.NumPages()) * drivingSel
 	}
 	// Unclustered fetches: one page read per matching row, capped at the
-	// table size (re-reads of a page hit the buffer pool).
+	// table size: exec.IndexScan sorts its RIDs into heap order and so reads
+	// each table page at most once, whatever the pool holds.
 	fetchPages := match
 	if cap := float64(table.NumPages()); fetchPages > cap {
 		fetchPages = cap
