@@ -221,6 +221,39 @@ func TestIndexScanReopen(t *testing.T) {
 	}
 }
 
+// TestIndexScanReadsEachHeapPageOnce: an index whose key order visits every
+// heap page again and again (age cycles every 40 rows) scanned whole through
+// a pool far smaller than the table reads each table page once, and returns
+// the rows in heap order.
+func TestIndexScanReadsEachHeapPageOnce(t *testing.T) {
+	disk := storage.NewDiskManager(1024)
+	meter := sim.NewMeter()
+	pool := buffer.NewPool(disk, 8, meter)
+	e := &env{disk: disk, pool: pool, cat: catalog.New(pool), meter: meter, ctx: NewContext(meter)}
+	tb := e.loadEmployees(t, 2000)
+	idx := e.indexOn(t, tb, "age")
+	if err := pool.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := pool.Stats().Misses
+	rows, err := Collect(NewIndexScan(e.ctx, tb, idx, btree.Bound{}, btree.Bound{}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2000 {
+		t.Fatalf("index scan found %d rows, want 2000", len(rows))
+	}
+	misses := pool.Stats().Misses - before
+	if limit := int64(tb.NumPages() + idx.Tree.NumPages()); misses > limit {
+		t.Errorf("the scan missed %d times, more than the table's %d pages and the index's %d", misses, tb.NumPages(), idx.Tree.NumPages())
+	}
+	for i, r := range rows {
+		if want := fmt.Sprintf("emp%04d", i); r[0].Str() != want {
+			t.Fatalf("row %d is %s, want %s: not heap order", i, r[0].Str(), want)
+		}
+	}
+}
+
 func TestHashJoin(t *testing.T) {
 	e := newEnv(t)
 	// dept(id, dname); employee joined on age = dept.id for test simplicity.
