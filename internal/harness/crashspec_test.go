@@ -21,6 +21,12 @@ import (
 // span kill the backend mid-speculation, and after a clean reopen (WAL redo
 // recovery frees every speculative orphan) the whole workload re-runs on the
 // recovered database and must answer identically.
+//
+// The crash points sit a fixed stride of writes apart from the end of the
+// load, not at fractions of the measured span: a change to how many pages the
+// workload writes back moves neither the points nor the subtest names, and a
+// span too short to hold the sweep fails calibration instead of silently
+// compressing it.
 func TestCrashMatrixDurableSpeculation(t *testing.T) {
 	const (
 		sessions  = 12
@@ -28,6 +34,8 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 		workers   = 3
 		poolPages = 48
 		dataSeed  = 42
+		points    = 5
+		stride    = 188 // writes between crash points; the sweep covers 4*188 past the load
 	)
 	dir := t.TempDir()
 	scale := tpch.NewScale("crashspec", 0.002)
@@ -100,14 +108,14 @@ func TestCrashMatrixDurableSpeculation(t *testing.T) {
 		t.Fatal(err)
 	}
 	span := totalWrites - loadWrites
-	if span < 8 {
-		t.Fatalf("workload performed only %d durable writes past the load; no room for a sweep", span)
+	if span <= (points-1)*stride {
+		t.Fatalf("workload performed only %d durable writes past the load; the sweep needs more than %d",
+			span, (points-1)*stride)
 	}
 
 	crashes := 0
-	const points = 5
 	for i := 0; i < points; i++ {
-		at := loadWrites + 1 + span*int64(i)/points
+		at := loadWrites + 1 + stride*int64(i)
 		torn := i%2 == 1
 		t.Run(fmt.Sprintf("crash_at_write_%d_torn_%v", at, torn), func(t *testing.T) {
 			path := filepath.Join(dir, fmt.Sprintf("crash_%d.pages", i))
