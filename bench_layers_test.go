@@ -648,6 +648,61 @@ func BenchmarkLayerHistogramBuild(b *testing.B) {
 	perRow(b, len(l.lineitemRecords))
 }
 
+// layerFinal is the first final of the bench corpus that joins three
+// relations.
+func layerFinal(b *testing.B) *qgraph.Graph {
+	b.Helper()
+	for _, tr := range corpus(b) {
+		qs, err := trace.ExtractQueries(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range qs {
+			if q.Graph.NumRelations() == 3 && q.Graph.NumJoins() == 2 {
+				return q.Graph
+			}
+		}
+	}
+	b.Fatal("no three-relation final in the corpus")
+	return nil
+}
+
+// BenchmarkLayerOptimize is one pricing as the speculator's cost model asks
+// for it (CostModel.Score → Engine.PlanGraph): bind the graph, search the
+// view covers, join orders and access paths, and build the plan it returns,
+// for a three-relation final of the bench corpus with a forced view of one of
+// its joins registered, so that the search prices that view's cover too. Its
+// allocations pin that planning allocates for the plan it returns, not for
+// each candidate it prices (DESIGN.md §15, "What planning allocates").
+func BenchmarkLayerOptimize(b *testing.B) {
+	l := layerSetup(b)
+	final := layerFinal(b)
+	if _, err := l.eng.Materialize("layer_opt_view", qgraph.JoinSubgraph(final, final.Joins()[0]), true); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := l.eng.DropTable("layer_opt_view"); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	var node plan.Node
+	passes(b, func(int) {
+		var err error
+		if node, err = l.eng.PlanGraph(final); err != nil {
+			b.Fatal(err)
+		}
+	})
+	readsView := false
+	plan.Walk(node, func(n plan.Node) {
+		if a, ok := n.(*plan.TableAccess); ok && a.Table.Name == "layer_opt_view" {
+			readsView = true
+		}
+	})
+	if !readsView {
+		b.Fatalf("the plan does not read the view:\n%s", plan.Explain(node))
+	}
+}
+
 // BenchmarkLayerSetup is cmd/bench's set-up, the setup_s of every replay
 // workload: harness.NewEnv at 100MB on the 46-page pool — generate and load
 // the six tables, each load feeding its table's statistics, indexes and

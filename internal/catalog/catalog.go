@@ -5,7 +5,9 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +46,22 @@ type Table struct {
 	stats map[string]*stats.ColumnStats
 	// indexes maps column name → index.
 	indexes map[string]*Index
+
+	// qualified is Schema under the names a query gives the table's columns,
+	// built by the first Qualified call.
+	qualifiedOnce sync.Once
+	qualified     *tuple.Schema
+}
+
+// Qualified is the table's schema with every column named "table.col": the
+// schema a plan's scan of the table under its own name produces, and the
+// names SELECT * expands to. It is built once and shared, so it is
+// read-only.
+func (t *Table) Qualified() *tuple.Schema {
+	t.qualifiedOnce.Do(func() {
+		t.qualified = t.Schema.Rename(func(n string) string { return t.Name + "." + n })
+	})
+	return t.qualified
 }
 
 // RowCount reports the table cardinality.
@@ -342,23 +360,31 @@ func (c *Catalog) Views() []*MatView {
 // MatchingViews returns the views whose graph is contained in query — the
 // candidates for rewriting (paper Section 3.2: "the optimizer is able to use
 // it in any final query whose graph contains the materialized query as a
-// sub-graph"). Sorted by view name for determinism.
+// sub-graph"). Sorted by view name for determinism; a query no view matches
+// allocates nothing.
 func (c *Catalog) MatchingViews(query *qgraph.Graph) []*MatView {
+	c.mu.RLock()
 	var out []*MatView
-	for _, v := range c.Views() {
+	for _, v := range c.views {
 		if query.Contains(v.Graph) {
 			out = append(out, v)
 		}
 	}
+	c.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *MatView) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 
-// ViewByGraph returns a view materializing exactly graph (Graph.Equal), or nil.
+// ViewByGraph returns a view materializing exactly graph (Graph.Equal), or
+// nil; of several, the first by name.
 func (c *Catalog) ViewByGraph(graph *qgraph.Graph) *MatView {
-	for _, v := range c.Views() {
-		if v.Graph.Equal(graph) {
-			return v
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var found *MatView
+	for _, v := range c.views {
+		if v.Graph.Equal(graph) && (found == nil || v.Name < found.Name) {
+			found = v
 		}
 	}
-	return nil
+	return found
 }

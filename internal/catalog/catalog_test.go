@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"specdb/internal/btree"
@@ -271,5 +272,38 @@ func TestColumnStatsLookupEdgeCases(t *testing.T) {
 	// The nil-stats path must extend through histogram access.
 	if tb.ColumnStats("ghost").Hist() != nil {
 		t.Fatal("nil ColumnStats should yield nil histogram")
+	}
+}
+
+// TestQualifiedSchemaIsBuiltOnce: statements planning at once under the
+// shared statement lock all read a table's Qualified schema, so its first
+// build may race with itself; every reader must get the one schema, named
+// "table.col" in the stored order.
+func TestQualifiedSchemaIsBuiltOnce(t *testing.T) {
+	c, _, _ := newTestCatalog()
+	tb, err := c.CreateTable("emp", simpleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*tuple.Schema, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = tb.Qualified()
+		}(i)
+	}
+	wg.Wait()
+	for _, s := range got {
+		if s != got[0] {
+			t.Fatal("Qualified built more than one schema")
+		}
+	}
+	if s := got[0].String(); s != "(emp.id int, emp.name string)" {
+		t.Fatalf("Qualified() = %s", s)
+	}
+	if tb.Schema.Columns[0].Name != "id" {
+		t.Fatal("Qualified renamed the stored schema")
 	}
 }

@@ -117,7 +117,7 @@ func (sp *Speculator) walkFragments(now sim.Time) (*Job, error) {
 		if sp.isKnown(&m, key) {
 			continue
 		}
-		if err := sp.cm.Score(&m, elapsed); err != nil {
+		if err := sp.cm.Score(&m, m.graphKey(key.Manip), elapsed); err != nil {
 			return nil, err
 		}
 		// Adopt ready shared builds BEFORE the benefit filter: another

@@ -595,10 +595,10 @@ func TestCostModelAblationOrdering(t *testing.T) {
 	sel := selRC(20)
 	mat := Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(sel)}
 	hist := Manipulation{Kind: ManipHistogram, Graph: qgraph.SelectionSubgraph(sel), Rel: "R", Col: "c"}
-	if err := cm.Score(&mat, 0); err != nil {
+	if err := cm.Score(&mat, "", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cm.Score(&hist, 0); err != nil {
+	if err := cm.Score(&hist, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	if mat.Benefit <= hist.Benefit {
@@ -617,7 +617,7 @@ func TestCostModelLookaheadIncreasesBenefit(t *testing.T) {
 	score := func(lookahead int) sim.Duration {
 		cm := &CostModel{Eng: e, Learner: l, Lookahead: lookahead}
 		m := Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(sel)}
-		if err := cm.Score(&m, 0); err != nil {
+		if err := cm.Score(&m, "", 0); err != nil {
 			t.Fatal(err)
 		}
 		return m.Benefit
@@ -639,7 +639,7 @@ func TestCompletionRiskLowersBenefit(t *testing.T) {
 	cm := &CostModel{Eng: e, Learner: l}
 	score := func(elapsed float64) (benefit, p float64) {
 		m := Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(selRC(20))}
-		if err := cm.Score(&m, elapsed); err != nil {
+		if err := cm.Score(&m, "", elapsed); err != nil {
 			t.Fatal(err)
 		}
 		return float64(m.Benefit), l.CompletionProbability(elapsed, m.EstDuration.Seconds())

@@ -66,13 +66,16 @@ const (
 	compressionThreshold = 0.65
 )
 
-// Score fills m.EstDuration and m.Benefit. elapsedFormulation is how long
-// the current formulation has been running (seconds), for completion risk.
-func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
+// Score fills m.EstDuration and m.Benefit. graphKey is a materialization's
+// m.Graph.Key(), or "" to build it if planning needs it: the admission walk
+// passes the one inside the candidate's ledger key. elapsedFormulation is how
+// long the current formulation has been running (seconds), for completion
+// risk.
+func (cm *CostModel) Score(m *Manipulation, graphKey string, elapsedFormulation float64) error {
 	var base, after, duration sim.Duration
 	switch m.Kind {
 	case ManipMaterialize:
-		p, err := cm.plan(m.Graph)
+		p, err := cm.plan(m.Graph, graphKey)
 		if err != nil {
 			return err
 		}
@@ -147,7 +150,7 @@ func (cm *CostModel) Score(m *Manipulation, elapsedFormulation float64) error {
 // (a final is consumed by exactly one GO) and no separate completion-risk
 // term (the confidence already prices the prediction failing).
 func (cm *CostModel) ScorePredicted(m *Manipulation, confidence float64) error {
-	p, err := cm.plan(m.Graph)
+	p, err := cm.plan(m.Graph, "")
 	if err != nil {
 		return err
 	}
@@ -158,13 +161,13 @@ func (cm *CostModel) ScorePredicted(m *Manipulation, confidence float64) error {
 }
 
 // plan returns the cost and rows of g's best plan, planning g only if it was
-// not planned at the catalog's current version. A plan is kept only if the
-// version read before planning still holds after it: a change that lands
-// while the optimizer runs may or may not be in the plan, so the plan belongs
-// to no version. The catalog advances its version after each change is
-// visible, so an unchanged version means the planner read that version's
-// state.
-func (cm *CostModel) plan(g *qgraph.Graph) (planned, error) {
+// not planned at the catalog's current version; key is g.Key(), or "" to
+// build it here. A plan is kept only if the version read before planning
+// still holds after it: a change that lands while the optimizer runs may or
+// may not be in the plan, so the plan belongs to no version. The catalog
+// advances its version after each change is visible, so an unchanged version
+// means the planner read that version's state.
+func (cm *CostModel) plan(g *qgraph.Graph, key string) (planned, error) {
 	v := cm.Eng.Catalog.Version()
 	if cm.plans == nil {
 		cm.plans = make(map[string]planned)
@@ -173,7 +176,9 @@ func (cm *CostModel) plan(g *qgraph.Graph) (planned, error) {
 		clear(cm.plans)
 		cm.plansAt = v
 	}
-	key := g.Key()
+	if key == "" {
+		key = g.Key()
+	}
 	if p, ok := cm.plans[key]; ok {
 		return p, nil
 	}
@@ -243,7 +248,7 @@ func (cm *CostModel) indexDeltas(m *Manipulation) (base, after, duration sim.Dur
 	if err != nil {
 		return 0, 0, 0
 	}
-	p, err := cm.plan(m.Graph)
+	p, err := cm.plan(m.Graph, "")
 	if err != nil {
 		return 0, 0, 0
 	}
@@ -278,7 +283,7 @@ func (cm *CostModel) histogramDeltas(m *Manipulation) (base, after, duration sim
 	if t.ColumnStats(m.Col).Hist() != nil {
 		return 0, 0, 0 // already present: no benefit
 	}
-	p, err := cm.plan(m.Graph)
+	p, err := cm.plan(m.Graph, "")
 	if err != nil {
 		return 0, 0, 0
 	}

@@ -219,7 +219,8 @@ func (l *Learner) JoinSurvival(j qgraph.Join) float64 {
 
 func (l *Learner) joinSurvivalLocked(j qgraph.Join) float64 {
 	global := l.joinSurvival.estimate(l.cfg.JoinSurvivalPrior, l.cfg.PriorStrength)
-	if c, ok := l.joinSurvivalByKey[j.Key()]; ok {
+	var buf [64]byte // the key's bytes: the lookup builds no string
+	if c, ok := l.joinSurvivalByKey[string(j.AppendKey(buf[:0]))]; ok {
 		return c.estimate(global, l.cfg.PriorStrength)
 	}
 	return global

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"specdb/internal/qgraph"
 	"specdb/internal/sim"
@@ -92,7 +93,7 @@ type Manipulation struct {
 func (m Manipulation) Key() string {
 	switch m.Kind {
 	case ManipMaterialize:
-		return "mat|" + m.Graph.Key()
+		return m.Graph.PrefixedKey("mat|")
 	case ManipIndex:
 		return "idx|" + m.Rel + "." + m.Col
 	case ManipHistogram:
@@ -104,6 +105,15 @@ func (m Manipulation) Key() string {
 	default:
 		return "null"
 	}
+}
+
+// graphKey is m.Graph's key as it sits inside manipKey, m's Key: "" for a
+// kind whose key does not hold it.
+func (m *Manipulation) graphKey(manipKey string) string {
+	if m.Kind == ManipMaterialize {
+		return strings.TrimPrefix(manipKey, "mat|")
+	}
+	return ""
 }
 
 // String renders the manipulation for logs.
@@ -130,34 +140,55 @@ func (m Manipulation) String() string {
 // never arbitrary sub-queries. selectionsOnly restricts to selection
 // materializations (the Section 6.3 multi-user strategy). Other families are
 // gated by ops. The caller filters out work already running or completed.
+//
+// The sub-graphs reuse the part keys partial holds, and the families that
+// target one selection share its sub-graph (graphs are never mutated once
+// enumerated): a walk pays one allocation per selection and at most three
+// per join.
 func EnumerateManipulations(partial *qgraph.Graph, ops OpSet, selectionsOnly bool) []Manipulation {
-	var out []Manipulation
+	sels, joins := partial.Selections(), partial.Joins()
+	n := 0
 	if ops.Materialize {
-		for _, s := range partial.Selections() {
-			out = append(out, Manipulation{Kind: ManipMaterialize, Graph: qgraph.SelectionSubgraph(s)})
+		n += len(sels)
+		if !selectionsOnly {
+			n += len(joins)
+		}
+	}
+	if ops.Index {
+		n += len(sels)
+	}
+	if ops.Histogram {
+		n += len(sels)
+	}
+	if ops.Stage {
+		n += partial.NumRelations()
+	}
+	out := make([]Manipulation, 0, n)
+	var selSubs []*qgraph.Graph
+	if ops.Materialize || ops.Index || ops.Histogram {
+		selSubs = make([]*qgraph.Graph, len(sels))
+		for i := range sels {
+			selSubs[i] = partial.SelectionSubgraphAt(i)
+		}
+	}
+	if ops.Materialize {
+		for _, g := range selSubs {
+			out = append(out, Manipulation{Kind: ManipMaterialize, Graph: g})
 		}
 		if !selectionsOnly {
-			for _, j := range partial.Joins() {
-				out = append(out, Manipulation{Kind: ManipMaterialize, Graph: qgraph.JoinSubgraph(partial, j)})
+			for i := range joins {
+				out = append(out, Manipulation{Kind: ManipMaterialize, Graph: partial.JoinSubgraphAt(i)})
 			}
 		}
 	}
 	if ops.Index {
-		for _, s := range partial.Selections() {
-			out = append(out, Manipulation{
-				Kind:  ManipIndex,
-				Graph: qgraph.SelectionSubgraph(s),
-				Rel:   s.Rel, Col: s.Col,
-			})
+		for i, s := range sels {
+			out = append(out, Manipulation{Kind: ManipIndex, Graph: selSubs[i], Rel: s.Rel, Col: s.Col})
 		}
 	}
 	if ops.Histogram {
-		for _, s := range partial.Selections() {
-			out = append(out, Manipulation{
-				Kind:  ManipHistogram,
-				Graph: qgraph.SelectionSubgraph(s),
-				Rel:   s.Rel, Col: s.Col,
-			})
+		for i, s := range sels {
+			out = append(out, Manipulation{Kind: ManipHistogram, Graph: selSubs[i], Rel: s.Rel, Col: s.Col})
 		}
 	}
 	if ops.Stage {

@@ -489,12 +489,15 @@ func (e *Engine) planAndRun(st *stmt, res *Result, q *plan.Query, opts plan.Opti
 	if prof != nil {
 		prof.Attach(ctx) // before the window: attaching charges nothing
 	}
-	*res = Result{Plan: node, Schema: node.Schema()}
+	*res = Result{Plan: node}
 	err = e.measure(st, res, func() error {
 		it, err := node.Build(ctx)
 		if err != nil {
 			return err
 		}
+		// The built operators carry the output schema, so the plan's own
+		// node schemas are never built.
+		res.Schema = it.Schema()
 		if !collect {
 			res.RowCount, err = exec.Count(it)
 			return err
@@ -581,7 +584,7 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 		if err != nil {
 			return err
 		}
-		res.Plan, res.Schema = node, node.Schema()
+		res.Plan = node
 		return e.measure(st, res, func() error {
 			// The iterator is built before the table exists, and everything
 			// after the table exists is covered by one cleanup: a failed drain
@@ -592,7 +595,8 @@ func (e *Engine) materializeQuery(name string, q *plan.Query, g *qgraph.Graph, f
 			if err != nil {
 				return err
 			}
-			table, err := e.Catalog.CreateTable(name, node.Schema())
+			res.Schema = it.Schema()
+			table, err := e.Catalog.CreateTable(name, res.Schema)
 			if err != nil {
 				return err
 			}

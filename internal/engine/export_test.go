@@ -14,3 +14,9 @@ func (e *Engine) RunQueryWith(q *plan.Query, tune func(*plan.Options)) (*Result,
 		return err
 	})
 }
+
+// Plan optimizes q under the engine's planning options without running it:
+// the plan-choice golden (planchoice_test.go) renders it.
+func (e *Engine) Plan(q *plan.Query) (plan.Node, error) {
+	return plan.Optimize(e.Catalog, q, e.planOptions())
+}

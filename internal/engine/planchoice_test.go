@@ -1,12 +1,14 @@
 package engine_test
 
 import (
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"specdb/internal/engine"
+	"specdb/internal/golden"
 	"specdb/internal/harness"
 	"specdb/internal/plan"
 	"specdb/internal/tpch"
@@ -41,7 +43,14 @@ func benchFinals(t *testing.T, eng *engine.Engine) (labels []string, finals []*p
 // newBenchEnv is the bench's 100MB database on the 46-page pool.
 func newBenchEnv(t *testing.T) *engine.Engine {
 	t.Helper()
-	env, err := harness.NewEnv(harness.EnvConfig{Scale: tpch.Scale100MB, Seed: 42})
+	return newEnvAt(t, tpch.Scale100MB)
+}
+
+// newEnvAt is the bench's database (data seed 42) at scale, on the 46-page
+// pool.
+func newEnvAt(t *testing.T, scale tpch.Scale) *engine.Engine {
+	t.Helper()
+	env, err := harness.NewEnv(harness.EnvConfig{Scale: scale, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +77,7 @@ var analyzedIO = regexp.MustCompile(`io=(\d+)r/`)
 // scans lineitem (106 pages) through its l_shipdate index on a cold 46-page
 // pool. Fetched in key order, its 708 matches read 2,103 pages; fetched in
 // heap order, the scan reads each table page at most once, as
-// plan.Coster.IndexAccess prices it, plus the index pages it descends.
+// the optimizer's index estimate prices it, plus the index pages it descends.
 func TestIndexScanReadsEachHeapPageOnce(t *testing.T) {
 	eng := newBenchEnv(t)
 	labels, finals := benchFinals(t, eng)
@@ -129,4 +138,27 @@ func TestNoFinalLosesToItsSeqScanPlan(t *testing.T) {
 		}
 	}
 	t.Logf("%d finals: %.1f s as planned, %.1f s with AvoidIndexes, worst ratio %.2f", len(finals), total, seqTotal, worst)
+}
+
+// TestBenchFinalPlansGolden pins the plan the optimizer chooses for every
+// final of the bench corpus at 100MB and 500MB, speculation off, as its
+// Explain text — operators, join order, access paths, estimated rows and
+// costs — against testdata/bench_final_plans.golden. A change to how the
+// planner searches must leave it byte-identical; a change to what it
+// chooses re-records it with -update and says why.
+func TestBenchFinalPlansGolden(t *testing.T) {
+	var b strings.Builder
+	for _, scale := range []tpch.Scale{tpch.Scale100MB, tpch.Scale500MB} {
+		eng := newEnvAt(t, scale)
+		labels, finals := benchFinals(t, eng)
+		for i, q := range finals {
+			node, err := eng.Plan(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", scale.Name, labels[i], err)
+			}
+			b.WriteString("== " + scale.Name + " " + labels[i] + "\n")
+			b.WriteString(plan.Explain(node))
+		}
+	}
+	golden.Check(t, filepath.Join("testdata", "bench_final_plans.golden"), b.String())
 }

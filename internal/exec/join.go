@@ -459,7 +459,7 @@ func NewIndexNLJoin(ctx *Context, outer Iterator, outerCol string, inner *catalo
 	if oo < 0 {
 		return nil, fmt.Errorf("exec: index join: no outer column %q", outerCol)
 	}
-	innerSchema := qualify(inner.Schema, qualifier)
+	innerSchema := qualify(inner, qualifier)
 	schema := outer.Schema().Concat(innerSchema)
 	j := &IndexNLJoin{
 		ctx:         ctx,

@@ -11,13 +11,17 @@ import (
 	"specdb/internal/tuple"
 )
 
-// qualify renames a stored schema with a relation prefix. A view's stored
-// columns are already qualified ("rel.col"), so view scans pass qualifier "".
-func qualify(s *tuple.Schema, qualifier string) *tuple.Schema {
-	if qualifier == "" {
-		return s
+// qualify renames a table's stored schema with a relation prefix. A view's
+// stored columns are already qualified ("rel.col"), so view scans pass
+// qualifier ""; a table read under its own name shares its Qualified schema.
+func qualify(t *catalog.Table, qualifier string) *tuple.Schema {
+	switch qualifier {
+	case "":
+		return t.Schema
+	case t.Name:
+		return t.Qualified()
 	}
-	return s.Rename(func(n string) string { return qualifier + "." + n })
+	return t.Schema.Rename(func(n string) string { return qualifier + "." + n })
 }
 
 // SeqScan reads a table front to back. Every stored record it returns is
@@ -47,7 +51,7 @@ func NewSeqScan(ctx *Context, table *catalog.Table, qualifier string) *SeqScan {
 	return &SeqScan{
 		ctx:       ctx,
 		table:     table,
-		schema:    qualify(table.Schema, qualifier),
+		schema:    qualify(table, qualifier),
 		row:       make(tuple.Row, table.Schema.Len()),
 		live:      tuple.AllCols,
 		perRecord: 1,
@@ -177,7 +181,7 @@ func (s *SeqScan) StoredLen() int { return s.stored }
 // given back at Close — the scan lends rows, never the list — and sorted into
 // heap order, page then slot, so the fetches visit each heap page in one run
 // and read it at most once, whatever the pool holds: the cap
-// plan.Coster.IndexAccess prices. Heap fetches happen lazily, one pin per
+// the optimizer's index estimate prices. Heap fetches happen lazily, one pin per
 // record and none held across Next, each record tested against the scan's
 // selections (Where) and, if it passes, decoded under its page pin into one
 // scan-owned row, as a SeqScan does. Rows come out in heap order, not key
@@ -216,7 +220,7 @@ func NewIndexScan(ctx *Context, table *catalog.Table, index *catalog.Index, lo, 
 		index:     index,
 		lo:        lo,
 		hi:        hi,
-		schema:    qualify(table.Schema, qualifier),
+		schema:    qualify(table, qualifier),
 		row:       make(tuple.Row, table.Schema.Len()),
 		perRecord: 1,
 		live:      tuple.AllCols,

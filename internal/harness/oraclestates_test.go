@@ -41,7 +41,7 @@ func TestOracleOverDerivedStates(t *testing.T) {
 		t.Helper()
 		out := slices.Clone(cands)
 		for i := range out {
-			if err := cm.Score(&out[i], 5); err != nil {
+			if err := cm.Score(&out[i], "", 5); err != nil {
 				t.Fatalf("%v: %v", out[i], err)
 			}
 		}

@@ -12,7 +12,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"specdb/internal/catalog"
 	"specdb/internal/qgraph"
@@ -110,7 +110,11 @@ func Bind(cat *catalog.Catalog, stmt *sql.SelectStmt) (*Query, error) {
 
 	q := &Query{Graph: g}
 	if len(stmt.Projections) == 0 {
-		q.Projections = starProjections(tables, stmt.From)
+		sorted := make([]*catalog.Table, 0, len(tables))
+		for _, rel := range g.Relations() {
+			sorted = append(sorted, tables[rel])
+		}
+		q.Projections = starProjections(sorted)
 	} else {
 		for _, ref := range stmt.Projections {
 			rel, col, _, err := resolve(ref)
@@ -131,34 +135,42 @@ func BindGraph(cat *catalog.Catalog, g *qgraph.Graph) (*Query, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("plan: empty query graph")
 	}
-	tables := make(map[string]*catalog.Table, len(rels))
+	// tables[i] is rels[i]'s table; the graph holds every edge's relations.
+	var buf [8]*catalog.Table
+	tables := buf[:0]
 	for _, name := range rels {
 		t, err := cat.Table(name)
 		if err != nil {
 			return nil, err
 		}
-		tables[name] = t
+		tables = append(tables, t)
+	}
+	table := func(rel string) *catalog.Table {
+		i, _ := slices.BinarySearch(rels, rel)
+		return tables[i]
 	}
 	for _, s := range g.Selections() {
-		ord := tables[s.Rel].Schema.Ordinal(s.Col)
+		t := table(s.Rel)
+		ord := t.Schema.Ordinal(s.Col)
 		if ord < 0 {
 			return nil, fmt.Errorf("plan: relation %q has no column %q", s.Rel, s.Col)
 		}
-		if err := checkComparable(tables[s.Rel].Schema.Columns[ord].Kind, s.Const.Kind()); err != nil {
+		if err := checkComparable(t.Schema.Columns[ord].Kind, s.Const.Kind()); err != nil {
 			return nil, fmt.Errorf("plan: selection %s: %w", s, err)
 		}
 	}
 	for _, j := range g.Joins() {
-		lo := tables[j.LeftRel].Schema.Ordinal(j.LeftCol)
-		ro := tables[j.RightRel].Schema.Ordinal(j.RightCol)
+		lt, rt := table(j.LeftRel), table(j.RightRel)
+		lo := lt.Schema.Ordinal(j.LeftCol)
+		ro := rt.Schema.Ordinal(j.RightCol)
 		if lo < 0 || ro < 0 {
 			return nil, fmt.Errorf("plan: join %s references missing column", j)
 		}
-		if tables[j.LeftRel].Schema.Columns[lo].Kind != tables[j.RightRel].Schema.Columns[ro].Kind {
+		if lt.Schema.Columns[lo].Kind != rt.Schema.Columns[ro].Kind {
 			return nil, fmt.Errorf("plan: join %s compares mismatched kinds", j)
 		}
 	}
-	return &Query{Graph: g, Projections: starProjections(tables, rels)}, nil
+	return &Query{Graph: g, Projections: starProjections(tables)}, nil
 }
 
 // BindGraphProjections is BindGraph with explicit qualified projections
@@ -192,14 +204,18 @@ func BindGraphProjections(cat *catalog.Catalog, g *qgraph.Graph, projs []string)
 	return q, nil
 }
 
-// starProjections expands SELECT * into canonical qualified column order.
-func starProjections(tables map[string]*catalog.Table, from []string) []string {
-	rels := append([]string(nil), from...)
-	sort.Strings(rels)
-	var out []string
-	for _, rel := range rels {
-		for _, c := range tables[rel].Schema.Columns {
-			out = append(out, rel+"."+c.Name)
+// starProjections expands SELECT * over tables, in relation-name order, into
+// canonical qualified column order, with the names each table qualified once
+// (catalog.Table.Qualified): one allocation.
+func starProjections(tables []*catalog.Table) []string {
+	n := 0
+	for _, t := range tables {
+		n += t.Schema.Len()
+	}
+	out := make([]string, 0, n)
+	for _, t := range tables {
+		for _, c := range t.Qualified().Columns {
+			out = append(out, c.Name)
 		}
 	}
 	return out

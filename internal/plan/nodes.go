@@ -13,10 +13,11 @@ import (
 
 // Node is a physical plan operator with cardinality and cost estimates.
 type Node interface {
-	// Schema is the qualified output schema. Table accesses and joins build
-	// it on the first call, because the optimizer prices far more candidates
-	// than it keeps; a plan Optimize returns has them all built, since its
-	// projection read them, so it is read-only and safe to share.
+	// Schema is the qualified output schema, built on the first call: the
+	// cost model prices plans whose schemas nothing reads, and the engine
+	// takes a run's output schema from the built operators. A first call
+	// writes the node, so a plan is read by one goroutine until its root's
+	// Schema has been called once; that call builds every node's.
 	Schema() *tuple.Schema
 	// Rows is the estimated output cardinality.
 	Rows() float64
@@ -64,8 +65,7 @@ const (
 // with optional index access and residual filters.
 type TableAccess struct {
 	Table     *catalog.Table
-	Qualifier string   // "" for views (already-qualified stored columns)
-	Rels      []string // query relations this access covers (≥2 for views)
+	Qualifier string // "" for views (already-qualified stored columns)
 	Method    AccessMethod
 	// Index-access fields (Method == AccessIndex):
 	IndexCol string // stored column name
@@ -84,12 +84,17 @@ type TableAccess struct {
 	cost       sim.Duration
 }
 
-// Schema implements Node: the table's schema under qualified names.
+// Schema implements Node: the table's schema under qualified names — a
+// base table's shared Qualified schema, a view's stored one.
 func (a *TableAccess) Schema() *tuple.Schema {
 	if a.schema == nil {
-		a.schema = a.Table.Schema
-		if a.Qualifier != "" {
-			a.schema = a.schema.Rename(func(n string) string { return qualified(a.Qualifier, n) })
+		switch a.Qualifier {
+		case "":
+			a.schema = a.Table.Schema
+		case a.Table.Name:
+			a.schema = a.Table.Qualified()
+		default:
+			a.schema = a.Table.Schema.Rename(func(n string) string { return a.Qualifier + "." + n })
 		}
 	}
 	return a.schema
@@ -104,12 +109,7 @@ func (a *TableAccess) Rows() float64 { return a.rows }
 func (a *TableAccess) Cost() sim.Duration { return a.cost }
 
 // storedCol translates a qualified column name to the table's stored name.
-func (a *TableAccess) storedCol(qualified string) string {
-	if a.Qualifier == "" {
-		return qualified
-	}
-	return strings.TrimPrefix(qualified, a.Qualifier+".")
-}
+func (a *TableAccess) storedCol(qualified string) string { return storedName(a.Qualifier, qualified) }
 
 // Build implements Node. The scan takes the selections itself and tests them
 // before it decodes a record.
@@ -324,14 +324,25 @@ type ProjectNode struct {
 	Child Node
 	Cols  []string // qualified names
 
-	schema *tuple.Schema
+	schema *tuple.Schema // built by the first Schema call
 	cost   sim.Duration
 }
 
-// Schema implements Node.
-func (p *ProjectNode) Schema() *tuple.Schema { return p.schema }
+// Schema implements Node: the named columns of the child's schema, in
+// order (the optimizer checked that the child produces each).
+func (p *ProjectNode) Schema() *tuple.Schema {
+	if p.schema == nil {
+		in := p.Child.Schema()
+		cols := make([]tuple.Column, len(p.Cols))
+		for i, name := range p.Cols {
+			cols[i] = in.Columns[in.MustOrdinal(name)]
+		}
+		p.schema = tuple.NewProjection(cols...)
+	}
+	return p.schema
+}
 
-func (p *ProjectNode) width() int { return rowWidth(p.schema) }
+func (p *ProjectNode) width() int { return rowWidth(p.Schema()) }
 
 // Rows implements Node.
 func (p *ProjectNode) Rows() float64 { return p.Child.Rows() }

@@ -1,6 +1,8 @@
 package qgraph
 
 import (
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -136,11 +138,9 @@ func TestRemoveEdges(t *testing.T) {
 
 func TestSelectionsOnJoinsOn(t *testing.T) {
 	g := figure2Graph()
-	if got := g.SelectionsOn("R"); len(got) != 1 || got[0].Col != "c" {
-		t.Fatalf("SelectionsOn(R) = %v", got)
-	}
-	if got := g.SelectionsOn("S"); len(got) != 0 {
-		t.Fatalf("SelectionsOn(S) = %v", got)
+	// A join's sub-graph takes the selections on its relations: R's, not W's.
+	if got := g.JoinSubgraphAt(0).Selections(); len(got) != 1 || got[0].Col != "c" {
+		t.Fatalf("selections of the R–S sub-graph = %v", got)
 	}
 	if got := g.JoinsOn("S"); len(got) != 2 {
 		t.Fatalf("JoinsOn(S) = %v", got)
@@ -283,4 +283,135 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestSubgraphsAtMatchBuilders: the sub-graphs built from a parent's parts,
+// with the parent's keys, equal the ones built part by part, key for key.
+func TestSubgraphsAtMatchBuilders(t *testing.T) {
+	f := func(seed uint64) bool {
+		g := randomGraph(sim.NewRand(seed))
+		for i, s := range g.Selections() {
+			want := New()
+			want.AddSelection(s)
+			if got := g.SelectionSubgraphAt(i); !got.Equal(want) || got.Key() != want.Key() {
+				return false
+			}
+		}
+		for i, j := range g.Joins() {
+			want := New()
+			want.AddJoin(j)
+			for _, s := range g.Selections() {
+				if j.Touches(s.Rel) {
+					want.AddSelection(s)
+				}
+			}
+			got := g.JoinSubgraphAt(i)
+			if !got.Equal(want) || got.Key() != want.Key() || got.PrefixedKey("mat|") != "mat|"+want.Key() {
+				return false
+			}
+			// A sub-graph grown later does not write into its parent.
+			got.AddSelection(sel(j.LeftRel, "y", tuple.CmpEQ, 1))
+			if g.HasSelection(sel(j.LeftRel, "y", tuple.CmpEQ, 1)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAccessorsAreSnapshots: a graph never writes into a slice its
+// accessors returned, so a caller may edit the graph while it walks one.
+func TestAccessorsAreSnapshots(t *testing.T) {
+	g := figure2Graph()
+	rels, sels, joins := g.Relations(), g.Selections(), g.Joins()
+	for _, s := range sels {
+		g.RemoveSelection(s)
+	}
+	for _, j := range joins {
+		g.RemoveJoin(j)
+	}
+	g.AddRelation("A")
+	g.RemoveRelation("W")
+	if len(sels) != 2 || sels[0].Rel != "R" || sels[1].Rel != "W" || len(joins) != 2 ||
+		len(rels) != 3 || rels[0] != "R" || rels[2] != "W" {
+		t.Fatalf("accessor slices moved under edits: %v %v %v", rels, sels, joins)
+	}
+	if g.NumSelections() != 0 || g.NumJoins() != 0 || g.Key() != "R|A;R|R;R|S" {
+		t.Fatalf("edited graph %q", g.Key())
+	}
+}
+
+// TestHasSelectionMatchesKeys: a graph finds a selection exactly when their
+// keys are equal, whatever the constant — −0 against +0, NaN against NaN,
+// an int against a float of the same value, strings.
+func TestHasSelectionMatchesKeys(t *testing.T) {
+	consts := []tuple.Value{
+		tuple.NewInt(0), tuple.NewInt(7), tuple.NewFloat(0), tuple.NewFloat(math.Copysign(0, -1)),
+		tuple.NewFloat(7), tuple.NewFloat(math.NaN()), tuple.NewFloat(math.Float64frombits(0x7ff8000000000001)),
+		tuple.NewFloat(math.Inf(1)), tuple.NewString("7"), tuple.NewString(""), tuple.NewDate(7),
+	}
+	for _, a := range consts {
+		g := New()
+		sa := Selection{Rel: "R", Col: "c", Op: tuple.CmpEQ, Const: a}
+		g.AddSelection(sa)
+		for _, b := range consts {
+			for _, op := range []tuple.CmpOp{tuple.CmpEQ, tuple.CmpLT} {
+				sb := Selection{Rel: "R", Col: "c", Op: op, Const: b}
+				if got, want := g.HasSelection(sb), sa.Key() == sb.Key(); got != want {
+					t.Errorf("HasSelection(%s) in {%s} = %v, keys equal %v", sb.Key(), sa.Key(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestKeysKeepTheirBytes: Selection.Key is its parts joined by "|" with the
+// constant's String, and Join.Key likewise, whatever the constant's kind;
+// AppendKey appends the same bytes.
+func TestKeysKeepTheirBytes(t *testing.T) {
+	for _, c := range []tuple.Value{
+		tuple.NewInt(-12), tuple.NewFloat(2.5e-9), tuple.NewFloat(math.NaN()), tuple.NewFloat(math.Copysign(0, -1)),
+		tuple.NewString("a|b"), tuple.NewDate(9000),
+	} {
+		s := Selection{Rel: "lineitem", Col: "l_shipdate", Op: tuple.CmpGE, Const: c}
+		want := "σ|lineitem|l_shipdate|>=|" + strconv.Itoa(int(c.Kind())) + "|" + c.String()
+		if s.Key() != want || string(s.AppendKey([]byte("x"))) != "x"+want {
+			t.Errorf("Selection.Key() = %q, want %q", s.Key(), want)
+		}
+	}
+	j := NewJoin("orders", "o_orderkey", "lineitem", "l_orderkey")
+	want := "⋈|lineitem|l_orderkey|orders|o_orderkey"
+	if j.Key() != want || string(j.AppendKey(nil)) != want {
+		t.Errorf("Join.Key() = %q, AppendKey %q, want %q", j.Key(), j.AppendKey(nil), want)
+	}
+}
+
+// TestReadsAllocateNothing: reading a graph's parts, testing containment and
+// membership allocate nothing, a key is one allocation, and a walk's
+// sub-graphs are one (a selection's) or three (a join's with selections).
+func TestReadsAllocateNothing(t *testing.T) {
+	g := figure2Graph()
+	sub := JoinSubgraph(g, NewJoin("R", "a", "S", "a"))
+	r := sel("R", "c", tuple.CmpGT, 10)
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"reads", 0, func() {
+			_, _, _ = g.Relations(), g.Selections(), g.Joins()
+			_, _, _ = g.Contains(sub), g.Equal(sub), g.HasSelection(r)
+			_ = g.HasJoin(NewJoin("S", "b", "W", "b"))
+		}},
+		{"key", 1, func() { _ = g.PrefixedKey("mat|") }},
+		{"selection sub-graph", 1, func() { _ = g.SelectionSubgraphAt(0) }},
+		{"join sub-graph", 3, func() { _ = g.JoinSubgraphAt(0) }},
+	} {
+		if got := testing.AllocsPerRun(10, c.f); got != c.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"specdb/internal/qgraph"
@@ -14,7 +15,7 @@ import (
 // relations, selections, and joins appear in their sorted graph order, so two
 // graphs with equal keys render byte-identically.
 func RenderForm(g *qgraph.Graph, projs []string) *SelectStmt {
-	stmt := &SelectStmt{From: g.Relations()}
+	stmt := &SelectStmt{From: slices.Clone(g.Relations())}
 	for _, p := range projs {
 		if i := strings.IndexByte(p, '.'); i >= 0 {
 			stmt.Projections = append(stmt.Projections, ColRef{Rel: p[:i], Col: p[i+1:]})

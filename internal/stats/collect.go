@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/bits"
+
 	"specdb/internal/slab"
 	"specdb/internal/tuple"
 )
@@ -18,11 +20,12 @@ import (
 // compare equal — +0.0 and -0.0 are distinct to the key image and equal to
 // Compare.
 //
-// The set of key images lives in tables taken from slab.Uint64s: each
-// doubling gives the outgrown table back, and Release gives the last one back
-// once Stats has copied out the numbers, so a build's statistics pass leaves
-// nothing behind for the collector and the next build's sets cost no
-// allocation.
+// The set of key images lives in tables taken from slab.Uint64s, and a string
+// column's set in tables of strings taken from strTables: each doubling gives
+// the outgrown table back, and Release gives the last one back once Stats has
+// copied out the numbers, so a build's statistics pass leaves nothing behind
+// for the collector and the next build's sets cost no allocation. Both sets
+// hash with fixed functions, so when they grow is the same in every process.
 //
 // A collector from ColumnCollectors knows its column's kind from the schema
 // and asks no value for its own (DESIGN.md §15, "What a value costs"), so
@@ -34,7 +37,7 @@ type Collector struct {
 	kind     tuple.Kind // the column's; KindInvalid asks each value
 	min, max tuple.Value
 	bits     bitsSet
-	strs     map[string]struct{}
+	strs     strSet
 }
 
 // ColumnCollectors returns an empty collector for each column of s, each of
@@ -55,10 +58,7 @@ func (c *Collector) Add(v tuple.Value) {
 	}
 	c.count++
 	if k == tuple.KindString {
-		if c.strs == nil {
-			c.strs = make(map[string]struct{})
-		}
-		c.strs[v.Str()] = struct{}{}
+		c.strs.add(v.Str())
 	} else {
 		c.bits.add(tuple.KeyBitsOf(k, v))
 	}
@@ -103,17 +103,18 @@ func (c *Collector) Stats() *ColumnStats {
 	if c.count == 0 {
 		return cs
 	}
-	cs.Distinct = int64(c.bits.len() + len(c.strs))
+	cs.Distinct = int64(c.bits.len() + c.strs.len())
 	cs.HasRange = true
 	cs.Min, cs.Max = c.min, c.max
 	return cs
 }
 
-// Release gives the set's table back and empties the collector, which keeps
+// Release gives the sets' tables back and empties the collector, which keeps
 // its kind and may then be reused. Call it once Stats has been read: nothing
-// else refers to the table, because Stats copies numbers out of it.
+// else refers to the tables, because Stats copies numbers out of them.
 func (c *Collector) Release() {
 	slab.Uint64s.Give(c.bits.slots)
+	giveStrTable(c.strs.slots)
 	*c = Collector{kind: c.kind}
 }
 
@@ -181,4 +182,92 @@ func (s *bitsSet) grow() {
 		}
 	}
 	slab.Uint64s.Give(old)
+}
+
+// strTables recycles strSet's tables. Only strSet gives to it, and it gives
+// each table back cleared, so a table taken from it is empty and holds no
+// string that would keep a dead row's memory alive.
+var strTables slab.Classes[string]
+
+// strSet is bitsSet's counterpart for a string column: an exact set of the
+// column's strings, open addressing with linear probing over a power-of-two
+// table kept at most half full, doubling as it fills. Its hash is a fixed
+// function of the bytes, so the tables a column grows through, and so the
+// allocations a statistics pass makes, are the same in every process (a Go
+// map's growth depends on the per-process hash seed: it made a build's
+// allocation count differ by one between runs). The empty string is an
+// empty slot, so "" is remembered beside the table instead of in it.
+type strSet struct {
+	slots    []string
+	n        int // strings in slots
+	hasEmpty bool
+}
+
+func (s *strSet) len() int {
+	if s.hasEmpty {
+		return s.n + 1
+	}
+	return s.n
+}
+
+func (s *strSet) add(v string) {
+	if v == "" {
+		s.hasEmpty = true
+		return
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	if s.insert(v, strHash(v)) {
+		s.n++
+	}
+}
+
+// insert places v, whose hash is h, unless it is already there, and reports
+// whether it did. The table has a free slot, so the probe ends.
+func (s *strSet) insert(v string, h uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (h * 0x9e3779b97f4a7c15) >> 32 & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case v:
+			return false
+		case "":
+			s.slots[i] = v
+			return true
+		}
+	}
+}
+
+// grow moves the strings to a table twice the size and gives the old one
+// back.
+func (s *strSet) grow() {
+	old := s.slots
+	s.slots = strTables.Take(max(bitsSetMinSlots, 2*len(old)))
+	for _, v := range old {
+		if v != "" {
+			s.insert(v, strHash(v))
+		}
+	}
+	giveStrTable(old)
+}
+
+// giveStrTable gives a strSet's table back cleared: the set was its only
+// reader, and a cleared table is what the next Take's insert probes.
+func giveStrTable(table []string) {
+	clear(table)
+	strTables.Give(table)
+}
+
+// strHash is a fixed hash of v's bytes, eight at a time.
+func strHash(v string) uint64 {
+	h := uint64(len(v))
+	for ; len(v) >= 8; v = v[8:] {
+		w := uint64(v[0]) | uint64(v[1])<<8 | uint64(v[2])<<16 | uint64(v[3])<<24 |
+			uint64(v[4])<<32 | uint64(v[5])<<40 | uint64(v[6])<<48 | uint64(v[7])<<56
+		h = bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 31)
+	}
+	for i := 0; i < len(v); i++ {
+		h = (h ^ uint64(v[i])) * 0x100000001b3
+	}
+	return h ^ h>>29
 }

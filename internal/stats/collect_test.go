@@ -273,8 +273,9 @@ func TestCollectorOnRecycledTables(t *testing.T) {
 }
 
 // TestWarmCollectorAllocatesNothing: once a collector has released its
-// tables, the next one over a column of the same size takes every table it
-// grows through from the slab, so its Adds allocate nothing.
+// tables, the next one over a column of the same size, numeric or string,
+// takes every table it grows through from the slab, so its Adds allocate
+// nothing.
 func TestWarmCollectorAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -298,6 +299,23 @@ func TestWarmCollectorAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%d values on a warm slab: %.1f allocations, want 0", n, allocs)
+		}
+		strs := make([]tuple.Value, n)
+		for i := range strs {
+			strs[i] = tuple.NewString(fmt.Sprintf("k%07d", i))
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			var c Collector
+			for _, v := range strs {
+				c.Add(v)
+			}
+			if c.strs.len() != n {
+				t.Fatalf("distinct = %d, want %d", c.strs.len(), n)
+			}
+			c.Release()
+		})
+		if allocs != 0 {
+			t.Fatalf("%d strings on a warm slab: %.1f allocations, want 0", n, allocs)
 		}
 	}
 }

@@ -20,8 +20,10 @@
 # nearest `go test -bench` target.
 #
 # Writes cpu.pprof, mem.pprof and the test binary into the git-ignored
-# profiles/ directory and prints the top of each. -memprofilerate=4096 samples
-# allocations finely enough to rank per-row sites.
+# profiles/ directory and prints the top of each: CPU, then allocated bytes,
+# then allocation counts (a site that makes many small objects, such as the
+# planner's, ranks low by bytes and high by count). -memprofilerate=4096
+# samples allocations finely enough to rank per-row sites.
 #
 # Usage: scripts/profile.sh [replay] [passes]   # replay: normal (default), spec, predict, setup; passes default 10
 #        scripts/profile.sh 5                   # five passes of the normal replay
@@ -51,4 +53,6 @@ echo "== CPU: top 25 =="
 go tool pprof -top -nodecount=25 "$out/specdb.test" "$out/cpu.pprof" 2>/dev/null | tail -n +6
 echo "== allocated bytes: top 25 =="
 go tool pprof -sample_index=alloc_space -top -nodecount=25 "$out/specdb.test" "$out/mem.pprof" 2>/dev/null | tail -n +6
+echo "== allocation counts: top 25 =="
+go tool pprof -sample_index=alloc_objects -top -nodecount=25 "$out/specdb.test" "$out/mem.pprof" 2>/dev/null | tail -n +6
 echo "profiles written to $out/ (go tool pprof $out/specdb.test $out/cpu.pprof)"
